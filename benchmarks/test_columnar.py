@@ -1,23 +1,18 @@
-"""Columnar row format + vectorized similarity benchmark.
+"""Vectorized similarity benchmark.
 
-Quantifies the three claims of the columnar PR against the seed ("before")
-implementations, which are kept in-tree precisely for this comparison:
-
-- **storage** — v2 rows (delta+zigzag+varint streams, quantized feature
-  section) vs v1 rows, as bytes-per-trajectory of flushed SSTable files;
-- **decode** — batched columnar decode into :class:`PointBlock` vs the
-  scalar per-point object path, on the same v2 rows;
-- **similarity** — the antidiagonal numpy kernels vs the row-by-row
-  reference kernels (:mod:`repro.similarity.reference`), both per-call
-  and end-to-end through a Fig-21-style top-k similarity workload where
-  the "before" pass runs the same deployment with the reference kernels
-  patched into the measure registry.
+Quantifies the antidiagonal numpy kernels against the row-by-row
+reference kernels (:mod:`repro.similarity.reference`, kept in-tree as the
+test oracle), both per-call and end-to-end through a Fig-21-style top-k
+similarity workload where the "before" pass runs the same deployment
+with the reference kernels patched into the measure registry.  (The v1
+storage and scalar-decode arms are retired with their baselines; the
+last measured numbers are in ``docs/perf.md``.)
 
 Trajectories are resampled to realistic fix counts (the scaled-down
 dataset generator emits very short trips; the paper's similarity
 workloads run on trajectories with hundreds of fixes, where the DP
 kernels dominate).  Emits ``benchmarks/results/BENCH_columnar.json``
-(schema-checked in CI via ``python -m repro.bench.validate_columnar``)
+(schema-checked in CI via ``python -m repro.bench.validate``)
 and enforces a regression guard: top-k similarity p50 must stay within
 2x the baseline recorded in ``benchmarks/baselines/columnar_baseline.json``.
 ``BENCH_SMOKE=1`` shrinks the workload so CI can run the full path in
@@ -36,9 +31,7 @@ import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR
 from repro import TMan, TManConfig
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.datasets import LORRY_SPEC, lorry_like
-from repro.kvstore.durable import DurableLSMStore
 from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 from repro.similarity import measures
@@ -47,7 +40,6 @@ from repro.similarity.reference import (
     frechet_reference,
     hausdorff_reference,
 )
-from repro.storage.serializer import RowSerializer
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 PROFILE = "smoke" if SMOKE else "full"
@@ -82,17 +74,6 @@ def _dataset():
     return [_densify(t, POINTS) for t in raw]
 
 
-def _sstable_bytes(tmp_path, rows) -> int:
-    store = DurableLSMStore(tmp_path, sync=False)
-    for key, value in rows:
-        store.put(key, value)
-    store.flush()
-    store.compact()
-    total = sum(p.stat().st_size for p in store.data_dir.glob("sst-*.sst"))
-    store.close()
-    return total
-
-
 def _percentiles(samples_ms):
     ordered = sorted(samples_ms)
     return {
@@ -101,7 +82,7 @@ def _percentiles(samples_ms):
     }
 
 
-def test_columnar_benchmark(tmp_path_factory):
+def test_columnar_benchmark():
     data = _dataset()
     report = {
         "profile": PROFILE,
@@ -109,61 +90,6 @@ def test_columnar_benchmark(tmp_path_factory):
         "n_trajectories": N_TRAJS,
         "points_per_trajectory": POINTS,
     }
-
-    # -- storage: v1 vs v2 bytes per trajectory ---------------------------
-    rows = {}
-    for version in (1, 2):
-        serializer = RowSerializer(write_version=version)
-        rows[version] = [
-            (f"k{i:06d}".encode(), serializer.encode(t, tr_value=0))
-            for i, t in enumerate(data)
-        ]
-    sst = {
-        version: _sstable_bytes(tmp_path_factory.mktemp(f"v{version}"), rows[version])
-        for version in (1, 2)
-    }
-    report["storage"] = {
-        "v1_row_bytes_per_traj": round(
-            sum(len(v) for _, v in rows[1]) / N_TRAJS, 1
-        ),
-        "v2_row_bytes_per_traj": round(
-            sum(len(v) for _, v in rows[2]) / N_TRAJS, 1
-        ),
-        "v1_sstable_bytes_per_traj": round(sst[1] / N_TRAJS, 1),
-        "v2_sstable_bytes_per_traj": round(sst[2] / N_TRAJS, 1),
-        "sstable_ratio_v2_over_v1": round(sst[2] / sst[1], 4),
-    }
-    assert sst[2] < sst[1], report["storage"]
-
-    # -- decode: columnar block vs scalar object path ---------------------
-    # Measured on rows whose point streams use the pure varint wire (the
-    # ``columnar`` codec), where decode is numpy passes end to end.
-    wire = TrajectoryCodec("columnar")
-    columnar = RowSerializer(wire, columnar=True)
-    legacy = RowSerializer(wire, columnar=False)
-    v2_rows = [columnar.encode(t, tr_value=0) for t in data]
-    decode = {}
-    for name, serializer in (("columnar", columnar), ("legacy", legacy)):
-        reps = 2 if SMOKE else 5
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for value in v2_rows:
-                stored = serializer.decode_trajectory(value)
-                # Materialize coordinates the way refinement does.
-                stored.trajectory.xy_arrays()
-        elapsed = time.perf_counter() - t0
-        decode[name] = {
-            "rows_per_s": round(reps * len(v2_rows) / elapsed, 1),
-            "ms_per_row": round(elapsed / (reps * len(v2_rows)) * 1e3, 4),
-        }
-    decode["speedup"] = round(
-        decode["columnar"]["rows_per_s"] / decode["legacy"]["rows_per_s"], 3
-    )
-    report["decode"] = decode
-    sample = v2_rows[0]
-    assert list(columnar.decode(sample).trajectory.points) == list(
-        legacy.decode(sample).trajectory.points
-    )
 
     # -- similarity kernels: vectorized vs reference ----------------------
     pairs = [

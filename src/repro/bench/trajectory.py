@@ -32,18 +32,16 @@ HEADLINE_PATHS: dict[str, tuple[str, ...]] = {
         "obs_overhead.overhead_pct",
     ),
     "multirange": (
-        "trq.p50_speedup_remote",
-        "trq.p50_speedup_local",
-        "srq.p50_speedup_remote",
-        "srq.p50_speedup_local",
+        "trq.remote.p50_ms",
+        "trq.local.p50_ms",
+        "srq.remote.p50_ms",
+        "srq.local.p50_ms",
         "block_cache.warm_read_reduction",
     ),
     "columnar": (
         "kernels.frechet.p50_speedup",
         "kernels.dtw.p50_speedup",
         "kernels.hausdorff.p50_speedup",
-        "decode.speedup",
-        "storage.sstable_ratio_v2_over_v1",
         "topk_similarity.p50_speedup",
     ),
     "cbo": (

@@ -12,6 +12,7 @@ element's shapes are re-encoded.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,9 @@ class ShapeIndexCache:
     ):
         self._redis = redis if redis is not None else RedisServer()
         self._local: LFUCache[int, dict[int, int]] = LFUCache(local_capacity)
+        # The LFU's bookkeeping is several dict updates per touch;
+        # concurrent queries share this cache, so every access is locked.
+        self._local_lock = threading.Lock()
         self._namespace = namespace
         self.remote_fetches = 0
         # Callback gauges sample this instance at snapshot time.  When
@@ -108,20 +112,23 @@ class ShapeIndexCache:
         self._redis.delete(key)
         for shape, final_code in mapping.items():
             self._redis.hset(key, str(shape), struct.pack(">I", final_code))
-        self._local.put(element_code, dict(mapping))
+        with self._local_lock:
+            self._local.put(element_code, dict(mapping))
 
     def add_shape(self, element_code: int, shape: int, final_code: int) -> None:
         """Append one shape to an element's mapping."""
         self._redis.hset(self._key(element_code), str(shape), struct.pack(">I", final_code))
-        cached = self._local.peek(element_code)
-        if cached is not None:
-            cached[shape] = final_code
+        with self._local_lock:
+            cached = self._local.peek(element_code)
+            if cached is not None:
+                cached[shape] = final_code
 
     # -- reads ----------------------------------------------------------------
 
     def get_mapping(self, element_code: int) -> Optional[dict[int, int]]:
         """Return the element's shape mapping, loading from Redis on a miss."""
-        cached = self._local.get(element_code)
+        with self._local_lock:
+            cached = self._local.get(element_code)
         profile = current_profile()
         if cached is not None:
             if profile is not None:
@@ -135,7 +142,8 @@ class ShapeIndexCache:
             return None
         self.remote_fetches += 1
         mapping = {int(shape): struct.unpack(">I", blob)[0] for shape, blob in raw.items()}
-        self._local.put(element_code, mapping)
+        with self._local_lock:
+            self._local.put(element_code, mapping)
         return mapping
 
     def lookup_final_code(self, element_code: int, shape: int) -> Optional[int]:
@@ -172,7 +180,8 @@ class ShapeIndexCache:
 
     def clear_local(self) -> None:
         """Drop the local layer (e.g. after a re-encode invalidates codes)."""
-        self._local.clear()
+        with self._local_lock:
+            self._local.clear()
 
 
 class BufferShapeCache:

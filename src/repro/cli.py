@@ -193,12 +193,11 @@ def cmd_query(args: argparse.Namespace) -> int:
             )
         )
     retry_before = retry_counts()
-    overrides = {"window_parallel": False} if args.no_window_parallel else None
     deadline_kwargs = {
         "deadline_ms": args.deadline_ms,
         "allow_partial": args.allow_partial,
     }
-    with open_tman(args.deployment, config_overrides=overrides) as tman:
+    with open_tman(args.deployment) as tman:
         try:
             if args.type == "temporal":
                 res = tman.query(
@@ -305,8 +304,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(
             f"memtable: {tman.cluster.memtable_bytes()} unflushed bytes, "
             f"soft_watermark={'off' if soft is None else soft} "
-            f"hard_watermark={'off' if hard is None else hard} "
-            f"stall_timeout_ms={cfg.write_stall_timeout_ms:g}"
+            f"hard_watermark={'off' if hard is None else hard}"
         )
         if cfg.admission_max_inflight > 0:
             print(
@@ -353,8 +351,7 @@ def cmd_health(args: argparse.Namespace) -> int:
         hard = "off" if w["hard_bytes"] is None else w["hard_bytes"]
         print(
             f"write: memtable_bytes={w['memtable_bytes']} "
-            f"soft_watermark={soft} hard_watermark={hard} "
-            f"stall_timeout_ms={w['stall_timeout_ms']:g}"
+            f"soft_watermark={soft} hard_watermark={hard}"
         )
         cl = doc.get("cluster")
         if cl is None:
@@ -545,11 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slow-ms",
         type=float,
         help="slow-query threshold; crossing queries print a full trace",
-    )
-    q.add_argument(
-        "--no-window-parallel",
-        action="store_true",
-        help="run scan windows serially instead of on the worker pool",
     )
     q.add_argument(
         "--fault-rate",

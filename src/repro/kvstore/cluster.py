@@ -20,9 +20,9 @@ class Cluster:
 
     Owns the shared :class:`IOStats`, an optional worker pool used for
     parallel region scans, the cluster-wide SSTable block cache, the
-    retry policy and breaker knobs applied to every region RPC, and the
-    table catalog.  One ``Cluster`` per TMan deployment; baselines get
-    their own so counters never mix.
+    retry policy applied to every region RPC, and the table catalog.
+    One ``Cluster`` per TMan deployment; baselines get their own so
+    counters never mix.
     """
 
     def __init__(
@@ -32,16 +32,12 @@ class Cluster:
         data_dir=None,
         block_cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES,
         retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 8,
-        breaker_reset_s: float = 5.0,
         write_limits: Optional[WriteLimits] = None,
     ):
         self.stats = IOStats()
         self._split_rows = split_rows
         self._data_dir = data_dir
         self.retry = retry if retry is not None else RetryPolicy()
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_s = breaker_reset_s
         self.write_limits = (
             write_limits if write_limits is not None and write_limits.enabled else None
         )
@@ -94,8 +90,6 @@ class Cluster:
             data_dir=self._data_dir,
             block_cache=self.block_cache,
             retry=self.retry,
-            breaker_threshold=self._breaker_threshold,
-            breaker_reset_s=self._breaker_reset_s,
             write_limits=self.write_limits,
             flusher=self._flusher,
             store_factory=self._table_store_factory,

@@ -27,7 +27,6 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
 import time
@@ -39,7 +38,7 @@ from repro.kvstore.block_cache import BlockCache
 from repro.kvstore.census import census_rows
 from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
 from repro.kvstore.errors import CorruptionError, StoreLockedError
-from repro.kvstore.memtable import TOMBSTONE, MemTable
+from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_value
 from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
@@ -326,42 +325,19 @@ class DurableLSMStore:
         """Return the value stored under ``key``, or ``None`` when absent."""
         if self._stats is not None:
             self._stats.add(point_gets=1)
-        value = self._memtable.get(key)
-        if value is not None:
-            return None if value == TOMBSTONE else value
-        for table in reversed(self._sstables):
-            value = table.get(key)
-            if value is not None:
-                return None if value == TOMBSTONE else value
-        return None
+        return newest_value([self._memtable, *reversed(self._sstables)], key)
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
-        sources = [(0, self._memtable.scan(start, stop))]
-        for age, table in enumerate(reversed(self._sstables), start=1):
-            if table.overlaps(start, stop):
-                sources.append((age, table.scan(start, stop)))
-
-        heap: list[tuple[bytes, int, bytes, Iterator[tuple[bytes, bytes]]]] = []
-        for priority, it in sources:
-            first = next(it, None)
-            if first is not None:
-                heapq.heappush(heap, (first[0], priority, first[1], it))
-
-        last_key: Optional[bytes] = None
-        while heap:
-            key, priority, value, it = heapq.heappop(heap)
-            nxt = next(it, None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], priority, nxt[1], it))
-            if key == last_key:
-                continue
-            last_key = key
-            if value == TOMBSTONE:
-                continue
-            yield key, value
+        sources = [self._memtable.scan(start, stop)]
+        sources += [
+            table.scan(start, stop)
+            for table in reversed(self._sstables)
+            if table.overlaps(start, stop)
+        ]
+        return merge_live(sources)
 
     def close(self) -> None:
         """Release the resources held by this object (idempotent).

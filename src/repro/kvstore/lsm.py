@@ -1,20 +1,19 @@
 """LSM-tree store: memtable + tiered SSTables with compaction.
 
-With :class:`~repro.runtime.backpressure.WriteLimits` configured the
-store grows a write-backpressure pipeline: at the soft watermark the
-active memtable is *frozen* (swapped for a fresh one and never mutated
-again, which makes it safe to read from the flusher thread) and flushed
-asynchronously on the cluster's flusher pool while the writer is briefly
-throttled; at the hard watermark writers stall until flushing catches up,
-for at most a bounded timeout, after which the write is rejected with
-:class:`~repro.kvstore.errors.WriteStalledError`.  Without limits the
-store behaves exactly as before: synchronous flush at ``flush_bytes``,
-no locks, no background work.
+Every write goes through one flush pipeline: when the active memtable
+crosses ``flush_bytes`` (or, with
+:class:`~repro.runtime.backpressure.WriteLimits`, the soft watermark) it
+is *frozen* — swapped for a fresh one and never mutated again, which
+makes it safe to read from another thread — and queued for flushing.
+With a flusher pool the queue drains in the background while the writer
+is briefly throttled, and at the hard watermark writers stall until
+flushing catches up, for at most a bounded timeout, after which the
+write is rejected with :class:`~repro.kvstore.errors.WriteStalledError`.
+Without a flusher the queue drains inline, before the write returns.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from typing import Iterator, Optional
 
 from repro.kvstore.census import census_rows
 from repro.kvstore.errors import WriteStalledError
-from repro.kvstore.memtable import TOMBSTONE, MemTable
+from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_value
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
@@ -77,16 +76,14 @@ class LSMStore:
         # Optional CensusHook observing flushed/compacted rows (settable
         # attribute so constructor signatures stay stable).
         self.census_hook = None
-        # Backpressure state (None = seed behavior: no locks, sync flush).
-        self._limits = (
-            write_limits if write_limits is not None and write_limits.enabled else None
-        )
+        self._limits = write_limits if write_limits is not None else WriteLimits()
         self._flusher = flusher
-        if self._limits is not None:
-            self._cond = threading.Condition(threading.Lock())
-            self._frozen: list[MemTable] = []  # oldest first, flush order
-            self._flush_inflight = False
-            self._flush_error: Optional[BaseException] = None
+        # Guards the level lists (_memtable, _frozen, _sstables) and the
+        # flush-pipeline state; waited on by stalled writers and flush().
+        self._cond = threading.Condition(threading.Lock())
+        self._frozen: list[MemTable] = []  # oldest first, flush order
+        self._flush_inflight = False
+        self._flush_error: Optional[BaseException] = None
 
     def __len__(self) -> int:
         """Upper bound on live entries (duplicates across levels counted once per scan)."""
@@ -100,10 +97,8 @@ class LSMStore:
     @property
     def memtable_bytes(self) -> int:
         """Unflushed bytes: the active memtable plus frozen ones awaiting flush."""
-        total = self._memtable.approx_bytes
-        if self._limits is not None:
-            total += sum(mt.approx_bytes for mt in self._frozen)
-        return total
+        with self._cond:
+            return self._unflushed_bytes_locked()
 
     # -- writes -------------------------------------------------------------
 
@@ -117,27 +112,13 @@ class LSMStore:
         """
         if value == TOMBSTONE:
             raise ValueError("the tombstone sentinel cannot be stored as a value")
-        if self._limits is not None:
-            self._put_limited(key, value, delete=False)
-            return
-        self._memtable.put(key, value)
-        self._maybe_flush()
+        self._write(key, value)
 
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""
-        if self._limits is not None:
-            self._put_limited(key, b"", delete=True)
-            return
-        self._memtable.delete(key)
-        self._maybe_flush()
+        self._write(key, TOMBSTONE)
 
-    def _maybe_flush(self) -> None:
-        if self._memtable.approx_bytes >= self._flush_bytes:
-            self.flush()
-
-    # -- backpressure write path --------------------------------------------
-
-    def _put_limited(self, key: bytes, value: bytes, delete: bool) -> None:
+    def _write(self, key: bytes, value: bytes) -> None:
         limits = self._limits
         throttle = False
         with self._cond:
@@ -147,21 +128,15 @@ class LSMStore:
                 and self._unflushed_bytes_locked() >= limits.hard_bytes
             ):
                 self._stall_locked()
-            # The soft watermark (defaulting to flush_bytes so the active
-            # memtable stays bounded even when only hard is configured)
-            # freezes the active memtable into the flush pipeline.
-            soft = (
-                limits.soft_bytes
-                if limits.soft_bytes is not None
-                else self._flush_bytes
-            )
-            if self._memtable.approx_bytes >= soft:
+            if (
+                limits.soft_bytes is not None
+                and self._memtable.approx_bytes >= limits.soft_bytes
+            ):
                 self._freeze_and_schedule_locked()
-                throttle = limits.soft_bytes is not None and limits.throttle_ms > 0
-            if delete:
-                self._memtable.delete(key)
-            else:
-                self._memtable.put(key, value)
+                throttle = limits.throttle_ms > 0
+            self._memtable.put(key, value)
+            if self._memtable.approx_bytes >= self._flush_bytes:
+                self._freeze_and_schedule_locked()
         if throttle:
             # Smear the flush cost across the burst: a short sleep outside
             # the lock per freeze, not per put.
@@ -264,39 +239,23 @@ class LSMStore:
     def flush(self) -> None:
         """Freeze the memtable into an SSTable (no-op when empty).
 
-        With write limits this also drains the background flush pipeline,
-        so on return every previously written row is in an SSTable.
+        Also drains the background flush pipeline, so on return every
+        previously written row is in an SSTable.
         """
-        if self._limits is not None:
-            with self._cond:
+        with self._cond:
+            self._raise_flush_error_locked()
+            if len(self._memtable):
+                self._frozen.append(self._memtable)
+                self._memtable = MemTable()
+            while self._flush_inflight:
+                self._cond.wait()
                 self._raise_flush_error_locked()
-                if len(self._memtable):
-                    self._frozen.append(self._memtable)
-                    self._memtable = MemTable()
-                while self._flush_inflight:
-                    self._cond.wait()
-                    self._raise_flush_error_locked()
-                self._drain_frozen_locked()
-            return
-        if len(self._memtable) == 0:
-            return
-        _FLUSH_TOTAL.inc()
-        _FLUSH_BYTES.inc(self._memtable.approx_bytes)
-        entries = list(self._memtable.items())
-        if self.census_hook is not None:
-            self.census_hook.on_flush(id(self), entries)
-        self._sstables.append(SSTable(entries, self._stats))
-        self._memtable = MemTable()
-        if len(self._sstables) > self._max_tables:
-            self.compact()
+            self._drain_frozen_locked()
 
     def compact(self) -> None:
         """Merge every SSTable into one, dropping shadowed values and tombstones."""
-        if self._limits is not None:
-            with self._cond:
-                self._compact_locked()
-            return
-        self._compact_locked()
+        with self._cond:
+            self._compact_locked()
 
     def _compact_locked(self) -> None:
         merged: dict[bytes, bytes] = {}
@@ -313,75 +272,40 @@ class LSMStore:
 
     # -- reads --------------------------------------------------------------
 
+    def _levels_snapshot(self) -> tuple[list[MemTable], list[SSTable]]:
+        """The level lists, each newest first, copied under the lock.
+
+        Frozen memtables are never mutated again and SSTables never
+        change after construction, so reads run lock-free against the
+        snapshot while flushes and compactions swap the lists.
+        """
+        with self._cond:
+            return (
+                [self._memtable, *reversed(self._frozen)],
+                self._sstables[::-1],
+            )
+
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the live value for ``key`` or ``None``."""
         if self._stats is not None:
             self._stats.add(point_gets=1)
-        if self._limits is not None:
-            with self._cond:
-                memtables = [self._memtable, *reversed(self._frozen)]
-                sstables = list(self._sstables)
-            for mt in memtables:
-                value = mt.get(key)
-                if value is not None:
-                    return None if value == TOMBSTONE else value
-            for table in reversed(sstables):
-                value = table.get(key)
-                if value is not None:
-                    return None if value == TOMBSTONE else value
-            return None
-        value = self._memtable.get(key)
-        if value is not None:
-            return None if value == TOMBSTONE else value
-        for table in reversed(self._sstables):
-            value = table.get(key)
-            if value is not None:
-                return None if value == TOMBSTONE else value
-        return None
+        memtables, sstables = self._levels_snapshot()
+        return newest_value(memtables + sstables, key)
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield live entries in ``[start, stop)`` in key order.
 
-        Sources are merged with a heap; for duplicate keys the newest source
-        (memtable, frozen memtables newest-first, then youngest SSTable)
-        wins, and tombstones suppress the key entirely.
+        For duplicate keys the newest source (memtable, frozen memtables
+        newest-first, then youngest SSTable) wins, and tombstones suppress
+        the key entirely.
         """
-        # Priority: lower number = newer = wins on ties.
-        if self._limits is not None:
-            # Snapshot the level lists under the lock; the snapshotted
-            # objects themselves are immutable (frozen memtables are never
-            # mutated again, SSTables never change after construction), so
-            # the merge below runs lock-free against a consistent view.
-            with self._cond:
-                memtables = [self._memtable, *reversed(self._frozen)]
-                sstables = list(self._sstables)
-        else:
-            memtables = [self._memtable]
-            sstables = self._sstables
-        sources: list[tuple[int, Iterator[tuple[bytes, bytes]]]] = [
-            (prio, mt.scan(start, stop)) for prio, mt in enumerate(memtables)
+        memtables, sstables = self._levels_snapshot()
+        sources = [mt.scan(start, stop) for mt in memtables]
+        sources += [
+            table.scan(start, stop)
+            for table in sstables
+            if table.overlaps(start, stop)
         ]
-        for age, table in enumerate(reversed(sstables), start=len(memtables)):
-            if table.overlaps(start, stop):
-                sources.append((age, table.scan(start, stop)))
-
-        heap: list[tuple[bytes, int, bytes, Iterator[tuple[bytes, bytes]]]] = []
-        for priority, it in sources:
-            first = next(it, None)
-            if first is not None:
-                heapq.heappush(heap, (first[0], priority, first[1], it))
-
-        last_key: Optional[bytes] = None
-        while heap:
-            key, priority, value, it = heapq.heappop(heap)
-            nxt = next(it, None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], priority, nxt[1], it))
-            if key == last_key:
-                continue  # an older shadowed version
-            last_key = key
-            if value == TOMBSTONE:
-                continue
-            yield key, value
+        return merge_live(sources)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional
+import heapq
+from typing import Iterable, Iterator, Optional
 
 TOMBSTONE = b"\x00__tombstone__\x00"
 
@@ -63,3 +64,46 @@ class MemTable:
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in key order (flush path)."""
         return self.scan()
+
+
+def newest_value(levels: Iterable, key: bytes) -> Optional[bytes]:
+    """Live value of ``key`` across LSM levels given newest first.
+
+    Each level exposes ``get(key)`` (memtables and SSTables both do); the
+    newest level holding the key decides, and a tombstone there hides
+    every older version.
+    """
+    for level in levels:
+        value = level.get(key)
+        if value is not None:
+            return None if value == TOMBSTONE else value
+    return None
+
+
+def merge_live(
+    sources: Iterable[Iterator[tuple[bytes, bytes]]],
+) -> Iterator[tuple[bytes, bytes]]:
+    """Merge key-ordered ``(key, value)`` streams given newest first.
+
+    For duplicate keys the newest source wins, and tombstones suppress
+    the key entirely, so only live entries come out, in key order.
+    """
+    # Heap entries order by (key, age): the lower age is the newer source.
+    heap: list[tuple[bytes, int, bytes, Iterator[tuple[bytes, bytes]]]] = []
+    for age, it in enumerate(sources):
+        first = next(it, None)
+        if first is not None:
+            heapq.heappush(heap, (first[0], age, first[1], it))
+
+    last_key: Optional[bytes] = None
+    while heap:
+        key, age, value, it = heapq.heappop(heap)
+        nxt = next(it, None)
+        if nxt is not None:
+            heapq.heappush(heap, (nxt[0], age, nxt[1], it))
+        if key == last_key:
+            continue  # an older shadowed version
+        last_key = key
+        if value == TOMBSTONE:
+            continue
+        yield key, value

@@ -66,8 +66,6 @@ def load_cluster(
     split_rows: int = 200_000,
     block_cache_bytes: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
-    breaker_threshold: int = 8,
-    breaker_reset_s: float = 5.0,
     write_limits: Optional[WriteLimits] = None,
 ) -> Cluster:
     """Restore a cluster from a snapshot file."""
@@ -81,8 +79,6 @@ def load_cluster(
             else DEFAULT_BLOCK_CACHE_BYTES
         ),
         retry=retry,
-        breaker_threshold=breaker_threshold,
-        breaker_reset_s=breaker_reset_s,
         write_limits=write_limits,
     )
     with open(path, "rb") as fh:

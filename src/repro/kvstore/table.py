@@ -65,8 +65,6 @@ class Table:
         data_dir=None,
         block_cache: Optional[BlockCache] = None,
         retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 8,
-        breaker_reset_s: float = 5.0,
         write_limits: Optional[WriteLimits] = None,
         flusher: Optional[ThreadPoolExecutor] = None,
         store_factory=None,
@@ -82,8 +80,6 @@ class Table:
         self._store_factory = store_factory
         self._block_cache = block_cache
         self._retry = retry if retry is not None else RetryPolicy()
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_s = breaker_reset_s
         self._write_limits = write_limits
         self._flusher = flusher
         self._census_hook = None
@@ -134,11 +130,7 @@ class Table:
                 write_limits=self._write_limits,
             )
             store.region_id = region_id  # type: ignore[attr-defined]
-        breaker = CircuitBreaker(
-            failure_threshold=self._breaker_threshold,
-            reset_after_s=self._breaker_reset_s,
-            name=f"{self.name}/[{start!r},{end!r})",
-        )
+        breaker = CircuitBreaker(name=f"{self.name}/[{start!r},{end!r})")
         region = Region(
             start,
             end,
@@ -388,41 +380,27 @@ class Table:
         self,
         windows: Iterable[Window],
         row_filter=None,
-        batch_rows: Optional[int] = None,
-        parallel: bool = True,
-        window_concurrency: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Scan many key windows, yielding each window's rows in order.
 
-        With ``parallel`` and a worker pool, windows execute concurrently
-        through the :mod:`~repro.kvstore.scheduler` (bounded buffering,
-        lazy admission, cancellation on close); output is still strictly
-        window-ordered, so the result is byte-identical to the serial
-        loop.  Without a pool — or with ``parallel=False``, the A/B
-        escape hatch — each window runs :meth:`parallel_scan` in turn.
-        ``windows`` is consumed lazily in both modes: an early-terminated
-        consumer never advances past the windows it needed.
+        With a worker pool, up to ``DEFAULT_WINDOW_CONCURRENCY`` windows
+        execute concurrently through the :mod:`~repro.kvstore.scheduler`
+        (bounded buffering, lazy admission, cancellation on close);
+        output is still strictly window-ordered, so the result is
+        byte-identical to a serial loop.  Without a pool, or while a
+        region's breaker is open, each window runs :meth:`parallel_scan`
+        in turn.  ``windows`` is consumed lazily either way: an
+        early-terminated consumer never advances past the windows it
+        needed.
         """
-        batch = batch_rows if batch_rows is not None else DEFAULT_BATCH_ROWS
-        concurrency = (
-            window_concurrency
-            if window_concurrency is not None
-            else DEFAULT_WINDOW_CONCURRENCY
-        )
         windows_iter = iter(windows)
         degraded = not self._regions_healthy()
-        if not parallel or concurrency <= 1 or self._executor is None or degraded:
+        if self._executor is None or degraded:
             _SCANS_BY_MODE.labels(mode="degraded" if degraded else "serial").inc()
             for start, stop in windows_iter:
                 yield from self.parallel_scan(
-                    Scan(
-                        start,
-                        stop,
-                        row_filter,
-                        batch_rows=batch_rows,
-                        deadline=deadline,
-                    )
+                    Scan(start, stop, row_filter, deadline=deadline)
                 )
             return
         first = next(windows_iter, None)
@@ -433,13 +411,7 @@ class Table:
             # One window: region-level parallelism beats window-level.
             _SCANS_BY_MODE.labels(mode="serial").inc()
             yield from self.parallel_scan(
-                Scan(
-                    first[0],
-                    first[1],
-                    row_filter,
-                    batch_rows=batch_rows,
-                    deadline=deadline,
-                )
+                Scan(first[0], first[1], row_filter, deadline=deadline)
             )
             return
         _SCANS_BY_MODE.labels(mode="scheduled").inc()
@@ -447,15 +419,14 @@ class Table:
             lambda w: self.scan(Scan(w[0], w[1], row_filter, deadline=deadline)),
             itertools.chain((first, second), windows_iter),
             self._executor,
-            batch,
-            concurrency,
+            DEFAULT_BATCH_ROWS,
+            DEFAULT_WINDOW_CONCURRENCY,
             deadline=deadline,
         )
 
     def multi_get(
         self,
         keys: Sequence[bytes],
-        parallel: bool = True,
         deadline: Optional[Deadline] = None,
     ) -> list[Optional[bytes]]:
         """Batched point lookups; values (or ``None``) in input-key order.
@@ -474,9 +445,6 @@ class Table:
             return []
         if deadline is not None:
             deadline.check("multi_get")
-        if not parallel:
-            # The A/B escape hatch: the seed's one-round-trip-per-key loop.
-            return [self.get(key) for key in keys]
         groups: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
             groups.setdefault(bisect.bisect_right(self._boundaries, key), []).append(i)

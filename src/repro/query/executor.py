@@ -296,18 +296,10 @@ class QueryExecutor:
         deadline: Optional[Deadline] = None,
     ) -> Pipeline:
         """One expanding-ring round: scan the ring, refine, feed the top-k."""
-        cfg = self._t.config
         return Pipeline(
             [
-                WindowSource(windows, coalesce=cfg.coalesce_windows),
-                RegionScan(
-                    self._t.primary_table,
-                    None,
-                    cfg.scan_batch_rows,
-                    window_parallel=cfg.window_parallel,
-                    window_concurrency=cfg.window_concurrency,
-                    deadline=deadline,
-                ),
+                WindowSource(windows),
+                RegionScan(self._t.primary_table, None, deadline=deadline),
                 refine,
             ],
             sink,

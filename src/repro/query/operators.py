@@ -31,6 +31,10 @@ from repro.storage.serializer import RowSerializer
 
 Row = tuple[bytes, bytes]
 
+# Primary keys per SecondaryResolve batch: one Table.multi_get call (one
+# request per region touched) each.
+MULTI_GET_BATCH = 64
+
 
 class Window(NamedTuple):
     """One key-range scan window (``None`` = unbounded side)."""
@@ -52,23 +56,21 @@ class Operator:
 class WindowSource(Operator):
     """Source stage: emits the query's scan windows.
 
-    With ``coalesce`` (the default) the windows are sorted,
-    de-duplicated, and merged where adjacent/overlapping before
-    execution, so the N intervals a temporal query expands to collapse
-    into as few scans as their contiguity allows.  The scanned key set
-    is unchanged; emission order becomes the deterministic sorted order.
+    The windows are sorted, de-duplicated, and merged where
+    adjacent/overlapping before execution, so the N intervals a temporal
+    query expands to collapse into as few scans as their contiguity
+    allows.  The scanned key set is unchanged; emission order becomes
+    the deterministic sorted order.
     """
 
     name = "windows"
 
     def __init__(
-        self,
-        windows: Sequence[tuple[Optional[bytes], Optional[bytes]]],
-        coalesce: bool = True,
+        self, windows: Sequence[tuple[Optional[bytes], Optional[bytes]]]
     ):
-        if coalesce:
-            windows = coalesce_windows(windows)
-        self.windows = [Window(start, stop) for start, stop in windows]
+        self.windows = [
+            Window(start, stop) for start, stop in coalesce_windows(windows)
+        ]
 
     def process(self, upstream: Optional[Iterator[Any]]) -> Iterator[Window]:
         return iter(self.windows)
@@ -78,11 +80,9 @@ class RegionScan(Operator):
     """Streams rows of every window via the table's multi-range scheduler.
 
     When ``row_filter`` is set it is pushed down into the regions, so
-    rejected rows count as scanned but are never transferred.  With
-    ``window_parallel`` (the default) up to ``window_concurrency``
-    windows scan concurrently on the cluster worker pool while rows are
-    still emitted strictly in window order; disabling it reproduces the
-    serial one-window-at-a-time loop.
+    rejected rows count as scanned but are never transferred.  Windows
+    scan concurrently on the cluster worker pool while rows are still
+    emitted strictly in window order.
     """
 
     name = "region_scan"
@@ -91,25 +91,16 @@ class RegionScan(Operator):
         self,
         table: Table,
         row_filter: Optional[Filter] = None,
-        batch_rows: Optional[int] = None,
-        window_parallel: bool = True,
-        window_concurrency: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ):
         self.table = table
         self.row_filter = row_filter
-        self.batch_rows = batch_rows
-        self.window_parallel = window_parallel
-        self.window_concurrency = window_concurrency
         self.deadline = deadline
 
     def process(self, upstream: Iterator[Window]) -> Iterator[Row]:
         yield from self.table.multi_range_scan(
             ((start, stop) for start, stop in upstream),
             row_filter=self.row_filter,
-            batch_rows=self.batch_rows,
-            parallel=self.window_parallel,
-            window_concurrency=self.window_concurrency,
             deadline=self.deadline,
         )
 
@@ -136,12 +127,12 @@ class SecondaryResolve(Operator):
     """Secondary route: scan mapping rows, then fetch the primary rows.
 
     Mapping windows run through the secondary table's region-parallel
-    multi-range scheduler (the serial per-window ``Table.scan`` loop is
-    gone).  Primary keys are de-duplicated across all windows in first-
-    occurrence order and resolved in ``multi_get_batch``-sized batches
-    via :meth:`Table.multi_get`, so each batch costs one pool round-trip
-    instead of ``batch`` point-gets.  ``row_filter`` (when set) is
-    applied to the fetched primary rows client-side.
+    multi-range scheduler.  Primary keys are de-duplicated across all
+    windows in first-occurrence order and resolved in
+    ``MULTI_GET_BATCH``-sized batches via :meth:`Table.multi_get`, so
+    each batch costs one pool round-trip instead of ``batch``
+    point-gets.  ``row_filter`` (when set) is applied to the fetched
+    primary rows client-side.
     """
 
     name = "secondary_resolve"
@@ -151,27 +142,15 @@ class SecondaryResolve(Operator):
         secondary: Table,
         primary: Table,
         row_filter: Optional[Filter] = None,
-        batch_rows: Optional[int] = None,
-        multi_get_batch: int = 64,
-        window_parallel: bool = True,
-        window_concurrency: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ):
         self.secondary = secondary
         self.primary = primary
         self.row_filter = row_filter
-        self.batch_rows = batch_rows
-        self.multi_get_batch = max(1, multi_get_batch)
-        self.window_parallel = window_parallel
-        self.window_concurrency = window_concurrency
         self.deadline = deadline
 
     def _resolve(self, pkeys: list[bytes]) -> Iterator[Row]:
-        # window_parallel=False is the full A/B escape hatch: it also
-        # restores the one-round-trip-per-key resolve of the serial path.
-        values = self.primary.multi_get(
-            pkeys, parallel=self.window_parallel, deadline=self.deadline
-        )
+        values = self.primary.multi_get(pkeys, deadline=self.deadline)
         for pkey, value in zip(pkeys, values):
             if value is None:
                 continue
@@ -186,9 +165,6 @@ class SecondaryResolve(Operator):
         pending: list[bytes] = []
         mapping_rows = self.secondary.multi_range_scan(
             ((start, stop) for start, stop in upstream),
-            batch_rows=self.batch_rows,
-            parallel=self.window_parallel,
-            window_concurrency=self.window_concurrency,
             deadline=self.deadline,
         )
         try:
@@ -197,7 +173,7 @@ class SecondaryResolve(Operator):
                     continue
                 seen.add(pkey)
                 pending.append(pkey)
-                if len(pending) >= self.multi_get_batch:
+                if len(pending) >= MULTI_GET_BATCH:
                     yield from self._resolve(pending)
                     pending = []
         finally:

@@ -280,21 +280,11 @@ def scan_stages(
     deadline: Optional[Deadline] = None,
 ) -> list[Operator]:
     """Window source + primary region scan, honoring push-down config."""
-    cfg = tman.config
-    stages: list[Operator] = [
-        WindowSource(windows, coalesce=cfg.coalesce_windows)
-    ]
-    batch = cfg.scan_batch_rows
-    scan_kwargs = dict(
-        batch_rows=batch,
-        window_parallel=cfg.window_parallel,
-        window_concurrency=cfg.window_concurrency,
-        deadline=deadline,
-    )
-    if cfg.push_down:
-        stages.append(RegionScan(tman.primary_table, row_filter, **scan_kwargs))
+    stages: list[Operator] = [WindowSource(windows)]
+    if tman.config.push_down:
+        stages.append(RegionScan(tman.primary_table, row_filter, deadline=deadline))
     else:
-        stages.append(RegionScan(tman.primary_table, None, **scan_kwargs))
+        stages.append(RegionScan(tman.primary_table, None, deadline=deadline))
         if row_filter is not None:
             stages.append(PushDownFilter(row_filter))
     return stages
@@ -323,33 +313,25 @@ def _secondary_stages(
     row_filter: Optional[Filter],
     deadline: Optional[Deadline] = None,
 ) -> list[Operator]:
-    cfg = tman.config
     return [
-        WindowSource(windows, coalesce=cfg.coalesce_windows),
+        WindowSource(windows),
         SecondaryResolve(
             tman.secondary_tables[table_name],
             tman.primary_table,
             row_filter,
-            batch_rows=cfg.scan_batch_rows,
-            multi_get_batch=cfg.multi_get_batch,
-            window_parallel=cfg.window_parallel,
-            window_concurrency=cfg.window_concurrency,
             deadline=deadline,
         ),
     ]
 
 
 def _tr_query_ranges(tman: "TMan", time_range) -> list[tuple[int, int]]:
-    """TR planner intervals, coalesced when the deployment allows it.
+    """TR planner intervals, coalesced.
 
     Algorithm 1 emits one inclusive interval per covering period, so
     contiguous periods produce ``hi + 1 == next lo`` chains that merge
     into a single scan range.
     """
-    tr_ranges = tman.tr_index.query_ranges(time_range)
-    if tman.config.coalesce_windows:
-        tr_ranges = coalesce_inclusive_ranges(tr_ranges)
-    return tr_ranges
+    return coalesce_inclusive_ranges(tman.tr_index.query_ranges(time_range))
 
 
 def _st_coarse_windows(tman: "TMan", tr_ranges) -> list[tuple[bytes, bytes]]:

@@ -362,9 +362,7 @@ class QueryPlanner:
             ranges = self._tr.query_ranges(tr)
         except ValueError:  # pre-origin instants: pessimistic N windows
             return self.config.tr_max_periods
-        if self.config.coalesce_windows:
-            ranges = coalesce_inclusive_ranges(ranges)
-        return max(1, len(ranges))
+        return max(1, len(coalesce_inclusive_ranges(ranges)))
 
     def _interval_rows(self, tr: TimeRange) -> float:
         """Rows the interval route touches: matches plus the tail.

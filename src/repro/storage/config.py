@@ -28,7 +28,6 @@ class TManConfig:
     max_resolution: int = 16
     shape_encoding: str = "greedy"  # bitmap | greedy | genetic
     use_index_cache: bool = True
-    index_cache_capacity: int = 4096
     # TR
     tr_period_seconds: float = 1800.0
     tr_max_periods: int = 48
@@ -38,43 +37,18 @@ class TManConfig:
     codec: str = "simple8b"
     dp_epsilon: float = 0.002
     buffer_shape_threshold: int = 512
-    # Row format written by this deployment: 2 is the columnar layout
-    # (delta+zigzag+varint streams plus a skippable feature section); 1 is
-    # the legacy layout, still readable by every v2 deployment.
-    row_format_version: int = 2
-    # Decode rows into columnar PointBlocks (vectorized refinement and
-    # similarity kernels).  False forces the legacy per-point object path;
-    # results are bit-identical either way.
-    columnar_decode: bool = True
     # query processing
     push_down: bool = True
     st_window_budget: int = 4096
     kv_workers: int = 4
     split_rows: int = 200_000
-    # Chunk-size hint for streaming region scans (None = store default).
-    scan_batch_rows: int | None = None
-    # Multi-range scan scheduling: merge adjacent/overlapping scan windows
-    # before execution, and run the planned windows concurrently on the
-    # cluster worker pool (at most window_concurrency in flight).  Both
-    # off together reproduce the serial one-window-at-a-time read path.
-    coalesce_windows: bool = True
-    window_parallel: bool = True
-    window_concurrency: int = 4
-    # Secondary-route primary lookups are batched in groups of this size.
-    multi_get_batch: int = 64
     # Cluster-wide SSTable block cache budget (0 disables).
     block_cache_bytes: int = 16 * 1024 * 1024
     # Resilience: transient region-RPC/IO failures are retried with
-    # exponential backoff and decorrelated jitter under these budgets,
-    # and a per-region circuit breaker degrades execution to the serial
-    # strategy after breaker_failure_threshold consecutive failures
-    # (recovering breaker_reset_s later).
+    # exponential backoff and decorrelated jitter under these budgets.
     retry_max_attempts: int = 6
     retry_base_ms: float = 1.0
     retry_max_ms: float = 50.0
-    retry_deadline_ms: float = 10_000.0
-    breaker_failure_threshold: int = 8
-    breaker_reset_s: float = 5.0
     # Fault injection (reproduction/testing): with fault_rate > 0 the
     # deployment installs a process-wide seeded injector that fails scans,
     # batched gets, and flush/compaction I/O at this per-attempt rate.
@@ -91,11 +65,10 @@ class TManConfig:
     admission_queue_timeout_ms: float = 1000.0
     # Write backpressure: crossing memtable_soft_bytes triggers an async
     # flush plus a write_throttle_ms delay per write; memtable_hard_bytes
-    # stalls writers until flushing catches up (at most
-    # write_stall_timeout_ms, then the write fails with WriteStalledError).
+    # stalls writers until flushing catches up (for a bounded time, then
+    # the write fails with WriteStalledError).
     memtable_soft_bytes: int | None = None
     memtable_hard_bytes: int | None = None
-    write_stall_timeout_ms: float = 1000.0
     write_throttle_ms: float = 1.0
     # Deadline applied to every query that does not pass its own
     # deadline_ms (None = unbounded).
@@ -113,10 +86,6 @@ class TManConfig:
     write_quorum: int = 1
     # Rows per stateless scan page shipped over the RPC boundary.
     cluster_page_rows: int = 512
-    # Worker start method: "spawn" (default; nothing is inherited, the
-    # fork-safe choice) or "fork" (faster start, exercises the WAL's
-    # inherited-handle guards).
-    cluster_start_method: str = "spawn"
     # Root directory for worker node data (None = private tempdir,
     # removed on close).
     cluster_data_dir: str | None = None
@@ -144,22 +113,6 @@ class TManConfig:
             )
         if self.shape_encoding not in ("bitmap", "greedy", "genetic"):
             raise ValueError(f"unknown shape_encoding {self.shape_encoding!r}")
-        if self.row_format_version not in (1, 2):
-            raise ValueError(
-                f"row_format_version must be 1 or 2, got {self.row_format_version}"
-            )
-        if self.scan_batch_rows is not None and self.scan_batch_rows <= 0:
-            raise ValueError(
-                f"scan_batch_rows must be positive, got {self.scan_batch_rows}"
-            )
-        if self.window_concurrency <= 0:
-            raise ValueError(
-                f"window_concurrency must be positive, got {self.window_concurrency}"
-            )
-        if self.multi_get_batch <= 0:
-            raise ValueError(
-                f"multi_get_batch must be positive, got {self.multi_get_batch}"
-            )
         if self.block_cache_bytes < 0:
             raise ValueError(
                 f"block_cache_bytes must be non-negative, got {self.block_cache_bytes}"
@@ -172,15 +125,6 @@ class TManConfig:
             raise ValueError(
                 f"need 0 <= retry_base_ms <= retry_max_ms, got "
                 f"{self.retry_base_ms}/{self.retry_max_ms}"
-            )
-        if self.retry_deadline_ms <= 0:
-            raise ValueError(
-                f"retry_deadline_ms must be positive, got {self.retry_deadline_ms}"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ValueError(
-                "breaker_failure_threshold must be positive, got "
-                f"{self.breaker_failure_threshold}"
             )
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(
@@ -214,11 +158,6 @@ class TManConfig:
                 "memtable_hard_bytes must be >= memtable_soft_bytes, got "
                 f"{self.memtable_hard_bytes} < {self.memtable_soft_bytes}"
             )
-        if self.write_stall_timeout_ms < 0:
-            raise ValueError(
-                "write_stall_timeout_ms must be non-negative, got "
-                f"{self.write_stall_timeout_ms}"
-            )
         if self.write_throttle_ms < 0:
             raise ValueError(
                 f"write_throttle_ms must be non-negative, got "
@@ -248,10 +187,6 @@ class TManConfig:
         if self.cluster_page_rows <= 0:
             raise ValueError(
                 f"cluster_page_rows must be positive, got {self.cluster_page_rows}"
-            )
-        if self.cluster_start_method not in ("spawn", "fork", "forkserver"):
-            raise ValueError(
-                f"unknown cluster_start_method {self.cluster_start_method!r}"
             )
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError(

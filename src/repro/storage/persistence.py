@@ -14,6 +14,7 @@ update protocol re-stages unknown shapes on demand).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -34,52 +35,15 @@ def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    cfg = tman.config
-    doc = {
-        "boundary": cfg.boundary.as_tuple(),
-        "primary_index": cfg.primary_index,
-        "secondary_indexes": list(cfg.secondary_indexes),
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "max_resolution": cfg.max_resolution,
-        "shape_encoding": cfg.shape_encoding,
-        "use_index_cache": cfg.use_index_cache,
-        "index_cache_capacity": cfg.index_cache_capacity,
-        "tr_period_seconds": cfg.tr_period_seconds,
-        "tr_max_periods": cfg.tr_max_periods,
-        "time_origin": cfg.time_origin,
-        "num_shards": cfg.num_shards,
-        "codec": cfg.codec,
-        "dp_epsilon": cfg.dp_epsilon,
-        "buffer_shape_threshold": cfg.buffer_shape_threshold,
-        "row_format_version": cfg.row_format_version,
-        "columnar_decode": cfg.columnar_decode,
-        "push_down": cfg.push_down,
-        "st_window_budget": cfg.st_window_budget,
-        "kv_workers": cfg.kv_workers,
-        "split_rows": cfg.split_rows,
-        "scan_batch_rows": cfg.scan_batch_rows,
-        "coalesce_windows": cfg.coalesce_windows,
-        "window_parallel": cfg.window_parallel,
-        "window_concurrency": cfg.window_concurrency,
-        "multi_get_batch": cfg.multi_get_batch,
-        "block_cache_bytes": cfg.block_cache_bytes,
-        "admission_max_inflight": cfg.admission_max_inflight,
-        "admission_max_queue": cfg.admission_max_queue,
-        "admission_queue_timeout_ms": cfg.admission_queue_timeout_ms,
-        "memtable_soft_bytes": cfg.memtable_soft_bytes,
-        "memtable_hard_bytes": cfg.memtable_hard_bytes,
-        "write_stall_timeout_ms": cfg.write_stall_timeout_ms,
-        "write_throttle_ms": cfg.write_throttle_ms,
-        "default_deadline_ms": cfg.default_deadline_ms,
-        # Snapshots always reopen in thread mode: the table dump below
-        # streams every row out of the live deployment (works identically
-        # over the cluster RPC layer), and the restored copy is a
-        # self-contained single-process deployment.  Re-enable process
-        # mode explicitly via config_overrides at open time.
-        "cluster_mode": "threads",
-        "row_count": tman.row_count,
-    }
+    doc = dataclasses.asdict(tman.config)
+    doc["boundary"] = tman.config.boundary.as_tuple()
+    # Snapshots always reopen in thread mode: the table dump below
+    # streams every row out of the live deployment (works identically
+    # over the cluster RPC layer), and the restored copy is a
+    # self-contained single-process deployment.  Re-enable process
+    # mode explicitly via config_overrides at open time.
+    doc["cluster_mode"] = "threads"
+    doc["row_count"] = tman.row_count
     (directory / CONFIG_FILE).write_text(json.dumps(doc, indent=2))
     save_cluster(tman.cluster, directory / TABLES_FILE)
     (directory / CACHE_FILE).write_bytes(tman.index_cache.redis.dump())
@@ -92,17 +56,19 @@ def open_tman(
     """Reopen a deployment saved with :func:`save_tman`.
 
     ``config_overrides`` replaces individual persisted config fields for
-    this process only (the directory is not rewritten) — used e.g. by the
-    CLI's ``--no-window-parallel`` escape hatch and cache-size overrides.
+    this process only (the directory is not rewritten) — e.g. to reopen
+    a snapshot in process mode.  Persisted keys that are no longer
+    ``TManConfig`` fields (written by an older version) are ignored.
     """
     directory = Path(directory)
     doc = json.loads((directory / CONFIG_FILE).read_text())
-    row_count = doc.pop("row_count", 0)
-    boundary = MBR(*doc.pop("boundary"))
+    known = {f.name for f in dataclasses.fields(TManConfig)}
+    doc = {name: value for name, value in doc.items() if name in known}
+    doc["boundary"] = MBR(*doc["boundary"])
     doc["secondary_indexes"] = tuple(doc["secondary_indexes"])
     if config_overrides:
         doc.update(config_overrides)
-    config = TManConfig(boundary=boundary, **doc)
+    config = TManConfig(**doc)
 
     cluster = load_cluster(
         directory / TABLES_FILE,
@@ -110,8 +76,6 @@ def open_tman(
         split_rows=config.split_rows,
         block_cache_bytes=config.block_cache_bytes,
         retry=retry_policy_from(config),
-        breaker_threshold=config.breaker_failure_threshold,
-        breaker_reset_s=config.breaker_reset_s,
         write_limits=write_limits_from(config),
     )
     redis = RedisServer.from_dump((directory / CACHE_FILE).read_bytes())

@@ -7,9 +7,9 @@ evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
 compressed point arrays.
 
-Two row versions coexist on disk:
+Two row versions coexist on disk; new rows are always v2:
 
-v1 (legacy)::
+v1 (legacy, read-only)::
 
     magic(1) version(1)=1
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
@@ -36,14 +36,14 @@ v2 quantizes feature values on the same fixed-point grids as the point
 codec (rounded outward for the boxes, so they stay sound covers for both
 raw and decoded points), which drops the 56 raw float64 bytes per
 representative point that dominated v1 feature size.  Readers accept both
-versions; ``write_version`` selects what new rows get.
+versions: rows written before v2 existed are still on disk.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -101,32 +101,22 @@ class RowSerializer:
     """Encode/decode primary-table row values.
 
     ``dp_epsilon`` controls DP-feature extraction granularity, in degrees.
-    ``write_version`` picks the on-disk row format for new rows (readers
-    always understand both).  With ``columnar`` decoding, point payloads
-    come back as :class:`PointBlock` columns; the legacy object path
-    materializes ``STPoint`` lists instead.
+    Point payloads decode into :class:`PointBlock` columns.
     """
 
     def __init__(
         self,
         codec: Optional[TrajectoryCodec] = None,
         dp_epsilon: float = 0.002,
-        write_version: int = VERSION,
-        columnar: bool = True,
     ):
-        if write_version not in SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported row write version {write_version}")
         self.codec = codec if codec is not None else TrajectoryCodec()
         self.dp_epsilon = dp_epsilon
-        self.write_version = write_version
-        self.columnar = columnar
 
     # -- encoding ----------------------------------------------------------
 
     def encode(self, traj: Trajectory, tr_value: int) -> bytes:
-        """Serialize one trajectory row."""
-        version = self.write_version
-        out = bytearray([MAGIC, version])
+        """Serialize one trajectory row (always the v2 layout)."""
+        out = bytearray([MAGIC, VERSION])
         tr = traj.time_range
         m = traj.mbr
         out += _HEADER.pack(tr.start, tr.end, m.x1, m.y1, m.x2, m.y2)
@@ -136,31 +126,17 @@ class RowSerializer:
             encode_varint(len(raw), out)
             out += raw
 
-        if version == 1:
-            self._encode_feature_v1(traj, out)
-            blob = self.codec.encode_points(traj.points)
-        else:
-            feature = extract_dp_feature(traj.block, self.dp_epsilon)
-            feat = _encode_feature_v2(feature)
-            encode_varint(len(feat), out)
-            out += feat
-            # The configured codec keeps packing the point streams (its
-            # compression ratio is orthogonal to the v2 feature layout);
-            # decode_array_block reads every codec id back as columns.
-            blob = self.codec.encode_points(traj.block)
+        feature = extract_dp_feature(traj.block, self.dp_epsilon)
+        feat = _encode_feature_v2(feature)
+        encode_varint(len(feat), out)
+        out += feat
+        # The configured codec keeps packing the point streams (its
+        # compression ratio is orthogonal to the v2 feature layout);
+        # decode_array_block reads every codec id back as columns.
+        blob = self.codec.encode_points(traj.block)
         encode_varint(len(blob), out)
         out += blob
         return bytes(out)
-
-    def _encode_feature_v1(self, traj: Trajectory, out: bytearray) -> None:
-        feature = extract_dp_feature(traj.points, self.dp_epsilon)
-        encode_varint(len(feature.rep_points), out)
-        for idx in feature.rep_indexes:
-            encode_varint(idx, out)
-        for p in feature.rep_points:
-            out += struct.pack(">ddd", p.t, p.lng, p.lat)
-        for box in feature.span_boxes:
-            out += struct.pack(">dddd", *box.as_tuple())
 
     # -- decoding ------------------------------------------------------------
 
@@ -252,27 +228,14 @@ class RowSerializer:
 
     def _decode_trajectory_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
         blob_len, pos = decode_varint(buf, pos)
-        blob = buf[pos : pos + blob_len]
-        if self.columnar:
-            ts, xs, ys = self.codec.decode_array_block(blob)
-            points: Union[PointBlock, list[STPoint]] = PointBlock(
-                ts, xs, ys, validate=False
-            )
-        else:
-            points = self.codec.decode_points(blob)
+        ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
+        points = PointBlock(ts, xs, ys, validate=False)
         return Trajectory(header.oid, header.tid, points)
 
-    def decode_points(self, buf: bytes) -> Union[PointBlock, list[STPoint]]:
-        """Decode just the raw point sequence (exact-filter path).
-
-        Returns a lazily-materializing :class:`PointBlock` under columnar
-        decoding, or an ``STPoint`` list on the legacy path — both behave
-        as point sequences.
-        """
-        points = self.decode_trajectory(buf).trajectory
-        if self.columnar:
-            return points.block
-        return list(points.points)
+    def decode_points(self, buf: bytes) -> PointBlock:
+        """Decode just the raw point sequence (exact-filter path) as a
+        lazily-materializing :class:`PointBlock`."""
+        return self.decode_trajectory(buf).trajectory.block
 
 
 # -- v2 feature codec ------------------------------------------------------

@@ -72,7 +72,6 @@ def retry_policy_from(config: TManConfig) -> RetryPolicy:
         max_attempts=config.retry_max_attempts,
         base_delay_ms=config.retry_base_ms,
         max_delay_ms=config.retry_max_ms,
-        deadline_ms=config.retry_deadline_ms,
     )
 
 
@@ -88,8 +87,6 @@ def cluster_from(config: TManConfig) -> Cluster:
         split_rows=config.split_rows,
         block_cache_bytes=config.block_cache_bytes,
         retry=retry_policy_from(config),
-        breaker_threshold=config.breaker_failure_threshold,
-        breaker_reset_s=config.breaker_reset_s,
         write_limits=write_limits_from(config),
     )
     if config.cluster_mode == "processes":
@@ -99,7 +96,6 @@ def cluster_from(config: TManConfig) -> Cluster:
             read_quorum=config.read_quorum,
             write_quorum=config.write_quorum,
             page_rows=config.cluster_page_rows,
-            start_method=config.cluster_start_method,
             cluster_data_dir=config.cluster_data_dir,
             **common,
         )
@@ -113,7 +109,6 @@ def write_limits_from(config: TManConfig) -> Optional[WriteLimits]:
     return WriteLimits(
         soft_bytes=config.memtable_soft_bytes,
         hard_bytes=config.memtable_hard_bytes,
-        stall_timeout_ms=config.write_stall_timeout_ms,
         throttle_ms=config.write_throttle_ms,
     )
 
@@ -167,13 +162,10 @@ class TMan:
 
         # Storage plumbing.
         self.serializer = RowSerializer(
-            TrajectoryCodec(config.codec),
-            config.dp_epsilon,
-            write_version=config.row_format_version,
-            columnar=config.columnar_decode,
+            TrajectoryCodec(config.codec), config.dp_epsilon
         )
         self.keys = RowKeyCodec(config.num_shards, config.primary_index_width)
-        self.index_cache = ShapeIndexCache(redis, config.index_cache_capacity)
+        self.index_cache = ShapeIndexCache(redis)
         self.buffer_cache = BufferShapeCache(config.buffer_shape_threshold)
         self.encoder = ShapeEncoder(config.shape_encoding)
 
@@ -591,7 +583,6 @@ class TMan:
                 "memtable_bytes": self.cluster.memtable_bytes(),
                 "soft_bytes": self.config.memtable_soft_bytes,
                 "hard_bytes": self.config.memtable_hard_bytes,
-                "stall_timeout_ms": self.config.write_stall_timeout_ms,
             },
             "breakers": {
                 "regions": regions_total,

@@ -93,6 +93,37 @@ class TestShapeIndexCache:
         cache.clear_local()
         assert cache.get_mapping(1) == {1: 0}
 
+    def test_concurrent_readers_do_not_corrupt_the_lfu(self):
+        # Queries on many threads share one cache; an unlocked LFU touch
+        # (several dict updates) loses an update and raises KeyError.
+        import sys
+        import threading
+
+        cache = ShapeIndexCache(local_capacity=4)
+        for element in range(8):  # twice the capacity: hits, misses, evictions
+            cache.put_mapping(element, {1: element})
+        errors = []
+
+        def read():
+            try:
+                for i in range(3000):
+                    assert cache.get_mapping(i % 8) == {1: i % 8}
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
     def test_shared_redis_between_instances(self):
         redis = RedisServer()
         a = ShapeIndexCache(redis)

@@ -63,17 +63,6 @@ class TestCommands:
         assert "block cache:" in out
         assert "scan scheduler:" in out
 
-    def test_query_no_window_parallel(self, deployment, csv_path, capsys):
-        trajs = list(read_csv(csv_path))
-        tr = trajs[0].time_range
-        code = main([
-            "query", str(deployment), "--type", "temporal",
-            "--start", str(tr.start), "--end", str(tr.end),
-            "--no-window-parallel",
-        ])
-        assert code == 0
-        assert trajs[0].tid in capsys.readouterr().out
-
     def test_temporal_query(self, deployment, csv_path, capsys):
         trajs = list(read_csv(csv_path))
         tr = trajs[0].time_range

@@ -8,6 +8,7 @@ decoding rows written in the legacy v1 format.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.compression.zigzag import zigzag_encode
 from repro.model.point import STPoint
 from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
+from tests.conftest import golden_v1_rows
 
 
 def _random_uints(rng, n, bits):
@@ -170,35 +172,58 @@ def _trajectory(n, seed, duplicate_ts=False):
     return Trajectory("o1", f"t{n}", _trajectory_points(n, seed, duplicate_ts))
 
 
-@pytest.mark.parametrize("write_version", [1, 2])
-def test_row_round_trip_across_versions(write_version):
-    writer = RowSerializer(write_version=write_version)
-    reader = RowSerializer()  # default: latest version, columnar decode
+def test_row_round_trip():
+    serializer = RowSerializer()
     for traj in (
         _trajectory(1, seed=11),
         _trajectory(9, seed=12, duplicate_ts=True),
         _trajectory(400, seed=13),
     ):
-        row = writer.encode(traj, tr_value=3)
-        assert reader.decode_header(row).version == write_version
-        stored = reader.decode(row)
+        row = serializer.encode(traj, tr_value=3)
+        assert serializer.decode_header(row).version == 2
+        stored = serializer.decode(row)
         assert stored.tr_value == 3
         assert stored.trajectory.tid == traj.tid
-        # Decoded points are identical whichever version wrote the row.
-        v1_row = RowSerializer(write_version=1).encode(traj, tr_value=3)
-        assert list(reader.decode(row).trajectory.points) == list(
-            reader.decode(v1_row).trajectory.points
+        assert len(stored.trajectory) == len(traj)
+
+
+def test_golden_v1_rows_still_decode():
+    """Rows on disk from before the v2 format stay readable, and read
+    back as exactly what the last v1-writing commit read from them."""
+    reader = RowSerializer()
+    rows = golden_v1_rows()
+    assert len(rows) == 9
+    for row, want in rows:
+        header = reader.decode_header(row)
+        assert header.version == 1
+        assert (header.oid, header.tid, header.tr_value) == (
+            want["oid"], want["tid"], want["tr_value"],
         )
+        feature = reader.decode_feature(row)
+        assert list(feature.rep_indexes) == want["rep_indexes"]
+        assert len(feature.rep_points) == want["reps"]
+        for stored in (reader.decode(row), reader.decode_trajectory(row)):
+            block = stored.trajectory.block
+            assert len(block) == want["points"]
+            digest = hashlib.sha256(
+                block.ts.tobytes() + block.xs.tobytes() + block.ys.tobytes()
+            ).hexdigest()
+            assert digest == want["points_sha256"]
+        assert reader.decode(row).feature.rep_indexes == feature.rep_indexes
+        assert reader.decode_trajectory(row).feature is None
 
 
-def test_legacy_decode_path_matches_columnar():
-    from repro.model.pointblock import PointBlock
-
-    traj = _trajectory(120, seed=21)
-    row = RowSerializer().encode(traj, tr_value=0)
-    assert isinstance(RowSerializer(columnar=True).decode_points(row), PointBlock)
-    assert isinstance(RowSerializer(columnar=False).decode_points(row), list)
-    columnar = RowSerializer(columnar=True).decode(row).trajectory
-    legacy = RowSerializer(columnar=False).decode(row).trajectory
-    assert list(columnar.points) == list(legacy.points)
-    assert columnar.mbr == legacy.mbr
+def test_golden_v1_rows_decode_like_their_v2_rewrite():
+    # The last three golden rows were written from _trajectory(1/9/400):
+    # decoded points are identical whichever version wrote the row.
+    reader = RowSerializer()
+    sources = (
+        _trajectory(1, seed=11),
+        _trajectory(9, seed=12, duplicate_ts=True),
+        _trajectory(400, seed=13),
+    )
+    for (v1_row, _), traj in zip(golden_v1_rows()[-3:], sources):
+        v2_row = reader.encode(traj, tr_value=3)
+        assert list(reader.decode(v1_row).trajectory.points) == list(
+            reader.decode(v2_row).trajectory.points
+        )

@@ -9,8 +9,8 @@ from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.census import census_rows, merge_census
 from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.lsm import LSMStore
-from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
+from tests.conftest import golden_v1_rows
 
 
 def test_census_counts_only_trajectory_rows():
@@ -37,18 +37,18 @@ def _rows(serializer, n, offset=0):
 def test_lsm_compaction_takes_census():
     store = LSMStore(flush_bytes=1 << 30, max_tables=1)
     assert store.last_format_census is None
-    for key, value in _rows(RowSerializer(write_version=2), 4):
+    for key, value in _rows(RowSerializer(), 4):
         store.put(key, value)
     store.flush()
-    for key, value in _rows(RowSerializer(write_version=1), 3, offset=10):
-        store.put(key, value)
+    for i, (value, _) in enumerate(golden_v1_rows()[:3]):
+        store.put(f"k{10 + i:04d}".encode(), value)
     store.flush()  # second table exceeds max_tables -> compaction
     assert store.last_format_census == {1: 3, 2: 4}
 
 
 def test_durable_compaction_takes_census(tmp_path):
     store = DurableLSMStore(tmp_path, sync=False)
-    for key, value in _rows(RowSerializer(write_version=2), 5):
+    for key, value in _rows(RowSerializer(), 5):
         store.put(key, value)
     store.flush()
     store.compact()
@@ -89,19 +89,11 @@ def test_tman_census_mixed_versions(small_tman):
     tman = small_tman
     trajs = tdrive_like(10, seed=8)
     tman.bulk_load(trajs[:6])
-    # Rewrite a few rows the way a pre-upgrade deployment would have.
-    legacy = RowSerializer(
-        tman.serializer.codec, write_version=1
-    )
-    rewritten = 0
-    for region in tman.primary_table.regions:
-        for key, value in list(region._store.scan()):
-            if rewritten >= 2:
-                break
-            stored = tman.serializer.decode(value)
-            region._store.put(key, legacy.encode(stored.trajectory, stored.tr_value))
-            rewritten += 1
-    assert rewritten == 2
+    # Overwrite two rows with ones a pre-upgrade deployment wrote.
+    legacy = [value for value, _ in golden_v1_rows()[:2]]
+    region = tman.primary_table.regions[0]
+    for (key, _), value in zip(list(region._store.scan()), legacy):
+        region._store.put(key, value)
     for region in tman.primary_table.regions:
         region._store.flush()
         region._store.compact()

@@ -160,6 +160,13 @@ class TestScanScheduled:
         assert rows == []
 
 
+def _open_breakers(table):
+    """Trip every region's breaker the way consecutive RPC failures do."""
+    for region in table.regions:
+        while region.breaker.healthy:
+            region.breaker.record_failure()
+
+
 def _populated(tmp_path, n=600, workers=4, split_rows=150, durable=False):
     c = Cluster(
         workers=workers,
@@ -182,27 +189,35 @@ class TestMultiRangeScan:
         (k(300), k(300)),  # empty
     ]
 
-    def test_scheduled_matches_serial(self, tmp_path):
-        c, t = _populated(tmp_path)
-        try:
-            serial = list(t.multi_range_scan(self.WINDOWS, parallel=False))
-            scheduled = list(t.multi_range_scan(self.WINDOWS, parallel=True))
-            assert scheduled == serial
-            assert len(t.regions) > 1  # the split actually happened
-        finally:
-            c.close()
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_scheduled_matches_poolless_and_breaker_open(self, tmp_path, durable):
+        # The table picks serial execution itself when it has no pool or a
+        # region's breaker is open; the rows must not depend on which.
+        from repro import obs
 
-    def test_durable_scheduled_matches_serial(self, tmp_path):
-        c, t = _populated(tmp_path, durable=True)
+        obs.set_metrics_enabled(True)
+        by_mode = obs.registry().get("kv_multirange_scans_total")
+        c, t = _populated(tmp_path / "pool", durable=durable)
+        c1, t1 = _populated(tmp_path / "nopool", workers=1, durable=durable)
         try:
-            for region in t.regions:
-                region._store.flush()
-            serial = list(t.multi_range_scan(self.WINDOWS, parallel=False))
-            scheduled = list(t.multi_range_scan(self.WINDOWS, parallel=True))
-            assert scheduled == serial
-            assert serial  # non-trivial
+            for table in (t, t1):
+                for region in table.regions:
+                    region._store.flush()
+            scheduled_before = by_mode.labels(mode="scheduled").value
+            scheduled = list(t.multi_range_scan(self.WINDOWS))
+            assert by_mode.labels(mode="scheduled").value == scheduled_before + 1
+            assert len(scheduled) == 170  # overlapping windows repeat rows
+            assert len(t.regions) > 1  # the split actually happened
+
+            assert list(t1.multi_range_scan(self.WINDOWS)) == scheduled
+
+            _open_breakers(t)
+            degraded_before = by_mode.labels(mode="degraded").value
+            assert list(t.multi_range_scan(self.WINDOWS)) == scheduled
+            assert by_mode.labels(mode="degraded").value == degraded_before + 1
         finally:
             c.close()
+            c1.close()
 
     def test_single_window_falls_back(self, tmp_path):
         c, t = _populated(tmp_path, n=100)
@@ -223,18 +238,20 @@ class TestMultiRangeScan:
     def test_row_filter_applied_in_both_modes(self, tmp_path):
         from repro.kvstore.filters import PrefixFilter
 
-        c, t = _populated(tmp_path, n=300)
+        c, t = _populated(tmp_path / "pool", n=300)
+        c1, t1 = _populated(tmp_path / "nopool", n=300, workers=1)
         try:
             flt = PrefixFilter(b"\x00\x00\x00")  # keys 0..255
             wins = [(k(0), k(100)), (k(250), k(280))]
-            serial = list(t.multi_range_scan(wins, row_filter=flt, parallel=False))
-            sched = list(t.multi_range_scan(wins, row_filter=flt, parallel=True))
+            serial = list(t1.multi_range_scan(wins, row_filter=flt))
+            sched = list(t.multi_range_scan(wins, row_filter=flt))
             assert sched == serial
             assert [key for key, _ in serial] == [k(i) for i in range(100)] + [
                 k(i) for i in range(250, 256)
             ]
         finally:
             c.close()
+            c1.close()
 
     def test_early_close_cancels(self, tmp_path):
         c, t = _populated(tmp_path)
@@ -289,10 +306,17 @@ class TestMultiGet:
             keys = [k(i) for i in range(0, 600, 7)]
             expected = [b"val%06d" % i for i in range(0, 600, 7)]
             assert t.multi_get(keys) == expected
-            assert t.multi_get(keys, parallel=False) == expected
             assert len(t.regions) > 1
+            # The inline branches (breaker open, no pool) agree.
+            _open_breakers(t)
+            assert t.multi_get(keys) == expected
         finally:
             c.close()
+        c1, t1 = _populated(tmp_path / "nopool", workers=1)
+        try:
+            assert t1.multi_get(keys) == expected
+        finally:
+            c1.close()
 
     def test_empty_batch(self, tmp_path):
         c, t = _populated(tmp_path, n=10)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.kvstore import Cluster
+from repro.kvstore import Cluster, Scan
 from repro.kvstore import simlatency
 from repro.kvstore.simlatency import (
     SimulatedRPC,
@@ -88,16 +88,7 @@ class TestRPCAccounting:
         assert len(sleeps) <= len(t.regions)
         assert len(sleeps) < len(keys)
 
-    def test_serial_multi_get_pays_per_key(self, cluster, sleeps):
-        _, t = cluster
-        keys = [k(i) for i in range(0, 600, 10)]
-        with rpc_latency(SimulatedRPC(get_ms=1.0)):
-            t.multi_get(keys, parallel=False)
-        assert len(sleeps) == len(keys)
-
     def test_region_scan_pays_one_rpc(self, cluster, sleeps):
-        from repro.kvstore import Scan
-
         _, t = cluster
         with rpc_latency(SimulatedRPC(scan_ms=1.0)):
             rows = list(t.regions[0].execute_scan(Scan(k(0), k(10))))
@@ -108,19 +99,26 @@ class TestRPCAccounting:
 class TestSchedulerOverlap:
     def test_scheduled_overlaps_remote_scans(self, cluster):
         """The tentpole property: under remote-RPC latency the scheduler
-        overlaps window scans that the serial loop pays one by one."""
+        overlaps window scans that a pool-less table pays one by one."""
         _, t = cluster
+        poolless = Cluster(workers=1, split_rows=200)
+        serial_t = poolless.create_table("t")
+        for key, value in t.scan(Scan()):
+            serial_t.put(key, value)
         windows = [(k(i * 12), k(i * 12 + 12)) for i in range(32)]
         model = SimulatedRPC(scan_ms=3.0)
 
-        def run(parallel):
+        def run(table):
             t0 = time.perf_counter()
             with rpc_latency(model):
-                rows = list(t.multi_range_scan(windows, parallel=parallel))
+                rows = list(table.multi_range_scan(windows))
             return rows, (time.perf_counter() - t0) * 1e3
 
-        serial_rows, serial_ms = run(parallel=False)
-        sched_rows, sched_ms = run(parallel=True)
+        try:
+            serial_rows, serial_ms = run(serial_t)
+        finally:
+            poolless.close()
+        sched_rows, sched_ms = run(t)
         assert sched_rows == serial_rows
         # 32 windows x >= 3 ms each: the serial loop is latency-bound; the
         # scheduler must recover a solid chunk of it (generous margin to

@@ -63,7 +63,6 @@ def tman(dataset):
         num_shards=2,
         kv_workers=4,  # worker pool: attribution must cross threads
         split_rows=400,  # several regions, so parallel_scan fans out
-        window_parallel=True,
     )
     t = TMan(config)
     t.bulk_load(dataset)
@@ -113,7 +112,7 @@ class TestReconciliation:
             assert profile.plan  # executor stamped index/route
 
     def test_parallel_worker_rows_are_attributed(self, tman, dataset):
-        """window_parallel scans produce rows on pool threads; the profile
+        """Scheduled scans produce rows on pool threads; the profile
         must still see them (explicit contextvar handoff)."""
         span = dataset[0].time_range
         query = TemporalRangeQuery(TimeRange(span.start, span.start + 48 * 3600))
