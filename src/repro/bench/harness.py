@@ -77,28 +77,6 @@ def summarize_ms(samples: Sequence[float]) -> dict[str, float]:
     }
 
 
-def histogram_summary(name: str, **labels) -> dict[str, float]:
-    """Percentiles of a registry histogram (live metrics, not resamples).
-
-    Reads ``p50/p90/p95/p99`` plus count straight from the process-wide
-    :mod:`repro.obs` registry, so benchmark reports can quote the same
-    numbers an operator would scrape.  Raises ``KeyError`` for unknown
-    metrics; an unobserved histogram reports zeros.
-    """
-    from repro.obs import registry
-
-    family = registry().get(name)
-    if family is None:
-        raise KeyError(f"no histogram registered under {name!r}")
-    child = family.labels(**labels) if labels else family
-    if child.count == 0:
-        return {"count": 0.0, "p50": 0.0, "p90": 0.0, "p95": 0.0, "p99": 0.0}
-    return {
-        "count": float(child.count),
-        **{f"p{int(q)}": child.percentile(q) for q in (50.0, 90.0, 95.0, 99.0)},
-    }
-
-
 class ResultTable:
     """Aligned plain-text tables for benchmark output."""
 

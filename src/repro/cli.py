@@ -17,9 +17,7 @@ Commands:
   renders a single frame for CI;
 - ``stats`` — export the workload-statistics collector as
   ``workload_stats.json`` (per query type x plan: latency percentiles,
-  selectivity histograms, period/cell heat, estimate-vs-observed ratios);
-- ``bench-report`` — aggregate ``benchmarks/results/BENCH_*.json`` into a
-  single trajectory document of headline metrics.
+  selectivity histograms, period/cell heat, estimate-vs-observed ratios).
 
 ``top`` and ``stats`` run a small probe workload against the opened
 deployment first (``--probe 0`` disables) because a freshly opened process
@@ -55,6 +53,17 @@ from repro.storage.persistence import open_tman, save_tman
 from repro.storage.tman import TMan
 
 SPECS = {"tdrive": TDRIVE_SPEC, "lorry": LORRY_SPEC}
+
+
+def parse_window(text: str) -> MBR:
+    """argparse ``type=`` for an ``x1,y1,x2,y2`` rectangle."""
+    try:
+        x1, y1, x2, y2 = (float(v) for v in text.split(","))
+        return MBR(x1, y1, x2, y2)
+    except ValueError:  # wrong arity, non-numeric, or inverted corners
+        raise argparse.ArgumentTypeError(
+            f"expected x1,y1,x2,y2 with x1 <= x2 and y1 <= y2, got {text!r}"
+        ) from None
 
 
 def write_csv(path: Path, trajs: Iterable[Trajectory]) -> int:
@@ -105,13 +114,8 @@ def cmd_load(args: argparse.Namespace) -> int:
     trajs = list(read_csv(Path(args.input)))
     if not trajs:
         raise SystemExit("input contains no trajectories")
-    if args.boundary:
-        x1, y1, x2, y2 = (float(v) for v in args.boundary.split(","))
-        boundary = MBR(x1, y1, x2, y2)
-    else:
-        boundary = SPECS[args.spec].boundary
     config = TManConfig(
-        boundary=boundary,
+        boundary=args.boundary or SPECS[args.spec].boundary,
         alpha=args.alpha,
         beta=args.beta,
         max_resolution=args.max_resolution,
@@ -133,13 +137,13 @@ def _build_query(args: argparse.Namespace):
     """The query descriptor shared by ``query`` and ``explain``."""
     if args.type == "temporal":
         return TemporalRangeQuery(TimeRange(args.start, args.end))
+    if args.type == "id":
+        return IDTemporalQuery(args.oid, TimeRange(args.start, args.end))
+    if args.window is None:
+        raise SystemExit(f"--type {args.type} needs --window x1,y1,x2,y2")
     if args.type == "spatial":
-        x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-        return SpatialRangeQuery(MBR(x1, y1, x2, y2))
-    if args.type == "st":
-        x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-        return STRangeQuery(MBR(x1, y1, x2, y2), TimeRange(args.start, args.end))
-    return IDTemporalQuery(args.oid, TimeRange(args.start, args.end))
+        return SpatialRangeQuery(args.window)
+    return STRangeQuery(args.window, TimeRange(args.start, args.end))
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -193,35 +197,12 @@ def cmd_query(args: argparse.Namespace) -> int:
             )
         )
     retry_before = retry_counts()
-    deadline_kwargs = {
-        "deadline_ms": args.deadline_ms,
-        "allow_partial": args.allow_partial,
-    }
+    q = _build_query(args)
     with open_tman(args.deployment) as tman:
         try:
-            if args.type == "temporal":
-                res = tman.query(
-                    TemporalRangeQuery(TimeRange(args.start, args.end)),
-                    **deadline_kwargs,
-                )
-            elif args.type == "spatial":
-                x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-                res = tman.query(
-                    SpatialRangeQuery(MBR(x1, y1, x2, y2)), **deadline_kwargs
-                )
-            elif args.type == "st":
-                x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-                res = tman.query(
-                    STRangeQuery(
-                        MBR(x1, y1, x2, y2), TimeRange(args.start, args.end)
-                    ),
-                    **deadline_kwargs,
-                )
-            else:  # id
-                res = tman.query(
-                    IDTemporalQuery(args.oid, TimeRange(args.start, args.end)),
-                    **deadline_kwargs,
-                )
+            res = tman.query(
+                q, deadline_ms=args.deadline_ms, allow_partial=args.allow_partial
+            )
         except QueryTimeoutError as exc:
             print(f"query timed out: {exc}", file=sys.stderr)
             return 2
@@ -487,19 +468,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    """``bench-report``: aggregate benchmark result JSONs."""
-    from repro.bench.trajectory import aggregate_results, render_report
-
-    doc = aggregate_results(Path(args.results_dir))
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(doc['benchmarks'])} benchmark summaries to {args.out}")
-    else:
-        print(render_report(doc))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI definition."""
     parser = argparse.ArgumentParser(
@@ -518,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("input", help="CSV produced by `generate`")
     l.add_argument("deployment", help="output directory")
     l.add_argument("--spec", choices=sorted(SPECS), default="tdrive")
-    l.add_argument("--boundary", help="x1,y1,x2,y2 (defaults to the spec's)")
+    l.add_argument(
+        "--boundary", type=parse_window, help="x1,y1,x2,y2 (defaults to the spec's)"
+    )
     l.add_argument("--alpha", type=int, default=3)
     l.add_argument("--beta", type=int, default=3)
     l.add_argument("--max-resolution", type=int, default=14)
@@ -531,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", choices=["temporal", "spatial", "st", "id"], required=True)
     q.add_argument("--start", type=float, default=0.0, help="time range start (s)")
     q.add_argument("--end", type=float, default=0.0, help="time range end (s)")
-    q.add_argument("--window", help="x1,y1,x2,y2 spatial window")
+    q.add_argument("--window", type=parse_window, help="x1,y1,x2,y2 spatial window")
     q.add_argument("--oid", help="object id for --type id")
     q.add_argument("--limit", type=int, default=10)
     q.add_argument(
@@ -576,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument("--start", type=float, default=0.0, help="time range start (s)")
     e.add_argument("--end", type=float, default=0.0, help="time range end (s)")
-    e.add_argument("--window", help="x1,y1,x2,y2 spatial window")
+    e.add_argument("--window", type=parse_window, help="x1,y1,x2,y2 spatial window")
     e.add_argument("--oid", help="object id for --type id")
     e.add_argument(
         "--no-run",
@@ -631,17 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.set_defaults(fn=cmd_stats)
 
-    b = sub.add_parser(
-        "bench-report", help="aggregate BENCH_*.json into one trajectory report"
-    )
-    b.add_argument(
-        "results_dir",
-        nargs="?",
-        default="benchmarks/results",
-        help="directory holding BENCH_*.json files",
-    )
-    b.add_argument("--out", help="write BENCH_trajectory.json here")
-    b.set_defaults(fn=cmd_bench_report)
     return parser
 
 

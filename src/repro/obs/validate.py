@@ -1,12 +1,11 @@
 """CLI schema check for exported observability documents.
 
 ``python -m repro.obs.validate FILE [FILE...]`` exits non-zero when any
-file fails :func:`repro.obs.export.validate_snapshot` — CI runs this
-against the snapshot the streaming benchmark emits, so exporter drift
-breaks the build instead of dashboards.  With ``--stats`` the files are
+file fails :func:`repro.obs.export.validate_snapshot`, so exporter drift
+breaks a build instead of dashboards.  With ``--stats`` the files are
 checked against the workload-statistics schema
-(:func:`repro.obs.stats.validate_workload_stats`) instead, covering the
-``repro stats`` export the same way.
+(:func:`repro.obs.stats.validate_workload_stats`) instead; CI runs that
+against the ``repro stats`` export.
 """
 
 from __future__ import annotations

@@ -96,6 +96,7 @@ Query = Union[
     IDTemporalQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    KNNPointQuery,
 ]
 
 

@@ -3,9 +3,9 @@
 The default registry serves the vectorized antidiagonal kernels, which
 consume columnar coordinate arrays (a :class:`~repro.model.pointblock.
 PointBlock` or a Trajectory's cached block) directly and fall back to
-object sequences transparently.  The seed row-by-row kernels stay
-available under :data:`REFERENCE_DISTANCES` as the correctness oracle
-and the "before" side of the columnar benchmark.
+object sequences transparently.  The seed row-by-row kernels live in
+:mod:`repro.similarity.reference` as the correctness oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from repro.model.point import STPoint
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.frechet import frechet_distance
 from repro.similarity.hausdorff import hausdorff_distance
-from repro.similarity.reference import (
-    dtw_reference,
-    frechet_reference,
-    hausdorff_reference,
-)
 
 DistanceFn = Callable[[Sequence[STPoint], Sequence[STPoint]], float]
 
@@ -30,20 +25,12 @@ DISTANCES: dict[str, DistanceFn] = {
     "hausdorff": hausdorff_distance,
 }
 
-#: Seed (pre-columnar) implementations, bit-identical to DISTANCES.
-REFERENCE_DISTANCES: dict[str, DistanceFn] = {
-    "frechet": frechet_reference,
-    "dtw": dtw_reference,
-    "hausdorff": hausdorff_reference,
-}
 
-
-def distance_by_name(name: str, reference: bool = False) -> DistanceFn:
+def distance_by_name(name: str) -> DistanceFn:
     """Look a distance function up by name; raises on unknown measures."""
-    registry = REFERENCE_DISTANCES if reference else DISTANCES
     try:
-        return registry[name]
+        return DISTANCES[name]
     except KeyError:
         raise ValueError(
-            f"unknown distance {name!r}; pick one of {sorted(registry)}"
+            f"unknown distance {name!r}; pick one of {sorted(DISTANCES)}"
         ) from None

@@ -3,8 +3,8 @@
 These are the original row-by-row dynamic programs with python inner loops.
 The vectorized kernels in :mod:`repro.similarity.frechet` / ``dtw`` must
 return bit-identical values (the per-cell operations are the same floats,
-just evaluated along antidiagonals), and the columnar benchmark quotes
-these as the "before" timings.
+just evaluated along antidiagonals); ``tests/test_similarity_measures.py``
+holds them to that.
 """
 
 from __future__ import annotations

@@ -1,8 +1,4 @@
-"""Tests for the benchmark support package (harness + report + validate)."""
-
-import json
-import shutil
-from pathlib import Path
+"""Tests for the benchmark support package (harness + report)."""
 
 import pytest
 
@@ -26,28 +22,6 @@ class TestPercentiles:
         s = summarize_ms([1, 2, 3, 4, 5])
         assert set(s) == {"p50", "p70", "p80", "p90", "p95", "p99", "p100"}
         assert s["p50"] <= s["p90"] <= s["p95"] <= s["p99"] <= s["p100"]
-
-    def test_histogram_summary_reads_registry(self):
-        from repro.bench.harness import histogram_summary
-        from repro.obs import registry
-
-        hist = registry().histogram("bench_support_test_ms", "test histogram")
-        try:
-            for v in (1.0, 2.0, 4.0, 8.0):
-                hist.observe(v)
-            s = histogram_summary("bench_support_test_ms")
-            assert s["count"] == 4.0
-            assert s["p50"] <= s["p95"] <= s["p99"]
-        finally:
-            # keep the process-wide registry free of test-only families
-            # (the metric-catalog lint snapshots it)
-            registry().unregister("bench_support_test_ms")
-
-    def test_histogram_summary_unknown_name(self):
-        from repro.bench.harness import histogram_summary
-
-        with pytest.raises(KeyError):
-            histogram_summary("never_registered_anywhere")
 
 
 class TestRunQueries:
@@ -104,50 +78,3 @@ class TestReport:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             build_report(tmp_path / "nope")
-
-
-class TestValidate:
-    """`repro.bench.validate`: one schema walker, gates per bench name."""
-
-    RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-
-    def test_committed_reports_pass(self, capsys):
-        from repro.bench.validate import main
-
-        paths = [
-            str(self.RESULTS / f"BENCH_{name}.json")
-            for name in ("cbo", "cluster", "columnar")
-        ]
-        assert main(paths) == 0
-        assert capsys.readouterr().out.count(": ok") == 3
-
-    def test_bench_inferred_from_file_name(self, tmp_path, capsys):
-        from repro.bench.validate import main
-
-        # A cluster report under the cbo name fails the cbo schema.
-        wrong = tmp_path / "BENCH_cbo.json"
-        shutil.copy(self.RESULTS / "BENCH_cluster.json", wrong)
-        assert main([str(wrong)]) == 1
-        assert "tr_vs_interval: missing" in capsys.readouterr().err
-        unknown = tmp_path / "BENCH_nosuch.json"
-        unknown.write_text("{}")
-        assert main([str(unknown)]) == 1
-        assert main([]) == 2
-
-    def test_gates_run_after_schema(self, tmp_path, capsys):
-        from repro.bench.validate import main
-
-        cbo = tmp_path / "BENCH_cbo.json"
-        cbo.write_text((self.RESULTS / "BENCH_cbo.json").read_text())
-        assert main([str(cbo), "--max-regret", "-1"]) == 1
-        assert "exceeds -1" in capsys.readouterr().err
-        doc = json.loads((self.RESULTS / "BENCH_cluster.json").read_text())
-        doc["results_identical"] = False
-        cluster = tmp_path / "BENCH_cluster.json"
-        cluster.write_text(json.dumps(doc))
-        assert main([str(cluster)]) == 1
-        assert "results_identical" in capsys.readouterr().err
-        doc["results_identical"] = "yes"  # wrong type: schema error, no gate
-        cluster.write_text(json.dumps(doc))
-        assert main([str(cluster)]) == 1
-        assert "expected bool" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """System-level CBO tests: plan equivalence, learned-statistics refresh,
-and adaptive mid-query re-planning.
+costed choices (interval vs TR, planner regret) and adaptive mid-query
+re-planning.
 
 The equivalence matrix is the optimizer's core safety property: whatever
 plan the CBO picks — or the re-planner switches to mid-query — the result
@@ -13,6 +14,9 @@ import pytest
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.model import MBR, TimeRange
+from repro.model.pointblock import PointBlock
+from repro.model.trajectory import Trajectory
+from repro.query.cost import calibrate
 from repro.query.planner import QueryPlan
 from repro.query.types import (
     IDTemporalQuery,
@@ -176,6 +180,116 @@ class TestStatisticsRefresh:
             assert tman.planner.cost_constants == before
 
 
+HOUR = 3600.0
+SPAN_HOURS = 40.0
+
+
+def _retime(trajs, spans):
+    """Stretch each (multi-point) trajectory onto an exact (start, end) span."""
+    out = []
+    for t, (t0, t1) in zip(trajs, spans):
+        ts, xs, ys = t.xy_arrays()
+        grid = t0 + (ts - ts[0]) / (ts[-1] - ts[0]) * (t1 - t0)
+        out.append(Trajectory(t.oid, t.tid, PointBlock(grid, xs, ys, validate=False)))
+    return out
+
+
+class TestCostedChoices:
+    """The CBO's two headline claims on an increasing-ending-time workload.
+
+    Every assertion is on scan counts or ``simulated_ms`` — a pure
+    function of the I/O counters — so the numbers repeat exactly.
+    """
+
+    N = 150
+    MAX_REGRET = 0.15
+
+    @pytest.fixture(scope="class")
+    def tman(self):
+        """Half-hour trips whose ending times climb over a 40 h span."""
+        n = self.N
+        raw = sorted(
+            tdrive_like(n, seed=11, max_points=40), key=lambda t: t.time_range.end
+        )
+        starts = [(i / n) * SPAN_HOURS * HOUR for i in range(n)]
+        config = TManConfig(
+            boundary=TDRIVE_SPEC.boundary,
+            max_resolution=10,
+            num_shards=2,
+            kv_workers=2,
+            split_rows=50_000,
+            secondary_indexes=("tr", "idt", "interval"),
+        )
+        with TMan(config) as tman:
+            tman.bulk_load(_retime(raw, [(s, s + 0.5 * HOUR) for s in starts]))
+            tman.flush()
+            yield tman
+
+    def test_interval_opens_two_scans_where_tr_opens_many(self, tman):
+        """Recent-window TRQs: the LIT-style interval index answers in two
+        range scans, the TR expansion in >= 10x as many, and the CBO picks
+        the interval route without being forced."""
+        for i in range(3):
+            end = (SPAN_HOURS - 0.5 - i * 0.5) * HOUR
+            q = TemporalRangeQuery(TimeRange(end - 1.5 * HOUR, end))
+            tr = tman.query(q, plan=QueryPlan("tr", "secondary", "forced"))
+            interval = tman.query(
+                q, plan=QueryPlan("interval", "secondary", "forced")
+            )
+            assert interval.windows <= 2
+            assert tr.windows >= 10 * interval.windows
+            assert interval.simulated_ms < tr.simulated_ms
+            assert tman.query(q).plan == "interval/secondary"
+
+    def _mixed_workload(self):
+        span = TDRIVE_SPEC.boundary
+        mid_x = (span.x1 + span.x2) / 2
+        mid_y = (span.y1 + span.y2) / 2
+        st_window = MBR(span.x1, span.y1, mid_x, mid_y)
+        queries = []
+        for i in range(3):
+            t0 = (i * 6.3) % (SPAN_HOURS - 2.0) * HOUR
+            queries.append(TemporalRangeQuery(TimeRange(t0, t0 + 2.0 * HOUR)))
+            queries.append(STRangeQuery(st_window, TimeRange(t0, t0 + 3.0 * HOUR)))
+        queries.append(
+            SpatialRangeQuery(
+                MBR(span.x1, span.y1, span.x1 + (span.x2 - span.x1) * 0.3, mid_y)
+            )
+        )
+        return queries
+
+    def test_calibrated_regret_is_bounded(self, tman):
+        """Constants fitted to the forced-plan matrix keep the planner within
+        15 % of the oracle, and never do worse than the defaults."""
+        queries = self._mixed_workload()
+        # Every candidate plan of every query, forced: the per-query oracle
+        # (cheapest run) and the calibration corpus in one pass.
+        forced = [
+            [tman.query(q, plan=c.plan) for c in tman.planner.candidate_plans(q)]
+            for q in queries
+        ]
+        oracle_ms = sum(min(r.simulated_ms for r in runs) for runs in forced)
+
+        def regret():
+            return sum(tman.query(q).simulated_ms for q in queries) / oracle_ms - 1.0
+
+        defaults = tman.planner.cost_constants
+        default_regret = regret()
+        # Fit against the simulated cost, the unit regret is in.
+        samples = [
+            {**r.profile.as_dict(), "elapsed_ms": r.simulated_ms}
+            for runs in forced
+            for r in runs
+        ]
+        tman.planner.set_cost_constants(calibrate(samples, defaults=defaults))
+        try:
+            calibrated_regret = regret()
+        finally:
+            tman.planner.set_cost_constants(defaults)
+        assert calibrated_regret <= self.MAX_REGRET
+        assert calibrated_regret <= default_regret + 1e-9
+
+
 class TestAdaptiveReplan:
     @pytest.fixture()
     def skewed_tman(self):
@@ -255,3 +369,55 @@ class TestAdaptiveReplan:
             result = other.query(TemporalRangeQuery(self._span(dataset2)))
             assert result.trace is not None
             assert "replanned_from" not in result.trace.annotations
+
+    def test_replan_beats_completing_the_stale_plan(self):
+        """The stale pick's sunk windows cost less than finishing it.
+
+        Sized so the plan choice is stale: the flushed tail after the query
+        window inflates the interval route's estimate past the TR
+        expansion's fixed window cost, while the unflushed burst sits at
+        the front of TR's window order so the guard fires early.
+        """
+        tail_n, burst_n = 450, 250
+        raw = tdrive_like(tail_n + burst_n, seed=13, max_points=30)
+        tail = _retime(
+            raw[:tail_n],
+            [
+                ((23.0 + i / tail_n * 24.0) * HOUR, (23.4 + i / tail_n * 24.0) * HOUR)
+                for i in range(tail_n)
+            ],
+        )
+        burst = _retime(
+            raw[tail_n:],
+            [
+                ((1.0 + i % 3) * HOUR, (20.5 + i / burst_n * 1.5) * HOUR)
+                for i in range(burst_n)
+            ],
+        )
+        q = TemporalRangeQuery(TimeRange(20.0 * HOUR, 22.5 * HOUR))
+        config = TManConfig(
+            boundary=TDRIVE_SPEC.boundary,
+            max_resolution=10,
+            num_shards=2,
+            kv_workers=1,
+            split_rows=50_000,
+            secondary_indexes=("tr", "idt", "interval"),
+            adaptive_replan=True,
+            replan_divergence_ratio=2.0,
+            replan_min_candidates=32,
+        )
+        with TMan(config) as tman:
+            tman.bulk_load(tail)
+            tman.flush()
+            tman.bulk_load(burst)
+            stale = tman.planner.plan(q)
+            result = tman.query(q)
+            assert "replanned_from" in result.trace.annotations
+            assert result.plan != f"{stale.index}/{stale.route}"
+            completed = tman.query(
+                q, plan=QueryPlan(stale.index, stale.route, "forced")
+            )
+            assert sorted(t.tid for t in result.trajectories) == sorted(
+                t.tid for t in completed.trajectories
+            )
+            assert result.simulated_ms < completed.simulated_ms

@@ -118,6 +118,23 @@ class TestCommands:
             line for line in out.splitlines()[1:] if not line.startswith("fault ")
         ]
 
+    @pytest.mark.parametrize("command", ["query", "explain"])
+    @pytest.mark.parametrize(
+        "window", ["116.2,39.8,116.5", "116.2,39.8,east,40.0", "116.5,39.8,116.2,40.0"]
+    )
+    def test_malformed_window_is_a_usage_error(self, command, window, capsys):
+        # Rejected while parsing, so the deployment path is never opened.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "no-such-dir", "--type", "spatial", "--window", window])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument --window: expected x1,y1,x2,y2" in message
+        assert repr(window) in message
+
+    def test_spatial_query_without_window_fails(self, deployment):
+        with pytest.raises(SystemExit, match="needs --window"):
+            main(["query", str(deployment), "--type", "spatial"])
+
     def test_load_empty_csv_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("oid,tid,t,lng,lat\n")

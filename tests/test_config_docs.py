@@ -5,17 +5,23 @@ in a docs knob table (a markdown table whose header row starts with
 ``| knob |``), and every knob such a table documents must be a field.
 Removing or renaming a field without touching the docs (or documenting a
 knob that does not exist) fails here.
+
+The same file lints ``.github/workflows/ci.yml``: every test or benchmark
+file and every ``python -m repro...`` module a step names must exist, so
+deleting one cannot leave a dangling step.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import re
 from pathlib import Path
 
 from repro import TManConfig
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 _NAME_RE = re.compile(r"`([a-z][a-z0-9_]*)`")
 
@@ -53,3 +59,18 @@ def test_every_documented_knob_is_a_config_field():
         f"docs knob tables name knobs that are not TManConfig fields: "
         f"{sorted(stale)}"
     )
+
+
+def test_ci_names_only_files_and_modules_that_exist():
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    paths = set(re.findall(r"(?:tests|benchmarks)/[\w/]+\.py", text))
+    modules = set(re.findall(r"python -m (repro(?:\.\w+)*)", text))
+    assert paths and modules  # the patterns still see the workflow
+    dangling = sorted(p for p in paths if not (ROOT / p).is_file())
+    for name in sorted(modules):
+        spec = importlib.util.find_spec(name)
+        if spec is not None and spec.submodule_search_locations is not None:
+            spec = importlib.util.find_spec(name + ".__main__")  # -m on a package
+        if spec is None:
+            dangling.append(name)
+    assert not dangling, f"ci.yml names things that do not exist: {dangling}"

@@ -102,6 +102,21 @@ def test_every_documented_metric_is_registered(registered_metrics):
     )
 
 
+def test_read_path_families_are_registered(registered_metrics):
+    """The scheduler / block-cache / multi-get families dashboards read
+    must exist outright — the drift lint alone would let a row and its
+    metric disappear together."""
+    required = {
+        "kv_blockcache_hits_total",
+        "kv_blockcache_misses_total",
+        "kv_blockcache_evictions_total",
+        "kv_multirange_scans_total",
+        "kv_multirange_windows_started_total",
+        "kv_multiget_batches_total",
+    }
+    assert required <= registered_metrics, sorted(required - registered_metrics)
+
+
 def test_catalog_parser_sees_a_sane_catalog():
     documented = documented_metrics()
     # the catalog is substantial; a parser regression would shrink it

@@ -132,6 +132,7 @@ def test_limit_scans_less_under_scheduler(deployments, dataset):
     assert len(lim.trajectories) == 2
     assert lim.candidates < full.candidates
     assert lim.trace["windows"].rows_out <= full.trace["windows"].rows_out
+    assert lim.trace["decode"].rows_in <= full.trace["decode"].rows_in
 
 
 def test_limit_equivalence(deployments, dataset):

@@ -149,6 +149,7 @@ class TestStreamingLimit:
             t.tid for t in full.trajectories
         ][:2]
         assert lim.candidates < full.candidates
+        assert lim.trace["decode"].rows_in <= full.trace["decode"].rows_in
         assert lim.trace["limit"].rows_out == 2
 
     def test_limit_rejected_for_similarity_queries(self, tman):

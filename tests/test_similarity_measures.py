@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import STPoint
-from repro.similarity import dtw_distance, frechet_distance, hausdorff_distance
-from repro.similarity.measures import distance_by_name
+from repro.model.pointblock import PointBlock
+from repro.similarity import dtw_distance, frechet_distance, hausdorff_distance, reference
+from repro.similarity.measures import DISTANCES, distance_by_name
 
 
 def traj(coords):
@@ -166,3 +168,33 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             distance_by_name("edr")
+
+
+class TestKernelsMatchReference:
+    """The vectorized kernels return the seed row-by-row kernels' exact
+    floats: per-cell arithmetic is the same, only the evaluation order
+    (antidiagonals vs rows) differs."""
+
+    LENGTHS = (1, 2, 17, 200)
+
+    @pytest.mark.parametrize("measure", sorted(DISTANCES))
+    @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([1, 9]))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bit_identical_for_blocks_and_point_lists(self, measure, seed, decimals):
+        rng = np.random.default_rng(seed)
+
+        def walk(n):
+            # decimals=1 snaps the walk to a coarse grid: repeated points,
+            # zero distances and ties in every min/max of the recurrence.
+            xs, ys = np.round(rng.normal(0, 0.1, (2, n)).cumsum(axis=1), decimals)
+            return PointBlock(np.arange(n, dtype=float), xs, ys, validate=False)
+
+        vectorized = DISTANCES[measure]
+        oracle = getattr(reference, f"{measure}_reference")
+        for n in self.LENGTHS:
+            for m in self.LENGTHS:
+                a, b = walk(n), walk(m)
+                points_a, points_b = list(a), list(b)
+                want = oracle(points_a, points_b)
+                assert vectorized(a, b) == want, (n, m)
+                assert vectorized(points_a, points_b) == want, (n, m)
