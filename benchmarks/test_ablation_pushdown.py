@@ -11,11 +11,16 @@ import pytest
 from repro import TMan, TManConfig
 from repro.bench import ResultTable, run_queries
 from repro.datasets import TDRIVE_SPEC
+from repro.query.planner import QueryPlan
+from repro.query.types import STRangeQuery
 
 from benchmarks.conftest import save_table
 
 HOUR = 3600.0
 QUERIES = 8
+# "Same index, same windows": the CBO would send STRQ through tr/secondary,
+# where every resolved row is a point get and the switch moves no counter.
+SAME_INDEX = QueryPlan("tshape", "primary", "forced")
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +53,10 @@ def test_ablation_pushdown(benchmark, pushdown_pair, tdrive_workload):
     stats = {}
     for mode, system in (("push-down", on), ("client-side", off)):
         srq = run_queries(system.spatial_range_query, srq_windows)
-        strq = run_queries(lambda wt, s=system: s.st_range_query(wt[0], wt[1]), st_windows)
+        strq = run_queries(
+            lambda wt, s=system: s.query(STRangeQuery(wt[0], wt[1]), plan=SAME_INDEX),
+            st_windows,
+        )
         stats[(mode, "SRQ")] = srq
         stats[(mode, "STRQ")] = strq
         for name, s in (("SRQ", srq), ("STRQ", strq)):

@@ -53,6 +53,8 @@ def durable_cluster(workdir: Path) -> None:
 
     cluster2 = Cluster(workers=1, data_dir=workdir / "cluster")
     tman2 = TMan(config, cluster=cluster2, redis=redis)
+    # The planner's statistics are fed by the writer; these rows were written
+    # by the previous TMan, so refeed them from the row headers on disk.
     tman2.rebuild_statistics()
     res = tman2.temporal_range_query(target.time_range)
     print(f"reopened from disk: {tman2.row_count} rows, "

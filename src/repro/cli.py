@@ -389,12 +389,10 @@ def _run_probe(tman: TMan, n: int) -> int:
 
     if n <= 0:
         return 0
-    if tman.planner.stats is None:
-        tman.rebuild_statistics()
-    stats = tman.planner.stats
+    stats = tman.table_statistics()
     if stats is None:
         return 0
-    span, region = stats.time_span, stats.dense_region
+    span, region = stats.time_span, stats.mbr
     rng = random.Random(1234)
     duration = max(span.duration, 1.0)
     oid = None

@@ -71,11 +71,8 @@ class ReplicatedStore:
     def __init__(self, store_id: str, router: ReplicaRouter):
         self.store_id = store_id
         self._router = router
-        # Protocol-compat attributes the region layer reads/writes.  The
-        # census hook stays None-functional: worker flushes happen in
-        # another process, so learned statistics are not observed in
-        # process mode (the planner falls back to reservoir statistics).
-        self.census_hook = None
+        # Read by Region.format_census; compactions run worker-side, so
+        # the coordinator never sees a row-format census in process mode.
         self.last_format_census = None
 
     @property

@@ -7,50 +7,15 @@ recognized by its magic byte (``0x54``, shared with
 Values that are not trajectory rows (secondary-index pointers, metadata)
 are ignored.
 
-Beyond the built-in version census, stores accept a pluggable
-:class:`CensusHook` (settable ``census_hook`` attribute on ``LSMStore`` /
-``DurableLSMStore``, threaded through ``Region.set_census_hook`` /
-``Table.set_census_hook``).  The hook observes the same row stream and is
-how the learned planner statistics
-(:class:`repro.storage.statistics.TableStatisticsBuilder`) stay current
-without a separate scan.  Hook contract:
-
-- ``on_flush(store_id, rows)`` — rows newly persisted by one flush
-  (may include tombstones; incremental, duplicates possible across
-  flushes when a key is overwritten);
-- ``on_compaction(store_id, rows)`` — the store's **exact live row set**
-  after a compaction (replaces everything previously reported for that
-  store);
-- ``on_retire(store_id)`` — the store is gone (region split/teardown);
-  drop its contribution.
-
-Hooks run on flusher/compaction threads, sometimes under the store lock:
-they must be thread-safe, do CPU-only work, and never call back into the
-store.
+The planner's statistics do not come from here: they are fed by the write
+path (:class:`repro.storage.statistics.TableStatisticsBuilder`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 ROW_MAGIC = 0x54
-
-
-@runtime_checkable
-class CensusHook(Protocol):
-    """Observer of flush/compaction row streams (see module docstring)."""
-
-    def on_flush(self, store_id: int, rows: Iterable[tuple[bytes, bytes]]) -> None:
-        """Rows newly persisted by one flush of store ``store_id``."""
-        ...
-
-    def on_compaction(self, store_id: int, rows: Iterable[tuple[bytes, bytes]]) -> None:
-        """The exact live row set of store ``store_id`` after compaction."""
-        ...
-
-    def on_retire(self, store_id: int) -> None:
-        """Store ``store_id`` was retired; drop its contribution."""
-        ...
 
 
 def census_rows(rows: Iterable[tuple[bytes, bytes]]) -> dict[int, int]:

@@ -133,9 +133,6 @@ class DurableLSMStore:
         # Trajectory row versions seen by the most recent compaction
         # (None until one runs); see repro.kvstore.census.
         self.last_format_census: Optional[dict[int, int]] = None
-        # Optional CensusHook observing flushed/compacted rows (settable
-        # attribute so constructor signatures stay stable).
-        self.census_hook = None
 
         # A crash mid-flush/compaction leaves the half-written run at its
         # .tmp path; it was never acknowledged (the WAL still covers it or
@@ -271,8 +268,6 @@ class DurableLSMStore:
         self._sstables.append(
             DiskSSTable(path, self._stats, block_cache=self._block_cache)
         )
-        if self.census_hook is not None:
-            self.census_hook.on_flush(id(self), entries)
         self._memtable = MemTable()
         self._wal.truncate()
         if len(self._sstables) > self._max_tables:
@@ -298,10 +293,6 @@ class DurableLSMStore:
         self.last_format_census = census_rows(
             (k, v) for k, v in entries if v != TOMBSTONE
         )
-        if self.census_hook is not None:
-            self.census_hook.on_compaction(
-                id(self), [(k, v) for k, v in entries if v != TOMBSTONE]
-            )
         old_tables = list(self._sstables)
         path = self.data_dir / f"sst-{self._next_seq:06d}.sst"
         self._write_run(path, entries, simfault.compact_fault)

@@ -73,9 +73,6 @@ class LSMStore:
         # Trajectory row versions seen by the most recent compaction
         # (None until one runs); see repro.kvstore.census.
         self.last_format_census: Optional[dict[int, int]] = None
-        # Optional CensusHook observing flushed/compacted rows (settable
-        # attribute so constructor signatures stay stable).
-        self.census_hook = None
         self._limits = write_limits if write_limits is not None else WriteLimits()
         self._flusher = flusher
         # Guards the level lists (_memtable, _frozen, _sstables) and the
@@ -192,10 +189,7 @@ class LSMStore:
     def _build_sstable(self, frozen: MemTable) -> SSTable:
         _FLUSH_TOTAL.inc()
         _FLUSH_BYTES.inc(frozen.approx_bytes)
-        entries = list(frozen.items())
-        if self.census_hook is not None:
-            self.census_hook.on_flush(id(self), entries)
-        return SSTable(entries, self._stats)
+        return SSTable(list(frozen.items()), self._stats)
 
     def _drain_frozen_locked(self) -> None:
         """Flush every frozen memtable inline (lock held; no-flusher path)."""
@@ -266,8 +260,6 @@ class LSMStore:
         _COMPACT_TOTAL.inc()
         _COMPACT_BYTES.inc(sum(len(k) + len(v) for k, v in live))
         self.last_format_census = census_rows(live)
-        if self.census_hook is not None:
-            self.census_hook.on_compaction(id(self), live)
         self._sstables = [SSTable(live, self._stats)] if live else []
 
     # -- reads --------------------------------------------------------------

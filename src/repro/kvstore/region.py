@@ -94,7 +94,6 @@ class Region:
             write_limits=write_limits,
             flusher=flusher,
         )
-        self._census_hook = None
         self._row_count = 0
         # Recover the row estimate for pre-existing durable stores.
         if store is not None:
@@ -117,16 +116,6 @@ class Region:
     def format_census(self) -> Optional[dict[int, int]]:
         """Trajectory row versions seen at the engine's last compaction."""
         return getattr(self._store, "last_format_census", None)
-
-    def set_census_hook(self, hook) -> None:
-        """Attach a :class:`~repro.kvstore.census.CensusHook` to the engine.
-
-        The engine reports its flushed/compacted rows to the hook keyed by
-        ``id(store)``; :meth:`retire` tells the hook when that store goes
-        away.
-        """
-        self._census_hook = hook
-        self._store.census_hook = hook
 
     def owns(self, key: bytes) -> bool:
         """True when ``key`` routes to this region."""
@@ -323,8 +312,6 @@ class Region:
         Durable engines are closed and their directory removed; the
         in-memory engine needs nothing.
         """
-        if self._census_hook is not None:
-            self._census_hook.on_retire(id(self._store))
         # Engines that manage remote or external state (the replicated
         # process-mode store) expose destroy(); it deletes the data on
         # every replica before the local close.

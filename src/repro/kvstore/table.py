@@ -82,7 +82,6 @@ class Table:
         self._retry = retry if retry is not None else RetryPolicy()
         self._write_limits = write_limits
         self._flusher = flusher
-        self._census_hook = None
         self._next_region_id = 0
         self._regions: list[Region] = []
         # _boundaries[i] is the start key of region i+1.
@@ -141,8 +140,6 @@ class Table:
             flusher=self._flusher,
         )
         region.region_id = region_id  # type: ignore[attr-defined]
-        if self._census_hook is not None:
-            region.set_census_hook(self._census_hook)
         return region
 
     def _layout_path(self):
@@ -502,18 +499,8 @@ class Table:
             deadline=deadline,
         )
 
-    def set_census_hook(self, hook) -> None:
-        """Attach a :class:`~repro.kvstore.census.CensusHook` to every region.
-
-        The hook is remembered so regions created by later splits inherit
-        it too.
-        """
-        self._census_hook = hook
-        for region in self._regions:
-            region.set_census_hook(hook)
-
     def flush(self) -> None:
-        """Flush every region's memtable (fires any attached census hook)."""
+        """Flush every region's memtable."""
         for region in self._regions:
             region._store.flush()
 

@@ -5,9 +5,10 @@ The :class:`WorkloadStatsCollector` folds every finished
 groups: latency quantiles, candidate counts, observed selectivity
 histograms, per-period and per-cell scan tallies, and observed-vs-
 estimated candidate ratios.  The export (``workload_stats.json``, schema
-``repro.obs.workload_stats/v1``) is the input the planned cost-based
-optimizer consumes — learned per-table statistics replacing the static
-:class:`~repro.query.planner.DataStatistics` priors.
+``repro.obs.workload_stats/v1``) records how far the cost-based
+optimizer's priors (the writer-fed
+:class:`~repro.storage.statistics.TableStatistics`) sit from what the
+queries actually touched.
 
 Everything is bounded: latency reservoirs keep the newest samples,
 period/cell maps collapse to ``"__overflow__"`` past a key cap, so the

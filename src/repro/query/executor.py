@@ -36,6 +36,7 @@ from repro.obs.profile import (
 )
 from repro.query.operators import (
     DivergenceGuard,
+    Operator,
     PlanDivergenceError,
     PointDistanceRefine,
     RegionScan,
@@ -43,21 +44,13 @@ from repro.query.operators import (
     TopK,
     WindowSource,
 )
-from repro.query.pipeline import (
-    Pipeline,
-    build_pipeline,
-    shapes_of,
-    similarity_scan_stages,
-)
+from repro.query.pipeline import Pipeline, build_pipeline, shapes_of
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 from repro.query.types import (
-    IDTemporalQuery,
     KNNPointQuery,
+    Query,
     QueryResult,
-    SpatialRangeQuery,
-    STRangeQuery,
-    TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
@@ -88,16 +81,6 @@ _QUERY_DEADLINE = _obs_counter(
 _QUERY_REPLAN = _obs_counter(
     "query_replan_total", "Mid-query adaptive re-plans triggered"
 )
-
-Query = Union[
-    TemporalRangeQuery,
-    SpatialRangeQuery,
-    STRangeQuery,
-    IDTemporalQuery,
-    ThresholdSimilarityQuery,
-    TopKSimilarityQuery,
-    KNNPointQuery,
-]
 
 
 class QueryExecutor:
@@ -144,14 +127,12 @@ class QueryExecutor:
 
             distances: Optional[list[float]] = None
             try:
-                if isinstance(query, TopKSimilarityQuery):
+                if isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
                     if limit is not None:
-                        raise ValueError("limit is not supported for top-k queries")
-                    trajs, distances = self._run_topk(query, trace, deadline)
-                elif isinstance(query, KNNPointQuery):
-                    if limit is not None:
-                        raise ValueError("limit is not supported for kNN queries")
-                    trajs, distances = self._run_knn(query, trace, deadline)
+                        raise ValueError(
+                            "limit is not supported for top-k and kNN queries"
+                        )
+                    trajs, distances = self._run_rings(query, trace, deadline)
                 elif isinstance(query, ThresholdSimilarityQuery) and limit is not None:
                     raise ValueError("limit is not supported for similarity queries")
                 else:
@@ -288,26 +269,6 @@ class QueryExecutor:
 
     # -- iterative queries (expanding-ring pipelines) ------------------------
 
-    def _ring_pipeline(
-        self,
-        windows,
-        refine,
-        sink: TopK,
-        trace: ExecutionTrace,
-        deadline: Optional[Deadline] = None,
-    ) -> Pipeline:
-        """One expanding-ring round: scan the ring, refine, feed the top-k."""
-        return Pipeline(
-            [
-                WindowSource(windows),
-                RegionScan(self._t.primary_table, None, deadline=deadline),
-                refine,
-            ],
-            sink,
-            trace=trace,
-            deadline=deadline,
-        )
-
     @staticmethod
     def _ring_deadline_reached(
         deadline: Optional[Deadline], where: str
@@ -326,84 +287,62 @@ class QueryExecutor:
         deadline.check(where)
         return True  # pragma: no cover - check() always raises here
 
-    def _run_knn(
+    def _run_rings(
         self,
-        query: KNNPointQuery,
+        query: Union[TopKSimilarityQuery, KNNPointQuery],
         trace: ExecutionTrace,
         deadline: Optional[Deadline] = None,
     ) -> tuple[list[Trajectory], list[float]]:
-        """Expanding-ring k nearest trajectories to a point.
+        """The expanding-ring loop behind both iterative queries.
 
-        Distance is min planar distance from the point to the polyline;
-        header-MBR and DP-feature bounds avoid most point decompressions.
+        One pipeline round per ring (scan the ring, refine, feed the shared
+        top-k sink), doubling the radius until the k-th best distance is
+        provably inside the scanned region or the ring covers the whole
+        boundary.  kNN ranks by min planar distance from the point to the
+        polyline and scans its ring clamped to the boundary; top-k ranks
+        by the similarity measure.  Header-MBR and DP-feature bounds in
+        the refine stage avoid most point decompressions.
         """
         if query.k <= 0:
             raise ValueError(f"k must be positive, got {query.k}")
-        boundary = self._t.config.boundary
-        radius = min(boundary.width, boundary.height) / 64.0
+        t = self._t
+        boundary = t.config.boundary
         sink = TopK(query.k)
-        refine = PointDistanceRefine(
-            self._t.serializer, query.x, query.y, sink.kth_bound
-        )
+        knn = isinstance(query, KNNPointQuery)
+        if knn:
+            refine: Operator = PointDistanceRefine(
+                t.serializer, query.x, query.y, sink.kth_bound
+            )
+        else:
+            refine = SimilarityRefine(
+                t.serializer, query.query, query.measure, sink.kth_bound
+            )
+        radius = query.first_radius(boundary)
         trajs: list[Trajectory] = []
         dists: list[float] = []
-        while True:
-            if self._ring_deadline_reached(deadline, "knn.ring"):
-                break
-            ring = MBR(
-                max(boundary.x1, query.x - radius),
-                max(boundary.y1, query.y - radius),
-                min(boundary.x2, query.x + radius),
-                min(boundary.y2, query.y + radius),
+        while not self._ring_deadline_reached(
+            deadline, "knn.ring" if knn else "topk.ring"
+        ):
+            ring = window = query.ring(radius)
+            if knn:
+                window = MBR(
+                    max(boundary.x1, ring.x1), max(boundary.y1, ring.y1),
+                    min(boundary.x2, ring.x2), min(boundary.y2, ring.y2),
+                )
+            value_ranges = t.tshape_index.query_ranges(
+                window, shapes_of(t), t.config.use_index_cache
             )
-            value_ranges = self._t.tshape_index.query_ranges(
-                ring, shapes_of(self._t), self._t.config.use_index_cache
-            )
-            windows = primary_windows_u64(self._t.keys, value_ranges)
-            trajs, dists = self._ring_pipeline(
-                windows, refine, sink, trace, deadline
-            ).run()
-            if len(sink.best) >= query.k and sink.kth_bound() <= radius:
-                break
-            if ring.contains(boundary):
-                break
-            radius *= 2.0
-        return trajs, dists
-
-    def _run_topk(
-        self,
-        query: TopKSimilarityQuery,
-        trace: ExecutionTrace,
-        deadline: Optional[Deadline] = None,
-    ) -> tuple[list[Trajectory], list[float]]:
-        """Expanding-radius top-k: grow the search ring until the k-th best
-        distance is provably inside the scanned region."""
-        qmbr = query.query.mbr
-        diag = max(1e-4, (qmbr.width**2 + qmbr.height**2) ** 0.5)
-        radius = diag / 4.0
-        boundary = self._t.config.boundary
-        sink = TopK(query.k)
-        refine = SimilarityRefine(
-            self._t.serializer, query.query, query.measure, sink.kth_bound
-        )
-        trajs: list[Trajectory] = []
-        dists: list[float] = []
-        while True:
-            if self._ring_deadline_reached(deadline, "topk.ring"):
-                break
-            stages = similarity_scan_stages(
-                self._t, query.query, radius, None, deadline
-            )
-            stages.append(refine)
+            stages = [
+                WindowSource(primary_windows_u64(t.keys, value_ranges)),
+                RegionScan(t.primary_table, None, deadline=deadline),
+                refine,
+            ]
             trajs, dists = Pipeline(
                 stages, sink, trace=trace, deadline=deadline
             ).run()
             if len(sink.best) >= query.k and sink.kth_bound() <= radius:
                 break
-            covered = MBR(
-                qmbr.x1 - radius, qmbr.y1 - radius, qmbr.x2 + radius, qmbr.y2 + radius
-            )
-            if covered.contains(boundary):
+            if ring.contains(boundary):
                 break
             radius *= 2.0
         return trajs, dists

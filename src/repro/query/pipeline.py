@@ -14,7 +14,7 @@ one pipeline round per expanding ring against a shared trace.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from repro.kvstore.filters import Filter, FilterChain
 from repro.kvstore.stats import ExecutionTrace
@@ -45,6 +45,7 @@ from repro.query.operators import (
 from repro.query.types import (
     IDTemporalQuery,
     KNNPointQuery,
+    Query,
     SpatialRangeQuery,
     STRangeQuery,
     TemporalRangeQuery,
@@ -61,7 +62,6 @@ from repro.query.windows import (
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.model.trajectory import Trajectory
     from repro.query.planner import QueryPlan
     from repro.storage.tman import TMan
 
@@ -75,14 +75,6 @@ _STAGE_ROWS = _obs_counter(
     "Rows emitted by each pipeline stage",
     labelnames=("stage",),
 )
-
-PipelineQuery = Union[
-    TemporalRangeQuery,
-    SpatialRangeQuery,
-    STRangeQuery,
-    IDTemporalQuery,
-    ThresholdSimilarityQuery,
-]
 
 
 class _Edge:
@@ -290,22 +282,6 @@ def scan_stages(
     return stages
 
 
-def similarity_scan_stages(
-    tman: "TMan",
-    query_traj: "Trajectory",
-    radius: float,
-    row_filter: Optional[Filter],
-    deadline: Optional[Deadline] = None,
-) -> list[Operator]:
-    """Global pruning: scan stages over the radius-expanded query MBR."""
-    expanded = query_traj.mbr.expanded(radius)
-    value_ranges = tman.tshape_index.query_ranges(
-        expanded, shapes_of(tman), tman.config.use_index_cache
-    )
-    windows = primary_windows_u64(tman.keys, value_ranges)
-    return scan_stages(tman, windows, row_filter, deadline=deadline)
-
-
 def _secondary_stages(
     tman: "TMan",
     table_name: str,
@@ -313,15 +289,20 @@ def _secondary_stages(
     row_filter: Optional[Filter],
     deadline: Optional[Deadline] = None,
 ) -> list[Operator]:
-    return [
+    """Window source + secondary resolve, honoring push-down config."""
+    pushed = row_filter if tman.config.push_down else None
+    stages: list[Operator] = [
         WindowSource(windows),
         SecondaryResolve(
             tman.secondary_tables[table_name],
             tman.primary_table,
-            row_filter,
+            pushed,
             deadline=deadline,
         ),
     ]
+    if row_filter is not None and pushed is None:
+        stages.append(PushDownFilter(row_filter))
+    return stages
 
 
 def _tr_query_ranges(tman: "TMan", time_range) -> list[tuple[int, int]]:
@@ -495,17 +476,19 @@ def _threshold_stages(
     sim_filter = SimilarityFilter(
         query.query.points, query.threshold, query.measure, tman.serializer
     )
-    return (
-        similarity_scan_stages(
-            tman, query.query, query.threshold, sim_filter, deadline
-        ),
-        False,
+    # Global pruning: scan the threshold-expanded query MBR.
+    value_ranges = tman.tshape_index.query_ranges(
+        query.query.mbr.expanded(query.threshold),
+        shapes_of(tman),
+        tman.config.use_index_cache,
     )
+    windows = primary_windows_u64(tman.keys, value_ranges)
+    return scan_stages(tman, windows, sim_filter, deadline), False
 
 
 def build_pipeline(
     tman: "TMan",
-    query: PipelineQuery,
+    query: Query,
     plan: "QueryPlan",
     trace: Optional[ExecutionTrace] = None,
     limit: Optional[int] = None,
@@ -573,12 +556,9 @@ def pipeline_stage_names(
         return ["windows", "region_scan", refine, "top_k"]
     names = ["windows"]
     secondary = plan.route == "secondary" or plan.index == "idt"
-    if secondary:
-        names.append("secondary_resolve")
-    else:
-        names.append("region_scan")
-        if not tman.config.push_down:
-            names.append("client_filter")
+    names.append("secondary_resolve" if secondary else "region_scan")
+    if not tman.config.push_down:
+        names.append("client_filter")
     names.append("decode")
     if isinstance(query, ThresholdSimilarityQuery):
         names.append("exclude_query")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.kvstore.stats import ExecutionTrace
 from repro.model.mbr import MBR
@@ -55,6 +55,14 @@ class KNNPointQuery:
     y: float
     k: int
 
+    def first_radius(self, boundary: MBR) -> float:
+        """Radius of the first expanding ring: 1/64 of the boundary's short side."""
+        return min(boundary.width, boundary.height) / 64.0
+
+    def ring(self, radius: float) -> MBR:
+        """The square of half-side ``radius`` around the query point."""
+        return MBR(self.x - radius, self.y - radius, self.x + radius, self.y + radius)
+
 
 @dataclass(frozen=True)
 class ThresholdSimilarityQuery:
@@ -72,6 +80,27 @@ class TopKSimilarityQuery:
     query: Trajectory
     k: int
     measure: str = "frechet"
+
+    def first_radius(self, boundary: MBR) -> float:
+        """Radius of the first expanding ring: a quarter of the query
+        MBR's diagonal (``boundary`` is unused; kNN's signature)."""
+        qmbr = self.query.mbr
+        return max(1e-4, (qmbr.width**2 + qmbr.height**2) ** 0.5) / 4.0
+
+    def ring(self, radius: float) -> MBR:
+        """The query MBR grown by ``radius`` on every side."""
+        return self.query.mbr.expanded(radius)
+
+
+Query = Union[
+    TemporalRangeQuery,
+    SpatialRangeQuery,
+    STRangeQuery,
+    IDTemporalQuery,
+    KNNPointQuery,
+    ThresholdSimilarityQuery,
+    TopKSimilarityQuery,
+]
 
 
 @dataclass

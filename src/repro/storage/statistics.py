@@ -1,35 +1,28 @@
-"""Learned per-table statistics, maintained at flush/compaction time.
+"""Per-table statistics for the CBO, fed by the write path.
 
-The :class:`TableStatisticsBuilder` is a census hook (see
-:mod:`repro.kvstore.census`) attached to the primary table's stores: every
-flush folds the new rows into a per-store *fragment*, every compaction
-rebuilds that store's fragment exactly from the live rows, and a retired
-store (region split) drops its fragment.  The merged view over all
-fragments is a :class:`TableStatistics` snapshot — a period histogram, a
-``cell_grid`` x ``cell_grid`` spatial histogram, the row count, and the
-average points per row — which the query planner pulls on demand, so
-estimates track the data without anyone calling ``update_statistics``.
-
-Known, accepted drift: overwrites and deletes are not decremented at flush
-time (the memtable hook only sees new values, not what they replace);
-compaction squares the fragment with the live rows again.  Rows moved by a
-region split are counted by the new regions' first flushes, so totals dip
-transiently between retire and re-flush.
+The :class:`TableStatisticsBuilder` is the planner's only statistics source.
+:class:`~repro.storage.writer.StorageWriter` — which runs coordinator-side in
+every cluster mode — calls :meth:`~TableStatisticsBuilder.observe` for each
+row it writes and :meth:`~TableStatisticsBuilder.forget` for each row it
+deletes (a re-encode moves a row to a new key without changing it, so it
+touches nothing here), and ``TMan.rebuild_statistics`` refeeds the builder
+from a header scan when a saved deployment is reopened.  The counts are
+therefore exact at every moment, with no flush or compaction needed, and the
+same in thread and process mode.  The planner pulls a :class:`TableStatistics`
+snapshot — a period histogram, a ``cell_grid`` x ``cell_grid`` spatial
+histogram and the row count — once per plan.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
-from repro.storage.serializer import MAGIC, RowSerializer
 
 CELL_GRID = 16
-# Rows fully decoded per census batch to estimate points/row.
-POINTS_SAMPLE_PER_BATCH = 16
 # Hard bound on histogram iteration for degenerate huge queries.
 MAX_QUERY_PERIODS = 8192
 
@@ -41,7 +34,8 @@ class TableStatistics:
     ``period_hist`` counts rows per covered time period (a row spanning k
     periods contributes to each, so sums are clamped to ``row_count``);
     ``cell_hist`` counts rows by MBR-center cell on a ``cell_grid`` grid
-    over ``boundary``.
+    over ``boundary``.  ``time_span`` and ``mbr`` are the hull of every row
+    observed since the last rebuild; a delete does not shrink them.
     """
 
     row_count: int
@@ -49,7 +43,6 @@ class TableStatistics:
     cell_hist: dict[tuple[int, int], int]
     time_span: Optional[TimeRange]
     mbr: Optional[MBR]
-    avg_points_per_row: float
     boundary: MBR
     period_seconds: float
     origin: float
@@ -103,37 +96,31 @@ class TableStatistics:
 
     def cell_count_at(self, x: float, y: float) -> int:
         """Rows whose MBR center falls in the cell containing ``(x, y)``."""
-        b = self.boundary
-        sx = max(b.x2 - b.x1, 1e-12)
-        sy = max(b.y2 - b.y1, 1e-12)
-        gx = min(self.cell_grid - 1, max(0, int((x - b.x1) / sx * self.cell_grid)))
-        gy = min(self.cell_grid - 1, max(0, int((y - b.y1) / sy * self.cell_grid)))
-        return self.cell_hist.get((gx, gy), 0)
+        return self.cell_hist.get(_cell_of(self.boundary, self.cell_grid, x, y), 0)
 
 
-@dataclass
-class _Fragment:
-    """Per-store accumulator (one LSM store = one region's data)."""
+def _cell_of(boundary: MBR, grid: int, x: float, y: float) -> tuple[int, int]:
+    """The histogram cell containing ``(x, y)``, clamped onto the grid."""
+    sx = max(boundary.x2 - boundary.x1, 1e-12)
+    sy = max(boundary.y2 - boundary.y1, 1e-12)
+    gx = min(grid - 1, max(0, int((x - boundary.x1) / sx * grid)))
+    gy = min(grid - 1, max(0, int((y - boundary.y1) / sy * grid)))
+    return gx, gy
 
-    row_count: int = 0
-    period_hist: dict[int, int] = field(default_factory=dict)
-    cell_hist: dict[tuple[int, int], int] = field(default_factory=dict)
-    time_lo: float = float("inf")
-    time_hi: float = float("-inf")
-    x1: float = float("inf")
-    y1: float = float("inf")
-    x2: float = float("-inf")
-    y2: float = float("-inf")
-    points_sum: int = 0
-    points_rows: int = 0
+
+def _bump(hist: dict, key, sign: int) -> None:
+    """Add ``sign`` to one bucket, dropping buckets that reach zero."""
+    count = hist.get(key, 0) + sign
+    if count > 0:
+        hist[key] = count
+    else:
+        hist.pop(key, None)
 
 
 class TableStatisticsBuilder:
-    """Census hook building learned statistics from flush/compaction rows.
+    """Accumulates the histograms from the rows the writer reports.
 
-    Thread-safe: flushes run on flusher pool threads, sometimes under a
-    store lock, so the hook does pure CPU work (header decodes) only and
-    never re-enters the storage layer.
+    Thread-safe: concurrent writers and planning queries share one builder.
     """
 
     def __init__(
@@ -142,138 +129,83 @@ class TableStatisticsBuilder:
         period_seconds: float,
         origin: float = 0.0,
         cell_grid: int = CELL_GRID,
-        serializer: Optional[RowSerializer] = None,
     ):
         self.boundary = boundary
         self.period_seconds = period_seconds
         self.origin = origin
         self.cell_grid = cell_grid
-        self._serializer = serializer
         self._lock = threading.Lock()
-        self._fragments: dict[int, _Fragment] = {}
         self._generation = 0
-        self._snapshot: Optional[TableStatistics] = None
-        self._snapshot_generation = -1
+        self._clear()
 
-    # -- census hook protocol -------------------------------------------------
+    def _clear(self) -> None:
+        self._generation += 1
+        self._snapshot: Optional[TableStatistics] = None  # rebuilt on demand
+        self._row_count = 0
+        self._period_hist: dict[int, int] = {}
+        self._cell_hist: dict[tuple[int, int], int] = {}
+        self._time_span: Optional[TimeRange] = None
+        self._mbr: Optional[MBR] = None
 
-    def on_flush(self, store_id: int, rows: Iterable[tuple[bytes, bytes]]) -> None:
-        """Fold newly flushed rows into the store's fragment."""
+    # -- write side -----------------------------------------------------------
+
+    def observe(self, mbr: MBR, time_range: TimeRange) -> None:
+        """Count one newly written row."""
         with self._lock:
-            frag = self._fragments.setdefault(store_id, _Fragment())
-            self._absorb(frag, rows)
-            self._generation += 1
+            self._add(mbr, time_range, 1)
+            self._time_span = (
+                time_range
+                if self._time_span is None
+                else self._time_span.union_hull(time_range)
+            )
+            self._mbr = mbr if self._mbr is None else self._mbr.union_hull(mbr)
 
-    def on_compaction(self, store_id: int, rows: Iterable[tuple[bytes, bytes]]) -> None:
-        """Rebuild the store's fragment exactly from its live rows."""
-        frag = _Fragment()
-        self._absorb(frag, rows)
+    def forget(self, mbr: MBR, time_range: TimeRange) -> None:
+        """Uncount one deleted row (the arguments it was observed with)."""
         with self._lock:
-            self._fragments[store_id] = frag
-            self._generation += 1
+            self._add(mbr, time_range, -1)
 
-    def on_retire(self, store_id: int) -> None:
-        """Drop a retired store's fragment (region split/close)."""
+    def reset(self) -> None:
+        """Drop everything observed (a rebuild refeeds from a scan)."""
         with self._lock:
-            if self._fragments.pop(store_id, None) is not None:
-                self._generation += 1
+            self._clear()
 
-    # -- accumulation ---------------------------------------------------------
-
-    def _absorb(self, frag: _Fragment, rows: Iterable[tuple[bytes, bytes]]) -> None:
-        sampled = 0
-        grid = self.cell_grid
-        b = self.boundary
-        span_x = max(b.x2 - b.x1, 1e-12)
-        span_y = max(b.y2 - b.y1, 1e-12)
-        for _key, value in rows:
-            if not value or value[0] != MAGIC:
-                continue  # tombstone or non-trajectory payload
-            try:
-                header = RowSerializer.decode_header(value)
-            except Exception:
-                continue
-            frag.row_count += 1
-            tr = header.time_range
-            frag.time_lo = min(frag.time_lo, tr.start)
-            frag.time_hi = max(frag.time_hi, tr.end)
-            first = max(0, int((tr.start - self.origin) // self.period_seconds))
-            last = max(first, int((tr.end - self.origin) // self.period_seconds))
-            for p in range(first, min(last, first + MAX_QUERY_PERIODS - 1) + 1):
-                frag.period_hist[p] = frag.period_hist.get(p, 0) + 1
-            m = header.mbr
-            frag.x1 = min(frag.x1, m.x1)
-            frag.y1 = min(frag.y1, m.y1)
-            frag.x2 = max(frag.x2, m.x2)
-            frag.y2 = max(frag.y2, m.y2)
-            cx = (m.x1 + m.x2) / 2.0
-            cy = (m.y1 + m.y2) / 2.0
-            gx = min(grid - 1, max(0, int((cx - b.x1) / span_x * grid)))
-            gy = min(grid - 1, max(0, int((cy - b.y1) / span_y * grid)))
-            frag.cell_hist[(gx, gy)] = frag.cell_hist.get((gx, gy), 0) + 1
-            if self._serializer is not None and sampled < POINTS_SAMPLE_PER_BATCH:
-                try:
-                    traj = self._serializer.decode_trajectory(value).trajectory
-                    frag.points_sum += len(traj)
-                    frag.points_rows += 1
-                    sampled += 1
-                except Exception:
-                    pass
+    def _add(self, mbr: MBR, tr: TimeRange, sign: int) -> None:
+        self._generation += 1
+        self._snapshot = None
+        self._row_count += sign
+        first = max(0, int((tr.start - self.origin) // self.period_seconds))
+        last = max(first, int((tr.end - self.origin) // self.period_seconds))
+        for p in range(first, min(last, first + MAX_QUERY_PERIODS - 1) + 1):
+            _bump(self._period_hist, p, sign)
+        cx, cy = mbr.center
+        _bump(self._cell_hist, _cell_of(self.boundary, self.cell_grid, cx, cy), sign)
 
     # -- read side ------------------------------------------------------------
 
     @property
-    def generation(self) -> int:
-        """Bumps on every flush/compaction/retire the hook observed."""
+    def row_count(self) -> int:
+        """Live rows: observed minus forgotten."""
         with self._lock:
-            return self._generation
+            return self._row_count
 
     def snapshot(self) -> Optional[TableStatistics]:
-        """Merged statistics over all live fragments (cached by generation).
+        """The current statistics (cached until the next write).
 
-        Returns ``None`` until at least one flush/compaction has been
-        observed with trajectory rows in it.
+        Returns ``None`` while the table holds no rows.
         """
         with self._lock:
-            if self._snapshot_generation == self._generation:
-                return self._snapshot
-            row_count = 0
-            period_hist: dict[int, int] = {}
-            cell_hist: dict[tuple[int, int], int] = {}
-            time_lo, time_hi = float("inf"), float("-inf")
-            x1, y1 = float("inf"), float("inf")
-            x2, y2 = float("-inf"), float("-inf")
-            points_sum = points_rows = 0
-            for frag in self._fragments.values():
-                row_count += frag.row_count
-                for p, c in frag.period_hist.items():
-                    period_hist[p] = period_hist.get(p, 0) + c
-                for cell, c in frag.cell_hist.items():
-                    cell_hist[cell] = cell_hist.get(cell, 0) + c
-                time_lo = min(time_lo, frag.time_lo)
-                time_hi = max(time_hi, frag.time_hi)
-                x1, y1 = min(x1, frag.x1), min(y1, frag.y1)
-                x2, y2 = max(x2, frag.x2), max(y2, frag.y2)
-                points_sum += frag.points_sum
-                points_rows += frag.points_rows
-            if row_count <= 0:
-                snap = None
-            else:
-                snap = TableStatistics(
-                    row_count=row_count,
-                    period_hist=period_hist,
-                    cell_hist=cell_hist,
-                    time_span=TimeRange(time_lo, time_hi)
-                    if time_lo <= time_hi else None,
-                    mbr=MBR(x1, y1, x2, y2) if x1 <= x2 and y1 <= y2 else None,
-                    avg_points_per_row=(points_sum / points_rows)
-                    if points_rows else 0.0,
+            if self._snapshot is None and self._row_count > 0:
+                self._snapshot = TableStatistics(
+                    row_count=self._row_count,
+                    period_hist=dict(self._period_hist),
+                    cell_hist=dict(self._cell_hist),
+                    time_span=self._time_span,
+                    mbr=self._mbr,
                     boundary=self.boundary,
                     period_seconds=self.period_seconds,
                     origin=self.origin,
                     cell_grid=self.cell_grid,
                     generation=self._generation,
                 )
-            self._snapshot = snap
-            self._snapshot_generation = self._generation
-            return snap
+            return self._snapshot

@@ -42,7 +42,7 @@ from repro.obs.profile import (
 from repro.obs import profile_log as _obs_profile_log
 from repro.query.cost import calibrate
 from repro.query.executor import QueryExecutor
-from repro.query.planner import DataStatistics, QueryPlanner
+from repro.query.planner import QueryPlanner
 from repro.runtime.admission import INTERACTIVE, AdmissionController
 from repro.runtime.backpressure import WriteLimits
 from repro.runtime.deadline import Deadline, QueryTimeoutError
@@ -174,18 +174,12 @@ class TMan:
             name: self.cluster.create_table(f"tman_sec_{name}", if_not_exists=True)
             for name in config.secondary_indexes
         }
-        # Learned statistics: the builder observes primary-table flushes and
-        # compactions through the census hook and folds row headers into
-        # per-store histogram fragments; the planner pulls fresh snapshots
-        # through the provider below, so estimates track the data with no
-        # manual refresh step.
+        # The CBO's statistics: the writer reports every row it writes or
+        # deletes to the builder, and the planner pulls a fresh snapshot per
+        # plan through the provider below.
         self.stats_builder = TableStatisticsBuilder(
-            config.boundary,
-            config.tr_period_seconds,
-            origin=config.time_origin,
-            serializer=self.serializer,
+            config.boundary, config.tr_period_seconds, origin=config.time_origin
         )
-        self.primary_table.set_census_hook(self.stats_builder)
         self.meta = MetadataTable(self.cluster)
         self.meta.record_config(
             {
@@ -207,16 +201,6 @@ class TMan:
         self.planner.set_statistics_provider(self.stats_builder.snapshot)
         self.planner.set_spatial_window_counter(self._count_spatial_windows)
         self.executor = QueryExecutor(self, cost_model)
-        self._row_count = 0
-        self._time_lo: Optional[float] = None
-        self._time_hi: Optional[float] = None
-        self._dense: Optional[MBR] = None
-        # Reservoir sample of (MBR, TimeRange) row summaries for the CBO.
-        import random
-
-        self._sample: list = []
-        self._sample_capacity = 256
-        self._sample_rng = random.Random(13)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -233,56 +217,19 @@ class TMan:
 
     # -- statistics (fed to the CBO) ----------------------------------------------
 
-    def _observe_row(self, mbr: MBR, tr: TimeRange) -> None:
-        """Fold one row into the extent stats and the reservoir sample."""
-        self._row_count += 1
-        self._time_lo = tr.start if self._time_lo is None else min(self._time_lo, tr.start)
-        self._time_hi = tr.end if self._time_hi is None else max(self._time_hi, tr.end)
-        self._dense = mbr if self._dense is None else self._dense.union_hull(mbr)
-        # Vitter's algorithm R keeps a uniform sample of all rows seen.
-        if len(self._sample) < self._sample_capacity:
-            self._sample.append((mbr, tr))
-        else:
-            j = self._sample_rng.randrange(self._row_count)
-            if j < self._sample_capacity:
-                self._sample[j] = (mbr, tr)
-
-    def _publish_statistics(self) -> None:
-        if self._row_count and self._time_lo is not None and self._dense is not None:
-            self.planner.update_statistics(
-                DataStatistics(
-                    row_count=self._row_count,
-                    time_span=TimeRange(self._time_lo, self._time_hi or self._time_lo),
-                    dense_region=self._dense,
-                    sample=tuple(self._sample),
-                )
-            )
-
-    def refresh_statistics(self, prepared: Sequence[object]) -> None:
-        """Update dataset statistics after a write batch (called by the writer)."""
-        for p in prepared:
-            traj: Trajectory = p.traj  # type: ignore[attr-defined]
-            self._observe_row(traj.mbr, traj.time_range)
-        self._publish_statistics()
-
     @property
     def row_count(self) -> int:
         """Number of live trajectories stored."""
-        return self._row_count
+        return self.stats_builder.row_count
 
     def flush(self) -> None:
-        """Flush every table's memtables to SSTables.
-
-        Flushing runs the census hook on the primary table, so the learned
-        statistics (and therefore the planner's estimates) reflect all data
-        written so far immediately after this returns.
-        """
+        """Flush every table's memtables to SSTables."""
         self.primary_table.flush()
         for table in self.secondary_tables.values():
             table.flush()
 
     def table_statistics(self):
-        """The current learned-statistics snapshot (None before first flush)."""
+        """The current statistics snapshot (None while the table is empty)."""
         return self.stats_builder.snapshot()
 
     def _count_spatial_windows(self, window: MBR) -> int:
@@ -309,21 +256,17 @@ class TMan:
         return changed
 
     def rebuild_statistics(self) -> None:
-        """Recompute dataset statistics by scanning primary row headers.
+        """Refeed the statistics builder from a scan of primary row headers.
 
-        Used after reopening a saved deployment, where the incremental
-        statistics tracked during writes are not available.
+        Used after reopening a saved deployment, whose rows were written by
+        another process: the headers carry exactly what the writer reported.
         """
         from repro.kvstore.scan import Scan
 
-        self._row_count = 0
-        self._time_lo = self._time_hi = None
-        self._dense = None
-        self._sample = []
+        self.stats_builder.reset()
         for _, value in self.primary_table.scan(Scan()):
             header = self.serializer.decode_header(value)
-            self._observe_row(header.mbr, header.time_range)
-        self._publish_statistics()
+            self.stats_builder.observe(header.mbr, header.time_range)
 
     # -- write API -------------------------------------------------------------
 
@@ -342,17 +285,11 @@ class TMan:
 
     def delete(self, traj: Trajectory) -> bool:
         """Remove a trajectory (keys recomputed from the object itself)."""
-        removed = self.writer.delete(traj)
-        if removed:
-            self._row_count = max(0, self._row_count - 1)
-        return removed
+        return self.writer.delete(traj)
 
     def delete_by_id(self, oid: str, tid: str, time_range: TimeRange) -> bool:
         """Remove a trajectory located via the IDT index."""
-        removed = self.writer.delete_by_id(oid, tid, time_range)
-        if removed:
-            self._row_count = max(0, self._row_count - 1)
-        return removed
+        return self.writer.delete_by_id(oid, tid, time_range)
 
     # -- query API --------------------------------------------------------------
 

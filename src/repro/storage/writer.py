@@ -152,6 +152,7 @@ class StorageWriter:
         primary_key = self._t.keys.primary_key(index_bytes, p.traj.tid)
         row = self._t.serializer.encode(p.traj, p.tr_value)
         self._t.primary_table.put(primary_key, row)
+        self._t.stats_builder.observe(p.traj.mbr, p.traj.time_range)
 
         for name in self._t.config.secondary_indexes:
             table = self._t.secondary_tables[name]
@@ -207,7 +208,6 @@ class StorageWriter:
                 self._write_row(p, final)
                 report.rows_written += 1
             report.write_seconds = time.perf_counter() - t1
-            self._t.refresh_statistics(prepared)
             if sp is not None:
                 sp.set(rows=report.rows_written, elements=report.elements_encoded)
         stall_delta.apply(report)
@@ -247,7 +247,6 @@ class StorageWriter:
                     self._write_row(p, final)
                     report.rows_written += 1
             report.write_seconds = time.perf_counter() - t0
-            self._t.refresh_statistics(prepared)
             if sp is not None:
                 sp.set(rows=report.rows_written, reencodes=report.reencodes_triggered)
         stall_delta.apply(report)
@@ -272,8 +271,12 @@ class StorageWriter:
         tshape_value = self._t.tshape_index.pack(prepared.key.element_code, final)
         index_bytes = self._primary_index_bytes(prepared.tr_value, tshape_value)
         primary_key = self._t.keys.primary_key(index_bytes, traj.tid)
-        existed = self._t.primary_table.get(primary_key) is not None
+        value = self._t.primary_table.get(primary_key)
         self._t.primary_table.delete(primary_key)
+        if value is not None:
+            # Forget exactly what _write_row observed: the header keeps it.
+            header = self._t.serializer.decode_header(value)
+            self._t.stats_builder.forget(header.mbr, header.time_range)
         for name in self._t.config.secondary_indexes:
             table = self._t.secondary_tables[name]
             if name == "idt":
@@ -284,7 +287,7 @@ class StorageWriter:
                     traj.tid,
                 )
             table.delete(sec_key)
-        return existed
+        return value is not None
 
     def delete_by_id(self, oid: str, tid: str, time_range) -> bool:
         """Remove a trajectory located through the IDT secondary table.

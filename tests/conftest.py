@@ -11,7 +11,16 @@ import pytest
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
 from repro.geometry.relations import polyline_intersects_rect
-from repro.model import MBR, STPoint, Trajectory
+from repro.model import MBR, STPoint, TimeRange, Trajectory
+from repro.query.types import (
+    IDTemporalQuery,
+    KNNPointQuery,
+    SpatialRangeQuery,
+    STRangeQuery,
+    TemporalRangeQuery,
+    ThresholdSimilarityQuery,
+    TopKSimilarityQuery,
+)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +48,26 @@ def loaded_tman(small_dataset) -> TMan:
     tman.bulk_load(small_dataset)
     yield tman
     tman.close()
+
+
+def seven_queries(dataset) -> dict:
+    """One descriptor per query type: the south-west quarter of the TDrive
+    extent and the hours after ``dataset[7]`` starts."""
+    span = TDRIVE_SPEC.boundary
+    mid_x = (span.x1 + span.x2) / 2
+    mid_y = (span.y1 + span.y2) / 2
+    window = MBR(span.x1, span.y1, mid_x, mid_y)
+    probe = dataset[7]
+    t0 = probe.time_range.start
+    return {
+        "temporal": TemporalRangeQuery(TimeRange(t0, t0 + 5400)),
+        "spatial": SpatialRangeQuery(window),
+        "st": STRangeQuery(window, TimeRange(t0, t0 + 7200)),
+        "idt": IDTemporalQuery(probe.oid, TimeRange(t0, t0 + 3600)),
+        "threshold": ThresholdSimilarityQuery(probe, 0.2, "frechet"),
+        "topk": TopKSimilarityQuery(probe, 5, "frechet"),
+        "knn": KNNPointQuery(mid_x, mid_y, 5),
+    }
 
 
 def brute_force_temporal(trajs, time_range):

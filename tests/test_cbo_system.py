@@ -18,15 +18,9 @@ from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 from repro.query.cost import calibrate
 from repro.query.planner import QueryPlan
-from repro.query.types import (
-    IDTemporalQuery,
-    KNNPointQuery,
-    SpatialRangeQuery,
-    STRangeQuery,
-    TemporalRangeQuery,
-    ThresholdSimilarityQuery,
-    TopKSimilarityQuery,
-)
+from repro.query.types import SpatialRangeQuery, STRangeQuery, TemporalRangeQuery
+
+from .conftest import seven_queries
 
 N_TRAJS = 80
 SEED = 515
@@ -43,7 +37,7 @@ def _make(dataset, **overrides):
     )
     tman = TMan(config)
     tman.bulk_load(dataset)
-    tman.flush()  # populate the learned statistics
+    tman.flush()
     return tman
 
 
@@ -69,24 +63,6 @@ def deployments(dataset):
         tman.close()
 
 
-def _queries(dataset):
-    span = TDRIVE_SPEC.boundary
-    mid_x = (span.x1 + span.x2) / 2
-    mid_y = (span.y1 + span.y2) / 2
-    window = MBR(span.x1, span.y1, mid_x, mid_y)
-    probe = dataset[7]
-    t0 = probe.time_range.start
-    return {
-        "temporal": TemporalRangeQuery(TimeRange(t0, t0 + 5400)),
-        "spatial": SpatialRangeQuery(window),
-        "st": STRangeQuery(window, TimeRange(t0, t0 + 7200)),
-        "idt": IDTemporalQuery(probe.oid, TimeRange(t0, t0 + 3600)),
-        "threshold": ThresholdSimilarityQuery(probe, 0.2, "frechet"),
-        "topk": TopKSimilarityQuery(probe, 5, "frechet"),
-        "knn": KNNPointQuery(mid_x, mid_y, 5),
-    }
-
-
 QUERY_NAMES = ["temporal", "spatial", "st", "idt", "threshold", "topk", "knn"]
 DEPLOYMENTS = ["tshape_primary", "st_primary"]
 
@@ -97,7 +73,7 @@ def test_every_plan_is_equivalent(deployments, dataset, dname, qname):
     """Forced-TR, forced-interval, and every other applicable plan must
     produce the CBO-chosen plan's exact candidate set."""
     tman = deployments[dname]
-    q = _queries(dataset)[qname]
+    q = seven_queries(dataset)[qname]
     base = tman.query(q)
     base_tids = sorted(t.tid for t in base.trajectories)
     candidates = tman.planner.candidate_plans(q)
@@ -115,7 +91,7 @@ def test_every_plan_is_equivalent(deployments, dataset, dname, qname):
 
 @pytest.mark.parametrize("dname", DEPLOYMENTS)
 def test_temporal_has_interval_alternative(deployments, dataset, dname):
-    q = _queries(dataset)["temporal"]
+    q = seven_queries(dataset)["temporal"]
     pairs = [
         (c.plan.index, c.plan.route)
         for c in deployments[dname].planner.candidate_plans(q)
@@ -125,7 +101,7 @@ def test_temporal_has_interval_alternative(deployments, dataset, dname):
 
 def test_explain_plans_structure(deployments, dataset):
     tman = deployments["tshape_primary"]
-    plans = tman.explain_plans(_queries(dataset)["temporal"])
+    plans = tman.explain_plans(seven_queries(dataset)["temporal"])
     assert plans[0]["chosen"] is True
     assert all(not p["chosen"] for p in plans[1:])
     for p in plans:
@@ -134,7 +110,7 @@ def test_explain_plans_structure(deployments, dataset):
 
 
 class TestStatisticsRefresh:
-    def test_flush_refreshes_estimates_without_manual_update(self):
+    def test_bulk_load_alone_moves_estimates(self):
         dataset = tdrive_like(40, seed=99)
         config = TManConfig(
             boundary=TDRIVE_SPEC.boundary,
@@ -146,7 +122,6 @@ class TestStatisticsRefresh:
         with TMan(config) as tman:
             assert tman.table_statistics() is None
             tman.bulk_load(dataset[:20])
-            tman.flush()
             first = tman.table_statistics()
             assert first is not None and first.row_count == 20
 
@@ -159,15 +134,47 @@ class TestStatisticsRefresh:
             )
             assert est_before == pytest.approx(20.0)
 
-            # Second ingest: nobody calls update_statistics; the flush
-            # census alone must move the planner's estimate.
+            # Second ingest: the writer feeds the statistics, so the
+            # planner's estimate moves with no flush or refresh call.
             tman.bulk_load(dataset[20:])
-            tman.flush()
             est_after = tman.planner.estimate_candidates(
                 TemporalRangeQuery(span)
             )
             assert est_after == pytest.approx(40.0)
             assert tman.table_statistics().generation > first.generation
+
+    def test_cbo_uses_data_aware_estimate(self):
+        """The cell histogram drives the estimate: an empty-region STRQ costs
+        the spatial route at ~zero rows, and the costed pick matches the plan
+        that is actually cheapest to run (the spatial expansion's window
+        count is priced live, so a many-window tshape scan can lose to a
+        single-window TR scan even at zero selectivity)."""
+        data = tdrive_like(200, seed=35)
+        with TMan(TManConfig(boundary=TDRIVE_SPEC.boundary, max_resolution=12,
+                             num_shards=1, kv_workers=1)) as tman:
+            tman.bulk_load(data)
+            b = TDRIVE_SPEC.boundary
+            empty_corner = MBR(b.x2 - 0.05, b.y1, b.x2, b.y1 + 0.05)
+            wide_time = TimeRange(0, TDRIVE_SPEC.time_span)
+            query = STRangeQuery(empty_corner, wide_time)
+            candidates = tman.planner.candidate_plans(query)
+            spatial = next(
+                c for c in candidates if c.plan.index == "tshape"
+            )
+            assert spatial.est_rows == 0  # the histogram sees the empty corner
+            plan = tman.planner.plan(query)
+            assert "CBO" in plan.reason
+            # The costed pick must be the plan that actually runs cheapest.
+            best = min(
+                candidates,
+                key=lambda c: tman.query(
+                    query, plan=QueryPlan(c.plan.index, c.plan.route, "forced")
+                ).simulated_ms,
+            )
+            assert (plan.index, plan.route) == (
+                best.plan.index,
+                best.plan.route,
+            )
 
     def test_calibrate_costs_noop_without_profiles(self):
         from repro.obs import profile_log
@@ -293,8 +300,8 @@ class TestCostedChoices:
 class TestAdaptiveReplan:
     @pytest.fixture()
     def skewed_tman(self):
-        """Learned statistics stale-low: a large unflushed burst makes the
-        planner's estimate diverge from what a query actually touches."""
+        """Statistics stale-low: the planner keeps a snapshot taken before a
+        large burst, so its estimate diverges from what a query touches."""
         dataset = tdrive_like(120, seed=77)
         config = TManConfig(
             boundary=TDRIVE_SPEC.boundary,
@@ -311,8 +318,10 @@ class TestAdaptiveReplan:
         # Statistics see only the first sliver of data...
         tman.bulk_load(dataset[:10])
         tman.flush()
-        # ...while the bulk sits in memtables, invisible to the census.
+        stale = tman.table_statistics()
+        # ...the planner is pinned to that snapshot while the bulk arrives.
         tman.bulk_load(dataset[10:])
+        tman.planner.set_statistics_provider(lambda: stale)
         yield tman, dataset
         tman.close()
 
@@ -365,7 +374,9 @@ class TestAdaptiveReplan:
         with TMan(config) as other:
             other.bulk_load(dataset2[:10])
             other.flush()
+            stale = other.table_statistics()
             other.bulk_load(dataset2[10:])
+            other.planner.set_statistics_provider(lambda: stale)
             result = other.query(TemporalRangeQuery(self._span(dataset2)))
             assert result.trace is not None
             assert "replanned_from" not in result.trace.annotations
@@ -373,10 +384,10 @@ class TestAdaptiveReplan:
     def test_replan_beats_completing_the_stale_plan(self):
         """The stale pick's sunk windows cost less than finishing it.
 
-        Sized so the plan choice is stale: the flushed tail after the query
-        window inflates the interval route's estimate past the TR
-        expansion's fixed window cost, while the unflushed burst sits at
-        the front of TR's window order so the guard fires early.
+        Sized so the plan choice is stale: the tail after the query window
+        inflates the interval route's estimate past the TR expansion's fixed
+        window cost, while the burst the stale snapshot has not seen sits
+        at the front of TR's window order so the guard fires early.
         """
         tail_n, burst_n = 450, 250
         raw = tdrive_like(tail_n + burst_n, seed=13, max_points=30)
@@ -409,7 +420,9 @@ class TestAdaptiveReplan:
         with TMan(config) as tman:
             tman.bulk_load(tail)
             tman.flush()
+            prior = tman.table_statistics()
             tman.bulk_load(burst)
+            tman.planner.set_statistics_provider(lambda: prior)
             stale = tman.planner.plan(q)
             result = tman.query(q)
             assert "replanned_from" in result.trace.annotations

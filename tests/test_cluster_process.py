@@ -18,8 +18,11 @@ from repro.cluster.process_cluster import ProcessCluster
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.errors import NoQuorumError
 from repro.kvstore.scan import Scan
-from repro.model import MBR, TimeRange
+from repro.model import TimeRange
+from repro.query.types import TemporalRangeQuery
 from repro.runtime.deadline import Deadline, QueryTimeoutError
+
+from .conftest import seven_queries
 
 N_TRAJS = 40
 SEED = 99
@@ -239,33 +242,13 @@ def process_tman(dataset):
     t.close()
 
 
-def _queries(dataset):
-    span = TDRIVE_SPEC.boundary
-    mid_x = (span.x1 + span.x2) / 2
-    mid_y = (span.y1 + span.y2) / 2
-    window = MBR(span.x1, span.y1, mid_x, mid_y)
-    probe = dataset[7]
-    t0 = probe.time_range.start
-    return {
-        "temporal": lambda t: t.temporal_range_query(TimeRange(t0, t0 + 5400)),
-        "spatial": lambda t: t.spatial_range_query(window),
-        "st": lambda t: t.st_range_query(window, TimeRange(t0, t0 + 7200)),
-        "idt": lambda t: t.id_temporal_query(probe.oid, TimeRange(t0, t0 + 3600)),
-        "threshold": lambda t: t.threshold_similarity_query(
-            probe, 0.2, measure="frechet"
-        ),
-        "topk": lambda t: t.top_k_similarity_query(probe, 5, measure="frechet"),
-        "knn": lambda t: t.knn_point_query(mid_x, mid_y, 5),
-    }
-
-
 @pytest.mark.parametrize("qname", QUERY_NAMES)
 def test_query_types_bit_identical_across_modes(
     thread_tman, process_tman, dataset, qname
 ):
-    run = _queries(dataset)[qname]
-    expected = run(thread_tman)
-    got = run(process_tman)
+    query = seven_queries(dataset)[qname]
+    expected = thread_tman.query(query)
+    got = process_tman.query(query)
     assert len(expected.trajectories) > 0  # guard against vacuous equality
     assert [t.tid for t in got.trajectories] == [
         t.tid for t in expected.trajectories
@@ -275,6 +258,34 @@ def test_query_types_bit_identical_across_modes(
 
 def test_row_counts_match_across_modes(thread_tman, process_tman):
     assert process_tman.row_count == thread_tman.row_count
+
+
+@pytest.fixture(scope="module")
+def plan_matrices(thread_tman, process_tman, dataset):
+    """``candidate_plans``: threads, processes, then both after a flush."""
+
+    def matrix(tman):
+        return {
+            name: [
+                (c.plan.index, c.plan.route, c.cost, c.est_rows)
+                for c in tman.planner.candidate_plans(q)
+            ]
+            for name, q in seven_queries(dataset).items()
+        }
+
+    before = [matrix(thread_tman), matrix(process_tman)]
+    thread_tman.flush()
+    process_tman.flush()
+    return before + [matrix(thread_tman), matrix(process_tman)]
+
+
+@pytest.mark.parametrize("qname", QUERY_NAMES)
+def test_candidate_plans_identical_across_modes(plan_matrices, qname):
+    """Both modes price every route from the same numbers, flushed or not:
+    statistics come from the coordinator-side writer."""
+    threads_before = plan_matrices[0][qname]
+    assert all(cost is not None for _, _, cost, _ in threads_before)
+    assert [m[qname] for m in plan_matrices[1:]] == [threads_before] * 3
 
 
 def test_health_reports_cluster_panel(thread_tman, process_tman):
@@ -298,8 +309,6 @@ def test_deadline_mid_query_returns_partial_without_hanging(dataset):
     t = TMan(_config("processes", cluster_page_rows=8, split_rows=2000))
     try:
         t.bulk_load(dataset)
-        from repro.query.types import TemporalRangeQuery
-
         span = dataset[0].time_range
         started = time.monotonic()
         res = t.query(

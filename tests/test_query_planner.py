@@ -1,18 +1,27 @@
 """Tests for the RBO/CBO query planner."""
 
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+from repro import TMan
+from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.model import MBR, STPoint, TimeRange, Trajectory
-from repro.query.planner import DataStatistics, QueryPlanner
+from repro.query.planner import QueryPlanner
 from repro.query.types import (
     IDTemporalQuery,
+    KNNPointQuery,
     SpatialRangeQuery,
     STRangeQuery,
     TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
-from repro.storage.config import TManConfig
+from repro.storage.config import VALID_INDEXES, VALID_SECONDARY, TManConfig
+from repro.storage.statistics import TableStatisticsBuilder
 
 BOUNDARY = MBR(0, 0, 10, 10)
 
@@ -21,7 +30,10 @@ def planner(primary="tshape", secondaries=("tr", "idt"), stats=None):
     cfg = TManConfig(
         boundary=BOUNDARY, primary_index=primary, secondary_indexes=tuple(secondaries)
     )
-    return QueryPlanner(cfg, stats)
+    p = QueryPlanner(cfg)
+    if stats is not None:
+        p.set_statistics_provider(lambda: stats)
+    return p
 
 
 def q_traj():
@@ -80,17 +92,14 @@ class TestRBO:
 
 class TestCBO:
     def _stats(self):
-        return DataStatistics(
-            row_count=100_000,
-            time_span=TimeRange(0, 1_000_000),
-            dense_region=MBR(0, 0, 10, 10),
-        )
-
-    def test_selectivity_estimates(self):
-        stats = self._stats()
-        assert stats.temporal_selectivity(TimeRange(0, 100_000)) == pytest.approx(0.1)
-        assert stats.spatial_selectivity(MBR(0, 0, 1, 10)) == pytest.approx(0.1)
-        assert stats.temporal_selectivity(TimeRange(2e6, 3e6)) == 0.0
+        """2,000 rows uniform over the boundary and over 1e6 seconds."""
+        rng = random.Random(5)
+        builder = TableStatisticsBuilder(BOUNDARY, 1800.0)
+        for _ in range(2000):
+            x, y = rng.uniform(0, 9.9), rng.uniform(0, 9.9)
+            t = rng.uniform(0, 1_000_000)
+            builder.observe(MBR(x, y, x + 0.1, y + 0.1), TimeRange(t, t + 600))
+        return builder.snapshot()
 
     def test_strq_picks_selective_spatial(self):
         p = planner(stats=self._stats())
@@ -107,8 +116,8 @@ class TestCBO:
         assert "CBO" in plan.reason
 
     def test_secondary_penalty_shifts_choice(self):
-        # Equal selectivities: the secondary route pays a 3x penalty, so the
-        # primary (spatial) route wins.
+        # Equal selectivities: the secondary route pays a point get per
+        # match, so the primary (spatial) route wins.
         p = planner(stats=self._stats())
         plan = p.plan(
             STRangeQuery(MBR(0, 0, 3.16, 3.16), TimeRange(0, 100_000))
@@ -119,8 +128,81 @@ class TestCBO:
         plan = planner().plan(STRangeQuery(MBR(0, 0, 10, 10), TimeRange(0, 1)))
         assert plan.index == "tshape" and "RBO" in plan.reason
 
-    def test_update_statistics(self):
-        p = planner()
-        assert p.stats is None
-        p.update_statistics(self._stats())
-        assert p.stats.row_count == 100_000
+
+# -- golden plan matrix --------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "plans_parent.json"
+
+
+def _matrix_queries(data):
+    d = data[0]
+    start = d.time_range.start
+    wide = TimeRange(0.0, 2 * 86400.0)
+    cx, cy = d.mbr.center
+    return {
+        "trq_narrow": TemporalRangeQuery(TimeRange(start, start + 600.0)),
+        "trq_wide": TemporalRangeQuery(wide),
+        "srq": SpatialRangeQuery(d.mbr.expanded(0.02)),
+        "strq_space": STRangeQuery(MBR(cx, cy, cx + 0.01, cy + 0.01), wide),
+        "strq_time": STRangeQuery(
+            d.mbr.expanded(0.3), TimeRange(start, start + 600.0)
+        ),
+        "idt": IDTemporalQuery(d.oid, wide),
+        "threshold": ThresholdSimilarityQuery(d, 0.01),
+        "topk": TopKSimilarityQuery(d, 5),
+        "knn": KNNPointQuery(cx, cy, 5),
+    }
+
+
+def plan_matrix(primary):
+    """Candidate plans for every secondary subset x query x {no statistics,
+    loaded + flushed deployment} of one primary index.
+
+    Uses only names that exist at d776ca7 as well, where the golden file
+    was written by dumping this function's result.
+    """
+    data = tdrive_like(120, seed=19, max_points=24)
+    queries = _matrix_queries(data)
+    out = {}
+    others = [s for s in VALID_SECONDARY if s != primary]
+    for r in range(len(others) + 1):
+        for secs in itertools.combinations(others, r):
+            cfg = TManConfig(
+                boundary=TDRIVE_SPEC.boundary, max_resolution=12,
+                num_shards=2, kv_workers=1,
+                primary_index=primary, secondary_indexes=secs,
+            )
+            with TMan(cfg) as tman:
+                tman.bulk_load(data)
+                tman.flush()
+                states = (("none", QueryPlanner(cfg)), ("flushed", tman.planner))
+                for (state, p), (name, q) in itertools.product(
+                    states, queries.items()
+                ):
+                    cands = p.candidate_plans(q)
+                    assert p.plan(q) == cands[0].plan
+                    out[f"{primary}|{','.join(secs)}|{state}|{name}"] = [
+                        [c.plan.index, c.plan.route, c.cost, c.est_rows]
+                        for c in cands
+                    ]
+    return out
+
+
+@pytest.mark.parametrize("primary", VALID_INDEXES)
+def test_plan_matrix_matches_parent_bit_for_bit(primary):
+    """Chosen plan, candidate order, cost and est_rows as at d776ca7."""
+    golden = {
+        key: plans
+        for key, plans in json.loads(GOLDEN.read_text())["plans"].items()
+        if key.startswith(primary + "|")
+    }
+    got = plan_matrix(primary)
+    assert got.keys() == golden.keys() and golden
+    for key, expected in golden.items():
+        if "|strq_" in key:
+            # The parent's second ladder could price st/secondary for an
+            # STRQ (tr primary, st + interval secondary, no tshape), a
+            # pair the pipeline runs as a full table scan; the single
+            # path never enumerates it.  Everything else is unchanged.
+            expected = [c for c in expected if c[:2] != ["st", "secondary"]]
+        assert got[key] == expected, key

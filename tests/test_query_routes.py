@@ -4,6 +4,8 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.model import TimeRange
+from repro.query.types import TemporalRangeQuery
 
 from tests.conftest import brute_force_spatial, brute_force_temporal
 
@@ -50,6 +52,34 @@ class TestTShapeSecondaryRoute:
         res = system.st_range_query(target.mbr, target.time_range)
         assert target.tid in {t.tid for t in res.trajectories}
         assert res.plan in ("tshape/secondary", "tr/primary")
+
+
+class TestPushDownSwitchOnSecondaryRoute:
+    """``push_down=False`` moves the filter client-side on secondary routes too."""
+
+    def test_filter_runs_after_the_resolve(self, dataset):
+        on = build("tshape", ("tr", "idt"), dataset)
+        off = build("tshape", ("tr", "idt"), dataset, push_down=False)
+        try:
+            span = dataset[0].time_range
+            window = TimeRange(span.start - 20_000, span.end + 20_000)
+            a = on.temporal_range_query(window)
+            b = off.temporal_range_query(window)
+            assert a.plan == b.plan == "tr/secondary"
+            assert [t.tid for t in a.trajectories] == [t.tid for t in b.trajectories]
+            # Client-side, the resolve emits every fetched row and a
+            # client_filter stage drops the TR windows' false positives.
+            assert "client_filter" not in a.trace
+            resolved = b.trace["secondary_resolve"].rows_out
+            assert resolved > a.trace["secondary_resolve"].rows_out
+            assert b.trace["client_filter"].rows_in == resolved
+            assert b.trace["client_filter"].rows_out == len(b)
+            assert "client_filter" in off.explain(TemporalRangeQuery(window))
+            # A point get ships the row before any filter sees it.
+            assert a.transferred_rows == b.transferred_rows
+        finally:
+            on.close()
+            off.close()
 
 
 class TestFullScanRoute:

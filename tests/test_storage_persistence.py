@@ -44,8 +44,7 @@ class TestSaveOpen:
     def test_row_count_and_statistics_rebuilt(self, saved_dir, dataset):
         with open_tman(saved_dir) as tman:
             assert tman.row_count == len(dataset)
-            assert tman.planner.stats is not None
-            assert tman.planner.stats.row_count == len(dataset)
+            assert tman.planner.table_statistics().row_count == len(dataset)
 
     def test_queries_work_after_reopen(self, saved_dir, dataset):
         with open_tman(saved_dir) as tman:

@@ -90,7 +90,7 @@ class TestStatistics:
     def test_statistics_updated_after_load(self, dataset):
         with make_tman() as tman:
             tman.bulk_load(dataset)
-            stats = tman.planner.stats
+            stats = tman.planner.table_statistics()
             assert stats is not None
             assert stats.row_count == len(dataset)
             assert stats.time_span.duration > 0

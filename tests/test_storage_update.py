@@ -4,6 +4,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.storage.persistence import open_tman, save_tman
 
 
 def make_tman(threshold=8, **overrides):
@@ -92,3 +93,26 @@ class TestInsert:
             report = tman.insert(dataset[:30])
             if report.reencodes_triggered:
                 assert report.rows_rewritten >= 0
+
+    def test_statistics_exact_without_flush_and_after_reopen(self, dataset, tmp_path):
+        """Inserts that re-encode plus deletes: the writer-fed histograms
+        equal the live rows with no flush, and equal what the header scan
+        rebuilds when the saved deployment is reopened."""
+        with make_tman(threshold=5) as tman:
+            tman.bulk_load(dataset[:60])
+            report = tman.insert(dataset[60:])
+            assert report.reencodes_triggered >= 1 and report.rows_rewritten > 0
+            for traj in dataset[:5]:
+                assert tman.delete(traj)
+            victim = dataset[100]
+            assert tman.delete_by_id(victim.oid, victim.tid, victim.time_range)
+            assert not tman.delete(dataset[0])  # already gone: forgotten once
+            stats = tman.table_statistics()
+            assert stats.row_count == tman.primary_table.count_rows() == 144
+            assert tman.row_count == 144
+            save_tman(tman, tmp_path / "dep")
+        with open_tman(tmp_path / "dep") as reopened:
+            rebuilt = reopened.table_statistics()
+            assert rebuilt.row_count == 144
+            assert rebuilt.period_hist == stats.period_hist
+            assert rebuilt.cell_hist == stats.cell_hist
