@@ -16,6 +16,8 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.cache.lfu import LFUCache
 from repro.cache.redis_sim import RedisServer
 from repro.obs import counter as _obs_counter, gauge as _obs_gauge
@@ -25,7 +27,7 @@ DEFAULT_LOCAL_CAPACITY = 4096
 
 _REDIS_ROUNDTRIPS = _obs_counter(
     "cache_redis_roundtrips_total",
-    "Shape-index lookups that went to Redis after a local LFU miss",
+    "Shape-index read round trips to Redis (LFU misses and directory checks)",
 )
 
 
@@ -56,7 +58,14 @@ class ShapeIndexCache:
 
     The authoritative copy lives in a :class:`RedisServer` hash per element;
     a bounded LFU cache keeps hot elements local.  ``remote_fetches`` counts
-    round trips to Redis.
+    read round trips to Redis.
+
+    The *occupied-element directory* (:meth:`directory`) is the sorted
+    ``int64`` array of the element codes that have a mapping, i.e. every
+    element a row can be stored under; Algorithm 2 prunes with it.  It is
+    derived from the Redis keys: publishing an element bumps a generation
+    counter beside the hashes, and a reader holding another generation
+    lists the keys again, so caches sharing one server agree.
     """
 
     def __init__(
@@ -70,8 +79,13 @@ class ShapeIndexCache:
         # The LFU's bookkeeping is several dict updates per touch;
         # concurrent queries share this cache, so every access is locked.
         self._local_lock = threading.Lock()
-        self._namespace = namespace
+        self._prefix = f"{namespace}:elem:"
+        self._gen_key = f"{namespace}:directory_gen"
         self.remote_fetches = 0
+        # The array is replaced under ``_local_lock``, never mutated.
+        self._directory = np.empty(0, dtype=np.int64)
+        self._directory_gen = -1  # generation it was listed at; -1: never
+        self._pending: set[int] = set()  # own new elements, merged on read
         # Callback gauges sample this instance at snapshot time.  When
         # several caches coexist (rare outside tests) the most recently
         # constructed one owns the gauges.
@@ -95,6 +109,11 @@ class ShapeIndexCache:
             "Entries resident in the local shape index cache",
             callback=lambda: len(self._local),
         )
+        _obs_gauge(
+            "cache_index_directory_elements",
+            "Elements in the occupied-element directory as last read",
+            callback=lambda: len(self._directory),
+        )
 
     @property
     def redis(self) -> RedisServer:
@@ -102,7 +121,21 @@ class ShapeIndexCache:
         return self._redis
 
     def _key(self, element_code: int) -> str:
-        return f"{self._namespace}:elem:{element_code}"
+        return f"{self._prefix}{element_code}"
+
+    def _roundtrip(self) -> None:
+        """Count one read round trip to Redis (the only increment site)."""
+        _REDIS_ROUNDTRIPS.inc()
+        with self._local_lock:
+            self.remote_fetches += 1
+
+    def _publish(self, element_code: int) -> None:
+        """Announce an element whose hash was just written to Redis."""
+        gen = self._redis.incr(self._gen_key)
+        with self._local_lock:
+            self._pending.add(element_code)
+            if gen == self._directory_gen + 1:  # no other writer in between
+                self._directory_gen = gen
 
     # -- writes ---------------------------------------------------------------
 
@@ -114,6 +147,9 @@ class ShapeIndexCache:
             self._redis.hset(key, str(shape), struct.pack(">I", final_code))
         with self._local_lock:
             self._local.put(element_code, dict(mapping))
+        # Always: a reader that listed the keys between the delete and the
+        # first hset above must see a new generation and list them again.
+        self._publish(element_code)
 
     def add_shape(self, element_code: int, shape: int, final_code: int) -> None:
         """Append one shape to an element's mapping."""
@@ -122,6 +158,12 @@ class ShapeIndexCache:
             cached = self._local.peek(element_code)
             if cached is not None:
                 cached[shape] = final_code
+            at = self._directory.searchsorted(element_code)
+            known = element_code in self._pending or (
+                at < len(self._directory) and self._directory[at] == element_code
+            )
+        if not known:
+            self._publish(element_code)
 
     # -- reads ----------------------------------------------------------------
 
@@ -137,10 +179,9 @@ class ShapeIndexCache:
         if profile is not None:
             profile.add(index_cache_misses=1)
         raw = self._redis.hgetall(self._key(element_code))
-        _REDIS_ROUNDTRIPS.inc()
+        self._roundtrip()
         if not raw:
             return None
-        self.remote_fetches += 1
         mapping = {int(shape): struct.unpack(">I", blob)[0] for shape, blob in raw.items()}
         with self._local_lock:
             self._local.put(element_code, mapping)
@@ -153,12 +194,29 @@ class ShapeIndexCache:
             return None
         return mapping.get(shape)
 
-    def known_elements(self) -> list[int]:
-        """Every element code with a persisted mapping (diagnostics)."""
-        prefix = f"{self._namespace}:elem:"
-        return sorted(
-            int(k[len(prefix):]) for k in self._redis.keys(f"{prefix}*")
-        )
+    def directory(self) -> np.ndarray:
+        """Sorted codes of every element that has a mapping (do not mutate).
+
+        One Redis round trip checks the generation; a stale array (another
+        cache published, or a saved deployment was just opened) costs a
+        second one to list the element keys.
+        """
+        gen = int(self._redis.get(self._gen_key) or 0)
+        self._roundtrip()
+        listed = None
+        if gen != self._directory_gen:
+            keys = self._redis.keys(f"{self._prefix}*")
+            self._roundtrip()
+            listed = np.array([int(k[len(self._prefix):]) for k in keys], np.int64)
+        with self._local_lock:
+            if listed is not None or self._pending:
+                own = np.fromiter(self._pending, np.int64, len(self._pending))
+                base = self._directory if listed is None else listed
+                self._directory = np.union1d(base, own)
+                self._pending.clear()
+                if listed is not None:
+                    self._directory_gen = gen
+            return self._directory
 
     def stats(self) -> IndexCacheStats:
         """Named snapshot of the cache's counters."""
@@ -169,19 +227,6 @@ class ShapeIndexCache:
             entries=len(self._local),
             remote_fetches=self.remote_fetches,
         )
-
-    @property
-    def local_stats(self) -> tuple[int, int, int]:
-        """(hits, misses, evictions) of the process-local LFU layer.
-
-        Deprecated positional form; prefer :meth:`stats`.
-        """
-        return (self._local.hits, self._local.misses, self._local.evictions)
-
-    def clear_local(self) -> None:
-        """Drop the local layer (e.g. after a re-encode invalidates codes)."""
-        with self._local_lock:
-            self._local.clear()
 
 
 class BufferShapeCache:

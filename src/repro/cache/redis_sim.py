@@ -36,6 +36,14 @@ class RedisServer:
             self.ops += 1
             return self._strings.get(key)
 
+    def incr(self, key: str) -> int:
+        """Add one to the integer stored under ``key`` (0 when absent)."""
+        with self._lock:
+            self.ops += 1
+            value = int(self._strings.get(key, b"0")) + 1
+            self._strings[key] = b"%d" % value
+            return value
+
     def delete(self, key: str) -> int:
         """Remove a string or hash key; returns the number removed (0 or 1)."""
         with self._lock:

@@ -245,7 +245,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         for key in sorted(doc):
             print(f"  {key}: {doc[key]}")
         cache = tman.index_cache.stats()
-        print(f"index cache: {len(tman.index_cache.known_elements())} elements, "
+        print(f"index cache: {len(tman.index_cache.directory())} elements, "
               f"local hits={cache.hits} misses={cache.misses} "
               f"evictions={cache.evictions} entries={cache.entries} "
               f"remote_fetches={cache.remote_fetches}")

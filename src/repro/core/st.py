@@ -11,7 +11,7 @@ slightly more rows scanned).  The choice is the CBO decision of §V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeIndex
@@ -60,18 +60,20 @@ class STIndex:
         spatial_range: MBR,
         shapes_of: Optional[Callable[[int], Optional[dict[int, int]]]] = None,
         use_cache: bool = True,
+        shape_ranges: Optional[Sequence[tuple[int, int]]] = None,
     ) -> list[STWindow]:
         """Plan composite windows for an STRQ.
 
         Fine windows pair every candidate TR value with the TShape candidate
         ranges; they are exact but their count is the product of candidates.
         When that product exceeds ``window_budget`` the planner emits one
-        coarse window per TR interval instead (CBO fallback).
+        coarse window per TR interval instead (CBO fallback).  A caller that
+        already expanded ``spatial_range`` passes its ``shape_ranges``.
         """
         tr_ranges = self.tr.query_ranges(time_range)
-        shape_ranges = tuple(
-            self.tshape.query_ranges(spatial_range, shapes_of, use_cache)
-        )
+        if shape_ranges is None:
+            shape_ranges = self.tshape.query_ranges(spatial_range, shapes_of, use_cache)
+        shape_ranges = tuple(shape_ranges)
         n_tr_values = sum(hi - lo + 1 for lo, hi in tr_ranges)
         if shape_ranges and n_tr_values * len(shape_ranges) <= self.window_budget:
             return [

@@ -9,16 +9,18 @@ and the final 64-bit index value packs both (Eq. 3):
 
     TShape(code(E), s) = (code(E) << α*β) | s
 
-Spatial range queries (Algorithm 2) walk the quad-tree breadth-first and
-emit contiguous value ranges for contained elements plus exact values for
-shapes that intersect the query window.
+Spatial range queries (Algorithm 2) walk the quad-tree breadth-first,
+skipping subtrees no stored element lies in, and emit contiguous value ranges
+for contained elements plus exact values for shapes that intersect the window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.quadtree import Cell, QuadTreeGrid, cell_code, subtree_size
 from repro.core.ranges import merge_ranges
@@ -164,14 +166,23 @@ class TShapeIndex:
                         bitmap |= bit
         return bitmap
 
+    def window_mask(self, ix: int, iy: int, w: float, query: MBR) -> int:
+        """Bitmap of the local cells of the element anchored at grid cell
+        ``(ix, iy)`` (cell width ``w``) that touch the normalized window, so
+        ``shape & mask`` is non-zero exactly when the shape touches it."""
+        cols = 0
+        for a in range(self.alpha):
+            if (ix + a) * w <= query.x2 and query.x1 <= (ix + a + 1) * w:
+                cols |= 1 << a
+        mask = 0
+        for b in range(self.beta):
+            if (iy + b) * w <= query.y2 and query.y1 <= (iy + b + 1) * w:
+                mask |= cols << (b * self.alpha)
+        return mask
+
     def shape_intersects(self, anchor: Cell, shape: int, query: MBR) -> bool:
         """True when any set-bit cell of a shape touches the query window."""
-        for b in range(self.beta):
-            for a in range(self.alpha):
-                if shape & (1 << (b * self.alpha + a)):
-                    if query.intersects(self.cell_rect(anchor, a, b)):
-                        return True
-        return False
+        return bool(shape & self.window_mask(anchor.ix, anchor.iy, anchor.size, query))
 
     # -- indexing a trajectory -----------------------------------------------------
 
@@ -196,6 +207,7 @@ class TShapeIndex:
         spatial_range: MBR,
         shapes_of: Optional[Callable[[int], Optional[dict[int, int]]]] = None,
         use_cache: bool = True,
+        occupied: Optional[np.ndarray] = None,
     ) -> list[tuple[int, int]]:
         """Candidate index-value ranges (half-open) for a spatial range query.
 
@@ -203,66 +215,55 @@ class TShapeIndex:
         mapping (normally the index cache).  With ``use_cache=False`` the
         planner enumerates all ``2^(α*β)`` possible shapes per intersecting
         element — the expensive ablation of Fig. 16(b).
+
+        ``occupied`` is the sorted array of the element codes that have a
+        mapping (the cache's directory): a subtree whose pre-order code
+        interval holds none of them cannot hold a row and is dropped before
+        its relation test, and ``shapes_of`` is asked only about listed
+        elements.  ``None`` means every element may be occupied.
         """
         sr = self.grid.normalize_mbr(spatial_range)
         g = self.grid.max_resolution
-        unit = MBR(0.0, 0.0, 1.0, 1.0)
+        bits = self.shape_bits
         ranges: list[tuple[int, int]] = []
-        frontier: list[Cell] = list(Cell(0, 0, 0).children())
-
-        while frontier:
-            next_frontier: list[Cell] = []
-            for cell in frontier:
+        # Cache off: every bitmap, stored raw.  Cache on: an unlisted element has none.
+        every_shape = () if use_cache else [(s, s) for s in range(1, 1 << bits)]
+        # A frontier entry is (pre-order code, ix, iy) of a cell whose
+        # children are visited next; the root precedes code 0.
+        frontier = [(-1, 0, 0)]
+        for r in range(1, g + 1):
+            w = 0.5 ** r
+            size = subtree_size(g, r)
+            cells = [
+                (code + 1 + q * size, 2 * ix + (q & 1), 2 * iy + (q >> 1))
+                for code, ix, iy in frontier
+                for q in range(4)
+            ]
+            frontier = []
+            for code, ix, iy in cells:
+                if occupied is not None:
+                    at = occupied.searchsorted(code)
+                    if at == len(occupied) or occupied[at] >= code + size:
+                        continue
                 # Enlarged elements near the right/top edge extend beyond the
                 # unit square; only the in-space part can hold data, so the
                 # relation is evaluated on the clipped rectangle.
-                clipped = self.element_rect(cell).intersection(unit)
-                if clipped is None:  # pragma: no cover - anchors are in-space
-                    continue
-                relation = rect_relation(sr, clipped)
+                x2, y2 = min(1.0, (ix + self.alpha) * w), min(1.0, (iy + self.beta) * w)
+                relation = rect_relation(sr, MBR(ix * w, iy * w, x2, y2))
                 if relation is SpatialRelation.DISJOINT:
                     continue
-                code = cell_code(cell, g)
+                base = code << bits
                 if relation is SpatialRelation.CONTAINS:
-                    count = subtree_size(g, cell.resolution)
-                    ranges.append((self.pack(code, 0), self.pack(code + count, 0)))
+                    ranges.append((base, (code + size) << bits))
                     continue
                 # INTERSECTS: pick out shapes that touch the window.
-                if use_cache:
-                    mapping = shapes_of(code) if shapes_of is not None else None
-                    if mapping:
-                        for raw_shape, final_code in mapping.items():
-                            if self.shape_intersects(cell, raw_shape, sr):
-                                value = self.pack(code, final_code)
-                                ranges.append((value, value + 1))
+                listed = occupied is None or occupied[at] == code
+                if use_cache and shapes_of is not None and listed:
+                    shapes: Iterable[tuple[int, int]] = (shapes_of(code) or {}).items()
                 else:
-                    for raw_shape in range(1, 1 << self.shape_bits):
-                        if self.shape_intersects(cell, raw_shape, sr):
-                            value = self.pack(code, raw_shape)
-                            ranges.append((value, value + 1))
-                if cell.resolution < g:
-                    next_frontier.extend(cell.children())
-            frontier = next_frontier
+                    shapes = every_shape
+                if shapes:
+                    mask = self.window_mask(ix, iy, w, sr)
+                    ranges.extend((base | f, (base | f) + 1) for raw, f in shapes if raw & mask)
+                frontier.append((code, ix, iy))
         return merge_ranges(ranges)
-
-    def intersecting_elements(self, spatial_range: MBR) -> list[tuple[Cell, SpatialRelation]]:
-        """Element anchors touching the query window (diagnostics and stats)."""
-        sr = self.grid.normalize_mbr(spatial_range)
-        g = self.grid.max_resolution
-        unit = MBR(0.0, 0.0, 1.0, 1.0)
-        out: list[tuple[Cell, SpatialRelation]] = []
-        frontier: list[Cell] = list(Cell(0, 0, 0).children())
-        while frontier:
-            next_frontier: list[Cell] = []
-            for cell in frontier:
-                clipped = self.element_rect(cell).intersection(unit)
-                if clipped is None:  # pragma: no cover
-                    continue
-                relation = rect_relation(sr, clipped)
-                if relation is SpatialRelation.DISJOINT:
-                    continue
-                out.append((cell, relation))
-                if relation is SpatialRelation.INTERSECTS and cell.resolution < g:
-                    next_frontier.extend(cell.children())
-            frontier = next_frontier
-        return out

@@ -44,7 +44,7 @@ from repro.query.operators import (
     TopK,
     WindowSource,
 )
-from repro.query.pipeline import Pipeline, build_pipeline, shapes_of
+from repro.query.pipeline import Pipeline, build_pipeline
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 from repro.query.types import (
@@ -329,11 +329,8 @@ class QueryExecutor:
                     max(boundary.x1, ring.x1), max(boundary.y1, ring.y1),
                     min(boundary.x2, ring.x2), min(boundary.y2, ring.y2),
                 )
-            value_ranges = t.tshape_index.query_ranges(
-                window, shapes_of(t), t.config.use_index_cache
-            )
             stages = [
-                WindowSource(primary_windows_u64(t.keys, value_ranges)),
+                WindowSource(primary_windows_u64(t.keys, t.spatial_ranges(window))),
                 RegionScan(t.primary_table, None, deadline=deadline),
                 refine,
             ]

@@ -14,7 +14,7 @@ one pipeline round per expanding ring against a shared trace.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.kvstore.filters import Filter, FilterChain
 from repro.kvstore.stats import ExecutionTrace
@@ -258,13 +258,6 @@ class Pipeline:
 # -- assembly ---------------------------------------------------------------
 
 
-def shapes_of(tman: "TMan") -> Optional[Callable]:
-    """The index-cache mapping accessor, when the deployment uses it."""
-    if not tman.config.use_index_cache:
-        return None
-    return tman.index_cache.get_mapping
-
-
 def scan_stages(
     tman: "TMan",
     windows: Sequence[tuple[Optional[bytes], Optional[bytes]]],
@@ -377,9 +370,7 @@ def _srq_stages(
     plan: "QueryPlan",
     deadline: Optional[Deadline] = None,
 ) -> tuple[list[Operator], bool]:
-    value_ranges = tman.tshape_index.query_ranges(
-        query.window, shapes_of(tman), tman.config.use_index_cache
-    )
+    value_ranges = tman.spatial_ranges(query.window)
     row_filter = SpatialFilter(query.window, tman.serializer)
     if plan.route == "primary":
         windows = primary_windows_u64(tman.keys, value_ranges)
@@ -408,15 +399,12 @@ def _strq_stages(
         st_windows = tman.st_index.query_windows(
             query.time_range,
             query.window,
-            shapes_of(tman),
-            tman.config.use_index_cache,
+            shape_ranges=tman.spatial_ranges(query.window),
         )
         windows = st_primary_windows(tman.keys, st_windows)
         return scan_stages(tman, windows, row_filter, deadline), True
     if plan.index == "tshape":
-        value_ranges = tman.tshape_index.query_ranges(
-            query.window, shapes_of(tman), tman.config.use_index_cache
-        )
+        value_ranges = tman.spatial_ranges(query.window)
         if plan.route == "primary":
             windows = primary_windows_u64(tman.keys, value_ranges)
             return scan_stages(tman, windows, row_filter, deadline), True
@@ -477,11 +465,7 @@ def _threshold_stages(
         query.query.points, query.threshold, query.measure, tman.serializer
     )
     # Global pruning: scan the threshold-expanded query MBR.
-    value_ranges = tman.tshape_index.query_ranges(
-        query.query.mbr.expanded(query.threshold),
-        shapes_of(tman),
-        tman.config.use_index_cache,
-    )
+    value_ranges = tman.spatial_ranges(query.query.mbr.expanded(query.threshold))
     windows = primary_windows_u64(tman.keys, value_ranges)
     return scan_stages(tman, windows, sim_filter, deadline), False
 

@@ -109,7 +109,8 @@ class QueryPlanner:
         ranges for a wide window — orders of magnitude more than the
         temporal routes — so costing it at a constant window count makes
         the CBO prefer catastrophically seek-bound spatial plans.  The
-        deployment wires this to the live index's ``query_ranges``.
+        deployment wires this to ``TMan.spatial_ranges``: the count is of
+        the directory-pruned ranges the pipeline then scans.
         """
         self._spatial_window_counter = counter
 

@@ -13,7 +13,9 @@ execution).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from repro.cache.index_cache import BufferShapeCache, ShapeIndexCache
 from repro.cache.redis_sim import RedisServer
@@ -199,7 +201,8 @@ class TMan:
         # Query processing.
         self.planner = QueryPlanner(config)
         self.planner.set_statistics_provider(self.stats_builder.snapshot)
-        self.planner.set_spatial_window_counter(self._count_spatial_windows)
+        self.planner.set_spatial_window_counter(lambda w: len(self.spatial_ranges(w)))
+        self._expansions = threading.local()  # .memo: see one_expansion
         self.executor = QueryExecutor(self, cost_model)
 
     # -- lifecycle -----------------------------------------------------------
@@ -232,15 +235,33 @@ class TMan:
         """The current statistics snapshot (None while the table is empty)."""
         return self.stats_builder.snapshot()
 
-    def _count_spatial_windows(self, window: MBR) -> int:
-        """Range scans the TShape expansion opens for ``window`` (cached)."""
-        from repro.query.pipeline import shapes_of
+    def spatial_ranges(self, window: MBR) -> list[tuple[int, int]]:
+        """The TShape value ranges of ``window`` (Algorithm 2), pruned by the
+        index cache's directory; without the cache (Fig. 16(b) ablation)
+        every element counts as occupied.  Inside :meth:`one_expansion` a
+        window is expanded once, whoever asks first."""
+        memo = getattr(self._expansions, "memo", None)
+        ranges = None if memo is None else memo.get(window)
+        if ranges is None:
+            if self.config.use_index_cache:
+                ranges = self.tshape_index.query_ranges(
+                    window, self.index_cache.get_mapping, True, self.index_cache.directory()
+                )
+            else:
+                ranges = self.tshape_index.query_ranges(window, None, False)
+            if memo is not None:
+                memo[window] = ranges
+        return ranges
 
-        return len(
-            self.tshape_index.query_ranges(
-                window, shapes_of(self), self.config.use_index_cache
-            )
-        )
+    @contextmanager
+    def one_expansion(self) -> Iterator[None]:
+        """Scope of one query on this thread: the ranges the planner
+        generated to price the tshape route are the ones the pipeline scans."""
+        self._expansions.memo = {}
+        try:
+            yield
+        finally:
+            self._expansions.memo = None
 
     def calibrate_costs(self) -> bool:
         """Fit the planner's cost constants to this deployment's profiles.
@@ -335,7 +356,7 @@ class TMan:
         # Install the profile before admission so queue wait is attributed
         # to the query that paid it.
         profile, scope = self._profile_scope(q)
-        with scope:
+        with scope, self.one_expansion():
             if self.admission is None:
                 return self.executor.execute(
                     q, limit=limit, deadline=deadline, plan=plan
@@ -462,7 +483,7 @@ class TMan:
         deadline = self._make_deadline(deadline_ms, allow_partial=False)
         profile, scope = self._profile_scope(q)
         del profile  # finished by the executor, which knows the plan
-        with scope:
+        with scope, self.one_expansion():
             if self.admission is None:
                 return self.executor.execute_count(q, deadline=deadline)
             with self.admission.admit(priority=priority, deadline=deadline):

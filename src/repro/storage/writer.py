@@ -325,8 +325,6 @@ class StorageWriter:
             self._t.index_cache.put_mapping(element_code, mapping)
             for old_key, value in rows:
                 rewritten += self._rewrite_row(old_key, value, element_code, mapping)
-        self._t.index_cache.clear_local()
-        # Re-warm the local cache lazily on the next query.
         return rewritten
 
     def _collect_element_rows(self, element_code: int) -> list[tuple[bytes, bytes]]:

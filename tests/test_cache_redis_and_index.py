@@ -1,5 +1,6 @@
 """Unit tests for the Redis stand-in and the shape index cache."""
 
+import numpy as np
 import pytest
 
 from repro.cache import BufferShapeCache, RedisServer, ShapeIndexCache
@@ -81,17 +82,36 @@ class TestShapeIndexCache:
         cache.add_shape(5, 2, 1)
         assert cache.get_mapping(5) == {1: 0, 2: 1}
 
-    def test_known_elements(self):
+    def test_directory_follows_the_two_writers(self):
         cache = ShapeIndexCache()
-        cache.put_mapping(3, {1: 0})
+        assert cache.directory().tolist() == []
         cache.put_mapping(10, {1: 0})
-        assert cache.known_elements() == [3, 10]
+        cache.put_mapping(3, {1: 0})
+        assert cache.directory().tolist() == [3, 10]
+        cache.add_shape(3, 2, 1)  # known element: the directory is unchanged
+        cache.add_shape(7, 1, 1)  # new element (an insert's raw shape)
+        directory = cache.directory()
+        assert directory.dtype == np.int64 and directory.tolist() == [3, 7, 10]
+        # Own writes are tracked locally: a read is one generation check.
+        before = cache.remote_fetches
+        assert cache.directory() is directory
+        assert cache.remote_fetches == before + 1
 
-    def test_clear_local_keeps_remote(self):
-        cache = ShapeIndexCache()
+    def test_round_trip_counters_agree(self):
+        """``remote_fetches`` and ``cache_redis_roundtrips_total`` count the
+        same event: every read round trip, empty answers included."""
+        from repro.obs import registry
+
+        cache = ShapeIndexCache(local_capacity=1)
+        total = registry().get("cache_redis_roundtrips_total")
+        before = total.value
         cache.put_mapping(1, {1: 0})
-        cache.clear_local()
-        assert cache.get_mapping(1) == {1: 0}
+        cache.put_mapping(2, {2: 0})  # evicts element 1 locally
+        assert cache.get_mapping(1) == {1: 0}  # HGETALL
+        assert cache.get_mapping(99) is None  # HGETALL, empty
+        cache.directory()  # generation check + key listing
+        assert cache.remote_fetches == 4 == total.value - before
+        assert cache.stats().remote_fetches == 4
 
     def test_concurrent_readers_do_not_corrupt_the_lfu(self):
         # Queries on many threads share one cache; an unlocked LFU touch
@@ -105,9 +125,25 @@ class TestShapeIndexCache:
         errors = []
 
         def read():
+            # Every directory a reader sees is sorted, holds the elements
+            # published before the read and never loses one it held.
             try:
+                seen = 8
                 for i in range(3000):
                     assert cache.get_mapping(i % 8) == {1: i % 8}
+                    if i % 10 == 0:
+                        directory = cache.directory().tolist()
+                        assert directory == sorted(set(directory))
+                        assert directory[:8] == list(range(8))
+                        assert len(directory) >= seen
+                        seen = len(directory)
+            except BaseException as exc:
+                errors.append(exc)
+
+        def write():
+            try:
+                for element in range(100, 400):
+                    cache.add_shape(element, 1, 1)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -115,6 +151,7 @@ class TestShapeIndexCache:
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=read) for _ in range(8)]
+            threads.append(threading.Thread(target=write))
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -123,6 +160,7 @@ class TestShapeIndexCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        assert cache.directory().tolist() == list(range(8)) + list(range(100, 400))
 
     def test_shared_redis_between_instances(self):
         redis = RedisServer()
@@ -130,6 +168,37 @@ class TestShapeIndexCache:
         b = ShapeIndexCache(redis)
         a.put_mapping(1, {7: 0})
         assert b.get_mapping(1) == {7: 0}
+        assert b.directory().tolist() == [1]
+        # b's directory is loaded; a's later elements must still reach it.
+        a.add_shape(5, 3, 3)
+        b.put_mapping(9, {1: 0})
+        assert a.directory().tolist() == b.directory().tolist() == [1, 5, 9]
+
+    def test_second_deployment_on_shared_redis_answers_a_full_srq(self):
+        """Two facades over one cluster and one Redis: the reader's directory
+        was loaded (empty) before the writer stored anything."""
+        from repro import TMan, TManConfig
+        from repro.datasets import TDRIVE_SPEC, tdrive_like
+        from repro.kvstore.cluster import Cluster
+
+        data = tdrive_like(80, seed=31, max_points=20)
+        config = TManConfig(
+            boundary=TDRIVE_SPEC.boundary, max_resolution=12, num_shards=2,
+            kv_workers=1, buffer_shape_threshold=100_000,
+        )
+        redis = RedisServer()
+        with Cluster(workers=1) as cluster:
+            writer = TMan(config, cluster=cluster, redis=redis)
+            reader = TMan(config, cluster=cluster, redis=redis)
+            window = TDRIVE_SPEC.boundary
+            assert reader.spatial_range_query(window).trajectories == []
+            writer.bulk_load(data[:60])
+            got = {t.tid for t in reader.spatial_range_query(window).trajectories}
+            assert got == {t.tid for t in data[:60]}
+            writer.insert(data[60:])  # add_shape on elements new to both
+            for target in data:
+                res = reader.spatial_range_query(target.mbr)
+                assert target.tid in {t.tid for t in res.trajectories}
 
 
 class TestBufferShapeCache:

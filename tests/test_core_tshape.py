@@ -1,5 +1,8 @@
 """Tests for the TShape index: Lemmas 3-4, Eq. 3, shape codes, Algorithm 2."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,9 +215,49 @@ class TestQueryRanges:
         optimized_value = index.pack(key.element_code, 3)
         assert any(lo <= optimized_value < hi for lo, hi in ranges)
 
-    def test_intersecting_elements_classification(self, index):
-        window = index.grid.denormalize_mbr(MBR(0.1, 0.1, 0.9, 0.9))
-        elements = index.intersecting_elements(window)
-        from repro.geometry.relations import SpatialRelation
+    def test_directory_pruning_keeps_every_stored_value(self):
+        """Seeded property: with the occupied-element directory the ranges
+        are a subset of the unpruned ones and cover exactly the same
+        *stored* index values (windows on the right/top edge and the whole
+        boundary included, where enlarged elements are clipped)."""
+        rng = random.Random(20)
+        index = TShapeIndex(QuadTreeGrid(BOUNDARY, 9), alpha=3, beta=3)
+        for _ in range(6):
+            mapping: dict[int, dict[int, int]] = {}
+            for _ in range(40):
+                # Clusters, some hugging the right/top edge of the space.
+                cx, cy = rng.choice([(0.3, 0.4), (0.97, 0.5), (0.6, 0.985), (0.99, 0.99)])
+                span = rng.choice([0.002, 0.02, 0.2])
+                pts = [
+                    (
+                        min(1.0, max(0.0, cx + rng.uniform(-span, span))),
+                        min(1.0, max(0.0, cy + rng.uniform(-span, span))),
+                    )
+                    for _ in range(rng.randint(1, 5))
+                ]
+                key = index.index_trajectory(traj_from_norm(pts))
+                shapes = mapping.setdefault(key.element_code, {})
+                shapes.setdefault(key.raw_shape, len(shapes))
+            stored = [
+                index.pack(code, final)
+                for code, shapes in mapping.items()
+                for final in shapes.values()
+            ]
+            occupied = np.array(sorted(mapping), dtype=np.int64)
+            windows = [MBR(0.0, 0.0, 1.0, 1.0), MBR(0.9, 0.0, 1.0, 1.0), MBR(0.5, 0.95, 1.0, 1.0)]
+            for _ in range(12):
+                x, y = rng.uniform(0, 1), rng.uniform(0, 1)
+                w, h = rng.choice([0.001, 0.05, 0.4]), rng.choice([0.001, 0.05, 0.4])
+                windows.append(MBR(x, y, min(1.0, x + w), min(1.0, y + h)))
+            for window_norm in windows:
+                window = index.grid.denormalize_mbr(window_norm)
+                full = index.query_ranges(window, mapping.get)
+                pruned = index.query_ranges(window, mapping.get, occupied=occupied)
 
-        assert any(rel is SpatialRelation.CONTAINS for _, rel in elements)
+                def covered(ranges):
+                    return {v for v in stored if any(lo <= v < hi for lo, hi in ranges)}
+
+                assert covered(pruned) == covered(full)
+                assert all(
+                    any(flo <= lo and hi <= fhi for flo, fhi in full) for lo, hi in pruned
+                )

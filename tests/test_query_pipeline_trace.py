@@ -141,7 +141,9 @@ class TestStreamingLimit:
         """limit=n stops the pipeline early: fewer candidates touched than
         the unlimited run of the same query (satellite: early termination
         observable through IOStats at the query layer too)."""
-        q = queries_for(tman)["srq"]
+        # Wide enough to open more windows than the scheduler dispatches
+        # at once (the trajectory's own MBR is one chunk of 32).
+        q = SpatialRangeQuery(tman._test_data[0].mbr.expanded(0.05))
         full = tman.query(q)
         assert len(full.trajectories) > 2
         lim = tman.query(q, limit=2)

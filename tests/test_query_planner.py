@@ -158,8 +158,9 @@ def plan_matrix(primary):
     """Candidate plans for every secondary subset x query x {no statistics,
     loaded + flushed deployment} of one primary index.
 
-    Uses only names that exist at d776ca7 as well, where the golden file
-    was written by dumping this function's result.
+    The golden file is this function's result dumped at PR 20: ``est_rows``
+    and every non-tshape cost equal the d776ca7 dump; the tshape candidates
+    are priced on the directory-pruned ranges the pipeline scans.
     """
     data = tdrive_like(120, seed=19, max_points=24)
     queries = _matrix_queries(data)
@@ -190,7 +191,7 @@ def plan_matrix(primary):
 
 @pytest.mark.parametrize("primary", VALID_INDEXES)
 def test_plan_matrix_matches_parent_bit_for_bit(primary):
-    """Chosen plan, candidate order, cost and est_rows as at d776ca7."""
+    """Chosen plan, candidate order, cost and est_rows as dumped."""
     golden = {
         key: plans
         for key, plans in json.loads(GOLDEN.read_text())["plans"].items()
@@ -199,10 +200,4 @@ def test_plan_matrix_matches_parent_bit_for_bit(primary):
     got = plan_matrix(primary)
     assert got.keys() == golden.keys() and golden
     for key, expected in golden.items():
-        if "|strq_" in key:
-            # The parent's second ladder could price st/secondary for an
-            # STRQ (tr primary, st + interval secondary, no tshape), a
-            # pair the pipeline runs as a full table scan; the single
-            # path never enumerates it.  Everything else is unchanged.
-            expected = [c for c in expected if c[:2] != ["st", "secondary"]]
         assert got[key] == expected, key

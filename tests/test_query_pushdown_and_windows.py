@@ -5,6 +5,15 @@ import pytest
 from repro import TMan, TManConfig
 from repro.core.st import STWindow
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.model import MBR
+from repro.model.timerange import TimeRange
+from repro.query.types import (
+    KNNPointQuery,
+    SpatialRangeQuery,
+    STRangeQuery,
+    ThresholdSimilarityQuery,
+    TopKSimilarityQuery,
+)
 from repro.query.windows import (
     primary_windows_inclusive,
     primary_windows_u64,
@@ -47,6 +56,95 @@ class TestWindowGeneration:
         [(start, stop)] = st_primary_windows(codec, [STWindow(3, 9, None)])
         assert start.endswith(encode_u64(3) + encode_u64(0))
         assert stop.endswith(encode_u64(10) + encode_u64(0))
+
+
+class TestWindowGenerationCounts:
+    """Deterministic work gates of the directory-pruned TShape walk (no
+    clocks): lookups bounded by the occupied elements the window touches,
+    one generation check per warm SRQ, one expansion per (query, window)."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        data = tdrive_like(300, seed=42, max_points=30)
+        cfg = TManConfig(
+            boundary=TDRIVE_SPEC.boundary, max_resolution=14, num_shards=2,
+            kv_workers=2, secondary_indexes=("tr", "idt"),
+        )
+        with TMan(cfg) as tman:
+            tman.bulk_load(data)
+            yield tman, data
+
+    @pytest.fixture()
+    def expansions(self, monkeypatch):
+        """Windows ``TShapeIndex.query_ranges`` was called with."""
+        from repro.core.tshape import TShapeIndex
+
+        calls = []
+        walk = TShapeIndex.query_ranges
+        monkeypatch.setattr(
+            TShapeIndex, "query_ranges",
+            lambda self, window, *a, **kw: calls.append(window) or walk(self, window, *a, **kw),
+        )
+        return calls
+
+    def test_srq_lookups_bounded_by_occupied_elements_touched(self, loaded):
+        tman, data = loaded
+        index, cache = tman.tshape_index, tman.index_cache
+        unit = MBR(0.0, 0.0, 1.0, 1.0)
+        anchors = {}
+        for traj in data:
+            key = index.index_trajectory(traj)
+            anchors[key.element_code] = key.anchor
+        assert sorted(anchors) == cache.directory().tolist()
+        for target in data[::25]:
+            window = target.mbr.expanded(0.01)
+            sr = index.grid.normalize_mbr(window)
+            touched = sum(
+                sr.intersects(index.element_rect(a).intersection(unit))
+                for a in anchors.values()
+            )
+            tman.spatial_range_query(window)  # warm the LFU for this window
+            before = cache.stats()
+            res = tman.spatial_range_query(window)
+            after = cache.stats()
+            assert target.tid in {t.tid for t in res.trajectories}
+            lookups = (after.hits + after.misses) - (before.hits + before.misses)
+            assert 0 < lookups <= touched <= len(anchors)
+            assert after.misses == before.misses
+            # Warm: the directory's generation check is the only round trip.
+            assert after.remote_fetches - before.remote_fetches == 1
+
+    def test_one_expansion_per_query_whichever_plan_wins(self, loaded, expansions):
+        tman, data = loaded
+        t0 = data[0]
+        start = t0.time_range.start
+        narrow_time = STRangeQuery(t0.mbr.expanded(0.3), TimeRange(start, start + 600.0))
+        narrow_space = STRangeQuery(t0.mbr, TimeRange(0.0, 2 * 86400.0))
+        plans = set()
+        for q in (narrow_time, narrow_space):
+            del expansions[:]
+            res = tman.query(q)
+            plans.add(res.plan)
+            assert expansions == [q.window], res.plan  # priced, and run if chosen
+            del expansions[:]
+            tman.count(q)
+            assert expansions == [q.window]
+        # Both outcomes of the costing are covered: without the shared
+        # expansion the tshape/primary STRQ would walk twice.
+        assert plans == {"tr/secondary", "tshape/primary"}
+        for q in (SpatialRangeQuery(t0.mbr), ThresholdSimilarityQuery(t0, 0.01)):
+            del expansions[:]
+            tman.query(q)
+            assert len(expansions) == 1
+
+    def test_one_expansion_per_ring(self, loaded, expansions):
+        tman, data = loaded
+        cx, cy = data[0].mbr.center
+        for q in (TopKSimilarityQuery(data[0], 5), KNNPointQuery(cx, cy, 5)):
+            del expansions[:]
+            res = tman.query(q)
+            assert len(expansions) == res.trace.rounds >= 1
+            assert len(set(expansions)) == len(expansions)  # a new window per ring
 
 
 class TestPushDownAblation:

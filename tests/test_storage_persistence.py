@@ -56,10 +56,12 @@ class TestSaveOpen:
             res = tman.id_temporal_query(target.oid, target.time_range)
             assert target.tid in {t.tid for t in res.trajectories}
 
-    def test_shape_mappings_survive(self, saved_dir):
+    def test_shape_mappings_and_directory_survive(self, saved_dir, dataset):
         with open_tman(saved_dir) as tman:
-            elements = tman.index_cache.known_elements()
-            assert elements
+            elements = tman.index_cache.directory().tolist()
+            assert elements == sorted(
+                {tman.tshape_index.index_trajectory(t).element_code for t in dataset}
+            )
             mapping = tman.index_cache.get_mapping(elements[0])
             assert mapping
 
@@ -174,6 +176,13 @@ class TestParentFormatDeployment:
                 "row_format_version"} <= retired
         dataset = tdrive_like(12, seed=77)
         with open_tman(DATA_DIR / "deployment_parent") as tman:
+            # Its cache.rdb predates the occupied-element directory: no
+            # generation key, so the directory is listed from the hashes.
+            cache = tman.index_cache
+            assert cache.redis.keys("*directory_gen") == []
+            assert cache.directory().tolist() == sorted(
+                {tman.tshape_index.index_trajectory(t).element_code for t in dataset}
+            )
             assert tman.config.max_resolution == 12
             assert tman.config.num_shards == 2
             assert tman.row_count == len(dataset)

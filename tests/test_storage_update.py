@@ -94,6 +94,56 @@ class TestInsert:
             if report.reencodes_triggered:
                 assert report.rows_rewritten >= 0
 
+    def test_reencode_replaces_only_the_changed_cache_entries(self, dataset):
+        """A re-encode must not throw the hot elements away, and must not
+        leave a pre-re-encode final code in the local layer either."""
+        from repro.cache import ShapeIndexCache
+
+        with make_tman(threshold=5) as tman:
+            tman.bulk_load(dataset[:60])
+            cache = tman.index_cache
+            reencoded = []
+            put_mapping = cache.put_mapping
+            cache.put_mapping = lambda code, mapping: (
+                reencoded.append(code), put_mapping(code, mapping)
+            )
+            report = tman.insert(dataset[60:])
+            assert report.reencodes_triggered >= 1 and report.rows_rewritten > 0
+            # (a) elements the re-encodes did not touch are still local hits.
+            untouched = sorted(set(cache.directory().tolist()) - set(reencoded))
+            assert untouched and reencoded
+            before = cache.stats()
+            for code in untouched:
+                assert cache.get_mapping(code)
+            after = cache.stats()
+            assert after.misses == before.misses
+            assert after.hits == before.hits + len(untouched)
+            assert after.remote_fetches == before.remote_fetches
+            # (b) the local layer agrees with Redis on every element, and the
+            # key each row is stored under is the one queries ask for.
+            remote = ShapeIndexCache(cache.redis)
+            for code in cache.directory().tolist():
+                assert cache.get_mapping(code) == remote.get_mapping(code), code
+            for traj in dataset:
+                res = tman.spatial_range_query(traj.mbr)
+                assert traj.tid in {t.tid for t in res.trajectories}, traj.tid
+
+    def test_directory_outlives_reencode_and_delete(self, dataset):
+        """insert -> re-encode -> delete: mappings are never dropped, so the
+        directory keeps every element and later inserts land on known codes."""
+        with make_tman(threshold=5) as tman:
+            report = tman.insert(dataset[:80])
+            assert report.reencodes_triggered >= 1
+            codes = {tman.tshape_index.index_trajectory(t).element_code for t in dataset[:80]}
+            assert tman.index_cache.directory().tolist() == sorted(codes)
+            for traj in dataset[:80]:
+                assert tman.delete(traj)
+            assert tman.index_cache.directory().tolist() == sorted(codes)
+            assert tman.spatial_range_query(TDRIVE_SPEC.boundary).trajectories == []
+            tman.insert(dataset[:10])
+            res = tman.spatial_range_query(TDRIVE_SPEC.boundary)
+            assert {t.tid for t in res.trajectories} == {t.tid for t in dataset[:10]}
+
     def test_statistics_exact_without_flush_and_after_reopen(self, dataset, tmp_path):
         """Inserts that re-encode plus deletes: the writer-fed histograms
         equal the live rows with no flush, and equal what the header scan
