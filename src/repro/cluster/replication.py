@@ -12,7 +12,8 @@ Consistency model (simpler than Dynamo's because the coordinator is the
 *sole writer*, so no version vectors are needed):
 
 - **Writes** go to every replica in the store's ring preference list and
-  need ``write_quorum`` acks.  Replicas that are down — or that still owe
+  need ``write_quorum`` acks; a batch is one ``PUT_BATCH`` per replica
+  and one quorum verdict.  Replicas that are down — or that still owe
   hinted writes, which must stay ordered — get the write appended to
   their per-node hint queue instead; hints are queued only when the write
   overall succeeded, so a failed write leaves no deferred state.
@@ -29,7 +30,7 @@ Consistency model (simpler than Dynamo's because the coordinator is the
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Protocol
+from typing import Iterator, Optional, Protocol, Sequence
 
 from repro.cluster import rpc
 from repro.cluster.metrics import (
@@ -103,7 +104,11 @@ class ReplicatedStore:
 
     # -- writes --------------------------------------------------------------
 
-    def _replicated_write(self, op: int, args: tuple, key: bytes, hint_value: bytes) -> None:
+    def _replicated_write(
+        self, op: int, args: tuple, hints: Sequence[tuple[bytes, bytes]]
+    ) -> None:
+        """One write RPC per replica, one quorum verdict; every replica that
+        missed it is hinted each of the call's ``(key, value)`` rows."""
         acks = 0
         missed: list[str] = []
         for node in self._router.replicas(self.store_id):
@@ -128,15 +133,21 @@ class ReplicatedStore:
         # The write is acknowledged; everything a replica missed becomes
         # a hint delivered when it returns.
         for node in missed:
-            self._router.queue_hint(node, self.store_id, key, hint_value)
+            for key, value in hints:
+                self._router.queue_hint(node, self.store_id, key, value)
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key`` with ``value`` on a write quorum."""
-        self._replicated_write(rpc.OP_PUT, (self.store_id, key, value), key, value)
+        self._replicated_write(rpc.OP_PUT, (self.store_id, key, value), [(key, value)])
+
+    def put_batch(self, rows: Sequence[tuple[bytes, bytes]]) -> None:
+        """Insert many rows: one ``PUT_BATCH`` per replica, one quorum verdict."""
+        rows = list(rows)
+        self._replicated_write(rpc.OP_PUT_BATCH, (self.store_id, rows), rows)
 
     def delete(self, key: bytes) -> None:
         """Remove ``key`` on a write quorum (hinted as a tombstone)."""
-        self._replicated_write(rpc.OP_DELETE, (self.store_id, key), key, TOMBSTONE)
+        self._replicated_write(rpc.OP_DELETE, (self.store_id, key), [(key, TOMBSTONE)])
 
     # -- reads ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import decode_varint
 
 _U7 = np.uint64(7)
 _U1 = np.uint64(1)
@@ -38,15 +38,45 @@ def zigzag_decode_array(encoded: np.ndarray) -> np.ndarray:
     return ((u >> _U1) ^ (np.uint64(0) - (u & _U1))).view(np.int64)
 
 
+def int_array(values) -> np.ndarray:
+    """An integer array of ``values`` (object dtype past 64 bits, for range checks)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr
+    return np.asarray(values, dtype=object) if len(arr) else np.zeros(0, np.uint64)
+
+
+_POW2 = np.array([1 << k for k in range(64)], dtype=np.uint64)
+
+
+def bit_length_array(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every uint64 value."""
+    return np.searchsorted(_POW2, values, side="right")
+
+
 # -- delta transforms ------------------------------------------------------
 
 
-def delta_encode_array(values: np.ndarray) -> np.ndarray:
+def _segment_heads(offsets, skip: int = 0) -> np.ndarray:
+    """Position ``skip`` of every segment holding more than ``skip`` values.
+
+    Segment ``offsets`` (``[0, n1, n1+n2, ...]``) let the encoders transform a
+    batch's concatenated columns, each segment exactly as if on its own.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    heads = offsets[:-1] + skip
+    return heads[heads < offsets[1:]]
+
+
+def delta_encode_array(values: np.ndarray, offsets=None) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.int64)
     out = np.empty_like(v)
     if len(v):
         out[0] = v[0]
         np.subtract(v[1:], v[:-1], out=out[1:])
+        if offsets is not None:
+            heads = _segment_heads(offsets)
+            out[heads] = v[heads]
     return out
 
 
@@ -54,12 +84,14 @@ def delta_decode_array(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.ascontiguousarray(deltas, dtype=np.int64), dtype=np.int64)
 
 
-def delta_of_delta_encode_array(values: np.ndarray) -> np.ndarray:
+def delta_of_delta_encode_array(values: np.ndarray, offsets=None) -> np.ndarray:
     """Second-difference transform: [v0, d1, dd2, ...] (matches scalar)."""
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    out = delta_encode_array(v)
-    if len(v) > 2:
-        out[2:] = v[2:] - 2 * v[1:-1] + v[:-2]
+    deltas = delta_encode_array(values, offsets)
+    out = deltas.copy()
+    out[1:] -= deltas[:-1]
+    for skip in (0, 1):  # each segment keeps [v0, d1] as they are
+        heads = _segment_heads((0, len(out)) if offsets is None else offsets, skip)
+        out[heads] = deltas[heads]
     return out
 
 
@@ -77,24 +109,38 @@ def delta_of_delta_decode_array(encoded: np.ndarray) -> np.ndarray:
 # -- varint ----------------------------------------------------------------
 
 
+def leb128_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 bytes of every value, concatenated, and each value's end offset."""
+    u = np.ascontiguousarray(values, dtype=np.uint64)
+    nbytes = np.maximum(1, -(-bit_length_array(u) // 7))
+    width = int(nbytes.max()) if len(u) else 0
+    shifts = np.arange(width, dtype=np.uint64) * _U7
+    mat = ((u[:, None] >> shifts) & _LOW7).astype(np.uint8)
+    cols = np.arange(width, dtype=np.int64)[None, :]
+    mat |= (cols < (nbytes - 1)[:, None]).astype(np.uint8) << np.uint8(7)
+    return mat[cols < nbytes[:, None]], np.cumsum(nbytes)
+
+
+def varint_encode_segments(values: np.ndarray, offsets) -> list[bytes]:
+    """One count-prefixed LEB128 stream per segment ``[offsets[i], offsets[i+1])``.
+
+    Each stream is byte-identical to ``encode_varint_list`` of its values;
+    the whole batch costs one pass however many segments it holds.
+    """
+    u = np.ascontiguousarray(values, dtype=np.uint64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    # Each segment's count goes in front of its values, so segment i spans
+    # flat positions [offsets[i] + i, offsets[i+1] + i + 1).
+    flat = np.insert(u, offsets[:-1], np.diff(offsets).astype(np.uint64))
+    data, ends = leb128_encode(flat)
+    buf = data.tobytes()
+    bounds = np.concatenate(([0], ends))[offsets + np.arange(len(offsets))].tolist()
+    return [buf[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def varint_encode_array(values: np.ndarray) -> bytes:
     """LEB128-encode a uint64 array, count-prefixed like ``encode_varint_list``."""
-    u = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(u)
-    header = bytearray()
-    encode_varint(n, header)
-    if n == 0:
-        return bytes(header)
-    nbytes = np.ones(n, dtype=np.int64)
-    rest = u >> _U7
-    while rest.any():
-        nbytes += rest != 0
-        rest >>= _U7
-    shifts = (np.arange(10, dtype=np.uint64) * _U7)[None, :]
-    mat = ((u[:, None] >> shifts) & _LOW7).astype(np.uint8)
-    cols = np.arange(10, dtype=np.int64)[None, :]
-    mat |= (cols < (nbytes - 1)[:, None]).astype(np.uint8) << np.uint8(7)
-    return bytes(header) + mat[cols < nbytes[:, None]].tobytes()
+    return varint_encode_segments(values, (0, len(values)))[0]
 
 
 def varint_decode_array(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:

@@ -2,7 +2,7 @@
 
 Each block of up to 128 values is stored with a per-block base and bit width
 chosen to fit ~90% of the values; outliers ("exceptions") are patched in a
-varint side list.  Lossless for arbitrary non-negative integers.
+varint side list.  Lossless for non-negative integers below 2^64.
 """
 
 from __future__ import annotations
@@ -10,25 +10,12 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
-from repro.compression.varint import decode_varint, encode_varint
+import numpy as np
+
+from repro.compression.columnar import bit_length_array, int_array, leb128_encode
+from repro.compression.varint import decode_varint
 
 BLOCK = 128
-
-
-def _pack_bits(values: Sequence[int], bits: int) -> bytes:
-    out = bytearray()
-    acc = 0
-    acc_bits = 0
-    for v in values:
-        acc |= v << acc_bits
-        acc_bits += bits
-        while acc_bits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            acc_bits -= 8
-    if acc_bits:
-        out.append(acc & 0xFF)
-    return bytes(out)
 
 
 def _unpack_bits(buf: bytes, count: int, bits: int) -> list[int]:
@@ -53,49 +40,73 @@ def _unpack_bits(buf: bytes, count: int, bits: int) -> list[int]:
     return values
 
 
-def _choose_width(values: Sequence[int], base: int) -> int:
-    """Pick the smallest width covering >= 90% of the shifted values."""
-    shifted = sorted(v - base for v in values)
-    idx = max(0, min(len(shifted) - 1, int(len(shifted) * 0.9)))
-    pivot = shifted[idx]
-    return max(1, pivot.bit_length()) if pivot else 1
-
-
-def _encode_block(values: Sequence[int], out: bytearray) -> None:
-    base = min(values)
-    bits = _choose_width(values, base)
-    limit = (1 << bits) - 1
-    packed = []
-    exceptions: list[tuple[int, int]] = []
-    for i, v in enumerate(values):
-        shifted = v - base
-        if shifted > limit:
-            exceptions.append((i, shifted))
-            packed.append(0)
-        else:
-            packed.append(shifted)
-    encode_varint(len(values), out)
-    encode_varint(base, out)
-    out.append(bits)
-    bitstream = _pack_bits(packed, bits)
-    encode_varint(len(bitstream), out)
-    out += bitstream
-    encode_varint(len(exceptions), out)
-    for idx, val in exceptions:
-        encode_varint(idx, out)
-        encode_varint(val, out)
+def pfor_encode_segments(values, offsets) -> list[bytes]:
+    """One PFOR stream per segment ``[offsets[i], offsets[i+1])``: bases,
+    widths (covering the shifted value ranked ``int(0.9 * count)``, at least
+    1), exceptions and LSB-first bit streams of every block of every segment
+    come from array passes; only the per-block byte assembly loops."""
+    v = int_array(values)
+    bad = np.flatnonzero(v < 0)
+    if len(bad):
+        raise ValueError(f"PFOR values must be non-negative, got {int(v[bad[0]])}")
+    v = v.astype(np.uint64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lens = np.diff(offsets)
+    nblocks = -(-lens // BLOCK)
+    seg_of = np.repeat(np.arange(len(lens)), nblocks)
+    bstart = offsets[:-1][seg_of] + BLOCK * (
+        np.arange(len(seg_of)) - np.repeat(np.cumsum(nblocks) - nblocks, nblocks)
+    )
+    bcount = np.minimum(bstart + BLOCK, offsets[1:][seg_of]) - bstart
+    block_of = np.repeat(np.arange(len(bstart)), bcount)
+    local = np.arange(len(v)) - bstart[block_of]
+    base = np.minimum.reduceat(v, bstart) if len(v) else v
+    shifted = v - base[block_of]
+    ranked = shifted[np.lexsort((shifted, block_of))]
+    pivot = ranked[bstart + np.clip((bcount * 0.9).astype(np.int64), 0, bcount - 1)]
+    bits = np.maximum(1, bit_length_array(pivot))
+    exc = bit_length_array(shifted) > bits[block_of]
+    packed = np.where(exc, np.uint64(0), shifted)
+    # The bit stream: value i of a block owns bits [i*w, (i+1)*w) after the
+    # block's byte-aligned start.
+    nbytes = (bcount * bits + 7) // 8
+    byte_start = np.cumsum(nbytes) - nbytes
+    w = bits[block_of]
+    bit_of = np.repeat(8 * byte_start[block_of] + local * w, w)
+    j = np.arange(len(bit_of)) - np.repeat(np.cumsum(w) - w, w)
+    stream = np.zeros(8 * int(nbytes.sum()), dtype=np.uint8)
+    stream[bit_of + j] = (np.repeat(packed, w) >> j.astype(np.uint64)) & np.uint64(1)
+    streams = np.packbits(stream, bitorder="little").tobytes()
+    # Varint fields per block: count, base | nbytes | n_exc, (idx, value)*.
+    nexc = np.bincount(block_of[exc], minlength=len(bstart))
+    size = 4 + 2 * nexc
+    head = np.cumsum(size) - size
+    fields = np.empty(int(size.sum()), dtype=np.uint64)
+    for k, col in enumerate((bcount, base, nbytes, nexc)):
+        fields[head + k] = col
+    pair = 4 + 2 * (np.arange(int(nexc.sum())) - np.repeat(np.cumsum(nexc) - nexc, nexc))
+    fields[np.repeat(head, nexc) + pair] = local[exc]
+    fields[np.repeat(head, nexc) + pair + 1] = shifted[exc]
+    data, ends = leb128_encode(fields)
+    buf = data.tobytes()
+    at = np.concatenate(([0], ends))
+    cut = np.stack((at[head], at[head + 2], at[head + 3], at[head + size])).T.tolist()
+    blocks = [
+        b"".join((buf[a:b], bytes((w,)), buf[b:c], streams[s : s + m], buf[c:d]))
+        for (a, b, c, d), w, s, m in zip(
+            cut, bits.tolist(), byte_start.tolist(), nbytes.tolist()
+        )
+    ]
+    first = (np.cumsum(nblocks) - nblocks).tolist()
+    return [
+        struct.pack(">I", n) + b"".join(blocks[f : f + k])
+        for n, f, k in zip(lens.tolist(), first, nblocks.tolist())
+    ]
 
 
 def pfor_encode(values: Sequence[int]) -> bytes:
-    """Compress a sequence of non-negative integers."""
-    for v in values:
-        if v < 0:
-            raise ValueError(f"PFOR values must be non-negative, got {v}")
-    out = bytearray()
-    out += struct.pack(">I", len(values))
-    for start in range(0, len(values), BLOCK):
-        _encode_block(values[start : start + BLOCK], out)
-    return bytes(out)
+    """Compress a sequence of non-negative integers (each below 2^64)."""
+    return pfor_encode_segments(values, (0, len(values)))[0]
 
 
 def pfor_decode(buf: bytes) -> list[int]:

@@ -4,12 +4,22 @@ Packs runs of small unsigned integers into 64-bit words.  The top 4 bits of
 each word select one of 16 layouts; the remaining 60 bits hold 1..240 values
 of equal width.  Values that do not fit in 60 bits are rejected — callers
 zigzag and delta their streams first, which keeps values tiny in practice.
+
+Encoding is greedy (at each position, the first selector whose run fits)
+and runs over a whole batch of streams at once: sliding maxima of the
+values' bit lengths say which selectors fit at every position, each
+stream's chain of words is followed from its start by pointer doubling,
+and the words are OR-reduced from their values.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Sequence
+
+import numpy as np
+
+from repro.compression.columnar import bit_length_array, int_array
 
 # (selector, values-per-word, bits-per-value); selector 0 packs 240 zeros,
 # selector 1 packs 120 zeros — the classic simple8b table.
@@ -32,46 +42,82 @@ _SELECTORS: list[tuple[int, int, int]] = [
     (15, 1, 60),
 ]
 _BY_SELECTOR = {sel: (count, bits) for sel, count, bits in _SELECTORS}
+_COUNTS = np.array([count for _, count, _ in _SELECTORS], dtype=np.int64)
+_BITS = np.array([bits for _, _, bits in _SELECTORS], dtype=np.int64)
 _MAX_VALUE = (1 << 60) - 1
 
 
-def _fits(values: Sequence[int], start: int, count: int, bits: int) -> bool:
-    if start + count > len(values):
-        return False
-    if bits == 0:
-        return all(values[start + i] == 0 for i in range(count))
-    limit = (1 << bits) - 1
-    return all(values[start + i] <= limit for i in range(count))
+def _checked(values) -> np.ndarray:
+    """``values`` as uint64, rejecting (in order) negatives and >= 2^60."""
+    arr = int_array(values)
+    bad = np.flatnonzero((arr < 0) | (arr > _MAX_VALUE))
+    if len(bad):
+        v = int(arr[bad[0]])
+        if v < 0:
+            raise ValueError(f"simple8b values must be non-negative, got {v}")
+        raise ValueError(f"value {v} exceeds 60 bits; pre-transform the stream")
+    return arr.astype(np.uint64)
+
+
+def _selectors(bitlen: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """The greedy selector at every position (``room``: values left in its stream)."""
+    n = len(bitlen)
+    # window[k][i] = max(bitlen[i : i + 2^k]), zero-padded past the end.
+    window = [np.concatenate((bitlen, np.zeros(256, dtype=bitlen.dtype)))]
+    for k in range(1, 8):
+        prev = window[-1]
+        window.append(np.maximum(prev[:-(1 << (k - 1))], prev[1 << (k - 1):]))
+    sel = np.full(n, 15, dtype=np.int64)
+    for s in range(14, -1, -1):
+        count, bits = int(_COUNTS[s]), int(_BITS[s])
+        k = count.bit_length() - 1
+        span = np.maximum(window[k][:n], window[k][count - (1 << k):][:n])
+        sel[(span <= bits) & (room >= count)] = s
+    return sel
+
+
+def simple8b_encode_segments(values, offsets) -> list[bytes]:
+    """One simple8b stream per segment ``[offsets[i], offsets[i+1])``.
+
+    Each stream is what :func:`simple8b_encode` returns for its values.
+    """
+    v = _checked(values)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lens = np.diff(offsets)
+    n = len(v)
+    if n:
+        seg_end = np.repeat(offsets[1:], lens)
+        pos = np.arange(n, dtype=np.int64)
+        sel = _selectors(bit_length_array(v), seg_end - pos)
+        count = _COUNTS[sel]
+        # Word starts: follow each stream's chain from its head by doubling.
+        # ``jump`` is the next-word step applied 2^m times (n: past the end,
+        # a fixed point), so ``jump[starts]`` adds chain steps [2^m, 2^(m+1)).
+        jump = np.append(np.where(pos + count == seg_end, n, pos + count), n)
+        starts = offsets[:-1][lens > 0]
+        while len(more := jump[starts][jump[starts] != n]):
+            starts = np.concatenate((starts, more))
+            jump = jump[jump]
+        starts = np.sort(starts)
+        # Words partition the positions: each covers its selector's count.
+        wsel = sel[starts]
+        word_of = np.repeat(np.arange(len(starts)), count[starts])
+        shift = ((pos - starts[word_of]) * _BITS[wsel][word_of]).astype(np.uint64)
+        words = np.bitwise_or.reduceat(v << shift, starts)
+        words |= wsel.astype(np.uint64) << np.uint64(60)
+        wbytes = words.astype(">u8").tobytes()
+        wbounds = (8 * np.searchsorted(starts, offsets)).tolist()
+    else:
+        wbytes, wbounds = b"", [0] * len(offsets)
+    return [
+        struct.pack(">I", m) + wbytes[a:b]
+        for m, a, b in zip(lens.tolist(), wbounds[:-1], wbounds[1:])
+    ]
 
 
 def simple8b_encode(values: Sequence[int]) -> bytes:
     """Pack non-negative integers (< 2^60 each) into simple8b words."""
-    for v in values:
-        if v < 0:
-            raise ValueError(f"simple8b values must be non-negative, got {v}")
-        if v > _MAX_VALUE:
-            raise ValueError(f"value {v} exceeds 60 bits; pre-transform the stream")
-
-    words: list[int] = []
-    i = 0
-    n = len(values)
-    while i < n:
-        for sel, count, bits in _SELECTORS:
-            if _fits(values, i, count, bits):
-                word = sel << 60
-                if bits:
-                    for j in range(count):
-                        word |= values[i + j] << (j * bits)
-                words.append(word)
-                i += count
-                break
-        else:  # pragma: no cover - table always matches via selector 15
-            raise AssertionError("no simple8b selector matched")
-    out = bytearray()
-    out += struct.pack(">I", n)
-    for word in words:
-        out += struct.pack(">Q", word)
-    return bytes(out)
+    return simple8b_encode_segments(values, (0, len(values)))[0]
 
 
 def simple8b_decode(buf: bytes) -> list[int]:

@@ -7,10 +7,14 @@ zigzagged, and packed with a selectable integer codec.  The codec name is
 recorded in the stream so rows written with different configurations remain
 readable.
 
-The ``columnar`` codec is the vectorized fast path: its streams are
-byte-identical to ``varint`` (LEB128, count-prefixed) but are produced and
-consumed with numpy array passes, and :meth:`TrajectoryCodec.decode_array_block`
-returns float64 columns without building any per-point objects.
+Encoding is batched: :meth:`TrajectoryCodec.encode_columns` takes a whole
+batch's concatenated columns and builds every trajectory's delta /
+delta-of-delta / zigzag streams in one set of array passes, then packs
+them with the codec's segmented packer; the one-trajectory APIs are
+one-element calls into it.  The ``columnar`` codec's streams are
+byte-identical to ``varint`` (LEB128, count-prefixed) and decode fully
+vectorized: :meth:`TrajectoryCodec.decode_array_block` returns float64
+columns without building any per-point objects.
 """
 
 from __future__ import annotations
@@ -26,32 +30,33 @@ from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_decode_array,
     delta_of_delta_encode_array,
-    encode_signed_stream,
+    varint_encode_segments,
+    zigzag_encode_array,
 )
-from repro.compression.delta import (
-    delta_decode,
-    delta_encode,
-    delta_of_delta_decode,
-    delta_of_delta_encode,
-)
-from repro.compression.pfor import pfor_decode, pfor_encode
-from repro.compression.simple8b import simple8b_decode, simple8b_encode
-from repro.compression.varint import decode_varint_list, encode_varint_list
-from repro.compression.zigzag import zigzag_decode, zigzag_encode
+from repro.compression.delta import delta_decode, delta_of_delta_decode
+from repro.compression.pfor import pfor_decode, pfor_encode_segments
+from repro.compression.simple8b import simple8b_decode, simple8b_encode_segments
+from repro.compression.varint import decode_varint_list
+from repro.compression.zigzag import zigzag_decode
 from repro.model.point import STPoint
+from repro.model.pointblock import PointBlock
 
 COORD_SCALE = 10_000_000  # 1e-7 degrees per unit
 TIME_SCALE = 1000  # milliseconds
 
 CodecName = str
 
-_PACKERS: dict[CodecName, tuple[Callable[[Sequence[int]], bytes], Callable[[bytes], list[int]]]] = {
-    "varint": (encode_varint_list, lambda buf: decode_varint_list(buf, 0)[0]),
-    "simple8b": (simple8b_encode, simple8b_decode),
-    "pfor": (pfor_encode, pfor_decode),
+# codec -> (segmented packer: (values, offsets) -> one stream per segment,
+#           unpacker: stream -> values)
+_PACKERS: dict[CodecName, tuple[Callable, Callable[[bytes], list[int]]]] = {
+    "varint": (varint_encode_segments, lambda buf: decode_varint_list(buf, 0)[0]),
+    "simple8b": (simple8b_encode_segments, simple8b_decode),
+    "pfor": (pfor_encode_segments, pfor_decode),
 }
-# "columnar" shares the varint wire format; the scalar packers can read it.
+# "columnar" shares the varint wire format, so it packs and unpacks the same way.
 _PACKERS["columnar"] = _PACKERS["varint"]
+_BLOB_HEAD = struct.Struct(">BII")  # codec id, point count, first stream length
+_U32 = struct.Struct(">I")
 _CODEC_IDS: dict[CodecName, int] = {"varint": 0, "simple8b": 1, "pfor": 2, "columnar": 3}
 _CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
 
@@ -62,8 +67,8 @@ def quantize_arrays(
     """Fixed-point quantization, elementwise identical to ``round(v * scale)``.
 
     ``np.rint`` rounds half-to-even exactly like python's ``round`` on the
-    same float64 product, so scalar and vectorized encoders always emit the
-    same integers — the bit-identity contract between row format versions.
+    same float64 product; stored rows and their golden bytes depend on these
+    integers staying bit-identical.
     """
     t_ints = np.rint(np.asarray(ts, dtype=np.float64) * TIME_SCALE).astype(np.int64)
     x_ints = np.rint(np.asarray(lngs, dtype=np.float64) * COORD_SCALE).astype(np.int64)
@@ -98,35 +103,42 @@ class TrajectoryCodec:
 
     # -- array-level API ---------------------------------------------------
 
+    def encode_columns(
+        self, ts: np.ndarray, lngs: np.ndarray, lats: np.ndarray, offsets
+    ) -> list[bytes]:
+        """One blob per segment ``[offsets[i], offsets[i+1])`` of the columns.
+
+        Every trajectory's quantized delta-of-delta (t) and delta (lng, lat)
+        streams are built with segmented array passes, zigzagged, and packed
+        by one segmented packer call over all three streams of the batch.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        t_ints, x_ints, y_ints = quantize_arrays(ts, lngs, lats)
+        values = zigzag_encode_array(np.concatenate((
+            delta_of_delta_encode_array(t_ints, offsets),
+            delta_encode_array(x_ints, offsets),
+            delta_encode_array(y_ints, offsets),
+        )))
+        n = len(t_ints)
+        pack, _ = _PACKERS[self.codec]
+        streams = pack(values, np.concatenate((offsets, offsets[1:] + n, offsets[1:] + 2 * n)))
+        k = len(offsets) - 1
+        cid = _CODEC_IDS[self.codec]
+        return [
+            b"".join((_BLOB_HEAD.pack(cid, m, len(st)), st, _U32.pack(len(sx)), sx,
+                      _U32.pack(len(sy)), sy))
+            for m, st, sx, sy in zip(
+                np.diff(offsets).tolist(), streams[:k], streams[k : 2 * k], streams[2 * k :]
+            )
+        ]
+
     def encode_arrays(
         self, ts: Sequence[float], lngs: Sequence[float], lats: Sequence[float]
     ) -> bytes:
         """Compress parallel (t, lng, lat) arrays into one byte blob."""
         if not (len(ts) == len(lngs) == len(lats)):
             raise ValueError("parallel arrays must have equal length")
-        if self.codec == "columnar":
-            return encode_array_block(
-                np.asarray(ts, dtype=np.float64),
-                np.asarray(lngs, dtype=np.float64),
-                np.asarray(lats, dtype=np.float64),
-            )
-        t_ints = [round(t * TIME_SCALE) for t in ts]
-        x_ints = [round(x * COORD_SCALE) for x in lngs]
-        y_ints = [round(y * COORD_SCALE) for y in lats]
-
-        pack, _ = _PACKERS[self.codec]
-        streams = [
-            pack([zigzag_encode(v) for v in delta_of_delta_encode(t_ints)]),
-            pack([zigzag_encode(v) for v in delta_encode(x_ints)]),
-            pack([zigzag_encode(v) for v in delta_encode(y_ints)]),
-        ]
-        out = bytearray()
-        out.append(_CODEC_IDS[self.codec])
-        out += struct.pack(">I", len(ts))
-        for stream in streams:
-            out += struct.pack(">I", len(stream))
-            out += stream
-        return bytes(out)
+        return self.encode_columns(ts, lngs, lats, (0, len(ts)))[0]
 
     def decode_arrays(self, blob: bytes) -> tuple[list[float], list[float], list[float]]:
         """Restore the (t, lng, lat) arrays from :meth:`encode_arrays` output."""
@@ -173,13 +185,8 @@ class TrajectoryCodec:
 
     def encode_points(self, points: Sequence[STPoint]) -> bytes:
         """Compress a point sequence."""
-        block = getattr(points, "block", points)
-        if hasattr(block, "ts"):
-            return self.encode_arrays(block.ts, block.xs, block.ys)
-        ts = [p.t for p in points]
-        lngs = [p.lng for p in points]
-        lats = [p.lat for p in points]
-        return self.encode_arrays(ts, lngs, lats)
+        block = PointBlock.from_points(getattr(points, "block", points))
+        return self.encode_arrays(block.ts, block.xs, block.ys)
 
     def decode_points(self, blob: bytes) -> list[STPoint]:
         """Restore the point sequence from :meth:`encode_points` output."""
@@ -194,25 +201,6 @@ def _codec_of(blob: bytes) -> CodecName:
     if codec_name is None:
         raise ValueError(f"unknown codec id {blob[0]}")
     return codec_name
-
-
-def encode_array_block(ts: np.ndarray, lngs: np.ndarray, lats: np.ndarray) -> bytes:
-    """Vectorized encode of float64 columns into a ``columnar`` blob."""
-    if not (len(ts) == len(lngs) == len(lats)):
-        raise ValueError("parallel arrays must have equal length")
-    t_ints, x_ints, y_ints = quantize_arrays(ts, lngs, lats)
-    streams = [
-        encode_signed_stream(delta_of_delta_encode_array(t_ints)),
-        encode_signed_stream(delta_encode_array(x_ints)),
-        encode_signed_stream(delta_encode_array(y_ints)),
-    ]
-    out = bytearray()
-    out.append(_CODEC_IDS["columnar"])
-    out += struct.pack(">I", len(t_ints))
-    for stream in streams:
-        out += struct.pack(">I", len(stream))
-        out += stream
-    return bytes(out)
 
 
 def decode_array_block(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

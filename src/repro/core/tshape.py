@@ -127,45 +127,6 @@ class TShapeIndex:
 
     # -- shape codes --------------------------------------------------------------
 
-    def shape_bitmap(self, anchor: Cell, npoints: Sequence[tuple[float, float]]) -> int:
-        """Bitmap of element cells touched by the normalized polyline.
-
-        Bit ``b*α + a`` is set when local cell ``(a, b)`` intersects any
-        vertex or edge.  The bitmap is conservative (closed-rectangle
-        predicates), so the query side never misses a trajectory.
-        """
-        w = anchor.size
-        ox = anchor.ix * w
-        oy = anchor.iy * w
-        bitmap = 0
-
-        def local_cell(x: float, y: float) -> tuple[int, int]:
-            """Local cell."""
-            a = min(self.alpha - 1, max(0, int((x - ox) / w)))
-            b = min(self.beta - 1, max(0, int((y - oy) / w)))
-            return a, b
-
-        if len(npoints) == 1:
-            a, b = local_cell(*npoints[0])
-            return 1 << (b * self.alpha + a)
-
-        for (x0, y0), (x1, y1) in zip(npoints, npoints[1:]):
-            a0, b0 = local_cell(x0, y0)
-            a1, b1 = local_cell(x1, y1)
-            lo_a, hi_a = min(a0, a1), max(a0, a1)
-            lo_b, hi_b = min(b0, b1), max(b0, b1)
-            if lo_a == hi_a and lo_b == hi_b:
-                bitmap |= 1 << (lo_b * self.alpha + lo_a)
-                continue
-            for b in range(lo_b, hi_b + 1):
-                for a in range(lo_a, hi_a + 1):
-                    bit = 1 << (b * self.alpha + a)
-                    if bitmap & bit:
-                        continue
-                    if segment_intersects_rect(x0, y0, x1, y1, self.cell_rect(anchor, a, b)):
-                        bitmap |= bit
-        return bitmap
-
     def window_mask(self, ix: int, iy: int, w: float, query: MBR) -> int:
         """Bitmap of the local cells of the element anchored at grid cell
         ``(ix, iy)`` (cell width ``w``) that touch the normalized window, so
@@ -188,12 +149,80 @@ class TShapeIndex:
 
     def index_trajectory(self, traj: Trajectory) -> TShapeKey:
         """Compute the element code and raw shape bitmap of a trajectory."""
-        npoints = [self.grid.normalize(p.lng, p.lat) for p in traj.points]
-        nmbr = MBR.of_points(npoints)
-        anchor = self.anchor_cell(nmbr)
-        shape = self.shape_bitmap(anchor, npoints)
-        code = cell_code(anchor, self.grid.max_resolution)
-        return TShapeKey(code, anchor.resolution, shape, anchor)
+        return self.index_trajectories([traj])[0]
+
+    def index_trajectories(self, trajs: Sequence[Trajectory]) -> list[TShapeKey]:
+        """Index a batch: every point is normalized and binned at once;
+        resolution, anchor and element code stay scalar per trajectory
+        (``math.log`` and int arithmetic)."""
+        if not trajs:
+            return []
+        blocks = [traj.block for traj in trajs]
+        offsets = np.cumsum([0] + [len(block) for block in blocks])
+        b = self.grid.boundary
+        nx = np.concatenate([block.xs for block in blocks]) - b.x1
+        ny = np.concatenate([block.ys for block in blocks]) - b.y1
+        nx, ny = (
+            np.minimum(1.0, np.maximum(0.0, col / d)) for col, d in ((nx, b.width), (ny, b.height))
+        )
+        anchors = [
+            self.anchor_cell(MBR(*box))
+            for box in zip(*(f.reduceat(col, offsets[:-1]).tolist() for col, f in (
+                (nx, np.minimum), (ny, np.minimum), (nx, np.maximum), (ny, np.maximum))))
+        ]
+        shapes = self._shape_bitmaps(nx, ny, offsets, anchors).tolist()
+        g = self.grid.max_resolution
+        return [
+            TShapeKey(cell_code(anchor, g), anchor.resolution, shape, anchor)
+            for anchor, shape in zip(anchors, shapes)
+        ]
+
+    def _shape_bitmaps(self, nx, ny, offsets, anchors: list[Cell]) -> np.ndarray:
+        """Bitmap of element cells touched by each normalized polyline.
+
+        Bit ``b*α + a`` is set when local cell ``(a, b)`` intersects any
+        vertex or edge (closed-rectangle predicates, so the query side never
+        misses a trajectory).  A segment (or lone point) within one local
+        cell sets it; one across cells is tested against every cell of its
+        local box with :func:`segment_intersects_rect` (whose endpoint-inside
+        accept and box-miss reject run vectorized first).
+        """
+        lens = np.diff(offsets)
+        owner = np.repeat(np.arange(len(anchors)), lens)
+        ix, iy, w = (np.array(col) for col in zip(*((c.ix, c.iy, c.size) for c in anchors)))
+        a = np.clip((nx - ix[owner] * w[owner]) / w[owner], 0, self.alpha - 1).astype(np.int64)
+        b = np.clip((ny - iy[owner] * w[owner]) / w[owner], 0, self.beta - 1).astype(np.int64)
+        # Segments i -> j: consecutive points, or a lone point to itself.
+        i = np.flatnonzero(np.append(owner[1:] == owner[:-1], False) | (lens == 1)[owner])
+        j = i + (lens[owner[i]] > 1)
+        lo_a, lo_b = np.minimum(a[i], a[j]), np.minimum(b[i], b[j])
+        cols = np.maximum(a[i], a[j]) - lo_a + 1
+        size = cols * (np.maximum(b[i], b[j]) - lo_b + 1)
+        # Every (segment, cell) pair of the segments' local boxes.
+        cand = np.repeat(np.arange(len(i)), size)
+        k = np.arange(len(cand)) - np.repeat(np.cumsum(size) - size, size)
+        ca, cb = lo_a[cand] + k % cols[cand], lo_b[cand] + k // cols[cand]
+        s, e, t = i[cand], j[cand], owner[i[cand]]
+        x1, y1 = (ix[t] + ca) * w[t], (iy[t] + cb) * w[t]
+        x2, y2 = (ix[t] + ca + 1) * w[t], (iy[t] + cb + 1) * w[t]
+        ax, ay, bx, by = nx[s], ny[s], nx[e], ny[e]
+        hit = (
+            (size[cand] == 1)
+            | (x1 <= ax) & (ax <= x2) & (y1 <= ay) & (ay <= y2)
+            | (x1 <= bx) & (bx <= x2) & (y1 <= by) & (by <= y2)
+        )
+        missed = (
+            (np.maximum(ax, bx) < x1) | (np.minimum(ax, bx) > x2)
+            | (np.maximum(ay, by) < y1) | (np.minimum(ay, by) > y2)
+        )
+        for q in np.flatnonzero(~hit & ~missed).tolist():
+            hit[q] = segment_intersects_rect(
+                float(ax[q]), float(ay[q]), float(bx[q]), float(by[q]),
+                MBR(float(x1[q]), float(y1[q]), float(x2[q]), float(y2[q])),
+            )
+        shapes = np.zeros(len(anchors), dtype=np.int64)
+        np.bitwise_or.at(shapes, t[hit], np.left_shift(1, cb[hit] * self.alpha + ca[hit]))
+        return shapes
 
     def index_value(self, key: TShapeKey, final_code: Optional[int] = None) -> int:
         """Pack a key into the stored 64-bit value (optionally optimized)."""

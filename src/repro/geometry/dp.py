@@ -10,7 +10,6 @@ candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,39 +20,46 @@ from repro.model.point import STPoint
 from repro.model.pointblock import coord_arrays
 
 
-def _perpendicular_distance(
-    px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> float:
-    """Distance from point P to segment AB."""
-    dx = bx - ax
-    dy = by - ay
-    seg_len_sq = dx * dx + dy * dy
-    if seg_len_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
-    t = max(0.0, min(1.0, t))
-    cx = ax + t * dx
-    cy = ay + t * dy
-    return math.hypot(px - cx, py - cy)
-
-
-def _span_farthest(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
-    """Max perpendicular deviation (and its index) of interior span points."""
-    ax, ay = xs[lo], ys[lo]
-    bx, by = xs[hi], ys[hi]
-    px = xs[lo + 1 : hi]
-    py = ys[lo + 1 : hi]
-    dx = bx - ax
-    dy = by - ay
-    seg_len_sq = dx * dx + dy * dy
-    if seg_len_sq == 0.0:
-        d = np.hypot(px - ax, py - ay)
-    else:
-        t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
+def dp_keep_mask(xs: np.ndarray, ys: np.ndarray, offsets, epsilon: float) -> np.ndarray:
+    """Mask of the points Douglas-Peucker keeps in every segment
+    ``[offsets[i], offsets[i+1])``, computed level by level: each level
+    measures the deviation of every interior point of every pending span in
+    one pass and splits each span at its farthest point (the first on ties)
+    if that exceeds ``epsilon``.  Spans split independently, so the kept
+    set is the recursive algorithm's."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lens = np.diff(offsets)
+    keep = np.zeros(len(xs), dtype=bool)
+    keep[offsets[:-1][lens > 0]] = True
+    keep[offsets[1:][lens > 0] - 1] = True
+    lo, hi = offsets[:-1][lens > 2], offsets[1:][lens > 2] - 1
+    while len(lo):
+        inner = hi - lo - 1
+        first = np.cumsum(inner) - inner
+        span = np.repeat(np.arange(len(lo)), inner)
+        pos = np.arange(int(inner.sum())) - first[span] + lo[span] + 1
+        ax, ay, bx, by = xs[lo][span], ys[lo][span], xs[hi][span], ys[hi][span]
+        px, py = xs[pos], ys[pos]
+        dx, dy = bx - ax, by - ay
+        seg_len_sq = dx * dx + dy * dy
+        flat = seg_len_sq == 0.0
+        t = ((px - ax) * dx + (py - ay) * dy) / np.where(flat, 1.0, seg_len_sq)
         np.clip(t, 0.0, 1.0, out=t)
-        d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-    i = int(np.argmax(d))
-    return float(d[i]), lo + 1 + i
+        d = np.where(
+            flat,
+            np.hypot(px - ax, py - ay),
+            np.hypot(px - (ax + t * dx), py - (ay + t * dy)),
+        )
+        best = np.maximum.reduceat(d, first)
+        hits = np.flatnonzero(d == best[span])
+        firsts = hits[np.concatenate(([True], span[hits][1:] != span[hits][:-1]))]
+        split = best > epsilon
+        mid = pos[firsts][split]
+        keep[mid] = True
+        lo = np.concatenate((lo[split], mid))
+        hi = np.concatenate((mid, hi[split]))
+        lo, hi = lo[hi > lo + 1], hi[hi > lo + 1]
+    return keep
 
 
 def douglas_peucker(points: Sequence[STPoint], epsilon: float) -> list[int]:
@@ -62,26 +68,32 @@ def douglas_peucker(points: Sequence[STPoint], epsilon: float) -> list[int]:
     The first and last point are always kept.  ``epsilon`` is the maximum
     allowed perpendicular deviation in coordinate units.
     """
-    n = len(points)
-    if n == 0:
+    if not len(points):
         return []
-    if n <= 2:
-        return list(range(n))
-
     xs, ys = coord_arrays(points)
-    keep = [False] * n
-    keep[0] = keep[n - 1] = True
-    stack: list[tuple[int, int]] = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi <= lo + 1:
-            continue
-        best, best_idx = _span_farthest(xs, ys, lo, hi)
-        if best > epsilon:
-            keep[best_idx] = True
-            stack.append((lo, best_idx))
-            stack.append((best_idx, hi))
-    return [i for i, k in enumerate(keep) if k]
+    return np.flatnonzero(dp_keep_mask(xs, ys, (0, len(xs)), epsilon)).tolist()
+
+
+def dp_feature_columns(xs: np.ndarray, ys: np.ndarray, offsets, epsilon: float):
+    """DP-features of every (non-empty) segment, as arrays: ``(reps,
+    rep_offsets, (x1, y1, x2, y2))`` — the representative points' global
+    indexes (a 1-point trajectory repeats its point), where each segment's
+    reps start, and one box per consecutive pair of a segment's reps (the
+    raw points from one to the next, both included)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    reps = np.flatnonzero(dp_keep_mask(xs, ys, offsets, epsilon))
+    single = offsets[:-1][np.diff(offsets) == 1]
+    reps = np.insert(reps, np.searchsorted(reps, single), single)
+    rep_offsets = np.searchsorted(reps, offsets)
+    # A box spans reps[k] .. reps[k+1]: reduce the half-open run, then the end.
+    pair = np.ones(len(reps), dtype=bool)
+    pair[rep_offsets[1:] - 1] = False
+    end = reps[np.flatnonzero(pair) + 1]
+    boxes = tuple(
+        ufunc(ufunc.reduceat(col, reps)[pair], col[end])
+        for col, ufunc in ((xs, np.minimum), (ys, np.minimum), (xs, np.maximum), (ys, np.maximum))
+    )
+    return reps, rep_offsets, boxes
 
 
 @dataclass(frozen=True)
@@ -123,15 +135,6 @@ class DPFeature:
             object.__setattr__(self, "_box_arrays", cached)
         return cached
 
-    @property
-    def rep_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lng, lat) columns over representative points, cached."""
-        cached = getattr(self, "_rep_arrays", None)
-        if cached is None:
-            cached = coord_arrays(self.rep_points)
-            object.__setattr__(self, "_rep_arrays", cached)
-        return cached
-
     def min_distance_to_point(self, x: float, y: float) -> float:
         """Lower bound on the distance from (x, y) to any raw point."""
         return min(box.min_distance_point(x, y) for box in self.span_boxes)
@@ -141,16 +144,11 @@ def extract_dp_feature(points: Sequence[STPoint], epsilon: float) -> DPFeature:
     """Compute the DP-feature of a raw point sequence."""
     if not len(points):
         raise ValueError("cannot extract DP-features from zero points")
-    idxs = douglas_peucker(points, epsilon)
-    if len(idxs) == 1:
-        idxs = [0, 0]
     xs, ys = coord_arrays(points)
-    boxes: list[MBR] = []
-    for lo, hi in zip(idxs, idxs[1:]):
-        hi = hi if hi >= lo else lo
-        sx = xs[lo : hi + 1]
-        sy = ys[lo : hi + 1]
-        boxes.append(MBR(float(sx.min()), float(sy.min()),
-                         float(sx.max()), float(sy.max())))
-    reps = tuple(points[i] for i in idxs)
-    return DPFeature(reps, tuple(idxs), tuple(boxes))
+    reps, _, boxes = dp_feature_columns(xs, ys, (0, len(xs)), epsilon)
+    idxs = reps.tolist()
+    return DPFeature(
+        tuple(points[i] for i in idxs),
+        tuple(idxs),
+        tuple(MBR(*box) for box in zip(*(col.tolist() for col in boxes))),
+    )

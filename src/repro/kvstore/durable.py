@@ -31,7 +31,7 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.kvstore import simfault
 from repro.kvstore.block_cache import BlockCache
@@ -219,6 +219,11 @@ class DurableLSMStore:
         self._memtable.put(key, value)
         if self._memtable.approx_bytes >= self._flush_bytes:
             self.flush()
+
+    def put_batch(self, rows: Sequence[tuple[bytes, bytes]]) -> None:
+        """Insert many rows, in order (each exactly as :meth:`put`)."""
+        for key, value in rows:
+            self.put(key, value)
 
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""

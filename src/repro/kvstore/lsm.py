@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.kvstore.census import census_rows
 from repro.kvstore.errors import WriteStalledError
@@ -110,6 +110,11 @@ class LSMStore:
         if value == TOMBSTONE:
             raise ValueError("the tombstone sentinel cannot be stored as a value")
         self._write(key, value)
+
+    def put_batch(self, rows: Sequence[tuple[bytes, bytes]]) -> None:
+        """Insert many rows, in order (each exactly as :meth:`put`)."""
+        for key, value in rows:
+            self.put(key, value)
 
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""

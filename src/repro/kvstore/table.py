@@ -222,15 +222,27 @@ class Table:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key`` with ``value``."""
-        region = self._region_for(key)
-        region.put(key, value)
-        if region.approx_rows > self._split_rows:
-            self._split(region)
+        self.put_batch([(key, value)])
 
     def put_batch(self, rows: Sequence[tuple[bytes, bytes]]) -> None:
-        """Insert many rows."""
-        for key, value in rows:
-            self.put(key, value)
+        """Insert many rows with one ``Region.put_batch`` per region touched.
+
+        Equivalent to :meth:`put` on each row in order: a region gets its rows
+        in their order, cut at the row that takes it past ``split_rows``,
+        where it splits; the rest is routed again over the two halves.
+        """
+        pending = list(rows)
+        while pending:
+            groups: dict[Region, list[tuple[bytes, bytes]]] = {}
+            for row in pending:
+                groups.setdefault(self._region_for(row[0]), []).append(row)
+            pending = []
+            for region, group in groups.items():
+                room = max(1, self._split_rows - region.approx_rows + 1)
+                region.put_batch(group[:room])
+                if region.approx_rows > self._split_rows:
+                    self._split(region)
+                    pending += group[room:]
 
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""
@@ -243,8 +255,9 @@ class Table:
         idx = self._regions.index(region)
         left = self._build_region(region.start_key, mid)
         right = self._build_region(mid, region.end_key)
-        for key, value in region.drain():
-            (left if key < mid else right).put(key, value)
+        rows = region.drain()
+        left.put_batch([row for row in rows if row[0] < mid])
+        right.put_batch([row for row in rows if row[0] >= mid])
         self._regions[idx : idx + 1] = [left, right]
         self._boundaries.insert(idx, mid)
         region.retire()

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +51,9 @@ from repro.compression.columnar import (
     decode_signed_stream,
     delta_decode_array,
     delta_encode_array,
-    encode_signed_stream,
     varint_decode_array,
-    varint_encode_array,
+    varint_encode_segments,
+    zigzag_encode_array,
 )
 from repro.compression.traj_codec import (
     COORD_SCALE,
@@ -61,7 +61,7 @@ from repro.compression.traj_codec import (
     TrajectoryCodec,
 )
 from repro.compression.varint import decode_varint, encode_varint
-from repro.geometry.dp import DPFeature, extract_dp_feature
+from repro.geometry.dp import DPFeature, dp_feature_columns
 from repro.kvstore.errors import CorruptionError
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
@@ -116,27 +116,42 @@ class RowSerializer:
 
     def encode(self, traj: Trajectory, tr_value: int) -> bytes:
         """Serialize one trajectory row (always the v2 layout)."""
-        out = bytearray([MAGIC, VERSION])
-        tr = traj.time_range
-        m = traj.mbr
-        out += _HEADER.pack(tr.start, tr.end, m.x1, m.y1, m.x2, m.y2)
-        encode_varint(tr_value, out)
-        for text in (traj.oid, traj.tid):
-            raw = text.encode("utf-8")
-            encode_varint(len(raw), out)
-            out += raw
+        return self.encode_many([traj], [tr_value])[0]
 
-        feature = extract_dp_feature(traj.block, self.dp_epsilon)
-        feat = _encode_feature_v2(feature)
-        encode_varint(len(feat), out)
-        out += feat
+    def encode_many(self, trajs: Sequence[Trajectory], tr_values: Sequence[int]) -> list[bytes]:
+        """Serialize a batch of rows: DP-features and point blobs come from
+        segment-wise kernels over the batch's concatenated columns; only the
+        framing (header, ids, length prefixes) is assembled row by row."""
+        if not trajs:
+            return []
+        blocks = [traj.block for traj in trajs]
+        offsets = np.cumsum([0] + [len(block) for block in blocks])
+        ts, xs, ys = (
+            np.concatenate([getattr(block, col) for block in blocks])
+            for col in ("ts", "xs", "ys")
+        )
+        features = _encode_features(ts, xs, ys, offsets, self.dp_epsilon)
         # The configured codec keeps packing the point streams (its
         # compression ratio is orthogonal to the v2 feature layout);
         # decode_array_block reads every codec id back as columns.
-        blob = self.codec.encode_points(traj.block)
-        encode_varint(len(blob), out)
-        out += blob
-        return bytes(out)
+        blobs = self.codec.encode_columns(ts, xs, ys, offsets)
+        rows = []
+        for traj, tr_value, feat, blob in zip(trajs, tr_values, features, blobs):
+            out = bytearray([MAGIC, VERSION])
+            tr = traj.time_range
+            m = traj.mbr
+            out += _HEADER.pack(tr.start, tr.end, m.x1, m.y1, m.x2, m.y2)
+            encode_varint(tr_value, out)
+            for text in (traj.oid, traj.tid):
+                raw = text.encode("utf-8")
+                encode_varint(len(raw), out)
+                out += raw
+            encode_varint(len(feat), out)
+            out += feat
+            encode_varint(len(blob), out)
+            out += blob
+            rows.append(bytes(out))
+        return rows
 
     # -- decoding ------------------------------------------------------------
 
@@ -241,28 +256,41 @@ class RowSerializer:
 # -- v2 feature codec ------------------------------------------------------
 
 
-def _encode_feature_v2(feature: DPFeature) -> bytes:
-    idx = np.asarray(feature.rep_indexes, dtype=np.int64)
-    rx, ry = feature.rep_arrays
-    rt = np.fromiter((p.t for p in feature.rep_points), dtype=np.float64,
-                     count=len(feature.rep_points))
-    bx1, by1, bx2, by2 = feature.box_arrays
-    out = bytearray()
-    encode_varint(len(idx), out)
-    out += varint_encode_array(delta_encode_array(idx).astype(np.uint64))
+def _encode_features(ts, xs, ys, offsets, epsilon: float) -> list[bytes]:
+    """Every row's v2 feature section (``n_reps``, then eight count-prefixed
+    streams) from one DP pass and one segmented varint call over the batch;
+    segments are stream-major, so row ``i``'s stream ``s`` is ``s*rows + i``."""
+    reps, rep_off, boxes = dp_feature_columns(xs, ys, offsets, epsilon)
+    box_off = rep_off - np.arange(len(rep_off))  # one box per pair of reps
+    local = reps - np.repeat(offsets[:-1], np.diff(rep_off))
     # reps quantized on the point grids: decoded reps == decoded points[idx]
-    out += encode_signed_stream(
-        delta_encode_array(np.rint(rt * TIME_SCALE).astype(np.int64)))
-    out += encode_signed_stream(
-        delta_encode_array(np.rint(rx * COORD_SCALE).astype(np.int64)))
-    out += encode_signed_stream(
-        delta_encode_array(np.rint(ry * COORD_SCALE).astype(np.int64)))
-    # boxes rounded outward so they keep covering raw and decoded points
-    for arr, outward in ((bx1, np.floor), (by1, np.floor),
-                         (bx2, np.ceil), (by2, np.ceil)):
-        q = outward(arr * COORD_SCALE).astype(np.int64)
-        out += encode_signed_stream(delta_encode_array(q))
-    return bytes(out)
+    streams = [
+        delta_encode_array(local, rep_off).astype(np.uint64),
+        *(
+            zigzag_encode_array(delta_encode_array(
+                np.rint(col[reps] * scale).astype(np.int64), rep_off))
+            for col, scale in ((ts, TIME_SCALE), (xs, COORD_SCALE), (ys, COORD_SCALE))
+        ),
+        # boxes rounded outward so they keep covering raw and decoded points
+        *(
+            zigzag_encode_array(delta_encode_array(
+                outward(col * COORD_SCALE).astype(np.int64), box_off))
+            for col, outward in zip(boxes, (np.floor, np.floor, np.ceil, np.ceil))
+        ),
+    ]
+    starts = np.cumsum([0] + [len(stream) for stream in streams])
+    seg_off = np.concatenate(
+        [off[:-1] + start for off, start in zip([rep_off] * 4 + [box_off] * 4, starts)]
+        + [starts[-1:]]
+    )
+    segs = varint_encode_segments(np.concatenate(streams), seg_off)
+    k = len(offsets) - 1
+    out = []
+    for i, n_reps in enumerate(np.diff(rep_off).tolist()):
+        head = bytearray()
+        encode_varint(n_reps, head)
+        out.append(b"".join((head, *segs[i::k])))
+    return out
 
 
 def _decode_feature_v2(buf: bytes, pos: int) -> tuple[DPFeature, int]:
@@ -289,5 +317,4 @@ def _decode_feature_v2(buf: bytes, pos: int) -> tuple[DPFeature, int]:
     )
     feature = DPFeature(reps, tuple(int(i) for i in idx), boxes)
     object.__setattr__(feature, "_box_arrays", (bx1, by1, bx2, by2))
-    object.__setattr__(feature, "_rep_arrays", (rx, ry))
     return feature, pos

@@ -9,13 +9,22 @@ the index cache reuse their final code; unknown shapes are stored under
 their *raw* bitmap code and staged in the buffer shape cache; when the
 buffer crosses its threshold every affected element is re-encoded and its
 rows rewritten under the new codes.
+
+Both paths work in chunks of at most :data:`INGEST_CHUNK_POINTS` points:
+TShape keys and row values of a chunk come from the batch kernels
+(:meth:`~repro.core.tshape.TShapeIndex.index_trajectories`,
+:meth:`~repro.storage.serializer.RowSerializer.encode_many`), and each
+table receives the chunk's rows as one ``Table.put_batch``.  A report's
+``encode_seconds`` covers keys, rows and the mapping work; its
+``write_seconds`` covers the puts and any re-encodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeKey
@@ -36,14 +45,48 @@ _INGEST_ROWS = _obs_counter(
     "ingest_rows_total", "Trajectory rows written by bulk loads and inserts"
 )
 _INGEST_ENCODE_MS = _obs_histogram(
-    "ingest_encode_ms", "Shape-code optimization time per write batch"
+    "ingest_encode_ms", "Key, row and shape-code encoding time per write batch"
 )
 _INGEST_WRITE_MS = _obs_histogram(
-    "ingest_write_ms", "Row-write time per write batch"
+    "ingest_write_ms", "Row-put and re-encode time per write batch"
 )
 _REENCODE_TOTAL = _obs_counter(
     "ingest_reencode_total", "Buffer-overflow re-encodes triggered by inserts"
 )
+
+# Points per ingest chunk: the working set of one encode + put_batch round.
+INGEST_CHUNK_POINTS = 8192
+
+T = TypeVar("T")
+
+
+def _point_chunks(items: Iterable[T], points: Callable[[T], int]) -> Iterator[list[T]]:
+    """Consecutive runs of ``items`` of at most INGEST_CHUNK_POINTS points
+    (an item larger than that is a run of its own)."""
+    chunk: list[T] = []
+    total = 0
+    for item in items:
+        n = points(item)
+        if chunk and total + n > INGEST_CHUNK_POINTS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
+
+
+def _free_codes(used: Iterable[int], count: int, limit: int) -> list[int]:
+    """``count`` codes below ``limit`` not in ``used``: up from the maximum
+    while they fit, then the lowest free ones (an insert may have staged a
+    raw bitmap as its own code, up to the top of the shape-code space)."""
+    used = set(used)
+    start = max(used, default=-1) + 1
+    codes = list(range(start, min(limit, start + count)))
+    codes += [c for c in range(start) if c not in used][: count - len(codes)]
+    if len(codes) < count:
+        raise ValueError(f"no {count} free shape codes below {limit}")
+    return codes
 
 
 @dataclass
@@ -110,18 +153,18 @@ class StorageWriter:
         if report.reencodes_triggered:
             _REENCODE_TOTAL.inc(report.reencodes_triggered)
 
-    def _prepare(self, trajs: Iterable[Trajectory]) -> list[_Prepared]:
+    def _prepare(self, trajs: Sequence[Trajectory]) -> list[_Prepared]:
         tr: TRIndex = self._t.tr_index
-        out = []
-        for traj in trajs:
-            out.append(
-                _Prepared(
-                    traj,
-                    tr.index_time_range(traj.time_range),
-                    self._t.tshape_index.index_trajectory(traj),
-                )
-            )
-        return out
+        keys = self._t.tshape_index.index_trajectories(trajs)
+        return [
+            _Prepared(traj, tr.index_time_range(traj.time_range), key)
+            for traj, key in zip(trajs, keys)
+        ]
+
+    def _encode_rows(self, prepared: Sequence[_Prepared]) -> list[bytes]:
+        return self._t.serializer.encode_many(
+            [p.traj for p in prepared], [p.tr_value for p in prepared]
+        )
 
     def _primary_index_bytes(self, tr_value: int, tshape_value: int) -> bytes:
         primary = self._t.config.primary_index
@@ -146,23 +189,44 @@ class StorageWriter:
             )
         raise ValueError(f"unexpected secondary index {name!r}")
 
-    def _write_row(self, p: _Prepared, final_code: int) -> None:
-        tshape_value = self._t.tshape_index.pack(p.key.element_code, final_code)
-        index_bytes = self._primary_index_bytes(p.tr_value, tshape_value)
-        primary_key = self._t.keys.primary_key(index_bytes, p.traj.tid)
-        row = self._t.serializer.encode(p.traj, p.tr_value)
-        self._t.primary_table.put(primary_key, row)
-        self._t.stats_builder.observe(p.traj.mbr, p.traj.time_range)
-
+    def _keys(self, p: _Prepared, tshape_value: int) -> tuple[bytes, list[tuple[str, bytes]]]:
+        """A row's primary rowkey and its rowkey in every secondary table."""
+        primary_key = self._t.keys.primary_key(
+            self._primary_index_bytes(p.tr_value, tshape_value), p.traj.tid
+        )
+        secondary = []
         for name in self._t.config.secondary_indexes:
-            table = self._t.secondary_tables[name]
             if name == "idt":
-                sec_key = self._t.keys.idt_key(p.traj.oid, p.tr_value, p.traj.tid)
+                key = self._t.keys.idt_key(p.traj.oid, p.tr_value, p.traj.tid)
             else:
-                sec_key = self._t.keys.secondary_key(
+                key = self._t.keys.secondary_key(
                     self._secondary_index_bytes(name, p, tshape_value), p.traj.tid
                 )
-            table.put(sec_key, primary_key)
+            secondary.append((name, key))
+        return primary_key, secondary
+
+    def _send(self, staged: list[tuple[_Prepared, int, bytes]]) -> float:
+        """Key the staged ``(row, final code, value)`` entries, send them with
+        one ``put_batch`` per table and empty ``staged``; returns the seconds
+        the puts took."""
+        primary: list[tuple[bytes, bytes]] = []
+        secondary: dict[str, list[tuple[bytes, bytes]]] = {}
+        for p, final_code, value in staged:
+            primary_key, keys = self._keys(
+                p, self._t.tshape_index.pack(p.key.element_code, final_code)
+            )
+            primary.append((primary_key, value))
+            for name, key in keys:
+                secondary.setdefault(name, []).append((key, primary_key))
+        t0 = time.perf_counter()
+        if primary:
+            self._t.primary_table.put_batch(primary)
+        for p, _, _ in staged:
+            self._t.stats_builder.observe(p.traj.mbr, p.traj.time_range)
+        for name, rows in secondary.items():
+            self._t.secondary_tables[name].put_batch(rows)
+        staged.clear()
+        return time.perf_counter() - t0
 
     # -- bulk load ----------------------------------------------------------
 
@@ -170,44 +234,47 @@ class StorageWriter:
         """Two-phase load: optimize shape codes per element, then write rows.
 
         Elements that already carry a mapping (incremental bulk loads) keep
-        their existing final codes; genuinely new shapes are appended after
-        the current maximum so previously written rows stay valid.
+        their existing final codes; genuinely new shapes take free codes
+        (see :func:`_free_codes`) so previously written rows stay valid.
+        Every code is chosen before the first index-cache write.
         """
         report = WriteReport()
         stall_delta = _StallDelta()
         with _obs_tracer().span("storage.bulk_load", batch=len(trajs)) as sp:
             t0 = time.perf_counter()
-            prepared = self._prepare(trajs)
+            prepared = [
+                p for chunk in _point_chunks(trajs, len) for p in self._prepare(chunk)
+            ]
 
             by_element: dict[int, list[int]] = {}
             for p in prepared:
                 by_element.setdefault(p.key.element_code, []).append(p.key.raw_shape)
-
+            limit = 1 << self._t.tshape_index.shape_bits
+            mappings: list[tuple[int, dict[int, int]]] = []
+            additions: list[tuple[int, int, int]] = []
             for element_code, shapes in by_element.items():
                 existing = self._t.index_cache.get_mapping(element_code)
                 if existing is None:
-                    mapping = self._t.encoder.encode(shapes)
-                    self._t.index_cache.put_mapping(element_code, mapping)
-                    report.elements_encoded += 1
-                else:
-                    new_shapes = sorted(set(shapes) - set(existing))
-                    if new_shapes:
-                        next_code = max(existing.values()) + 1
-                        for offset, shape in enumerate(new_shapes):
-                            self._t.index_cache.add_shape(
-                                element_code, shape, next_code + offset
-                            )
-            report.encode_seconds = time.perf_counter() - t0
+                    mappings.append((element_code, self._t.encoder.encode(shapes)))
+                    continue
+                new_shapes = sorted(set(shapes) - set(existing))
+                codes = _free_codes(existing.values(), len(new_shapes), limit)
+                additions += [(element_code, s, c) for s, c in zip(new_shapes, codes)]
+            for element_code, mapping in mappings:
+                self._t.index_cache.put_mapping(element_code, mapping)
+            for element_code, shape, code in additions:
+                self._t.index_cache.add_shape(element_code, shape, code)
+            report.elements_encoded = len(mappings)
 
-            t1 = time.perf_counter()
-            for p in prepared:
-                final = self._t.index_cache.lookup_final_code(
-                    p.key.element_code, p.key.raw_shape
-                )
-                assert final is not None, "bulk load must have encoded every shape"
-                self._write_row(p, final)
-                report.rows_written += 1
-            report.write_seconds = time.perf_counter() - t1
+            lookup = self._t.index_cache.lookup_final_code
+            for chunk in _point_chunks(prepared, lambda p: len(p.traj)):
+                staged = [
+                    (p, lookup(p.key.element_code, p.key.raw_shape), row)
+                    for p, row in zip(chunk, self._encode_rows(chunk))
+                ]
+                report.rows_written += len(staged)
+                report.write_seconds += self._send(staged)
+            report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
             if sp is not None:
                 sp.set(rows=report.rows_written, elements=report.elements_encoded)
         stall_delta.apply(report)
@@ -222,31 +289,37 @@ class StorageWriter:
         stall_delta = _StallDelta()
         with _obs_tracer().span("storage.insert", batch=len(trajs)) as sp:
             t0 = time.perf_counter()
-            prepared = self._prepare(trajs)
-            for p in prepared:
-                final = self._t.index_cache.lookup_final_code(
-                    p.key.element_code, p.key.raw_shape
-                )
-                if final is None:
-                    # Unknown shape: store under the raw bitmap and stage it.
-                    # Registering the identity mapping keeps the row reachable by
-                    # queries until the next re-encode.
-                    self._t.index_cache.add_shape(
-                        p.key.element_code, p.key.raw_shape, p.key.raw_shape
-                    )
-                    overflow = self._t.buffer_cache.add(
+            staged: list[tuple[_Prepared, int, bytes]] = []
+            for chunk in _point_chunks(trajs, len):
+                prepared = self._prepare(chunk)
+                for p, row in zip(prepared, self._encode_rows(prepared)):
+                    final = self._t.index_cache.lookup_final_code(
                         p.key.element_code, p.key.raw_shape
                     )
-                    final = p.key.raw_shape
-                    self._write_row(p, final)
+                    overflow = False
+                    if final is None:
+                        # Unknown shape: store under the raw bitmap and stage
+                        # it.  Registering the identity mapping keeps the row
+                        # reachable by queries until the next re-encode.
+                        self._t.index_cache.add_shape(
+                            p.key.element_code, p.key.raw_shape, p.key.raw_shape
+                        )
+                        overflow = self._t.buffer_cache.add(
+                            p.key.element_code, p.key.raw_shape
+                        )
+                        final = p.key.raw_shape
+                    staged.append((p, final, row))
                     report.rows_written += 1
                     if overflow:
+                        # The re-encode rescans the element's stored rows:
+                        # everything staged so far must be stored first.
+                        report.write_seconds += self._send(staged)
+                        t1 = time.perf_counter()
                         report.reencodes_triggered += 1
                         report.rows_rewritten += self._reencode()
-                else:
-                    self._write_row(p, final)
-                    report.rows_written += 1
-            report.write_seconds = time.perf_counter() - t0
+                        report.write_seconds += time.perf_counter() - t1
+                report.write_seconds += self._send(staged)
+            report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
             if sp is not None:
                 sp.set(rows=report.rows_written, reencodes=report.reencodes_triggered)
         stall_delta.apply(report)
@@ -262,31 +335,21 @@ class StorageWriter:
         when the primary row was not present (already deleted or never
         stored).
         """
-        prepared = self._prepare([traj])[0]
-        final = self._t.index_cache.lookup_final_code(
-            prepared.key.element_code, prepared.key.raw_shape
-        )
+        p = self._prepare([traj])[0]
+        final = self._t.index_cache.lookup_final_code(p.key.element_code, p.key.raw_shape)
         if final is None:
-            final = prepared.key.raw_shape
-        tshape_value = self._t.tshape_index.pack(prepared.key.element_code, final)
-        index_bytes = self._primary_index_bytes(prepared.tr_value, tshape_value)
-        primary_key = self._t.keys.primary_key(index_bytes, traj.tid)
+            final = p.key.raw_shape
+        primary_key, secondary = self._keys(
+            p, self._t.tshape_index.pack(p.key.element_code, final)
+        )
         value = self._t.primary_table.get(primary_key)
         self._t.primary_table.delete(primary_key)
         if value is not None:
-            # Forget exactly what _write_row observed: the header keeps it.
+            # Forget exactly what _send observed: the header keeps it.
             header = self._t.serializer.decode_header(value)
             self._t.stats_builder.forget(header.mbr, header.time_range)
-        for name in self._t.config.secondary_indexes:
-            table = self._t.secondary_tables[name]
-            if name == "idt":
-                sec_key = self._t.keys.idt_key(traj.oid, prepared.tr_value, traj.tid)
-            else:
-                sec_key = self._t.keys.secondary_key(
-                    self._secondary_index_bytes(name, prepared, tshape_value),
-                    traj.tid,
-                )
-            table.delete(sec_key)
+        for name, key in secondary:
+            self._t.secondary_tables[name].delete(key)
         return value is not None
 
     def delete_by_id(self, oid: str, tid: str, time_range) -> bool:
@@ -323,42 +386,46 @@ class StorageWriter:
             mapping = self._t.encoder.encode(shapes)
             rows = self._collect_element_rows(element_code)
             self._t.index_cache.put_mapping(element_code, mapping)
-            for old_key, value in rows:
-                rewritten += self._rewrite_row(old_key, value, element_code, mapping)
+            for row in rows:
+                rewritten += self._rewrite_row(*row, element_code, mapping)
         return rewritten
 
-    def _collect_element_rows(self, element_code: int) -> list[tuple[bytes, bytes]]:
-        """Find the primary rows stored under one enlarged element."""
-        tshape = self._t.tshape_index
-        if self._t.config.primary_index == "tshape":
-            lo = encode_u64(tshape.pack(element_code, 0))
-            hi = encode_u64(tshape.pack(element_code + 1, 0))
-            rows: list[tuple[bytes, bytes]] = []
-            for shard in self._t.keys.all_shards():
-                start, stop = self._t.keys.primary_window(shard, lo, hi)
-                rows.extend(self._t.primary_table.scan(Scan(start, stop)))
-            return rows
-        # Other primaries scatter the element's rows; fall back to a full
-        # scan with recomputation (documented, used only by the update path).
-        rows = []
-        for key, value in self._t.primary_table.scan(Scan()):
-            stored = self._t.serializer.decode_trajectory(value)
-            k = self._t.tshape_index.index_trajectory(stored.trajectory)
-            if k.element_code == element_code:
-                rows.append((key, value))
-        return rows
+    def _collect_element_rows(self, element_code: int) -> list[tuple]:
+        """``(key, value, decoded row, TShape key)`` of every primary row
+        stored under one enlarged element, indexed chunk by chunk."""
+        scattered = self._t.config.primary_index != "tshape"
+        if not scattered:
+            lo = encode_u64(self._t.tshape_index.pack(element_code, 0))
+            hi = encode_u64(self._t.tshape_index.pack(element_code + 1, 0))
+            rows = itertools.chain.from_iterable(
+                self._t.primary_table.scan(Scan(*self._t.keys.primary_window(shard, lo, hi)))
+                for shard in self._t.keys.all_shards()
+            )
+        else:
+            # Other primaries scatter the element's rows; fall back to a full
+            # scan with recomputation (documented, used only by the update path).
+            rows = self._t.primary_table.scan(Scan())
+        decoded = (
+            (key, value, self._t.serializer.decode_trajectory(value)) for key, value in rows
+        )
+        out = []
+        for chunk in _point_chunks(decoded, lambda row: len(row[2].trajectory)):
+            keys = self._t.tshape_index.index_trajectories([row[2].trajectory for row in chunk])
+            out += [
+                (*row, k) for row, k in zip(chunk, keys)
+                if not scattered or k.element_code == element_code
+            ]
+        return out
 
     def _rewrite_row(
-        self, old_key: bytes, value: bytes, element_code: int, mapping: dict[int, int]
+        self, old_key: bytes, value: bytes, stored, key: TShapeKey, element_code: int,
+        mapping: dict[int, int],
     ) -> int:
-        stored = self._t.serializer.decode_trajectory(value)
-        key = self._t.tshape_index.index_trajectory(stored.trajectory)
         final = mapping.get(key.raw_shape)
         if final is None:  # pragma: no cover - mapping covers all element shapes
             return 0
-        tshape_value = self._t.tshape_index.pack(element_code, final)
-        index_bytes = self._primary_index_bytes(stored.tr_value, tshape_value)
-        new_key = self._t.keys.primary_key(index_bytes, stored.trajectory.tid)
+        p = _Prepared(stored.trajectory, stored.tr_value, key)
+        new_key, secondary = self._keys(p, self._t.tshape_index.pack(element_code, final))
         if new_key == old_key:
             return 0
         self._t.primary_table.delete(old_key)
@@ -367,24 +434,10 @@ class StorageWriter:
         # key) must be repointed; tshape/st secondary keys embed the shape
         # code, so the old secondary row is deleted and a fresh one written.
         old_index = self._t.keys.parse_primary(old_key).index_bytes
-        old_tshape_value = int.from_bytes(old_index[-8:], "big")
-        p = _Prepared(stored.trajectory, stored.tr_value, key)
-        for name in self._t.config.secondary_indexes:
+        _, old_secondary = self._keys(p, int.from_bytes(old_index[-8:], "big"))
+        for (name, sec_key), (_, old_sec_key) in zip(secondary, old_secondary):
             table = self._t.secondary_tables[name]
-            if name == "idt":
-                sec_key = self._t.keys.idt_key(
-                    stored.trajectory.oid, stored.tr_value, stored.trajectory.tid
-                )
-            else:
-                if name in ("tshape", "st"):
-                    old_sec_key = self._t.keys.secondary_key(
-                        self._secondary_index_bytes(name, p, old_tshape_value),
-                        stored.trajectory.tid,
-                    )
-                    table.delete(old_sec_key)
-                sec_key = self._t.keys.secondary_key(
-                    self._secondary_index_bytes(name, p, tshape_value),
-                    stored.trajectory.tid,
-                )
+            if old_sec_key != sec_key:
+                table.delete(old_sec_key)
             table.put(sec_key, new_key)
         return 1

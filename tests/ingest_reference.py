@@ -1,0 +1,94 @@
+"""Scalar reference kernels for the batched ingest encoders.
+
+These are the per-value / per-span implementations the write path ran
+before it was batched (simple8b's greedy ``_fits`` loop, count-prefixed
+LEB128, recursive Douglas-Peucker with one farthest-point search per
+span).  They live here, not under ``src/``, purely as the oracle the
+segmented kernels are checked against.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+_SELECTORS = [
+    (0, 240, 0), (1, 120, 0), (2, 60, 1), (3, 30, 2), (4, 20, 3), (5, 15, 4),
+    (6, 12, 5), (7, 10, 6), (8, 8, 7), (9, 7, 8), (10, 6, 10), (11, 5, 12),
+    (12, 4, 15), (13, 3, 20), (14, 2, 30), (15, 1, 60),
+]
+
+
+def simple8b_encode(values: list[int]) -> bytes:
+    for v in values:
+        if v < 0:
+            raise ValueError(f"simple8b values must be non-negative, got {v}")
+        if v > (1 << 60) - 1:
+            raise ValueError(f"value {v} exceeds 60 bits; pre-transform the stream")
+
+    def fits(start: int, count: int, bits: int) -> bool:
+        if start + count > len(values):
+            return False
+        return all(values[start + i] < (1 << bits) for i in range(count))
+
+    words = []
+    i = 0
+    while i < len(values):
+        for sel, count, bits in _SELECTORS:
+            if fits(i, count, bits):
+                word = sel << 60
+                for j in range(count if bits else 0):
+                    word |= values[i + j] << (j * bits)
+                words.append(word)
+                i += count
+                break
+    return struct.pack(">I", len(values)) + b"".join(struct.pack(">Q", w) for w in words)
+
+
+def varint_list(values: list[int]) -> bytes:
+    out = bytearray()
+    for v in [len(values), *values]:
+        while v >= 0x80:
+            out.append((v & 0x7F) | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def perpendicular_distance(
+    px: float, py: float, ax: float, ay: float, bx: float, by: float
+) -> float:
+    """Distance from point P to segment AB.
+
+    ``np.hypot`` on scalars: the same libm routine the kernel runs on arrays
+    (``math.hypot`` may round differently in the last place).
+    """
+    dx, dy = bx - ax, by - ay
+    seg_len_sq = dx * dx + dy * dy
+    if seg_len_sq == 0.0:
+        return np.hypot(px - ax, py - ay)
+    t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / seg_len_sq))
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def douglas_peucker(xs: list[float], ys: list[float], epsilon: float) -> list[int]:
+    """Kept indexes; the farthest point of a span is the first on ties."""
+    n = len(xs)
+    if n <= 2:
+        return list(range(n))
+    keep = {0, n - 1}
+    stack = [(0, n - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi <= lo + 1:
+            continue
+        best, best_idx = -1.0, lo
+        for i in range(lo + 1, hi):
+            d = perpendicular_distance(xs[i], ys[i], xs[lo], ys[lo], xs[hi], ys[hi])
+            if d > best:
+                best, best_idx = d, i
+        if best > epsilon:
+            keep.add(best_idx)
+            stack += [(lo, best_idx), (best_idx, hi)]
+    return sorted(keep)

@@ -166,6 +166,50 @@ def test_hinted_handoff_delivers_after_restart():
         pc.close()
 
 
+def _replica_rows(pc: ProcessCluster, node: str, store_id: str):
+    rows, done, _ = pc.client(node).call(rpc.OP_SCAN_PAGE, (store_id, None, None, 10_000))
+    assert done
+    return rows
+
+
+def test_put_batch_hints_every_row_and_rejoin_converges():
+    pc = ProcessCluster(
+        nodes=2, replication_factor=2, read_quorum=1, write_quorum=1, workers=2
+    )
+    try:
+        t = pc.create_table("batchy")
+        rows = _rows(60)
+        t.put_batch(rows[:20])
+        victim = pc.nodes[0]
+        pc.kill_node(victim)
+        # write_quorum=1: one PUT_BATCH is acknowledged by the survivor and
+        # every row of it is hinted to the dead replica.
+        t.put_batch(rows[20:])
+        assert pc.cluster_health()["nodes"][victim]["pending_hints"] == 40
+        assert list(t.scan(Scan(None, None))) == rows
+        pc.restart_node(victim)
+        assert pc.cluster_health()["nodes"][victim]["pending_hints"] == 0
+        replicas = [_replica_rows(pc, node, "batchy/region-0000") for node in pc.nodes]
+        assert replicas == [rows, rows]
+    finally:
+        pc.close()
+
+
+def test_put_batch_denied_without_write_quorum():
+    pc = ProcessCluster(
+        nodes=2, replication_factor=2, read_quorum=1, write_quorum=2, workers=2
+    )
+    try:
+        t = pc.create_table("batchwq")
+        t.put_batch(_rows(5))
+        pc.kill_node(pc.nodes[0])
+        with pytest.raises(NoQuorumError):
+            t.put_batch(_rows(10)[5:])
+        assert pc.cluster_health()["nodes"][pc.nodes[0]]["pending_hints"] == 0
+    finally:
+        pc.close()
+
+
 def test_add_node_rebalances_and_preserves_data():
     pc = ProcessCluster(
         nodes=2, replication_factor=2, read_quorum=1, write_quorum=2,
@@ -258,6 +302,14 @@ def test_query_types_bit_identical_across_modes(
 
 def test_row_counts_match_across_modes(thread_tman, process_tman):
     assert process_tman.row_count == thread_tman.row_count
+
+
+def test_bulk_loaded_tables_identical_across_modes(thread_tman, process_tman):
+    def contents(tman):
+        tables = [tman.primary_table, *tman.secondary_tables.values()]
+        return [list(table.scan(Scan())) for table in tables]
+
+    assert contents(process_tman) == contents(thread_tman)
 
 
 @pytest.fixture(scope="module")

@@ -32,11 +32,7 @@ from repro.compression.delta import (
     delta_of_delta_decode,
     delta_of_delta_encode,
 )
-from repro.compression.traj_codec import (
-    TrajectoryCodec,
-    decode_array_block,
-    encode_array_block,
-)
+from repro.compression.traj_codec import TrajectoryCodec, decode_array_block
 from repro.compression.varint import encode_varint_list
 from repro.compression.zigzag import zigzag_encode
 from repro.model.point import STPoint
@@ -165,7 +161,7 @@ def test_array_block_rejects_mismatched_lengths():
     ts = np.array([1.0, 2.0])
     xy = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        encode_array_block(ts, xy, xy)
+        TrajectoryCodec("columnar").encode_arrays(ts, xy, xy)
 
 
 def _trajectory(n, seed, duplicate_ts=False):

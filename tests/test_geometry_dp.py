@@ -49,13 +49,13 @@ class TestDouglasPeucker:
         pts = sorted(pts, key=lambda p: p.t)
         idxs = douglas_peucker(pts, eps)
         # Every dropped point must be within eps of its simplified segment.
-        from repro.geometry.dp import _perpendicular_distance
+        from tests.ingest_reference import perpendicular_distance
 
         for lo, hi in zip(idxs, idxs[1:]):
             ax, ay = pts[lo].xy
             bx, by = pts[hi].xy
             for i in range(lo + 1, hi):
-                assert _perpendicular_distance(pts[i].lng, pts[i].lat, ax, ay, bx, by) <= eps + 1e-12
+                assert perpendicular_distance(pts[i].lng, pts[i].lat, ax, ay, bx, by) <= eps + 1e-12
 
 
 class TestDPFeature:
