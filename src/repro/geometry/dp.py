@@ -10,14 +10,16 @@ candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
-from repro.model.pointblock import coord_arrays
+from repro.model.pointblock import PointBlock, coord_arrays
 
 
 def dp_keep_mask(xs: np.ndarray, ys: np.ndarray, offsets, epsilon: float) -> np.ndarray:
@@ -107,48 +109,52 @@ class DPFeature:
     - Any raw point of span i lies inside ``span_boxes[i]``, so the distance
       from an external point to the span is bounded below by the distance to
       the box, and above by the distance to the box's farthest corner.
+
+    The feature is stored as columns of python floats — ``rep_columns`` (t,
+    lng, lat of each representative) and ``box_columns`` (x1, y1, x2, y2 of
+    each span box) — which the bounds read directly; the ``rep_points`` /
+    ``span_boxes`` object views are built on first access.
     """
 
-    rep_points: tuple[STPoint, ...]
     rep_indexes: tuple[int, ...]
-    span_boxes: tuple[MBR, ...]
+    rep_columns: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    box_columns: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+
+    @cached_property
+    def rep_points(self) -> tuple[STPoint, ...]:
+        return tuple(STPoint(t, x, y) for t, x, y in zip(*self.rep_columns))
+
+    @cached_property
+    def span_boxes(self) -> tuple[MBR, ...]:
+        return tuple(MBR(*box) for box in zip(*self.box_columns))
 
     @property
     def mbr(self) -> MBR:
-        """Mbr."""
-        box = self.span_boxes[0]
-        for other in self.span_boxes[1:]:
-            box = box.union_hull(other)
-        return box
+        """The union of the span boxes."""
+        x1, y1, x2, y2 = self.box_columns
+        return MBR(min(x1), min(y1), max(x2), max(y2))
 
-    @property
+    @cached_property
     def box_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x1, y1, x2, y2) columns over span boxes, built once and cached."""
-        cached = getattr(self, "_box_arrays", None)
-        if cached is None:
-            cached = (
-                np.fromiter((b.x1 for b in self.span_boxes), dtype=np.float64),
-                np.fromiter((b.y1 for b in self.span_boxes), dtype=np.float64),
-                np.fromiter((b.x2 for b in self.span_boxes), dtype=np.float64),
-                np.fromiter((b.y2 for b in self.span_boxes), dtype=np.float64),
-            )
-            object.__setattr__(self, "_box_arrays", cached)
-        return cached
+        """(x1, y1, x2, y2) float64 arrays over span boxes, built once."""
+        return tuple(np.array(self.box_columns, dtype=np.float64))
 
     def min_distance_to_point(self, x: float, y: float) -> float:
         """Lower bound on the distance from (x, y) to any raw point."""
-        return min(box.min_distance_point(x, y) for box in self.span_boxes)
+        return min(
+            math.hypot(max(x1 - x, x - x2, 0.0), max(y1 - y, y - y2, 0.0))
+            for x1, y1, x2, y2 in zip(*self.box_columns)
+        )
 
 
 def extract_dp_feature(points: Sequence[STPoint], epsilon: float) -> DPFeature:
     """Compute the DP-feature of a raw point sequence."""
     if not len(points):
         raise ValueError("cannot extract DP-features from zero points")
-    xs, ys = coord_arrays(points)
-    reps, _, boxes = dp_feature_columns(xs, ys, (0, len(xs)), epsilon)
-    idxs = reps.tolist()
+    block = PointBlock.from_points(getattr(points, "block", points))
+    reps, _, boxes = dp_feature_columns(block.xs, block.ys, (0, len(block)), epsilon)
     return DPFeature(
-        tuple(points[i] for i in idxs),
-        tuple(idxs),
-        tuple(MBR(*box) for box in zip(*(col.tolist() for col in boxes))),
+        tuple(reps.tolist()),
+        tuple(tuple(col[reps].tolist()) for col in (block.ts, block.xs, block.ys)),
+        tuple(tuple(col.tolist()) for col in boxes),
     )

@@ -77,19 +77,25 @@ class SpatialFilter(Filter):
             return True
 
         feature = RowSerializer.decode_feature(value, header)
-        touching = [b for b in feature.span_boxes if b.intersects(self.window)]
+        wx1, wy1, wx2, wy2 = self.window.as_tuple()
+        touching = [
+            (x1, y1, x2, y2)
+            for x1, y1, x2, y2 in zip(*feature.box_columns)
+            if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2
+        ]
         if not touching:
             # The polyline lives inside the span boxes; none touch the window.
             self.decided_by_feature += 1
             return False
-        if any(self.window.contains(b) for b in touching) or any(
-            self.window.contains_point(p.lng, p.lat) for p in feature.rep_points
-        ):
+        _, rep_xs, rep_ys = feature.rep_columns
+        if any(
+            wx1 <= x1 and x2 <= wx2 and wy1 <= y1 and y2 <= wy2 for x1, y1, x2, y2 in touching
+        ) or any(wx1 <= x <= wx2 and wy1 <= y <= wy2 for x, y in zip(rep_xs, rep_ys)):
             self.decided_by_feature += 1
             return True
 
         self.decided_by_points += 1
-        block = self._serializer.decode_trajectory(value).trajectory.block
+        block = self._serializer.decode_trajectory(value, header).trajectory.block
         if polyline_intersects_rect_arrays(block.xs, block.ys, self.window):
             return True
         # Decoded coordinates are quantized; a polyline grazing the window
@@ -153,5 +159,5 @@ class SimilarityFilter(Filter):
                 return True
 
         self.exact_computations += 1
-        stored = self._serializer.decode_trajectory(value)
+        stored = self._serializer.decode_trajectory(value, header)
         return self._distance(self.query_points, stored.trajectory.block) <= self.threshold

@@ -360,12 +360,12 @@ class PointDistanceRefine(Operator):
                 continue
             profile = current_profile()
             if profile is None:
-                stored = self.serializer.decode_trajectory(value)
+                stored = self.serializer.decode_trajectory(value, header)
                 block = stored.trajectory.block
                 d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
             else:
                 t0 = perf_counter()
-                stored = self.serializer.decode_trajectory(value)
+                stored = self.serializer.decode_trajectory(value, header)
                 t1 = perf_counter()
                 block = stored.trajectory.block
                 d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
@@ -421,11 +421,11 @@ class SimilarityRefine(Operator):
                 continue
             profile = current_profile()
             if profile is None:
-                stored = self.serializer.decode_trajectory(value)
+                stored = self.serializer.decode_trajectory(value, header)
                 d = self.distance(self.query_points, stored.trajectory.block)
             else:
                 t0 = perf_counter()
-                stored = self.serializer.decode_trajectory(value)
+                stored = self.serializer.decode_trajectory(value, header)
                 t1 = perf_counter()
                 d = self.distance(self.query_points, stored.trajectory.block)
                 profile.add(

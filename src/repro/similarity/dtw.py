@@ -2,10 +2,11 @@
 
 Same diagonal-wavefront scheme as :mod:`repro.similarity.frechet`: the
 band-constrained O(n·m) program collapses to ``n + m - 1`` numpy slice
-steps.  Out-of-band and off-grid neighbors read as +inf via the shared
-``diag_window`` helper, which reproduces the reference implementation's
-borders exactly (the lone special case is the origin cell, whose cost is
-just its own point distance).
+steps over three reused antidiagonal rows.  Out-of-band and off-grid
+neighbors read as +inf because the cells just outside every diagonal's
+rows (an empty diagonal's included) are reset each step, which reproduces
+the reference implementation's borders exactly; the origin cell reads the
+virtual ``D[-1, -1] = 0``, so its cost is just its own point distance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from repro.model.point import STPoint
 from repro.model.pointblock import coord_arrays
-from repro.similarity.frechet import diag_window
+from repro.similarity.frechet import wavefront
+
+_INF = float("inf")
 
 
 def dtw_distance(
@@ -36,9 +39,7 @@ def dtw_distance(
     bxr = bx[::-1]
     byr = by[::-1]
 
-    prev: Optional[np.ndarray] = None
-    prev2: Optional[np.ndarray] = None
-    prev_lo = prev2_lo = 0
+    prev2, prev, cur, dx, dy = wavefront(n)
     for k in range(n + m - 1):
         lo = max(0, k - m + 1)
         hi = min(k, n - 1)
@@ -46,27 +47,16 @@ def dtw_distance(
             # band |i - j| <= w on the diagonal: i in [ceil((k-w)/2), floor((k+w)/2)]
             lo = max(lo, (k - w + 1) // 2)
             hi = min(hi, (k + w) // 2)
-        if lo > hi:
-            cur: Optional[np.ndarray] = None
-        else:
+        if lo <= hi:
             off = m - 1 - k
-            d = np.hypot(
-                ax[lo : hi + 1] - bxr[off + lo : off + hi + 1],
-                ay[lo : hi + 1] - byr[off + lo : off + hi + 1],
-            )
-            if k == 0:
-                cur = d
-            else:
-                best = np.minimum(
-                    np.minimum(
-                        diag_window(prev, prev_lo, lo - 1, hi - 1),  # D[i-1, j]
-                        diag_window(prev, prev_lo, lo, hi),          # D[i, j-1]
-                    ),
-                    diag_window(prev2, prev2_lo, lo - 1, hi - 1),    # D[i-1, j-1]
-                )
-                cur = d + best
-        prev2, prev2_lo = prev, prev_lo
-        prev, prev_lo = cur, lo
-    if prev is None or not len(prev):
-        return float("inf")
-    return float(prev[-1])
+            c = cur[lo + 1 : hi + 2]
+            d = dx[: hi - lo + 1]
+            np.subtract(ax[lo : hi + 1], bxr[off + lo : off + hi + 1], out=d)
+            np.subtract(ay[lo : hi + 1], byr[off + lo : off + hi + 1], out=dy[: hi - lo + 1])
+            np.hypot(d, dy[: hi - lo + 1], out=d)
+            np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2], out=c)  # D[i-1, j], D[i, j-1]
+            np.minimum(c, prev2[lo : hi + 1], out=c)                     # D[i-1, j-1]
+            np.add(d, c, out=c)
+        cur[lo] = cur[hi + 2] = _INF
+        prev2, prev, cur = prev, cur, prev2
+    return float(prev[n])

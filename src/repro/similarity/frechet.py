@@ -5,11 +5,17 @@ on antidiagonals ``k-1`` and ``k-2``, so the O(n·m) dynamic program runs in
 ``n + m - 1`` python iterations whose bodies are numpy slice operations.
 Per-cell arithmetic (``max(d, min(up, left, diag))``) is order-independent,
 so results are bit-identical to the row-by-row reference implementation.
+
+The three live antidiagonals are rows of one reused ``(3, n + 2)`` buffer:
+slot ``i + 1`` holds row ``i``, so the neighbours of rows ``lo..hi`` are
+plain slices, and the cells just outside each diagonal's rows are reset to
++inf every step, which makes every border fall out of the generic
+recurrence.  :mod:`repro.similarity.dtw` runs the same wavefront.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,20 +25,14 @@ from repro.model.pointblock import coord_arrays
 _INF = float("inf")
 
 
-def diag_window(vals: Optional[np.ndarray], vals_lo: int, lo: int, hi: int) -> np.ndarray:
-    """Values of a previous antidiagonal for cell rows lo..hi, +inf padded.
-
-    ``vals`` holds one value per cell of that diagonal starting at row
-    ``vals_lo``; rows outside it (off-grid or out-of-band) read as +inf,
-    which makes every border case fall out of the generic recurrence.
-    """
-    out = np.full(hi - lo + 1, _INF)
-    if vals is not None and len(vals):
-        s = max(lo, vals_lo)
-        e = min(hi, vals_lo + len(vals) - 1)
-        if s <= e:
-            out[s - lo : e - lo + 1] = vals[s - vals_lo : e - vals_lo + 1]
-    return out
+def wavefront(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rolling buffers for an ``n``-row wavefront: diagonals ``k-2``, ``k-1``
+    and ``k`` (+inf, except the virtual ``D[-1, -1] = 0`` that seeds the
+    origin cell), and two length-``n`` scratch rows for the distances."""
+    prev2, prev, cur = np.full((3, n + 2), _INF)
+    prev2[0] = 0.0
+    dx, dy = np.empty((2, n))
+    return prev2, prev, cur, dx, dy
 
 
 def frechet_distance(a: Sequence[STPoint], b: Sequence[STPoint]) -> float:
@@ -51,28 +51,19 @@ def frechet_distance(a: Sequence[STPoint], b: Sequence[STPoint]) -> float:
     bxr = bx[::-1]
     byr = by[::-1]
 
-    prev: Optional[np.ndarray] = None
-    prev2: Optional[np.ndarray] = None
-    prev_lo = prev2_lo = 0
+    prev2, prev, cur, dx, dy = wavefront(n)
     for k in range(n + m - 1):
         lo = max(0, k - m + 1)
         hi = min(k, n - 1)
         off = m - 1 - k
-        d = np.hypot(
-            ax[lo : hi + 1] - bxr[off + lo : off + hi + 1],
-            ay[lo : hi + 1] - byr[off + lo : off + hi + 1],
-        )
-        if k == 0:
-            cur = d
-        else:
-            reach = np.minimum(
-                np.minimum(
-                    diag_window(prev, prev_lo, lo - 1, hi - 1),  # D[i-1, j]
-                    diag_window(prev, prev_lo, lo, hi),          # D[i, j-1]
-                ),
-                diag_window(prev2, prev2_lo, lo - 1, hi - 1),    # D[i-1, j-1]
-            )
-            cur = np.maximum(d, reach)
-        prev2, prev2_lo = prev, prev_lo
-        prev, prev_lo = cur, lo
-    return float(prev[-1])
+        c = cur[lo + 1 : hi + 2]
+        d = dx[: hi - lo + 1]
+        np.subtract(ax[lo : hi + 1], bxr[off + lo : off + hi + 1], out=d)
+        np.subtract(ay[lo : hi + 1], byr[off + lo : off + hi + 1], out=dy[: hi - lo + 1])
+        np.hypot(d, dy[: hi - lo + 1], out=d)
+        np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2], out=c)  # D[i-1, j], D[i, j-1]
+        np.minimum(c, prev2[lo : hi + 1], out=c)                     # D[i-1, j-1]
+        np.maximum(d, c, out=c)
+        cur[lo] = cur[hi + 2] = _INF
+        prev2, prev, cur = prev, cur, prev2
+    return float(prev[n])

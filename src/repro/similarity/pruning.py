@@ -36,7 +36,7 @@ import numpy as np
 from repro.geometry.dp import DPFeature
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
-from repro.model.pointblock import coord_arrays
+from repro.model.pointblock import PointBlock, coord_arrays
 
 
 def mbr_lower_bound(a: MBR, b: MBR) -> float:
@@ -77,11 +77,11 @@ def _max_span_diameter(feature: DPFeature) -> float:
     so the bound stays tight when the representatives are the whole
     trajectory.
     """
+    idx = feature.rep_indexes
     worst = 0.0
-    for i, box in enumerate(feature.span_boxes):
-        lo, hi = feature.rep_indexes[i], feature.rep_indexes[i + 1]
+    for lo, hi, x1, y1, x2, y2 in zip(idx, idx[1:], *feature.box_columns):
         if hi > lo + 1:
-            worst = max(worst, math.hypot(box.width, box.height))
+            worst = max(worst, math.hypot(x2 - x1, y2 - y1))
     return worst
 
 
@@ -97,5 +97,5 @@ def dp_upper_bound(
     representatives extends to the raw sequence with at most that much extra
     distance per pair.
     """
-    base = distance_fn(points_a, feature_b.rep_points)
-    return base + _max_span_diameter(feature_b)
+    reps = PointBlock(*feature_b.rep_columns, validate=False)
+    return distance_fn(points_a, reps) + _max_span_diameter(feature_b)

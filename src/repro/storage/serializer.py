@@ -43,15 +43,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.compression.columnar import (
-    decode_signed_stream,
-    delta_decode_array,
     delta_encode_array,
-    varint_decode_array,
     varint_encode_segments,
     zigzag_encode_array,
 )
@@ -60,11 +58,10 @@ from repro.compression.traj_codec import (
     TIME_SCALE,
     TrajectoryCodec,
 )
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import encode_varint
 from repro.geometry.dp import DPFeature, dp_feature_columns
 from repro.kvstore.errors import CorruptionError
 from repro.model.mbr import MBR
-from repro.model.point import STPoint
 from repro.model.pointblock import PointBlock
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -163,87 +160,49 @@ class RowSerializer:
         if buf[1] not in SUPPORTED_VERSIONS:
             raise CorruptionError(f"unsupported row version {buf[1]}")
         t_start, t_end, x1, y1, x2, y2 = _HEADER.unpack_from(buf, 2)
-        pos = 2 + _HEADER.size
-        tr_value, pos = decode_varint(buf, pos)
-        n, pos = decode_varint(buf, pos)
-        oid = buf[pos : pos + n].decode("utf-8")
-        pos += n
-        n, pos = decode_varint(buf, pos)
-        tid = buf[pos : pos + n].decode("utf-8")
-        pos += n
+        tr_value, pos = _read_varint(buf, 2 + _HEADER.size)
+        oid, pos = _read_text(buf, pos)
+        tid, pos = _read_text(buf, pos)
         return RowHeader(
             TimeRange(t_start, t_end), MBR(x1, y1, x2, y2), tr_value, oid, tid,
             pos, buf[1],
         )
 
     @staticmethod
-    def _decode_feature_at_v1(buf: bytes, pos: int) -> tuple[DPFeature, int]:
-        n_reps, pos = decode_varint(buf, pos)
-        indexes = []
-        for _ in range(n_reps):
-            idx, pos = decode_varint(buf, pos)
-            indexes.append(idx)
-        reps = []
-        for _ in range(n_reps):
-            t, lng, lat = struct.unpack_from(">ddd", buf, pos)
-            pos += 24
-            reps.append(STPoint(t, lng, lat))
-        boxes = []
-        for _ in range(max(0, n_reps - 1)):
-            x1, y1, x2, y2 = struct.unpack_from(">dddd", buf, pos)
-            pos += 32
-            boxes.append(MBR(x1, y1, x2, y2))
-        return DPFeature(tuple(reps), tuple(indexes), tuple(boxes)), pos
-
-    @staticmethod
-    def _skip_feature_v1(buf: bytes, pos: int) -> int:
-        n_reps, pos = decode_varint(buf, pos)
-        for _ in range(n_reps):
-            _, pos = decode_varint(buf, pos)
-        return pos + 24 * n_reps + 32 * max(0, n_reps - 1)
-
-    @staticmethod
     def decode_feature(buf: bytes, header: Optional[RowHeader] = None) -> DPFeature:
         """Decode the DP-features without touching the points blob."""
         if header is None:
             header = RowSerializer.decode_header(buf)
-        if header.version == 1:
-            feature, _ = RowSerializer._decode_feature_at_v1(buf, header.body_offset)
-        else:
-            _, pos = decode_varint(buf, header.body_offset)
-            feature, _ = _decode_feature_v2(buf, pos)
-        return feature
+        return _decode_feature(buf, header)[0]
 
     def decode(self, buf: bytes) -> StoredTrajectory:
         """Fully decode a row back into a trajectory."""
         header = self.decode_header(buf)
-        if header.version == 1:
-            feature, pos = self._decode_feature_at_v1(buf, header.body_offset)
-        else:
-            feat_len, pos = decode_varint(buf, header.body_offset)
-            feature, _ = _decode_feature_v2(buf, pos)
-            pos += feat_len
-        traj = self._decode_trajectory_at(buf, pos, header)
-        return StoredTrajectory(traj, header.tr_value, feature)
+        feature, end = _decode_feature(buf, header)
+        return StoredTrajectory(self._decode_points_at(buf, end, header), header.tr_value, feature)
 
-    def decode_trajectory(self, buf: bytes) -> StoredTrajectory:
+    def decode_trajectory(
+        self, buf: bytes, header: Optional[RowHeader] = None
+    ) -> StoredTrajectory:
         """Decode identity + points, skipping the DP-feature section.
 
         The row-decode hot path for range queries, which never consult
-        features after push-down.  ``feature`` is ``None`` in the result.
+        features after push-down.  ``feature`` is ``None`` in the result;
+        pass ``header`` when the caller has already decoded it.
         """
-        header = self.decode_header(buf)
-        if header.version == 1:
-            pos = self._skip_feature_v1(buf, header.body_offset)
-        else:
-            feat_len, pos = decode_varint(buf, header.body_offset)
-            pos += feat_len
-        traj = self._decode_trajectory_at(buf, pos, header)
-        return StoredTrajectory(traj, header.tr_value, None)
+        if header is None:
+            header = self.decode_header(buf)
+        _, end = _feature_span(buf, header)
+        return StoredTrajectory(self._decode_points_at(buf, end, header), header.tr_value, None)
 
-    def _decode_trajectory_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
-        blob_len, pos = decode_varint(buf, pos)
-        ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
+    def _decode_points_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
+        blob_len, pos = _read_varint(buf, pos)
+        if pos + blob_len > len(buf):
+            raise CorruptionError("point blob runs past the end of the row")
+        try:
+            ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
+        except (ValueError, IndexError, struct.error) as exc:
+            raise CorruptionError(f"corrupt point blob: {exc}") from exc
         points = PointBlock(ts, xs, ys, validate=False)
         return Trajectory(header.oid, header.tid, points)
 
@@ -293,28 +252,99 @@ def _encode_features(ts, xs, ys, offsets, epsilon: float) -> list[bytes]:
     return out
 
 
-def _decode_feature_v2(buf: bytes, pos: int) -> tuple[DPFeature, int]:
-    n_reps, pos = decode_varint(buf, pos)
-    raw_idx, pos = varint_decode_array(buf, pos)
-    idx = delta_decode_array(raw_idx.astype(np.int64))
-    streams = []
-    for _ in range(7):
-        vals, pos = decode_signed_stream(buf, pos)
-        streams.append(delta_decode_array(vals))
-    rt = streams[0] / float(TIME_SCALE)
-    rx = streams[1] / float(COORD_SCALE)
-    ry = streams[2] / float(COORD_SCALE)
-    bx1, by1, bx2, by2 = (s / float(COORD_SCALE) for s in streams[3:7])
-    if not (len(idx) == len(rt) == len(rx) == len(ry) == n_reps):
-        raise CorruptionError("corrupt v2 feature section")
-    reps = tuple(
-        STPoint(t, x, y) for t, x, y in zip(rt.tolist(), rx.tolist(), ry.tolist())
+def _feature_span(buf: bytes, header: RowHeader) -> tuple[int, int]:
+    """``(start, end)`` of the row's feature section (v1: from its counts)."""
+    if header.version == 1:
+        start = header.body_offset
+        n_reps, pos = _read_varint(buf, start)
+        for _ in range(n_reps):
+            _, pos = _read_varint(buf, pos)
+        end = pos + 24 * n_reps + 32 * max(0, n_reps - 1)
+    else:
+        feat_len, start = _read_varint(buf, header.body_offset)
+        end = start + feat_len
+    if end > len(buf):
+        raise CorruptionError("feature section runs past the end of the row")
+    return start, end
+
+
+def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
+    """The row's DP-feature and where its feature section ends."""
+    start, end = _feature_span(buf, header)
+    if header.version == 1:
+        return _decode_feature_v1(buf, start), end
+    return _decode_feature_v2(buf, start, end), end
+
+
+_SCALES = (float(TIME_SCALE),) + (float(COORD_SCALE),) * 6  # rep t/x/y, box x1/y1/x2/y2
+
+
+def _decode_feature_v2(buf: bytes, start: int, end: int) -> DPFeature:
+    """The feature section ``buf[start:end]`` in one LEB128 pass: every value
+    in it, then ``n_reps`` and the eight count-prefixed streams sliced out."""
+    vals = []
+    value = shift = 0
+    for byte in buf[start:end]:
+        if byte < 0x80:
+            vals.append(value | byte << shift)
+            value = shift = 0
+        else:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise CorruptionError("varint longer than 10 bytes in feature section")
+    if shift or not vals:
+        raise CorruptionError("truncated feature section")
+    n_reps = vals[0]
+    streams, at = [], 1
+    for count in (n_reps,) * 4 + (n_reps - 1,) * 4:
+        if vals[at : at + 1] != [count]:
+            raise CorruptionError("corrupt v2 feature section: stream count mismatch")
+        streams.append(vals[at + 1 : at + 1 + count])
+        at += 1 + count
+    if at != len(vals):
+        raise CorruptionError("corrupt v2 feature section: stream runs past feat_len")
+    t, x, y, x1, y1, x2, y2 = (
+        tuple([v / scale for v in accumulate([(u >> 1) ^ -(u & 1) for u in stream])])
+        for stream, scale in zip(streams[1:], _SCALES)
     )
-    boxes = tuple(
-        MBR(x1, y1, x2, y2)
-        for x1, y1, x2, y2 in zip(bx1.tolist(), by1.tolist(),
-                                  bx2.tolist(), by2.tolist())
+    return DPFeature(tuple(accumulate(streams[0])), (t, x, y), (x1, y1, x2, y2))
+
+
+def _decode_feature_v1(buf: bytes, pos: int) -> DPFeature:
+    """A v1 feature section (bounds already checked by ``_feature_span``)."""
+    n_reps, pos = _read_varint(buf, pos)
+    indexes = []
+    for _ in range(n_reps):
+        idx, pos = _read_varint(buf, pos)
+        indexes.append(idx)
+    reps = struct.unpack_from(f">{3 * n_reps}d", buf, pos)
+    n_boxes = max(0, n_reps - 1)
+    boxes = struct.unpack_from(f">{4 * n_boxes}d", buf, pos + 24 * n_reps)
+    return DPFeature(
+        tuple(indexes),
+        tuple(reps[k::3] for k in range(3)),
+        tuple(boxes[k::4] for k in range(4)),
     )
-    feature = DPFeature(reps, tuple(int(i) for i in idx), boxes)
-    object.__setattr__(feature, "_box_arrays", (bx1, by1, bx2, by2))
-    return feature, pos
+
+
+def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
+    """One LEB128 value at ``pos``; a truncated or overlong one is corruption."""
+    if pos < len(buf) and buf[pos] < 0x80:  # the common one-byte value
+        return buf[pos], pos + 1
+    value = shift = 0
+    for at in range(pos, min(len(buf), pos + 10)):
+        byte = buf[at]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, at + 1
+        shift += 7
+    raise CorruptionError("truncated or overlong varint in row")
+
+
+def _read_text(buf: bytes, pos: int) -> tuple[str, int]:
+    """A varint-length-prefixed utf-8 string at ``pos``."""
+    n, pos = _read_varint(buf, pos)
+    if pos + n > len(buf):
+        raise CorruptionError("row id runs past the end of the row")
+    return buf[pos : pos + n].decode("utf-8"), pos + n

@@ -1,10 +1,10 @@
-"""Scalar reference kernels for the batched ingest encoders.
+"""Reference kernels for the row codec's batched encoders and one-pass decoder.
 
-These are the per-value / per-span implementations the write path ran
-before it was batched (simple8b's greedy ``_fits`` loop, count-prefixed
-LEB128, recursive Douglas-Peucker with one farthest-point search per
-span).  They live here, not under ``src/``, purely as the oracle the
-segmented kernels are checked against.
+These are the implementations the row codec ran before it was batched
+(simple8b's greedy ``_fits`` loop, count-prefixed LEB128, recursive
+Douglas-Peucker with one farthest-point search per span) and the numpy
+v2 feature decoder that ran one array pass per stream.  They live here,
+not under ``src/``, purely as the oracle the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -12,6 +12,16 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from repro.compression.columnar import (
+    decode_signed_stream,
+    delta_decode_array,
+    varint_decode_array,
+)
+from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
+from repro.compression.varint import decode_varint
+from repro.model.mbr import MBR
+from repro.model.point import STPoint
 
 _SELECTORS = [
     (0, 240, 0), (1, 120, 0), (2, 60, 1), (3, 30, 2), (4, 20, 3), (5, 15, 4),
@@ -92,3 +102,29 @@ def douglas_peucker(xs: list[float], ys: list[float], epsilon: float) -> list[in
             keep.add(best_idx)
             stack += [(lo, best_idx), (best_idx, hi)]
     return sorted(keep)
+
+
+def decode_feature_v2(buf: bytes, pos: int):
+    """The v2 feature section at ``pos`` (just past ``feat_len``), decoded
+    one numpy stream at a time: ``(rep_points, rep_indexes, span_boxes,
+    box_arrays)`` exactly as the pre-columnar ``DPFeature`` held them."""
+    n_reps, pos = decode_varint(buf, pos)
+    raw_idx, pos = varint_decode_array(buf, pos)
+    idx = delta_decode_array(raw_idx.astype(np.int64))
+    streams = []
+    for _ in range(7):
+        vals, pos = decode_signed_stream(buf, pos)
+        streams.append(delta_decode_array(vals))
+    rt = streams[0] / float(TIME_SCALE)
+    rx = streams[1] / float(COORD_SCALE)
+    ry = streams[2] / float(COORD_SCALE)
+    bx1, by1, bx2, by2 = (s / float(COORD_SCALE) for s in streams[3:7])
+    assert len(idx) == len(rt) == len(rx) == len(ry) == n_reps
+    reps = tuple(
+        STPoint(t, x, y) for t, x, y in zip(rt.tolist(), rx.tolist(), ry.tolist())
+    )
+    boxes = tuple(
+        MBR(x1, y1, x2, y2)
+        for x1, y1, x2, y2 in zip(bx1.tolist(), by1.tolist(), bx2.tolist(), by2.tolist())
+    )
+    return reps, tuple(int(i) for i in idx), boxes, (bx1, by1, bx2, by2)

@@ -198,3 +198,19 @@ class TestKernelsMatchReference:
                 want = oracle(points_a, points_b)
                 assert vectorized(a, b) == want, (n, m)
                 assert vectorized(points_a, points_b) == want, (n, m)
+
+    @pytest.mark.parametrize("window", [0, 1, 5])
+    @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([1, 9]))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_dtw_band_bit_identical(self, window, seed, decimals):
+        """Band edges are where the rolling buffer's reset cells are read;
+        lengths 1..3 and 17 vs 2 make ``|n - m| > window`` (the band widens
+        to it), and even ``window=0`` leaves every odd diagonal empty."""
+        rng = np.random.default_rng(seed)
+        for n, m in ((1, 1), (1, 3), (3, 1), (2, 3), (7, 7), (17, 2), (2, 17), (9, 14),
+                     (40, 33)):
+            xs, ys = np.round(rng.normal(0, 0.1, (2, n + m)).cumsum(axis=1), decimals)
+            a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n], validate=False)
+            b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:], validate=False)
+            want = reference.dtw_reference(list(a), list(b), window=window)
+            assert dtw_distance(a, b, window=window) == want, (n, m)
