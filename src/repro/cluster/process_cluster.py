@@ -43,6 +43,7 @@ from repro.cluster.replication import DEFAULT_PAGE_ROWS, ReplicatedStore
 from repro.cluster.ring import ConsistentHashRing
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.errors import ReplicaDownError
+from repro.kvstore.scan import Window, windows_after
 
 STATE_UP = 2
 STATE_STALE = 1
@@ -279,14 +280,14 @@ class ProcessCluster(Cluster):
         """Stream a store's live rows from one node to another."""
         src = self.client(source)
         dst = self.client(target)
-        position: Optional[bytes] = None
-        while True:
+        windows: list[Window] = [(None, None)]
+        while windows:
             rows, done, _expired = src.call(
-                rpc.OP_SCAN_PAGE, (store_id, position, None, self.page_rows)
+                rpc.OP_SCAN_PAGE, (store_id, windows, self.page_rows)
             )
             if rows:
                 dst.call(rpc.OP_PUT_BATCH, (store_id, rows))
-                position = rows[-1][0] + b"\x00"
+                windows = windows_after(windows, rows[-1][0])
             if done:
                 return
 

@@ -23,9 +23,10 @@ Consistency model (simpler than Dynamo's because the coordinator is the
   :class:`~repro.kvstore.errors.NoQuorumError`.  With ``read_quorum >= 2``
   every scan page is digest-checked against the other fresh replicas
   (Cassandra-style: they ship a CRC, not the rows).
-- **Failover**: scan pages are stateless (resume key travels with the
-  request), so when the serving replica dies mid-scan the next page is
-  fetched from another fresh replica and the row stream is byte-identical.
+- **Failover**: scan pages are stateless (the region's window list,
+  trimmed to after the last delivered key, travels with each request),
+  so when the serving replica dies mid-scan the next page is fetched
+  from another fresh replica and the row stream is byte-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.cluster.metrics import (
 from repro.cluster.worker import _page_digest
 from repro.kvstore.errors import NoQuorumError, ReplicaDownError
 from repro.kvstore.memtable import TOMBSTONE
+from repro.kvstore.scan import Window, windows_after
 from repro.runtime.deadline import Deadline
 
 DEFAULT_PAGE_ROWS = 512
@@ -66,7 +68,7 @@ class ReplicaRouter(Protocol):
 class ReplicatedStore:
     """One region's replicated key/value engine (coordinator side)."""
 
-    # Region._store_scan passes the query deadline through to scan().
+    # Region._store_scan passes the query deadline through to scan_windows().
     accepts_deadline = True
 
     def __init__(self, store_id: str, router: ReplicaRouter):
@@ -187,18 +189,26 @@ class ReplicatedStore:
         stop: Optional[bytes] = None,
         deadline: Optional[Deadline] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Ordered range scan, streamed in stateless pages.
+        """Ordered range scan: a one-window :meth:`scan_windows`."""
+        return self.scan_windows([(start, stop)], deadline)
 
-        Pages come from the first fresh replica; a replica dying
-        mid-scan fails the *page*, not the scan — the resume key makes
-        the next page (from the next fresh replica) continue the exact
-        row stream.  Deadline expiry worker-side truncates the page and
-        surfaces here as :class:`QueryTimeoutError` via ``deadline.check``.
+    def scan_windows(
+        self, windows: Sequence[Window], deadline: Optional[Deadline] = None
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Ordered rows of sorted, disjoint ``windows``, streamed in stateless pages.
+
+        One ``SCAN_PAGE`` carries the whole window list.  Pages come from
+        the first fresh replica; a replica dying mid-scan fails the
+        *page*, not the scan — the window list, trimmed to after the last
+        delivered key, makes the next page (from the next fresh replica)
+        continue the exact row stream.  Deadline expiry worker-side
+        truncates the page and surfaces here as :class:`QueryTimeoutError`
+        via ``deadline.check``.
         """
         self._require_read_quorum("scan")
         page_rows = self._router.page_rows
-        position = start
-        while True:
+        windows = list(windows)
+        while windows:
             fresh = self._require_read_quorum("scan")
             rows = done = expired = None
             for i, node in enumerate(fresh):
@@ -207,14 +217,14 @@ class ReplicatedStore:
                 try:
                     rows, done, expired = self._router.client(node).call(
                         rpc.OP_SCAN_PAGE,
-                        (self.store_id, position, stop, page_rows),
+                        (self.store_id, windows, page_rows),
                         deadline=deadline,
                     )
                 except ReplicaDownError:
                     self._router.mark_down(node)
                     continue
                 if self._router.read_quorum >= 2 and rows:
-                    self._verify_page(fresh, node, position, stop, rows)
+                    self._verify_page(fresh, node, windows, rows)
                 break
             if rows is None:
                 QUORUM_DENIED_TOTAL.labels(op="scan").inc()
@@ -231,14 +241,13 @@ class ReplicatedStore:
             if done:
                 return
             if rows:
-                position = rows[-1][0] + b"\x00"
+                windows = windows_after(windows, rows[-1][0])
 
     def _verify_page(
         self,
         fresh: list[str],
         served_by: str,
-        start: Optional[bytes],
-        stop: Optional[bytes],
+        windows: list[Window],
         rows: list[tuple[bytes, bytes]],
     ) -> None:
         """Digest-check one page against the other fresh replicas."""
@@ -251,7 +260,7 @@ class ReplicatedStore:
                 continue
             try:
                 digest, count, _done, expired = self._router.client(node).call(
-                    rpc.OP_DIGEST, (self.store_id, start, stop, len(rows))
+                    rpc.OP_DIGEST, (self.store_id, windows, len(rows))
                 )
             except ReplicaDownError:
                 self._router.mark_down(node)

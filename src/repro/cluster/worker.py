@@ -8,12 +8,14 @@ inherited, see the fork-safety notes in :mod:`repro.kvstore.wal`), and
 serves the :mod:`repro.cluster.rpc` protocol over a unix-domain socket
 with one thread per coordinator connection.
 
-Scans are stateless pages: ``SCAN_PAGE(store_id, start, stop, max_rows)``
-materializes up to ``max_rows`` rows and tells the client whether the
-range is exhausted.  The client resumes from ``last_key + b"\\x00"`` — and
-because no cursor lives on the worker, it can resume the same page walk
-on a *different replica* when this one dies, yielding a byte-identical
-stream (the replication layer's failover contract).
+Scans are stateless pages: ``SCAN_PAGE(store_id, windows, max_rows)``
+reads a region's sorted, disjoint window list with one
+``scan_windows`` cursor, materializes up to ``max_rows`` rows and tells
+the client whether the list is exhausted.  The client resumes with the
+window list trimmed to after its last key — and because no cursor lives
+on the worker, it can resume the same page walk on a *different replica*
+when this one dies, yielding a byte-identical stream (the replication
+layer's failover contract).
 
 Deadlines arrive as remaining-budget milliseconds and are re-anchored on
 this process's monotonic clock (:func:`repro.cluster.rpc.reanchor_deadline`);
@@ -39,6 +41,7 @@ from repro.cluster import rpc
 from repro.kvstore import simfault
 from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.memtable import TOMBSTONE
+from repro.kvstore.scan import Window
 from repro.runtime.deadline import Deadline
 
 # Rows between cooperative deadline checks inside a scan page (mirrors
@@ -101,15 +104,14 @@ class _Worker:
 
 def _scan_page(
     store: DurableLSMStore,
-    start: Optional[bytes],
-    stop: Optional[bytes],
+    windows: list[Window],
     max_rows: int,
     deadline: Optional[Deadline],
 ) -> tuple[list[tuple[bytes, bytes]], bool, bool]:
-    """``(rows, done, expired)`` for one stateless page of a range scan."""
+    """``(rows, done, expired)`` for one stateless page of a window list."""
     rows: list[tuple[bytes, bytes]] = []
     scanned = 0
-    for key, value in store.scan(start, stop):
+    for key, value in store.scan_windows(windows):
         scanned += 1
         if (
             deadline is not None
@@ -189,20 +191,20 @@ def _handle(worker: _Worker, op: int, remaining_ms: float, args: tuple):
         simfault.crash_point("rpc.get")
         store, lock = worker.store(store_id)
         with lock:
-            return rpc.STATUS_OK, [store.get(key) for key in keys]
+            return rpc.STATUS_OK, store.get_batch(keys)
 
     if op == rpc.OP_SCAN_PAGE:
-        store_id, start, stop, max_rows = args
+        store_id, windows, max_rows = args
         simfault.crash_point("rpc.scan")
         store, lock = worker.store(store_id)
         with lock:
-            return rpc.STATUS_OK, _scan_page(store, start, stop, max_rows, deadline)
+            return rpc.STATUS_OK, _scan_page(store, windows, max_rows, deadline)
 
     if op == rpc.OP_DIGEST:
-        store_id, start, stop, max_rows = args
+        store_id, windows, max_rows = args
         store, lock = worker.store(store_id)
         with lock:
-            rows, done, expired = _scan_page(store, start, stop, max_rows, deadline)
+            rows, done, expired = _scan_page(store, windows, max_rows, deadline)
         return rpc.STATUS_OK, (_page_digest(rows), len(rows), done, expired)
 
     if op == rpc.OP_FLUSH:

@@ -9,21 +9,29 @@ File layout (big-endian):
                      (one entry per SPARSE_EVERY records, first record always)
     footer:          u64 index_offset, u64 record_count, u32 crc of index
 
-Reads never load the whole file: point gets binary-search the sparse index
-(held in memory after open) and scan forward at most ``SPARSE_EVERY``
-records; range scans seek to the floor index entry and stream.
+Reads never load the whole file: the sparse index is held in memory after
+open, and a window list is read by one forward record cursor that seeks
+to a window's sparse-index floor only when that floor lies past the
+cursor, so a sorted batch of windows (or point-get keys) is one pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
 import zlib
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
-from repro.kvstore.block_cache import BlockCache, CachedBlockFile, next_file_token
+from repro.kvstore.block_cache import (
+    DEFAULT_BLOCK_BYTES,
+    BlockCache,
+    CachedBlockFile,
+    next_file_token,
+)
 from repro.kvstore.errors import CorruptionError
+from repro.kvstore.scan import Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 
@@ -32,7 +40,7 @@ _BLOCK_READS = _obs_counter(
 )
 
 MAGIC = b"TMSST\x01"
-SPARSE_EVERY = 32
+SPARSE_EVERY = 16
 _LEN = struct.Struct(">I")
 _OFFSET = struct.Struct(">Q")
 _FOOTER = struct.Struct(">QQI")
@@ -70,6 +78,80 @@ def write_disk_sstable(
         if fsync:
             fh.flush()
             os.fsync(fh.fileno())
+
+
+class _PlainFile:
+    """``read(offset, n)`` slices straight from the file (no block cache)."""
+
+    def __init__(self, path: Path):
+        self._fd = os.open(path, os.O_RDONLY)
+
+    def read(self, offset: int, n: int) -> bytes:
+        return os.pread(self._fd, n, offset)
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+
+class _RecordCursor:
+    """The disk SSTable's one record parser: a forward cursor over its data.
+
+    Records are parsed out of span buffers (not one read per field) whose
+    length doubles, up to 16 blocks, while reads stay sequential and
+    restarts at one block after a seek.  ``offset`` is the file offset of
+    the next record (assign it to seek), ``at`` that of the record last
+    returned, and ``parsed`` counts the records parsed.
+    """
+
+    def __init__(self, path: Path, reader, block_bytes: int, end: int, offset: int):
+        self._path = path
+        self._reader = reader
+        self._block = block_bytes
+        self._end = end
+        self._buf = b""
+        self._buf_start = 0
+        self._span = 1
+        self.offset = self.at = offset
+        self.parsed = 0
+
+    def _fill(self, offset: int, need: int, what: str) -> bytes:
+        sequential = 0 <= offset - self._buf_start <= len(self._buf)
+        self._span = min(self._span * 2, 16) if sequential else 1
+        # End the span on a block boundary: no block is fetched for a sliver.
+        want = max(self._block * self._span - offset % self._block, need)
+        buf = self._reader.read(offset, want)
+        if len(buf) < need:
+            raise CorruptionError(f"{self._path}: torn record {what}")
+        self._buf, self._buf_start = buf, offset
+        return buf
+
+    def next(self, floor: Optional[bytes] = None) -> Optional[tuple[bytes, bytes]]:
+        """The next record whose key is at least ``floor`` (None at the end);
+        records below ``floor`` are stepped over without reading values."""
+        while self.offset < self._end:
+            offset = self.offset
+            buf = self._buf
+            pos = offset - self._buf_start
+            if pos < 0 or pos + 8 > len(buf):
+                buf, pos = self._fill(offset, 8, "header"), 0
+            (key_len,) = _LEN.unpack_from(buf, pos)
+            if pos + 8 + key_len > len(buf):
+                buf, pos = self._fill(offset, 8 + key_len, "body"), 0
+            (value_len,) = _LEN.unpack_from(buf, pos + 4 + key_len)
+            total = 8 + key_len + value_len
+            self.offset = offset + total
+            self.parsed += 1
+            key = buf[pos + 4 : pos + 4 + key_len]
+            if floor is not None and key < floor:
+                continue
+            if pos + total > len(buf):
+                buf, pos = self._fill(offset, total, "body"), 0
+            self.at = offset
+            return key, buf[pos + 8 + key_len : pos + total]
+        return None
+
+    def close(self) -> None:
+        self._reader.close()
 
 
 class DiskSSTable:
@@ -114,6 +196,15 @@ class DiskSSTable:
             self._sparse_keys.append(key)
             self._sparse_offsets.append(offset)
         self._data_end = index_offset
+        # The largest key, from the last sparse block (uncounted, uncached).
+        self.max_key: Optional[bytes] = None
+        if self._sparse_offsets:
+            cursor = self._cursor(self._sparse_offsets[-1], _PlainFile(self.path))
+            try:
+                while (record := cursor.next()) is not None:
+                    self.max_key = record[0]
+            finally:
+                cursor.close()
 
     def __len__(self) -> int:
         return self.record_count
@@ -125,134 +216,83 @@ class DiskSSTable:
 
     def _floor_offset(self, key: Optional[bytes]) -> int:
         """File offset of the sparse entry at or before ``key``."""
-        import bisect
-
-        if key is None or not self._sparse_keys:
+        if key is None:
             return len(MAGIC)
         idx = bisect.bisect_right(self._sparse_keys, key) - 1
-        if idx < 0:
-            return len(MAGIC)
-        return self._sparse_offsets[idx]
+        return self._sparse_offsets[idx] if idx >= 0 else len(MAGIC)
+
+    def _cursor(self, offset: int, reader=None) -> _RecordCursor:
+        cache = self._block_cache
+        if reader is None:
+            reader = (
+                _PlainFile(self.path)
+                if cache is None
+                else CachedBlockFile(self.path, self._cache_token, cache, self._data_end)
+            )
+        block = cache.block_bytes if cache is not None else DEFAULT_BLOCK_BYTES
+        return _RecordCursor(self.path, reader, block, self._data_end, offset)
 
     def release_cache(self) -> None:
         """Drop this file's blocks from the shared cache (compaction, close)."""
         if self._block_cache is not None:
             self._block_cache.drop_file(self._cache_token)
 
-    def _records_from(self, offset: int) -> Iterator[tuple[bytes, bytes]]:
-        # Return (not yield from) the chosen generator: one frame per record.
-        if self._block_cache is not None:
-            return self._records_from_cached(offset)
-        return self._records_from_plain(offset)
-
-    def _records_from_plain(self, offset: int) -> Iterator[tuple[bytes, bytes]]:
-        records = 0
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(offset)
-                while fh.tell() < self._data_end:
-                    header = fh.read(4)
-                    if len(header) < 4:
-                        raise CorruptionError(f"{self.path}: torn record header")
-                    (key_len,) = _LEN.unpack(header)
-                    key = fh.read(key_len)
-                    (value_len,) = _LEN.unpack(fh.read(4))
-                    value = fh.read(value_len)
-                    if len(key) != key_len or len(value) != value_len:
-                        raise CorruptionError(f"{self.path}: torn record body")
-                    if self._stats is not None:
-                        self._stats.add(block_reads=1)
-                    records += 1
-                    yield key, value
-        finally:
-            if records:
-                _BLOCK_READS.inc(records)
-
-    def _records_from_cached(self, offset: int) -> Iterator[tuple[bytes, bytes]]:
-        """The block-cache twin of :meth:`_records_from`'s record loop.
-
-        Records are parsed out of multi-block span buffers (not one cache
-        lookup per field — per-record lock traffic would cost more than
-        the saved syscalls).  Span length ramps from one block upward so
-        short scans touch one cached block while long scans amortize the
-        cache overhead across 16-block refills.
-        """
-        records = 0
-        reader = CachedBlockFile(
-            self.path, self._cache_token, self._block_cache, self._data_end
-        )
-        block_bytes = self._block_cache.block_bytes
-        span_blocks = 1
-        buf = b""
-        buf_start = offset
-        try:
-            while offset < self._data_end:
-                pos = offset - buf_start
-                # Refill whenever the next record header may be torn; the
-                # record-body checks below refill again for long records.
-                if pos < 0 or pos + 8 > len(buf):
-                    buf = reader.read(offset, block_bytes * span_blocks)
-                    span_blocks = min(span_blocks * 2, 16)
-                    buf_start = offset
-                    pos = 0
-                    if len(buf) < 8:
-                        raise CorruptionError(f"{self.path}: torn record header")
-                (key_len,) = _LEN.unpack_from(buf, pos)
-                if pos + 8 + key_len > len(buf):
-                    want = max(block_bytes * span_blocks, 8 + key_len + block_bytes)
-                    buf = reader.read(offset, want)
-                    buf_start = offset
-                    pos = 0
-                    if len(buf) < 8 + key_len:
-                        raise CorruptionError(f"{self.path}: torn record body")
-                (value_len,) = _LEN.unpack_from(buf, pos + 4 + key_len)
-                total = 8 + key_len + value_len
-                if pos + total > len(buf):
-                    buf = reader.read(offset, max(block_bytes * span_blocks, total))
-                    buf_start = offset
-                    pos = 0
-                    if len(buf) < total:
-                        raise CorruptionError(f"{self.path}: torn record body")
-                key = buf[pos + 4 : pos + 4 + key_len]
-                value = buf[pos + 8 + key_len : pos + total]
-                offset += total
-                records += 1
-                yield key, value
-        finally:
-            reader.close()
-            if records:
-                # One batched flush per scan (totals identical to the
-                # per-record path; the executor reads deltas only after
-                # the generator is closed).
-                if self._stats is not None:
-                    self._stats.add(block_reads=records)
-                _BLOCK_READS.inc(records)
-
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value stored under ``key``, or ``None`` when absent."""
-        for k, v in self._records_from(self._floor_offset(key)):
-            if k == key:
-                return v
-            if k > key:
-                return None
-        return None
+        rows = self.scan_windows(((key, key + b"\x00"),))
+        try:
+            return next(rows, (key, None))[1]
+        finally:
+            rows.close()
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
-        for k, v in self._records_from(self._floor_offset(start)):
-            if start is not None and k < start:
-                continue
-            if stop is not None and k >= stop:
-                return
-            yield k, v
+        return self.scan_windows(((start, stop),))
+
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the records of sorted, disjoint ``windows`` in key order.
+
+        One cursor serves the whole list, opened at the first window that
+        overlaps the table.  It keeps its reader, buffer and lookahead
+        record across windows and seeks through the sparse index only when
+        the next window's floor lies past the lookahead, so each record is
+        parsed at most once.  Records parsed are counted in
+        ``stats.block_reads`` once, when the scan ends or is closed.
+        """
+        cursor: Optional[_RecordCursor] = None
+        record: Optional[tuple[bytes, bytes]] = None  # the lookahead
+        try:
+            for start, stop in windows:
+                if not self.overlaps(start, stop):
+                    continue
+                floor = self._floor_offset(start)
+                if cursor is None:
+                    cursor = self._cursor(floor)
+                    record = cursor.next(start)
+                elif floor > cursor.at:
+                    cursor.offset = floor
+                    record = cursor.next(start)
+                elif start is not None and record[0] < start:
+                    record = cursor.next(start)
+                while record is not None and (stop is None or record[0] < stop):
+                    yield record
+                    record = cursor.next()
+                if record is None:
+                    return
+        finally:
+            if cursor is not None:
+                cursor.close()
+                if cursor.parsed:
+                    if self._stats is not None:
+                        self._stats.add(block_reads=cursor.parsed)
+                    _BLOCK_READS.inc(cursor.parsed)
 
     def overlaps(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
         """True when the table's key span intersects ``[start, stop)``."""
         if not self._sparse_keys:
             return False
-        if stop is not None and self._sparse_keys[0] >= stop:
+        if start is not None and self.max_key < start:
             return False
-        # The max key is unknown without a scan; be conservative.
-        return True
+        return stop is None or self._sparse_keys[0] < stop

@@ -38,8 +38,9 @@ from repro.kvstore.block_cache import BlockCache
 from repro.kvstore.census import census_rows
 from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
 from repro.kvstore.errors import CorruptionError, StoreLockedError
-from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_value
+from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
 from repro.kvstore.retry import RetryPolicy
+from repro.kvstore.scan import Window
 from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 from repro.obs import counter as _obs_counter
@@ -319,21 +320,29 @@ class DurableLSMStore:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value stored under ``key``, or ``None`` when absent."""
-        if self._stats is not None:
-            self._stats.add(point_gets=1)
-        return newest_value([self._memtable, *reversed(self._sstables)], key)
+        return self.get_batch([key])[0]
+
+    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
+        """Values (or ``None``) of ``keys``, in input order.
+
+        Disk SSTables have no bloom filter, so the sorted, de-duplicated
+        batch is swept through the same level cursors as a scan: one
+        forward pass per level instead of one sparse-block re-parse per key.
+        """
+        levels = [self._memtable, *reversed(self._sstables)]
+        found = newest_values(levels, sorted(set(keys)))
+        return [found.get(key) for key in keys]
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
-        sources = [self._memtable.scan(start, stop)]
-        sources += [
-            table.scan(start, stop)
-            for table in reversed(self._sstables)
-            if table.overlaps(start, stop)
-        ]
-        return merge_live(sources)
+        return self.scan_windows(((start, stop),))
+
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the live pairs of sorted, disjoint ``windows`` in key order."""
+        levels = [self._memtable, *reversed(self._sstables)]
+        return merge_live(level.scan_windows(windows) for level in levels)
 
     def close(self) -> None:
         """Release the resources held by this object (idempotent).

@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 from repro.kvstore.census import census_rows
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_value
+from repro.kvstore.scan import Window
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
@@ -283,26 +284,22 @@ class LSMStore:
             )
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Return the live value for ``key`` or ``None``."""
-        if self._stats is not None:
-            self._stats.add(point_gets=1)
+        """Return the live value for ``key`` or ``None`` (bloom-filtered)."""
         memtables, sstables = self._levels_snapshot()
         return newest_value(memtables + sstables, key)
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Yield live entries in ``[start, stop)`` in key order.
+        """Yield live entries in ``[start, stop)`` in key order."""
+        return self.scan_windows(((start, stop),))
 
-        For duplicate keys the newest source (memtable, frozen memtables
-        newest-first, then youngest SSTable) wins, and tombstones suppress
-        the key entirely.
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the live entries of sorted, disjoint ``windows`` in key order.
+
+        One level snapshot serves the whole list.  For duplicate keys the
+        newest level (memtable, frozen memtables newest-first, then
+        youngest SSTable) wins, and tombstones suppress the key entirely.
         """
         memtables, sstables = self._levels_snapshot()
-        sources = [mt.scan(start, stop) for mt in memtables]
-        sources += [
-            table.scan(start, stop)
-            for table in sstables
-            if table.overlaps(start, stop)
-        ]
-        return merge_live(sources)
+        return merge_live(level.scan_windows(windows) for level in memtables + sstables)

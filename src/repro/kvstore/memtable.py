@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Iterable, Iterator, Optional
+import itertools
+from typing import Iterable, Iterator, Optional, Sequence
+
+from repro.kvstore.scan import Window
 
 TOMBSTONE = b"\x00__tombstone__\x00"
 
@@ -51,15 +54,22 @@ class MemTable:
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order.
+        """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
+        return self.scan_windows(((start, stop),))
 
-        Tombstones are yielded too; the merge layer resolves them.
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the entries of sorted, disjoint ``windows`` in key order.
+
+        Each window bisects the key list.  Tombstones are yielded too; the
+        merge layer resolves them.
         """
-        lo = bisect.bisect_left(self._keys, start) if start is not None else 0
-        hi = bisect.bisect_left(self._keys, stop) if stop is not None else len(self._keys)
-        for i in range(lo, hi):
-            key = self._keys[i]
-            yield key, self._map[key]
+        keys = self._keys
+        for start, stop in windows:
+            lo = bisect.bisect_left(keys, start) if start is not None else 0
+            hi = bisect.bisect_left(keys, stop) if stop is not None else len(keys)
+            for i in range(lo, hi):
+                key = keys[i]
+                yield key, self._map[key]
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in key order (flush path)."""
@@ -80,20 +90,40 @@ def newest_value(levels: Iterable, key: bytes) -> Optional[bytes]:
     return None
 
 
+def newest_values(levels: Iterable, keys: Sequence[bytes]) -> dict[bytes, bytes]:
+    """:func:`newest_value` for sorted, unique ``keys``: each level sweeps
+    the keys no newer level decided in one ``scan_windows`` pass.  Absent
+    keys are missing from the result."""
+    decided: dict[bytes, bytes] = {}
+    for level in levels:
+        decided.update(level.scan_windows([(k, k + b"\x00") for k in keys if k not in decided]))
+    return {k: v for k, v in decided.items() if v != TOMBSTONE}
+
+
 def merge_live(
     sources: Iterable[Iterator[tuple[bytes, bytes]]],
 ) -> Iterator[tuple[bytes, bytes]]:
     """Merge key-ordered ``(key, value)`` streams given newest first.
 
     For duplicate keys the newest source wins, and tombstones suppress
-    the key entirely, so only live entries come out, in key order.
+    the key entirely, so only live entries come out, in key order.  This
+    is the one read path of both LSM engines (each level a
+    ``scan_windows`` cursor); when a single source has rows there is
+    nothing to merge and no heap.
     """
     # Heap entries order by (key, age): the lower age is the newer source.
     heap: list[tuple[bytes, int, bytes, Iterator[tuple[bytes, bytes]]]] = []
     for age, it in enumerate(sources):
         first = next(it, None)
         if first is not None:
-            heapq.heappush(heap, (first[0], age, first[1], it))
+            heap.append((first[0], age, first[1], it))
+    if len(heap) == 1:
+        key, _, value, it = heap[0]
+        for key, value in itertools.chain(((key, value),), it):
+            if value != TOMBSTONE:
+                yield key, value
+        return
+    heapq.heapify(heap)
 
     last_key: Optional[bytes] = None
     while heap:

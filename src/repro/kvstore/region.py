@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.kvstore import simfault, simlatency
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.retry import CircuitBreaker
-from repro.kvstore.scan import Scan
+from repro.kvstore.scan import Scan, Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
 from repro.runtime.backpressure import WriteLimits
@@ -54,6 +54,9 @@ class KVStoreEngine(Protocol):
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
+
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the pairs of sorted, disjoint ``windows`` in key order."""
 
     def flush(self) -> None:
         """Persist buffered writes."""
@@ -151,144 +154,139 @@ class Region:
         May raise :class:`~repro.kvstore.errors.TransientRPCError` under
         fault injection — the table layer retries.
         """
-        simfault.get_fault()
-        simlatency.get_delay()
-        return self._get_local(key)
+        return self.get_batch([key])[0]
 
-    def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
+    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
         """Resolve many point gets as one request (one emulated RPC).
 
         This is the region half of ``Table.multi_get``: a batch costs a
-        single round trip however many keys it carries, versus one per
-        key through :meth:`get`.  Like :meth:`get`, the whole batch fails
-        as one RPC under fault injection.  Engines that expose their own
-        ``get_batch`` (the replicated process-mode store) resolve the
-        whole batch in one real RPC; the per-key I/O accounting stays
-        here either way, so candidate counts match across engines.
+        single round trip however many keys it carries, and the whole
+        batch fails as one RPC under fault injection.  Engines that expose
+        ``get_batch`` (durable, replicated) resolve the batch in one call;
+        the in-memory LSM keeps its bloom-filtered per-key gets.  The I/O
+        accounting — one ``point_gets`` per key — lives here for every
+        engine, so candidate counts match across engines and modes.
         """
         simfault.get_fault()
         simlatency.get_delay()
         batch = getattr(self._store, "get_batch", None)
-        if batch is None:
-            return [self._get_local(key) for key in keys]
-        values = batch(list(keys))
-        for key, value in zip(keys, values):
-            _POINT_GETS.inc()
-            if value is not None:
-                self._stats.add(
-                    rows_scanned=1,
-                    rows_returned=1,
-                    bytes_transferred=len(key) + len(value),
-                )
+        values = batch(list(keys)) if batch else [self._store.get(k) for k in keys]
+        found = [len(k) + len(v) for k, v in zip(keys, values) if v is not None]
+        _POINT_GETS.inc(len(keys))
+        self._stats.add(
+            point_gets=len(keys),
+            rows_scanned=len(found),
+            rows_returned=len(found),
+            bytes_transferred=sum(found),
+        )
         return values
 
-    def _get_local(self, key: bytes) -> Optional[bytes]:
-        _POINT_GETS.inc()
-        value = self._store.get(key)
-        if value is not None:
-            self._stats.add(
-                rows_scanned=1, rows_returned=1, bytes_transferred=len(key) + len(value)
-            )
-        return value
+    def clip(self, windows: Iterable[Window]) -> list[Window]:
+        """``windows`` cut to this region's key range, empty ones dropped."""
+        lo, hi = self.start_key, self.end_key
+        clipped = []
+        for start, stop in windows:
+            if lo is not None and (start is None or start < lo):
+                start = lo
+            if hi is not None and (stop is None or stop > hi):
+                stop = hi
+            if start is None or stop is None or start < stop:
+                clipped.append((start, stop))
+        return clipped
 
-    def clamp(self, scan: Scan) -> tuple[Optional[bytes], Optional[bytes]]:
-        """Intersect the scan range with this region's key range."""
-        start = scan.start
-        stop = scan.stop
-        if self.start_key is not None and (start is None or start < self.start_key):
-            start = self.start_key
-        if self.end_key is not None and (stop is None or stop > self.end_key):
-            stop = self.end_key
-        return start, stop
+    def execute_scan(
+        self, scan: Scan, windows: Optional[Sequence[Window]] = None
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Read this region's share of ``windows`` with one engine cursor.
 
-    def execute_scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
-        """Run the scan's portion that falls inside this region.
-
-        Every row touched counts as scanned; rows passing the push-down
-        filter are transferred (and counted) to the caller.  With metrics
-        enabled the scan also feeds the ``kv_region_scan_*`` instruments:
-        busy time (time spent producing rows, excluding the consumer's
-        time between pulls) lands in the latency histogram, and row totals
-        are batched into the counters when the scan closes.
+        ``windows`` (sorted and disjoint; default the scan's own range)
+        are clipped to the region and handed to the engine's
+        ``scan_windows`` as one list — one RPC in process mode.  Every row
+        touched counts as scanned; rows passing the push-down filter are
+        transferred (and counted) to the caller.  ``range_scans`` counts
+        one seek per window the cursor reaches, and the row counters are
+        batched per window.  With metrics enabled the cursor also feeds the
+        ``kv_region_scan_*`` instruments: busy time (producing rows,
+        excluding the consumer's time between pulls) lands in the latency
+        histogram, and row totals in the counters when the cursor closes.
         """
-        start, stop = self.clamp(scan)
-        if start is not None and stop is not None and stop <= start:
+        windows = self.clip([(scan.start, scan.stop)] if windows is None else windows)
+        if not windows:
             return
         deadline = scan.deadline
         if deadline is not None:
             deadline.check("region.scan")
         # The scan RPC fails at open, before any row is produced; a retry
-        # (Table._resilient_region_scan) reopens from after the last
-        # delivered key, so consumers never see duplicates or gaps.
+        # (Table._resilient_region_scan) resumes after the last delivered
+        # key, so consumers never see duplicates or gaps.
         simfault.scan_fault()
         simlatency.scan_delay()
-        self._stats.add(range_scans=1)
-        if _SCAN_MS._registry.enabled:
-            yield from self._execute_scan_timed(scan, start, stop)
-            return
-        returned = 0
-        scanned = 0
-        for key, value in self._store_scan(start, stop, deadline):
-            scanned += 1
-            if deadline is not None and scanned % DEADLINE_CHECK_ROWS == 0:
-                deadline.check("region.scan")
-            self._stats.add(rows_scanned=1)
-            if scan.server_filter is not None:
-                self._stats.add(filter_evals=1)
-                if not scan.server_filter.test(key, value):
-                    continue
-            self._stats.add(rows_returned=1, bytes_transferred=len(key) + len(value))
-            yield key, value
-            returned += 1
-            if scan.limit is not None and returned >= scan.limit:
-                return
-
-    def _execute_scan_timed(
-        self, scan: Scan, start: Optional[bytes], stop: Optional[bytes]
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """The metered twin of :meth:`execute_scan`'s row loop."""
-        perf = time.perf_counter
-        deadline = scan.deadline
+        flt, limit, stats = scan.server_filter, scan.limit, self._stats
+        perf = time.perf_counter if _SCAN_MS._registry.enabled else None
         busy = 0.0
-        scanned = returned = 0
+        total_scanned = total_returned = 0
+        # Counters since the last per-window flush; the first window opens now.
+        seeks, scanned, evals, returned, nbytes = 1, 0, 0, 0, 0
+        i, stop = 0, windows[0][1]
+        finished = False
         try:
-            t0 = perf()
-            for key, value in self._store_scan(start, stop, deadline):
+            t0 = perf() if perf else 0.0
+            for key, value in self._store_scan(windows, deadline):
+                if stop is not None and key >= stop:
+                    # The cursor left window i: flush its batch, open the
+                    # windows up to the one holding this key.
+                    stats.add(
+                        range_scans=seeks, rows_scanned=scanned, filter_evals=evals,
+                        rows_returned=returned, bytes_transferred=nbytes,
+                    )
+                    total_scanned += scanned
+                    total_returned += returned
+                    seeks = scanned = evals = returned = nbytes = 0
+                    while windows[i][1] is not None and key >= windows[i][1]:
+                        i += 1
+                        seeks += 1
+                    stop = windows[i][1]
+                    if deadline is not None:
+                        deadline.check("region.scan")
                 scanned += 1
-                if deadline is not None and scanned % DEADLINE_CHECK_ROWS == 0:
+                if (
+                    deadline is not None
+                    and (total_scanned + scanned) % DEADLINE_CHECK_ROWS == 0
+                ):
                     deadline.check("region.scan")
-                self._stats.add(rows_scanned=1)
-                if scan.server_filter is not None:
-                    self._stats.add(filter_evals=1)
-                    if not scan.server_filter.test(key, value):
-                        t1 = perf()
-                        busy += t1 - t0
-                        t0 = t1
+                if flt is not None:
+                    evals += 1
+                    if not flt.test(key, value):
                         continue
-                self._stats.add(
-                    rows_returned=1, bytes_transferred=len(key) + len(value)
-                )
                 returned += 1
-                busy += perf() - t0
+                nbytes += len(key) + len(value)
+                if perf:
+                    busy += perf() - t0
                 yield key, value
-                t0 = perf()
-                if scan.limit is not None and returned >= scan.limit:
+                if perf:
+                    t0 = perf()
+                if limit is not None and total_returned + returned >= limit:
                     return
+            finished = True
         finally:
+            # An exhausted cursor has reached every window; a closed one
+            # only those it opened.
+            stats.add(
+                range_scans=seeks + (len(windows) - 1 - i if finished else 0),
+                rows_scanned=scanned, filter_evals=evals,
+                rows_returned=returned, bytes_transferred=nbytes,
+            )
             _SCAN_TOTAL.inc()
             _SCAN_MS.observe(busy * 1000.0)
-            if scanned:
-                _ROWS_SCANNED.inc(scanned)
-            if returned:
-                _ROWS_RETURNED.inc(returned)
+            if total_scanned + scanned:
+                _ROWS_SCANNED.inc(total_scanned + scanned)
+            if total_returned + returned:
+                _ROWS_RETURNED.inc(total_returned + returned)
 
     def _store_scan(
-        self,
-        start: Optional[bytes],
-        stop: Optional[bytes],
-        deadline,
+        self, windows: Sequence[Window], deadline
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Open the engine scan, forwarding the deadline when supported.
+        """Open the engine cursor, forwarding the deadline when supported.
 
         The engine protocol has no deadline parameter; engines that can
         stop producing on expiry themselves (the process-mode replicated
@@ -297,8 +295,8 @@ class Region:
         explicit rather than ambient, like every other deadline hand-off.
         """
         if deadline is not None and getattr(self._store, "accepts_deadline", False):
-            return self._store.scan(start, stop, deadline=deadline)
-        return self._store.scan(start, stop)
+            return self._store.scan_windows(windows, deadline=deadline)
+        return self._store.scan_windows(windows)
 
     def split_key(self) -> Optional[bytes]:
         """Median key of the region, or None when too small to split."""

@@ -3,10 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.kvstore.filters import Filter
 from repro.runtime.deadline import Deadline
+
+# A key window [start, stop); None is unbounded on that side.
+Window = tuple[Optional[bytes], Optional[bytes]]
+
+
+def windows_after(windows: Sequence[Window], key: bytes) -> list[Window]:
+    """The part of sorted, disjoint ``windows`` strictly after ``key``.
+
+    A cursor that delivered rows up to ``key`` resumes over this list, so
+    the resumed stream neither repeats nor skips a row.
+    """
+    resume = key + b"\x00"
+    return [
+        (resume if start is None or start < resume else start, stop)
+        for start, stop in windows
+        if stop is None or stop > resume
+    ]
 
 
 @dataclass

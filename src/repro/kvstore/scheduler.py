@@ -1,26 +1,25 @@
-"""Multi-range scan scheduling: concurrent windows, in-order rows.
+"""Multi-range scan scheduling: concurrent region cursors, in-order rows.
 
-A temporal query expands to exactly N contiguous key intervals and a
-spatial query to a list of TShape code ranges, so the hot read path is
-"scan N windows" — previously executed one window at a time.  This module
-overlaps them: up to ``concurrency`` window groups run chunked scans on
-the cluster worker pool while rows are yielded strictly in window order,
-so the scheduled execution is byte-for-byte identical to the serial loop.
+The hot read path is "scan a window list": N temporal intervals or a list
+of TShape code ranges.  The table cuts the list into per-region runs, one
+region cursor each; this module overlaps the runs on the cluster worker
+pool while rows are yielded strictly in run order (key order within a
+region, window order across them), so the scheduled execution is
+byte-for-byte identical to the serial loop.
 
 Two properties the query layer depends on:
 
 - **Bounded buffering.**  Each admitted stream pipelines chunks ahead of
   the consumer only while its undelivered rows stay under a row budget
   (its ``batch_rows``), and chunk sizes ramp from ``INITIAL_CHUNK_ROWS``
-  up to ``batch_rows`` — so an early-terminating consumer overshoots by
-  a few small chunks per admitted stream, not by unbounded readahead,
-  and total buffering is capped at roughly ``concurrency * 2 * batch``
-  rows.  The pipelining matters: against a remote (or emulated-remote)
-  kvstore each region scan is an RPC, and a stream that stopped after
-  one prefetched chunk would serialize those round trips again.
+  up to ``batch_rows``; each chunk the consumer takes admits at most one
+  more run, and no more streams are live than the pool has workers.  The
+  pipelining matters: against a remote kvstore each region cursor is an
+  RPC, and a stream that stopped after one prefetched chunk would
+  serialize those round trips again.
 - **Cancellation.**  Closing the iterator (a ``Limit``/``TopK`` sink
   breaking out) cancels every in-flight chunk and never starts the
-  remaining windows.
+  remaining runs.
 """
 
 from __future__ import annotations
@@ -43,15 +42,9 @@ _log = logging.getLogger(__name__)
 T = TypeVar("T")
 Row = tuple[bytes, bytes]
 
-DEFAULT_WINDOW_CONCURRENCY = 4
-DEFAULT_WINDOWS_PER_TASK = 8
 INITIAL_CHUNK_ROWS = 16
 CHUNK_GROWTH = 4
 
-_WINDOWS_STARTED = _obs_counter(
-    "kv_multirange_windows_started_total",
-    "Scan windows whose execution was started by the scheduler",
-)
 _CHUNKS_CANCELLED = _obs_counter(
     "kv_multirange_chunks_cancelled_total",
     "In-flight chunk prefetches cancelled by early termination",
@@ -256,65 +249,51 @@ class ChunkedStream:
             close()
 
 
-def _scan_group(
-    scan_factory: Callable[[T], Iterator[Row]], group: list[T]
-) -> Iterator[Row]:
-    """Chain the group's scans lazily: a closed stream never opens the rest."""
-    for window in group:
-        _WINDOWS_STARTED.inc()
-        yield from scan_factory(window)
-
-
 def scan_scheduled(
     scan_factory: Callable[[T], Iterator[Row]],
-    windows: Iterable[T],
+    runs: Iterable[T],
     executor: ThreadPoolExecutor,
     batch: int,
-    concurrency: int = DEFAULT_WINDOW_CONCURRENCY,
-    windows_per_task: int = DEFAULT_WINDOWS_PER_TASK,
     deadline: Optional[Deadline] = None,
 ) -> Iterator[Row]:
-    """Run window scans concurrently, yielding rows in window order.
+    """Stream ``runs`` concurrently, one chunked stream each, rows in run order.
 
-    ``scan_factory`` maps a window to its (synchronous) row iterator.
-    Consecutive windows are grouped ``windows_per_task`` at a time into
-    one chunked stream each — a pool round trip costs more than a small
-    window's scan, so per-window tasks would spend the saved wall clock
-    on queue overhead.  Up to ``concurrency`` streams run at once;
-    admission is lazy: ``windows`` is only advanced when a slot opens,
-    and a group's scans only open as its stream reaches them, so a
-    consumer that stops early never plans — let alone scans — the
-    remaining windows.
+    ``scan_factory`` maps a run (a region's window list) to its row
+    iterator.  Admission is lazy: the head run starts alone and every
+    chunk the consumer takes admits at most one more, so a consumer that
+    stops early never opens the later runs.
     """
-    windows_iter = iter(windows)
-    group_size = max(1, windows_per_task)
+    runs_iter = iter(runs)
+    # More live streams than pool workers would only queue.
+    width = max(1, getattr(executor, "_max_workers", 1))
     active: deque[ChunkedStream] = deque()
     exhausted = False
 
     def admit() -> None:
         nonlocal exhausted
+        if exhausted or len(active) >= width:
+            return
         if deadline is not None and deadline.expired():
-            return  # expired: never plan, let alone open, more windows
-        while not exhausted and len(active) < concurrency:
-            group = list(itertools.islice(windows_iter, group_size))
-            if not group:
-                exhausted = True
-                return
-            stream = ChunkedStream(
-                executor,
-                _scan_group(scan_factory, group),
-                batch,
-                initial=INITIAL_CHUNK_ROWS,
-                on_chunk=admit,
-                deadline=deadline,
-            )
-            active.append(stream)
-            stream.start()
+            return  # expired: never plan, let alone open, more runs
+        run = next(runs_iter, None)
+        if run is None:
+            exhausted = True
+            return
+        stream = ChunkedStream(
+            executor,
+            scan_factory(run),
+            batch,
+            initial=INITIAL_CHUNK_ROWS,
+            on_chunk=admit,
+            deadline=deadline,
+        )
+        active.append(stream)
+        stream.start()
 
     try:
         admit()
         while active:
-            # Consume the head group; its chunk arrivals top up admission.
+            # Consume the head run; its chunk arrivals admit the next ones.
             yield from active[0]
             active.popleft()
             admit()

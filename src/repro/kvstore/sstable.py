@@ -6,6 +6,7 @@ import bisect
 from typing import Iterator, Optional, Sequence
 
 from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.scan import Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 
@@ -84,11 +85,20 @@ class SSTable:
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield entries with ``start <= key < stop`` in order."""
-        lo = bisect.bisect_left(self._keys, start) if start is not None else 0
-        hi = bisect.bisect_left(self._keys, stop) if stop is not None else len(self._keys)
-        self._count_blocks(lo, hi)
-        for i in range(lo, hi):
-            yield self._keys[i], self._values[i]
+        return self.scan_windows(((start, stop),))
+
+    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the entries of sorted, disjoint ``windows`` in key order.
+
+        Each window bisects the key list and counts the blocks it touches.
+        """
+        keys, values = self._keys, self._values
+        for start, stop in windows:
+            lo = bisect.bisect_left(keys, start) if start is not None else 0
+            hi = bisect.bisect_left(keys, stop) if stop is not None else len(keys)
+            self._count_blocks(lo, hi)
+            for i in range(lo, hi):
+                yield keys[i], values[i]
 
     def overlaps(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
         """True when the table's key span intersects ``[start, stop)``."""

@@ -9,7 +9,8 @@ mirror the quantities the paper reports:
   transferred to the client;
 - ``range_scans`` — number of contiguous key ranges opened (seek count);
 - ``bytes_transferred`` — payload bytes shipped to the client;
-- ``block_reads`` — SSTable blocks touched;
+- ``block_reads`` — in-memory SSTable index blocks touched, and disk
+  SSTable records parsed (a disk table has no fixed-size blocks);
 - ``filter_evals`` — push-down filter evaluations;
 - ``bloom_rejects`` — point gets skipped thanks to bloom filters.
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, Optional, Sequence
@@ -13,12 +12,8 @@ from repro.kvstore.census import merge_census
 from repro.kvstore.errors import RegionError, TransientError
 from repro.kvstore.region import Region
 from repro.kvstore.retry import CircuitBreaker, RetryPolicy
-from repro.kvstore.scan import Scan
-from repro.kvstore.scheduler import (
-    DEFAULT_WINDOW_CONCURRENCY,
-    ChunkedStream,
-    scan_scheduled,
-)
+from repro.kvstore.scan import Scan, Window, windows_after
+from repro.kvstore.scheduler import scan_scheduled
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile, run_with_profile
@@ -35,6 +30,10 @@ _SCANS_BY_MODE = _obs_counter(
     "Multi-range scans executed",
     labelnames=("mode",),
 )
+_WINDOWS_STARTED = _obs_counter(
+    "kv_multirange_windows_started_total",
+    "Scan windows in the region runs multi-range scans opened",
+)
 _MULTIGET_BATCHES = _obs_counter(
     "kv_multiget_batches_total", "Batched point-lookup calls"
 )
@@ -42,18 +41,16 @@ _MULTIGET_KEYS = _obs_counter(
     "kv_multiget_keys_total", "Keys resolved through batched point lookups"
 )
 
-Window = tuple[Optional[bytes], Optional[bytes]]
-
 
 class Table:
     """A sorted table split into contiguous regions.
 
     Regions are kept in key order.  When a region's row count exceeds
     ``split_rows`` it is split at its median key — the moral equivalent of
-    HBase auto-splitting.  ``parallel_scan`` fans a scan out to every
-    overlapping region on a thread pool and merges results in key order,
-    which mirrors the paper's "push down filters into relevant table regions
-    and execute the query in parallel".
+    HBase auto-splitting.  ``multi_range_scan`` reads each region's share
+    of a window list with one cursor, the regions concurrently on a thread
+    pool, which mirrors the paper's "push down filters into relevant table
+    regions and execute the query in parallel".
     """
 
     def __init__(
@@ -207,16 +204,36 @@ class Table:
         check = self._regions if regions is None else regions
         return all(region.breaker.healthy for region in check)
 
-    def _overlapping_regions(self, scan: Scan) -> list[Region]:
-        lo = 0
-        if scan.start is not None:
-            lo = bisect.bisect_right(self._boundaries, scan.start)
-        hi = len(self._regions) - 1
-        if scan.stop is not None:
+    def _region_runs(
+        self, windows: Iterable[Window]
+    ) -> Iterator[tuple[Region, list[Window]]]:
+        """Group ``windows`` lazily into ``(region, run)`` pairs, one region
+        cursor each: consecutive windows overlapping one region, each
+        starting at or after the previous one's stop.  A window straddling
+        a region boundary joins one run per region (each region clips it);
+        overlapping or unsorted input starts a new run."""
+        region: Optional[Region] = None
+        run: list[Window] = []
+        for window in windows:
+            start, stop = window
+            if start is not None and stop is not None and stop <= start:
+                continue  # empty
+            lo = 0 if start is None else bisect.bisect_right(self._boundaries, start)
             # stop is exclusive: the region containing stop-epsilon.
-            hi = bisect.bisect_left(self._boundaries, scan.stop)
-            hi = min(hi, len(self._regions) - 1)
-        return self._regions[lo : hi + 1]
+            hi = len(self._boundaries)
+            if stop is not None:
+                hi = min(hi, bisect.bisect_left(self._boundaries, stop))
+            for owner in self._regions[lo : hi + 1]:
+                if run and (
+                    owner is not region or run[-1][1] is None or start is None
+                    or start < run[-1][1]
+                ):
+                    yield region, run
+                    run = []
+                region = owner
+                run.append(window)
+        if run:
+            yield region, run
 
     # -- writes -----------------------------------------------------------
 
@@ -273,40 +290,35 @@ class Table:
         )
 
     def _resilient_region_scan(
-        self, region: Region, scan: Scan
+        self, region: Region, windows: list[Window], scan: Scan
     ) -> Iterator[tuple[bytes, bytes]]:
-        """One region's scan, surviving transient RPC failures.
+        """One region cursor over its run of ``windows`` (with the scan's
+        filter and deadline), surviving transient RPC failures.
 
         The scan RPC fails at open (before producing rows), so a retry
-        reopens the scan; after rows were delivered, the reopen resumes
-        strictly after the last delivered key (keys are unique and
-        ordered), making the retried stream byte-identical to an
-        unfailed one.  Delivered progress refills the attempt budget —
-        each resume is a new RPC — while the policy deadline still bounds
-        the whole scan.
+        reopens the cursor; after rows were delivered, the reopen resumes
+        strictly after the last delivered key by trimming the window list
+        (keys are unique and ordered), making the retried stream
+        byte-identical to an unfailed one.  Delivered progress refills the
+        attempt budget — each resume is a new RPC — while the policy
+        deadline still bounds the whole scan.
         """
+        sub = Scan(server_filter=scan.server_filter, deadline=scan.deadline)
         tracker = None
-        start = scan.start
-        delivered = 0
+        last: Optional[bytes] = None
         while True:
-            sub = Scan(
-                start,
-                scan.stop,
-                scan.server_filter,
-                None if scan.limit is None else scan.limit - delivered,
-                deadline=scan.deadline,
-            )
             try:
-                for key, value in region.execute_scan(sub):
+                for key, value in region.execute_scan(sub, windows):
                     yield key, value
-                    delivered += 1
-                    start = key + b"\x00"  # resume strictly after key
+                    last = key
                     if tracker is not None:
                         tracker.reset()
                 region.breaker.record_success()
                 return
             except TransientError as exc:
                 region.breaker.record_failure()
+                if last is not None:
+                    windows, last = windows_after(windows, last), None
                 if tracker is None:
                     tracker = self._retry.attempts(
                         "region_scan", deadline=scan.deadline
@@ -315,124 +327,71 @@ class Table:
 
     def scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
         """Sequential scan across overlapping regions in key order."""
-        remaining = scan.limit
-        if remaining is not None and remaining <= 0:
+        if scan.limit is not None and scan.limit <= 0:
             return
-        for region in self._overlapping_regions(scan):
-            sub = Scan(
-                scan.start,
-                scan.stop,
-                scan.server_filter,
-                remaining,
-                deadline=scan.deadline,
-            )
-            for row in self._resilient_region_scan(region, sub):
-                yield row
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining <= 0:
-                        return
+        rows = (
+            row
+            for region, run in self._region_runs([(scan.start, scan.stop)])
+            for row in self._resilient_region_scan(region, run, scan)
+        )
+        yield from itertools.islice(rows, scan.limit)
 
     def parallel_scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
-        """Fan the scan out to every overlapping region, streaming the merge.
+        """A one-window :meth:`multi_range_scan`: every overlapping region
+        streams in chunks of ``scan.batch_rows``, in key order.
 
-        Each region is read lazily in chunks of ``scan.batch_rows`` (one
-        chunk prefetched ahead on the worker pool), and the per-region
-        streams are merged back into global key order with ``heapq.merge``.
-        ``limit`` is applied exactly once, at the merge point: region scans
-        carry no limit of their own and simply stop being pulled, so an
-        early-terminated consumer (``limit``, top-k, kNN ring expansion)
-        scans at most one in-flight chunk per region beyond what it yielded.
-        Without an executor the regions are processed sequentially, which
-        preserves semantics for single-threaded deployments.
+        ``limit`` is applied exactly once, here: region cursors carry no
+        limit and simply stop being pulled, so an early-terminated consumer
+        scans at most the in-flight chunks beyond what it yielded.
         """
         if scan.limit is not None and scan.limit <= 0:
             return
-        regions = self._overlapping_regions(scan)
-        if (
-            self._executor is None
-            or len(regions) <= 1
-            or not self._regions_healthy(regions)
-        ):
-            yield from self.scan(scan)
-            return
-
-        # Per-region scans deliberately drop the global limit (it is applied
-        # once, below) but keep the range and push-down filter.
-        sub = Scan(scan.start, scan.stop, scan.server_filter, deadline=scan.deadline)
-        batch = scan.batch_rows if scan.batch_rows is not None else DEFAULT_BATCH_ROWS
-        streams = [
-            ChunkedStream(
-                self._executor,
-                self._resilient_region_scan(region, sub),
-                batch,
-                deadline=scan.deadline,
-            )
-            for region in regions
-        ]
-        # Kick off the first chunk of every region before the merge starts
-        # pulling, so region reads overlap instead of serializing.
-        for stream in streams:
-            stream.start()
+        rows = self.multi_range_scan(
+            [(scan.start, scan.stop)],
+            scan.server_filter,
+            scan.deadline,
+            batch_rows=scan.batch_rows or DEFAULT_BATCH_ROWS,
+        )
         try:
-            remaining = scan.limit
-            for row in heapq.merge(*streams):
-                yield row
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining <= 0:
-                        return
+            yield from itertools.islice(rows, scan.limit)
         finally:
-            for stream in streams:
-                stream.close()
+            rows.close()
 
     def multi_range_scan(
         self,
         windows: Iterable[Window],
         row_filter=None,
         deadline: Optional[Deadline] = None,
+        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Scan many key windows, yielding each window's rows in order.
 
-        With a worker pool, up to ``DEFAULT_WINDOW_CONCURRENCY`` windows
-        execute concurrently through the :mod:`~repro.kvstore.scheduler`
-        (bounded buffering, lazy admission, cancellation on close);
-        output is still strictly window-ordered, so the result is
-        byte-identical to a serial loop.  Without a pool, or while a
-        region's breaker is open, each window runs :meth:`parallel_scan`
-        in turn.  ``windows`` is consumed lazily either way: an
-        early-terminated consumer never advances past the windows it
-        needed.
+        Each region's run of windows (:meth:`_region_runs`) is read by one
+        region cursor — one engine pass, one RPC page in process mode.
+        With a worker pool and more than one run, the runs stream
+        concurrently through :func:`~repro.kvstore.scheduler.scan_scheduled`
+        (bounded buffering, lazy admission, cancellation on close) in run
+        order, so the result is byte-identical to a serial loop, which is
+        what runs without a pool, for a single run, or while a region's
+        breaker is open.  ``windows`` is consumed lazily either way.
         """
-        windows_iter = iter(windows)
+        scan = Scan(server_filter=row_filter, deadline=deadline)
+
+        def read(run: tuple[Region, list[Window]]) -> Iterator[tuple[bytes, bytes]]:
+            _WINDOWS_STARTED.inc(len(run[1]))
+            return self._resilient_region_scan(*run, scan)
+
+        runs = self._region_runs(windows)
         degraded = not self._regions_healthy()
-        if self._executor is None or degraded:
+        head = list(itertools.islice(runs, 1 if self._executor is None or degraded else 2))
+        runs = itertools.chain(head, runs)
+        if len(head) < 2:
             _SCANS_BY_MODE.labels(mode="degraded" if degraded else "serial").inc()
-            for start, stop in windows_iter:
-                yield from self.parallel_scan(
-                    Scan(start, stop, row_filter, deadline=deadline)
-                )
-            return
-        first = next(windows_iter, None)
-        if first is None:
-            return
-        second = next(windows_iter, None)
-        if second is None:
-            # One window: region-level parallelism beats window-level.
-            _SCANS_BY_MODE.labels(mode="serial").inc()
-            yield from self.parallel_scan(
-                Scan(first[0], first[1], row_filter, deadline=deadline)
-            )
+            for run in runs:
+                yield from read(run)
             return
         _SCANS_BY_MODE.labels(mode="scheduled").inc()
-        yield from scan_scheduled(
-            lambda w: self.scan(Scan(w[0], w[1], row_filter, deadline=deadline)),
-            itertools.chain((first, second), windows_iter),
-            self._executor,
-            DEFAULT_BATCH_ROWS,
-            DEFAULT_WINDOW_CONCURRENCY,
-            deadline=deadline,
-        )
+        yield from scan_scheduled(read, runs, self._executor, batch_rows, deadline=deadline)
 
     def multi_get(
         self,

@@ -9,6 +9,7 @@ same workload through both modes and require bit-identical results.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,107 @@ def test_scan_pages_resume_across_page_boundaries():
         for key, value in rows:
             t.put(key, value)
         assert list(t.scan(Scan(None, None))) == rows
+    finally:
+        pc.close()
+
+
+# Sorted, disjoint windows over _rows(100): 8 + 1 + 37 + 10 rows.
+WINDOWS = [
+    (b"k00003", b"k00011"),
+    (b"k00020", b"k00021"),
+    (b"k00040", b"k00077"),
+    (b"k00090", None),
+]
+
+
+def _windowed(rows, windows):
+    return [
+        (k, v)
+        for start, stop in windows
+        for k, v in rows
+        if (start is None or k >= start) and (stop is None or k < stop)
+    ]
+
+
+@pytest.fixture()
+def rpc_ops(monkeypatch):
+    """Op codes of every RPC the coordinator issues, in order."""
+    from repro.cluster.client import NodeClient
+
+    ops: list[int] = []
+    real = NodeClient.call
+
+    def spy(self, op, args, deadline=None):
+        ops.append(op)
+        return real(self, op, args, deadline)
+
+    monkeypatch.setattr(NodeClient, "call", spy)
+    return ops
+
+
+def test_scan_pages_resume_across_page_boundaries_for_a_window_list(rpc_ops):
+    pc = ProcessCluster(
+        nodes=2, replication_factor=2, read_quorum=1, write_quorum=2,
+        page_rows=7, workers=2,
+    )
+    try:
+        t = pc.create_table("paged_windows")
+        rows = _rows(100)
+        t.put_batch(rows)
+        rpc_ops.clear()
+        expected = _windowed(rows, WINDOWS)
+        assert list(t.multi_range_scan(WINDOWS)) == expected
+        # One region cursor paged through the whole list: no RPC per window.
+        assert rpc_ops == [rpc.OP_SCAN_PAGE] * (len(expected) // 7 + 1)
+    finally:
+        pc.close()
+
+
+def test_replica_killed_between_window_pages_gives_identical_stream():
+    pc = ProcessCluster(
+        nodes=2, replication_factor=2, read_quorum=1, write_quorum=2,
+        page_rows=5, workers=2,
+    )
+    try:
+        t = pc.create_table("failover_windows")
+        rows = _rows(100)
+        t.put_batch(rows)
+        store = pc._stores["failover_windows/region-0000"]
+        stream = store.scan_windows(WINDOWS)
+        head = [next(stream) for _ in range(8)]  # two pages from one replica
+        # Kill the serving worker without telling the coordinator: the
+        # next page fails on the wire and fails over to the other replica.
+        pc._handles[store._fresh_replicas()[0]].kill()
+        assert head + list(stream) == _windowed(rows, WINDOWS)
+    finally:
+        pc.close()
+
+
+def test_digest_check_covers_window_pages(rpc_ops):
+    from repro import obs
+
+    obs.set_metrics_enabled(True)
+    mismatches = obs.registry().get("cluster_digest_mismatch_total")
+    pc = ProcessCluster(
+        nodes=2, replication_factor=2, read_quorum=2, write_quorum=2,
+        page_rows=16, workers=2,
+    )
+    try:
+        t = pc.create_table("digested")
+        rows = _rows(100)
+        t.put_batch(rows)
+        before = mismatches.value
+        rpc_ops.clear()
+        assert list(t.multi_range_scan(WINDOWS)) == _windowed(rows, WINDOWS)
+        # Every page is digest-checked against the other replica.
+        assert rpc_ops.count(rpc.OP_DIGEST) == rpc_ops.count(rpc.OP_SCAN_PAGE) == 4
+        assert mismatches.value == before
+        # A replica that diverged inside a window is caught.
+        store_id = "digested/region-0000"
+        replica = pc.replicas(store_id)[1]
+        pc.client(replica).call(rpc.OP_PUT, (store_id, b"k00041", b"diverged"))
+        list(t.multi_range_scan(WINDOWS))
+        assert mismatches.value == before + 1
     finally:
         pc.close()
 
@@ -167,7 +269,7 @@ def test_hinted_handoff_delivers_after_restart():
 
 
 def _replica_rows(pc: ProcessCluster, node: str, store_id: str):
-    rows, done, _ = pc.client(node).call(rpc.OP_SCAN_PAGE, (store_id, None, None, 10_000))
+    rows, done, _ = pc.client(node).call(rpc.OP_SCAN_PAGE, (store_id, [(None, None)], 10_000))
     assert done
     return rows
 
@@ -256,7 +358,7 @@ def dataset():
 
 
 def _config(mode: str, **overrides) -> TManConfig:
-    return TManConfig(
+    settings = dict(
         boundary=TDRIVE_SPEC.boundary,
         max_resolution=12,
         num_shards=2,
@@ -266,8 +368,8 @@ def _config(mode: str, **overrides) -> TManConfig:
         replication_factor=2,
         read_quorum=2,
         write_quorum=2,
-        **overrides,
     )
+    return TManConfig(**{**settings, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +400,36 @@ def test_query_types_bit_identical_across_modes(
         t.tid for t in expected.trajectories
     ]
     assert got.distances == expected.distances
+
+
+@pytest.fixture(scope="module")
+def process_tman_r1(dataset):
+    t = TMan(_config("processes", read_quorum=1))
+    t.bulk_load(dataset)
+    yield t
+    t.close()
+
+
+def _io_delta(tman, query):
+    before = tman.cluster.stats.snapshot()
+    tman.query(query)
+    return tman.cluster.stats.snapshot() - before
+
+
+@pytest.mark.parametrize("qname", QUERY_NAMES)
+def test_io_stats_identical_across_modes(
+    thread_tman, process_tman, process_tman_r1, dataset, qname
+):
+    """Every IOStats counter but the two a worker counts for itself
+    (``block_reads``, ``bloom_rejects``) agrees — point gets included."""
+    query = seven_queries(dataset)[qname]
+    coordinator_side = lambda d: replace(d, block_reads=0, bloom_rejects=0)  # noqa: E731
+    expected = coordinator_side(_io_delta(thread_tman, query))
+    assert expected.range_scans > 0
+    for tman in (process_tman, process_tman_r1):
+        assert coordinator_side(_io_delta(tman, query)) == expected
+    if qname == "idt":
+        assert expected.point_gets > 0
 
 
 def test_row_counts_match_across_modes(thread_tman, process_tman):
@@ -355,16 +487,19 @@ def test_health_reports_cluster_panel(thread_tman, process_tman):
 
 
 def test_deadline_mid_query_returns_partial_without_hanging(dataset):
-    # Tiny pages force many scan RPCs; a short budget expires mid-stream.
-    # The worker answers STATUS_EXPIRED, the sink guard truncates, and
-    # the query returns partial=True — it must never hang on the socket.
-    t = TMan(_config("processes", cluster_page_rows=8, split_rows=2000))
+    # One-row pages over every row force many scan RPCs (a region's whole
+    # window list is one cursor, so only its rows make pages); a short
+    # budget expires mid-stream.  The worker answers STATUS_EXPIRED, the
+    # sink guard truncates, and the query returns partial=True — it must
+    # never hang on the socket.
+    t = TMan(_config("processes", cluster_page_rows=1, split_rows=2000))
     try:
         t.bulk_load(dataset)
-        span = dataset[0].time_range
+        start = min(traj.time_range.start for traj in dataset)
+        end = max(traj.time_range.end for traj in dataset)
         started = time.monotonic()
         res = t.query(
-            TemporalRangeQuery(TimeRange(span.start, span.start + 5400)),
+            TemporalRangeQuery(TimeRange(start, end)),
             deadline_ms=5.0,
             allow_partial=True,
         )

@@ -124,15 +124,15 @@ class TestScanScheduled:
         )
         assert rows == [v for i in range(6) for v in data[i]]
 
-    def test_matches_serial_execution(self, pool):
+    def test_matches_serial_execution(self):
         def factory(w):
             return iter(range(w * 10, w * 10 + w))
 
         serial = [v for w in range(8) for v in range(w * 10, w * 10 + w)]
-        for concurrency in (1, 2, 3, 8):
-            got = list(
-                scan_scheduled(factory, range(8), pool, batch=4, concurrency=concurrency)
-            )
+        # The admission width is the pool's; rows never depend on it.
+        for workers in (1, 2, 3, 8):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                got = list(scan_scheduled(factory, range(8), pool, batch=4))
             assert got == serial
 
     def test_lazy_window_admission(self, pool):
@@ -142,15 +142,28 @@ class TestScanScheduled:
             planned.append(w)
             return iter([w] * 100)
 
-        gen = scan_scheduled(
-            lambda w: factory(w), iter(range(50)), pool, batch=16, concurrency=2
-        )
+        gen = scan_scheduled(lambda w: factory(w), iter(range(50)), pool, batch=16)
         first = next(gen)
         assert first == 0
         gen.close()
         # Early close must not have planned (or scanned) anywhere near all
-        # 50 windows — only the admitted head plus its slow-start followers.
+        # 50 runs — only the admitted head plus one follower per chunk taken.
         assert len(planned) < 8
+
+    def test_no_more_live_streams_than_pool_workers(self):
+        planned = []
+
+        def factory(run):
+            planned.append(run)
+            return iter([run] * 1000)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            gen = scan_scheduled(factory, range(20), pool, batch=16)
+            head = [next(gen) for _ in range(500)]
+            gen.close()
+        assert head == [0] * 500
+        # Each chunk taken admits one more run, but only up to the width.
+        assert planned == [0, 1]
 
     def test_empty_windows(self, pool):
         assert list(scan_scheduled(lambda w: iter(()), [], pool, batch=4)) == []

@@ -14,6 +14,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.kvstore.simlatency import SimulatedRPC, rpc_latency
 from repro.model import MBR, TimeRange
 from repro.obs import (
     profile_log,
@@ -247,11 +248,14 @@ class TestAdmissionAndSlowlog:
                 result = tman.query(query)
                 waits.append(result.profile.admission_wait_ms)
 
-            threads = [threading.Thread(target=client) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # A region cursor that sleeps (releasing the GIL) holds the one
+            # slot long enough for the other clients to arrive and queue.
+            with rpc_latency(SimulatedRPC(scan_ms=5.0)):
+                threads = [threading.Thread(target=client) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
             assert len(waits) == 6
             # with one slot, someone must have queued
             assert any(w > 0 for w in waits)

@@ -127,20 +127,18 @@ class TestCancellation:
         assert len(progressed) == n_before
 
     def test_scheduled_scan_close_skips_remaining_windows(self, pool):
+        # One run per region: each run is its own stream.
         opened: list[int] = []
 
-        def factory(window: int):
-            opened.append(window)
-            return iter([(bytes([window]), b"v")])
+        def factory(run: int):
+            opened.append(run)
+            return iter([(bytes([run]), b"v")])
 
-        rows = scan_scheduled(
-            factory, range(100), pool, batch=4, concurrency=2,
-            windows_per_task=1,
-        )
+        rows = scan_scheduled(factory, range(100), pool, batch=4)
         next(rows)
         rows.close()
         time.sleep(0.05)
-        assert len(opened) < 100  # later windows were never planned
+        assert len(opened) < 100  # later runs were never planned
 
 
 class TestDeadlineStarvation:
