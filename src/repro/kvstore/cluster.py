@@ -52,7 +52,8 @@ class Cluster:
         # A dedicated single-worker pool for background memtable flushes:
         # sharing the scan pool would let a query burst starve flushing —
         # exactly the condition backpressure exists to relieve.  In-memory
-        # clusters only; the durable engine flushes inline (WAL safety).
+        # clusters only: a DurableLSMStore takes no flusher (its one WAL
+        # file is truncated at flush), so its watermarks drain inline.
         self._flusher: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(max_workers=1, thread_name_prefix="kv-flush")
             if self.write_limits is not None and data_dir is None

@@ -245,6 +245,11 @@ class DiskSSTable:
         finally:
             rows.close()
 
+    def get_many(self, keys: Sequence[bytes]) -> Iterator[tuple[bytes, bytes]]:
+        """The records of sorted, unique ``keys`` present here: one cursor
+        pass over the batch, as a list of one-key windows."""
+        return self.scan_windows([(k, k + b"\x00") for k in keys])
+
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:

@@ -1,18 +1,24 @@
-"""Durable LSM store: WAL-protected memtable over on-disk SSTables.
+"""The LSM engine's directory medium: a WAL in front of on-disk runs.
 
-The same contract as :class:`repro.kvstore.lsm.LSMStore`, but writes survive
-process crashes: every mutation hits the write-ahead log before the
-memtable, flushes produce numbered ``sst-<n>.sst`` files, and opening a
-directory replays the WAL and discovers existing runs.
+:class:`DurableLSMStore` is :class:`repro.kvstore.lsm.LSMStore` with its
+runs on disk: every mutation hits the write-ahead log before the memtable,
+flushes produce numbered ``sst-<n>.sst`` files, and opening a directory
+replays the WAL and discovers existing runs.  The write path,
+backpressure, flush pipeline, compaction trigger and reads are
+``LSMStore``'s; this module holds the directory lock, the files and the
+crash protocol.  There is no flusher pool: the WAL is a single file
+truncated at flush, so a background flush racing WAL appends would drop
+acknowledged writes at the truncate.  The watermarks drain inline.
 
 Crash safety protocol (exercised by :mod:`repro.kvstore.simfault`'s crash
 points, recovered by :meth:`DurableLSMStore.__init__`):
 
 - **Flush**: the frozen memtable is written to ``sst-<n>.sst.tmp``,
   fsynced, atomically renamed to ``sst-<n>.sst`` (directory fsynced), and
-  only then is the WAL truncated.  A crash before the rename leaves a
-  ``.tmp`` leftover (deleted on reopen; the WAL still holds the data); a
-  crash after it replays the WAL over an identical SSTable — idempotent.
+  only then, with no unflushed write left in memory, is the WAL
+  truncated.  A crash before the rename leaves a ``.tmp`` leftover
+  (deleted on reopen; the WAL still holds the data); a crash after it
+  replays the WAL over an identical SSTable — idempotent.
 - **Compaction**: the merged run is written the same tmp→fsync→rename
   way *before* the superseded runs are unlinked.  Tombstones are
   preserved in the merged output: a crash between rename and unlink
@@ -20,53 +26,34 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
   tombstone would resurrect deleted keys from them.  Stale runs left by
   such a crash are shadowed (the merged run is newest) and reclaimed by
   the next compaction.
-- **Reopen**: ``*.tmp`` leftovers are removed, and torn/corrupt
+- **Reopen**: ``*.tmp`` leftovers are removed, torn/corrupt
   ``sst-*.sst`` files (pre-protocol crashes, bit rot) are skipped with a
-  ``kv_sstable_torn_skipped_total`` count instead of poisoning the open.
+  ``kv_sstable_torn_skipped_total`` count instead of poisoning the open,
+  and a torn WAL tail is cut off at the last intact record, so the
+  writes appended after recovery replay too.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import time
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.kvstore import simfault
 from repro.kvstore.block_cache import BlockCache
-from repro.kvstore.census import census_rows
 from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
 from repro.kvstore.errors import CorruptionError, StoreLockedError
-from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
+from repro.kvstore.lsm import DEFAULT_FLUSH_BYTES, DEFAULT_MAX_TABLES, LSMStore
+from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.retry import RetryPolicy
-from repro.kvstore.scan import Window
 from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 from repro.obs import counter as _obs_counter
-from repro.runtime.backpressure import (
-    WriteLimits,
-    record_stall,
-    record_throttle,
-)
+from repro.runtime.backpressure import WriteLimits
 
 _log = logging.getLogger(__name__)
 
-DEFAULT_FLUSH_BYTES = 4 * 1024 * 1024
-DEFAULT_MAX_TABLES = 8
-
-_FLUSH_TOTAL = _obs_counter(
-    "kv_memtable_flush_total", "Memtable freezes into an SSTable run"
-)
-_FLUSH_BYTES = _obs_counter(
-    "kv_memtable_flush_bytes_total", "Approximate bytes frozen by memtable flushes"
-)
-_COMPACT_TOTAL = _obs_counter(
-    "kv_compaction_total", "Size-tiered full compactions executed"
-)
-_COMPACT_BYTES = _obs_counter(
-    "kv_compaction_bytes_total", "Live bytes rewritten by compactions"
-)
 _TORN_SKIPPED = _obs_counter(
     "kv_sstable_torn_skipped_total",
     "Torn or corrupt SSTable files skipped during store reopen",
@@ -93,8 +80,18 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-class DurableLSMStore:
+class DurableLSMStore(LSMStore):
     """Crash-safe LSM store rooted at a directory."""
+
+    # See the module docstring's compaction crash window.
+    _compaction_keeps_tombstones = True
+
+    # benchmarks/spine/tracing.py wraps flush and compact once per class,
+    # through the class __dict__, so both names live here too.  They are
+    # the inherited functions, not overrides calling super(): a traced
+    # call never nests a same-named traced call.
+    flush = LSMStore.flush
+    compact = LSMStore.compact
 
     def __init__(
         self,
@@ -116,24 +113,11 @@ class DurableLSMStore:
         # a lock held by a *live* different process is a hard error.
         self._lock_path = self.data_dir / "LOCK"
         self._acquire_lock()
-        self._stats = stats
-        self._flush_bytes = flush_bytes
-        self._max_tables = max_tables
+        super().__init__(stats, flush_bytes, max_tables, write_limits)
         self._sync = sync
         self._block_cache = block_cache
         self._retry = retry if retry is not None else RetryPolicy()
-        # Backpressure is synchronous here: the WAL is a single file
-        # truncated at flush, so a background flush racing WAL appends
-        # would drop acknowledged writes at the truncate.  The watermarks
-        # instead trigger an early inline flush plus a throttle delay.
-        self._limits = (
-            write_limits if write_limits is not None and write_limits.enabled else None
-        )
-        self._memtable = MemTable()
         self._closed = False
-        # Trajectory row versions seen by the most recent compaction
-        # (None until one runs); see repro.kvstore.census.
-        self.last_format_census: Optional[dict[int, int]] = None
 
         # A crash mid-flush/compaction leaves the half-written run at its
         # .tmp path; it was never acknowledged (the WAL still covers it or
@@ -142,7 +126,6 @@ class DurableLSMStore:
             leftover.unlink(missing_ok=True)
 
         # Discover existing runs (oldest first by sequence number).
-        self._sstables: list[DiskSSTable] = []
         self._next_seq = 0
         for path in sorted(self.data_dir.glob("sst-*.sst")):
             seq = int(path.stem.split("-")[1])
@@ -168,80 +151,66 @@ class DurableLSMStore:
             else:
                 self._memtable.delete(key)
 
-    def _acquire_lock(self) -> None:
-        """Claim the directory for this pid, or raise StoreLockedError."""
+    def _lock_owner(self) -> Optional[str]:
+        """The raw content of ``LOCK``, or ``None`` when there is none."""
         try:
-            owner = int(self._lock_path.read_text().strip())
-        except (FileNotFoundError, ValueError):
-            owner = None
-        if owner is not None and owner != os.getpid() and _pid_alive(owner):
-            raise StoreLockedError(
-                f"{self.data_dir} is owned by live process {owner} "
-                f"(this is pid {os.getpid()})"
-            )
-        self._lock_path.write_text(str(os.getpid()))
+            return self._lock_path.read_text()
+        except FileNotFoundError:
+            return None
 
-    # -- writes -------------------------------------------------------------
+    def _acquire_lock(self) -> None:
+        """Claim the directory for this pid, or raise StoreLockedError.
 
-    @property
-    def memtable_bytes(self) -> int:
-        """Unflushed bytes buffered in the memtable."""
-        return self._memtable.approx_bytes
-
-    def _enforce_limits(self) -> None:
-        """Synchronous watermark backpressure (see ``__init__``).
-
-        The hard watermark flushes inline and accounts the wait as a
-        stall; the soft watermark flushes inline and throttles.  Neither
-        can reject: an inline flush always frees the memtable, so the
-        bounded-stall-then-reject path is unreachable here.
+        The only claim is an exclusive create (``O_CREAT | O_EXCL``), so
+        two openers can never both create ``LOCK``.  A lock held by a dead
+        process, by garbage or by this pid is removed — unless it changed
+        since it was read — and the create retried, re-checking the owner.
         """
-        limits = self._limits
-        if limits is None:
+        me = os.getpid()
+        while True:
+            raw = self._lock_owner()
+            if raw is not None:
+                try:
+                    owner: Optional[int] = int(raw.strip())
+                except ValueError:
+                    owner = None
+                if owner is not None and owner != me and _pid_alive(owner):
+                    raise StoreLockedError(
+                        f"{self.data_dir} is owned by live process {owner} "
+                        f"(this is pid {me})"
+                    )
+                if self._lock_owner() == raw:
+                    self._lock_path.unlink(missing_ok=True)
+            try:
+                fd = os.open(self._lock_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            except FileExistsError:
+                continue  # another opener claimed it first: check that one
+            with os.fdopen(fd, "w") as fh:
+                fh.write(str(me))
             return
-        buffered = self._memtable.approx_bytes
-        if limits.hard_bytes is not None and buffered >= limits.hard_bytes:
-            t0 = time.monotonic()
-            self.flush()
-            record_stall(time.monotonic() - t0, rejected=False)
-            return
-        if limits.soft_bytes is not None and buffered >= limits.soft_bytes:
-            self.flush()
-            if limits.throttle_ms > 0:
-                record_throttle()
-                time.sleep(limits.throttle_ms / 1000.0)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite ``key`` with ``value``."""
+    # -- the medium -----------------------------------------------------------
+
+    def _log_write(self, key: bytes, value: bytes) -> None:
         if value == TOMBSTONE:
-            raise ValueError("the tombstone sentinel cannot be stored as a value")
-        self._enforce_limits()
-        self._wal.append(OP_PUT, key, value)
-        self._memtable.put(key, value)
-        if self._memtable.approx_bytes >= self._flush_bytes:
-            self.flush()
+            self._wal.append(OP_DELETE, key)
+        else:
+            self._wal.append(OP_PUT, key, value)
 
-    def put_batch(self, rows: Sequence[tuple[bytes, bytes]]) -> None:
-        """Insert many rows, in order (each exactly as :meth:`put`)."""
-        for key, value in rows:
-            self.put(key, value)
+    def _log_flushed(self) -> None:
+        self._wal.truncate()
 
-    def delete(self, key: bytes) -> None:
-        """Remove ``key``."""
-        self._enforce_limits()
-        self._wal.append(OP_DELETE, key)
-        self._memtable.delete(key)
-        if self._memtable.approx_bytes >= self._flush_bytes:
-            self.flush()
+    def _new_run(
+        self, entries: list[tuple[bytes, bytes]], stage: str, fault_hook: Callable[[], None]
+    ) -> DiskSSTable:
+        """Put ``entries`` on disk as the next numbered run, crash-safely.
 
-    def _write_run(self, path: Path, entries, fault_hook) -> None:
-        """Write ``entries`` to ``path`` via tmp+fsync+rename (retried).
-
-        The transient-IO fault hook fires before each attempt's write, so
-        a retry re-runs the whole write; nothing is visible at ``path``
-        until the atomic rename, and the rename itself is durable once
-        the directory is fsynced.
+        The run is written to its ``.tmp`` path and fsynced, the whole
+        write retried on transient faults (``fault_hook`` fires before
+        each attempt); then it is renamed into place and the directory
+        fsynced.  Nothing is visible at the final path until the rename.
         """
+        path = self.data_dir / f"sst-{self._next_seq:06d}.sst"
         tmp = path.with_name(path.name + ".tmp")
 
         def attempt() -> None:
@@ -253,96 +222,29 @@ class DurableLSMStore:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-    def flush(self) -> None:
-        """Freeze the memtable to a new disk SSTable and reset the WAL."""
-        if len(self._memtable) == 0:
-            return
-        _FLUSH_TOTAL.inc()
-        _FLUSH_BYTES.inc(self._memtable.approx_bytes)
-        path = self.data_dir / f"sst-{self._next_seq:06d}.sst"
-        entries = list(self._memtable.items())
-        self._write_run(path, entries, simfault.flush_fault)
-        # CP1: the run exists only at its .tmp path; the WAL is intact.
-        simfault.crash_point("flush.pre_rename")
-        os.replace(path.with_name(path.name + ".tmp"), path)
+        # CP1: the run exists only at its .tmp path; the WAL (flush) or the
+        # superseded runs (compaction) are intact.
+        simfault.crash_point(f"{stage}.pre_rename")
+        os.replace(tmp, path)
         _fsync_dir(self.data_dir)
-        # CP2: the run is durably visible but the WAL not yet truncated —
-        # replay over the identical SSTable is idempotent.
-        simfault.crash_point("flush.post_rename")
+        # CP2: the run is durably visible.  Flush: the WAL is not yet
+        # truncated — replay over the identical run is idempotent.
+        # Compaction: the superseded runs are not yet unlinked — they are
+        # fully shadowed (the merged run is newest).
+        simfault.crash_point(f"{stage}.post_rename")
         self._next_seq += 1
-        self._sstables.append(
-            DiskSSTable(path, self._stats, block_cache=self._block_cache)
-        )
-        self._memtable = MemTable()
-        self._wal.truncate()
-        if len(self._sstables) > self._max_tables:
-            self.compact()
+        return DiskSSTable(path, self._stats, block_cache=self._block_cache)
 
-    def compact(self) -> None:
-        """Merge every run into one file, dropping shadowed keys.
+    def _flush_run(self, entries: list[tuple[bytes, bytes]]) -> DiskSSTable:
+        return self._new_run(entries, "flush", simfault.flush_fault)
 
-        Tombstones are *kept* in the merged output: between the rename
-        and the unlinks below there is a crash window in which the old
-        runs are still on disk, and a reopen that merged a tombstone-free
-        run with them would resurrect deleted keys.
-        """
-        merged: dict[bytes, bytes] = {}
-        for table in self._sstables:  # oldest first; later wins
-            for k, v in table.scan():
-                merged[k] = v
-        entries = sorted(merged.items())
-        _COMPACT_TOTAL.inc()
-        _COMPACT_BYTES.inc(
-            sum(len(k) + len(v) for k, v in entries if v != TOMBSTONE)
-        )
-        self.last_format_census = census_rows(
-            (k, v) for k, v in entries if v != TOMBSTONE
-        )
-        old_tables = list(self._sstables)
-        path = self.data_dir / f"sst-{self._next_seq:06d}.sst"
-        self._write_run(path, entries, simfault.compact_fault)
-        # CP1: merged run exists only at its .tmp path; old runs intact.
-        simfault.crash_point("compact.pre_rename")
-        os.replace(path.with_name(path.name + ".tmp"), path)
-        _fsync_dir(self.data_dir)
-        # CP2: merged run durably visible, superseded runs not yet
-        # unlinked — they are fully shadowed (merged run is newest).
-        simfault.crash_point("compact.post_rename")
-        self._next_seq += 1
-        self._sstables = [DiskSSTable(path, self._stats, block_cache=self._block_cache)]
-        for old in old_tables:
+    def _compaction_runs(self, entries: list[tuple[bytes, bytes]]) -> list[DiskSSTable]:
+        merged = self._new_run(entries, "compact", simfault.compact_fault)
+        for old in self._sstables:
             # Reclaim the dead runs' cache residency before unlinking them.
             old.release_cache()
             old.path.unlink(missing_ok=True)
-
-    # -- reads --------------------------------------------------------------
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value stored under ``key``, or ``None`` when absent."""
-        return self.get_batch([key])[0]
-
-    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
-        """Values (or ``None``) of ``keys``, in input order.
-
-        Disk SSTables have no bloom filter, so the sorted, de-duplicated
-        batch is swept through the same level cursors as a scan: one
-        forward pass per level instead of one sparse-block re-parse per key.
-        """
-        levels = [self._memtable, *reversed(self._sstables)]
-        found = newest_values(levels, sorted(set(keys)))
-        return [found.get(key) for key in keys]
-
-    def scan(
-        self, start: Optional[bytes] = None, stop: Optional[bytes] = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
-        return self.scan_windows(((start, stop),))
-
-    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
-        """Yield the live pairs of sorted, disjoint ``windows`` in key order."""
-        levels = [self._memtable, *reversed(self._sstables)]
-        return merge_live(level.scan_windows(windows) for level in levels)
+        return [merged]
 
     def close(self) -> None:
         """Release the resources held by this object (idempotent).

@@ -1,4 +1,13 @@
-"""LSM-tree store: memtable + tiered SSTables with compaction.
+"""LSM-tree store: memtable + tiered sorted runs with compaction.
+
+One engine over two storage media.  :class:`LSMStore` owns the write path,
+watermark backpressure, the freeze/flush pipeline, the compaction trigger
+and the read path.  The medium supplies only how a write is logged
+(``_log_write`` / ``_log_flushed``), how a frozen memtable or a compaction
+becomes a run (``_flush_run`` / ``_compaction_runs``), and whether
+compaction may drop tombstones.  This class is the memory medium
+(bloom-filtered :class:`~repro.kvstore.sstable.SSTable` runs, no log);
+:class:`repro.kvstore.durable.DurableLSMStore` is the directory medium.
 
 Every write goes through one flush pipeline: when the active memtable
 crosses ``flush_bytes`` (or, with
@@ -9,7 +18,8 @@ With a flusher pool the queue drains in the background while the writer
 is briefly throttled, and at the hard watermark writers stall until
 flushing catches up, for at most a bounded timeout, after which the
 write is rejected with :class:`~repro.kvstore.errors.WriteStalledError`.
-Without a flusher the queue drains inline, before the write returns.
+Without a flusher the write drains the queue inline, through
+:meth:`LSMStore.flush`, before it returns.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.kvstore.census import census_rows
 from repro.kvstore.errors import WriteStalledError
-from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_value
+from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
 from repro.kvstore.scan import Window
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.stats import IOStats
@@ -53,10 +63,14 @@ class LSMStore:
     """A single-range log-structured merge store.
 
     Writes go to the memtable; when it exceeds ``flush_bytes`` it becomes an
-    immutable SSTable.  When more than ``max_tables`` SSTables accumulate,
-    they are merged (size-tiered full compaction), dropping tombstones.
-    Scans merge the memtable and every overlapping SSTable, newest first.
+    immutable run.  When more than ``max_tables`` runs accumulate, they are
+    merged (size-tiered full compaction).  Scans merge the memtable and
+    every run, newest first.
     """
+
+    # In memory the merged run replaces every older run at once, so nothing
+    # is left for a tombstone to shadow and compaction drops them.
+    _compaction_keeps_tombstones = False
 
     def __init__(
         self,
@@ -70,15 +84,19 @@ class LSMStore:
         self._flush_bytes = flush_bytes
         self._max_tables = max_tables
         self._memtable = MemTable()
-        self._sstables: list[SSTable] = []  # newest last
+        self._sstables: list = []  # the medium's runs, newest last
         # Trajectory row versions seen by the most recent compaction
         # (None until one runs); see repro.kvstore.census.
         self.last_format_census: Optional[dict[int, int]] = None
         self._limits = write_limits if write_limits is not None else WriteLimits()
         self._flusher = flusher
         # Guards the level lists (_memtable, _frozen, _sstables) and the
-        # flush-pipeline state; waited on by stalled writers and flush().
-        self._cond = threading.Condition(threading.Lock())
+        # flush-pipeline state; _cond, over the same lock, is waited on by
+        # stalled writers and flush().  Re-entrant: without a flusher a
+        # write drains through flush(), and every drain compacts through
+        # compact(), all under this lock.
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._frozen: list[MemTable] = []  # oldest first, flush order
         self._flush_inflight = False
         self._flush_error: Optional[BaseException] = None
@@ -95,7 +113,7 @@ class LSMStore:
     @property
     def memtable_bytes(self) -> int:
         """Unflushed bytes: the active memtable plus frozen ones awaiting flush."""
-        with self._cond:
+        with self._lock:
             return self._unflushed_bytes_locked()
 
     # -- writes -------------------------------------------------------------
@@ -124,7 +142,7 @@ class LSMStore:
     def _write(self, key: bytes, value: bytes) -> None:
         limits = self._limits
         throttle = False
-        with self._cond:
+        with self._lock:
             self._raise_flush_error_locked()
             if (
                 limits.hard_bytes is not None
@@ -135,11 +153,12 @@ class LSMStore:
                 limits.soft_bytes is not None
                 and self._memtable.approx_bytes >= limits.soft_bytes
             ):
-                self._freeze_and_schedule_locked()
+                self._freeze_locked()
                 throttle = limits.throttle_ms > 0
+            self._log_write(key, value)
             self._memtable.put(key, value)
             if self._memtable.approx_bytes >= self._flush_bytes:
-                self._freeze_and_schedule_locked()
+                self._freeze_locked()
         if throttle:
             # Smear the flush cost across the burst: a short sleep outside
             # the lock per freeze, not per put.
@@ -157,11 +176,15 @@ class LSMStore:
             raise exc
 
     def _stall_locked(self) -> None:
-        """Block until flushing brings unflushed bytes under the hard mark."""
+        """Block until flushing brings unflushed bytes under the hard mark.
+
+        Without a flusher the freeze below drains everything inline, so
+        the wait loop never runs and the stall cannot be rejected.
+        """
         limits = self._limits
         t0 = time.monotonic()
         give_up_at = t0 + limits.stall_timeout_ms / 1000.0
-        self._freeze_and_schedule_locked()
+        self._freeze_locked()
         while self._unflushed_bytes_locked() >= limits.hard_bytes:
             self._raise_flush_error_locked()
             timeout = give_up_at - time.monotonic()
@@ -172,64 +195,61 @@ class LSMStore:
                     f"hard memtable watermark ({limits.hard_bytes} bytes) "
                     f"with {self._unflushed_bytes_locked()} bytes unflushed"
                 )
-            if self._flusher is None and not self._flush_inflight:
-                # No background flusher: drain inline instead of waiting.
-                self._drain_frozen_locked()
-                continue
             self._cond.wait(timeout)
         record_stall(time.monotonic() - t0, rejected=False)
 
-    def _freeze_and_schedule_locked(self) -> None:
-        """Swap in a fresh active memtable; flush the old one off-thread."""
+    def _freeze_locked(self) -> None:
+        """Freeze the active memtable and get it flushed: inline through
+        :meth:`flush` without a flusher, else on the flusher pool."""
+        if self._flusher is None:
+            self.flush()
+            return
         if len(self._memtable) == 0:
             return
         self._frozen.append(self._memtable)
         self._memtable = MemTable()
-        if self._flusher is None:
-            self._drain_frozen_locked()
-            return
         if not self._flush_inflight:
             self._flush_inflight = True
             self._flusher.submit(self._background_flush)
 
-    def _build_sstable(self, frozen: MemTable) -> SSTable:
+    def _flush_frozen(self, frozen: MemTable):
         _FLUSH_TOTAL.inc()
         _FLUSH_BYTES.inc(frozen.approx_bytes)
-        return SSTable(list(frozen.items()), self._stats)
+        return self._flush_run(list(frozen.items()))
 
-    def _drain_frozen_locked(self) -> None:
-        """Flush every frozen memtable inline (lock held; no-flusher path)."""
-        while self._frozen:
-            frozen = self._frozen.pop(0)
-            self._sstables.append(self._build_sstable(frozen))
+    def _install_run_locked(self, run) -> None:
+        """Swap a flushed run in for the oldest frozen memtable.
+
+        The source is dequeued in the same step, so readers never see the
+        rows in both places or in neither.
+        """
+        self._sstables.append(run)
+        self._frozen.pop(0)
+        if not self._frozen and len(self._memtable) == 0:
+            self._log_flushed()  # no unflushed write is left in memory
         if len(self._sstables) > self._max_tables:
-            self._compact_locked()
+            self.compact()
         self._cond.notify_all()
 
     def _background_flush(self) -> None:
         """Flusher-pool task: drain the frozen queue, oldest first.
 
-        The SSTable is built outside the lock (the frozen memtable is
-        immutable), then swapped in and the source dequeued atomically so
-        readers never see the rows in both places or in neither.
+        The run is built outside the lock (the frozen memtable is
+        immutable), then installed under it.
         """
         try:
             while True:
-                with self._cond:
+                with self._lock:
                     if not self._frozen:
                         self._flush_inflight = False
                         self._cond.notify_all()
                         return
                     frozen = self._frozen[0]
-                table = self._build_sstable(frozen)
-                with self._cond:
-                    self._sstables.append(table)
-                    self._frozen.pop(0)
-                    if len(self._sstables) > self._max_tables:
-                        self._compact_locked()
-                    self._cond.notify_all()
+                run = self._flush_frozen(frozen)
+                with self._lock:
+                    self._install_run_locked(run)
         except BaseException as exc:  # surfaced on the next write/flush
-            with self._cond:
+            with self._lock:
                 self._flush_error = exc
                 self._flush_inflight = False
                 self._cond.notify_all()
@@ -237,12 +257,12 @@ class LSMStore:
     # -- flush / compaction --------------------------------------------------
 
     def flush(self) -> None:
-        """Freeze the memtable into an SSTable (no-op when empty).
+        """Freeze the memtable into a run (no-op when empty).
 
         Also drains the background flush pipeline, so on return every
-        previously written row is in an SSTable.
+        previously written row is in a run.
         """
-        with self._cond:
+        with self._lock:
             self._raise_flush_error_locked()
             if len(self._memtable):
                 self._frozen.append(self._memtable)
@@ -250,43 +270,71 @@ class LSMStore:
             while self._flush_inflight:
                 self._cond.wait()
                 self._raise_flush_error_locked()
-            self._drain_frozen_locked()
+            while self._frozen:
+                self._install_run_locked(self._flush_frozen(self._frozen[0]))
 
     def compact(self) -> None:
-        """Merge every SSTable into one, dropping shadowed values and tombstones."""
-        with self._cond:
-            self._compact_locked()
+        """Merge every run into one, dropping shadowed values.
 
-    def _compact_locked(self) -> None:
-        merged: dict[bytes, bytes] = {}
-        for table in self._sstables:  # oldest first; later wins
-            for k, v in table.scan():
-                merged[k] = v
-        live = sorted((k, v) for k, v in merged.items() if v != TOMBSTONE)
-        _COMPACT_TOTAL.inc()
-        _COMPACT_BYTES.inc(sum(len(k) + len(v) for k, v in live))
-        self.last_format_census = census_rows(live)
-        self._sstables = [SSTable(live, self._stats)] if live else []
+        Tombstones are dropped too unless the medium keeps them
+        (``_compaction_keeps_tombstones``).
+        """
+        with self._lock:
+            merged: dict[bytes, bytes] = {}
+            for table in self._sstables:  # oldest first; later wins
+                merged.update(table.scan())
+            entries = sorted(merged.items())
+            live = [(k, v) for k, v in entries if v != TOMBSTONE]
+            _COMPACT_TOTAL.inc()
+            _COMPACT_BYTES.inc(sum(len(k) + len(v) for k, v in live))
+            self.last_format_census = census_rows(live)
+            self._sstables = self._compaction_runs(
+                entries if self._compaction_keeps_tombstones else live
+            )
+
+    # -- the medium (memory; DurableLSMStore overrides) -----------------------
+
+    def _log_write(self, key: bytes, value: bytes) -> None:
+        """Record a write (``TOMBSTONE`` for a delete) before the memtable
+        takes it; memory keeps no log."""
+
+    def _log_flushed(self) -> None:
+        """Every logged write is now in a run; memory keeps no log."""
+
+    def _flush_run(self, entries: list[tuple[bytes, bytes]]) -> SSTable:
+        """A run holding a frozen memtable's sorted ``entries``."""
+        return SSTable(entries, self._stats)
+
+    def _compaction_runs(self, entries: list[tuple[bytes, bytes]]) -> list:
+        """The run list replacing every run after a compaction to ``entries``."""
+        return [SSTable(entries, self._stats)] if entries else []
 
     # -- reads --------------------------------------------------------------
 
-    def _levels_snapshot(self) -> tuple[list[MemTable], list[SSTable]]:
-        """The level lists, each newest first, copied under the lock.
+    def _levels_snapshot(self) -> list:
+        """Every level, newest first, listed under the lock.
 
-        Frozen memtables are never mutated again and SSTables never
-        change after construction, so reads run lock-free against the
-        snapshot while flushes and compactions swap the lists.
+        Frozen memtables are never mutated again and runs never change
+        after construction, so reads run lock-free against the snapshot
+        while flushes and compactions swap the lists.
         """
-        with self._cond:
-            return (
-                [self._memtable, *reversed(self._frozen)],
-                self._sstables[::-1],
-            )
+        with self._lock:
+            return [self._memtable, *reversed(self._frozen), *reversed(self._sstables)]
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Return the live value for ``key`` or ``None`` (bloom-filtered)."""
-        memtables, sstables = self._levels_snapshot()
-        return newest_value(memtables + sstables, key)
+        """Return the live value for ``key`` or ``None``."""
+        return self.get_batch([key])[0]
+
+    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
+        """Values (or ``None``) of ``keys``, in input order.
+
+        One level snapshot serves the sorted, de-duplicated batch; each
+        level, newest first, looks up only the keys no newer level decided
+        (bloom-filtered probes on in-memory runs, one forward cursor pass
+        on a disk run).
+        """
+        found = newest_values(self._levels_snapshot(), sorted(set(keys)))
+        return [found.get(key) for key in keys]
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
@@ -299,7 +347,6 @@ class LSMStore:
 
         One level snapshot serves the whole list.  For duplicate keys the
         newest level (memtable, frozen memtables newest-first, then
-        youngest SSTable) wins, and tombstones suppress the key entirely.
+        youngest run) wins, and tombstones suppress the key entirely.
         """
-        memtables, sstables = self._levels_snapshot()
-        return merge_live(level.scan_windows(windows) for level in memtables + sstables)
+        return merge_live(level.scan_windows(windows) for level in self._levels_snapshot())

@@ -51,6 +51,10 @@ class MemTable:
         """Return the stored value, a tombstone, or ``None`` when absent."""
         return self._map.get(key)
 
+    def get_many(self, keys: Sequence[bytes]) -> list[tuple[bytes, bytes]]:
+        """The stored entries (tombstones included) of ``keys`` present here."""
+        return [(k, self._map[k]) for k in keys if k in self._map]
+
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
@@ -76,27 +80,19 @@ class MemTable:
         return self.scan()
 
 
-def newest_value(levels: Iterable, key: bytes) -> Optional[bytes]:
-    """Live value of ``key`` across LSM levels given newest first.
-
-    Each level exposes ``get(key)`` (memtables and SSTables both do); the
-    newest level holding the key decides, and a tombstone there hides
-    every older version.
-    """
-    for level in levels:
-        value = level.get(key)
-        if value is not None:
-            return None if value == TOMBSTONE else value
-    return None
-
-
 def newest_values(levels: Iterable, keys: Sequence[bytes]) -> dict[bytes, bytes]:
-    """:func:`newest_value` for sorted, unique ``keys``: each level sweeps
-    the keys no newer level decided in one ``scan_windows`` pass.  Absent
-    keys are missing from the result."""
+    """Live values of sorted, unique ``keys`` across LSM levels given newest first.
+
+    Each level's ``get_many`` looks up only the keys no newer level
+    decided; the newest level holding a key decides, and a tombstone there
+    hides every older version.  Absent keys are missing from the result.
+    """
     decided: dict[bytes, bytes] = {}
     for level in levels:
-        decided.update(level.scan_windows([(k, k + b"\x00") for k in keys if k not in decided]))
+        pending = [k for k in keys if k not in decided]
+        if not pending:
+            break
+        decided.update(level.get_many(pending))
     return {k: v for k, v in decided.items() if v != TOMBSTONE}
 
 
@@ -107,7 +103,7 @@ def merge_live(
 
     For duplicate keys the newest source wins, and tombstones suppress
     the key entirely, so only live entries come out, in key order.  This
-    is the one read path of both LSM engines (each level a
+    is the LSM engine's one scan path on both storage media (each level a
     ``scan_windows`` cursor); when a single source has rows there is
     nothing to merge and no heap.
     """

@@ -47,8 +47,8 @@ class KVStoreEngine(Protocol):
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value stored under ``key``, or ``None`` when absent."""
+    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
+        """Values (or ``None``) of ``keys``, in input order."""
 
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
@@ -161,16 +161,14 @@ class Region:
 
         This is the region half of ``Table.multi_get``: a batch costs a
         single round trip however many keys it carries, and the whole
-        batch fails as one RPC under fault injection.  Engines that expose
-        ``get_batch`` (durable, replicated) resolve the batch in one call;
-        the in-memory LSM keeps its bloom-filtered per-key gets.  The I/O
-        accounting — one ``point_gets`` per key — lives here for every
-        engine, so candidate counts match across engines and modes.
+        batch fails as one RPC under fault injection; the engine resolves
+        it with one ``get_batch`` call.  The I/O accounting — one
+        ``point_gets`` per key — lives here for every engine, so candidate
+        counts match across engines and modes.
         """
         simfault.get_fault()
         simlatency.get_delay()
-        batch = getattr(self._store, "get_batch", None)
-        values = batch(list(keys)) if batch else [self._store.get(k) for k in keys]
+        values = self._store.get_batch(list(keys))
         found = [len(k) + len(v) for k, v in zip(keys, values) if v is not None]
         _POINT_GETS.inc(len(keys))
         self._stats.add(

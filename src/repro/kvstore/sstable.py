@@ -81,6 +81,14 @@ class SSTable:
             return self._values[i]
         return None
 
+    def get_many(self, keys: Sequence[bytes]) -> Iterator[tuple[bytes, bytes]]:
+        """The entries of ``keys`` present here, one bloom-filtered
+        :meth:`get` per key."""
+        for key in keys:
+            value = self.get(key)
+            if value is not None:
+                yield key, value
+
     def scan(
         self, start: Optional[bytes] = None, stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:

@@ -112,33 +112,42 @@ class WriteAheadLog:
         self.append(OP_DELETE, key)
 
     def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
-        """Yield ``(op, key, value)`` for every intact record on disk."""
+        """Yield ``(op, key, value)`` for every intact record on disk.
+
+        Once the intact prefix is exhausted, a torn or corrupt tail is cut
+        off (and the cut fsynced): appends land at the end of the file, so
+        a record written behind the tail would never replay.
+        """
         # _handle(), not _fh: a forked child flushing the inherited handle
         # would write out the *parent's* buffered bytes a second time.
-        self._handle().flush()
-        with open(self.path, "rb") as fh:
-            data = fh.read()
+        fh = self._handle()
+        fh.flush()
+        with open(self.path, "rb") as src:
+            data = src.read()
         pos = 0
         while pos + 4 <= len(data):
             (crc,) = _LEN.unpack_from(data, pos)
             body_start = pos + 4
             if body_start + 9 > len(data):
-                return  # torn header
+                break  # torn header
             op = data[body_start]
             (key_len,) = _LEN.unpack_from(data, body_start + 1)
             key_start = body_start + 5
             value_len_at = key_start + key_len
             if value_len_at + 4 > len(data):
-                return  # torn key
+                break  # torn key
             (value_len,) = _LEN.unpack_from(data, value_len_at)
             end = value_len_at + 4 + value_len
             if end > len(data):
-                return  # torn value
+                break  # torn value
             body = data[body_start:end]
             if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                return  # corrupt record: stop at the last good prefix
+                break  # corrupt record: stop at the last good prefix
             yield op, data[key_start:value_len_at], data[value_len_at + 4 : end]
             pos = end
+        if pos < len(data):
+            fh.truncate(pos)
+            os.fsync(fh.fileno())
 
     def truncate(self) -> None:
         """Discard the log (after a successful memtable flush)."""

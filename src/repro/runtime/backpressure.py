@@ -1,17 +1,20 @@
 """Write backpressure limits and process-wide stall accounting.
 
 :class:`WriteLimits` carries the memtable watermark knobs from
-``TManConfig`` down to the LSM engines.  Semantics (enforced in
-:mod:`repro.kvstore.lsm` / :mod:`repro.kvstore.durable`):
+``TManConfig`` down to the LSM engine.  Semantics (enforced once, in
+the write path of :class:`repro.kvstore.lsm.LSMStore`, for both storage
+media):
 
 - **soft watermark** — the active memtable is frozen and flushed in the
-  background (inline for the durable engine, whose single-file WAL makes
-  concurrent truncation unsafe) and the writer is throttled by
-  ``throttle_ms`` per put, smearing the flush cost across the burst;
+  background (inline when the store has no flusher pool, as on the
+  directory medium, whose single-file WAL makes concurrent truncation
+  unsafe) and the writer is throttled by ``throttle_ms`` per put,
+  smearing the flush cost across the burst;
 - **hard watermark** — the writer stalls until flushing brings the
   unflushed bytes back under the hard mark, for at most
   ``stall_timeout_ms``, after which the put is rejected with
-  :class:`~repro.kvstore.errors.WriteStalledError`.
+  :class:`~repro.kvstore.errors.WriteStalledError`.  Without a flusher
+  the stall drains inline and always recovers.
 
 Like :func:`repro.kvstore.retry.retry_counts`, the tallies here are plain
 process-wide counters independent of the metrics registry's enabled flag,

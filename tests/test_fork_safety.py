@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,32 @@ def test_live_foreign_owner_is_a_hard_error(tmp_path):
     # The holder released cleanly; the directory is claimable again.
     store = DurableLSMStore(directory, sync=False)
     store.close()
+
+
+def test_lock_claimed_between_read_and_claim_is_a_hard_error(tmp_path, monkeypatch):
+    # Another opener claims the directory right after this one read LOCK
+    # (and found none): the claim must fail on the existing file, not
+    # overwrite it.
+    directory = tmp_path / "store"
+    directory.mkdir()
+    foreign = os.getppid()  # a live process that is not this one
+    assert foreign != os.getpid()
+    real_read_text = Path.read_text
+    raced: list[bool] = []
+
+    def read_then_race(self, *args, **kwargs):
+        try:
+            return real_read_text(self, *args, **kwargs)
+        finally:
+            if self.name == "LOCK" and not raced:
+                raced.append(True)
+                self.write_text(str(foreign))
+
+    monkeypatch.setattr(Path, "read_text", read_then_race)
+    with pytest.raises(StoreLockedError):
+        DurableLSMStore(directory, sync=False)
+    assert raced
+    assert real_read_text(directory / "LOCK") == str(foreign)
 
 
 def test_close_does_not_steal_foreign_lock(tmp_path):

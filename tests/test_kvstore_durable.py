@@ -180,6 +180,24 @@ class TestDurableLSM:
         recovered.close()
         store.close()
 
+    def test_writes_after_torn_wal_tail_survive_reopen(self, tmp_path):
+        # Recovery must cut the torn record off the log: appends land at
+        # the end of the file, and replay stops at the torn record, so a
+        # write acknowledged after recovery would otherwise be lost.
+        store = DurableLSMStore(tmp_path / "db")
+        store.put(b"a", b"1")
+        store.put(b"b", b"2")
+        store.close()
+        wal = tmp_path / "db" / "wal.log"
+        wal.write_bytes(wal.read_bytes()[:-3])
+        store = DurableLSMStore(tmp_path / "db")
+        assert list(store.scan()) == [(b"a", b"1")]
+        store.put(b"c", b"3")
+        store.close()
+        reopened = DurableLSMStore(tmp_path / "db")
+        assert list(reopened.scan()) == [(b"a", b"1"), (b"c", b"3")]
+        reopened.close()
+
     def test_recovery_after_flush(self, tmp_path):
         store = DurableLSMStore(tmp_path / "db", flush_bytes=1)
         for i in range(20):

@@ -1,4 +1,9 @@
-"""Write backpressure: soft-watermark throttling, hard-watermark stalls."""
+"""Write backpressure: soft-watermark throttling, hard-watermark stalls.
+
+The no-flusher cases run on both media of the one LSM engine: memory
+(``LSMStore``) and directory (``DurableLSMStore``, which never has a
+flusher pool and drains its watermarks inline).
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.lsm import LSMStore
 from repro.runtime.backpressure import WriteLimits, stall_counts
@@ -17,6 +23,23 @@ def k(i: int) -> bytes:
 
 
 VALUE = b"v" * 100
+
+
+@pytest.fixture(params=["mem", "dir"])
+def make_store(request, tmp_path):
+    """A factory of no-flusher stores on one medium (closed at teardown)."""
+    opened = []
+
+    def make(**kwargs):
+        if request.param == "mem":
+            return LSMStore(**kwargs)
+        store = DurableLSMStore(tmp_path / f"db{len(opened)}", sync=False, **kwargs)
+        opened.append(store)
+        return store
+
+    yield make
+    for store in opened:
+        store.close()
 
 
 class TestWriteLimits:
@@ -37,9 +60,9 @@ class TestWriteLimits:
 
 
 class TestSoftWatermark:
-    def test_throttle_counted_and_flush_scheduled(self):
+    def test_throttle_counted_and_flush_scheduled(self, make_store):
         limits = WriteLimits(soft_bytes=2_000, throttle_ms=0.01)
-        store = LSMStore(flush_bytes=1 << 20, write_limits=limits)
+        store = make_store(flush_bytes=1 << 20, write_limits=limits)
         before = stall_counts()
         for i in range(100):
             store.put(k(i), VALUE)
@@ -49,9 +72,9 @@ class TestSoftWatermark:
         assert store.sstable_count > 0
         assert store.memtable_bytes < 100 * (len(VALUE) + 10)
 
-    def test_reads_see_rows_across_all_levels(self):
+    def test_reads_see_rows_across_all_levels(self, make_store):
         limits = WriteLimits(soft_bytes=1_000, throttle_ms=0.0)
-        store = LSMStore(flush_bytes=1 << 20, write_limits=limits)
+        store = make_store(flush_bytes=1 << 20, write_limits=limits)
         for i in range(200):
             store.put(k(i), VALUE)
         store.delete(k(5))
@@ -78,6 +101,18 @@ class TestSoftWatermark:
 
 
 class TestHardWatermark:
+    def test_inline_stall_recovers(self, make_store):
+        limits = WriteLimits(hard_bytes=5_000, throttle_ms=0.0)
+        store = make_store(flush_bytes=1 << 20, write_limits=limits)
+        before = stall_counts()
+        for i in range(500):
+            store.put(k(i), VALUE)
+        _, stalls, _, rejected = (a - b for a, b in zip(stall_counts(), before))
+        assert stalls > 0
+        assert rejected == 0  # an inline drain always frees the memtable
+        assert store.sstable_count > 0
+        assert [key for key, _ in store.scan()] == sorted(k(i) for i in range(500))
+
     def test_stall_recovers_when_flusher_catches_up(self):
         limits = WriteLimits(
             soft_bytes=1_000, hard_bytes=5_000, stall_timeout_ms=5_000,
@@ -157,9 +192,9 @@ class TestHardWatermark:
 
 
 class TestDisabledEquivalence:
-    def test_disabled_limits_match_seed_store(self):
-        plain = LSMStore(flush_bytes=4_000)
-        limited = LSMStore(flush_bytes=4_000, write_limits=WriteLimits())
+    def test_disabled_limits_match_seed_store(self, make_store):
+        plain = make_store(flush_bytes=4_000)
+        limited = make_store(flush_bytes=4_000, write_limits=WriteLimits())
         for i in range(300):
             plain.put(k(i), VALUE)
             limited.put(k(i), VALUE)
@@ -168,6 +203,60 @@ class TestDisabledEquivalence:
             limited.delete(k(i))
         assert list(plain.scan()) == list(limited.scan())
         assert plain.sstable_count == limited.sstable_count
+
+
+class TestConcurrentWriters:
+    def test_inline_drains_lose_no_write(self, make_store):
+        # Writers share one store whose soft watermark makes each of them
+        # drain inline (flush, WAL truncate, compaction) under the store
+        # lock while the others write and read.
+        import sys
+
+        limits = WriteLimits(soft_bytes=1_000, throttle_ms=0.0)
+        store = make_store(flush_bytes=1 << 20, max_tables=4, write_limits=limits)
+        errors: list[BaseException] = []
+
+        def writer(w: int) -> None:
+            try:
+                for i in range(w, 1_200, 6):
+                    store.put(k(i), VALUE)
+                    assert store.get(k(i)) == VALUE
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [key for key, _ in store.scan()] == [k(i) for i in range(1_200)]
+
+
+class TestReopen:
+    def test_reopen_after_watermark_flush_returns_every_acknowledged_row(self, tmp_path):
+        # Watermark flushes truncate the WAL; rows written after the last
+        # one live only in the log and must survive the reopen too.
+        limits = WriteLimits(soft_bytes=1_000, hard_bytes=4_000, throttle_ms=0.0)
+        store = DurableLSMStore(
+            tmp_path / "db", sync=False, flush_bytes=1 << 20, write_limits=limits
+        )
+        for i in range(300):
+            store.put(k(i), VALUE)
+        for i in range(0, 300, 7):
+            store.delete(k(i))
+        assert store.sstable_count > 0
+        assert store.memtable_bytes > 0
+        store.close()
+        reopened = DurableLSMStore(tmp_path / "db")
+        assert list(reopened.scan()) == [(k(i), VALUE) for i in range(300) if i % 7]
+        reopened.close()
 
 
 class TestWriterReport:
