@@ -39,7 +39,6 @@ from typing import Iterable, Iterator
 from repro import obs
 from repro.datasets import LORRY_SPEC, TDRIVE_SPEC, generate_dataset
 from repro.kvstore import simfault
-from repro.kvstore.retry import retry_counts
 from repro.model import MBR, STPoint, TimeRange, Trajectory
 from repro.query.types import (
     IDTemporalQuery,
@@ -196,7 +195,6 @@ def cmd_query(args: argparse.Namespace) -> int:
                 simfault.FaultConfig.uniform(args.fault_rate, seed=args.fault_seed)
             )
         )
-    retry_before = retry_counts()
     q = _build_query(args)
     with open_tman(args.deployment) as tman:
         try:
@@ -213,13 +211,12 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{partial}"
         )
         if args.fault_rate:
-            retries, failures = retry_counts()
             injector = simfault.fault_injector()
             injected = injector.injected if injector is not None else 0
             print(
                 f"fault injection: rate={args.fault_rate} seed={args.fault_seed} "
-                f"injected={injected} rpc_failures={failures - retry_before[1]} "
-                f"retries={retries - retry_before[0]}"
+                f"injected={injected} rpc_failures={res.profile.rpc_failures} "
+                f"retries={res.profile.retries}"
             )
         for traj in res.trajectories[: args.limit]:
             tr = traj.time_range

@@ -56,28 +56,6 @@ _BREAKER_TRANSITIONS = _obs_counter(
     labelnames=("region", "to"),
 )
 
-# Plain process-wide tallies, independent of the metrics registry's enabled
-# flag: ExecutionTrace annotations read these so a query's retry count is
-# visible even with metrics disabled.
-_counts_lock = threading.Lock()
-_retries = 0
-_failures = 0
-
-
-def retry_counts() -> tuple[int, int]:
-    """``(retries, transient_failures)`` observed process-wide so far."""
-    with _counts_lock:
-        return _retries, _failures
-
-
-def _count(retried: bool) -> None:
-    global _retries, _failures
-    with _counts_lock:
-        _failures += 1
-        if retried:
-            _retries += 1
-
-
 def is_retryable(exc: BaseException) -> bool:
     """True when the retry layer may re-attempt after this failure."""
     return isinstance(exc, TransientError)
@@ -191,15 +169,21 @@ class AttemptTracker:
         self._prev_delay_ms = self._policy.base_delay_ms
 
     def failed(self, exc: BaseException) -> None:
-        """Account one transient failure: back off, or give up."""
+        """Account one transient failure: back off, or give up.
+
+        The failure, and the retry when there is one, are attributed to the
+        calling query's profile.
+        """
         policy = self._policy
         self._failures += 1
         if _RPC_FAILURE_TOTAL._registry.enabled:
             _RPC_FAILURE_TOTAL.labels(op=self._op).inc()
+        profile = current_profile()
+        if profile is not None:
+            profile.add(rpc_failures=1)
         out_of_attempts = self._failures >= policy.max_attempts
         out_of_time = policy.clock() >= self._deadline
         if out_of_attempts or out_of_time:
-            _count(retried=False)
             budget = "attempts" if out_of_attempts else "deadline"
             raise RetryExhaustedError(
                 f"{self._op}: {budget} budget exhausted after "
@@ -209,11 +193,9 @@ class AttemptTracker:
         if query_deadline is not None and query_deadline.expired():
             # The query's budget is gone: retrying could still succeed,
             # but nobody is waiting for the answer any more.
-            _count(retried=False)
             raise QueryTimeoutError(
                 f"retry:{self._op}", query_deadline.budget_ms
             ) from exc
-        _count(retried=True)
         delay_ms = min(
             policy.max_delay_ms,
             self._rng.uniform(policy.base_delay_ms, self._prev_delay_ms * 3.0),
@@ -232,7 +214,6 @@ class AttemptTracker:
             _RETRY_TOTAL.labels(
                 op=self._op, capped="yes" if capped else "no"
             ).inc()
-        profile = current_profile()
         if profile is not None:
             profile.add(retries=1, retry_backoff_ms=delay_ms)
         if delay_ms > 0:

@@ -14,11 +14,13 @@ mirror the quantities the paper reports:
 - ``filter_evals`` — push-down filter evaluations;
 - ``bloom_rejects`` — point gets skipped thanks to bloom filters.
 
-The :class:`CostModel` converts a counter snapshot into simulated
-milliseconds for a disk-backed distributed deployment, so benchmark reports
-can show both real wall time of the embedded store and modeled cluster time.
+The :class:`CostModel` converts those counters — a snapshot delta, or the
+same fields on a query's :class:`~repro.obs.profile.QueryProfile` — into
+simulated milliseconds for a disk-backed distributed deployment, so
+benchmark reports can show both real wall time of the embedded store and
+modeled cluster time.
 
-:class:`ExecutionTrace` complements the global counters with *per-operator*
+:class:`ExecutionTrace` complements the counters with *per-operator*
 accounting for the streaming query pipeline: each stage (window generation,
 region scan, push-down, decode, refinement, sink) records rows-in/rows-out,
 bytes produced, and wall time, so a query result can explain where its
@@ -31,7 +33,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, fields
 
-from repro.obs.profile import current_profile as _current_profile
+from repro.obs.profile import QueryProfile, current_profile as _current_profile
 
 
 @dataclass
@@ -208,8 +210,8 @@ class CostModel:
     bandwidth_mb_per_s: float = 200.0
     rpc_ms: float = 1.0
 
-    def simulate_ms(self, delta: StatsSnapshot) -> float:
-        """Modeled latency of the work captured by a snapshot delta."""
+    def simulate_ms(self, delta: StatsSnapshot | QueryProfile) -> float:
+        """Modeled latency of the work a snapshot delta or a profile counts."""
         transfer_ms = delta.bytes_transferred / (self.bandwidth_mb_per_s * 1_000_000) * 1000
         return (
             delta.range_scans * self.seek_ms

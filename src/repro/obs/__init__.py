@@ -29,9 +29,8 @@ from repro.obs.profile import (
     QueryProfile,
     current_profile,
     profile_scope,
-    profiling_enabled,
+    query_profile,
     run_with_profile,
-    set_profiling_enabled,
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 from repro.obs.stats import (
@@ -70,9 +69,8 @@ __all__ = [
     "ProfileLog",
     "current_profile",
     "profile_scope",
+    "query_profile",
     "run_with_profile",
-    "set_profiling_enabled",
-    "profiling_enabled",
     "profile_log",
     "WorkloadStatsCollector",
     "WORKLOAD_STATS_SCHEMA",

@@ -6,11 +6,13 @@ individual query — the per-query complement of the process-wide
 :class:`~repro.obs.metrics.MetricsRegistry`.  The active profile travels
 with the query through a :class:`contextvars.ContextVar`:
 
-- the executor (or ``TMan.query``) installs a profile for the duration of
-  the query via :func:`profile_scope`;
-- deep layers (region scans, block cache, retry backoff, ...) look the
-  current profile up with :func:`current_profile` and attribute into it —
-  a single ``ContextVar.get`` when profiling is off;
+- ``TMan.query`` / ``TMan.count`` (or the executor, when called directly)
+  open the query's profile with :func:`query_profile`, which reuses an
+  already-active one; the storage writer opens a fresh one per write batch
+  with :func:`profile_scope`;
+- deep layers (region scans, block cache, retry backoff, memtable
+  watermarks, ...) look the current profile up with
+  :func:`current_profile` and attribute into it;
 - thread pools do **not** propagate context vars, so the scan scheduler
   and ``Table.multi_get`` capture the submitting thread's profile and
   re-activate it on the worker via :func:`run_with_profile`.
@@ -18,7 +20,10 @@ with the query through a :class:`contextvars.ContextVar`:
 The I/O counters use the same field names as
 :class:`repro.kvstore.stats.StatsSnapshot` and are fed from the single
 ``IOStats.add`` chokepoint, so a query's attributed totals reconcile
-exactly with the process-wide snapshot deltas when queries run serially.
+exactly with the process-wide snapshot deltas when queries run serially —
+and stay exact per call when they overlap, which the process-wide deltas
+do not.  ``QueryResult`` counters and ``WriteReport`` backpressure fields
+are read off the call's profile.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ from typing import Callable, Iterator, Optional
 _PROFILE: ContextVar[Optional["QueryProfile"]] = ContextVar(
     "repro_query_profile", default=None
 )
-
-_PROFILING_ENABLED = True
 
 _QUERY_IDS = itertools.count(1)
 
@@ -59,6 +62,10 @@ EXTRA_COUNT_FIELDS = (
     "decode_rows",
     "similarity_rows",
     "retries",
+    "rpc_failures",
+    "throttled_writes",
+    "stalled_writes",
+    "rejected_writes",
 )
 
 TIME_FIELDS = (
@@ -67,25 +74,10 @@ TIME_FIELDS = (
     "retry_backoff_ms",
     "admission_wait_ms",
     "stall_ms",
+    "write_stall_ms",
 )
 
 _ALL_FIELDS = IO_FIELDS + EXTRA_COUNT_FIELDS + TIME_FIELDS
-
-
-def set_profiling_enabled(enabled: bool) -> None:
-    """Toggle per-query profiling (on by default).
-
-    When off, ``TMan.query`` / the executor stop installing profiles, so
-    every attribution site degrades to one ``ContextVar.get`` returning
-    ``None``.
-    """
-    global _PROFILING_ENABLED
-    _PROFILING_ENABLED = bool(enabled)
-
-
-def profiling_enabled() -> bool:
-    """Whether new queries get a :class:`QueryProfile` attached."""
-    return _PROFILING_ENABLED
 
 
 def current_profile() -> Optional["QueryProfile"]:
@@ -101,6 +93,21 @@ def profile_scope(profile: Optional["QueryProfile"]) -> Iterator[Optional["Query
         yield profile
     finally:
         _PROFILE.reset(token)
+
+
+@contextmanager
+def query_profile(query_type: str = "") -> Iterator["QueryProfile"]:
+    """The active profile, or a fresh one installed for the ``with`` body.
+
+    Nested calls (``TMan.query`` → executor, or a caller's own scope)
+    attribute into the outermost profile.
+    """
+    active = _PROFILE.get()
+    if active is not None:
+        yield active
+        return
+    with profile_scope(QueryProfile(query_type)) as profile:
+        yield profile
 
 
 def run_with_profile(profile: Optional["QueryProfile"], fn: Callable, *args, **kwargs):
@@ -132,9 +139,12 @@ class QueryProfile:
       block and shape-index lookups;
     - ``decode_rows``/``decode_ms`` cover row → trajectory decoding,
       ``similarity_rows``/``similarity_ms`` the exact distance kernels;
-    - ``retries``/``retry_backoff_ms`` are transient-failure recovery cost,
-      ``admission_wait_ms`` time queued before execution, and ``stall_ms``
-      consumer time blocked waiting on scan-scheduler prefetch.
+    - ``rpc_failures`` counts transient failures, ``retries``/
+      ``retry_backoff_ms`` the recovery cost, ``admission_wait_ms`` time
+      queued before execution, and ``stall_ms`` consumer time blocked
+      waiting on scan-scheduler prefetch;
+    - ``throttled_writes``/``stalled_writes``/``rejected_writes``/
+      ``write_stall_ms`` are the memtable watermarks' toll on a write batch.
     """
 
     __slots__ = ("query_id", "query_type", "plan", "elapsed_ms", "partial",
@@ -202,7 +212,7 @@ class QueryProfile:
     def attributed_ms(self) -> float:
         """Sum of the attributed time components (not wall time)."""
         return (self.decode_ms + self.similarity_ms + self.retry_backoff_ms
-                + self.admission_wait_ms + self.stall_ms)
+                + self.admission_wait_ms + self.stall_ms + self.write_stall_ms)
 
     def as_dict(self) -> dict:
         """JSON-friendly dump of every attributed counter."""

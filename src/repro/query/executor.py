@@ -7,16 +7,16 @@ is the same pipeline with a different terminal sink; the iterative queries
 (top-k similarity, kNN point) run one pipeline round per expanding ring
 with shared refine/sink state.  Every result carries an
 :class:`~repro.kvstore.stats.ExecutionTrace` with per-stage
-rows-in/rows-out/bytes/time, alongside the paper's candidate counts.
+rows-in/rows-out/bytes/time, and its
+:class:`~repro.obs.profile.QueryProfile`, whose ledger the paper's
+candidate counts are read from.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.kvstore.retry import retry_counts
 from repro.kvstore.stats import CostModel, ExecutionTrace
 from repro.model.mbr import MBR
 from repro.model.trajectory import Trajectory
@@ -28,12 +28,7 @@ from repro.obs import (
     tracer as _obs_tracer,
     workload_stats as _obs_workload_stats,
 )
-from repro.obs.profile import (
-    QueryProfile,
-    current_profile,
-    profile_scope,
-    profiling_enabled,
-)
+from repro.obs.profile import QueryProfile, query_profile
 from repro.query.operators import (
     DivergenceGuard,
     Operator,
@@ -98,6 +93,7 @@ class QueryExecutor:
         limit: Optional[int] = None,
         deadline: Optional[Deadline] = None,
         plan: Optional[QueryPlan] = None,
+        count: bool = False,
     ) -> QueryResult:
         """Plan the query, assemble its pipeline, and run it.
 
@@ -109,25 +105,38 @@ class QueryExecutor:
         created with ``allow_partial`` — returns whatever rows were
         produced so far with ``result.partial`` set.  ``plan`` forces a
         specific access path (plan-equivalence testing, benchmarks);
-        forced plans also disable adaptive re-planning.
+        forced plans also disable adaptive re-planning.  ``count`` swaps
+        the sink for a distinct-id counter (range and ID-temporal queries
+        only): primary-route range counts never decode a row, the result's
+        ``trajectories`` stay empty and the answer is ``result.count``.
+
+        The result's counters are read off the query's profile — the
+        active one when a caller installed it, else a fresh one.
         """
+        if count and isinstance(
+            query, (ThresholdSimilarityQuery, TopKSimilarityQuery, KNNPointQuery)
+        ):
+            raise TypeError(f"count is not supported for {type(query).__name__}")
         forced = plan is not None
         if plan is None:
             plan = self._t.planner.plan(query)
-        profile, scope = self._profile_scope(query, plan)
-        before = self._t.cluster.stats.snapshot()
-        retry_before = retry_counts()
-        with scope, _obs_tracer().span(
-            "query.execute",
+        with query_profile(type(query).__name__) as profile, _obs_tracer().span(
+            "query.count" if count else "query.execute",
             type=type(query).__name__,
             plan=f"{plan.index}/{plan.route}",
         ):
             t0 = time.perf_counter()
             trace = ExecutionTrace()
-
+            trajs: list[Trajectory] = []
             distances: Optional[list[float]] = None
+            matched = 0
             try:
-                if isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
+                if count:
+                    matched = build_pipeline(
+                        self._t, query, plan, trace=trace, count=True,
+                        deadline=deadline,
+                    ).run()
+                elif isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
                     if limit is not None:
                         raise ValueError(
                             "limit is not supported for top-k and kNN queries"
@@ -143,59 +152,17 @@ class QueryExecutor:
                 if _QUERY_DEADLINE._registry.enabled:
                     _QUERY_DEADLINE.labels(outcome="error").inc()
                 raise
-            return self._finalize(
-                query, trajs, distances, plan, before, t0, trace, retry_before,
-                deadline, profile,
-            )
-
-    def execute_count(
-        self, query: Query, deadline: Optional[Deadline] = None
-    ) -> QueryResult:
-        """Count matching trajectories without decompressing any points.
-
-        Runs the same pipeline as :meth:`execute` with a distinct-id
-        counting sink; primary-route range counts never decode a row.  The
-        returned result has an empty ``trajectories`` list; read the
-        answer from ``result.count``.
-        """
-        if isinstance(
-            query, (ThresholdSimilarityQuery, TopKSimilarityQuery, KNNPointQuery)
-        ):
-            raise TypeError(
-                f"count is not supported for {type(query).__name__}"
-            )
-        plan = self._t.planner.plan(query)
-        profile, scope = self._profile_scope(query, plan)
-        before = self._t.cluster.stats.snapshot()
-        retry_before = retry_counts()
-        with scope, _obs_tracer().span(
-            "query.count",
-            type=type(query).__name__,
-            plan=f"{plan.index}/{plan.route}",
-        ):
-            t0 = time.perf_counter()
-            trace = ExecutionTrace()
-            pipeline = build_pipeline(
-                self._t, query, plan, trace=trace, count=True, deadline=deadline
-            )
-            try:
-                count = pipeline.run()
-            except QueryTimeoutError:
-                if _QUERY_DEADLINE._registry.enabled:
-                    _QUERY_DEADLINE.labels(outcome="error").inc()
-                raise
             result = self._finalize(
-                query, [], None, plan, before, t0, trace, retry_before, deadline,
-                profile,
+                query, trajs, distances, plan, t0, trace, deadline, profile
             )
-            result.count = count
+            result.count = matched
             return result
 
     def _run_pipeline(
         self,
         query: Query,
         plan: QueryPlan,
-        trace: Optional[ExecutionTrace],
+        trace: ExecutionTrace,
         limit: Optional[int],
         deadline: Optional[Deadline],
         forced: bool,
@@ -240,32 +207,13 @@ class QueryExecutor:
             except PlanDivergenceError as exc:
                 nxt = alternatives.pop(0)
                 _QUERY_REPLAN.inc()
-                if trace is not None:
-                    trace.annotate(
-                        "replanned_from", f"{plan.index}/{plan.route}"
-                    )
-                    trace.annotate("replan_observed_rows", exc.observed)
+                trace.annotate("replanned_from", f"{plan.index}/{plan.route}")
+                trace.annotate("replan_observed_rows", exc.observed)
                 plan = QueryPlan(
                     nxt.index,
                     nxt.route,
                     f"replanned from {plan.index}/{plan.route}: {nxt.reason}",
                 )
-
-    @staticmethod
-    def _profile_scope(query: Query, plan: QueryPlan):
-        """The query's profile and the context installing it, if any.
-
-        A profile already active on this thread (installed by
-        ``TMan.query`` so admission wait is attributed too) is reused;
-        otherwise a fresh one is created when profiling is enabled.
-        """
-        profile = current_profile()
-        if profile is not None:
-            return profile, nullcontext()
-        if not profiling_enabled():
-            return None, nullcontext()
-        profile = QueryProfile(type(query).__name__, f"{plan.index}/{plan.route}")
-        return profile, profile_scope(profile)
 
     # -- iterative queries (expanding-ring pipelines) ------------------------
 
@@ -352,57 +300,43 @@ class QueryExecutor:
         trajs: list[Trajectory],
         distances: Optional[list[float]],
         plan: QueryPlan,
-        before,
         t0: float,
-        trace: Optional[ExecutionTrace] = None,
-        retry_before: Optional[tuple[int, int]] = None,
-        deadline: Optional[Deadline] = None,
-        profile: Optional[QueryProfile] = None,
+        trace: ExecutionTrace,
+        deadline: Optional[Deadline],
+        profile: QueryProfile,
     ) -> QueryResult:
         elapsed = (time.perf_counter() - t0) * 1000
-        delta = self._t.cluster.stats.snapshot() - before
-        if trace is not None and retry_before is not None:
-            retries, failures = retry_counts()
-            retried = retries - retry_before[0]
-            failed = failures - retry_before[1]
-            if retried or failed:
-                trace.annotate("kv_retries", retried)
-                trace.annotate("kv_rpc_failures", failed)
+        if profile.retries or profile.rpc_failures:
+            trace.annotate("kv_retries", profile.retries)
+            trace.annotate("kv_rpc_failures", profile.rpc_failures)
         if deadline is not None:
-            if trace is not None:
-                trace.annotate("deadline_ms", deadline.budget_ms)
-                trace.annotate(
-                    "deadline_remaining_ms", round(deadline.remaining_ms(), 3)
-                )
-                if deadline.partial:
-                    trace.annotate("partial", True)
-            if deadline.partial and _QUERY_DEADLINE._registry.enabled:
-                _QUERY_DEADLINE.labels(outcome="partial").inc()
+            trace.annotate("deadline_ms", deadline.budget_ms)
+            trace.annotate(
+                "deadline_remaining_ms", round(deadline.remaining_ms(), 3)
+            )
+            if deadline.partial:
+                trace.annotate("partial", True)
+                if _QUERY_DEADLINE._registry.enabled:
+                    _QUERY_DEADLINE.labels(outcome="partial").inc()
         partial = deadline.partial if deadline is not None else False
+        plan_name = f"{plan.index}/{plan.route}"
         result = QueryResult(
             trajectories=trajs,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
+            candidates=profile.rows_scanned + profile.point_gets,
+            transferred_rows=profile.rows_returned,
+            windows=profile.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
-            plan=f"{plan.index}/{plan.route}",
+            simulated_ms=self._cost.simulate_ms(profile),
+            plan=plan_name,
             distances=distances,
             trace=trace,
             partial=partial,
             profile=profile,
         )
-        if profile is not None:
-            profile.finish(
-                elapsed,
-                type(query).__name__,
-                f"{plan.index}/{plan.route}",
-                partial=partial,
-            )
-            if trace is not None:
-                trace.annotate("profile", profile.summary())
-            _obs_profile_log().record(profile)
-            self._record_workload(query, profile, result)
+        profile.finish(elapsed, type(query).__name__, plan_name, partial=partial)
+        trace.annotate("profile", profile.summary())
+        _obs_profile_log().record(profile)
+        self._record_workload(query, profile, result)
         self._observe(query, result, trace)
         return result
 
@@ -432,12 +366,12 @@ class QueryExecutor:
             )
 
     def _observe(
-        self, query: Query, result: QueryResult, trace: Optional[ExecutionTrace]
+        self, query: Query, result: QueryResult, trace: ExecutionTrace
     ) -> None:
         """Feed the finished query into the registry and the slow-query log."""
         qtype = type(query).__name__
         if _QUERY_TOTAL._registry.enabled:
-            exemplar = result.profile.query_id if result.profile is not None else None
+            exemplar = result.profile.query_id
             _QUERY_TOTAL.labels(type=qtype).inc()
             _QUERY_MS.labels(type=qtype).observe(result.elapsed_ms, exemplar=exemplar)
             _QUERY_CANDIDATES.labels(type=qtype).observe(
@@ -451,9 +385,8 @@ class QueryExecutor:
                 result.elapsed_ms,
                 candidates=result.candidates,
                 transferred_rows=result.transferred_rows,
-                trace=trace.render() if trace is not None else "",
-                profile=result.profile.as_dict()
-                if result.profile is not None else None,
+                trace=trace.render(),
+                profile=result.profile.as_dict(),
             )
             if recorded:
                 _QUERY_SLOW.inc()

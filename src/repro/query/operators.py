@@ -19,9 +19,6 @@ from repro.geometry.distance import point_to_polyline_arrays
 from repro.obs.profile import current_profile
 from repro.kvstore.filters import Filter
 from repro.kvstore.table import Table
-from repro.model.mbr import MBR
-from repro.model.pointblock import PointBlock
-from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.query.windows import coalesce_windows
 from repro.runtime.deadline import Deadline
@@ -244,29 +241,22 @@ class Decode(Operator):
         decode_s = 0.0
         try:
             for _, value in upstream:
-                if profile is not None:
-                    t0 = perf_counter()
-                    stored = self.serializer.decode_trajectory(value)
-                    decode_s += perf_counter() - t0
-                    decoded += 1
-                else:
-                    stored = self.serializer.decode_trajectory(value)
+                t0 = perf_counter()
+                stored = self.serializer.decode_trajectory(value)
+                decode_s += perf_counter() - t0
+                decoded += 1
                 tid = stored.trajectory.tid
                 if tid in seen:
                     continue
                 seen.add(tid)
                 yield stored.trajectory
         finally:
-            if profile is not None and decoded:
+            if decoded:
                 profile.add(decode_rows=decoded, decode_ms=decode_s * 1000.0)
 
 
 class Refine(Operator):
-    """Trajectory-level refinement predicate.
-
-    Factories cover the standard refinements (temporal, spatial,
-    similarity, query-trajectory exclusion); any callable works.
-    """
+    """Trajectory-level refinement predicate (any callable works)."""
 
     name = "refine"
 
@@ -278,39 +268,6 @@ class Refine(Operator):
         for traj in upstream:
             if self.predicate(traj):
                 yield traj
-
-    @classmethod
-    def temporal(cls, time_range: TimeRange) -> "Refine":
-        """Keep trajectories whose time range intersects ``time_range``."""
-        return cls(
-            lambda t: t.time_range.intersects(time_range), "temporal_refine"
-        )
-
-    @classmethod
-    def spatial(cls, window: MBR) -> "Refine":
-        """Keep trajectories whose MBR intersects ``window``."""
-        return cls(lambda t: t.mbr.intersects(window), "spatial_refine")
-
-    @classmethod
-    def similarity(
-        cls, query_points: Sequence, threshold: float, measure: str
-    ) -> "Refine":
-        """Keep trajectories within ``threshold`` of the query points."""
-        distance = distance_by_name(measure)
-        points = PointBlock.from_points(list(query_points))
-
-        def predicate(t: Trajectory) -> bool:
-            profile = current_profile()
-            if profile is None:
-                return distance(points, t.block) <= threshold
-            t0 = perf_counter()
-            d = distance(points, t.block)
-            profile.add(
-                similarity_rows=1, similarity_ms=(perf_counter() - t0) * 1000.0
-            )
-            return d <= threshold
-
-        return cls(predicate, "similarity_check")
 
     @classmethod
     def exclude_tid(cls, tid: str) -> "Refine":
@@ -358,23 +315,17 @@ class PointDistanceRefine(Operator):
             if feature.min_distance_to_point(self.x, self.y) > kth:
                 self.seen.add(header.tid)
                 continue
-            profile = current_profile()
-            if profile is None:
-                stored = self.serializer.decode_trajectory(value, header)
-                block = stored.trajectory.block
-                d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
-            else:
-                t0 = perf_counter()
-                stored = self.serializer.decode_trajectory(value, header)
-                t1 = perf_counter()
-                block = stored.trajectory.block
-                d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
-                profile.add(
-                    decode_rows=1,
-                    decode_ms=(t1 - t0) * 1000.0,
-                    similarity_rows=1,
-                    similarity_ms=(perf_counter() - t1) * 1000.0,
-                )
+            t0 = perf_counter()
+            stored = self.serializer.decode_trajectory(value, header)
+            t1 = perf_counter()
+            block = stored.trajectory.block
+            d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
+            current_profile().add(
+                decode_rows=1,
+                decode_ms=(t1 - t0) * 1000.0,
+                similarity_rows=1,
+                similarity_ms=(perf_counter() - t1) * 1000.0,
+            )
             self.seen.add(header.tid)
             yield d, header.tid, stored.trajectory
 
@@ -419,21 +370,16 @@ class SimilarityRefine(Operator):
             if dp_lower_bound(self.query_points, feature, self.aggregate) > kth:
                 self.seen.add(header.tid)
                 continue
-            profile = current_profile()
-            if profile is None:
-                stored = self.serializer.decode_trajectory(value, header)
-                d = self.distance(self.query_points, stored.trajectory.block)
-            else:
-                t0 = perf_counter()
-                stored = self.serializer.decode_trajectory(value, header)
-                t1 = perf_counter()
-                d = self.distance(self.query_points, stored.trajectory.block)
-                profile.add(
-                    decode_rows=1,
-                    decode_ms=(t1 - t0) * 1000.0,
-                    similarity_rows=1,
-                    similarity_ms=(perf_counter() - t1) * 1000.0,
-                )
+            t0 = perf_counter()
+            stored = self.serializer.decode_trajectory(value, header)
+            t1 = perf_counter()
+            d = self.distance(self.query_points, stored.trajectory.block)
+            current_profile().add(
+                decode_rows=1,
+                decode_ms=(t1 - t0) * 1000.0,
+                similarity_rows=1,
+                similarity_ms=(perf_counter() - t1) * 1000.0,
+            )
             self.seen.add(header.tid)
             yield d, header.tid, stored.trajectory
 

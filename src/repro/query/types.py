@@ -116,7 +116,9 @@ class QueryResult:
     a deadline with ``allow_partial`` truncated the query early — the rows
     present are correct but the set may be incomplete.  ``profile`` is the
     per-query resource attribution (``profile.as_dict()`` for the full
-    breakdown), present whenever profiling is enabled.
+    breakdown), always present on a result ``TMan`` returns; the counters
+    above are read off it, so they count this query's work only, even
+    while other queries run concurrently.
     """
 
     trajectories: list[Trajectory] = field(default_factory=list)

@@ -18,7 +18,7 @@ built before this package existed):
 """
 
 from repro.runtime.admission import AdmissionController, AdmissionRejectedError
-from repro.runtime.backpressure import WriteLimits, stall_counts
+from repro.runtime.backpressure import WriteLimits
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "Deadline",
     "QueryTimeoutError",
     "WriteLimits",
-    "stall_counts",
 ]

@@ -1,4 +1,4 @@
-"""Write backpressure limits and process-wide stall accounting.
+"""Write backpressure limits and their per-call accounting.
 
 :class:`WriteLimits` carries the memtable watermark knobs from
 ``TManConfig`` down to the LSM engine.  Semantics (enforced once, in
@@ -16,19 +16,20 @@ media):
   :class:`~repro.kvstore.errors.WriteStalledError`.  Without a flusher
   the stall drains inline and always recovers.
 
-Like :func:`repro.kvstore.retry.retry_counts`, the tallies here are plain
-process-wide counters independent of the metrics registry's enabled flag,
-so ``StorageWriter`` can report per-call throttle/stall deltas even with
-metrics off.
+Each throttle and stall is attributed to the calling thread's ledger (the
+:class:`~repro.obs.profile.QueryProfile` that ``StorageWriter`` opens per
+write batch), so a ``WriteReport`` counts only its own batch even while
+other deployments write beside it.  Process-wide totals live in the
+metrics registry.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs import counter as _obs_counter
+from repro.obs.profile import current_profile
 
 _STALL_SECONDS = _obs_counter(
     "kv_write_stall_seconds",
@@ -47,36 +48,36 @@ _REJECTED_TOTAL = _obs_counter(
     "Writes rejected after a stall exceeded its bounded timeout",
 )
 
-_counts_lock = threading.Lock()
-_throttles = 0
-_stalls = 0
-_stall_seconds = 0.0
-_rejections = 0
-
 
 def stall_counts() -> tuple[int, int, float, int]:
-    """``(throttles, stalls, stall_seconds, rejections)`` process-wide."""
-    with _counts_lock:
-        return _throttles, _stalls, _stall_seconds, _rejections
+    """``(throttles, stalls, stall_seconds, rejections)`` process-wide, as
+    the metrics registry has counted them (zeros while metrics are off)."""
+    return (
+        int(_THROTTLE_TOTAL.value),
+        int(_STALL_TOTAL.value),
+        _STALL_SECONDS.value,
+        int(_REJECTED_TOTAL.value),
+    )
 
 
 def record_throttle() -> None:
     """Account one soft-watermark throttle delay."""
-    global _throttles
-    with _counts_lock:
-        _throttles += 1
+    profile = current_profile()
+    if profile is not None:
+        profile.add(throttled_writes=1)
     if _THROTTLE_TOTAL._registry.enabled:
         _THROTTLE_TOTAL.inc()
 
 
 def record_stall(seconds: float, rejected: bool) -> None:
     """Account one hard-watermark stall (and its outcome)."""
-    global _stalls, _stall_seconds, _rejections
-    with _counts_lock:
-        _stalls += 1
-        _stall_seconds += seconds
-        if rejected:
-            _rejections += 1
+    profile = current_profile()
+    if profile is not None:
+        profile.add(
+            stalled_writes=1,
+            write_stall_ms=seconds * 1000.0,
+            rejected_writes=int(rejected),
+        )
     if _STALL_TOTAL._registry.enabled:
         _STALL_TOTAL.inc()
         _STALL_SECONDS.inc(seconds)

@@ -14,7 +14,7 @@ execution).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional, Sequence
 
 from repro.cache.index_cache import BufferShapeCache, ShapeIndexCache
@@ -35,12 +35,7 @@ from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
-from repro.obs.profile import (
-    QueryProfile,
-    current_profile,
-    profile_scope,
-    profiling_enabled,
-)
+from repro.obs.profile import query_profile
 from repro.obs import profile_log as _obs_profile_log
 from repro.query.cost import calibrate
 from repro.query.executor import QueryExecutor
@@ -352,52 +347,42 @@ class TMan:
         ``plan`` forces a specific :class:`~repro.query.planner.QueryPlan`
         instead of the optimizer's choice (plan-equivalence testing).
         """
+        return self._run(
+            q, deadline_ms, allow_partial, priority, limit=limit, plan=plan
+        )
+
+    def _run(
+        self,
+        q,
+        deadline_ms: Optional[float],
+        allow_partial: bool,
+        priority: str,
+        **execute_args,
+    ) -> QueryResult:
+        """One query's life: deadline → profile → admission → execute."""
         deadline = self._make_deadline(deadline_ms, allow_partial)
         # Install the profile before admission so queue wait is attributed
         # to the query that paid it.
-        profile, scope = self._profile_scope(q)
-        with scope, self.one_expansion():
-            if self.admission is None:
-                return self.executor.execute(
-                    q, limit=limit, deadline=deadline, plan=plan
-                )
+        with query_profile(type(q).__name__) as profile, self.one_expansion():
+            admission = (
+                nullcontext() if self.admission is None
+                else self.admission.admit(priority=priority, deadline=deadline)
+            )
             try:
-                self.admission.acquire(priority=priority, deadline=deadline)
-            except QueryTimeoutError:
-                if deadline is not None and deadline.allow_partial:
-                    # The budget ran out while queued: allow_partial promises
-                    # a (possibly empty) result rather than an error.
-                    deadline.note_partial()
-                    result = QueryResult(partial=True)
-                    if profile is not None:
-                        profile.finish(
-                            deadline.budget_ms, type(q).__name__, "shed", partial=True
-                        )
-                        result.profile = profile
-                    return result
-                raise
-            try:
-                return self.executor.execute(
-                    q, limit=limit, deadline=deadline, plan=plan
+                with admission:
+                    return self.executor.execute(
+                        q, deadline=deadline, **execute_args
+                    )
+            except QueryTimeoutError as exc:
+                if exc.where != "admission" or not allow_partial:
+                    raise
+                # The budget ran out while queued: allow_partial promises a
+                # (possibly empty) result rather than an error.
+                deadline.note_partial()
+                profile.finish(
+                    deadline.budget_ms, type(q).__name__, "shed", partial=True
                 )
-            finally:
-                self.admission.release()
-
-    def _profile_scope(self, q):
-        """(profile, contextmanager) installing a fresh QueryProfile.
-
-        Reuses an already-active profile (nested calls attribute to the
-        outermost query); a no-op when profiling is disabled.
-        """
-        from contextlib import nullcontext
-
-        active = current_profile()
-        if active is not None:
-            return active, nullcontext()
-        if not profiling_enabled():
-            return None, nullcontext()
-        profile = QueryProfile(type(q).__name__, "")
-        return profile, profile_scope(profile)
+                return QueryResult(partial=True, profile=profile)
 
     def explain(self, q) -> str:
         """The optimizer's plan and the operator pipeline it assembles."""
@@ -480,14 +465,7 @@ class TMan:
         Supported for temporal, spatial, spatio-temporal, and ID-temporal
         queries; read the answer from ``result.count``.
         """
-        deadline = self._make_deadline(deadline_ms, allow_partial=False)
-        profile, scope = self._profile_scope(q)
-        del profile  # finished by the executor, which knows the plan
-        with scope, self.one_expansion():
-            if self.admission is None:
-                return self.executor.execute_count(q, deadline=deadline)
-            with self.admission.admit(priority=priority, deadline=deadline):
-                return self.executor.execute_count(q, deadline=deadline)
+        return self._run(q, deadline_ms, False, priority, count=True)
 
     # -- health ------------------------------------------------------------------
 

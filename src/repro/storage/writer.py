@@ -35,7 +35,7 @@ from repro.obs import (
     histogram as _obs_histogram,
     tracer as _obs_tracer,
 )
-from repro.runtime.backpressure import stall_counts
+from repro.obs.profile import QueryProfile, profile_scope
 from repro.storage.schema import encode_u64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -97,8 +97,9 @@ class WriteReport:
     batch: ``throttled_writes`` counts soft-watermark delays,
     ``stalled_writes`` hard-watermark waits (with total ``stall_seconds``),
     and ``rejected_writes`` stalls that timed out into
-    :class:`~repro.kvstore.errors.WriteStalledError`.  All zero when the
-    deployment configures no watermarks.
+    :class:`~repro.kvstore.errors.WriteStalledError`.  They are read off the
+    batch's own ledger, so concurrent writers do not see each other's.  All
+    zero when the deployment configures no watermarks.
     """
 
     rows_written: int = 0
@@ -112,20 +113,12 @@ class WriteReport:
     stall_seconds: float = 0.0
     rejected_writes: int = 0
 
-
-class _StallDelta:
-    """Process-wide backpressure tallies bracketing one write batch."""
-
-    def __init__(self) -> None:
-        self._before = stall_counts()
-
-    def apply(self, report: WriteReport) -> None:
-        throttles, stalls, stall_s, rejected = stall_counts()
-        before = self._before
-        report.throttled_writes = throttles - before[0]
-        report.stalled_writes = stalls - before[1]
-        report.stall_seconds = stall_s - before[2]
-        report.rejected_writes = rejected - before[3]
+    def take_backpressure(self, ledger: QueryProfile) -> None:
+        """Copy the watermark toll a batch's ledger recorded."""
+        self.throttled_writes = ledger.throttled_writes
+        self.stalled_writes = ledger.stalled_writes
+        self.stall_seconds = ledger.write_stall_ms / 1000.0
+        self.rejected_writes = ledger.rejected_writes
 
 
 @dataclass(frozen=True)
@@ -239,8 +232,10 @@ class StorageWriter:
         Every code is chosen before the first index-cache write.
         """
         report = WriteReport()
-        stall_delta = _StallDelta()
-        with _obs_tracer().span("storage.bulk_load", batch=len(trajs)) as sp:
+        ledger = QueryProfile("bulk_load")
+        with profile_scope(ledger), _obs_tracer().span(
+            "storage.bulk_load", batch=len(trajs)
+        ) as sp:
             t0 = time.perf_counter()
             prepared = [
                 p for chunk in _point_chunks(trajs, len) for p in self._prepare(chunk)
@@ -277,7 +272,7 @@ class StorageWriter:
             report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
             if sp is not None:
                 sp.set(rows=report.rows_written, elements=report.elements_encoded)
-        stall_delta.apply(report)
+        report.take_backpressure(ledger)
         self._record_ingest(report)
         return report
 
@@ -286,8 +281,10 @@ class StorageWriter:
     def insert(self, trajs: Sequence[Trajectory]) -> WriteReport:
         """Buffered insert: reuse known codes, stage unknown shapes raw."""
         report = WriteReport()
-        stall_delta = _StallDelta()
-        with _obs_tracer().span("storage.insert", batch=len(trajs)) as sp:
+        ledger = QueryProfile("insert")
+        with profile_scope(ledger), _obs_tracer().span(
+            "storage.insert", batch=len(trajs)
+        ) as sp:
             t0 = time.perf_counter()
             staged: list[tuple[_Prepared, int, bytes]] = []
             for chunk in _point_chunks(trajs, len):
@@ -322,7 +319,7 @@ class StorageWriter:
             report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
             if sp is not None:
                 sp.set(rows=report.rows_written, reencodes=report.reencodes_triggered)
-        stall_delta.apply(report)
+        report.take_backpressure(ledger)
         self._record_ingest(report)
         return report
 

@@ -13,8 +13,8 @@ from repro.kvstore.retry import (
     CircuitBreaker,
     RetryPolicy,
     is_retryable,
-    retry_counts,
 )
+from repro.obs.profile import QueryProfile, profile_scope
 
 
 class FakeClock:
@@ -122,21 +122,26 @@ class TestRetryPolicy:
         assert policy.run(flaky, op="t") == "ok"
         assert sleeps == []
 
-    def test_process_wide_counts(self):
+    def test_failure_and_retry_attributed_to_active_profile(self):
+        def once_failing():
+            calls = {"n": 0}
+
+            def flaky():
+                calls["n"] += 1
+                if calls["n"] < 2:
+                    raise TransientRPCError("blip")
+                return "ok"
+
+            return flaky
+
         policy, _ = _policy()
-        before = retry_counts()
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 2:
-                raise TransientRPCError("blip")
-            return "ok"
-
-        policy.run(flaky, op="t")
-        retries, failures = retry_counts()
-        assert retries - before[0] == 1
-        assert failures - before[1] == 1
+        profile = QueryProfile("t")
+        with profile_scope(profile):
+            assert policy.run(once_failing(), op="t") == "ok"
+        assert (profile.retries, profile.rpc_failures) == (1, 1)
+        # Outside any profile the same recovery is attributed nowhere.
+        assert policy.run(once_failing(), op="t") == "ok"
+        assert (profile.retries, profile.rpc_failures) == (1, 1)
 
     def test_is_retryable_classification(self):
         assert is_retryable(TransientRPCError("x"))

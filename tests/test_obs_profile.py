@@ -3,11 +3,13 @@
 The reconciliation tests are the contract of the `IOStats.add` chokepoint:
 every storage counter delta produced while a query's profile is installed
 — including deltas from scan-scheduler worker threads — must appear on
-that query's profile, exactly.
+that query's profile, exactly.  A result's counters are read off that
+profile, so they stay exact when queries overlap.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -16,13 +18,7 @@ from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.simlatency import SimulatedRPC, rpc_latency
 from repro.model import MBR, TimeRange
-from repro.obs import (
-    profile_log,
-    profiling_enabled,
-    reset_all,
-    set_profiling_enabled,
-    workload_stats,
-)
+from repro.obs import profile_log, reset_all, workload_stats
 from repro.obs.profile import (
     QueryProfile,
     current_profile,
@@ -138,19 +134,54 @@ class TestReconciliation:
         assert result.profile.query_id in result.trace.render()
 
 
-class TestProfileMachinery:
-    def test_disabled_profiling_yields_no_profile(self, tman, dataset):
-        span = dataset[0].time_range
-        set_profiling_enabled(False)
-        try:
-            assert not profiling_enabled()
-            result = tman.query(
-                TemporalRangeQuery(TimeRange(span.start, span.start + 3600))
-            )
-            assert result.profile is None
-        finally:
-            set_profiling_enabled(True)
+class TestConcurrentExactness:
+    def test_concurrent_results_count_only_their_own_work(self, tman, dataset):
+        """Every query type at once, behind a barrier, three rounds: each
+        result's counters equal its serial run's.  Process-wide snapshot
+        deltas taken around a query would also count its neighbours' rows."""
+        queries = _all_queries(dataset)
 
+        def ledger(result):
+            return (
+                result.candidates, result.transferred_rows, result.windows,
+                result.simulated_ms,
+                *(getattr(result.profile, field) for field in RECONCILED),
+            )
+
+        serial = [ledger(tman.query(q)) for q in queries]
+        rounds = 3
+        barrier = threading.Barrier(len(queries))
+        seen: list[list[tuple]] = [[] for _ in queries]
+        errors: list[BaseException] = []
+
+        def client(i):
+            try:
+                for _ in range(rounds):
+                    barrier.wait(30)
+                    seen[i].append(ledger(tman.query(queries[i])))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(len(queries))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for query, want, got in zip(queries, serial, seen):
+            assert got == [want] * rounds, type(query).__name__
+
+
+class TestProfileMachinery:
     def test_run_with_profile_crosses_threads(self):
         profile = QueryProfile("manual", "test")
         seen = []

@@ -2,11 +2,14 @@
 
 The no-flusher cases run on both media of the one LSM engine: memory
 (``LSMStore``) and directory (``DurableLSMStore``, which never has a
-flusher pool and drains its watermarks inline).
+flusher pool and drains its watermarks inline).  Throttles and stalls are
+attributed to the writing thread's ledger (a ``QueryProfile``), which is
+what a ``WriteReport`` reads.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,7 +18,8 @@ import pytest
 from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.lsm import LSMStore
-from repro.runtime.backpressure import WriteLimits, stall_counts
+from repro.obs.profile import QueryProfile, profile_scope
+from repro.runtime.backpressure import WriteLimits
 
 
 def k(i: int) -> bytes:
@@ -63,11 +67,11 @@ class TestSoftWatermark:
     def test_throttle_counted_and_flush_scheduled(self, make_store):
         limits = WriteLimits(soft_bytes=2_000, throttle_ms=0.01)
         store = make_store(flush_bytes=1 << 20, write_limits=limits)
-        before = stall_counts()
-        for i in range(100):
-            store.put(k(i), VALUE)
-        throttles = stall_counts()[0] - before[0]
-        assert throttles > 0
+        ledger = QueryProfile("writes")
+        with profile_scope(ledger):
+            for i in range(100):
+                store.put(k(i), VALUE)
+        assert ledger.throttled_writes > 0
         # Frozen memtables were flushed inline (no flusher pool configured).
         assert store.sstable_count > 0
         assert store.memtable_bytes < 100 * (len(VALUE) + 10)
@@ -104,12 +108,12 @@ class TestHardWatermark:
     def test_inline_stall_recovers(self, make_store):
         limits = WriteLimits(hard_bytes=5_000, throttle_ms=0.0)
         store = make_store(flush_bytes=1 << 20, write_limits=limits)
-        before = stall_counts()
-        for i in range(500):
-            store.put(k(i), VALUE)
-        _, stalls, _, rejected = (a - b for a, b in zip(stall_counts(), before))
-        assert stalls > 0
-        assert rejected == 0  # an inline drain always frees the memtable
+        ledger = QueryProfile("writes")
+        with profile_scope(ledger):
+            for i in range(500):
+                store.put(k(i), VALUE)
+        assert ledger.stalled_writes > 0
+        assert ledger.rejected_writes == 0  # an inline drain always frees the memtable
         assert store.sstable_count > 0
         assert [key for key, _ in store.scan()] == sorted(k(i) for i in range(500))
 
@@ -122,13 +126,11 @@ class TestHardWatermark:
             store = LSMStore(
                 flush_bytes=1 << 20, write_limits=limits, flusher=pool
             )
-            before = stall_counts()
-            for i in range(500):
-                store.put(k(i), VALUE)
-            _, stalls, stall_s, rejected = (
-                a - b for a, b in zip(stall_counts(), before)
-            )
-            assert rejected == 0  # every stall recovered within its budget
+            ledger = QueryProfile("writes")
+            with profile_scope(ledger):
+                for i in range(500):
+                    store.put(k(i), VALUE)
+            assert ledger.rejected_writes == 0  # every stall recovered within its budget
             store.flush()
             assert [key for key, _ in store.scan()] == sorted(
                 k(i) for i in range(500)
@@ -149,12 +151,11 @@ class TestHardWatermark:
             store = LSMStore(
                 flush_bytes=1 << 20, write_limits=limits, flusher=pool
             )
-            before = stall_counts()
-            with pytest.raises(WriteStalledError):
+            ledger = QueryProfile("writes")
+            with profile_scope(ledger), pytest.raises(WriteStalledError):
                 for i in range(500):
                     store.put(k(i), VALUE)
-            rejected = stall_counts()[3] - before[3]
-            assert rejected == 1
+            assert ledger.rejected_writes == 1
         finally:
             release.set()
             pool.shutdown(wait=True)
@@ -276,6 +277,55 @@ class TestWriterReport:
             assert report.rows_written == 30
             assert report.throttled_writes > 0
             assert report.rejected_writes == 0
+
+    def test_concurrent_deployments_report_only_their_own_batch(self):
+        # Two deployments bulk-load side by side behind a barrier; each
+        # report must equal the same load run alone.
+        from repro import TMan, TManConfig
+        from repro.datasets import TDRIVE_SPEC, tdrive_like
+
+        config = TManConfig(
+            boundary=TDRIVE_SPEC.boundary,
+            max_resolution=12,
+            kv_workers=2,
+            memtable_soft_bytes=4_096,
+            write_throttle_ms=0.01,
+        )
+        data = tdrive_like(60, seed=5)
+
+        def toll(report):
+            return (report.throttled_writes, report.stalled_writes,
+                    report.stall_seconds, report.rejected_writes)
+
+        with TMan(config) as tman:
+            alone = toll(tman.bulk_load(data))
+        assert alone[0] > 0
+        barrier = threading.Barrier(2)
+        reports: dict[int, tuple] = {}
+        errors: list[BaseException] = []
+
+        def load(i: int) -> None:
+            try:
+                with TMan(config) as tman:
+                    barrier.wait(30)
+                    reports[i] = toll(tman.bulk_load(data))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=load, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert reports == {0: alone, 1: alone}
 
     def test_unlimited_deployment_reports_zero(self):
         from repro import TMan, TManConfig
