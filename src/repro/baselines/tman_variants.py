@@ -15,7 +15,6 @@ from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.temporal import TRIndex
-from repro.kvstore.filters import FilterChain
 from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
@@ -108,10 +107,8 @@ class TManXZ:
         """STRQ: the conjunction of a spatial window and a time range."""
         ranges = self.xz2.query_ranges(window)
         windows = self._store.windows_from_half_open(ranges)
-        chain = FilterChain(
-            [TemporalFilter(time_range), SpatialFilter(window, self._store.serializer)]
-        )
-        return self._store.run_windows(windows, chain)
+        conjunction = TemporalFilter(time_range) & SpatialFilter(window, self._store.serializer)
+        return self._store.run_windows(windows, conjunction)
 
     def close(self) -> None:
         """Release the resources held by this object (idempotent)."""

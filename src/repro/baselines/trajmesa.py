@@ -20,7 +20,7 @@ from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.filters import Filter, FilterChain
+from repro.kvstore.filters import Filter
 from repro.kvstore.scan import Scan
 from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
@@ -166,10 +166,8 @@ class TrajMesa:
                         encode_u64(period) + encode_u64(hi),
                     )
                 )
-        chain = FilterChain(
-            [TemporalFilter(time_range), SpatialFilter(window, self.serializer)]
-        )
-        return self._run(self.st_table, windows, chain, "xz2t")
+        conjunction = TemporalFilter(time_range) & SpatialFilter(window, self.serializer)
+        return self._run(self.st_table, windows, conjunction, "xz2t")
 
     def id_temporal_query(self, oid: str, time_range: TimeRange) -> QueryResult:
         """IDT: one object's trajectories in a time range."""

@@ -119,9 +119,12 @@ class IntervalIndex:
         The main run covers every row ending in the query window plus the
         over-approximated tail of rows ending up to ``N-1`` periods later
         (whose span may reach back into the window); the exact push-down
-        temporal filter removes tail false positives.
+        temporal filter removes tail false positives.  The query is clamped
+        at the origin: a range ending before it yields no intervals.
         """
-        qi = self.period_of(tr.start)
+        if tr.end < self.origin:
+            return []
+        qi = self.period_of(max(tr.start, self.origin))
         qj = self.period_of(tr.end)
         n = self.max_periods
         main = (qi * n, (qj + n - 1) * n + (n - 1))

@@ -136,9 +136,12 @@ class TRIndex:
         single run ``[TR(i,i), TR(j,j+N-1)]`` covering start periods
         ``i..j``.  Every bin in the returned intervals intersects the query
         at period granularity (Lemma 5); exact refinement happens in the
-        push-down filter.
+        push-down filter.  No row starts before the origin, so the query is
+        clamped there: a range ending before it yields no intervals.
         """
-        i = self.period_of(tr.start)
+        if tr.end < self.origin:
+            return []
+        i = self.period_of(max(tr.start, self.origin))
         j = self.period_of(tr.end)
         n = self.max_periods
         ranges: list[tuple[int, int]] = []

@@ -20,10 +20,10 @@ from repro.obs.profile import current_profile
 from repro.kvstore.filters import Filter
 from repro.kvstore.table import Table
 from repro.model.trajectory import Trajectory
+from repro.query.filters import INF, MISS, Ladder, SimilarityFilter
 from repro.query.windows import coalesce_windows
 from repro.runtime.deadline import Deadline
-from repro.similarity.measures import distance_by_name
-from repro.similarity.pruning import dp_lower_bound, mbr_lower_bound
+from repro.similarity.pruning import dp_lower_bound
 from repro.storage.serializer import RowSerializer
 
 Row = tuple[bytes, bytes]
@@ -275,15 +275,33 @@ class Refine(Operator):
         return cls(lambda t: t.tid != tid, "exclude_query")
 
 
-class PointDistanceRefine(Operator):
-    """kNN-point pruning ladder: header MBR → DP feature → exact polyline.
+class _RingRefine(Operator, Ladder):
+    """Rungs feeding the ``TopK`` sink exact distances, pruned against its
+    current k-th best distance (``bound``).
 
-    ``bound`` supplies the current k-th best distance (from the ``TopK``
-    sink); because the pipeline is pull-based the bound tightens row by
-    row, exactly like the paper's expanding-ring loop.  Pruning against
-    the bound is final (it only shrinks), so pruned candidates are marked
-    seen and skipped in later ring rounds.
+    Because the pipeline is pull-based the bound tightens row by row,
+    exactly like the paper's expanding-ring loop.  Pruning against the
+    bound is final (it only shrinks), so a trajectory is decided once, on
+    first sight, and later ring rounds skip every trajectory already seen.
     """
+
+    kernel = True
+
+    def __init__(self, serializer: RowSerializer, bound: Callable[[], float]):
+        super().__init__()
+        self.serializer = serializer
+        self.bound = bound
+        self.seen: set[str] = set()
+
+    def ranked(self, rows: Iterator[Row]) -> Iterator[tuple[float, str, Trajectory]]:
+        for _, value in rows:
+            kept = self.walk(value, self.bound(), exact=True)
+            if kept is not None:
+                yield kept[0], kept[1].tid, kept[1]
+
+
+class PointDistanceRefine(_RingRefine):
+    """kNN-point rungs: header MBR → DP feature → exact polyline distance."""
 
     name = "knn_refine"
 
@@ -294,48 +312,32 @@ class PointDistanceRefine(Operator):
         y: float,
         bound: Callable[[], float],
     ):
-        self.serializer = serializer
+        super().__init__(serializer, bound)
         self.x = x
         self.y = y
-        self.bound = bound
-        self.seen: set[str] = set()
+
+    def on_header(self, header):
+        if header.tid in self.seen:
+            return MISS
+        self.seen.add(header.tid)
+        return header.mbr.min_distance_point(self.x, self.y), INF
+
+    def on_feature(self, header, feature):
+        return feature.min_distance_to_point(self.x, self.y), INF
+
+    def on_points(self, header, block) -> float:
+        return point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
 
     def process(
         self, upstream: Iterator[Row]
     ) -> Iterator[tuple[float, str, Trajectory]]:
-        for _, value in upstream:
-            header = self.serializer.decode_header(value)
-            if header.tid in self.seen:
-                continue
-            kth = self.bound()
-            if header.mbr.min_distance_point(self.x, self.y) > kth:
-                self.seen.add(header.tid)
-                continue
-            feature = self.serializer.decode_feature(value, header)
-            if feature.min_distance_to_point(self.x, self.y) > kth:
-                self.seen.add(header.tid)
-                continue
-            t0 = perf_counter()
-            stored = self.serializer.decode_trajectory(value, header)
-            t1 = perf_counter()
-            block = stored.trajectory.block
-            d = point_to_polyline_arrays(self.x, self.y, block.xs, block.ys)
-            current_profile().add(
-                decode_rows=1,
-                decode_ms=(t1 - t0) * 1000.0,
-                similarity_rows=1,
-                similarity_ms=(perf_counter() - t1) * 1000.0,
-            )
-            self.seen.add(header.tid)
-            yield d, header.tid, stored.trajectory
+        return self.ranked(upstream)
 
 
-class SimilarityRefine(Operator):
-    """Top-k similarity pruning ladder: MBR bound → DP bound → exact measure.
-
-    Mirrors :class:`PointDistanceRefine` for trajectory-to-trajectory
-    distances; the query trajectory itself is always skipped.
-    """
+class SimilarityRefine(_RingRefine):
+    """Top-k similarity rungs: the threshold filter's MBR bound, the DP
+    lower bound, then the exact measure; the query trajectory itself is
+    always skipped."""
 
     name = "similarity_refine"
 
@@ -346,42 +348,27 @@ class SimilarityRefine(Operator):
         measure: str,
         bound: Callable[[], float],
     ):
-        self.serializer = serializer
-        self.query_points = query.block
-        self.query_mbr = query.mbr
+        super().__init__(serializer, bound)
         self.query_tid = query.tid
-        self.aggregate = "sum" if measure == "dtw" else "max"
-        self.distance = distance_by_name(measure)
-        self.bound = bound
-        self.seen: set[str] = set()
+        self.rungs = SimilarityFilter(query.points, 0.0, measure, serializer)
+
+    def on_header(self, header):
+        if header.tid == self.query_tid or header.tid in self.seen:
+            return MISS
+        self.seen.add(header.tid)
+        return self.rungs.on_header(header)
+
+    def on_feature(self, header, feature):
+        # Ranking needs every distance exact: no DP upper bound.
+        return dp_lower_bound(self.rungs.query_points, feature, self.rungs.aggregate), INF
+
+    def on_points(self, header, block) -> float:
+        return self.rungs.on_points(header, block)
 
     def process(
         self, upstream: Iterator[Row]
     ) -> Iterator[tuple[float, str, Trajectory]]:
-        for _, value in upstream:
-            header = self.serializer.decode_header(value)
-            if header.tid in self.seen or header.tid == self.query_tid:
-                continue
-            kth = self.bound()
-            if mbr_lower_bound(self.query_mbr, header.mbr) > kth:
-                self.seen.add(header.tid)
-                continue
-            feature = self.serializer.decode_feature(value, header)
-            if dp_lower_bound(self.query_points, feature, self.aggregate) > kth:
-                self.seen.add(header.tid)
-                continue
-            t0 = perf_counter()
-            stored = self.serializer.decode_trajectory(value, header)
-            t1 = perf_counter()
-            d = self.distance(self.query_points, stored.trajectory.block)
-            current_profile().add(
-                decode_rows=1,
-                decode_ms=(t1 - t0) * 1000.0,
-                similarity_rows=1,
-                similarity_ms=(perf_counter() - t1) * 1000.0,
-            )
-            self.seen.add(header.tid)
-            yield d, header.tid, stored.trajectory
+        return self.ranked(upstream)
 
 
 # -- terminal sinks ----------------------------------------------------------

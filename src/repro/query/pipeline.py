@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
-from repro.kvstore.filters import Filter, FilterChain
+from repro.kvstore.filters import Filter
 from repro.kvstore.stats import ExecutionTrace
 from repro.obs import (
     counter as _obs_counter,
@@ -25,6 +25,7 @@ from repro.obs import (
 )
 from repro.query.filters import (
     IdFilter,
+    Ladder,
     SimilarityFilter,
     SpatialFilter,
     TemporalFilter,
@@ -210,6 +211,12 @@ class Pipeline:
                 # sinks) release their region streams deterministically.
                 for edge in reversed(edges):
                     edge.close()
+                # No pool thread walks rows for this round's ladders any more:
+                # add the decodes and kernels they tallied to the profile.
+                for op in self.stages:
+                    for ladder in (op, getattr(op, "row_filter", None)):
+                        if isinstance(ladder, Ladder):
+                            ladder.flush()
                 # (stage name, this round's self time, rows out) — the trace
                 # accumulates across rounds, the observability hooks below
                 # want per-round values.
@@ -389,12 +396,7 @@ def _strq_stages(
     plan: "QueryPlan",
     deadline: Optional[Deadline] = None,
 ) -> tuple[list[Operator], bool]:
-    row_filter = FilterChain(
-        [
-            TemporalFilter(query.time_range),
-            SpatialFilter(query.window, tman.serializer),
-        ]
-    )
+    row_filter = TemporalFilter(query.time_range) & SpatialFilter(query.window, tman.serializer)
     if plan.index == "st" and plan.route == "primary":
         st_windows = tman.st_index.query_windows(
             query.time_range,
@@ -432,9 +434,7 @@ def _idt_stages(
     plan: "QueryPlan",
     deadline: Optional[Deadline] = None,
 ) -> tuple[list[Operator], bool]:
-    row_filter = FilterChain(
-        [IdFilter(query.oid), TemporalFilter(query.time_range)]
-    )
+    row_filter = IdFilter(query.oid) & TemporalFilter(query.time_range)
     tr_ranges = _tr_query_ranges(tman, query.time_range)
     if plan.index == "idt":
         windows = [

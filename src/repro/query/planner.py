@@ -205,11 +205,7 @@ class QueryPlanner:
 
     def _tr_window_count(self, tr: TimeRange) -> int:
         """Range scans the TR route opens (after coalescing, pre-sharding)."""
-        try:
-            ranges = self._tr.query_ranges(tr)
-        except ValueError:  # pre-origin instants: pessimistic N windows
-            return self.config.tr_max_periods
-        return max(1, len(coalesce_inclusive_ranges(ranges)))
+        return max(1, len(coalesce_inclusive_ranges(self._tr.query_ranges(tr))))
 
     def _cost_candidate(
         self, query: Query, index: str, route: str, ts: "TableStatistics"

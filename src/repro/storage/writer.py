@@ -39,6 +39,7 @@ from repro.obs.profile import QueryProfile, profile_scope
 from repro.storage.schema import encode_u64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.kvstore.table import Table
     from repro.storage.tman import TMan
 
 _INGEST_ROWS = _obs_counter(
@@ -374,7 +375,14 @@ class StorageWriter:
     # -- re-encoding -----------------------------------------------------------
 
     def _reencode(self) -> int:
-        """Re-optimize every element with buffered shapes and rewrite rows."""
+        """Re-optimize every element with buffered shapes and rewrite rows.
+
+        Rows move new-before-old: each moved row is put under its new keys
+        while the old mapping still finds the old ones, then the new mapping
+        is stored, then the old keys are deleted.  A crash anywhere leaves
+        every row findable, at worst twice, which every read path
+        de-duplicates by tid.
+        """
         pending = self._t.buffer_cache.drain()
         rewritten = 0
         for element_code, new_shapes in pending.items():
@@ -382,9 +390,12 @@ class StorageWriter:
             shapes = sorted(set(existing) | new_shapes)
             mapping = self._t.encoder.encode(shapes)
             rows = self._collect_element_rows(element_code)
+            stale = [self._rewrite_row(*row, element_code, mapping) for row in rows]
             self._t.index_cache.put_mapping(element_code, mapping)
-            for row in rows:
-                rewritten += self._rewrite_row(*row, element_code, mapping)
+            for old_keys in stale:
+                for table, old_key in old_keys:
+                    table.delete(old_key)
+                rewritten += bool(old_keys)
         return rewritten
 
     def _collect_element_rows(self, element_code: int) -> list[tuple]:
@@ -417,24 +428,27 @@ class StorageWriter:
     def _rewrite_row(
         self, old_key: bytes, value: bytes, stored, key: TShapeKey, element_code: int,
         mapping: dict[int, int],
-    ) -> int:
+    ) -> list[tuple[Table, bytes]]:
+        """Put one row under its keys for ``mapping``; returns ``(table,
+        key)`` of the old keys to delete, secondary ones first (none when
+        the row's keys are unchanged)."""
         final = mapping.get(key.raw_shape)
         if final is None:  # pragma: no cover - mapping covers all element shapes
-            return 0
+            return []
         p = _Prepared(stored.trajectory, stored.tr_value, key)
         new_key, secondary = self._keys(p, self._t.tshape_index.pack(element_code, final))
         if new_key == old_key:
-            return 0
-        self._t.primary_table.delete(old_key)
+            return []
         self._t.primary_table.put(new_key, value)
         # TR/IDT secondary keys are unchanged but their values (the primary
         # key) must be repointed; tshape/st secondary keys embed the shape
-        # code, so the old secondary row is deleted and a fresh one written.
+        # code, so a fresh secondary row is written and the old one deleted.
         old_index = self._t.keys.parse_primary(old_key).index_bytes
         _, old_secondary = self._keys(p, int.from_bytes(old_index[-8:], "big"))
+        stale = []
         for (name, sec_key), (_, old_sec_key) in zip(secondary, old_secondary):
             table = self._t.secondary_tables[name]
-            if old_sec_key != sec_key:
-                table.delete(old_sec_key)
             table.put(sec_key, new_key)
-        return 1
+            if old_sec_key != sec_key:
+                stale.append((table, old_sec_key))
+        return stale + [(self._t.primary_table, old_key)]

@@ -134,6 +134,39 @@ class TestReconciliation:
         assert result.profile.query_id in result.trace.render()
 
 
+class TestLadderAttribution:
+    """Point decodes and exact kernels made while a row is being decided
+    (push-down filters included) land on the query's profile."""
+
+    def test_threshold_kernel_calls_are_similarity_rows(self, tman, dataset, monkeypatch):
+        from repro.similarity import measures
+
+        calls = []
+        dtw = measures.DISTANCES["dtw"]  # DTW has no DP upper bound: every call is exact
+        monkeypatch.setitem(
+            measures.DISTANCES, "dtw", lambda a, b: calls.append(1) or dtw(a, b)
+        )
+        result = tman.query(ThresholdSimilarityQuery(dataset[0], 0.5, "dtw"))
+        assert calls, "no row reached the exact kernel; test is vacuous"
+        assert result.profile.similarity_rows == len(calls)
+        assert result.profile.similarity_ms > 0
+
+    def test_srq_decode_rows_include_the_points_rung(self, tman, monkeypatch):
+        from repro.storage.serializer import RowSerializer
+
+        decodes = []
+        decode = RowSerializer.decode_trajectory
+        monkeypatch.setattr(
+            RowSerializer, "decode_trajectory",
+            lambda self, *args: decodes.append(1) or decode(self, *args),
+        )
+        b = TDRIVE_SPEC.boundary
+        strip = MBR(b.x1, 39.9, b.x2, 39.901)  # MBRs overlap it, polylines often miss
+        result = tman.query(SpatialRangeQuery(strip))
+        assert len(decodes) > len(result.trajectories), "no points-rung decode; vacuous"
+        assert result.profile.decode_rows == len(decodes)
+
+
 class TestConcurrentExactness:
     def test_concurrent_results_count_only_their_own_work(self, tman, dataset):
         """Every query type at once, behind a barrier, three rounds: each
