@@ -6,11 +6,16 @@ the best of ``--repeat`` timed passes:
 
 - µs per row of ``decode_header``, ``decode_feature`` and
   ``decode_trajectory`` (the point decode) over all rows;
-- µs per call of ``frechet_distance`` between random-walk trajectories of
-  35, 50 and 200 fixes.
+- µs per row of the lower bounds the rungs compute from those sections,
+  for the first trajectory as the query: ``dp_lower_bound`` and, in
+  checkouts that have them, the header's points-to-MBR bound
+  (``boxes_lower_bound`` with one box) and ``endpoint_lower_bound``;
+- µs per call of ``frechet_distance`` and of ``dtw_distance`` between
+  random-walk trajectories of 35, 50 and 200 fixes.
 
-It uses only long-standing public APIs, so pointing ``PYTHONPATH`` at an
-older checkout's ``src/`` measures that checkout with the same script::
+Apart from those two bounds it uses only long-standing public APIs, so
+pointing ``PYTHONPATH`` at an older checkout's ``src/`` measures that
+checkout with the same script::
 
     PYTHONPATH=src python benchmarks/ladder_cost.py
 """
@@ -25,8 +30,15 @@ import numpy as np
 
 from repro.datasets import tdrive_like
 from repro.model.pointblock import PointBlock
+from repro.similarity.dtw import dtw_distance
 from repro.similarity.frechet import frechet_distance
+from repro.similarity.pruning import dp_lower_bound
 from repro.storage.serializer import RowSerializer
+
+try:
+    from repro.similarity.pruning import boxes_lower_bound, endpoint_lower_bound
+except ImportError:  # a checkout from before the header and endpoint rungs
+    boxes_lower_bound = endpoint_lower_bound = None
 
 
 def _best_us(fn, items, repeat: int) -> float:
@@ -55,6 +67,19 @@ def main() -> None:
     ):
         print(f"decode_{name}_us_per_row {_best_us(fn, rows, args.repeat):.1f}")
 
+    query = data[0].block
+    headers = [serializer.decode_header(row) for row in rows]
+    features = [serializer.decode_feature(row, h) for row, h in zip(rows, headers)]
+    bounds = [("dp", lambda f: dp_lower_bound(query, f), features)]
+    if boxes_lower_bound is not None:
+        boxes = [h.mbr.as_tuple() for h in headers]
+        bounds += [
+            ("mbr_points", lambda box: boxes_lower_bound(query, box), boxes),
+            ("endpoint", lambda f: endpoint_lower_bound(query, f), features),
+        ]
+    for name, fn, items in bounds:
+        print(f"{name}_bound_us_per_row {_best_us(fn, items, args.repeat):.1f}")
+
     rng = np.random.default_rng(7)
     for n in (35, 50, 200):
         pairs = []
@@ -64,8 +89,9 @@ def main() -> None:
                 PointBlock(np.arange(n, dtype=float), x, y, validate=False)
                 for x, y in zip(xs, ys)
             ))
-        us = _best_us(lambda pair: frechet_distance(*pair), pairs, args.repeat)
-        print(f"frechet_us_at_{n}_points {us:.1f}")
+        for name, kernel in (("frechet", frechet_distance), ("dtw", dtw_distance)):
+            us = _best_us(lambda pair: kernel(*pair), pairs, args.repeat)
+            print(f"{name}_us_at_{n}_points {us:.1f}")
 
 
 if __name__ == "__main__":

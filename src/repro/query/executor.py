@@ -18,7 +18,6 @@ import time
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kvstore.stats import CostModel, ExecutionTrace
-from repro.model.mbr import MBR
 from repro.model.trajectory import Trajectory
 from repro.obs import (
     counter as _obs_counter,
@@ -49,7 +48,11 @@ from repro.query.types import (
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
-from repro.query.windows import primary_windows_u64
+from repro.query.windows import (
+    coalesce_inclusive_ranges,
+    primary_windows_inclusive,
+    subtract_inclusive_ranges,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.storage.tman import TMan
@@ -247,9 +250,15 @@ class QueryExecutor:
         top-k sink), doubling the radius until the k-th best distance is
         provably inside the scanned region or the ring covers the whole
         boundary.  kNN ranks by min planar distance from the point to the
-        polyline and scans its ring clamped to the boundary; top-k ranks
-        by the similarity measure.  Header-MBR and DP-feature bounds in
-        the refine stage avoid most point decompressions.
+        polyline and scans its ring clamped to the boundary; a ring wholly
+        outside the boundary holds no row, so its round is skipped and the
+        radius keeps doubling.  Top-k ranks by the similarity measure.
+
+        A round scans only the TShape key ranges of its ring that earlier
+        rounds have not: the refiner already walked every row there, and its
+        ``seen`` set would drop each again by tid (the same set hides the
+        duplicate keys a re-encode leaves behind).  Header, endpoint and
+        DP-feature bounds in the refine stage avoid most point decodes.
         """
         if query.k <= 0:
             raise ValueError(f"k must be positive, got {query.k}")
@@ -266,6 +275,7 @@ class QueryExecutor:
                 t.serializer, query.query, query.measure, sink.kth_bound
             )
         radius = query.first_radius(boundary)
+        scanned: list[tuple[int, int]] = []  # inclusive u64 ranges of earlier rounds
         trajs: list[Trajectory] = []
         dists: list[float] = []
         while not self._ring_deadline_reached(
@@ -273,20 +283,22 @@ class QueryExecutor:
         ):
             ring = window = query.ring(radius)
             if knn:
-                window = MBR(
-                    max(boundary.x1, ring.x1), max(boundary.y1, ring.y1),
-                    min(boundary.x2, ring.x2), min(boundary.y2, ring.y2),
+                window = ring.intersection(boundary)
+            if window is not None:
+                fresh = subtract_inclusive_ranges(
+                    ((lo, hi - 1) for lo, hi in t.spatial_ranges(window)), scanned
                 )
-            stages = [
-                WindowSource(primary_windows_u64(t.keys, t.spatial_ranges(window))),
-                RegionScan(t.primary_table, None, deadline=deadline),
-                refine,
-            ]
-            trajs, dists = Pipeline(
-                stages, sink, trace=trace, deadline=deadline
-            ).run()
-            if len(sink.best) >= query.k and sink.kth_bound() <= radius:
-                break
+                scanned = coalesce_inclusive_ranges(scanned + fresh)
+                stages = [
+                    WindowSource(primary_windows_inclusive(t.keys, fresh)),
+                    RegionScan(t.primary_table, None, deadline=deadline),
+                    refine,
+                ]
+                trajs, dists = Pipeline(
+                    stages, sink, trace=trace, deadline=deadline
+                ).run()
+                if len(sink.best) >= query.k and sink.kth_bound() <= radius:
+                    break
             if ring.contains(boundary):
                 break
             radius *= 2.0

@@ -35,7 +35,13 @@ from repro.model.pointblock import PointBlock
 from repro.model.timerange import TimeRange
 from repro.obs.profile import current_profile
 from repro.similarity.measures import distance_by_name
-from repro.similarity.pruning import dp_lower_bound, dp_upper_bound, mbr_lower_bound
+from repro.similarity.pruning import (
+    boxes_lower_bound,
+    dp_lower_bound,
+    dp_upper_bound,
+    endpoint_lower_bound,
+    mbr_lower_bound,
+)
 from repro.storage.serializer import RowSerializer
 
 INF = float("inf")
@@ -46,6 +52,8 @@ UNKNOWN = (0.0, INF)
 # Half a coordinate quantum: decoded points sit within this distance of
 # the (full-precision) originals the row was built from.
 _COORD_EPS = 0.5 / COORD_SCALE
+# A whole quantum: the header MBR grown by it holds every decoded point.
+_QUANTUM = 1.0 / COORD_SCALE
 
 
 class Ladder:
@@ -218,9 +226,11 @@ class SpatialFilter(Ladder, Filter):
 class SimilarityFilter(Ladder, Filter):
     """Exact threshold similarity: the row's distance to the query is <= θ.
 
-    The MBR bound and the DP-feature bounds decide most candidates without
-    the exact measure (the paper's global pruning + local filter); only
-    Fréchet and Hausdorff have a DP upper bound.
+    The header and DP-feature bounds decide most candidates without the
+    exact measure (the paper's global pruning + local filter); only Fréchet
+    and Hausdorff have a DP upper bound.  The top-k refiner walks the same
+    lower bounds (:meth:`header_lower`, :meth:`feature_lower`) against its
+    moving bound.
     """
 
     kernel = True
@@ -244,11 +254,31 @@ class SimilarityFilter(Ladder, Filter):
         self._distance = distance_by_name(measure)
         self.serializer = serializer
 
+    def header_lower(self, header, bound: float) -> float:
+        """MBR to MBR in O(1); when that cannot reject, every query point to
+        the MBR (grown by a quantum, so it holds the decoded points)."""
+        lower = mbr_lower_bound(self.query_mbr, header.mbr)
+        if lower > bound:
+            return lower
+        m = header.mbr
+        box = (m.x1 - _QUANTUM, m.y1 - _QUANTUM, m.x2 + _QUANTUM, m.y2 + _QUANTUM)
+        return max(lower, boxes_lower_bound(self.query_points, box, self.aggregate))
+
+    def feature_lower(self, header, feature, bound: float) -> float:
+        """The endpoint bound first (Fréchet and DTW, on rows whose
+        representatives sit on the point grid), then the span boxes."""
+        lower = 0.0
+        if self.measure != "hausdorff" and header.version > 1:
+            lower = endpoint_lower_bound(self.query_points, feature, self.aggregate)
+            if lower > bound:
+                return lower
+        return max(lower, dp_lower_bound(self.query_points, feature, self.aggregate))
+
     def on_header(self, header):
-        return mbr_lower_bound(self.query_mbr, header.mbr), INF
+        return self.header_lower(header, self.threshold), INF
 
     def on_feature(self, header, feature):
-        lower = dp_lower_bound(self.query_points, feature, self.aggregate)
+        lower = self.feature_lower(header, feature, self.threshold)
         if lower > self.threshold or self.measure not in ("frechet", "hausdorff"):
             return lower, INF
         return lower, dp_upper_bound(self.query_points, feature, self._distance)

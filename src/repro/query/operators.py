@@ -23,7 +23,7 @@ from repro.model.trajectory import Trajectory
 from repro.query.filters import INF, MISS, Ladder, SimilarityFilter
 from repro.query.windows import coalesce_windows
 from repro.runtime.deadline import Deadline
-from repro.similarity.pruning import dp_lower_bound
+from repro.similarity.pruning import mbr_lower_bound
 from repro.storage.serializer import RowSerializer
 
 Row = tuple[bytes, bytes]
@@ -279,10 +279,15 @@ class _RingRefine(Operator, Ladder):
     """Rungs feeding the ``TopK`` sink exact distances, pruned against its
     current k-th best distance (``bound``).
 
-    Because the pipeline is pull-based the bound tightens row by row,
-    exactly like the paper's expanding-ring loop.  Pruning against the
-    bound is final (it only shrinks), so a trajectory is decided once, on
-    first sight, and later ring rounds skip every trajectory already seen.
+    Pruning against the bound is final (it only shrinks).  A round reads
+    its rows first, keeping those whose O(1) header bound (``first_bound``)
+    is within the bound, then walks them nearest first (arrival order breaks
+    ties): the bound tightens on the likeliest rows before the rest reach a
+    deeper rung, and the walk ends at the first row whose bound is past it.
+    A trajectory is decided once: later ring rounds scan only new key
+    ranges, and ``seen`` skips any other key of a trajectory already decided
+    (the duplicates a re-encode leaves).  A partial deadline that expires
+    while a round is still being read keeps the rounds before it.
     """
 
     kernel = True
@@ -293,9 +298,23 @@ class _RingRefine(Operator, Ladder):
         self.bound = bound
         self.seen: set[str] = set()
 
+    def first_bound(self, header) -> float:
+        """An O(1) lower bound on the row's distance, from its header."""
+        raise NotImplementedError
+
     def ranked(self, rows: Iterator[Row]) -> Iterator[tuple[float, str, Trajectory]]:
-        for _, value in rows:
-            kept = self.walk(value, self.bound(), exact=True)
+        bound = self.bound()
+        order = []
+        for n, (_, value) in enumerate(rows):
+            lower = self.first_bound(RowSerializer.decode_header(value))
+            if lower <= bound:
+                order.append((lower, n, value))
+        order.sort()
+        for lower, _, value in order:
+            bound = self.bound()
+            if lower > bound:
+                return
+            kept = self.walk(value, bound, exact=True)
             if kept is not None:
                 yield kept[0], kept[1].tid, kept[1]
 
@@ -320,7 +339,10 @@ class PointDistanceRefine(_RingRefine):
         if header.tid in self.seen:
             return MISS
         self.seen.add(header.tid)
-        return header.mbr.min_distance_point(self.x, self.y), INF
+        return self.first_bound(header), INF
+
+    def first_bound(self, header) -> float:
+        return header.mbr.min_distance_point(self.x, self.y)
 
     def on_feature(self, header, feature):
         return feature.min_distance_to_point(self.x, self.y), INF
@@ -335,9 +357,9 @@ class PointDistanceRefine(_RingRefine):
 
 
 class SimilarityRefine(_RingRefine):
-    """Top-k similarity rungs: the threshold filter's MBR bound, the DP
-    lower bound, then the exact measure; the query trajectory itself is
-    always skipped."""
+    """Top-k similarity rungs: the threshold filter's header and feature
+    lower bounds against the sink's bound, then the exact measure; the
+    query trajectory itself is always skipped."""
 
     name = "similarity_refine"
 
@@ -356,11 +378,14 @@ class SimilarityRefine(_RingRefine):
         if header.tid == self.query_tid or header.tid in self.seen:
             return MISS
         self.seen.add(header.tid)
-        return self.rungs.on_header(header)
+        return self.rungs.header_lower(header, self.bound()), INF
+
+    def first_bound(self, header) -> float:
+        return mbr_lower_bound(self.rungs.query_mbr, header.mbr)
 
     def on_feature(self, header, feature):
         # Ranking needs every distance exact: no DP upper bound.
-        return dp_lower_bound(self.rungs.query_points, feature, self.rungs.aggregate), INF
+        return self.rungs.feature_lower(header, feature, self.bound()), INF
 
     def on_points(self, header, block) -> float:
         return self.rungs.on_points(header, block)

@@ -33,6 +33,29 @@ def coalesce_inclusive_ranges(
     return merged
 
 
+def subtract_inclusive_ranges(
+    ranges: Iterable[tuple[int, int]], taken: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The integers of ``ranges`` that no range of ``taken`` covers, as
+    sorted, merged inclusive ranges: one sweep over both coalesced lists.
+    Pure function."""
+    cut = coalesce_inclusive_ranges(taken)
+    out: list[tuple[int, int]] = []
+    j = 0
+    for lo, hi in coalesce_inclusive_ranges(ranges):
+        while j < len(cut) and cut[j][1] < lo:
+            j += 1
+        k = j
+        while lo <= hi and k < len(cut) and cut[k][0] <= hi:
+            if cut[k][0] > lo:
+                out.append((lo, cut[k][0] - 1))
+            lo = cut[k][1] + 1
+            k += 1
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
 def _window_sort_key(window: ByteWindow) -> tuple[int, bytes]:
     start = window[0]
     return (0, b"") if start is None else (1, start)

@@ -1,8 +1,9 @@
 """Dynamic time warping distance, vectorized along antidiagonals.
 
-Same diagonal-wavefront scheme as :mod:`repro.similarity.frechet`: the
-band-constrained O(n·m) program collapses to ``n + m - 1`` numpy slice
-steps over three reused antidiagonal rows.  Out-of-band and off-grid
+Same diagonal-wavefront scheme as :mod:`repro.similarity.frechet`: one
+point-distance matrix per call, and the band-constrained O(n·m) program
+collapses to ``n + m - 1`` numpy slice steps over three reused
+antidiagonal rows.  Out-of-band and off-grid
 neighbors read as +inf because the cells just outside every diagonal's
 rows (an empty diagonal's included) are reset each step, which reproduces
 the reference implementation's borders exactly; the origin cell reads the
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.model.point import STPoint
 from repro.model.pointblock import coord_arrays
-from repro.similarity.frechet import wavefront
+from repro.similarity.frechet import antidiagonal, wavefront
 
 _INF = float("inf")
 
@@ -36,10 +37,7 @@ def dtw_distance(
     bx, by = coord_arrays(b)
     n, m = len(ax), len(bx)
     w = max(window, abs(n - m)) if window is not None else None
-    bxr = bx[::-1]
-    byr = by[::-1]
-
-    prev2, prev, cur, dx, dy = wavefront(n)
+    dist, prev2, prev, cur = wavefront(ax, ay, bx, by)
     for k in range(n + m - 1):
         lo = max(0, k - m + 1)
         hi = min(k, n - 1)
@@ -48,15 +46,10 @@ def dtw_distance(
             lo = max(lo, (k - w + 1) // 2)
             hi = min(hi, (k + w) // 2)
         if lo <= hi:
-            off = m - 1 - k
             c = cur[lo + 1 : hi + 2]
-            d = dx[: hi - lo + 1]
-            np.subtract(ax[lo : hi + 1], bxr[off + lo : off + hi + 1], out=d)
-            np.subtract(ay[lo : hi + 1], byr[off + lo : off + hi + 1], out=dy[: hi - lo + 1])
-            np.hypot(d, dy[: hi - lo + 1], out=d)
             np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2], out=c)  # D[i-1, j], D[i, j-1]
             np.minimum(c, prev2[lo : hi + 1], out=c)                     # D[i-1, j-1]
-            np.add(d, c, out=c)
+            np.add(antidiagonal(dist, m, k, lo, hi), c, out=c)
         cur[lo] = cur[hi + 2] = _INF
         prev2, prev, cur = prev, cur, prev2
     return float(prev[n])

@@ -13,17 +13,29 @@ cheap bounds fail to decide a candidate:
 Soundness notes (see the tests, which verify these empirically):
 
 - Fréchet and Hausdorff distances are bounded below by the directed bound
-  ``max over a in A of min-distance(a, B's span boxes)`` because every point
-  of A is matched/measured against some raw point of B, and every raw point
-  of B lies inside one of its span boxes.
-- DTW (a sum) is bounded below by the *sum* of the same per-point bounds.
+  ``max over a in A of min-distance(a, boxes)`` for any set of boxes whose
+  union holds every point of B, because every point of A is matched/measured
+  against some point of B.  DTW (a sum over a warping path, which visits
+  every row of A at least once) is bounded below by the *sum* of the same
+  per-point bounds.  :func:`boxes_lower_bound` is that bound; the header
+  rung feeds it B's MBR as one box, the feature rung B's span boxes
+  (:func:`dp_lower_bound`).
+- Fréchet and DTW couple first point with first point and last with last,
+  so the two endpoint distances bound them below: their max for Fréchet,
+  their sum for DTW (one term when both sides are a single point, whose
+  one cell is both ends).  This is the UCR suite's LB_Kim (Rakthanmanon et
+  al., KDD 2012).  :func:`endpoint_lower_bound` reads B's ends off its
+  first and last DP representatives, which v2 rows store on the point
+  grid, so they equal the decoded points bit for bit; the distances use
+  the kernels' own ``np.hypot``, so a bound never exceeds the exact value
+  it stands in for, ties included.  Hausdorff has no endpoint bound.
 - Upper bounds evaluate the exact measure on B's representative points
   (a subsequence of B) and add the largest span-box diameter, which bounds
   how far any raw point strays from its nearest representative.
 
-The lower bound is computed as one points × span-boxes distance matrix over
-the columnar coordinate arrays, so a candidate's local filter costs a few
-numpy passes instead of ``|A| · |boxes|`` python iterations.
+The box bound is computed as one points × boxes distance matrix over the
+columnar coordinate arrays, so a candidate's bound costs a few numpy passes
+instead of ``|A| · |boxes|`` python iterations.
 """
 
 from __future__ import annotations
@@ -48,26 +60,50 @@ def mbr_lower_bound(a: MBR, b: MBR) -> float:
     return a.min_distance(b)
 
 
-def dp_lower_bound(
-    points_a: Sequence[STPoint], feature_b: DPFeature, aggregate: str = "max"
+def boxes_lower_bound(
+    points_a: Sequence[STPoint], boxes: Sequence[Sequence[float]], aggregate: str = "max"
 ) -> float:
-    """Directed DP-feature lower bound from raw points A to feature of B.
+    """Directed lower bound from raw points A to any B inside ``boxes``.
 
-    ``aggregate='max'`` bounds max-style measures (Fréchet, Hausdorff);
-    ``aggregate='sum'`` bounds DTW.
+    ``boxes`` are the columns ``(x1, y1, x2, y2)`` of boxes whose union
+    holds every point of B (four numbers for one box).  ``aggregate='max'`` bounds max-style measures
+    (Fréchet, Hausdorff); ``aggregate='sum'`` bounds DTW.
     """
     if aggregate not in ("max", "sum"):
         raise ValueError(f"aggregate must be 'max' or 'sum', got {aggregate!r}")
     xs, ys = coord_arrays(points_a)
-    bx1, by1, bx2, by2 = feature_b.box_arrays
-    dx = np.maximum(
-        np.maximum(bx1[None, :] - xs[:, None], xs[:, None] - bx2[None, :]), 0.0
-    )
-    dy = np.maximum(
-        np.maximum(by1[None, :] - ys[:, None], ys[:, None] - by2[None, :]), 0.0
-    )
-    per_point = np.hypot(dx, dy).min(axis=1)
+    x1, y1, x2, y2 = (np.asarray(col, dtype=np.float64) for col in boxes)
+    xc, yc = xs[:, None], ys[:, None]
+    dx = np.maximum(x1 - xc, xc - x2)
+    dy = np.maximum(y1 - yc, yc - y2)
+    np.maximum(dx, 0.0, out=dx)
+    np.maximum(dy, 0.0, out=dy)
+    per_point = np.hypot(dx, dy, out=dx).min(axis=1)
     return float(per_point.max()) if aggregate == "max" else float(per_point.sum())
+
+
+def dp_lower_bound(
+    points_a: Sequence[STPoint], feature_b: DPFeature, aggregate: str = "max"
+) -> float:
+    """Directed DP-feature lower bound: :func:`boxes_lower_bound` over B's
+    span boxes."""
+    return boxes_lower_bound(points_a, feature_b.box_arrays, aggregate)
+
+
+def endpoint_lower_bound(
+    points_a: Sequence[STPoint], feature_b: DPFeature, aggregate: str = "max"
+) -> float:
+    """Lower bound from the first and last couplings alone (Fréchet: ``max``,
+    DTW: ``sum``), with B's ends taken from its DP representatives."""
+    xs, ys = coord_arrays(points_a)
+    _, rep_xs, rep_ys = feature_b.rep_columns
+    first, last = np.hypot(
+        (xs[0] - rep_xs[0], xs[-1] - rep_xs[-1]), (ys[0] - rep_ys[0], ys[-1] - rep_ys[-1])
+    ).tolist()
+    if aggregate == "max":
+        return max(first, last)
+    # Both sides one point: a single cell, counted once.
+    return first if len(xs) == 1 and feature_b.rep_indexes[-1] == 0 else first + last
 
 
 def _max_span_diameter(feature: DPFeature) -> float:

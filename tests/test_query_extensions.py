@@ -106,6 +106,22 @@ class TestKNNPointQuery:
         res = loaded_tman.knn_point_query(x, y, 3)
         assert [t.tid for t in res.trajectories] == self._brute(small_dataset, x, y, 3)
 
+    @pytest.mark.parametrize("side", ["west", "east", "south", "north", "south_west"])
+    def test_point_outside_the_boundary(self, loaded_tman, small_dataset, side):
+        """Rings that miss the boundary hold no row: they are skipped, not
+        clamped into an inverted window, and the radius keeps doubling."""
+        b = loaded_tman.config.boundary
+        mid_x, mid_y = (b.x1 + b.x2) / 2, (b.y1 + b.y2) / 2
+        x, y = {
+            "west": (b.x1 - 0.5, mid_y),
+            "east": (b.x2 + 0.5, mid_y),
+            "south": (mid_x, b.y1 - 0.5),
+            "north": (mid_x, b.y2 + 0.5),
+            "south_west": (b.x1 - 0.5, b.y1 - 0.5),
+        }[side]
+        res = loaded_tman.knn_point_query(x, y, 4)
+        assert [t.tid for t in res.trajectories] == self._brute(small_dataset, x, y, 4)
+
     def test_rejects_bad_k(self, loaded_tman):
         with pytest.raises(ValueError):
             loaded_tman.knn_point_query(116.0, 39.0, 0)

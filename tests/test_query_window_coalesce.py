@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import random
 
-from repro.query.windows import coalesce_inclusive_ranges, coalesce_windows
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.query.windows import (
+    coalesce_inclusive_ranges,
+    coalesce_windows,
+    subtract_inclusive_ranges,
+)
 
 
 def b(n: int) -> bytes:
@@ -54,6 +61,44 @@ class TestCoalesceInclusiveRanges:
             # Output is sorted and strictly non-adjacent.
             for (alo, ahi), (blo, bhi) in zip(merged, merged[1:]):
                 assert ahi + 1 < blo
+
+
+ranges_strategy = st.lists(
+    st.tuples(st.integers(0, 80), st.integers(-2, 12)).map(lambda r: (r[0], r[0] + r[1])),
+    max_size=8,
+)
+
+
+def covered(ranges) -> set[int]:
+    return {v for lo, hi in ranges for v in range(lo, hi + 1)}
+
+
+def assert_canonical(ranges) -> None:
+    """Sorted, non-empty and strictly non-adjacent."""
+    assert all(lo <= hi for lo, hi in ranges)
+    for (_, ahi), (blo, _) in zip(ranges, ranges[1:]):
+        assert ahi + 1 < blo
+
+
+class TestRangeSetArithmetic:
+    """The ring loop's bookkeeping: what a round adds is ``wanted - scanned``,
+    and the scanned union grows by it."""
+
+    @given(ranges_strategy, ranges_strategy)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_difference_and_union_match_set_arithmetic(self, wanted, scanned):
+        fresh = subtract_inclusive_ranges(wanted, scanned)
+        assert covered(fresh) == covered(wanted) - covered(scanned)
+        assert_canonical(fresh)
+        union = coalesce_inclusive_ranges(scanned + fresh)
+        assert covered(union) == covered(wanted) | covered(scanned)
+        assert_canonical(union)
+
+    def test_examples(self):
+        assert subtract_inclusive_ranges([(0, 9)], [(3, 4), (8, 20)]) == [(0, 2), (5, 7)]
+        assert subtract_inclusive_ranges([(0, 9)], []) == [(0, 9)]
+        assert subtract_inclusive_ranges([(0, 9)], [(0, 9)]) == []
+        assert subtract_inclusive_ranges([(5, 6), (0, 1)], [(1, 5)]) == [(0, 0), (6, 6)]
 
 
 class TestCoalesceWindows:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.model import STPoint
 from repro.model.pointblock import PointBlock
 from repro.similarity import dtw_distance, frechet_distance, hausdorff_distance, reference
+from repro.similarity.frechet import antidiagonal, wavefront
 from repro.similarity.measures import DISTANCES, distance_by_name
 
 
@@ -214,3 +215,32 @@ class TestKernelsMatchReference:
             b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:], validate=False)
             want = reference.dtw_reference(list(a), list(b), window=window)
             assert dtw_distance(a, b, window=window) == want, (n, m)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (9, 1), (2, 13), (13, 2), (6, 11), (11, 6)])
+    @pytest.mark.parametrize("window", [None, 0, "gap", "gap+1", "full"])
+    def test_strided_slices_at_matrix_edges(self, n, m, window):
+        """n != m, single-point sides and bands whose diagonals start or end
+        on the first / last row or column of the distance matrix, where the
+        strided slice's offset is 0 or its end is the matrix's last cell."""
+        rng = np.random.default_rng(n * 100 + m)
+        xs, ys = np.round(rng.normal(0, 0.1, (2, n + m)).cumsum(axis=1), 3)
+        a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n], validate=False)
+        b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:], validate=False)
+        w = {"gap": abs(n - m), "gap+1": abs(n - m) + 1, "full": n + m}.get(window, window)
+        want = reference.dtw_reference(list(a), list(b), window=w)
+        assert dtw_distance(a, b, window=w) == want
+        if window is None:
+            assert frechet_distance(a, b) == reference.frechet_reference(list(a), list(b))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (5, 1), (4, 7), (7, 4)])
+    def test_antidiagonal_walks_the_matrix(self, n, m):
+        """Each strided slice is exactly the cells ``(i, k - i)`` of its rows."""
+        rng = np.random.default_rng(7)
+        ax, ay, bx, by = rng.normal(0, 1, (4, max(n, m)))
+        ax, ay, bx, by = ax[:n], ay[:n], bx[:m], by[:m]
+        dist = wavefront(ax, ay, bx, by)[0]
+        cells = np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
+        for k in range(n + m - 1):
+            lo, hi = max(0, k - m + 1), min(k, n - 1)
+            want = [cells[i, k - i] for i in range(lo, hi + 1)]
+            assert antidiagonal(dist, m, k, lo, hi).tolist() == want
