@@ -15,20 +15,25 @@ user-facing API; subpackages hold the substrates:
 - :mod:`repro.datasets` -- seeded TDrive-like / Lorry-like generators.
 """
 
-from repro.model import MBR, STPoint, TimeRange, Trajectory
-from repro.query.types import (
-    IDTemporalQuery,
-    QueryResult,
-    SpatialRangeQuery,
-    STRangeQuery,
-    TemporalRangeQuery,
-    ThresholdSimilarityQuery,
-    TopKSimilarityQuery,
+from repro._lazy import lazy_exports
+
+# Re-exports resolve on first access (PEP 562): ``import repro`` alone loads
+# none of the layers, so a spawned region-server worker that imports only
+# the storage engine never pays for numpy or the query stack.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.model": ("MBR", "STPoint", "TimeRange", "Trajectory"),
+        "repro.query.types": (
+            "IDTemporalQuery", "QueryResult", "SpatialRangeQuery", "STRangeQuery",
+            "TemporalRangeQuery", "ThresholdSimilarityQuery", "TopKSimilarityQuery",
+        ),
+        "repro.runtime": ("AdmissionRejectedError", "QueryTimeoutError"),
+        "repro.storage.config": ("TManConfig",),
+        "repro.storage.persistence": ("open_tman", "save_tman"),
+        "repro.storage.tman": ("TMan",),
+    },
 )
-from repro.runtime import AdmissionRejectedError, QueryTimeoutError
-from repro.storage.config import TManConfig
-from repro.storage.persistence import open_tman, save_tman
-from repro.storage.tman import TMan
 
 __version__ = "1.0.0"
 

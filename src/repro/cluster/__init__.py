@@ -11,11 +11,8 @@ Enable with ``TManConfig(cluster_mode="processes")``; the default
 before this package existed.  See ``docs/architecture.md`` §6.
 """
 
+from repro._lazy import lazy_exports
 from repro.cluster import metrics as _metrics  # register cluster_* instruments
-from repro.cluster.client import NodeClient, WorkerHandle
-from repro.cluster.process_cluster import ProcessCluster
-from repro.cluster.replication import ReplicatedStore
-from repro.cluster.ring import ConsistentHashRing
 
 __all__ = [
     "ConsistentHashRing",
@@ -26,3 +23,16 @@ __all__ = [
 ]
 
 del _metrics
+
+# Re-exports resolve on first access (PEP 562): a spawned worker imports
+# ``repro.cluster.worker`` through this package and must not load the
+# coordinator side (``process_cluster`` pulls in the whole kvstore facade).
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.cluster.client": ("NodeClient", "WorkerHandle"),
+        "repro.cluster.process_cluster": ("ProcessCluster",),
+        "repro.cluster.replication": ("ReplicatedStore",),
+        "repro.cluster.ring": ("ConsistentHashRing",),
+    },
+)

@@ -9,8 +9,9 @@ derived from that budget plus a margin — a wedged worker can never hang a
 query past its deadline.
 
 :class:`WorkerHandle` owns the process lifecycle: ``spawn`` (default) or
-``fork`` start method, readiness probing via PING, SIGKILL for fault
-drills, graceful SHUTDOWN otherwise.
+``fork`` start method, ``launch`` then readiness probing via PING (split so
+a fleet starts side by side), SIGKILL for fault drills, graceful SHUTDOWN
+otherwise.
 """
 
 from __future__ import annotations
@@ -188,9 +189,14 @@ class WorkerHandle:
 
     def start(self, ready_timeout_s: float = 30.0) -> None:
         """Spawn the worker and block until it answers PING."""
+        self.launch()
+        self.wait_ready(ready_timeout_s)
+
+    def launch(self) -> None:
+        """Spawn the worker without waiting for it (no-op while alive); the
+        worker replaces any stale socket file itself."""
         if self.alive:
             return
-        self.socket_path.unlink(missing_ok=True)
         self._process = self._ctx.Process(
             target=worker_main,
             args=(self.node_id, str(self.data_dir), str(self.socket_path)),
@@ -199,6 +205,9 @@ class WorkerHandle:
             daemon=True,
         )
         self._process.start()
+
+    def wait_ready(self, ready_timeout_s: float = 30.0) -> None:
+        """Block until the launched worker answers PING."""
         give_up = time.monotonic() + ready_timeout_s
         while time.monotonic() < give_up:
             if self.client.ping(timeout_s=0.5):
@@ -221,17 +230,22 @@ class WorkerHandle:
         self.client.close()
 
     def stop(self) -> None:
-        """Graceful shutdown: drain, fsync, exit (idempotent)."""
+        """Graceful shutdown: drain, fsync, exit (idempotent).
+
+        The pool closes once ``SHUTDOWN`` is answered, so the worker's
+        thread behind every other pooled connection sees EOF and exits.  A
+        worker that cannot take ``SHUTDOWN`` (not yet listening) is killed.
+        """
         if self._process is None:
             return
         if self._process.is_alive():
             try:
                 self.client.call(rpc.OP_SHUTDOWN, ())
             except (ReplicaDownError, QueryTimeoutError):
-                pass
-            self._process.join(timeout=10.0)
-            if self._process.is_alive():
                 self._process.kill()
-                self._process.join(timeout=5.0)
         self.client.close()
+        self._process.join(timeout=10.0)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join(timeout=5.0)
         self._process = None

@@ -103,23 +103,35 @@ class ProcessCluster(Cluster):
         self._closed = False
 
         self.ring = ConsistentHashRing()
-        for _ in range(nodes):
-            self._spawn_node()
+        # Launch the whole fleet before waiting on any node, so the workers'
+        # start-ups overlap; a failed start closes everything acquired.
+        fleet = [self._new_handle() for _ in range(nodes)]
+        try:
+            for handle in fleet:
+                self._handles[handle.node_id] = handle
+                handle.launch()
+            for handle in fleet:
+                handle.wait_ready()
+        except BaseException:
+            self.close()
+            raise
+        for handle in fleet:
+            self._admit(handle)
         self._table_store_factory = self._make_store
 
     # -- worker fleet --------------------------------------------------------
 
-    def _spawn_node(self) -> str:
+    def _new_handle(self) -> WorkerHandle:
         node_id = f"node-{self._next_node}"
         self._next_node += 1
-        handle = WorkerHandle(
-            node_id, self.cluster_dir, start_method=self._start_method
-        )
-        handle.start()
-        self._handles[node_id] = handle
-        self.ring.add_node(node_id)
-        REPLICA_STATE.labels(node=node_id).set(STATE_UP)
-        return node_id
+        return WorkerHandle(node_id, self.cluster_dir, start_method=self._start_method)
+
+    def _admit(self, handle: WorkerHandle) -> str:
+        """Put a ready worker in the fleet and on the ring."""
+        self._handles[handle.node_id] = handle
+        self.ring.add_node(handle.node_id)
+        REPLICA_STATE.labels(node=handle.node_id).set(STATE_UP)
+        return handle.node_id
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -247,7 +259,9 @@ class ProcessCluster(Cluster):
         with self._mu:
             store_ids = list(self._stores)
         old_pref = {sid: set(self.replicas(sid)) for sid in store_ids}
-        node_id = self._spawn_node()
+        handle = self._new_handle()
+        handle.start()
+        node_id = self._admit(handle)
         moves = 0
         for sid in store_ids:
             new_pref = set(self.replicas(sid))

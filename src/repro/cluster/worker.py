@@ -30,6 +30,7 @@ observed by the coordinator as a dead connection.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import socket
@@ -60,6 +61,14 @@ class _Worker:
         self._locks: dict[str, threading.RLock] = {}
         self._mu = threading.Lock()
         self.shutting_down = threading.Event()
+        self.listener: Optional[socket.socket] = None
+
+    def shutdown(self) -> None:
+        """Stop serving: wake the accept loop, which then drains and exits."""
+        self.shutting_down.set()
+        if self.listener is not None:
+            with contextlib.suppress(OSError):  # a second SHUTDOWN
+                self.listener.shutdown(socket.SHUT_RDWR)
 
     def store(self, store_id: str) -> tuple[DurableLSMStore, threading.RLock]:
         """The (lazily opened) store and its op lock for ``store_id``."""
@@ -232,7 +241,7 @@ def _handle(worker: _Worker, op: int, remaining_ms: float, args: tuple):
         return rpc.STATUS_OK, True
 
     if op == rpc.OP_SHUTDOWN:
-        worker.shutting_down.set()
+        worker.shutdown()
         return rpc.STATUS_OK, True
 
     return rpc.STATUS_ERROR, ("RPCProtocolError", f"unknown op {op}")
@@ -276,15 +285,13 @@ def worker_main(
     listener.bind(socket_path)
     os.chmod(socket_path, 0o700)
     listener.listen(16)
-    # Wake the accept loop periodically so SHUTDOWN can drain it.
-    listener.settimeout(0.2)
+    # SHUTDOWN shuts the listener down, which fails the blocked accept.
+    worker.listener = listener
     threads: list[threading.Thread] = []
     try:
         while not worker.shutting_down.is_set():
             try:
                 conn, _ = listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 break
             t = threading.Thread(

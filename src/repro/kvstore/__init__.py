@@ -8,26 +8,7 @@ paper's experiments measure — rows retrieved, ranges scanned, data
 transferred — is surfaced through :class:`~repro.kvstore.stats.IOStats`.
 """
 
-from repro.kvstore.cluster import Cluster
-from repro.kvstore.durable import DurableLSMStore
-from repro.kvstore.errors import (
-    KVError,
-    RegionError,
-    RetryExhaustedError,
-    TableExistsError,
-    TableNotFoundError,
-    TransientError,
-    TransientIOError,
-    TransientRPCError,
-)
-from repro.kvstore.filters import Filter, FilterChain, PrefixFilter, TrueFilter
-from repro.kvstore.lsm import LSMStore
-from repro.kvstore.retry import CircuitBreaker, RetryPolicy
-from repro.kvstore.scan import Scan
-from repro.kvstore.simfault import FaultConfig, FaultInjector, fault_injection
-from repro.kvstore.snapshot import load_cluster, save_cluster
-from repro.kvstore.stats import CostModel, ExecutionTrace, IOStats, StageStats
-from repro.kvstore.table import Table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Cluster",
@@ -59,3 +40,25 @@ __all__ = [
     "TransientIOError",
     "RetryExhaustedError",
 ]
+
+# Re-exports resolve on first access (PEP 562), so importing one engine
+# module (a region-server worker imports only ``durable``) loads no more.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.kvstore.cluster": ("Cluster",),
+        "repro.kvstore.durable": ("DurableLSMStore",),
+        "repro.kvstore.errors": (
+            "KVError", "RegionError", "RetryExhaustedError", "TableExistsError",
+            "TableNotFoundError", "TransientError", "TransientIOError", "TransientRPCError",
+        ),
+        "repro.kvstore.filters": ("Filter", "FilterChain", "PrefixFilter", "TrueFilter"),
+        "repro.kvstore.lsm": ("LSMStore",),
+        "repro.kvstore.retry": ("CircuitBreaker", "RetryPolicy"),
+        "repro.kvstore.scan": ("Scan",),
+        "repro.kvstore.simfault": ("FaultConfig", "FaultInjector", "fault_injection"),
+        "repro.kvstore.snapshot": ("load_cluster", "save_cluster"),
+        "repro.kvstore.stats": ("CostModel", "ExecutionTrace", "IOStats", "StageStats"),
+        "repro.kvstore.table": ("Table",),
+    },
+)

@@ -1,0 +1,141 @@
+"""The package surface: lazy re-exports and the worker's import closure.
+
+``repro``, ``repro.kvstore`` and ``repro.cluster`` resolve their re-exports
+on first access, so a spawned region-server worker — which imports only
+``repro.cluster.worker`` — loads the storage engine and nothing else: no
+numpy, no query, storage or similarity stack.  Start-up time and worker
+memory both depend on that closure staying small.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PACKAGES = ["repro", "repro.kvstore", "repro.cluster"]
+
+# Never loaded by a worker.
+EXCLUDED = [
+    "numpy",
+    "repro.model",
+    "repro.query",
+    "repro.storage",
+    "repro.core",
+    "repro.similarity",
+    "repro.compression",
+    "repro.cache",
+    "repro.geometry",
+    "repro.datasets",
+]
+
+# Everything a worker may load: the RPC layer, the durable engine and
+# what it imports, plus the observability and runtime packages.
+WORKER_CLOSURE = {
+    "repro",
+    "repro._lazy",
+    "repro.cluster",
+    "repro.cluster.metrics",
+    "repro.cluster.rpc",
+    "repro.cluster.worker",
+    "repro.kvstore",
+    *(
+        f"repro.kvstore.{name}"
+        for name in (
+            "durable lsm memtable sstable disk_sstable wal bloom block_cache "
+            "stats retry simfault errors scan filters census"
+        ).split()
+    ),
+}
+WORKER_PACKAGES = ("repro.obs", "repro.runtime")
+
+
+def _under(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+@pytest.fixture(scope="module")
+def worker_modules() -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``import repro.cluster.worker``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, sys; import repro.cluster.worker; "
+            "print(json.dumps(sorted(sys.modules)))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(out.stdout))
+
+
+def test_worker_loads_no_numpy_and_no_excluded_layer(worker_modules):
+    leaked = sorted(
+        m for m in worker_modules if any(_under(m, ex) for ex in EXCLUDED)
+    )
+    assert leaked == []
+
+
+def test_worker_loads_only_the_storage_engine(worker_modules):
+    repro_modules = {m for m in worker_modules if _under(m, "repro")}
+    extra = sorted(
+        m
+        for m in repro_modules - WORKER_CLOSURE
+        if not any(_under(m, pkg) for pkg in WORKER_PACKAGES)
+    )
+    assert extra == []
+    assert {"repro.cluster.worker", "repro.kvstore.durable"} <= repro_modules
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import_binds_every_exported_name(package):
+    module = importlib.import_module(package)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), name
+
+
+def test_reexports_are_the_defining_objects():
+    import repro
+    import repro.cluster
+    import repro.kvstore
+    from repro.cluster.process_cluster import ProcessCluster
+    from repro.kvstore.cluster import Cluster
+    from repro.storage.tman import TMan
+
+    assert repro.TMan is TMan
+    assert repro.kvstore.Cluster is Cluster
+    assert repro.cluster.ProcessCluster is ProcessCluster
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_unknown_attribute_raises_attribute_error(package):
+    module = importlib.import_module(package)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(module, "no_such_name")
+    assert not hasattr(module, "no_such_name")
