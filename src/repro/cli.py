@@ -174,12 +174,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"(estimated {est_text}, ratio {ratio}), {res.windows} scans, "
             f"{res.elapsed_ms:.1f} ms wall, {res.simulated_ms:.2f} ms simulated"
         )
-        if res.trace is not None and "replanned_from" in res.trace.annotations:
-            print(
-                f"adaptive re-plan: started on "
-                f"{res.trace.annotations['replanned_from']}, finished on "
-                f"{res.plan}"
-            )
     return 0
 
 

@@ -28,17 +28,7 @@ from repro.obs import (
     workload_stats as _obs_workload_stats,
 )
 from repro.obs.profile import QueryProfile, query_profile
-from repro.query.operators import (
-    DivergenceGuard,
-    Operator,
-    PlanDivergenceError,
-    PointDistanceRefine,
-    RegionScan,
-    SimilarityRefine,
-    TopK,
-    WindowSource,
-)
-from repro.query.pipeline import Pipeline, build_pipeline
+from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 from repro.query.types import (
@@ -48,11 +38,7 @@ from repro.query.types import (
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
-from repro.query.windows import (
-    coalesce_inclusive_ranges,
-    primary_windows_inclusive,
-    subtract_inclusive_ranges,
-)
+from repro.query.windows import coalesce_inclusive_ranges, subtract_inclusive_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.storage.tman import TMan
@@ -75,9 +61,6 @@ _QUERY_DEADLINE = _obs_counter(
     "query_deadline_exceeded_total",
     "Queries whose deadline expired, by outcome (error or partial)",
     labelnames=("outcome",),
-)
-_QUERY_REPLAN = _obs_counter(
-    "query_replan_total", "Mid-query adaptive re-plans triggered"
 )
 
 
@@ -107,10 +90,10 @@ class QueryExecutor:
         raises :class:`QueryTimeoutError`, or — when the deadline was
         created with ``allow_partial`` — returns whatever rows were
         produced so far with ``result.partial`` set.  ``plan`` forces a
-        specific access path (plan-equivalence testing, benchmarks);
-        forced plans also disable adaptive re-planning.  ``count`` swaps
-        the sink for a distinct-id counter (range and ID-temporal queries
-        only): primary-route range counts never decode a row, the result's
+        specific access path (plan-equivalence testing, benchmarks); the
+        executor runs the plan it is given, chosen or forced.  ``count``
+        swaps the sink for a distinct-id counter (range and ID-temporal
+        queries only): a count never decodes a row, the result's
         ``trajectories`` stay empty and the answer is ``result.count``.
 
         The result's counters are read off the query's profile — the
@@ -120,7 +103,6 @@ class QueryExecutor:
             query, (ThresholdSimilarityQuery, TopKSimilarityQuery, KNNPointQuery)
         ):
             raise TypeError(f"count is not supported for {type(query).__name__}")
-        forced = plan is not None
         if plan is None:
             plan = self._t.planner.plan(query)
         with query_profile(type(query).__name__) as profile, _obs_tracer().span(
@@ -144,13 +126,14 @@ class QueryExecutor:
                         raise ValueError(
                             "limit is not supported for top-k and kNN queries"
                         )
-                    trajs, distances = self._run_rings(query, trace, deadline)
+                    trajs, distances = self._run_rings(query, plan, trace, deadline)
                 elif isinstance(query, ThresholdSimilarityQuery) and limit is not None:
                     raise ValueError("limit is not supported for similarity queries")
                 else:
-                    trajs, plan = self._run_pipeline(
-                        query, plan, trace, limit, deadline, forced
-                    )
+                    trajs = build_pipeline(
+                        self._t, query, plan, trace=trace, limit=limit,
+                        deadline=deadline,
+                    ).run()
             except QueryTimeoutError:
                 if _QUERY_DEADLINE._registry.enabled:
                     _QUERY_DEADLINE.labels(outcome="error").inc()
@@ -160,63 +143,6 @@ class QueryExecutor:
             )
             result.count = matched
             return result
-
-    def _run_pipeline(
-        self,
-        query: Query,
-        plan: QueryPlan,
-        trace: ExecutionTrace,
-        limit: Optional[int],
-        deadline: Optional[Deadline],
-        forced: bool,
-    ) -> tuple[list[Trajectory], QueryPlan]:
-        """Run the single-pass pipeline, adaptively re-planning on divergence.
-
-        With ``adaptive_replan`` enabled and a candidate estimate in hand,
-        a :class:`DivergenceGuard` sits between the access path and the
-        decode stage; when the observed candidate stream blows past
-        ``max(replan_min_candidates, estimate * replan_divergence_ratio)``
-        the pipeline aborts and restarts from scratch on the next-cheapest
-        untried plan.  The last plan gets no guard, so every query
-        completes.  Returns the result rows and the plan that produced
-        them (bit-identical to running that plan directly).
-        """
-        cfg = self._t.config
-        estimate: Optional[float] = None
-        alternatives: list[QueryPlan] = []
-        if cfg.adaptive_replan and not forced:
-            estimate = self._t.planner.estimate_candidates(query)
-            if estimate is not None:
-                alternatives = [
-                    c.plan
-                    for c in self._t.planner.candidate_plans(query)
-                    if (c.plan.index, c.plan.route) != (plan.index, plan.route)
-                ]
-        while True:
-            guard = None
-            if alternatives and estimate is not None:
-                guard = DivergenceGuard(
-                    max(
-                        float(cfg.replan_min_candidates),
-                        estimate * cfg.replan_divergence_ratio,
-                    )
-                )
-            pipeline = build_pipeline(
-                self._t, query, plan, trace=trace, limit=limit,
-                deadline=deadline, guard=guard,
-            )
-            try:
-                return pipeline.run(), plan
-            except PlanDivergenceError as exc:
-                nxt = alternatives.pop(0)
-                _QUERY_REPLAN.inc()
-                trace.annotate("replanned_from", f"{plan.index}/{plan.route}")
-                trace.annotate("replan_observed_rows", exc.observed)
-                plan = QueryPlan(
-                    nxt.index,
-                    nxt.route,
-                    f"replanned from {plan.index}/{plan.route}: {nxt.reason}",
-                )
 
     # -- iterative queries (expanding-ring pipelines) ------------------------
 
@@ -241,20 +167,23 @@ class QueryExecutor:
     def _run_rings(
         self,
         query: Union[TopKSimilarityQuery, KNNPointQuery],
+        plan: QueryPlan,
         trace: ExecutionTrace,
         deadline: Optional[Deadline] = None,
     ) -> tuple[list[Trajectory], list[float]]:
         """The expanding-ring loop behind both iterative queries.
 
-        One pipeline round per ring (scan the ring, refine, feed the shared
-        top-k sink), doubling the radius until the k-th best distance is
-        provably inside the scanned region or the ring covers the whole
-        boundary.  kNN ranks by min planar distance from the point to the
-        polyline and scans its ring clamped to the boundary; a ring wholly
-        outside the boundary holds no row, so its round is skipped and the
-        radius keeps doubling.  Top-k ranks by the similarity measure.
+        One pipeline round per ring (read the ring through the plan's access
+        path, refine, feed the shared top-k sink), doubling the radius until
+        the k-th best distance is provably inside the scanned region or the
+        ring covers the whole boundary.  kNN ranks by min planar distance
+        from the point to the polyline and scans its ring clamped to the
+        boundary; a ring wholly outside the boundary holds no row, so its
+        round is skipped and the radius keeps doubling.  Top-k ranks by the
+        similarity measure.  Without a TShape index the plan is a scan, and
+        its one round reads every row.
 
-        A round scans only the TShape key ranges of its ring that earlier
+        A round reads only the TShape key ranges of its ring that earlier
         rounds have not: the refiner already walked every row there, and its
         ``seen`` set would drop each again by tid (the same set hides the
         duplicate keys a re-encode leaves behind).  Header, endpoint and
@@ -263,17 +192,11 @@ class QueryExecutor:
         if query.k <= 0:
             raise ValueError(f"k must be positive, got {query.k}")
         t = self._t
+        refine, sink = ring_operators(t, query)
+        if plan.route == "scan":
+            return ring_pipeline(t, plan, refine, sink, None, trace, deadline).run()
         boundary = t.config.boundary
-        sink = TopK(query.k)
         knn = isinstance(query, KNNPointQuery)
-        if knn:
-            refine: Operator = PointDistanceRefine(
-                t.serializer, query.x, query.y, sink.kth_bound
-            )
-        else:
-            refine = SimilarityRefine(
-                t.serializer, query.query, query.measure, sink.kth_bound
-            )
         radius = query.first_radius(boundary)
         scanned: list[tuple[int, int]] = []  # inclusive u64 ranges of earlier rounds
         trajs: list[Trajectory] = []
@@ -289,13 +212,8 @@ class QueryExecutor:
                     ((lo, hi - 1) for lo, hi in t.spatial_ranges(window)), scanned
                 )
                 scanned = coalesce_inclusive_ranges(scanned + fresh)
-                stages = [
-                    WindowSource(primary_windows_inclusive(t.keys, fresh)),
-                    RegionScan(t.primary_table, None, deadline=deadline),
-                    refine,
-                ]
-                trajs, dists = Pipeline(
-                    stages, sink, trace=trace, deadline=deadline
+                trajs, dists = ring_pipeline(
+                    t, plan, refine, sink, fresh, trace, deadline
                 ).run()
                 if len(sink.best) >= query.k and sink.kth_bound() <= radius:
                     break

@@ -179,50 +179,6 @@ class SecondaryResolve(Operator):
             yield from self._resolve(pending)
 
 
-class PlanDivergenceError(RuntimeError):
-    """A running plan touched far more candidates than the CBO estimated.
-
-    Raised by :class:`DivergenceGuard`; the executor catches it and
-    restarts the query on the next-cheapest untried plan.
-    """
-
-    def __init__(self, observed: int, threshold: float):
-        super().__init__(
-            f"observed {observed} candidate rows exceeds the re-plan "
-            f"threshold {threshold:.0f}"
-        )
-        self.observed = observed
-        self.threshold = threshold
-
-
-class DivergenceGuard(Operator):
-    """Pass-through candidate counter that aborts a diverging plan.
-
-    Sits between the access path (region scan / secondary resolve) and
-    the decode stage.  When the rows streamed past it exceed the
-    threshold — ``max(replan_min_candidates, estimate ×
-    replan_divergence_ratio)`` — the plan's selectivity estimate has
-    demonstrably missed and continuing may be arbitrarily worse than
-    restarting, so the guard raises :class:`PlanDivergenceError` for the
-    executor's re-plan loop.  Purely observational otherwise: rows pass
-    through unchanged, so with an honest estimate the guard never fires
-    and results are identical with or without it.
-    """
-
-    name = "divergence_guard"
-
-    def __init__(self, threshold: float):
-        self.threshold = max(1.0, threshold)
-        self.rows = 0
-
-    def process(self, upstream: Iterator[Any]) -> Iterator[Any]:
-        for item in upstream:
-            self.rows += 1
-            if self.rows > self.threshold:
-                raise PlanDivergenceError(self.rows, self.threshold)
-            yield item
-
-
 class Decode(Operator):
     """Decompress rows into trajectories, de-duplicating by trajectory id."""
 
@@ -454,25 +410,17 @@ class Limit(Sink):
 
 
 class Count(Sink):
-    """Count distinct trajectories without decompressing any points.
-
-    Row-shaped input is counted by the trajectory id parsed from the
-    rowkey (``tid_of_key``); decoded trajectories by their ``tid``.
-    """
+    """Count distinct trajectories without decoding a row: every access
+    path yields primary ``(key, row)`` pairs, and ``tid_of_key`` parses the
+    trajectory id from the key."""
 
     name = "count"
 
-    def __init__(self, tid_of_key: Optional[Callable[[bytes], str]] = None):
+    def __init__(self, tid_of_key: Callable[[bytes], str]):
         self.tid_of_key = tid_of_key
 
-    def consume(self, upstream: Iterator[Any]) -> int:
-        tids: set[str] = set()
-        for item in upstream:
-            if self.tid_of_key is not None:
-                tids.add(self.tid_of_key(item[0]))
-            else:
-                tids.add(item.tid)
-        return len(tids)
+    def consume(self, upstream: Iterator[Row]) -> int:
+        return len({self.tid_of_key(key) for key, _ in upstream})
 
     def result_size(self, value: int) -> int:
         return value

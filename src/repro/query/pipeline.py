@@ -3,19 +3,20 @@
 :class:`Pipeline` chains :mod:`repro.query.operators` stages in front of a
 terminal sink, wrapping every edge with a counting/timing probe so the run
 produces an :class:`~repro.kvstore.stats.ExecutionTrace` — per-stage
-rows-in/rows-out, bytes, and self wall time.  :func:`build_pipeline` maps a
-query descriptor plus the optimizer's :class:`~repro.query.planner.QueryPlan`
-to the operator chain that executes it; every single-pass query type (range,
-ID-temporal, threshold similarity, counts) is just a different assembly of
-the same stages, and the iterative types (top-k similarity, kNN point) run
-one pipeline round per expanding ring against a shared trace.
+rows-in/rows-out, bytes, and self wall time.  A plan's ``(index, route)``
+maps to one access path (:func:`key_windows`, :func:`access_path`): the
+table it reads and its key windows.  :func:`build_pipeline` puts a single-pass
+query's row filter and decode stage around it (range, ID-temporal, threshold
+similarity, counts); the iterative types (top-k similarity, kNN point) run
+one :func:`ring_pipeline` round per expanding ring against a shared trace.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
+from repro.core.st import STWindow
 from repro.kvstore.filters import Filter
 from repro.kvstore.stats import ExecutionTrace
 from repro.obs import (
@@ -36,11 +37,14 @@ from repro.query.operators import (
     Decode,
     Limit,
     Operator,
+    PointDistanceRefine,
     PushDownFilter,
     Refine,
     RegionScan,
     SecondaryResolve,
+    SimilarityRefine,
     Sink,
+    TopK,
     WindowSource,
 )
 from repro.query.types import (
@@ -58,11 +62,15 @@ from repro.query.windows import (
     primary_windows_inclusive,
     primary_windows_u64,
     secondary_windows_inclusive,
+    secondary_windows_u64,
     st_primary_windows,
 )
 from repro.runtime.deadline import Deadline, QueryTimeoutError
+from repro.storage.schema import encode_u64
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.model.mbr import MBR
+    from repro.model.timerange import TimeRange
     from repro.query.planner import QueryPlan
     from repro.storage.tman import TMan
 
@@ -262,212 +270,105 @@ class Pipeline:
         return value
 
 
+
+
 # -- assembly ---------------------------------------------------------------
 
 
-def scan_stages(
+def key_windows(
     tman: "TMan",
-    windows: Sequence[tuple[Optional[bytes], Optional[bytes]]],
-    row_filter: Optional[Filter],
-    deadline: Optional[Deadline] = None,
-) -> list[Operator]:
-    """Window source + primary region scan, honoring push-down config."""
-    stages: list[Operator] = [WindowSource(windows)]
-    if tman.config.push_down:
-        stages.append(RegionScan(tman.primary_table, row_filter, deadline=deadline))
-    else:
-        stages.append(RegionScan(tman.primary_table, None, deadline=deadline))
-        if row_filter is not None:
-            stages.append(PushDownFilter(row_filter))
-    return stages
+    plan: "QueryPlan",
+    *,
+    time_range: Optional[TimeRange] = None,
+    window: Optional[MBR] = None,
+    oid: Optional[str] = None,
+    ring_ranges: Optional[Sequence[tuple[int, int]]] = None,
+) -> list[tuple[Optional[bytes], Optional[bytes]]]:
+    """The key windows a plan reads on its table (primary or the index's
+    secondary table): the one map from ``(index, route)`` to windows.
+
+    TShape ranges come from the search ``window`` (half-open, Algorithm 2),
+    or, for a ring round, as inclusive ``ring_ranges``.  The temporal
+    indexes read the TR intervals of ``time_range`` (the IDT index within
+    ``oid``); the ST primary reads fine windows when there is a search
+    window, and otherwise, like the ST secondary, each TR interval's whole
+    TShape space.
+    """
+    index, route = plan.index, plan.route
+    primary = route == "primary"
+    keys = tman.keys
+    if route == "scan":
+        return [(None, None)]
+    if index == "tshape":
+        if ring_ranges is not None:
+            if primary:
+                return primary_windows_inclusive(keys, ring_ranges)
+            return secondary_windows_inclusive(ring_ranges)
+        ranges = tman.spatial_ranges(window)
+        if primary:
+            return primary_windows_u64(keys, ranges)
+        return secondary_windows_u64(ranges)
+    if index == "interval":
+        # One contiguous main-tier run plus the long tier; the exact
+        # temporal filter removes the tail's false positives.
+        return secondary_windows_inclusive(
+            tman.interval_index.query_ranges(time_range)
+        )
+    if index == "st" and primary and window is not None:
+        st_windows = tman.st_index.query_windows(
+            time_range, window, shape_ranges=tman.spatial_ranges(window)
+        )
+        return st_primary_windows(keys, st_windows)
+    # Algorithm 1 emits one interval per covering period; contiguous
+    # periods merge into one scan range.
+    tr_ranges = coalesce_inclusive_ranges(tman.tr_index.query_ranges(time_range))
+    if index == "idt":
+        return [keys.idt_window(oid, lo, hi) for lo, hi in tr_ranges]
+    if index == "tr":
+        if primary:
+            return primary_windows_inclusive(keys, tr_ranges)
+        return secondary_windows_inclusive(tr_ranges)
+    if index == "st":
+        if primary:
+            return st_primary_windows(
+                keys, [STWindow(lo, hi, None) for lo, hi in tr_ranges]
+            )
+        return [
+            (encode_u64(lo) + encode_u64(0), encode_u64(hi + 1) + encode_u64(0))
+            for lo, hi in tr_ranges
+        ]
+    raise ValueError(f"no access path for {index}/{route}")
 
 
-def _secondary_stages(
+def access_path(
     tman: "TMan",
-    table_name: str,
-    windows: Sequence[tuple[bytes, bytes]],
-    row_filter: Optional[Filter],
+    plan: "QueryPlan",
+    row_filter: Optional[Filter] = None,
     deadline: Optional[Deadline] = None,
+    **search: Any,
 ) -> list[Operator]:
-    """Window source + secondary resolve, honoring push-down config."""
+    """The plan's access path over its :func:`key_windows` (``search``).
+
+    ``WindowSource`` → ``RegionScan`` on the primary table, or
+    ``WindowSource`` → ``SecondaryResolve`` through the index's secondary
+    table.  Either yields primary ``(key, row)`` pairs.  ``row_filter`` is
+    pushed down into the scan or the resolve, or runs client-side as a
+    ``PushDownFilter`` when push-down is off.
+    """
     pushed = row_filter if tman.config.push_down else None
-    stages: list[Operator] = [
-        WindowSource(windows),
-        SecondaryResolve(
-            tman.secondary_tables[table_name],
+    if plan.route == "secondary":
+        scan: Operator = SecondaryResolve(
+            tman.secondary_tables[plan.index],
             tman.primary_table,
             pushed,
             deadline=deadline,
-        ),
-    ]
+        )
+    else:
+        scan = RegionScan(tman.primary_table, pushed, deadline=deadline)
+    stages = [WindowSource(key_windows(tman, plan, **search)), scan]
     if row_filter is not None and pushed is None:
         stages.append(PushDownFilter(row_filter))
     return stages
-
-
-def _tr_query_ranges(tman: "TMan", time_range) -> list[tuple[int, int]]:
-    """TR planner intervals, coalesced.
-
-    Algorithm 1 emits one inclusive interval per covering period, so
-    contiguous periods produce ``hi + 1 == next lo`` chains that merge
-    into a single scan range.
-    """
-    return coalesce_inclusive_ranges(tman.tr_index.query_ranges(time_range))
-
-
-def _st_coarse_windows(tman: "TMan", tr_ranges) -> list[tuple[bytes, bytes]]:
-    """ST-primary windows spanning each TR interval's whole TShape space."""
-    from repro.core.st import STWindow
-
-    return st_primary_windows(
-        tman.keys, [STWindow(lo, hi, None) for lo, hi in tr_ranges]
-    )
-
-
-def _interval_stages(
-    tman: "TMan",
-    time_range,
-    row_filter,
-    deadline: Optional[Deadline] = None,
-) -> list[Operator]:
-    """Secondary route through the LIT-style interval index: two windows
-    (one contiguous main-tier run + the long tier); the exact push-down
-    temporal filter removes the tail false positives."""
-    windows = secondary_windows_inclusive(
-        tman.interval_index.query_ranges(time_range)
-    )
-    return _secondary_stages(tman, "interval", windows, row_filter, deadline)
-
-
-def _trq_stages(
-    tman: "TMan",
-    query: TemporalRangeQuery,
-    plan: "QueryPlan",
-    deadline: Optional[Deadline] = None,
-) -> tuple[list[Operator], bool]:
-    row_filter = TemporalFilter(query.time_range)
-    if plan.index == "interval":
-        return _interval_stages(tman, query.time_range, row_filter, deadline), False
-    tr_ranges = _tr_query_ranges(tman, query.time_range)
-    if plan.route == "primary":
-        if plan.index == "st":
-            windows = _st_coarse_windows(tman, tr_ranges)
-        else:
-            windows = primary_windows_inclusive(tman.keys, tr_ranges)
-        return scan_stages(tman, windows, row_filter, deadline), True
-    if plan.route == "secondary":
-        if plan.index == "st":
-            # ST secondary keys are 16 bytes (TR prefix :: TShape); a pure
-            # temporal query spans each TR interval's full TShape space.
-            from repro.storage.schema import encode_u64
-
-            windows = [
-                (encode_u64(lo) + encode_u64(0), encode_u64(hi + 1) + encode_u64(0))
-                for lo, hi in tr_ranges
-            ]
-            return _secondary_stages(tman, "st", windows, row_filter, deadline), False
-        windows = secondary_windows_inclusive(tr_ranges)
-        return _secondary_stages(tman, "tr", windows, row_filter, deadline), False
-    return scan_stages(tman, [(None, None)], row_filter, deadline), False
-
-
-def _srq_stages(
-    tman: "TMan",
-    query: SpatialRangeQuery,
-    plan: "QueryPlan",
-    deadline: Optional[Deadline] = None,
-) -> tuple[list[Operator], bool]:
-    value_ranges = tman.spatial_ranges(query.window)
-    row_filter = SpatialFilter(query.window, tman.serializer)
-    if plan.route == "primary":
-        windows = primary_windows_u64(tman.keys, value_ranges)
-        return scan_stages(tman, windows, row_filter, deadline), True
-    if plan.route == "secondary":
-        windows = [
-            (lo.to_bytes(8, "big"), hi.to_bytes(8, "big")) for lo, hi in value_ranges
-        ]
-        return _secondary_stages(tman, "tshape", windows, row_filter, deadline), False
-    return scan_stages(tman, [(None, None)], row_filter, deadline), False
-
-
-def _strq_stages(
-    tman: "TMan",
-    query: STRangeQuery,
-    plan: "QueryPlan",
-    deadline: Optional[Deadline] = None,
-) -> tuple[list[Operator], bool]:
-    row_filter = TemporalFilter(query.time_range) & SpatialFilter(query.window, tman.serializer)
-    if plan.index == "st" and plan.route == "primary":
-        st_windows = tman.st_index.query_windows(
-            query.time_range,
-            query.window,
-            shape_ranges=tman.spatial_ranges(query.window),
-        )
-        windows = st_primary_windows(tman.keys, st_windows)
-        return scan_stages(tman, windows, row_filter, deadline), True
-    if plan.index == "tshape":
-        value_ranges = tman.spatial_ranges(query.window)
-        if plan.route == "primary":
-            windows = primary_windows_u64(tman.keys, value_ranges)
-            return scan_stages(tman, windows, row_filter, deadline), True
-        windows = [
-            (lo.to_bytes(8, "big"), hi.to_bytes(8, "big")) for lo, hi in value_ranges
-        ]
-        return _secondary_stages(tman, "tshape", windows, row_filter, deadline), False
-    if plan.index == "tr":
-        tr_ranges = _tr_query_ranges(tman, query.time_range)
-        if plan.route == "primary":
-            windows = primary_windows_inclusive(tman.keys, tr_ranges)
-            # The count path treats TR-primary STRQ like the fallback
-            # routes (decode first), mirroring the pre-pipeline executor.
-            return scan_stages(tman, windows, row_filter, deadline), False
-        windows = secondary_windows_inclusive(tr_ranges)
-        return _secondary_stages(tman, "tr", windows, row_filter, deadline), False
-    if plan.index == "interval":
-        return _interval_stages(tman, query.time_range, row_filter, deadline), False
-    return scan_stages(tman, [(None, None)], row_filter, deadline), False
-
-
-def _idt_stages(
-    tman: "TMan",
-    query: IDTemporalQuery,
-    plan: "QueryPlan",
-    deadline: Optional[Deadline] = None,
-) -> tuple[list[Operator], bool]:
-    row_filter = IdFilter(query.oid) & TemporalFilter(query.time_range)
-    tr_ranges = _tr_query_ranges(tman, query.time_range)
-    if plan.index == "idt":
-        windows = [
-            tman.keys.idt_window(query.oid, lo, hi) for lo, hi in tr_ranges
-        ]
-        return _secondary_stages(tman, "idt", windows, row_filter, deadline), False
-    if plan.route == "primary" and plan.index in ("tr", "st"):
-        if plan.index == "st":
-            windows = _st_coarse_windows(tman, tr_ranges)
-        else:
-            windows = primary_windows_inclusive(tman.keys, tr_ranges)
-        return scan_stages(tman, windows, row_filter, deadline), False
-    if plan.route == "secondary" and plan.index == "tr":
-        windows = secondary_windows_inclusive(tr_ranges)
-        return _secondary_stages(tman, "tr", windows, row_filter, deadline), False
-    if plan.index == "interval":
-        return _interval_stages(tman, query.time_range, row_filter, deadline), False
-    return scan_stages(tman, [(None, None)], row_filter, deadline), False
-
-
-def _threshold_stages(
-    tman: "TMan",
-    query: ThresholdSimilarityQuery,
-    plan: "QueryPlan",
-    deadline: Optional[Deadline] = None,
-) -> tuple[list[Operator], bool]:
-    sim_filter = SimilarityFilter(
-        query.query.points, query.threshold, query.measure, tman.serializer
-    )
-    # Global pruning: scan the threshold-expanded query MBR.
-    value_ranges = tman.spatial_ranges(query.query.mbr.expanded(query.threshold))
-    windows = primary_windows_u64(tman.keys, value_ranges)
-    return scan_stages(tman, windows, sim_filter, deadline), False
 
 
 def build_pipeline(
@@ -478,73 +379,79 @@ def build_pipeline(
     limit: Optional[int] = None,
     count: bool = False,
     deadline: Optional[Deadline] = None,
-    guard: Optional[Operator] = None,
 ) -> Pipeline:
     """Assemble the streaming pipeline for a single-pass query.
 
-    ``count=True`` swaps the terminal sink for a distinct-trajectory
-    counter on the *same* stages — primary-route range counts skip the
-    decode stage entirely and parse trajectory ids from rowkeys.
-    ``limit`` installs an early-terminating sink instead of ``Collect``.
-    ``guard`` (a :class:`~repro.query.operators.DivergenceGuard`) is
-    inserted between the access path and the decode stage on non-count
-    pipelines, where it watches the candidate stream for the adaptive
-    re-planner.  The iterative query types (top-k similarity, kNN point)
-    are driven round-by-round by the executor and cannot be assembled
-    here.
+    A query type supplies only its row filter and what it searches (time
+    range, window, object id); the plan's :func:`access_path` does the
+    rest.  ``count=True`` ends the same access path in a distinct-trajectory
+    counter that parses ids from the primary keys, so a count decodes no
+    row.  ``limit`` installs an early-terminating sink instead of
+    ``Collect``.  The iterative query types (top-k similarity, kNN point)
+    run one :func:`ring_pipeline` per expanding ring instead.
     """
     post_decode: list[Operator] = []
     if isinstance(query, TemporalRangeQuery):
-        stages, primary_rows = _trq_stages(tman, query, plan, deadline)
+        row_filter: Filter = TemporalFilter(query.time_range)
+        search: dict[str, Any] = {"time_range": query.time_range}
     elif isinstance(query, SpatialRangeQuery):
-        stages, primary_rows = _srq_stages(tman, query, plan, deadline)
+        row_filter = SpatialFilter(query.window, tman.serializer)
+        search = {"window": query.window}
     elif isinstance(query, STRangeQuery):
-        stages, primary_rows = _strq_stages(tman, query, plan, deadline)
+        row_filter = TemporalFilter(query.time_range) & SpatialFilter(
+            query.window, tman.serializer
+        )
+        search = {"time_range": query.time_range, "window": query.window}
     elif isinstance(query, IDTemporalQuery):
-        stages, primary_rows = _idt_stages(tman, query, plan, deadline)
+        row_filter = IdFilter(query.oid) & TemporalFilter(query.time_range)
+        search = {"time_range": query.time_range, "oid": query.oid}
     elif isinstance(query, ThresholdSimilarityQuery):
-        if count:
-            raise TypeError(
-                f"count is not supported for {type(query).__name__}"
-            )
-        stages, primary_rows = _threshold_stages(tman, query, plan, deadline)
+        row_filter = SimilarityFilter(
+            query.query.points, query.threshold, query.measure, tman.serializer
+        )
+        # Global pruning: search the threshold-expanded query MBR.
+        search = {"window": query.query.mbr.expanded(query.threshold)}
         post_decode = [Refine.exclude_tid(query.query.tid)]
     else:
         raise TypeError(f"unknown query type: {type(query).__name__}")
 
+    stages = access_path(tman, plan, row_filter, deadline, **search)
     if count:
-        if primary_rows:
-            keys = tman.keys
-            sink: Sink = Count(lambda key: keys.parse_primary(key).tid)
-            return Pipeline(stages, sink, trace, plan, deadline)
-        stages = stages + [Decode(tman.serializer)] + post_decode
-        return Pipeline(stages, Count(), trace, plan, deadline)
-
-    if guard is not None:
-        stages = stages + [guard]
-    stages = stages + [Decode(tman.serializer)] + post_decode
-    sink = Collect() if limit is None else Limit(limit)
+        keys = tman.keys
+        sink: Sink = Count(lambda key: keys.parse_primary(key).tid)
+    else:
+        stages += [Decode(tman.serializer)] + post_decode
+        sink = Collect() if limit is None else Limit(limit)
     return Pipeline(stages, sink, trace, plan, deadline)
 
 
-def pipeline_stage_names(
-    tman: "TMan", query: Any, plan: "QueryPlan"
-) -> list[str]:
-    """Static stage-name description for EXPLAIN (no windows computed)."""
-    if isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
-        refine = (
-            "similarity_refine"
-            if isinstance(query, TopKSimilarityQuery)
-            else "knn_refine"
+def ring_operators(
+    tman: "TMan", query: Union[TopKSimilarityQuery, KNNPointQuery]
+) -> tuple[Operator, TopK]:
+    """The refine stage and top-k sink an iterative query's rounds share."""
+    sink = TopK(query.k)
+    if isinstance(query, KNNPointQuery):
+        refine: Operator = PointDistanceRefine(
+            tman.serializer, query.x, query.y, sink.kth_bound
         )
-        return ["windows", "region_scan", refine, "top_k"]
-    names = ["windows"]
-    secondary = plan.route == "secondary" or plan.index == "idt"
-    names.append("secondary_resolve" if secondary else "region_scan")
-    if not tman.config.push_down:
-        names.append("client_filter")
-    names.append("decode")
-    if isinstance(query, ThresholdSimilarityQuery):
-        names.append("exclude_query")
-    names.append("collect")
-    return names
+    else:
+        refine = SimilarityRefine(
+            tman.serializer, query.query, query.measure, sink.kth_bound
+        )
+    return refine, sink
+
+
+def ring_pipeline(
+    tman: "TMan",
+    plan: "QueryPlan",
+    refine: Operator,
+    sink: TopK,
+    ring_ranges: Optional[Sequence[tuple[int, int]]],
+    trace: Optional[ExecutionTrace] = None,
+    deadline: Optional[Deadline] = None,
+) -> Pipeline:
+    """One expanding-ring round: the plan's access path over the inclusive
+    TShape ``ring_ranges`` (a scan plan reads the whole table), then the
+    shared refine stage and top-k sink."""
+    stages = access_path(tman, plan, None, deadline, ring_ranges=ring_ranges)
+    return Pipeline(stages + [refine], sink, trace, plan, deadline)

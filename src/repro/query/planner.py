@@ -356,9 +356,8 @@ class QueryPlanner:
         """Every applicable plan with its estimated cost, chosen plan first.
 
         Deterministic; ``cost`` / ``est_rows`` are ``None`` without
-        statistics.  The executor's adaptive re-planner walks this list
-        when the running plan's observed candidates diverge from the
-        estimate; ``repro explain`` renders it.
+        statistics.  ``repro explain`` renders it; the plan-equivalence
+        tests force each entry.
         """
         with self._stats_scope():
             return self._ranked(query, cost_all=True)

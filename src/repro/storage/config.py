@@ -49,11 +49,6 @@ class TManConfig:
     retry_max_attempts: int = 6
     retry_base_ms: float = 1.0
     retry_max_ms: float = 50.0
-    # Fault injection (reproduction/testing): with fault_rate > 0 the
-    # deployment installs a process-wide seeded injector that fails scans,
-    # batched gets, and flush/compaction I/O at this per-attempt rate.
-    fault_rate: float = 0.0
-    fault_seed: int = 0
     # Overload protection.  All knobs default off so an unconfigured
     # deployment behaves bit-identically to one without the limits layer.
     # admission_max_inflight > 0 bounds concurrently executing queries;
@@ -89,15 +84,6 @@ class TManConfig:
     # Root directory for worker node data (None = private tempdir,
     # removed on close).
     cluster_data_dir: str | None = None
-    # Adaptive mid-query re-planning: when enabled, single-pass queries
-    # carry a divergence guard that counts candidate rows against the
-    # planner's estimate; past max(replan_min_candidates,
-    # estimate * replan_divergence_ratio) the pipeline aborts and the
-    # executor restarts it on the next-cheapest untried plan.  Results
-    # are bit-identical either way (the restart re-runs from scratch).
-    adaptive_replan: bool = False
-    replan_divergence_ratio: float = 4.0
-    replan_min_candidates: int = 128
 
     def __post_init__(self) -> None:
         if self.primary_index not in VALID_INDEXES:
@@ -125,10 +111,6 @@ class TManConfig:
             raise ValueError(
                 f"need 0 <= retry_base_ms <= retry_max_ms, got "
                 f"{self.retry_base_ms}/{self.retry_max_ms}"
-            )
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError(
-                f"fault_rate must be in [0, 1], got {self.fault_rate}"
             )
         if self.admission_max_inflight < 0:
             raise ValueError(
@@ -192,16 +174,6 @@ class TManConfig:
             raise ValueError(
                 "default_deadline_ms must be positive, got "
                 f"{self.default_deadline_ms}"
-            )
-        if self.replan_divergence_ratio < 1.0:
-            raise ValueError(
-                "replan_divergence_ratio must be >= 1, got "
-                f"{self.replan_divergence_ratio}"
-            )
-        if self.replan_min_candidates < 0:
-            raise ValueError(
-                "replan_min_candidates must be non-negative, got "
-                f"{self.replan_min_candidates}"
             )
 
     @property

@@ -28,7 +28,6 @@ from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeIndex
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.cluster.process_cluster import ProcessCluster
-from repro.kvstore import simfault
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.stats import CostModel
@@ -39,6 +38,7 @@ from repro.obs.profile import query_profile
 from repro.obs import profile_log as _obs_profile_log
 from repro.query.cost import calibrate
 from repro.query.executor import QueryExecutor
+from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlanner
 from repro.runtime.admission import INTERACTIVE, AdmissionController
 from repro.runtime.backpressure import WriteLimits
@@ -134,16 +134,6 @@ class TMan:
             if config.admission_max_inflight > 0
             else None
         )
-        if config.fault_rate > 0.0 and simfault.fault_injector() is None:
-            # Reproduction knob: install the process-wide seeded injector
-            # unless a test/benchmark already scoped one in.
-            simfault.set_fault_injector(
-                simfault.FaultInjector(
-                    simfault.FaultConfig.uniform(
-                        config.fault_rate, seed=config.fault_seed
-                    )
-                )
-            )
 
         # Indexes.
         self.tr_index = TRIndex(
@@ -385,12 +375,15 @@ class TMan:
                 return QueryResult(partial=True, profile=profile)
 
     def explain(self, q) -> str:
-        """The optimizer's plan and the operator pipeline it assembles."""
-        from repro.query.pipeline import pipeline_stage_names
-
-        plan = self.planner.plan(q)
-        stages = pipeline_stage_names(self, q, plan)
-        return f"{plan.index}/{plan.route}: " + " -> ".join(stages)
+        """The optimizer's plan and the stages the executor assembles for it
+        (an iterative query's: one ring round's)."""
+        with self.one_expansion():
+            plan = self.planner.plan(q)
+            if isinstance(q, (TopKSimilarityQuery, KNNPointQuery)):
+                pipeline = ring_pipeline(self, plan, *ring_operators(self, q), [])
+            else:
+                pipeline = build_pipeline(self, q, plan)
+        return pipeline.describe()
 
     def explain_plans(self, q) -> list[dict]:
         """Every applicable plan with its estimated cost, chosen plan first.

@@ -1,10 +1,9 @@
-"""System-level CBO tests: plan equivalence, learned-statistics refresh,
-costed choices (interval vs TR, planner regret) and adaptive mid-query
-re-planning.
+"""System-level CBO tests: every plan against brute force, learned-statistics
+refresh and costed choices (interval vs TR, planner regret).
 
-The equivalence matrix is the optimizer's core safety property: whatever
-plan the CBO picks — or the re-planner switches to mid-query — the result
-set is bit-identical to every other applicable plan's.
+The plan matrix is the optimizer's core safety property: whatever plan the
+CBO picks or a caller forces, on every index layout, the answer equals a
+brute-force pass over the raw trajectories.
 """
 
 from __future__ import annotations
@@ -13,14 +12,24 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.geometry.distance import point_to_polyline_arrays
 from repro.model import MBR, TimeRange
 from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 from repro.query.cost import calibrate
 from repro.query.planner import QueryPlan
-from repro.query.types import SpatialRangeQuery, STRangeQuery, TemporalRangeQuery
+from repro.query.types import (
+    IDTemporalQuery,
+    KNNPointQuery,
+    SpatialRangeQuery,
+    STRangeQuery,
+    TemporalRangeQuery,
+    ThresholdSimilarityQuery,
+    TopKSimilarityQuery,
+)
+from repro.similarity.measures import distance_by_name
 
-from .conftest import seven_queries
+from .conftest import brute_force_spatial, brute_force_temporal, seven_queries
 
 N_TRAJS = 80
 SEED = 515
@@ -46,50 +55,129 @@ def dataset():
     return tdrive_like(N_TRAJS, seed=SEED)
 
 
+# Index layouts: the paper's default, the composite ST primary, a TR primary
+# behind a TShape secondary, an ST secondary, and one without a TShape index.
+LAYOUTS = {
+    "tshape_primary": dict(secondary_indexes=("tr", "idt", "interval")),
+    "st_primary": dict(
+        primary_index="st", secondary_indexes=("tshape", "idt", "interval")
+    ),
+    "tr_primary": dict(primary_index="tr", secondary_indexes=("tshape", "idt")),
+    "st_secondary": dict(secondary_indexes=("st",)),
+    "no_tshape": dict(primary_index="tr", secondary_indexes=("idt",)),
+}
+
+
 @pytest.fixture(scope="module")
 def deployments(dataset):
-    tmans = {
-        "tshape_primary": _make(
-            dataset, secondary_indexes=("tr", "idt", "interval")
-        ),
-        "st_primary": _make(
-            dataset,
-            primary_index="st",
-            secondary_indexes=("tshape", "idt", "interval"),
-        ),
-    }
+    tmans = {name: _make(dataset, **layout) for name, layout in LAYOUTS.items()}
     yield tmans
     for tman in tmans.values():
         tman.close()
 
 
 QUERY_NAMES = ["temporal", "spatial", "st", "idt", "threshold", "topk", "knn"]
-DEPLOYMENTS = ["tshape_primary", "st_primary"]
+RANGE_NAMES = ["temporal", "spatial", "st", "idt"]
+DEPLOYMENTS = list(LAYOUTS)
+
+
+def oracle(dataset, q):
+    """``(tids, distances)`` over the raw trajectories, from the brute-force
+    helpers and the exact kernels: sorted tids for the single-pass types,
+    the ranked answer and its distances for top-k and kNN."""
+    if isinstance(q, TemporalRangeQuery):
+        return brute_force_temporal(dataset, q.time_range), None
+    if isinstance(q, SpatialRangeQuery):
+        return brute_force_spatial(dataset, q.window), None
+    if isinstance(q, STRangeQuery):
+        both = set(brute_force_temporal(dataset, q.time_range))
+        return sorted(both & set(brute_force_spatial(dataset, q.window))), None
+    if isinstance(q, IDTemporalQuery):
+        own = [t for t in dataset if t.oid == q.oid]
+        return brute_force_temporal(own, q.time_range), None
+    if isinstance(q, ThresholdSimilarityQuery):
+        distance = distance_by_name(q.measure)
+        return sorted(
+            t.tid
+            for t in dataset
+            if t.tid != q.query.tid
+            and distance(q.query.points, t.points) <= q.threshold
+        ), None
+    if isinstance(q, TopKSimilarityQuery):
+        distance = distance_by_name(q.measure)
+        ranked = sorted(
+            (distance(q.query.points, t.points), t.tid)
+            for t in dataset
+            if t.tid != q.query.tid
+        )
+    else:
+        assert isinstance(q, KNNPointQuery)
+        ranked = sorted(
+            (point_to_polyline_arrays(q.x, q.y, *t.xy_arrays()[1:]), t.tid)
+            for t in dataset
+        )
+    ranked = ranked[: q.k]
+    return [tid for _, tid in ranked], [d for d, _ in ranked]
 
 
 @pytest.mark.parametrize("dname", DEPLOYMENTS)
 @pytest.mark.parametrize("qname", QUERY_NAMES)
 def test_every_plan_is_equivalent(deployments, dataset, dname, qname):
-    """Forced-TR, forced-interval, and every other applicable plan must
-    produce the CBO-chosen plan's exact candidate set."""
+    """Every applicable plan, forced, returns the brute-force answer; a
+    temporal or ID-temporal query through an index reads fewer rows than
+    the table holds."""
     tman = deployments[dname]
     q = seven_queries(dataset)[qname]
-    base = tman.query(q)
-    base_tids = sorted(t.tid for t in base.trajectories)
+    tids, distances = oracle(dataset, q)
+    assert tids
     candidates = tman.planner.candidate_plans(q)
     assert len(candidates) >= 1
     for cand in candidates:
+        label = f"{qname} via {cand.plan.index}/{cand.plan.route}"
         forced = tman.query(q, plan=cand.plan)
-        assert sorted(t.tid for t in forced.trajectories) == base_tids, (
-            f"{qname} via {cand.plan.index}/{cand.plan.route} diverged"
-        )
-        if base.distances is not None:
-            assert sorted(forced.distances) == pytest.approx(
-                sorted(base.distances)
-            )
+        if distances is None:
+            assert sorted(t.tid for t in forced.trajectories) == tids, label
+        else:
+            assert [t.tid for t in forced.trajectories] == tids, label
+            assert forced.distances == pytest.approx(distances), label
+        if qname in ("temporal", "idt") and cand.plan.route != "scan":
+            assert forced.candidates < tman.row_count, label
 
 
 @pytest.mark.parametrize("dname", DEPLOYMENTS)
+@pytest.mark.parametrize("qname", RANGE_NAMES)
+def test_every_plan_counts_without_decoding(deployments, dataset, dname, qname):
+    """A count through any plan equals the query's answer size and parses
+    trajectory ids from primary keys: its trace has no decode stage."""
+    tman = deployments[dname]
+    q = seven_queries(dataset)[qname]
+    expected = len(oracle(dataset, q)[0])
+    for cand in tman.planner.candidate_plans(q):
+        label = f"{qname} via {cand.plan.index}/{cand.plan.route}"
+        counted = tman.executor.execute(q, plan=cand.plan, count=True)
+        assert counted.count == len(tman.query(q, plan=cand.plan)) == expected, label
+        assert "decode" not in counted.trace, label
+    assert tman.count(q).count == expected
+
+
+@pytest.mark.parametrize("qname", ["topk", "knn"])
+def test_ring_rounds_follow_the_plan(deployments, dataset, qname):
+    """Ring rounds read the plan's table: through a TShape secondary they
+    expand exactly the rings the TShape primary does, and without a TShape
+    index one scan round answers."""
+    q = seven_queries(dataset)[qname]
+    rounds = deployments["tshape_primary"].query(q).trace.rounds
+    assert rounds > 1
+    secondary = QueryPlan("tshape", "secondary", "forced")
+    for dname in ("st_primary", "tr_primary"):
+        res = deployments[dname].query(q, plan=secondary)
+        assert res.trace.rounds == rounds, dname
+    res = deployments["no_tshape"].query(q)
+    assert res.plan == "scan/scan"
+    assert res.trace.rounds == 1
+
+
+@pytest.mark.parametrize("dname", ["tshape_primary", "st_primary"])
 def test_temporal_has_interval_alternative(deployments, dataset, dname):
     q = seven_queries(dataset)["temporal"]
     pairs = [
@@ -295,142 +383,3 @@ class TestCostedChoices:
             tman.planner.set_cost_constants(defaults)
         assert calibrated_regret <= self.MAX_REGRET
         assert calibrated_regret <= default_regret + 1e-9
-
-
-class TestAdaptiveReplan:
-    @pytest.fixture()
-    def skewed_tman(self):
-        """Statistics stale-low: the planner keeps a snapshot taken before a
-        large burst, so its estimate diverges from what a query touches."""
-        dataset = tdrive_like(120, seed=77)
-        config = TManConfig(
-            boundary=TDRIVE_SPEC.boundary,
-            max_resolution=12,
-            num_shards=2,
-            kv_workers=1,
-            split_rows=5000,
-            secondary_indexes=("tr", "idt", "interval"),
-            adaptive_replan=True,
-            replan_divergence_ratio=1.5,
-            replan_min_candidates=0,
-        )
-        tman = TMan(config)
-        # Statistics see only the first sliver of data...
-        tman.bulk_load(dataset[:10])
-        tman.flush()
-        stale = tman.table_statistics()
-        # ...the planner is pinned to that snapshot while the bulk arrives.
-        tman.bulk_load(dataset[10:])
-        tman.planner.set_statistics_provider(lambda: stale)
-        yield tman, dataset
-        tman.close()
-
-    def _span(self, dataset):
-        return TimeRange(
-            min(t.time_range.start for t in dataset),
-            max(t.time_range.end for t in dataset),
-        )
-
-    def test_replan_triggers_and_results_match(self, skewed_tman):
-        tman, dataset = skewed_tman
-        q = TemporalRangeQuery(self._span(dataset))
-        est = tman.planner.estimate_candidates(q)
-        assert est is not None and est <= 15  # stale-low prior
-        result = tman.query(q)
-        assert result.trace is not None
-        assert "replanned_from" in result.trace.annotations
-        assert result.trace.annotations["replan_observed_rows"] > est
-        # The re-planned run returns exactly what a forced clean run does.
-        chosen_index = result.plan.split("/")[0]
-        forced = tman.query(q, plan=QueryPlan(chosen_index, "secondary", "forced"))
-        assert [t.tid for t in result.trajectories] == [
-            t.tid for t in forced.trajectories
-        ]
-        assert sorted(t.tid for t in result.trajectories) == sorted(
-            t.tid for t in dataset if t.time_range.intersects(q.time_range)
-        )
-
-    def test_forced_plan_never_replans(self, skewed_tman):
-        tman, dataset = skewed_tman
-        q = TemporalRangeQuery(self._span(dataset))
-        plan = tman.planner.plan(q)
-        result = tman.query(q, plan=plan)
-        assert result.trace is not None
-        assert "replanned_from" not in result.trace.annotations
-        assert result.plan == f"{plan.index}/{plan.route}"
-
-    def test_disabled_by_default(self, skewed_tman):
-        tman, dataset = skewed_tman
-        # Same data/skew, replan off: runs to completion on the first plan.
-        dataset2 = dataset
-        config = TManConfig(
-            boundary=TDRIVE_SPEC.boundary,
-            max_resolution=12,
-            num_shards=2,
-            kv_workers=1,
-            split_rows=5000,
-            secondary_indexes=("tr", "idt", "interval"),
-        )
-        with TMan(config) as other:
-            other.bulk_load(dataset2[:10])
-            other.flush()
-            stale = other.table_statistics()
-            other.bulk_load(dataset2[10:])
-            other.planner.set_statistics_provider(lambda: stale)
-            result = other.query(TemporalRangeQuery(self._span(dataset2)))
-            assert result.trace is not None
-            assert "replanned_from" not in result.trace.annotations
-
-    def test_replan_beats_completing_the_stale_plan(self):
-        """The stale pick's sunk windows cost less than finishing it.
-
-        Sized so the plan choice is stale: the tail after the query window
-        inflates the interval route's estimate past the TR expansion's fixed
-        window cost, while the burst the stale snapshot has not seen sits
-        at the front of TR's window order so the guard fires early.
-        """
-        tail_n, burst_n = 450, 250
-        raw = tdrive_like(tail_n + burst_n, seed=13, max_points=30)
-        tail = _retime(
-            raw[:tail_n],
-            [
-                ((23.0 + i / tail_n * 24.0) * HOUR, (23.4 + i / tail_n * 24.0) * HOUR)
-                for i in range(tail_n)
-            ],
-        )
-        burst = _retime(
-            raw[tail_n:],
-            [
-                ((1.0 + i % 3) * HOUR, (20.5 + i / burst_n * 1.5) * HOUR)
-                for i in range(burst_n)
-            ],
-        )
-        q = TemporalRangeQuery(TimeRange(20.0 * HOUR, 22.5 * HOUR))
-        config = TManConfig(
-            boundary=TDRIVE_SPEC.boundary,
-            max_resolution=10,
-            num_shards=2,
-            kv_workers=1,
-            split_rows=50_000,
-            secondary_indexes=("tr", "idt", "interval"),
-            adaptive_replan=True,
-            replan_divergence_ratio=2.0,
-            replan_min_candidates=32,
-        )
-        with TMan(config) as tman:
-            tman.bulk_load(tail)
-            tman.flush()
-            prior = tman.table_statistics()
-            tman.bulk_load(burst)
-            tman.planner.set_statistics_provider(lambda: prior)
-            stale = tman.planner.plan(q)
-            result = tman.query(q)
-            assert "replanned_from" in result.trace.annotations
-            assert result.plan != f"{stale.index}/{stale.route}"
-            completed = tman.query(
-                q, plan=QueryPlan(stale.index, stale.route, "forced")
-            )
-            assert sorted(t.tid for t in result.trajectories) == sorted(
-                t.tid for t in completed.trajectories
-            )
-            assert result.simulated_ms < completed.simulated_ms

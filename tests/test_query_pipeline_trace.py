@@ -17,8 +17,7 @@ from repro.query.types import (
 )
 
 
-@pytest.fixture(scope="module")
-def tman():
+def _deploy(primary_index, secondary_indexes):
     data = tdrive_like(120, seed=7, max_points=30)
     config = TManConfig(
         boundary=TDRIVE_SPEC.boundary,
@@ -26,12 +25,27 @@ def tman():
         num_shards=2,
         kv_workers=2,
         split_rows=500,
-        primary_index="tshape",
-        secondary_indexes=("tr", "idt"),
+        primary_index=primary_index,
+        secondary_indexes=secondary_indexes,
     )
     t = TMan(config)
     t.bulk_load(data)
     t._test_data = data
+    return t
+
+
+@pytest.fixture(scope="module")
+def tman():
+    t = _deploy("tshape", ("tr", "idt"))
+    yield t
+    t.close()
+
+
+@pytest.fixture(scope="module")
+def tr_tman():
+    """TR primary behind a TShape secondary: the spatial and similarity
+    types read through secondary resolves."""
+    t = _deploy("tr", ("tshape", "idt"))
     yield t
     t.close()
 
@@ -101,16 +115,19 @@ class TestTracePresence:
         text = res.trace.render()
         assert "region_scan" in text and "rows_out" in text
 
-    def test_explain_matches_trace_stages(self, tman):
-        qs = queries_for(tman)
-        for name in ("trq", "srq", "strq", "idt", "threshold"):
-            q = qs[name]
-            text = tman.explain(q)
-            plan = tman.planner.plan(q)
-            assert text.startswith(f"{plan.index}/{plan.route}: ")
-            static = text.split(": ", 1)[1].split(" -> ")
-            traced = [s.name for s in tman.query(q).trace.stages]
-            assert traced == static, name
+    def test_explain_matches_trace_stages(self, tman, tr_tman):
+        """EXPLAIN names the stages the run traces, for all seven types."""
+        for t in (tman, tr_tman):
+            qs = queries_for(t)
+            first = t._test_data[0].points[0]
+            qs["knn"] = KNNPointQuery(first.lng, first.lat, 2)
+            for name, q in qs.items():
+                text = t.explain(q)
+                plan = t.planner.plan(q)
+                assert text.startswith(f"{plan.index}/{plan.route}: ")
+                static = text.split(": ", 1)[1].split(" -> ")
+                traced = [s.name for s in t.query(q).trace.stages]
+                assert traced == static, (t.config.primary_index, name)
 
 
 class TestIterativeQueries:

@@ -107,8 +107,6 @@ NON_DEFAULT = dict(
     retry_max_attempts=3,
     retry_base_ms=2.0,
     retry_max_ms=20.0,
-    fault_rate=0.25,
-    fault_seed=9,
     admission_max_inflight=4,
     admission_max_queue=7,
     admission_queue_timeout_ms=250.0,
@@ -123,9 +121,6 @@ NON_DEFAULT = dict(
     write_quorum=3,
     cluster_page_rows=128,
     cluster_data_dir="/nonexistent/unused-in-thread-mode",
-    adaptive_replan=True,
-    replan_divergence_ratio=2.5,
-    replan_min_candidates=32,
 )
 
 
@@ -137,13 +132,29 @@ class TestConfigRoundTrip:
             if f.name not in ("boundary", "cluster_mode"):
                 assert NON_DEFAULT[f.name] != f.default, f.name
         config = TManConfig(**NON_DEFAULT)
-        # A scoped no-op injector keeps fault_rate from installing the
-        # process-wide one.
-        with simfault.fault_injection(simfault.FaultConfig()):
-            with TMan(config) as tman:
-                save_tman(tman, tmp_path / "deploy")
-            with open_tman(tmp_path / "deploy") as reopened:
-                assert reopened.config == config
+        with TMan(config) as tman:
+            save_tman(tman, tmp_path / "deploy")
+        with open_tman(tmp_path / "deploy") as reopened:
+            assert reopened.config == config
+
+    def test_retired_knobs_open_unchanged(self, tmp_path):
+        """A config.json saved while the fault-injection and re-planning
+        knobs were fields still opens, to the same config."""
+        config = TManConfig(**NON_DEFAULT)
+        injector = simfault.fault_injector()
+        with TMan(config) as tman:
+            save_tman(tman, tmp_path / "deploy")
+        path = tmp_path / "deploy" / "config.json"
+        doc = json.loads(path.read_text())
+        doc.update(
+            fault_rate=0.25, fault_seed=9, adaptive_replan=True,
+            replan_divergence_ratio=2.5, replan_min_candidates=32,
+        )
+        path.write_text(json.dumps(doc))
+        with open_tman(tmp_path / "deploy") as reopened:
+            assert reopened.config == config
+        # Opening installed no process-wide fault injector.
+        assert simfault.fault_injector() is injector
 
     def test_snapshot_pins_thread_mode_and_overrides_apply(self, tmp_path):
         config = TManConfig(
