@@ -86,7 +86,7 @@ def main() -> None:
         for _ in range(20):
             xs, ys = 116.4 + rng.normal(0, 1e-3, (2, 2, n)).cumsum(axis=2)
             pairs.append(tuple(
-                PointBlock(np.arange(n, dtype=float), x, y, validate=False)
+                PointBlock(np.arange(n, dtype=float), x, y)
                 for x, y in zip(xs, ys)
             ))
         for name, kernel in (("frechet", frechet_distance), ("dtw", dtw_distance)):

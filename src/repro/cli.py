@@ -39,7 +39,8 @@ from typing import Iterable, Iterator
 from repro import obs
 from repro.datasets import LORRY_SPEC, TDRIVE_SPEC, generate_dataset
 from repro.kvstore import simfault
-from repro.model import MBR, STPoint, TimeRange, Trajectory
+from repro.model import MBR, TimeRange, Trajectory
+from repro.model.pointblock import PointBlock
 from repro.query.types import (
     IDTemporalQuery,
     SpatialRangeQuery,
@@ -72,8 +73,8 @@ def write_csv(path: Path, trajs: Iterable[Trajectory]) -> int:
         writer = csv.writer(fh)
         writer.writerow(["oid", "tid", "t", "lng", "lat"])
         for traj in trajs:
-            for p in traj.points:
-                writer.writerow([traj.oid, traj.tid, f"{p.t:.3f}", f"{p.lng:.7f}", f"{p.lat:.7f}"])
+            for t, lng, lat in zip(*(col.tolist() for col in traj.xy_arrays())):
+                writer.writerow([traj.oid, traj.tid, f"{t:.3f}", f"{lng:.7f}", f"{lat:.7f}"])
             count += 1
     return count
 
@@ -87,16 +88,19 @@ def read_csv(path: Path) -> Iterator[Trajectory]:
             raise SystemExit(f"{path}: unexpected CSV header {header}")
         current_tid = None
         oid = ""
-        points: list[STPoint] = []
-        for row in reader:
-            r_oid, r_tid, t, lng, lat = row
+        ts: list[float] = []
+        xs: list[float] = []
+        ys: list[float] = []
+        for r_oid, r_tid, t, lng, lat in reader:
             if r_tid != current_tid:
-                if points:
-                    yield Trajectory(oid, current_tid, points)
-                current_tid, oid, points = r_tid, r_oid, []
-            points.append(STPoint(float(t), float(lng), float(lat)))
-        if points:
-            yield Trajectory(oid, current_tid, points)
+                if ts:
+                    yield Trajectory(oid, current_tid, PointBlock(ts, xs, ys))
+                current_tid, oid, ts, xs, ys = r_tid, r_oid, [], [], []
+            ts.append(float(t))
+            xs.append(float(lng))
+            ys.append(float(lat))
+        if ts:
+            yield Trajectory(oid, current_tid, PointBlock(ts, xs, ys))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

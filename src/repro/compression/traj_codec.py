@@ -185,7 +185,7 @@ class TrajectoryCodec:
 
     def encode_points(self, points: Sequence[STPoint]) -> bytes:
         """Compress a point sequence."""
-        block = PointBlock.from_points(getattr(points, "block", points))
+        block = PointBlock.from_points(points)
         return self.encode_arrays(block.ts, block.xs, block.ys)
 
     def decode_points(self, blob: bytes) -> list[STPoint]:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.model.mbr import MBR
-from repro.model.point import STPoint
+from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 
 DAY = 24 * 3600.0
@@ -136,8 +136,7 @@ def _generate_one(
     xs = np.clip(xs, b.x1, b.x2)
     ys = np.clip(ys, b.y1, b.y2)
 
-    points = [STPoint(float(t), float(x), float(y)) for t, x, y in zip(ts, xs, ys)]
-    return Trajectory(oid, tid, points)
+    return Trajectory(oid, tid, PointBlock(ts, xs, ys))
 
 
 def generate_dataset(

@@ -17,8 +17,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+import numpy as np
+
 from repro.model.mbr import MBR
-from repro.model.point import STPoint
+from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 from repro.preprocess.cleaning import PreprocessPipeline
 
@@ -39,7 +41,9 @@ def parse_tdrive_file(path: Union[str, Path], boundary: Optional[MBR] = None) ->
     """
     bounds = boundary if boundary is not None else TDRIVE_BOUNDARY
     path = Path(path)
-    points: list[STPoint] = []
+    ts: list[float] = []
+    xs: list[float] = []
+    ys: list[float] = []
     taxi_id = path.stem
     with open(path) as fh:
         for line in fh:
@@ -54,11 +58,14 @@ def parse_tdrive_file(path: Union[str, Path], boundary: Optional[MBR] = None) ->
                 continue
             if not bounds.contains_point(lng, lat):
                 continue
-            points.append(STPoint(t, lng, lat))
-    if not points:
+            ts.append(t)
+            xs.append(lng)
+            ys.append(lat)
+    if not ts:
         return None
-    points.sort(key=lambda p: (p.t, p.lng, p.lat))
-    return Trajectory(f"taxi-{taxi_id}", f"taxi-{taxi_id}-raw", points)
+    order = np.lexsort((ys, xs, ts))  # by (t, lng, lat): the last key sorts first
+    block = PointBlock(np.asarray(ts)[order], np.asarray(xs)[order], np.asarray(ys)[order])
+    return Trajectory(f"taxi-{taxi_id}", f"taxi-{taxi_id}-raw", block)
 
 
 def load_tdrive_directory(
@@ -85,4 +92,4 @@ def load_tdrive_directory(
         if raw is None:
             continue
         for i, trip in enumerate(pipe.run_one(raw)):
-            yield Trajectory(raw.oid, f"{raw.oid}-trip-{i:04d}", list(trip.points))
+            yield Trajectory(raw.oid, f"{raw.oid}-trip-{i:04d}", trip.block)

@@ -151,7 +151,7 @@ def extract_dp_feature(points: Sequence[STPoint], epsilon: float) -> DPFeature:
     """Compute the DP-feature of a raw point sequence."""
     if not len(points):
         raise ValueError("cannot extract DP-features from zero points")
-    block = PointBlock.from_points(getattr(points, "block", points))
+    block = PointBlock.from_points(points)
     reps, _, boxes = dp_feature_columns(block.xs, block.ys, (0, len(block)), epsilon)
     return DPFeature(
         tuple(reps.tolist()),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,6 +19,8 @@ class STPoint:
     lat: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise ValueError(f"non-finite timestamp: {self.t}")
         if not (-180.0 <= self.lng <= 180.0):
             raise ValueError(f"longitude out of range: {self.lng}")
         if not (-90.0 <= self.lat <= 90.0):

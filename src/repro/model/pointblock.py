@@ -9,7 +9,8 @@ values, materialized lazily and at most once.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+import math
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -25,22 +26,18 @@ class PointBlock(Sequence):
     replacement anywhere a point sequence is expected; the ``ts``/``xs``/
     ``ys`` arrays are the fast path.  The arrays are flagged read-only so
     the cached derived values (MBR, time range, point tuple) stay valid.
+    The constructor only shapes the arrays; :meth:`check` is the one place
+    that decides whether they can be a trajectory.
     """
 
     __slots__ = ("ts", "xs", "ys", "_points", "_mbr", "_time_range")
 
-    def __init__(self, ts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 validate: bool = True):
+    def __init__(self, ts, xs, ys):
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         if not (len(ts) == len(xs) == len(ys)):
             raise ValueError("parallel point arrays must have equal length")
-        if validate and len(xs):
-            if not ((xs >= -180.0) & (xs <= 180.0)).all():
-                raise ValueError("longitude out of range in point block")
-            if not ((ys >= -90.0) & (ys <= 90.0)).all():
-                raise ValueError("latitude out of range in point block")
         for arr in (ts, xs, ys):
             arr.flags.writeable = False
         self.ts = ts
@@ -51,17 +48,41 @@ class PointBlock(Sequence):
         self._time_range: TimeRange | None = None
 
     @classmethod
-    def from_points(cls, points: Sequence[STPoint]) -> "PointBlock":
-        """Build a block from already-validated STPoint values."""
-        if isinstance(points, PointBlock):
-            return points
-        n = len(points)
-        ts = np.fromiter((p.t for p in points), dtype=np.float64, count=n)
-        xs = np.fromiter((p.lng for p in points), dtype=np.float64, count=n)
-        ys = np.fromiter((p.lat for p in points), dtype=np.float64, count=n)
-        block = cls(ts, xs, ys, validate=False)
-        block._points = tuple(points)
-        return block
+    def from_points(cls, points: Iterable[STPoint]) -> "PointBlock":
+        """The columns of an STPoint sequence; a block, or a trajectory's
+        block, is returned as is.
+
+        The points are read once and not kept: the block materializes its
+        own STPoint view only if someone asks for it.
+        """
+        block = getattr(points, "block", points)
+        if isinstance(block, PointBlock):
+            return block
+        pts = points if isinstance(points, Sequence) else tuple(points)
+        n = len(pts)
+        ts = np.fromiter((p.t for p in pts), dtype=np.float64, count=n)
+        xs = np.fromiter((p.lng for p in pts), dtype=np.float64, count=n)
+        ys = np.fromiter((p.lat for p in pts), dtype=np.float64, count=n)
+        return cls(ts, xs, ys)
+
+    def check(self, name: str) -> None:
+        """Raise ``ValueError`` naming ``name`` unless the block can be a
+        trajectory: at least one fix, every value finite, coordinates on the
+        globe and timestamps non-decreasing.  Caches the MBR on the way."""
+        ts, xs, ys = self.ts, self.xs, self.ys
+        if not len(ts):
+            raise ValueError(f"{name}: a trajectory needs at least one point")
+        # NaN fails every comparison, so a NaN timestamp breaks the order
+        # test and min/max carry a NaN coordinate into the range test
+        if not (math.isfinite(ts[0]) and math.isfinite(ts[-1]) and self.is_time_ordered()):
+            finite = np.isfinite(ts).all()
+            raise ValueError(f"{name}: " + ("points not time-ordered" if finite
+                                            else "non-finite timestamp"))
+        x1, y1, x2, y2 = (float(v) for v in (xs.min(), ys.min(), xs.max(), ys.max()))
+        if not (-180.0 <= x1 and x2 <= 180.0 and -90.0 <= y1 and y2 <= 90.0):
+            raise ValueError(f"{name}: non-finite or out-of-range coordinates "
+                             f"(lng {x1}..{x2}, lat {y1}..{y2})")
+        self._mbr = MBR(x1, y1, x2, y2)
 
     # -- sequence protocol -------------------------------------------------
 
@@ -72,10 +93,10 @@ class PointBlock(Sequence):
         """The i-th fix as an STPoint (no full materialization)."""
         return STPoint(float(self.ts[i]), float(self.xs[i]), float(self.ys[i]))
 
-    def __getitem__(self, idx: Union[int, slice]):
-        if isinstance(idx, slice):
-            return PointBlock(self.ts[idx], self.xs[idx], self.ys[idx],
-                              validate=False)
+    def __getitem__(self, idx):
+        """An int gives one STPoint; a slice, mask or index array a block."""
+        if not isinstance(idx, (int, np.integer)):
+            return PointBlock(self.ts[idx], self.xs[idx], self.ys[idx])
         if self._points is not None:
             return self._points[idx]
         return self.point(range(len(self))[idx])
@@ -143,10 +164,5 @@ def coord_arrays(points: PointsLike) -> tuple[np.ndarray, np.ndarray]:
     STPoint sequence; vectorized kernels call this at their boundary so
     both decode paths share one math implementation.
     """
-    block = getattr(points, "block", points)
-    if isinstance(block, PointBlock):
-        return block.xs, block.ys
-    n = len(points)
-    xs = np.fromiter((p.lng for p in points), dtype=np.float64, count=n)
-    ys = np.fromiter((p.lat for p in points), dtype=np.float64, count=n)
-    return xs, ys
+    block = PointBlock.from_points(points)
+    return block.xs, block.ys

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
-from repro.model.pointblock import PointBlock
+from repro.model.pointblock import PointBlock, PointsLike
 from repro.model.timerange import TimeRange
 
 
@@ -16,110 +16,72 @@ class Trajectory:
     """A trajectory is an immutable, time-ordered point sequence with identity.
 
     ``oid`` identifies the moving object (e.g., a taxi), ``tid`` identifies
-    this particular trip of that object.  The MBR and time range are computed
-    lazily and cached since the index layer asks for them repeatedly.
+    this particular trip of that object.  The fixes live in one columnar
+    :class:`PointBlock`, which also caches the MBR and time range the index
+    layer asks for repeatedly.  An :class:`STPoint` sequence passed in is
+    converted once and not kept; :attr:`points` is a lazy STPoint view for
+    code that walks fixes one at a time.
 
-    Points may be supplied either as an :class:`STPoint` sequence or as a
-    columnar :class:`PointBlock`; either way both representations are
-    available (``points`` materializes lazily from a block, ``block`` builds
-    lazily from points) so vectorized and object-level code coexist.
+    ``validate=False`` skips :meth:`PointBlock.check`; only the row decoder
+    passes it, for blocks that were checked before they were encoded.
     """
 
-    __slots__ = ("oid", "tid", "_points", "_block", "_mbr", "_time_range")
+    __slots__ = ("oid", "tid", "_block")
 
-    def __init__(self, oid: str, tid: str,
-                 points: Union[PointBlock, Sequence[STPoint]]):
-        if isinstance(points, PointBlock):
-            if not len(points):
-                raise ValueError("a trajectory needs at least one point")
-            if not points.is_time_ordered():
-                raise ValueError(f"trajectory {tid}: points not time-ordered")
-            self._points: tuple[STPoint, ...] | None = None
-            self._block: PointBlock | None = points
-        else:
-            if not points:
-                raise ValueError("a trajectory needs at least one point")
-            pts = tuple(points)
-            for prev, cur in zip(pts, pts[1:]):
-                if cur.t < prev.t:
-                    raise ValueError(
-                        f"trajectory {tid}: points not time-ordered "
-                        f"({prev.t} followed by {cur.t})"
-                    )
-            self._points = pts
-            self._block = None
+    def __init__(self, oid: str, tid: str, points: PointsLike,
+                 validate: bool = True):
+        block = PointBlock.from_points(points)
+        if validate:
+            block.check(f"trajectory {tid}")
         self.oid = oid
         self.tid = tid
-        self._mbr: MBR | None = None
-        self._time_range: TimeRange | None = None
+        self._block = block
 
     @property
     def points(self) -> tuple[STPoint, ...]:
-        """The trajectory's point sequence."""
-        if self._points is None:
-            self._points = self._block.to_points()
-        return self._points
+        """The fixes as STPoint values (materialized on first use, cached
+        on the block)."""
+        return self._block.to_points()
 
     @property
     def block(self) -> PointBlock:
-        """The trajectory's columnar representation (built lazily)."""
-        if self._block is None:
-            self._block = PointBlock.from_points(self._points)
+        """The trajectory's columnar representation."""
         return self._block
 
     @property
     def mbr(self) -> MBR:
         """The tight bounding rectangle of the trajectory's points."""
-        if self._mbr is None:
-            if self._block is not None:
-                self._mbr = self._block.mbr
-            else:
-                self._mbr = MBR.of_points(p.xy for p in self._points)
-        return self._mbr
+        return self._block.mbr
 
     @property
     def time_range(self) -> TimeRange:
         """The closed interval from the first to the last fix."""
-        if self._time_range is None:
-            if self._block is not None:
-                self._time_range = self._block.time_range
-            else:
-                self._time_range = TimeRange(self._points[0].t, self._points[-1].t)
-        return self._time_range
+        return self._block.time_range
 
     @property
     def start(self) -> STPoint:
         """The first fix."""
-        if self._points is not None:
-            return self._points[0]
-        return self._block.point(0)
+        return self._block[0]
 
     @property
     def end(self) -> STPoint:
         """The last fix."""
-        if self._points is not None:
-            return self._points[-1]
-        return self._block.point(len(self._block) - 1)
+        return self._block[-1]
 
     def __len__(self) -> int:
-        if self._points is not None:
-            return len(self._points)
         return len(self._block)
 
     def __iter__(self) -> Iterator[STPoint]:
-        return iter(self.points)
+        return iter(self._block)
 
     def __getitem__(self, idx: int) -> STPoint:
-        return self.points[idx]
+        return self._block[idx]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
-        if self.oid != other.oid or self.tid != other.tid:
-            return False
-        if self._block is not None and other._block is not None:
-            return self._block == other._block
-        return self.points == other.points
+        return (self.oid == other.oid and self.tid == other.tid
+                and self._block == other._block)
 
     def __hash__(self) -> int:
         return hash((self.oid, self.tid, len(self), self.start))
@@ -137,21 +99,18 @@ class Trajectory:
         return zip(pts, pts[1:])
 
     def xy_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parallel (t, lng, lat) float64 arrays — the codec's native layout.
-
-        Cached via :attr:`block` alongside ``mbr``/``time_range``, so
-        repeated vectorized callers pay the column build at most once.
-        """
-        block = self.block
+        """Parallel (t, lng, lat) float64 arrays — the codec's native layout."""
+        block = self._block
         return block.ts, block.xs, block.ys
 
     def shifted(self, dt: float = 0.0, dlng: float = 0.0, dlat: float = 0.0,
                 oid: str | None = None, tid: str | None = None) -> "Trajectory":
         """Return a space/time-offset copy (dataset replication uses this)."""
+        block = self._block
         return Trajectory(
             oid if oid is not None else self.oid,
             tid if tid is not None else self.tid,
-            [p.shifted(dt, dlng, dlat) for p in self.points],
+            PointBlock(block.ts + dt, block.xs + dlng, block.ys + dlat),
         )
 
     def slice_time(self, tr: TimeRange) -> "Trajectory | None":
@@ -160,14 +119,18 @@ class Trajectory:
         Used by segment-based baselines (VRE-style) to split trajectories.
         Returns ``None`` when no point falls inside.
         """
-        pts = [p for p in self.points if tr.contains_instant(p.t)]
-        if not pts:
+        ts = self._block.ts
+        inside = (tr.start <= ts) & (ts <= tr.end)
+        if not inside.any():
             return None
-        return Trajectory(self.oid, self.tid, pts)
+        return Trajectory(self.oid, self.tid, self._block[inside])
 
 
 def concat_trajectories(parts: Iterable[Trajectory]) -> Trajectory:
     """Reassemble a trajectory from time-ordered segments with the same tid.
+
+    A fix earlier than one already taken is dropped, and so is a fix equal
+    to the one taken just before it (segments sharing a boundary fix).
 
     This is the reassembly step segment-storing baselines must pay; TMan
     stores intact rows and never calls it on the hot path.
@@ -176,12 +139,14 @@ def concat_trajectories(parts: Iterable[Trajectory]) -> Trajectory:
     if not ordered:
         raise ValueError("cannot concatenate zero segments")
     first = ordered[0]
-    pts: list[STPoint] = []
     for part in ordered:
         if part.tid != first.tid:
             raise ValueError(f"mixed tids: {part.tid} vs {first.tid}")
-        for p in part.points:
-            if not pts or p.t > pts[-1].t or (p.t == pts[-1].t and p != pts[-1]):
-                if not pts or p != pts[-1]:
-                    pts.append(p)
-    return Trajectory(first.oid, first.tid, pts)
+    ts, xs, ys = (np.concatenate(cols) for cols in zip(*(p.xy_arrays() for p in ordered)))
+    # the last fix taken always holds the running maximum of t
+    keep = np.ones(len(ts), dtype=bool)
+    keep[1:] = ts[1:] >= np.maximum.accumulate(ts)[:-1]
+    ts, xs, ys = ts[keep], xs[keep], ys[keep]
+    repeat = (ts[1:] == ts[:-1]) & (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    keep = np.concatenate(([True], ~repeat))
+    return Trajectory(first.oid, first.tid, PointBlock(ts[keep], xs[keep], ys[keep]))

@@ -5,18 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.geometry.distance import haversine_km
-from repro.model.point import STPoint
 from repro.model.trajectory import Trajectory
 
 
-def _renumber(base_tid: str, parts: list[list[STPoint]], oid: str) -> list[Trajectory]:
-    out = []
-    for i, pts in enumerate(parts):
-        if len(pts) >= 1:
-            tid = base_tid if len(parts) == 1 else f"{base_tid}#{i}"
-            out.append(Trajectory(oid, tid, pts))
-    return out
+def _split_at(traj: Trajectory, cuts) -> list[Trajectory]:
+    """``traj`` cut before each index in ``cuts``; the pieces of a cut
+    trajectory are numbered ``<tid>#<i>``."""
+    if not len(cuts):
+        return [traj]
+    bounds = [0, *cuts, len(traj)]
+    return [
+        Trajectory(traj.oid, f"{traj.tid}#{i}", traj.block[lo:hi])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def split_by_gap(traj: Trajectory, max_gap_seconds: float) -> list[Trajectory]:
@@ -27,12 +31,7 @@ def split_by_gap(traj: Trajectory, max_gap_seconds: float) -> list[Trajectory]:
     """
     if max_gap_seconds <= 0:
         raise ValueError(f"max_gap_seconds must be positive: {max_gap_seconds}")
-    parts: list[list[STPoint]] = [[traj.points[0]]]
-    for prev, cur in traj.segments():
-        if cur.t - prev.t > max_gap_seconds:
-            parts.append([])
-        parts[-1].append(cur)
-    return _renumber(traj.tid, parts, traj.oid)
+    return _split_at(traj, np.flatnonzero(np.diff(traj.block.ts) > max_gap_seconds) + 1)
 
 
 def cap_duration(traj: Trajectory, max_duration_seconds: float) -> list[Trajectory]:
@@ -43,14 +42,14 @@ def cap_duration(traj: Trajectory, max_duration_seconds: float) -> list[Trajecto
     """
     if max_duration_seconds <= 0:
         raise ValueError(f"max_duration_seconds must be positive: {max_duration_seconds}")
-    parts: list[list[STPoint]] = [[traj.points[0]]]
-    chunk_start = traj.points[0].t
-    for _, cur in traj.segments():
-        if cur.t - chunk_start > max_duration_seconds:
-            parts.append([])
-            chunk_start = cur.t
-        parts[-1].append(cur)
-    return _renumber(traj.tid, parts, traj.oid)
+    ts = traj.block.ts.tolist()
+    cuts = []
+    chunk_start = ts[0]
+    for i, t in enumerate(ts):
+        if t - chunk_start > max_duration_seconds:
+            cuts.append(i)
+            chunk_start = t
+    return _split_at(traj, cuts)
 
 
 def remove_speed_outliers(traj: Trajectory, max_speed_kmh: float) -> Trajectory:
@@ -62,16 +61,17 @@ def remove_speed_outliers(traj: Trajectory, max_speed_kmh: float) -> Trajectory:
     """
     if max_speed_kmh <= 0:
         raise ValueError(f"max_speed_kmh must be positive: {max_speed_kmh}")
-    kept = [traj.points[0]]
-    for p in traj.points[1:]:
-        prev = kept[-1]
-        dt_h = (p.t - prev.t) / 3600.0
+    ts, xs, ys = (col.tolist() for col in traj.xy_arrays())
+    kept = [0]
+    for i in range(1, len(ts)):
+        j = kept[-1]
+        dt_h = (ts[i] - ts[j]) / 3600.0
         if dt_h <= 0:
             continue  # duplicate timestamp: keep the first fix only
-        speed = haversine_km(prev.lng, prev.lat, p.lng, p.lat) / dt_h
+        speed = haversine_km(xs[j], ys[j], xs[i], ys[i]) / dt_h
         if speed <= max_speed_kmh:
-            kept.append(p)
-    return Trajectory(traj.oid, traj.tid, kept)
+            kept.append(i)
+    return Trajectory(traj.oid, traj.tid, traj.block[np.array(kept)])
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,22 @@ def detect_staypoints(
     """
     if radius_km <= 0 or min_duration_seconds <= 0:
         raise ValueError("radius_km and min_duration_seconds must be positive")
-    points = traj.points
+    ts, xs, ys = (col.tolist() for col in traj.xy_arrays())
     out: list[Staypoint] = []
     i = 0
-    n = len(points)
+    n = len(ts)
     while i < n - 1:
         j = i + 1
-        while j < n and haversine_km(
-            points[i].lng, points[i].lat, points[j].lng, points[j].lat
-        ) <= radius_km:
+        while j < n and haversine_km(xs[i], ys[i], xs[j], ys[j]) <= radius_km:
             j += 1
-        duration = points[j - 1].t - points[i].t
+        duration = ts[j - 1] - ts[i]
         if j - 1 > i and duration >= min_duration_seconds:
-            span = points[i:j]
             out.append(
                 Staypoint(
                     start_index=i,
                     end_index=j - 1,
-                    center_lng=sum(p.lng for p in span) / len(span),
-                    center_lat=sum(p.lat for p in span) / len(span),
+                    center_lng=sum(xs[i:j]) / (j - i),
+                    center_lat=sum(ys[i:j]) / (j - i),
                     duration=duration,
                 )
             )

@@ -24,14 +24,13 @@ from __future__ import annotations
 import copy
 from threading import get_ident
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.compression.traj_codec import COORD_SCALE
 from repro.geometry.relations import polyline_intersects_rect_arrays
 from repro.kvstore.filters import Filter
 from repro.model.mbr import MBR
-from repro.model.point import STPoint
-from repro.model.pointblock import PointBlock
+from repro.model.pointblock import PointBlock, PointsLike
 from repro.model.timerange import TimeRange
 from repro.obs.profile import current_profile
 from repro.similarity.measures import distance_by_name
@@ -237,7 +236,7 @@ class SimilarityFilter(Ladder, Filter):
 
     def __init__(
         self,
-        query_points: Sequence[STPoint],
+        query: PointsLike,
         threshold: float,
         measure: str,
         serializer: RowSerializer,
@@ -245,9 +244,10 @@ class SimilarityFilter(Ladder, Filter):
         super().__init__()
         if threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {threshold}")
-        # a PointBlock caches the coordinate columns every bound reuses
-        self.query_points = PointBlock.from_points(list(query_points))
-        self.query_mbr = MBR.of_points(p.xy for p in self.query_points)
+        # the query trajectory's block: its columns and MBR are what every
+        # bound reads
+        self.query_points = PointBlock.from_points(query)
+        self.query_mbr = self.query_points.mbr
         self.threshold = threshold
         self.measure = measure
         self.aggregate = "sum" if measure == "dtw" else "max"

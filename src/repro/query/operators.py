@@ -328,7 +328,7 @@ class SimilarityRefine(_RingRefine):
     ):
         super().__init__(serializer, bound)
         self.query_tid = query.tid
-        self.rungs = SimilarityFilter(query.points, 0.0, measure, serializer)
+        self.rungs = SimilarityFilter(query.block, 0.0, measure, serializer)
 
     def on_header(self, header):
         if header.tid == self.query_tid or header.tid in self.seen:

@@ -407,7 +407,7 @@ def build_pipeline(
         search = {"time_range": query.time_range, "oid": query.oid}
     elif isinstance(query, ThresholdSimilarityQuery):
         row_filter = SimilarityFilter(
-            query.query.points, query.threshold, query.measure, tman.serializer
+            query.query.block, query.threshold, query.measure, tman.serializer
         )
         # Global pruning: search the threshold-expanded query MBR.
         search = {"window": query.query.mbr.expanded(query.threshold)}

@@ -133,5 +133,5 @@ def dp_upper_bound(
     representatives extends to the raw sequence with at most that much extra
     distance per pair.
     """
-    reps = PointBlock(*feature_b.rep_columns, validate=False)
+    reps = PointBlock(*feature_b.rep_columns)
     return distance_fn(points_a, reps) + _max_span_diameter(feature_b)

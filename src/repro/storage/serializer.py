@@ -203,8 +203,7 @@ class RowSerializer:
             ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
         except (ValueError, IndexError, struct.error) as exc:
             raise CorruptionError(f"corrupt point blob: {exc}") from exc
-        points = PointBlock(ts, xs, ys, validate=False)
-        return Trajectory(header.oid, header.tid, points)
+        return Trajectory(header.oid, header.tid, PointBlock(ts, xs, ys), validate=False)
 
     def decode_points(self, buf: bytes) -> PointBlock:
         """Decode just the raw point sequence (exact-filter path) as a

@@ -285,7 +285,7 @@ def _retime(trajs, spans):
     for t, (t0, t1) in zip(trajs, spans):
         ts, xs, ys = t.xy_arrays()
         grid = t0 + (ts - ts[0]) / (ts[-1] - ts[0]) * (t1 - t0)
-        out.append(Trajectory(t.oid, t.tid, PointBlock(grid, xs, ys, validate=False)))
+        out.append(Trajectory(t.oid, t.tid, PointBlock(grid, xs, ys)))
     return out
 
 

@@ -1,5 +1,8 @@
 """Tests for the synthetic dataset generators and workloads."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,83 @@ class TestDeterminism:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             tdrive_like(0)
+
+
+def _digest(trajs) -> str:
+    """sha256 over every trajectory's ids and raw column bytes."""
+    h = hashlib.sha256()
+    for t in trajs:
+        b = t.block
+        for part in (t.oid.encode(), t.tid.encode(), b.ts.tobytes(), b.xs.tobytes(),
+                     b.ys.tobytes()):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+class TestGolden:
+    """The generators' output, bit for bit: the benchmark spine and every
+    paper figure read these datasets, so a change that moves a single draw
+    or float operation must show up here first."""
+
+    def test_tdrive_digest(self):
+        assert _digest(tdrive_like(300, seed=42, max_points=50)) == (
+            "5cbd75b7d8a5e804bb09247d1414e51193cd7720c082c34ec0c8029f6e326d53"
+        )
+
+    def test_lorry_digest(self):
+        assert _digest(lorry_like(300, seed=43, max_points=40)) == (
+            "0fbd789ad12c85d766fde9e48b4197c679d86a2f58f7937475ac838cd5263044"
+        )
+
+    def test_replicated_digest(self):
+        base = lorry_like(50, seed=43, max_points=40)
+        assert _digest(list(replicate_dataset(base, 3, LORRY_SPEC))) == (
+            "4502b33616df483189b0768c0675d909c48f9e27daa0edf17b06efc6975da7c5"
+        )
+
+
+class TestColumnar:
+    def test_generated_points_are_columns(self):
+        """A generated trajectory retains its three float64 columns and a
+        few fixed-size objects, not one object per point (184 B/point when
+        every fix was an STPoint)."""
+        tdrive_like(5, seed=1)  # imports and numpy caches stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = tdrive_like(2000, seed=42, max_points=50)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / sum(len(t) for t in data) <= 64
+        assert all(t.block._points is None for t in data)
+
+    def test_load_and_every_query_type_keep_columns(self):
+        """Ingest, the range queries and the similarity rings all read the
+        columns: none of them materializes a base trajectory's STPoints."""
+        from repro import TMan, TManConfig
+
+        data = tdrive_like(300, seed=5, max_points=40)
+        query = data[4]
+        x, y = float(query.block.xs[0]), float(query.block.ys[0])
+        tman = TMan(TManConfig(boundary=TDRIVE_SPEC.boundary, max_resolution=13,
+                               num_shards=2, kv_workers=2, split_rows=100))
+        try:
+            tman.bulk_load(data)
+            results = [
+                tman.temporal_range_query(query.time_range),
+                tman.spatial_range_query(query.mbr),
+                tman.st_range_query(query.mbr, query.time_range),
+                tman.id_temporal_query(query.oid, query.time_range),
+                tman.threshold_similarity_query(query, 0.1),
+                tman.top_k_similarity_query(query, 5),
+                tman.knn_point_query(x, y, 5),
+            ]
+        finally:
+            tman.close()
+        assert all(len(r) for r in results)
+        assert all(t.block._points is None for t in data)
 
 
 class TestShapes:

@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             STPoint(0.0, 0.0, lat)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError):
+            STPoint(t, 116.3, 39.9)
+
     def test_boundary_coordinates_allowed(self):
         STPoint(0.0, -180.0, -90.0)
         STPoint(0.0, 180.0, 90.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import MBR, STPoint, TimeRange, Trajectory
+from repro.model.pointblock import PointBlock
 from repro.model.trajectory import concat_trajectories
 
 
@@ -23,6 +24,25 @@ class TestConstruction:
     def test_equal_timestamps_allowed(self):
         t = make([STPoint(1, 0, 0), STPoint(1, 1, 1)])
         assert len(t) == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_rejects_non_finite_values(self, bad, column):
+        """Both constructors refuse such a fix; it used to be accepted and
+        fail deep inside ``bulk_load`` (a 60-bit overflow for NaN, an int
+        conversion for inf)."""
+        rows = [[0.0, 116.3, 39.9], [5.0, 116.31, 39.91], [10.0, 116.32, 39.92]]
+        rows[1][column] = bad
+        ts, xs, ys = (np.array(col) for col in zip(*rows))
+        with pytest.raises(ValueError, match="trajectory trip: non-finite"):
+            make(PointBlock(ts, xs, ys))
+        with pytest.raises(ValueError):  # the STPoint is rejected first
+            make([STPoint(*row) for row in rows])
+
+    def test_sequence_is_not_retained(self):
+        t = make([STPoint(0, 1, 2), STPoint(1, 3, 4)])
+        assert t.block._points is None
+        assert t.points == (STPoint(0, 1, 2), STPoint(1, 3, 4))
 
     def test_single_point(self):
         t = make([STPoint(5, 1, 2)])

@@ -188,7 +188,7 @@ class TestKernelsMatchReference:
             # decimals=1 snaps the walk to a coarse grid: repeated points,
             # zero distances and ties in every min/max of the recurrence.
             xs, ys = np.round(rng.normal(0, 0.1, (2, n)).cumsum(axis=1), decimals)
-            return PointBlock(np.arange(n, dtype=float), xs, ys, validate=False)
+            return PointBlock(np.arange(n, dtype=float), xs, ys)
 
         vectorized = DISTANCES[measure]
         oracle = getattr(reference, f"{measure}_reference")
@@ -211,8 +211,8 @@ class TestKernelsMatchReference:
         for n, m in ((1, 1), (1, 3), (3, 1), (2, 3), (7, 7), (17, 2), (2, 17), (9, 14),
                      (40, 33)):
             xs, ys = np.round(rng.normal(0, 0.1, (2, n + m)).cumsum(axis=1), decimals)
-            a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n], validate=False)
-            b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:], validate=False)
+            a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n])
+            b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:])
             want = reference.dtw_reference(list(a), list(b), window=window)
             assert dtw_distance(a, b, window=window) == want, (n, m)
 
@@ -224,8 +224,8 @@ class TestKernelsMatchReference:
         strided slice's offset is 0 or its end is the matrix's last cell."""
         rng = np.random.default_rng(n * 100 + m)
         xs, ys = np.round(rng.normal(0, 0.1, (2, n + m)).cumsum(axis=1), 3)
-        a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n], validate=False)
-        b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:], validate=False)
+        a = PointBlock(np.arange(n, dtype=float), xs[:n], ys[:n])
+        b = PointBlock(np.arange(m, dtype=float), xs[n:], ys[n:])
         w = {"gap": abs(n - m), "gap+1": abs(n - m) + 1, "full": n + m}.get(window, window)
         want = reference.dtw_reference(list(a), list(b), window=w)
         assert dtw_distance(a, b, window=w) == want
