@@ -4,38 +4,22 @@ The paper stores each trajectory as three compressed arrays (timestamps,
 longitudes, latitudes) inside the primary-table row value and lists a menu of
 codecs (Elf, VGB, simple8b, PFOR, ...).  This package implements a compatible
 menu of order-preserving, lossless codecs plus the trajectory codec that
-glues them together.
+glues them together.  Every integer packer encodes and decodes whole numpy
+arrays; the trajectory codec decodes any blob through one vectorized path.
 """
 
-from repro.compression.delta import delta_decode, delta_encode, delta_of_delta_decode, delta_of_delta_encode
 from repro.compression.elf import elf_decode, elf_encode
-from repro.compression.pfor import pfor_decode, pfor_encode
-from repro.compression.simple8b import simple8b_decode, simple8b_encode
+from repro.compression.pfor import pfor_encode
+from repro.compression.simple8b import simple8b_encode
 from repro.compression.traj_codec import TrajectoryCodec, CodecName
-from repro.compression.varint import (
-    decode_varint,
-    decode_varint_list,
-    encode_varint,
-    encode_varint_list,
-)
+from repro.compression.varint import decode_varint, encode_varint
 from repro.compression.xor_float import xor_float_decode, xor_float_encode
-from repro.compression.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = [
-    "zigzag_encode",
-    "zigzag_decode",
     "encode_varint",
     "decode_varint",
-    "encode_varint_list",
-    "decode_varint_list",
-    "delta_encode",
-    "delta_decode",
-    "delta_of_delta_encode",
-    "delta_of_delta_decode",
     "simple8b_encode",
-    "simple8b_decode",
     "pfor_encode",
-    "pfor_decode",
     "xor_float_encode",
     "xor_float_decode",
     "elf_encode",

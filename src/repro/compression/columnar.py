@@ -1,26 +1,25 @@
-"""Vectorized delta+zigzag+varint codecs over numpy integer arrays.
+"""Vectorized delta, zigzag and LEB128 varint kernels over numpy arrays.
 
-The scalar codecs in :mod:`repro.compression.varint` / ``zigzag`` /
-``delta`` walk python ints one at a time; these functions produce and
-consume byte-identical streams with a fixed number of numpy passes, so
-encoding or decoding a 10k-point trajectory costs a handful of array
-operations instead of tens of thousands of interpreter iterations.
-
-Wire compatibility is load-bearing: ``varint_encode_array`` emits exactly
-what :func:`repro.compression.varint.encode_varint_list` would (count
-prefix, then LEB128 values), which keeps v2 point blobs readable by the
-scalar path and vice versa.
+Encoding or decoding a 10k-point trajectory costs a fixed number of array
+operations instead of tens of thousands of interpreter iterations.  The
+streams are the wire format of the ``varint`` codec and of the v2 feature
+section: ``varint_encode_array`` emits a count prefix, then the LEB128
+values (the scalar reference in ``tests/codec_reference.py`` writes and
+reads exactly the same bytes), and :func:`varint_unpack` reads a blob's
+three such streams back in one pass.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
-from repro.compression.varint import decode_varint
-
 _U7 = np.uint64(7)
+_U0 = np.uint64(0)
 _U1 = np.uint64(1)
 _LOW7 = np.uint64(0x7F)
+_LOW7_U8 = np.uint8(0x7F)
 
 # -- zigzag ----------------------------------------------------------------
 
@@ -34,8 +33,8 @@ def zigzag_encode_array(values: np.ndarray) -> np.ndarray:
 
 def zigzag_decode_array(encoded: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_encode_array`."""
-    u = np.ascontiguousarray(encoded, dtype=np.uint64)
-    return ((u >> _U1) ^ (np.uint64(0) - (u & _U1))).view(np.int64)
+    u = np.asarray(encoded, dtype=np.uint64)
+    return ((u >> _U1) ^ (_U0 - (u & _U1))).view(np.int64)
 
 
 def int_array(values) -> np.ndarray:
@@ -46,12 +45,12 @@ def int_array(values) -> np.ndarray:
     return np.asarray(values, dtype=object) if len(arr) else np.zeros(0, np.uint64)
 
 
-_POW2 = np.array([1 << k for k in range(64)], dtype=np.uint64)
+POW2 = np.array([1 << k for k in range(64)], dtype=np.uint64)
 
 
 def bit_length_array(values: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of every uint64 value."""
-    return np.searchsorted(_POW2, values, side="right")
+    return np.searchsorted(POW2, values, side="right")
 
 
 # -- delta transforms ------------------------------------------------------
@@ -81,11 +80,12 @@ def delta_encode_array(values: np.ndarray, offsets=None) -> np.ndarray:
 
 
 def delta_decode_array(deltas: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.ascontiguousarray(deltas, dtype=np.int64), dtype=np.int64)
+    """Inverse of :func:`delta_encode_array`, along the last axis."""
+    return np.add.accumulate(np.asarray(deltas, dtype=np.int64), axis=-1)
 
 
 def delta_of_delta_encode_array(values: np.ndarray, offsets=None) -> np.ndarray:
-    """Second-difference transform: [v0, d1, dd2, ...] (matches scalar)."""
+    """Second-difference transform: [v0, d1, dd2, ...]."""
     deltas = delta_encode_array(values, offsets)
     out = deltas.copy()
     out[1:] -= deltas[:-1]
@@ -96,14 +96,14 @@ def delta_of_delta_encode_array(values: np.ndarray, offsets=None) -> np.ndarray:
 
 
 def delta_of_delta_decode_array(encoded: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`delta_of_delta_encode_array`."""
-    e = np.ascontiguousarray(encoded, dtype=np.int64)
-    if len(e) <= 2:
-        return delta_decode_array(e)
-    out = np.empty_like(e)
-    out[0] = e[0]
-    out[1:] = e[0] + np.cumsum(np.cumsum(e[1:], dtype=np.int64), dtype=np.int64)
-    return out
+    """Inverse of :func:`delta_of_delta_encode_array`.
+
+    With ``d1 - v0`` in place of ``d1``, ``[v0, d1, dd2, ...]`` is the
+    second difference of the values, so two running sums restore them.
+    """
+    e = np.array(encoded, dtype=np.int64)
+    e[1:2] -= e[:1]
+    return np.add.accumulate(np.add.accumulate(e))
 
 
 # -- varint ----------------------------------------------------------------
@@ -124,8 +124,8 @@ def leb128_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def varint_encode_segments(values: np.ndarray, offsets) -> list[bytes]:
     """One count-prefixed LEB128 stream per segment ``[offsets[i], offsets[i+1])``.
 
-    Each stream is byte-identical to ``encode_varint_list`` of its values;
-    the whole batch costs one pass however many segments it holds.
+    Each stream is the segment's count, then its values, all LEB128; the
+    whole batch costs one pass however many segments it holds.
     """
     u = np.ascontiguousarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -139,41 +139,51 @@ def varint_encode_segments(values: np.ndarray, offsets) -> list[bytes]:
 
 
 def varint_encode_array(values: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 array, count-prefixed like ``encode_varint_list``."""
+    """LEB128-encode a uint64 array behind its count (also LEB128)."""
     return varint_encode_segments(values, (0, len(values)))[0]
 
 
-def varint_decode_array(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode a count-prefixed LEB128 stream; returns (values, next offset)."""
-    count, offset = decode_varint(buf, offset)
-    if count == 0:
-        return np.empty(0, dtype=np.uint64), offset
-    data = np.frombuffer(buf, dtype=np.uint8, offset=offset, count=len(buf) - offset)
-    term_pos = np.flatnonzero((data & np.uint8(0x80)) == 0)
-    if len(term_pos) < count:
+def leb128_decode(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every LEB128 value in the uint8 array ``data``, and each one's last
+    byte: the inverse of :func:`leb128_encode`.
+
+    ``data`` must end on a value's last byte, and every value must fit in
+    64 bits (a 10th byte above ``0x01`` does not); otherwise ``ValueError``.
+    """
+    ends = np.flatnonzero(data < 0x80)
+    if not len(ends) or ends[-1] != len(data) - 1:
+        if not len(data):
+            return np.empty(0, dtype=np.uint64), ends
         raise ValueError("truncated varint stream")
-    ends = term_pos[:count].astype(np.int64)
-    starts = np.empty(count, dtype=np.int64)
+    starts = np.empty_like(ends)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > 10:
-        raise ValueError("varint longer than 10 bytes")
-    used = int(ends[-1]) + 1
-    payload = data[:used].astype(np.uint64) & _LOW7
-    shifts = (np.arange(used, dtype=np.int64) - np.repeat(starts, lengths)) * 7
-    values = np.bitwise_or.reduceat(payload << shifts.astype(np.uint64), starts)
-    return values, offset + used
+    np.add(ends[:-1], 1, out=starts[1:])
+    extra = ends - starts  # bytes after each value's first
+    if extra.max() >= 9 and ((extra > 9) | ((extra == 9) & (data[ends] > 1))).any():
+        raise ValueError("varint value exceeds 64 bits")
+    shifts = np.arange(len(data), dtype=np.uint64)
+    shifts -= np.repeat(starts.astype(np.uint64), extra + 1)
+    shifts *= _U7
+    payload = (data & _LOW7_U8).astype(np.uint64)
+    payload <<= shifts
+    return np.bitwise_or.reduceat(payload, starts), ends
 
 
-# -- signed convenience wrappers ------------------------------------------
+def varint_unpack(streams: list[bytes], n: int) -> np.ndarray:
+    """The values of count-prefixed LEB128 streams holding ``n`` values
+    each, as a ``(len(streams), n)`` uint64 array.
 
-
-def encode_signed_stream(values: np.ndarray) -> bytes:
-    """zigzag+varint a signed int64 array (count-prefixed)."""
-    return varint_encode_array(zigzag_encode_array(values))
-
-
-def decode_signed_stream(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    u, offset = varint_decode_array(buf, offset)
-    return zigzag_decode_array(u), offset
+    One LEB128 pass decodes the streams' concatenated bytes: stream ``i``'s
+    count is value ``i * (n + 1)``, and its last value must end on the
+    stream's last byte.
+    """
+    values, ends = leb128_decode(np.frombuffer(b"".join(streams), dtype=np.uint8))
+    if len(values) != len(streams) * (n + 1):
+        raise ValueError("corrupt varint streams: value count mismatch")
+    table = values.reshape(len(streams), n + 1)
+    stream_ends = list(accumulate(len(stream) for stream in streams))
+    if table[:, 0].tolist() != [n] * len(streams) or (
+        (ends[n :: n + 1] + 1).tolist() != stream_ends
+    ):
+        raise ValueError("corrupt varint streams: array length mismatch")
+    return table[:, 1:]

@@ -3,6 +3,7 @@
 Each block of up to 128 values is stored with a per-block base and bit width
 chosen to fit ~90% of the values; outliers ("exceptions") are patched in a
 varint side list.  Lossless for non-negative integers below 2^64.
+Encoding and decoding both work on all of a blob's streams at once.
 """
 
 from __future__ import annotations
@@ -12,32 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression.columnar import bit_length_array, int_array, leb128_encode
+from repro.compression.columnar import POW2, bit_length_array, int_array, leb128_encode
 from repro.compression.varint import decode_varint
 
 BLOCK = 128
-
-
-def _unpack_bits(buf: bytes, count: int, bits: int) -> list[int]:
-    values = []
-    acc = 0
-    acc_bits = 0
-    pos = 0
-    mask = (1 << bits) - 1 if bits else 0
-    for _ in range(count):
-        if bits == 0:
-            values.append(0)
-            continue
-        while acc_bits < bits:
-            if pos >= len(buf):
-                raise ValueError("truncated PFOR bit stream")
-            acc |= buf[pos] << acc_bits
-            acc_bits += 8
-            pos += 1
-        values.append(acc & mask)
-        acc >>= bits
-        acc_bits -= bits
-    return values
+_U32 = struct.Struct(">I")
 
 
 def pfor_encode_segments(values, offsets) -> list[bytes]:
@@ -109,25 +89,51 @@ def pfor_encode(values: Sequence[int]) -> bytes:
     return pfor_encode_segments(values, (0, len(values)))[0]
 
 
-def pfor_decode(buf: bytes) -> list[int]:
-    """Inverse of :func:`pfor_encode`."""
-    if len(buf) < 4:
-        raise ValueError("truncated PFOR stream")
-    (n,) = struct.unpack_from(">I", buf, 0)
-    pos = 4
-    values: list[int] = []
-    while len(values) < n:
-        count, pos = decode_varint(buf, pos)
-        base, pos = decode_varint(buf, pos)
-        bits = buf[pos]
-        pos += 1
-        blen, pos = decode_varint(buf, pos)
-        block = _unpack_bits(buf[pos : pos + blen], count, bits)
-        pos += blen
-        n_exc, pos = decode_varint(buf, pos)
-        for _ in range(n_exc):
-            idx, pos = decode_varint(buf, pos)
-            val, pos = decode_varint(buf, pos)
-            block[idx] = val
-        values.extend(v + base for v in block)
-    return values
+def pfor_unpack(streams: list[bytes], n: int) -> np.ndarray:
+    """The values of PFOR streams holding ``n`` values each, as a
+    ``(len(streams), n)`` uint64 array.
+
+    Block headers and exceptions are read with :func:`decode_varint`; the
+    bit payloads of every block of every stream are unpacked by one
+    ``np.unpackbits`` call, each block's ``count x width`` bit matrix is
+    weighted into values, then the exceptions are patched in and each
+    block's base is added.
+    """
+    counts, bases, widths, payloads, exc_at, exc_val = [], [], [], [], [], []
+    total = 0  # values in the blocks read so far
+    for stream in streams:
+        if len(stream) < 4 or _U32.unpack_from(stream)[0] != n:
+            raise ValueError("corrupt PFOR stream: bad count")
+        pos, done = 4, 0
+        while done < n:
+            count, pos = decode_varint(stream, pos)
+            base, pos = decode_varint(stream, pos)
+            width = stream[pos]
+            nbytes, pos = decode_varint(stream, pos + 1)
+            if not 0 < count <= min(BLOCK, n - done) or width > 64 or base >> 64:
+                raise ValueError("corrupt PFOR block header")
+            if 8 * nbytes < count * width or pos + nbytes > len(stream):
+                raise ValueError("truncated PFOR bit stream")
+            payloads.append(stream[pos : pos + nbytes])
+            n_exc, pos = decode_varint(stream, pos + nbytes)
+            for _ in range(n_exc):
+                idx, pos = decode_varint(stream, pos)
+                val, pos = decode_varint(stream, pos)
+                if idx >= count or val >> 64:
+                    raise ValueError("corrupt PFOR exception")
+                exc_at.append(total + idx)
+                exc_val.append(val)
+            counts.append(count)
+            bases.append(base)
+            widths.append(width)
+            done += count
+            total += count
+    bits = np.unpackbits(np.frombuffer(b"".join(payloads), dtype=np.uint8), bitorder="little")
+    blocks, at = [np.zeros(0, dtype=np.uint64)], 0  # (concatenate needs one block)
+    for count, width, payload in zip(counts, widths, payloads):
+        blocks.append(bits[at : at + count * width].reshape(count, width) @ POW2[:width])
+        at += 8 * len(payload)
+    values = np.concatenate(blocks)
+    values[exc_at] = np.array(exc_val, dtype=np.uint64)
+    values += np.repeat(np.array(bases, dtype=np.uint64), counts)
+    return values.reshape(len(streams), n)

@@ -9,12 +9,14 @@ Encoding is greedy (at each position, the first selector whose run fits)
 and runs over a whole batch of streams at once: sliding maxima of the
 values' bit lengths say which selectors fit at every position, each
 stream's chain of words is followed from its start by pointer doubling,
-and the words are OR-reduced from their values.
+and the words are OR-reduced from their values.  Decoding
+(:func:`simple8b_unpack`) reads all of a blob's streams in one pass too.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +43,16 @@ _SELECTORS: list[tuple[int, int, int]] = [
     (14, 2, 30),
     (15, 1, 60),
 ]
-_BY_SELECTOR = {sel: (count, bits) for sel, count, bits in _SELECTORS}
 _COUNTS = np.array([count for _, count, _ in _SELECTORS], dtype=np.int64)
 _BITS = np.array([bits for _, _, bits in _SELECTORS], dtype=np.int64)
+_MASKS = np.array([(1 << bits) - 1 for _, _, bits in _SELECTORS], dtype=np.uint64)
+# _SHIFTS[s][j]: where value j of a selector-s word starts
+_SHIFTS = np.array(
+    [[j * bits if j < count else 0 for j in range(240)] for _, count, bits in _SELECTORS],
+    dtype=np.uint64,
+)
+_U60 = np.uint64(60)
+_U32 = struct.Struct(">I")
 _MAX_VALUE = (1 << 60) - 1
 
 
@@ -120,25 +129,28 @@ def simple8b_encode(values: Sequence[int]) -> bytes:
     return simple8b_encode_segments(values, (0, len(values)))[0]
 
 
-def simple8b_decode(buf: bytes) -> list[int]:
-    """Inverse of :func:`simple8b_encode`."""
-    if len(buf) < 4:
-        raise ValueError("truncated simple8b stream")
-    (n,) = struct.unpack_from(">I", buf, 0)
-    values: list[int] = []
-    pos = 4
-    while len(values) < n:
-        if pos + 8 > len(buf):
-            raise ValueError("truncated simple8b stream")
-        (word,) = struct.unpack_from(">Q", buf, pos)
-        pos += 8
-        sel = word >> 60
-        count, bits = _BY_SELECTOR[sel]
-        take = min(count, n - len(values))
-        if bits == 0:
-            values.extend([0] * take)
-        else:
-            mask = (1 << bits) - 1
-            for j in range(take):
-                values.append((word >> (j * bits)) & mask)
-    return values
+def simple8b_unpack(streams: list[bytes], n: int) -> np.ndarray:
+    """The values of simple8b streams holding ``n`` values each, as a
+    ``(len(streams), n)`` uint64 array.
+
+    One pass over every stream's words: each word's selector gives its
+    value count, ``np.repeat`` gives every value its word and its place in
+    it, and a shift and mask extract it.  The encoder only writes full
+    words, so a stream's words must hold exactly its ``n`` values.
+    """
+    for stream in streams:
+        if len(stream) < 4 or (len(stream) - 4) % 8 or _U32.unpack_from(stream)[0] != n:
+            raise ValueError("corrupt simple8b stream: bad count or length")
+    words = np.frombuffer(b"".join([s[4:] for s in streams]), dtype=">u8").astype(np.uint64)
+    sel = words >> _U60
+    counts = _COUNTS[sel]
+    ends = np.add.accumulate(counts)
+    end_list = ends.tolist()
+    held = [end_list[w - 1] if w else 0 for w in accumulate((len(s) - 4) // 8 for s in streams)]
+    if held != [n * (i + 1) for i in range(len(streams))]:
+        raise ValueError("corrupt simple8b stream: words do not hold its count")
+    word_of = np.repeat(np.arange(len(words)), counts)
+    value_sel = sel[word_of]
+    place = np.arange(len(word_of)) - (ends - counts)[word_of]
+    values = (words[word_of] >> _SHIFTS[value_sel, place]) & _MASKS[value_sel]
+    return values.reshape(len(streams), n)

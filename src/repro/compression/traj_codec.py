@@ -11,10 +11,10 @@ Encoding is batched: :meth:`TrajectoryCodec.encode_columns` takes a whole
 batch's concatenated columns and builds every trajectory's delta /
 delta-of-delta / zigzag streams in one set of array passes, then packs
 them with the codec's segmented packer; the one-trajectory APIs are
-one-element calls into it.  The ``columnar`` codec's streams are
-byte-identical to ``varint`` (LEB128, count-prefixed) and decode fully
-vectorized: :meth:`TrajectoryCodec.decode_array_block` returns float64
-columns without building any per-point objects.
+one-element calls into it.  Decoding has one path for every codec:
+:meth:`TrajectoryCodec.decode_array_block` unpacks a blob's three streams
+with the codec's array unpacker in one call, then zigzag, delta-of-delta /
+delta and dequantization run once, vectorized, into float64 columns.
 """
 
 from __future__ import annotations
@@ -25,19 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.compression.columnar import (
-    decode_signed_stream,
     delta_decode_array,
     delta_encode_array,
     delta_of_delta_decode_array,
     delta_of_delta_encode_array,
     varint_encode_segments,
+    varint_unpack,
+    zigzag_decode_array,
     zigzag_encode_array,
 )
-from repro.compression.delta import delta_decode, delta_of_delta_decode
-from repro.compression.pfor import pfor_decode, pfor_encode_segments
-from repro.compression.simple8b import simple8b_decode, simple8b_encode_segments
-from repro.compression.varint import decode_varint_list
-from repro.compression.zigzag import zigzag_decode
+from repro.compression.pfor import pfor_encode_segments, pfor_unpack
+from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
 from repro.model.point import STPoint
 from repro.model.pointblock import PointBlock
 
@@ -47,17 +45,16 @@ TIME_SCALE = 1000  # milliseconds
 CodecName = str
 
 # codec -> (segmented packer: (values, offsets) -> one stream per segment,
-#           unpacker: stream -> values)
-_PACKERS: dict[CodecName, tuple[Callable, Callable[[bytes], list[int]]]] = {
-    "varint": (varint_encode_segments, lambda buf: decode_varint_list(buf, 0)[0]),
-    "simple8b": (simple8b_encode_segments, simple8b_decode),
-    "pfor": (pfor_encode_segments, pfor_decode),
+#           unpacker: (streams, n) -> (len(streams), n) uint64 values)
+_PACKERS: dict[CodecName, tuple[Callable, Callable[[list[bytes], int], np.ndarray]]] = {
+    "varint": (varint_encode_segments, varint_unpack),
+    "simple8b": (simple8b_encode_segments, simple8b_unpack),
+    "pfor": (pfor_encode_segments, pfor_unpack),
 }
-# "columnar" shares the varint wire format, so it packs and unpacks the same way.
-_PACKERS["columnar"] = _PACKERS["varint"]
 _BLOB_HEAD = struct.Struct(">BII")  # codec id, point count, first stream length
 _U32 = struct.Struct(">I")
-_CODEC_IDS: dict[CodecName, int] = {"varint": 0, "simple8b": 1, "pfor": 2, "columnar": 3}
+# Id 3 belonged to a retired twin of varint; it stays unassigned.
+_CODEC_IDS: dict[CodecName, int] = {"varint": 0, "simple8b": 1, "pfor": 2}
 _CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
 
 
@@ -79,7 +76,8 @@ def quantize_arrays(
 def dequantize_arrays(
     t_ints: np.ndarray, x_ints: np.ndarray, y_ints: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`quantize_arrays` (IEEE division, same as scalar)."""
+    """Inverse of :func:`quantize_arrays` (IEEE division, correctly rounded
+    while the integers stay within 2^53)."""
     return (
         t_ints / float(TIME_SCALE),
         x_ints / float(COORD_SCALE),
@@ -140,45 +138,27 @@ class TrajectoryCodec:
             raise ValueError("parallel arrays must have equal length")
         return self.encode_columns(ts, lngs, lats, (0, len(ts)))[0]
 
-    def decode_arrays(self, blob: bytes) -> tuple[list[float], list[float], list[float]]:
-        """Restore the (t, lng, lat) arrays from :meth:`encode_arrays` output."""
-        codec_name = _codec_of(blob)
-        if codec_name == "columnar":
-            ts, lngs, lats = decode_array_block(blob)
-            return ts.tolist(), lngs.tolist(), lats.tolist()
-        _, unpack = _PACKERS[codec_name]
-        (n,) = struct.unpack_from(">I", blob, 1)
-        pos = 5
-        streams = []
-        for _ in range(3):
-            (slen,) = struct.unpack_from(">I", blob, pos)
-            pos += 4
-            streams.append(blob[pos : pos + slen])
-            pos += slen
-
-        t_ints = delta_of_delta_decode([zigzag_decode(v) for v in unpack(streams[0])])
-        x_ints = delta_decode([zigzag_decode(v) for v in unpack(streams[1])])
-        y_ints = delta_decode([zigzag_decode(v) for v in unpack(streams[2])])
-        if not (len(t_ints) == len(x_ints) == len(y_ints) == n):
-            raise ValueError("corrupt trajectory blob: array length mismatch")
-        ts = [t / TIME_SCALE for t in t_ints]
-        lngs = [x / COORD_SCALE for x in x_ints]
-        lats = [y / COORD_SCALE for y in y_ints]
-        return ts, lngs, lats
-
     def decode_array_block(self, blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Restore (t, lng, lat) as float64 numpy columns, any codec.
-
-        ``columnar`` blobs decode fully vectorized; other codec ids fall
-        back to the scalar unpackers and convert.
-        """
-        if _codec_of(blob) == "columnar":
-            return decode_array_block(blob)
-        ts, lngs, lats = self.decode_arrays(blob)
-        return (
-            np.asarray(ts, dtype=np.float64),
-            np.asarray(lngs, dtype=np.float64),
-            np.asarray(lats, dtype=np.float64),
+        """Restore (t, lng, lat) as float64 numpy columns, whatever codec id
+        ``blob`` carries; ``ValueError`` on a truncated or corrupt blob."""
+        if len(blob) < _BLOB_HEAD.size:
+            raise ValueError("truncated trajectory blob")
+        cid, n, size = _BLOB_HEAD.unpack_from(blob)
+        codec_name = _CODEC_NAMES.get(cid)
+        if codec_name is None:
+            raise ValueError(f"unknown codec id {cid}")
+        streams, pos = [], _BLOB_HEAD.size
+        for k in range(3):
+            if k:
+                (size,) = _U32.unpack_from(blob, pos)
+                pos += _U32.size
+            if pos + size > len(blob):
+                raise ValueError("truncated trajectory blob")
+            streams.append(blob[pos : pos + size])
+            pos += size
+        ints = zigzag_decode_array(_PACKERS[codec_name][1](streams, n))
+        return dequantize_arrays(
+            delta_of_delta_decode_array(ints[0]), *delta_decode_array(ints[1:])
         )
 
     # -- point-level API ---------------------------------------------------
@@ -190,31 +170,7 @@ class TrajectoryCodec:
 
     def decode_points(self, blob: bytes) -> list[STPoint]:
         """Restore the point sequence from :meth:`encode_points` output."""
-        ts, lngs, lats = self.decode_arrays(blob)
-        return [STPoint(t, lng, lat) for t, lng, lat in zip(ts, lngs, lats)]
-
-
-def _codec_of(blob: bytes) -> CodecName:
-    if len(blob) < 5:
-        raise ValueError("truncated trajectory blob")
-    codec_name = _CODEC_NAMES.get(blob[0])
-    if codec_name is None:
-        raise ValueError(f"unknown codec id {blob[0]}")
-    return codec_name
-
-
-def decode_array_block(blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of a ``columnar`` blob into float64 columns."""
-    (n,) = struct.unpack_from(">I", blob, 1)
-    pos = 5
-    ints = []
-    transforms = (delta_of_delta_decode_array, delta_decode_array, delta_decode_array)
-    for transform in transforms:
-        (slen,) = struct.unpack_from(">I", blob, pos)
-        pos += 4
-        values, _ = decode_signed_stream(blob[pos : pos + slen])
-        ints.append(transform(values))
-        pos += slen
-    if not (len(ints[0]) == len(ints[1]) == len(ints[2]) == n):
-        raise ValueError("corrupt trajectory blob: array length mismatch")
-    return dequantize_arrays(*ints)
+        ts, lngs, lats = self.decode_array_block(blob)
+        return [
+            STPoint(t, lng, lat) for t, lng, lat in zip(ts.tolist(), lngs.tolist(), lats.tolist())
+        ]

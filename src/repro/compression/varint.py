@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 def encode_varint(value: int, out: bytearray) -> None:
     """Append the varint encoding of a non-negative integer to ``out``."""
@@ -33,22 +31,3 @@ def decode_varint(buf: bytes, offset: int = 0) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-
-
-def encode_varint_list(values: Sequence[int]) -> bytes:
-    """Encode a length-prefixed list of non-negative integers."""
-    out = bytearray()
-    encode_varint(len(values), out)
-    for v in values:
-        encode_varint(v, out)
-    return bytes(out)
-
-
-def decode_varint_list(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
-    """Decode a length-prefixed varint list; return (values, next offset)."""
-    count, pos = decode_varint(buf, offset)
-    values = []
-    for _ in range(count):
-        v, pos = decode_varint(buf, pos)
-        values.append(v)
-    return values, pos

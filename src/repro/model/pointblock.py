@@ -18,6 +18,11 @@ from repro.model.mbr import MBR
 from repro.model.point import STPoint
 from repro.model.timerange import TimeRange
 
+# Rows store times as int64 milliseconds (compression.traj_codec.TIME_SCALE).
+# Within 2^53 ms of the epoch that grid is exact, and every zigzagged
+# delta-of-delta stays below 2^56, inside simple8b's 60-bit values.
+MAX_ABS_TIME = 2**53 / 1000
+
 
 class PointBlock(Sequence):
     """An immutable columnar sequence of spatio-temporal points.
@@ -68,7 +73,8 @@ class PointBlock(Sequence):
     def check(self, name: str) -> None:
         """Raise ``ValueError`` naming ``name`` unless the block can be a
         trajectory: at least one fix, every value finite, coordinates on the
-        globe and timestamps non-decreasing.  Caches the MBR on the way."""
+        globe and timestamps non-decreasing and within ``MAX_ABS_TIME``.
+        Caches the MBR on the way."""
         ts, xs, ys = self.ts, self.xs, self.ys
         if not len(ts):
             raise ValueError(f"{name}: a trajectory needs at least one point")
@@ -78,6 +84,9 @@ class PointBlock(Sequence):
             finite = np.isfinite(ts).all()
             raise ValueError(f"{name}: " + ("points not time-ordered" if finite
                                             else "non-finite timestamp"))
+        if max(-ts[0], ts[-1]) > MAX_ABS_TIME:
+            raise ValueError(f"{name}: timestamps {ts[0]}..{ts[-1]} s lie beyond "
+                             f"±{MAX_ABS_TIME} s")
         x1, y1, x2, y2 = (float(v) for v in (xs.min(), ys.min(), xs.max(), ys.max()))
         if not (-180.0 <= x1 and x2 <= 180.0 and -90.0 <= y1 and y2 <= 90.0):
             raise ValueError(f"{name}: non-finite or out-of-range coordinates "

@@ -207,7 +207,7 @@ class Decode(Operator):
                 seen.add(tid)
                 yield stored.trajectory
         finally:
-            if decoded:
+            if decoded and profile is not None:
                 profile.add(decode_rows=decoded, decode_ms=decode_s * 1000.0)
 
 

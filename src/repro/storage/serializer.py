@@ -30,7 +30,7 @@ v2 (columnar)::
               rep indexes (delta), rep t/x/y (quantized, delta+zigzag),
               span-box x1/y1/x2/y2 (quantized outward, delta+zigzag)
     points: varint len + configured codec blob (codec id on the wire;
-            the ``columnar`` codec is pure delta+zigzag+varint streams)
+            every codec id decodes through one vectorized path)
 
 v2 quantizes feature values on the same fixed-point grids as the point
 codec (rounded outward for the boxes, so they stay sound covers for both

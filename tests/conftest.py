@@ -7,6 +7,7 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
@@ -21,6 +22,10 @@ from repro.query.types import (
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
+
+# `pytest --hypothesis-profile=fuzz`: a deeper, still reproducible sweep of
+# the property tests that leave their example count to the profile.
+settings.register_profile("fuzz", max_examples=2000, derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 """Reference kernels for the row codec's batched encoders and one-pass decoder.
 
 These are the implementations the row codec ran before it was batched
-(simple8b's greedy ``_fits`` loop, count-prefixed LEB128, recursive
-Douglas-Peucker with one farthest-point search per span) and the numpy
-v2 feature decoder that ran one array pass per stream.  They live here,
-not under ``src/``, purely as the oracle the kernels are checked against.
+(simple8b's greedy ``_fits`` loop, recursive Douglas-Peucker with one
+farthest-point search per span) and the v2 feature decoder that ran one
+pass per stream.  They live here, not under ``src/``, purely as the oracle
+the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -13,21 +13,12 @@ import struct
 
 import numpy as np
 
-from repro.compression.columnar import (
-    decode_signed_stream,
-    delta_decode_array,
-    varint_decode_array,
-)
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
 from repro.compression.varint import decode_varint
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
 
-_SELECTORS = [
-    (0, 240, 0), (1, 120, 0), (2, 60, 1), (3, 30, 2), (4, 20, 3), (5, 15, 4),
-    (6, 12, 5), (7, 10, 6), (8, 8, 7), (9, 7, 8), (10, 6, 10), (11, 5, 12),
-    (12, 4, 15), (13, 3, 20), (14, 2, 30), (15, 1, 60),
-]
+from .codec_reference import SELECTORS, decode_varint_list, zigzag_decode
 
 
 def simple8b_encode(values: list[int]) -> bytes:
@@ -45,7 +36,7 @@ def simple8b_encode(values: list[int]) -> bytes:
     words = []
     i = 0
     while i < len(values):
-        for sel, count, bits in _SELECTORS:
+        for sel, count, bits in SELECTORS:
             if fits(i, count, bits):
                 word = sel << 60
                 for j in range(count if bits else 0):
@@ -54,16 +45,6 @@ def simple8b_encode(values: list[int]) -> bytes:
                 i += count
                 break
     return struct.pack(">I", len(values)) + b"".join(struct.pack(">Q", w) for w in words)
-
-
-def varint_list(values: list[int]) -> bytes:
-    out = bytearray()
-    for v in [len(values), *values]:
-        while v >= 0x80:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-    return bytes(out)
 
 
 def perpendicular_distance(
@@ -106,15 +87,15 @@ def douglas_peucker(xs: list[float], ys: list[float], epsilon: float) -> list[in
 
 def decode_feature_v2(buf: bytes, pos: int):
     """The v2 feature section at ``pos`` (just past ``feat_len``), decoded
-    one numpy stream at a time: ``(rep_points, rep_indexes, span_boxes,
+    one stream at a time: ``(rep_points, rep_indexes, span_boxes,
     box_arrays)`` exactly as the pre-columnar ``DPFeature`` held them."""
     n_reps, pos = decode_varint(buf, pos)
-    raw_idx, pos = varint_decode_array(buf, pos)
-    idx = delta_decode_array(raw_idx.astype(np.int64))
+    raw_idx, pos = decode_varint_list(buf, pos)
+    idx = np.cumsum(np.array(raw_idx, dtype=np.int64))
     streams = []
     for _ in range(7):
-        vals, pos = decode_signed_stream(buf, pos)
-        streams.append(delta_decode_array(vals))
+        vals, pos = decode_varint_list(buf, pos)
+        streams.append(np.cumsum(np.array([zigzag_decode(v) for v in vals], dtype=np.int64)))
     rt = streams[0] / float(TIME_SCALE)
     rx = streams[1] / float(COORD_SCALE)
     ry = streams[2] / float(COORD_SCALE)

@@ -1,9 +1,9 @@
-"""Round-trip properties of the vectorized delta+zigzag+varint codec.
+"""Round-trip properties of the vectorized delta+zigzag+varint kernels.
 
-The columnar streams must be byte-identical to what the scalar
-varint/zigzag/delta implementations produce (the v2 row format promises
-either path can read either encoding), and the v2 serializer must keep
-decoding rows written in the legacy v1 format.
+The array streams must be byte-identical to what the scalar reference
+implementations in ``tests/codec_reference.py`` produce and read, every
+codec's blob must decode to the reference's columns, and the v2 serializer
+must keep decoding rows written in the legacy v1 format.
 """
 
 from __future__ import annotations
@@ -19,26 +19,20 @@ from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_decode_array,
     delta_of_delta_encode_array,
-    decode_signed_stream,
-    encode_signed_stream,
-    varint_decode_array,
+    leb128_decode,
     varint_encode_array,
     zigzag_decode_array,
     zigzag_encode_array,
 )
-from repro.compression.delta import (
-    delta_decode,
-    delta_encode,
-    delta_of_delta_decode,
-    delta_of_delta_encode,
-)
-from repro.compression.traj_codec import TrajectoryCodec, decode_array_block
-from repro.compression.varint import encode_varint_list
-from repro.compression.zigzag import zigzag_encode
+from repro.compression.traj_codec import TrajectoryCodec
 from repro.model.point import STPoint
 from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
 from tests.conftest import golden_v1_rows
+
+from . import codec_reference as ref
+
+CODECS = ("varint", "simple8b", "pfor")
 
 
 def _random_uints(rng, n, bits):
@@ -58,21 +52,23 @@ def test_varint_stream_matches_scalar_encoding(n, bits):
     rng = random.Random(1000 * n + bits)
     values = _random_uints(rng, n, bits)
     blob = varint_encode_array(values)
-    assert blob == encode_varint_list([int(v) for v in values])
-    decoded, end = varint_decode_array(blob)
-    assert end == len(blob)
-    assert decoded.tolist() == values.tolist()
+    assert blob == ref.encode_varint_list([int(v) for v in values])
+    decoded, ends = leb128_decode(np.frombuffer(blob, dtype=np.uint8))
+    assert ends[-1] == len(blob) - 1
+    assert decoded.tolist() == [n] + values.tolist()
 
 
 def test_varint_decode_respects_offset():
+    """Two count-prefixed streams decode in one pass; each value's last
+    byte says where its stream ends."""
     a = np.array([5, 300, 2**40], dtype=np.uint64)
     b = np.array([0, 1], dtype=np.uint64)
-    blob = varint_encode_array(a) + varint_encode_array(b)
-    first, mid = varint_decode_array(blob)
-    second, end = varint_decode_array(blob, mid)
-    assert first.tolist() == a.tolist()
-    assert second.tolist() == b.tolist()
-    assert end == len(blob)
+    first_blob = varint_encode_array(a)
+    blob = first_blob + varint_encode_array(b)
+    decoded, ends = leb128_decode(np.frombuffer(blob, dtype=np.uint8))
+    assert decoded.tolist() == [3, *a.tolist(), 2, *b.tolist()]
+    assert ends[len(a)] + 1 == len(first_blob)
+    assert ends[-1] + 1 == len(blob)
 
 
 @pytest.mark.parametrize("n", [0, 1, 13, 500])
@@ -80,7 +76,7 @@ def test_zigzag_matches_scalar_and_round_trips(n):
     rng = random.Random(n)
     values = _random_ints(rng, n, 62)
     encoded = zigzag_encode_array(values)
-    assert encoded.tolist() == [zigzag_encode(int(v)) for v in values]
+    assert encoded.tolist() == [ref.zigzag_encode(int(v)) for v in values]
     assert zigzag_decode_array(encoded).tolist() == values.tolist()
 
 
@@ -89,24 +85,23 @@ def test_delta_and_dod_match_scalar(n):
     rng = random.Random(77 + n)
     values = _random_ints(rng, n, 40)
     ints = [int(v) for v in values]
-    assert delta_encode_array(values).tolist() == delta_encode(ints)
-    assert delta_of_delta_encode_array(values).tolist() == delta_of_delta_encode(ints)
+    assert delta_encode_array(values).tolist() == ref.delta_encode(ints)
+    assert delta_of_delta_encode_array(values).tolist() == ref.delta_of_delta_encode(ints)
     assert delta_decode_array(delta_encode_array(values)).tolist() == ints
     assert (
         delta_of_delta_decode_array(delta_of_delta_encode_array(values)).tolist()
         == ints
     )
     # Cross-check against the scalar decoders too.
-    assert delta_decode(delta_encode_array(values).tolist()) == ints
-    assert delta_of_delta_decode(delta_of_delta_encode_array(values).tolist()) == ints
+    assert ref.delta_decode(delta_encode_array(values).tolist()) == ints
+    assert ref.delta_of_delta_decode(delta_of_delta_encode_array(values).tolist()) == ints
 
 
 def test_signed_stream_round_trips_negative_deltas():
     values = np.array([0, -1, 1, -(2**40), 2**40, -7, -7], dtype=np.int64)
-    blob = encode_signed_stream(values)
-    decoded, end = decode_signed_stream(blob)
-    assert end == len(blob)
-    assert decoded.tolist() == values.tolist()
+    blob = varint_encode_array(zigzag_encode_array(values))
+    decoded, _ = leb128_decode(np.frombuffer(blob, dtype=np.uint8))
+    assert zigzag_decode_array(decoded[1:]).tolist() == values.tolist()
 
 
 def _trajectory_points(n, seed, duplicate_ts=False):
@@ -132,36 +127,24 @@ def _trajectory_points(n, seed, duplicate_ts=False):
 )
 def test_array_block_round_trip(n, duplicate_ts):
     points = _trajectory_points(n, seed=n, duplicate_ts=duplicate_ts)
-    codec = TrajectoryCodec("columnar")
-    blob = codec.encode_points(points)
-    ts, lngs, lats = decode_array_block(blob)
-    scalar = codec.decode_points(blob)
-    assert ts.tolist() == [p.t for p in scalar]
-    assert lngs.tolist() == [p.lng for p in scalar]
-    assert lats.tolist() == [p.lat for p in scalar]
-    # Quantized round trip: within half a grid cell of the raw input.
-    assert np.allclose(ts, [p.t for p in points], atol=1e-3)
-    assert np.allclose(lngs, [p.lng for p in points], atol=1e-7)
-    assert np.allclose(lats, [p.lat for p in points], atol=1e-7)
-
-
-def test_columnar_blob_is_varint_blob_with_new_id():
-    points = _trajectory_points(50, seed=5)
-    columnar = TrajectoryCodec("columnar").encode_points(points)
-    varint = TrajectoryCodec("varint").encode_points(points)
-    assert columnar[1:] == varint[1:]
-    assert columnar[0] != varint[0]
-    # Either codec path reads either blob.
-    assert TrajectoryCodec("varint").decode_points(columnar) == TrajectoryCodec(
-        "columnar"
-    ).decode_points(varint)
+    for name in CODECS:
+        codec = TrajectoryCodec(name)
+        blob = codec.encode_points(points)
+        ts, lngs, lats = codec.decode_array_block(blob)
+        want = ref.decode_arrays(blob)
+        assert (ts.tolist(), lngs.tolist(), lats.tolist()) == want, name
+        assert codec.decode_points(blob) == [STPoint(*p) for p in zip(*want)]
+        # Quantized round trip: within half a grid cell of the raw input.
+        assert np.allclose(ts, [p.t for p in points], atol=1e-3)
+        assert np.allclose(lngs, [p.lng for p in points], atol=1e-7)
+        assert np.allclose(lats, [p.lat for p in points], atol=1e-7)
 
 
 def test_array_block_rejects_mismatched_lengths():
     ts = np.array([1.0, 2.0])
     xy = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        TrajectoryCodec("columnar").encode_arrays(ts, xy, xy)
+        TrajectoryCodec().encode_arrays(ts, xy, xy)
 
 
 def _trajectory(n, seed, duplicate_ts=False):

@@ -1,17 +1,41 @@
-"""Unit and property tests for simple8b, PFOR, and the XOR float codec."""
+"""Unit and property tests for simple8b, PFOR, and the XOR float codec.
 
+Each integer packer's stream is read back both by the program's array
+unpacker and by the scalar reference decoder in ``tests/codec_reference.py``.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import (
-    pfor_decode,
     pfor_encode,
-    simple8b_decode,
     simple8b_encode,
     xor_float_decode,
     xor_float_encode,
 )
+from repro.compression.pfor import pfor_unpack
+from repro.compression.simple8b import simple8b_unpack
+
+from . import codec_reference as ref
+
+
+def _both(unpack, reference):
+    """A decoder that reads a stream with ``unpack`` and ``reference`` and
+    returns their values once it has checked that they agree."""
+
+    def decode(blob: bytes) -> list[int]:
+        want = reference(blob)
+        got = unpack([blob], len(want))
+        assert got.dtype == np.uint64 and got.tolist() == [want]
+        return want
+
+    return decode
+
+
+simple8b_decode = _both(simple8b_unpack, ref.simple8b_decode)
+pfor_decode = _both(pfor_unpack, ref.pfor_decode)
 
 small_uints = st.integers(0, 2**40)
 
@@ -40,7 +64,9 @@ class TestSimple8b:
     def test_truncated_raises(self):
         blob = simple8b_encode([1, 2, 3])
         with pytest.raises(ValueError):
-            simple8b_decode(blob[:6])
+            ref.simple8b_decode(blob[:6])
+        with pytest.raises(ValueError):
+            simple8b_unpack([blob[:6]], 3)
 
     @given(st.lists(small_uints, max_size=300))
     @settings(max_examples=50)

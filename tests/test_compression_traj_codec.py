@@ -17,8 +17,9 @@ def make_points(n, t0=1_500_000_000.0):
 
 class TestConfiguration:
     def test_rejects_unknown_codec(self):
-        with pytest.raises(ValueError):
-            TrajectoryCodec("lzma")
+        for name in ("lzma", "columnar"):
+            with pytest.raises(ValueError):
+                TrajectoryCodec(name)
 
     @pytest.mark.parametrize("name", ["varint", "simple8b", "pfor"])
     def test_all_codecs_roundtrip(self, name):
@@ -42,8 +43,8 @@ class TestConfiguration:
 class TestEncoding:
     def test_empty_arrays(self):
         codec = TrajectoryCodec()
-        ts, lngs, lats = codec.decode_arrays(codec.encode_arrays([], [], []))
-        assert ts == [] and lngs == [] and lats == []
+        ts, lngs, lats = codec.decode_array_block(codec.encode_arrays([], [], []))
+        assert len(ts) == len(lngs) == len(lats) == 0
 
     def test_single_point(self):
         codec = TrajectoryCodec()
@@ -62,13 +63,14 @@ class TestEncoding:
     def test_truncated_blob_raises(self):
         blob = TrajectoryCodec().encode_points(make_points(5))
         with pytest.raises(ValueError):
-            TrajectoryCodec().decode_arrays(blob[:3])
+            TrajectoryCodec().decode_array_block(blob[:3])
 
     def test_unknown_codec_id_raises(self):
         blob = bytearray(TrajectoryCodec().encode_points(make_points(3)))
-        blob[0] = 99
-        with pytest.raises(ValueError):
-            TrajectoryCodec().decode_arrays(bytes(blob))
+        for cid in (3, 99):  # 3: the retired varint twin
+            blob[0] = cid
+            with pytest.raises(ValueError, match="unknown codec id"):
+                TrajectoryCodec().decode_array_block(bytes(blob))
 
 
 class TestPropertyRoundtrip:
@@ -90,7 +92,9 @@ class TestPropertyRoundtrip:
         lngs = [x for _, x, _ in triples]
         lats = [y for _, _, y in triples]
         codec = TrajectoryCodec("pfor")
-        ots, olngs, olats = codec.decode_arrays(codec.encode_arrays(ts, lngs, lats))
+        ots, olngs, olats = (
+            col.tolist() for col in codec.decode_array_block(codec.encode_arrays(ts, lngs, lats))
+        )
         for a, b in zip(ts, ots):
             assert abs(a - b) <= 5e-4  # millisecond quantization
         for a, b in zip(lngs + lats, olngs + olats):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.model import MBR, STPoint, TimeRange, Trajectory
-from repro.model.pointblock import PointBlock
+from repro.compression.traj_codec import TIME_SCALE
+from repro.model.pointblock import MAX_ABS_TIME, PointBlock
 from repro.model.trajectory import concat_trajectories
 
 
@@ -38,6 +39,20 @@ class TestConstruction:
             make(PointBlock(ts, xs, ys))
         with pytest.raises(ValueError):  # the STPoint is rejected first
             make([STPoint(*row) for row in rows])
+
+    @pytest.mark.parametrize("t0", [1e16, 9.3e15, -1e16, 1.7e18, MAX_ABS_TIME + 0.002])
+    def test_rejects_times_beyond_the_millisecond_grid(self, t0):
+        """Stored rows quantize times to int64 milliseconds; such times used
+        to be accepted and then decode as -9.2e15 s (varint, pfor) or fail
+        the simple8b encoder."""
+        ts = t0 + np.array([0.0, 10.0, 20.0])
+        with pytest.raises(ValueError, match="trajectory trip: timestamps"):
+            make(PointBlock(ts, np.full(3, 116.0), np.full(3, 39.0)))
+
+    def test_times_at_the_bound_are_accepted(self):
+        assert MAX_ABS_TIME == 2**53 / TIME_SCALE
+        ts = np.array([-MAX_ABS_TIME, 0.0, MAX_ABS_TIME])
+        assert len(make(PointBlock(ts, np.zeros(3), np.zeros(3)))) == 3
 
     def test_sequence_is_not_retained(self):
         t = make([STPoint(0, 1, 2), STPoint(1, 3, 4)])

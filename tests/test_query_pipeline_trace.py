@@ -6,6 +6,7 @@ from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.stats import ExecutionTrace
 from repro.model.timerange import TimeRange
+from repro.query import build_pipeline
 from repro.query.types import (
     IDTemporalQuery,
     KNNPointQuery,
@@ -128,6 +129,20 @@ class TestTracePresence:
                 static = text.split(": ", 1)[1].split(" -> ")
                 traced = [s.name for s in t.query(q).trace.stages]
                 assert traced == static, (t.config.primary_index, name)
+
+
+class TestPublicPipeline:
+    def test_pipeline_runs_outside_any_query_profile(self, tman):
+        """``build_pipeline(...).run()`` is public API: with no query profile
+        open, its decode stage still decodes and only skips attribution."""
+        qs = queries_for(tman)
+        for name in ("trq", "srq"):
+            q = qs[name]
+            got = build_pipeline(tman, q, tman.planner.plan(q)).run()
+            assert got, name
+            assert sorted(t.tid for t in got) == sorted(
+                t.tid for t in tman.query(q).trajectories
+            ), name
 
 
 class TestIterativeQueries:

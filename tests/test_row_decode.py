@@ -2,8 +2,8 @@
 the numpy decoder it replaced, and corrupt rows.
 
 Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
-for simple8b / pfor, sha256 digests for the varint-framed codecs, which
-``encode_many`` is checked to reproduce before they are used).
+for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
+checked to reproduce before they are used).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from tests.conftest import golden_v1_rows
 from . import ingest_reference as ref
 
 GOLDEN = Path(__file__).parent / "data" / "ingest_parent" / "golden.npz"
-CODECS = ("varint", "simple8b", "pfor", "columnar")
+CODECS = ("varint", "simple8b", "pfor")
 # 1, 2 and 3 points, 300 stationary points, irregular gaps, 9 and 50 random fixes
 TRUNCATED = (300, 301, 308, 303, 307, 0, 1)
 

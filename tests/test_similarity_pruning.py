@@ -177,7 +177,7 @@ def stored(coords, codec):
 row_coords = st.lists(
     st.tuples(st.floats(116.0, 116.8), st.floats(39.6, 40.2)), min_size=1, max_size=12
 )
-CODECS = ("varint", "simple8b", "pfor", "columnar")
+CODECS = ("varint", "simple8b", "pfor")
 
 
 class TestBoundsOnStoredRows:
