@@ -39,7 +39,7 @@ def test_ablation_intact_vs_segments(
 
             def vre_query(tr):
                 res = vre.temporal_range_query(tr)
-                reassembly.append(res.count)
+                reassembly.append(res.profile.point_gets)
                 return res
 
             vre_stats = run_queries(vre_query, window_sets[h])

@@ -14,6 +14,7 @@ from repro.bench import ResultTable, run_queries
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.temporal import TRIndex
 from repro.query.filters import TemporalFilter
+from repro.query.windows import primary_windows_inclusive
 
 from benchmarks.conftest import save_table
 
@@ -58,7 +59,7 @@ def _tr_store(name, period, data):
     store.bulk_load(data)
 
     def query(tr):
-        windows = store.windows_from_inclusive(index.query_ranges(tr))
+        windows = primary_windows_inclusive(store.keys, index.query_ranges(tr))
         return store.run_windows(windows, TemporalFilter(tr))
 
     return store, query
@@ -77,7 +78,7 @@ def _xzt_store(data):
     store.bulk_load(data)
 
     def query(tr):
-        windows = store.windows_from_inclusive(index.query_ranges(tr))
+        windows = primary_windows_inclusive(store.keys, index.query_ranges(tr))
         return store.run_windows(windows, TemporalFilter(tr))
 
     return store, query

@@ -1,25 +1,70 @@
-"""Shared plumbing for single-index baseline systems.
+"""Shared plumbing for the KV-backed baseline systems.
 
+:func:`scan_query` runs a baseline's key windows through TMan's own query
+operators (``WindowSource → RegionScan → [PushDownFilter] → decode or
+refine → Collect``) under a query profile, and builds the result with
+:meth:`QueryResult.from_profile`, so the baselines differ from TMan in
+their indexes and row layouts, not in their executor.
 ``SingleIndexStore`` stores full trajectory rows under
-``shard :: u64(index value) :: tid`` keys in its own cluster, and executes
-window scans with optional push-down — the skeleton the TMan-XZT / TMan-XZ
-retrofit baselines share.
+``shard :: u64(index value) :: tid`` keys in its own cluster — the skeleton
+the TMan-XZT / TMan-XZ retrofit baselines share.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
-from repro.kvstore.scan import Scan
 from repro.kvstore.stats import CostModel
+from repro.kvstore.table import Table
 from repro.model.trajectory import Trajectory
+from repro.obs.profile import query_profile
+from repro.query.operators import (
+    Collect,
+    Decode,
+    Operator,
+    PushDownFilter,
+    RegionScan,
+    WindowSource,
+)
+from repro.query.pipeline import Pipeline
 from repro.query.types import QueryResult
 from repro.storage.schema import RowKeyCodec, encode_u64
 from repro.storage.serializer import RowSerializer
+
+
+def scan_query(
+    plan: str,
+    table: Table,
+    windows: Sequence[tuple[bytes, bytes]],
+    row_filter: Optional[Filter],
+    *,
+    push_down: bool,
+    refine: Operator,
+    cost: CostModel,
+) -> QueryResult:
+    """Read ``windows`` of ``table`` through the query operators.
+
+    ``row_filter`` runs inside the regions when ``push_down`` is set, else
+    client-side after the scan; ``refine`` turns the surviving rows into
+    trajectories (``Decode``, or a system's own refine step).  The result's
+    counters are read off the query's profile.
+    """
+    with query_profile() as profile:
+        t0 = time.perf_counter()
+        pushed = row_filter if push_down else None
+        stages: list[Operator] = [WindowSource(windows), RegionScan(table, pushed)]
+        if row_filter is not None and pushed is None:
+            stages.append(PushDownFilter(row_filter))
+        pipeline = Pipeline(stages + [refine], Collect())
+        trajs = pipeline.run()
+        elapsed = (time.perf_counter() - t0) * 1000
+        return QueryResult.from_profile(
+            profile, trajs, elapsed, plan, cost, trace=pipeline.trace
+        )
 
 
 class SingleIndexStore:
@@ -63,49 +108,11 @@ class SingleIndexStore:
 
     # -- reads ---------------------------------------------------------------
 
-    def windows_from_half_open(
-        self, ranges: Iterable[tuple[int, int]]
-    ) -> list[tuple[bytes, bytes]]:
-        """Windows from half open."""
-        windows = []
-        for lo, hi in ranges:
-            lo_b, hi_b = encode_u64(lo), encode_u64(hi)
-            for shard in self.keys.all_shards():
-                windows.append(self.keys.primary_window(shard, lo_b, hi_b))
-        return windows
-
-    def windows_from_inclusive(
-        self, ranges: Iterable[tuple[int, int]]
-    ) -> list[tuple[bytes, bytes]]:
-        """Windows from inclusive."""
-        return self.windows_from_half_open((lo, hi + 1) for lo, hi in ranges)
-
     def run_windows(
         self, windows: Sequence[tuple[bytes, bytes]], row_filter: Optional[Filter]
     ) -> QueryResult:
         """Scan windows, filter (server- or client-side), decode, account."""
-        before = self.cluster.stats.snapshot()
-        t0 = time.perf_counter()
-        seen: set[str] = set()
-        out: list[Trajectory] = []
-        for start, stop in windows:
-            scan = Scan(start, stop, row_filter if self.push_down else None)
-            for key, value in self.table.scan(scan):
-                if not self.push_down and row_filter is not None:
-                    if not row_filter.test(key, value):
-                        continue
-                stored = self.serializer.decode(value)
-                if stored.trajectory.tid not in seen:
-                    seen.add(stored.trajectory.tid)
-                    out.append(stored.trajectory)
-        elapsed = (time.perf_counter() - t0) * 1000
-        delta = self.cluster.stats.snapshot() - before
-        return QueryResult(
-            trajectories=out,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
-            plan=f"{self.name}/primary",
+        return scan_query(
+            f"{self.name}/primary", self.table, windows, row_filter,
+            push_down=self.push_down, refine=Decode(self.serializer), cost=self._cost,
         )

@@ -25,6 +25,7 @@ from repro.model.mbr import MBR
 from repro.model.point import STPoint
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
+from repro.obs.profile import query_profile
 from repro.query.types import QueryResult
 from repro.storage.schema import SEPARATOR, encode_u64
 
@@ -114,47 +115,42 @@ class STHadoop:
         traj_pred,
     ) -> QueryResult:
         """Scan matching partitions, group points by tid, reassemble, refine."""
-        before = self.cluster.stats.snapshot()
-        t0 = time.perf_counter()
-        hits: dict[str, list[tuple[int, STPoint]]] = {}
-        for sl in slices:
-            windows = (
-                [(encode_u64(sl), encode_u64(sl + 1))]
-                if cells is None
-                else [
-                    (encode_u64(sl) + encode_u64(c), encode_u64(sl) + encode_u64(c + 1))
-                    for c in cells
-                ]
+        with query_profile() as profile:
+            t0 = time.perf_counter()
+            hits: dict[str, list[tuple[int, STPoint]]] = {}
+            for sl in slices:
+                windows = (
+                    [(encode_u64(sl), encode_u64(sl + 1))]
+                    if cells is None
+                    else [
+                        (encode_u64(sl) + encode_u64(c), encode_u64(sl) + encode_u64(c + 1))
+                        for c in cells
+                    ]
+                )
+                for start, stop in windows:
+                    for key, value in self.table.scan(Scan(start, stop)):
+                        t, lng, lat = _POINT.unpack(value)
+                        if not point_pred(t, lng, lat):
+                            continue
+                        # key = slice(8) cell(8) SEP tid SEP seq(4); the sequence
+                        # number is fixed-width, so parse from the end.
+                        body = key[16:]
+                        seq = int.from_bytes(body[-4:], "big")
+                        tid = body[1:-5].decode("utf-8")
+                        hits.setdefault(tid, []).append((seq, STPoint(t, lng, lat)))
+            # Reassembly: sort each trajectory's matched points by sequence.
+            out: list[Trajectory] = []
+            for tid, seq_points in hits.items():
+                seq_points.sort(key=lambda sp: sp[0])
+                traj = Trajectory(self._oid_of[tid], tid, [p for _, p in seq_points])
+                if traj_pred is None or traj_pred(traj):
+                    out.append(traj)
+            elapsed = (time.perf_counter() - t0) * 1000
+            result = QueryResult.from_profile(
+                profile, out, elapsed, "sthadoop/job", self._cost
             )
-            for start, stop in windows:
-                for key, value in self.table.scan(Scan(start, stop)):
-                    t, lng, lat = _POINT.unpack(value)
-                    if not point_pred(t, lng, lat):
-                        continue
-                    # key = slice(8) cell(8) SEP tid SEP seq(4); the sequence
-                    # number is fixed-width, so parse from the end.
-                    body = key[16:]
-                    seq = int.from_bytes(body[-4:], "big")
-                    tid = body[1:-5].decode("utf-8")
-                    hits.setdefault(tid, []).append((seq, STPoint(t, lng, lat)))
-        # Reassembly: sort each trajectory's matched points by sequence.
-        out: list[Trajectory] = []
-        for tid, seq_points in hits.items():
-            seq_points.sort(key=lambda sp: sp[0])
-            traj = Trajectory(self._oid_of[tid], tid, [p for _, p in seq_points])
-            if traj_pred is None or traj_pred(traj):
-                out.append(traj)
-        elapsed = (time.perf_counter() - t0) * 1000
-        delta = self.cluster.stats.snapshot() - before
-        return QueryResult(
-            trajectories=out,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta) + self.job_overhead_ms,
-            plan="sthadoop/job",
-        )
+        result.simulated_ms += self.job_overhead_ms
+        return result
 
     # -- queries ---------------------------------------------------------------
 

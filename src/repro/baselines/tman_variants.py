@@ -4,7 +4,9 @@ Figures 17-19 compare *TMan-XZT* (TMan's storage + push-down with
 TrajMesa's XZT temporal index) and *TMan-XZ* (same with XZ-ordering as the
 spatial index).  These isolate the index structure from the architecture:
 TMan-XZT vs TrajMesa shows the push-down gain, TMan vs TMan-XZT shows the
-TR-index gain.
+TR-index gain.  Their windows come from the same builders as TMan's
+(``query.windows``) and are read by the same operators
+(:func:`~repro.baselines.common.scan_query`), so only the index differs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.query.filters import SpatialFilter, TemporalFilter
 from repro.query.types import QueryResult
+from repro.query.windows import primary_windows_inclusive, primary_windows_u64
 from repro.baselines.common import SingleIndexStore
 
 
@@ -56,8 +59,9 @@ class TManXZT:
 
     def temporal_range_query(self, time_range: TimeRange) -> QueryResult:
         """TRQ: trajectories whose time range intersects the window."""
-        ranges = self.xzt.query_ranges(time_range)
-        windows = self._store.windows_from_inclusive(ranges)
+        windows = primary_windows_inclusive(
+            self._store.keys, self.xzt.query_ranges(time_range)
+        )
         return self._store.run_windows(windows, TemporalFilter(time_range))
 
     def close(self) -> None:
@@ -97,16 +101,14 @@ class TManXZ:
 
     def spatial_range_query(self, window: MBR) -> QueryResult:
         """SRQ: trajectories intersecting the spatial window."""
-        ranges = self.xz2.query_ranges(window)
-        windows = self._store.windows_from_half_open(ranges)
+        windows = primary_windows_u64(self._store.keys, self.xz2.query_ranges(window))
         return self._store.run_windows(
             windows, SpatialFilter(window, self._store.serializer)
         )
 
     def st_range_query(self, window: MBR, time_range: TimeRange) -> QueryResult:
         """STRQ: the conjunction of a spatial window and a time range."""
-        ranges = self.xz2.query_ranges(window)
-        windows = self._store.windows_from_half_open(ranges)
+        windows = primary_windows_u64(self._store.keys, self.xz2.query_ranges(window))
         conjunction = TemporalFilter(time_range) & SpatialFilter(window, self._store.serializer)
         return self._store.run_windows(windows, conjunction)
 

@@ -5,15 +5,18 @@ an XZT-keyed temporal table, an XZ2-keyed spatial table, a composite
 (time-period :: XZ2) spatio-temporal table, and an id table — the storage
 redundancy §II-3 of the paper criticizes.  Filters are evaluated client-side
 (every candidate row is transferred), which is what the TMan-XZT/TMan-XZ
-retrofits then improve via push-down.
+retrofits then improve via push-down.  Its tables are read through TMan's
+query operators (:func:`~repro.baselines.common.scan_query`, never with
+push-down), so its costs differ from TMan's by index and storage layout
+alone.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from repro.baselines.common import scan_query
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
@@ -21,13 +24,14 @@ from repro.core.quadtree import QuadTreeGrid
 from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
-from repro.kvstore.scan import Scan
 from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.query.filters import SpatialFilter, TemporalFilter
+from repro.query.operators import Decode, Operator
 from repro.query.types import QueryResult
+from repro.query.windows import primary_windows_inclusive, primary_windows_u64
 from repro.similarity.measures import distance_by_name
 from repro.similarity.pruning import mbr_lower_bound
 from repro.storage.schema import SEPARATOR, RowKeyCodec, encode_u64
@@ -101,51 +105,22 @@ class TrajMesa:
     # -- execution helper (client-side filtering) ------------------------------
 
     def _run(self, table, windows, row_filter: Optional[Filter], name: str) -> QueryResult:
-        before = self.cluster.stats.snapshot()
-        t0 = time.perf_counter()
-        seen: set[str] = set()
-        out: list[Trajectory] = []
-        for start, stop in windows:
-            # No push-down: the region returns every candidate row.
-            for key, value in table.scan(Scan(start, stop)):
-                if row_filter is not None and not row_filter.test(key, value):
-                    continue
-                stored = self.serializer.decode(value)
-                if stored.trajectory.tid not in seen:
-                    seen.add(stored.trajectory.tid)
-                    out.append(stored.trajectory)
-        elapsed = (time.perf_counter() - t0) * 1000
-        delta = self.cluster.stats.snapshot() - before
-        return QueryResult(
-            trajectories=out,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
-            plan=f"trajmesa/{name}",
+        # No push-down: the region returns every candidate row.
+        return scan_query(
+            f"trajmesa/{name}", table, windows, row_filter,
+            push_down=False, refine=Decode(self.serializer), cost=self._cost,
         )
 
     # -- queries --------------------------------------------------------------
 
     def temporal_range_query(self, time_range: TimeRange) -> QueryResult:
         """TRQ: trajectories whose time range intersects the window."""
-        ranges = self.xzt.query_ranges(time_range)
-        windows = []
-        for lo, hi in ranges:
-            lo_b, hi_b = encode_u64(lo), encode_u64(hi + 1)
-            for shard in self.keys.all_shards():
-                windows.append(self.keys.primary_window(shard, lo_b, hi_b))
+        windows = primary_windows_inclusive(self.keys, self.xzt.query_ranges(time_range))
         return self._run(self.temporal_table, windows, TemporalFilter(time_range), "xzt")
 
     def spatial_range_query(self, window: MBR) -> QueryResult:
         """SRQ: trajectories intersecting the spatial window."""
-        ranges = self.xz2.query_ranges(window)
-        windows = []
-        for lo, hi in ranges:
-            lo_b, hi_b = encode_u64(lo), encode_u64(hi)
-            for shard in self.keys.all_shards():
-                windows.append(self.keys.primary_window(shard, lo_b, hi_b))
+        windows = primary_windows_u64(self.keys, self.xz2.query_ranges(window))
         return self._run(
             self.spatial_table, windows, SpatialFilter(window, self.serializer), "xz2"
         )
@@ -179,38 +154,36 @@ class TrajMesa:
         self, query_traj: Trajectory, threshold: float, measure: str = "frechet"
     ) -> QueryResult:
         """MBR-expansion candidates + exact distances (no DP-feature filter)."""
-        distance = distance_by_name(measure)
         expanded = query_traj.mbr.expanded(threshold)
-        ranges = self.xz2.query_ranges(expanded)
-        windows = []
-        for lo, hi in ranges:
-            lo_b, hi_b = encode_u64(lo), encode_u64(hi)
-            for shard in self.keys.all_shards():
-                windows.append(self.keys.primary_window(shard, lo_b, hi_b))
-
-        before = self.cluster.stats.snapshot()
-        t0 = time.perf_counter()
-        seen: set[str] = set()
-        out: list[Trajectory] = []
-        for start, stop in windows:
-            for _, value in self.spatial_table.scan(Scan(start, stop)):
-                header = self.serializer.decode_header(value)
-                if header.tid in seen or header.tid == query_traj.tid:
-                    continue
-                seen.add(header.tid)
-                if mbr_lower_bound(query_traj.mbr, header.mbr) > threshold:
-                    continue
-                stored = self.serializer.decode(value)
-                if distance(query_traj.points, stored.trajectory.points) <= threshold:
-                    out.append(stored.trajectory)
-        elapsed = (time.perf_counter() - t0) * 1000
-        delta = self.cluster.stats.snapshot() - before
-        return QueryResult(
-            trajectories=out,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
-            plan="trajmesa/similarity",
+        windows = primary_windows_u64(self.keys, self.xz2.query_ranges(expanded))
+        refine = _ThresholdRefine(self.serializer, query_traj, threshold, measure)
+        return scan_query(
+            "trajmesa/similarity", self.spatial_table, windows, None,
+            push_down=False, refine=refine, cost=self._cost,
         )
+
+
+class _ThresholdRefine(Operator):
+    """TrajMesa's threshold refine over raw rows: drop repeats and the query
+    itself by the header's tid, prune by the MBR bound, then decode the row
+    and compute the exact distance.  TrajMesa stores no DP features."""
+
+    name = "threshold_refine"
+
+    def __init__(self, serializer: RowSerializer, query: Trajectory, threshold: float,
+                 measure: str):
+        self.serializer, self.query, self.threshold = serializer, query, threshold
+        self.distance = distance_by_name(measure)
+
+    def process(self, upstream: Iterator[tuple[bytes, bytes]]) -> Iterator[Trajectory]:
+        seen: set[str] = set()
+        for _, value in upstream:
+            header = self.serializer.decode_header(value)
+            if header.tid in seen or header.tid == self.query.tid:
+                continue
+            seen.add(header.tid)
+            if mbr_lower_bound(self.query.mbr, header.mbr) > self.threshold:
+                continue
+            traj = self.serializer.decode(value).trajectory
+            if self.distance(self.query.points, traj.points) <= self.threshold:
+                yield traj

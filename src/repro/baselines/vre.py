@@ -24,6 +24,7 @@ from repro.kvstore.scan import Scan
 from repro.kvstore.stats import CostModel
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory, concat_trajectories
+from repro.obs.profile import query_profile
 from repro.query.types import QueryResult
 from repro.storage.schema import SEPARATOR, encode_u64
 from repro.storage.serializer import RowSerializer
@@ -96,47 +97,37 @@ class VRE:
 
         Matching semantics are trajectory-level: a trajectory qualifies when
         its (whole) time range intersects the query, detected via any
-        intersecting segment.
+        intersecting segment.  Each reassembly ``primary.get`` is one of
+        the result profile's ``point_gets``.
         """
-        before = self.cluster.stats.snapshot()
-        t0 = time.perf_counter()
+        with query_profile() as profile:
+            t0 = time.perf_counter()
 
-        window = self.index.query_window(time_range)
-        start = encode_u64(int(window.start * TIME_SCALE))
-        stop = encode_u64(int(window.end * TIME_SCALE) + 1)
+            window = self.index.query_window(time_range)
+            start = encode_u64(int(window.start * TIME_SCALE))
+            stop = encode_u64(int(window.end * TIME_SCALE) + 1)
 
-        matching_tids: set[str] = set()
-        for _, value in self.primary.scan(Scan(start, stop)):
-            header = self.serializer.decode_header(value)
-            if header.time_range.intersects(time_range):
-                matching_tids.add(header.tid)
+            matching_tids: set[str] = set()
+            for _, value in self.primary.scan(Scan(start, stop)):
+                header = self.serializer.decode_header(value)
+                if header.time_range.intersects(time_range):
+                    matching_tids.add(header.tid)
 
-        # Reassembly: pull every segment of each matching trajectory.
-        out: list[Trajectory] = []
-        reassembly_gets = 0
-        for tid in sorted(matching_tids):
-            parts: list[Trajectory] = []
-            tid_prefix = tid.encode("utf-8") + SEPARATOR
-            for _, pkey in self.by_tid.scan(
-                Scan(tid_prefix, tid_prefix + b"\xff")
-            ):
-                row = self.primary.get(pkey)
-                reassembly_gets += 1
-                if row is not None:
-                    parts.append(self.serializer.decode(row).trajectory)
-            if parts:
-                out.append(concat_trajectories(parts))
+            # Reassembly: pull every segment of each matching trajectory.
+            out: list[Trajectory] = []
+            for tid in sorted(matching_tids):
+                parts: list[Trajectory] = []
+                tid_prefix = tid.encode("utf-8") + SEPARATOR
+                for _, pkey in self.by_tid.scan(
+                    Scan(tid_prefix, tid_prefix + b"\xff")
+                ):
+                    row = self.primary.get(pkey)
+                    if row is not None:
+                        parts.append(self.serializer.decode(row).trajectory)
+                if parts:
+                    out.append(concat_trajectories(parts))
 
-        elapsed = (time.perf_counter() - t0) * 1000
-        delta = self.cluster.stats.snapshot() - before
-        result = QueryResult(
-            trajectories=out,
-            candidates=delta.rows_scanned + delta.point_gets,
-            transferred_rows=delta.rows_returned,
-            windows=delta.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
-            plan="vre/start-time",
-        )
-        result.count = reassembly_gets  # surfaced for the ablation bench
-        return result
+            elapsed = (time.perf_counter() - t0) * 1000
+            return QueryResult.from_profile(
+                profile, out, elapsed, "vre/start-time", self._cost
+            )

@@ -19,11 +19,9 @@ import struct
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.kvstore.cluster import DEFAULT_BLOCK_CACHE_BYTES, Cluster
+from repro.kvstore.cluster import Cluster
 from repro.kvstore.errors import CorruptionError
-from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.scan import Scan
-from repro.runtime.backpressure import WriteLimits
 
 MAGIC = b"TMANSNAP"
 VERSION = 1
@@ -60,27 +58,13 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def load_cluster(
-    path: Union[str, Path],
-    workers: int = 4,
-    split_rows: int = 200_000,
-    block_cache_bytes: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    write_limits: Optional[WriteLimits] = None,
-) -> Cluster:
-    """Restore a cluster from a snapshot file."""
+def load_cluster(path: Union[str, Path], cluster: Optional[Cluster] = None) -> Cluster:
+    """Create every table of the snapshot at ``path`` in ``cluster`` (any
+    cluster, embedded or process; a new embedded one by default) and write
+    its rows; returns the cluster."""
+    if cluster is None:
+        cluster = Cluster()
     path = Path(path)
-    cluster = Cluster(
-        workers=workers,
-        split_rows=split_rows,
-        block_cache_bytes=(
-            block_cache_bytes
-            if block_cache_bytes is not None
-            else DEFAULT_BLOCK_CACHE_BYTES
-        ),
-        retry=retry,
-        write_limits=write_limits,
-    )
     with open(path, "rb") as fh:
         if _read_exact(fh, len(MAGIC)) != MAGIC:
             raise CorruptionError(f"{path} is not a TMan snapshot")

@@ -250,18 +250,9 @@ class QueryExecutor:
                     _QUERY_DEADLINE.labels(outcome="partial").inc()
         partial = deadline.partial if deadline is not None else False
         plan_name = f"{plan.index}/{plan.route}"
-        result = QueryResult(
-            trajectories=trajs,
-            candidates=profile.rows_scanned + profile.point_gets,
-            transferred_rows=profile.rows_returned,
-            windows=profile.range_scans,
-            elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(profile),
-            plan=plan_name,
-            distances=distances,
-            trace=trace,
-            partial=partial,
-            profile=profile,
+        result = QueryResult.from_profile(
+            profile, trajs, elapsed, plan_name, self._cost,
+            trace=trace, distances=distances, partial=partial,
         )
         profile.finish(elapsed, type(query).__name__, plan_name, partial=partial)
         trace.annotate("profile", profile.summary())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.kvstore.stats import ExecutionTrace
+from repro.kvstore.stats import CostModel, ExecutionTrace
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -116,9 +116,10 @@ class QueryResult:
     a deadline with ``allow_partial`` truncated the query early — the rows
     present are correct but the set may be incomplete.  ``profile`` is the
     per-query resource attribution (``profile.as_dict()`` for the full
-    breakdown), always present on a result ``TMan`` returns; the counters
-    above are read off it, so they count this query's work only, even
-    while other queries run concurrently.
+    breakdown), present on the result of every system that reads a
+    key-value store (TMan and the KV-backed baselines); the counters above
+    are read off it by :meth:`from_profile`, so they count this query's
+    work only, even while other queries run concurrently.
     """
 
     trajectories: list[Trajectory] = field(default_factory=list)
@@ -136,3 +137,36 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.trajectories)
+
+    @classmethod
+    def from_profile(
+        cls,
+        profile: QueryProfile,
+        trajectories: list[Trajectory],
+        elapsed_ms: float,
+        plan: str,
+        cost: CostModel,
+        trace: Optional[ExecutionTrace] = None,
+        distances: Optional[list[float]] = None,
+        partial: bool = False,
+    ) -> "QueryResult":
+        """The result of a query whose work ``profile`` attributed.
+
+        ``candidates`` is rows scanned plus point gets, ``transferred_rows``
+        the rows returned, ``windows`` the range scans and ``simulated_ms``
+        ``cost``'s model of that work.  Records nothing: logging the
+        profile is the caller's business.
+        """
+        return cls(
+            trajectories=trajectories,
+            candidates=profile.rows_scanned + profile.point_gets,
+            transferred_rows=profile.rows_returned,
+            windows=profile.range_scans,
+            elapsed_ms=elapsed_ms,
+            simulated_ms=cost.simulate_ms(profile),
+            plan=plan,
+            distances=distances,
+            trace=trace,
+            partial=partial,
+            profile=profile,
+        )

@@ -23,7 +23,7 @@ from repro.cache.redis_sim import RedisServer
 from repro.kvstore.snapshot import load_cluster, save_cluster
 from repro.model.mbr import MBR
 from repro.storage.config import TManConfig
-from repro.storage.tman import TMan, retry_policy_from, write_limits_from
+from repro.storage.tman import TMan, cluster_from
 
 CONFIG_FILE = "config.json"
 TABLES_FILE = "tables.snap"
@@ -70,16 +70,16 @@ def open_tman(
         doc.update(config_overrides)
     config = TManConfig(**doc)
 
-    cluster = load_cluster(
-        directory / TABLES_FILE,
-        workers=config.kv_workers,
-        split_rows=config.split_rows,
-        block_cache_bytes=config.block_cache_bytes,
-        retry=retry_policy_from(config),
-        write_limits=write_limits_from(config),
-    )
-    redis = RedisServer.from_dump((directory / CACHE_FILE).read_bytes())
-    tman = TMan(config, cluster=cluster, redis=redis)
-    tman._owns_cluster = True  # the restored cluster belongs to this facade
-    tman.rebuild_statistics()
+    # The snapshot's tables are restored into the cluster the (overridden)
+    # config asks for, so a snapshot reopens in process mode too.
+    cluster = cluster_from(config)
+    try:
+        load_cluster(directory / TABLES_FILE, cluster)
+        redis = RedisServer.from_dump((directory / CACHE_FILE).read_bytes())
+        tman = TMan(config, cluster=cluster, redis=redis)
+        tman._owns_cluster = True  # the restored cluster belongs to this facade
+        tman.rebuild_statistics()
+    except BaseException:
+        cluster.close()  # stops any workers the cluster started
+        raise
     return tman

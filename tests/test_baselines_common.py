@@ -7,6 +7,7 @@ from repro.core.temporal import TRIndex
 from repro.datasets import tdrive_like
 from repro.model import TimeRange
 from repro.query.filters import TemporalFilter
+from repro.query.windows import primary_windows_inclusive, primary_windows_u64
 
 from tests.conftest import brute_force_temporal
 
@@ -42,7 +43,7 @@ class TestSingleIndexStore:
         try:
             for target in dataset[::16]:
                 tr = target.time_range
-                windows = store.windows_from_inclusive(index.query_ranges(tr))
+                windows = primary_windows_inclusive(store.keys, index.query_ranges(tr))
                 res = store.run_windows(windows, TemporalFilter(tr))
                 assert sorted(t.tid for t in res.trajectories) == brute_force_temporal(
                     dataset, tr
@@ -52,7 +53,7 @@ class TestSingleIndexStore:
 
     def test_windows_cover_all_shards(self, dataset):
         _, store = make_store(dataset)
-        windows = store.windows_from_half_open([(0, 10)])
+        windows = primary_windows_u64(store.keys, [(0, 10)])
         assert len(windows) == 2  # one per shard
         assert {w[0][0] for w in windows} == {0, 1}
         store.close()
@@ -62,9 +63,9 @@ class TestSingleIndexStore:
         _, off = make_store(dataset, push_down=False)
         try:
             tr = dataset[0].time_range
-            windows_on = on.windows_from_inclusive(index.query_ranges(tr))
+            windows_on = primary_windows_inclusive(on.keys, index.query_ranges(tr))
             res_on = on.run_windows(windows_on, TemporalFilter(tr))
-            windows_off = off.windows_from_inclusive(index.query_ranges(tr))
+            windows_off = primary_windows_inclusive(off.keys, index.query_ranges(tr))
             res_off = off.run_windows(windows_off, TemporalFilter(tr))
             # Same answers.
             assert sorted(t.tid for t in res_on.trajectories) == sorted(
@@ -81,7 +82,7 @@ class TestSingleIndexStore:
         index, store = make_store(dataset)
         try:
             tr = TimeRange(0, 1e6)
-            windows = store.windows_from_inclusive(index.query_ranges(tr))
+            windows = primary_windows_inclusive(store.keys, index.query_ranges(tr))
             res = store.run_windows(windows, TemporalFilter(tr))
             assert res.windows == len(windows) or res.windows > 0
             assert res.plan == "probe/primary"

@@ -24,7 +24,7 @@ class TestClusterSnapshot:
         written = save_cluster(original, path)
         assert written == 201
 
-        restored = load_cluster(path, workers=1)
+        restored = load_cluster(path, Cluster(workers=1))
         assert restored.table_names() == ["alpha", "beta"]
         assert restored.table("beta").get(b"solo") == b"row"
         rows = list(restored.table("alpha").scan(Scan()))

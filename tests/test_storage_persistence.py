@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore import simfault
+from repro.kvstore.errors import CorruptionError
 from repro.model import MBR
 from repro.storage.persistence import open_tman, save_tman
 from tests.conftest import DATA_DIR
@@ -172,6 +174,50 @@ class TestConfigRoundTrip:
         ) as reopened:
             assert reopened.config.cluster_mode == "threads"
             assert reopened.config.push_down is False
+
+
+class TestProcessModeReopen:
+    """``config_overrides`` can reopen a (thread-mode) snapshot on worker
+    processes: the tables are restored into the cluster the config asks
+    for."""
+
+    PROCESSES = {"cluster_mode": "processes", "cluster_nodes": 2}
+
+    @pytest.fixture()
+    def small_dir(self, tmp_path):
+        data = tdrive_like(50, seed=1, max_points=20)
+        config = TManConfig(
+            boundary=TDRIVE_SPEC.boundary, max_resolution=10, num_shards=2, kv_workers=1
+        )
+        with TMan(config) as tman:
+            tman.bulk_load(data)
+            save_tman(tman, tmp_path / "deploy")
+        return tmp_path / "deploy", data
+
+    def test_reopens_on_worker_processes(self, small_dir):
+        directory, data = small_dir
+        time_range = data[0].time_range
+        with open_tman(directory) as threads:
+            result = threads.temporal_range_query(time_range)
+            expected = sorted(t.tid for t in result.trajectories)
+            assert threads.health()["cluster"] is None
+        with open_tman(directory, config_overrides=self.PROCESSES) as processes:
+            panel = processes.health()["cluster"]
+            assert panel["mode"] == "processes"
+            assert sorted(panel["nodes"]) == ["node-0", "node-1"]
+            assert all(node["state"] == "up" for node in panel["nodes"].values())
+            result = processes.temporal_range_query(time_range)
+            assert sorted(t.tid for t in result.trajectories) == expected
+            assert processes.row_count == len(data)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_restore_stops_the_workers(self, small_dir):
+        directory, _ = small_dir
+        snap = directory / "tables.snap"
+        snap.write_bytes(snap.read_bytes()[:-7])  # truncated
+        with pytest.raises(CorruptionError):
+            open_tman(directory, config_overrides=self.PROCESSES)
+        assert multiprocessing.active_children() == []
 
 
 class TestParentFormatDeployment:
