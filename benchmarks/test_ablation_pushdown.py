@@ -9,7 +9,7 @@ from the index designs.
 import pytest
 
 from repro import TMan, TManConfig
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import TDRIVE_SPEC
 from repro.query.planner import QueryPlan
 from repro.query.types import STRangeQuery

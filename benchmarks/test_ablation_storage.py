@@ -8,7 +8,7 @@ intact-row storage on the same data and windows.
 """
 
 from repro.baselines.vre import VRE
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 
 from benchmarks.conftest import save_table
 

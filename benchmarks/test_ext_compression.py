@@ -9,7 +9,7 @@ raw point arrays.
 
 import time
 
-from repro.bench import ResultTable
+from benchmarks.harness import ResultTable
 from repro.compression import (
     TrajectoryCodec,
     elf_decode,

@@ -7,7 +7,7 @@
 
 import time
 
-from repro.bench import ResultTable, percentile, run_queries
+from benchmarks.harness import ResultTable, percentile, run_queries
 from repro.geometry.distance import point_to_polyline
 from repro.query.types import TemporalRangeQuery
 from repro.similarity.join import threshold_self_join

@@ -9,7 +9,7 @@ concentrated in 7-10; Lorry ~88% < 2 h, 99% < 14 h, resolutions 9-14.
 
 import numpy as np
 
-from repro.bench import ResultTable
+from benchmarks.harness import ResultTable
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.tshape import TShapeIndex
 from repro.datasets import LORRY_SPEC, TDRIVE_SPEC

@@ -8,7 +8,7 @@ planning time, so mid-size grids (3×3) win on latency.
 import pytest
 
 from repro import TMan, TManConfig
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import TDRIVE_SPEC
 
 from benchmarks.conftest import save_table

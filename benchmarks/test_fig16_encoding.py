@@ -14,7 +14,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.baselines import make_trass
-from repro.bench import ResultTable, percentile, run_queries
+from benchmarks.harness import ResultTable, percentile, run_queries
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.tshape import TShapeIndex
 from repro.datasets import TDRIVE_SPEC

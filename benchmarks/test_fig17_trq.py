@@ -6,7 +6,7 @@ jobs).  Paper shape: TMan fastest; TMan-XZT beats TrajMesa thanks to
 push-down; STH candidates (points) dwarf everyone by orders of magnitude.
 """
 
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 
 from benchmarks.conftest import save_table
 

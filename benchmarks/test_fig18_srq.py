@@ -6,7 +6,7 @@ shape: TMan < TMan-XZ < TrajMesa < STH; TShape cuts candidates vs
 XZ-ordering (83% on TDrive in the paper).
 """
 
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 
 from benchmarks.conftest import save_table
 

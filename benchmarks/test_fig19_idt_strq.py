@@ -7,7 +7,7 @@
 """
 
 
-from repro.bench import ResultTable, percentile, run_queries
+from benchmarks.harness import ResultTable, percentile, run_queries
 from repro.model import TimeRange
 
 from benchmarks.conftest import save_table

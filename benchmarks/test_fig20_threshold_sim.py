@@ -9,7 +9,7 @@ systems verify many more candidates.
 import pytest
 
 from repro.baselines import DFT, DITA, REPOSE, TrajMesa, make_trass
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import LORRY_SPEC
 
 from benchmarks.conftest import save_table

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import TMan, TManConfig
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import LORRY_SPEC, QueryWorkload, lorry_like, replicate_dataset
 
 from benchmarks.conftest import save_table

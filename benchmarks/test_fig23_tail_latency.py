@@ -6,7 +6,7 @@ best at every percentile on candidates (scale-independent) and competitive
 on wall time.
 """
 
-from repro.bench import ResultTable, summarize_ms
+from benchmarks.harness import ResultTable, summarize_ms
 
 from benchmarks.conftest import save_table
 

@@ -10,7 +10,7 @@ win on time thanks to better locality.
 import pytest
 
 from repro.baselines.common import SingleIndexStore
-from repro.bench import ResultTable, run_queries
+from benchmarks.harness import ResultTable, run_queries
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.temporal import TRIndex
 from repro.query.filters import TemporalFilter

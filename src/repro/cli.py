@@ -290,17 +290,6 @@ def cmd_info(args: argparse.Namespace) -> int:
             )
         else:
             print("admission: unlimited")
-        print("row formats (at last compaction):")
-        for name, census in sorted(tman.row_format_census().items()):
-            if census is None:
-                print(f"  {name}: no compaction yet")
-            elif not census:
-                print(f"  {name}: no trajectory rows")
-            else:
-                formatted = " ".join(
-                    f"v{version}={count}" for version, count in sorted(census.items())
-                )
-                print(f"  {name}: {formatted}")
     return 0
 
 

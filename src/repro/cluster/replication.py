@@ -74,9 +74,6 @@ class ReplicatedStore:
     def __init__(self, store_id: str, router: ReplicaRouter):
         self.store_id = store_id
         self._router = router
-        # Read by Region.format_census; compactions run worker-side, so
-        # the coordinator never sees a row-format census in process mode.
-        self.last_format_census = None
 
     @property
     def memtable_bytes(self) -> int:

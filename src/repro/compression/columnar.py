@@ -2,7 +2,7 @@
 
 Encoding or decoding a 10k-point trajectory costs a fixed number of array
 operations instead of tens of thousands of interpreter iterations.  The
-streams are the wire format of the ``varint`` codec and of the v2 feature
+streams are the wire format of the ``varint`` codec and of the row's feature
 section: ``varint_encode_array`` emits a count prefix, then the LEB128
 values (the scalar reference in ``tests/codec_reference.py`` writes and
 reads exactly the same bytes), and :func:`varint_unpack` reads a blob's

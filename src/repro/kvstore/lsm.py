@@ -29,7 +29,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional, Sequence
 
-from repro.kvstore.census import census_rows
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
 from repro.kvstore.scan import Window
@@ -85,9 +84,6 @@ class LSMStore:
         self._max_tables = max_tables
         self._memtable = MemTable()
         self._sstables: list = []  # the medium's runs, newest last
-        # Trajectory row versions seen by the most recent compaction
-        # (None until one runs); see repro.kvstore.census.
-        self.last_format_census: Optional[dict[int, int]] = None
         self._limits = write_limits if write_limits is not None else WriteLimits()
         self._flusher = flusher
         # Guards the level lists (_memtable, _frozen, _sstables) and the
@@ -287,7 +283,6 @@ class LSMStore:
             live = [(k, v) for k, v in entries if v != TOMBSTONE]
             _COMPACT_TOTAL.inc()
             _COMPACT_BYTES.inc(sum(len(k) + len(v) for k, v in live))
-            self.last_format_census = census_rows(live)
             self._sstables = self._compaction_runs(
                 entries if self._compaction_keeps_tombstones else live
             )

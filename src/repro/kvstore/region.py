@@ -118,11 +118,6 @@ class Region:
         """Unflushed bytes buffered in the backing engine's memtable(s)."""
         return getattr(self._store, "memtable_bytes", 0)
 
-    @property
-    def format_census(self) -> Optional[dict[int, int]]:
-        """Trajectory row versions seen at the engine's last compaction."""
-        return getattr(self._store, "last_format_census", None)
-
     def owns(self, key: bytes) -> bool:
         """True when ``key`` routes to this region."""
         if self.start_key is not None and key < self.start_key:

@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.kvstore.block_cache import BlockCache
-from repro.kvstore.census import merge_census
 from repro.kvstore.errors import RegionError, TransientError
 from repro.kvstore.region import Region
 from repro.kvstore.retry import CircuitBreaker, RetryPolicy
@@ -483,17 +482,6 @@ class Table:
     def memtable_bytes(self) -> int:
         """Unflushed bytes buffered across the table's regions."""
         return sum(region.memtable_bytes for region in self._regions)
-
-    def format_census(self) -> Optional[dict[int, int]]:
-        """Row-format versions seen at the last compaction, summed over regions.
-
-        ``None`` when no region of the table has compacted yet.
-        """
-        per_region = [region.format_census for region in self._regions]
-        seen = [census for census in per_region if census is not None]
-        if not seen:
-            return None
-        return merge_census(*seen)
 
 
 def _get_batch(

@@ -264,11 +264,11 @@ class SimilarityFilter(Ladder, Filter):
         box = (m.x1 - _QUANTUM, m.y1 - _QUANTUM, m.x2 + _QUANTUM, m.y2 + _QUANTUM)
         return max(lower, boxes_lower_bound(self.query_points, box, self.aggregate))
 
-    def feature_lower(self, header, feature, bound: float) -> float:
-        """The endpoint bound first (Fréchet and DTW, on rows whose
-        representatives sit on the point grid), then the span boxes."""
+    def feature_lower(self, feature, bound: float) -> float:
+        """The endpoint bound first (Fréchet and DTW: the first and last
+        representatives are the decoded end points), then the span boxes."""
         lower = 0.0
-        if self.measure != "hausdorff" and header.version > 1:
+        if self.measure != "hausdorff":
             lower = endpoint_lower_bound(self.query_points, feature, self.aggregate)
             if lower > bound:
                 return lower
@@ -278,7 +278,7 @@ class SimilarityFilter(Ladder, Filter):
         return self.header_lower(header, self.threshold), INF
 
     def on_feature(self, header, feature):
-        lower = self.feature_lower(header, feature, self.threshold)
+        lower = self.feature_lower(feature, self.threshold)
         if lower > self.threshold or self.measure not in ("frechet", "hausdorff"):
             return lower, INF
         return lower, dp_upper_bound(self.query_points, feature, self._distance)

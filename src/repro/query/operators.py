@@ -341,7 +341,7 @@ class SimilarityRefine(_RingRefine):
 
     def on_feature(self, header, feature):
         # Ranking needs every distance exact: no DP upper bound.
-        return self.rungs.feature_lower(header, feature, self.bound()), INF
+        return self.rungs.feature_lower(feature, self.bound()), INF
 
     def on_points(self, header, block) -> float:
         return self.rungs.on_points(header, block)

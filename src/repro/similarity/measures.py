@@ -4,7 +4,7 @@ The default registry serves the vectorized antidiagonal kernels, which
 consume columnar coordinate arrays (a :class:`~repro.model.pointblock.
 PointBlock` or a Trajectory's cached block) directly and fall back to
 object sequences transparently.  The seed row-by-row kernels live in
-:mod:`repro.similarity.reference` as the correctness oracle the tests
+``tests/similarity_reference.py`` as the correctness oracle the tests
 compare against.
 """
 

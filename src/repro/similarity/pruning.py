@@ -25,7 +25,7 @@ Soundness notes (see the tests, which verify these empirically):
   their sum for DTW (one term when both sides are a single point, whose
   one cell is both ends).  This is the UCR suite's LB_Kim (Rakthanmanon et
   al., KDD 2012).  :func:`endpoint_lower_bound` reads B's ends off its
-  first and last DP representatives, which v2 rows store on the point
+  first and last DP representatives, which rows store on the point
   grid, so they equal the decoded points bit for bit; the distances use
   the kernels' own ``np.hypot``, so a bound never exceeds the exact value
   it stands in for, ties included.  Hausdorff has no endpoint bound.

@@ -5,21 +5,7 @@ Figure 11 of the paper stores per row: ``oid``, ``tid``, compressed
 front-loads a fixed-size header (time range + MBR) so push-down filters can
 evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
-compressed point arrays.
-
-Two row versions coexist on disk; new rows are always v2:
-
-v1 (legacy, read-only)::
-
-    magic(1) version(1)=1
-    t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
-    tr_value varint
-    oid (varint len + utf8)   tid (varint len + utf8)
-    features: n_reps, rep indexes (varints), reps (t,lng,lat f64 each),
-              boxes (4 × f64 each, one per rep span)
-    points: varint len + TrajectoryCodec blob
-
-v2 (columnar)::
+compressed point arrays.  One layout, version 2::
 
     magic(1) version(1)=2
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
@@ -32,11 +18,11 @@ v2 (columnar)::
     points: varint len + configured codec blob (codec id on the wire;
             every codec id decodes through one vectorized path)
 
-v2 quantizes feature values on the same fixed-point grids as the point
+Feature values are quantized on the same fixed-point grids as the point
 codec (rounded outward for the boxes, so they stay sound covers for both
-raw and decoded points), which drops the 56 raw float64 bytes per
-representative point that dominated v1 feature size.  Readers accept both
-versions: rows written before v2 existed are still on disk.
+raw and decoded points).  A row with any other version byte is rejected as
+corrupt, as is any row whose bytes do not parse: every decode entry point
+raises :class:`CorruptionError` and nothing else.
 """
 
 from __future__ import annotations
@@ -68,7 +54,6 @@ from repro.model.trajectory import Trajectory
 
 MAGIC = 0x54  # 'T'
 VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
 
 
@@ -82,7 +67,6 @@ class RowHeader:
     oid: str
     tid: str
     body_offset: int  # where the features section starts
-    version: int = VERSION
 
 
 @dataclass(frozen=True)
@@ -112,7 +96,7 @@ class RowSerializer:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, traj: Trajectory, tr_value: int) -> bytes:
-        """Serialize one trajectory row (always the v2 layout)."""
+        """Serialize one trajectory row."""
         return self.encode_many([traj], [tr_value])[0]
 
     def encode_many(self, trajs: Sequence[Trajectory], tr_values: Sequence[int]) -> list[bytes]:
@@ -128,9 +112,9 @@ class RowSerializer:
             for col in ("ts", "xs", "ys")
         )
         features = _encode_features(ts, xs, ys, offsets, self.dp_epsilon)
-        # The configured codec keeps packing the point streams (its
-        # compression ratio is orthogonal to the v2 feature layout);
-        # decode_array_block reads every codec id back as columns.
+        # The configured codec packs the point streams (its compression
+        # ratio is orthogonal to the feature layout); decode_array_block
+        # reads every codec id back as columns.
         blobs = self.codec.encode_columns(ts, xs, ys, offsets)
         rows = []
         for traj, tr_value, feat, blob in zip(trajs, tr_values, features, blobs):
@@ -157,16 +141,18 @@ class RowSerializer:
         """Decode only the fixed header + ids; O(1) in trajectory length."""
         if len(buf) < 2 + _HEADER.size or buf[0] != MAGIC:
             raise CorruptionError("not a TMan row")
-        if buf[1] not in SUPPORTED_VERSIONS:
+        if buf[1] != VERSION:
             raise CorruptionError(f"unsupported row version {buf[1]}")
         t_start, t_end, x1, y1, x2, y2 = _HEADER.unpack_from(buf, 2)
         tr_value, pos = _read_varint(buf, 2 + _HEADER.size)
-        oid, pos = _read_text(buf, pos)
-        tid, pos = _read_text(buf, pos)
-        return RowHeader(
-            TimeRange(t_start, t_end), MBR(x1, y1, x2, y2), tr_value, oid, tid,
-            pos, buf[1],
-        )
+        try:  # an inverted range / MBR or bad utf-8 is a corrupt row
+            oid, pos = _read_text(buf, pos)
+            tid, pos = _read_text(buf, pos)
+            return RowHeader(
+                TimeRange(t_start, t_end), MBR(x1, y1, x2, y2), tr_value, oid, tid, pos
+            )
+        except ValueError as exc:
+            raise CorruptionError(f"corrupt row header: {exc}") from exc
 
     @staticmethod
     def decode_feature(buf: bytes, header: Optional[RowHeader] = None) -> DPFeature:
@@ -211,11 +197,11 @@ class RowSerializer:
         return self.decode_trajectory(buf).trajectory.block
 
 
-# -- v2 feature codec ------------------------------------------------------
+# -- feature codec ------------------------------------------------------
 
 
 def _encode_features(ts, xs, ys, offsets, epsilon: float) -> list[bytes]:
-    """Every row's v2 feature section (``n_reps``, then eight count-prefixed
+    """Every row's feature section (``n_reps``, then eight count-prefixed
     streams) from one DP pass and one segmented varint call over the batch;
     segments are stream-major, so row ``i``'s stream ``s`` is ``s*rows + i``."""
     reps, rep_off, boxes = dp_feature_columns(xs, ys, offsets, epsilon)
@@ -252,35 +238,22 @@ def _encode_features(ts, xs, ys, offsets, epsilon: float) -> list[bytes]:
 
 
 def _feature_span(buf: bytes, header: RowHeader) -> tuple[int, int]:
-    """``(start, end)`` of the row's feature section (v1: from its counts)."""
-    if header.version == 1:
-        start = header.body_offset
-        n_reps, pos = _read_varint(buf, start)
-        for _ in range(n_reps):
-            _, pos = _read_varint(buf, pos)
-        end = pos + 24 * n_reps + 32 * max(0, n_reps - 1)
-    else:
-        feat_len, start = _read_varint(buf, header.body_offset)
-        end = start + feat_len
+    """``(start, end)`` of the row's feature section."""
+    feat_len, start = _read_varint(buf, header.body_offset)
+    end = start + feat_len
     if end > len(buf):
         raise CorruptionError("feature section runs past the end of the row")
     return start, end
 
 
-def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
-    """The row's DP-feature and where its feature section ends."""
-    start, end = _feature_span(buf, header)
-    if header.version == 1:
-        return _decode_feature_v1(buf, start), end
-    return _decode_feature_v2(buf, start, end), end
-
-
 _SCALES = (float(TIME_SCALE),) + (float(COORD_SCALE),) * 6  # rep t/x/y, box x1/y1/x2/y2
 
 
-def _decode_feature_v2(buf: bytes, start: int, end: int) -> DPFeature:
-    """The feature section ``buf[start:end]`` in one LEB128 pass: every value
-    in it, then ``n_reps`` and the eight count-prefixed streams sliced out."""
+def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
+    """The row's DP-feature and where its feature section ends, in one LEB128
+    pass: every value of the section, then ``n_reps`` and the eight
+    count-prefixed streams sliced out."""
+    start, end = _feature_span(buf, header)
     vals = []
     value = shift = 0
     for byte in buf[start:end]:
@@ -298,33 +271,16 @@ def _decode_feature_v2(buf: bytes, start: int, end: int) -> DPFeature:
     streams, at = [], 1
     for count in (n_reps,) * 4 + (n_reps - 1,) * 4:
         if vals[at : at + 1] != [count]:
-            raise CorruptionError("corrupt v2 feature section: stream count mismatch")
+            raise CorruptionError("corrupt feature section: stream count mismatch")
         streams.append(vals[at + 1 : at + 1 + count])
         at += 1 + count
     if at != len(vals):
-        raise CorruptionError("corrupt v2 feature section: stream runs past feat_len")
+        raise CorruptionError("corrupt feature section: stream runs past feat_len")
     t, x, y, x1, y1, x2, y2 = (
         tuple([v / scale for v in accumulate([(u >> 1) ^ -(u & 1) for u in stream])])
         for stream, scale in zip(streams[1:], _SCALES)
     )
-    return DPFeature(tuple(accumulate(streams[0])), (t, x, y), (x1, y1, x2, y2))
-
-
-def _decode_feature_v1(buf: bytes, pos: int) -> DPFeature:
-    """A v1 feature section (bounds already checked by ``_feature_span``)."""
-    n_reps, pos = _read_varint(buf, pos)
-    indexes = []
-    for _ in range(n_reps):
-        idx, pos = _read_varint(buf, pos)
-        indexes.append(idx)
-    reps = struct.unpack_from(f">{3 * n_reps}d", buf, pos)
-    n_boxes = max(0, n_reps - 1)
-    boxes = struct.unpack_from(f">{4 * n_boxes}d", buf, pos + 24 * n_reps)
-    return DPFeature(
-        tuple(indexes),
-        tuple(reps[k::3] for k in range(3)),
-        tuple(boxes[k::4] for k in range(4)),
-    )
+    return DPFeature(tuple(accumulate(streams[0])), (t, x, y), (x1, y1, x2, y2)), end
 
 
 def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:

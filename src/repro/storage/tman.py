@@ -462,21 +462,6 @@ class TMan:
 
     # -- health ------------------------------------------------------------------
 
-    def row_format_census(self) -> dict[str, Optional[dict[int, int]]]:
-        """Trajectory row versions per table, as seen at the last compaction.
-
-        Maps table name to ``{version: row_count}`` (``None`` for tables
-        whose stores have not compacted yet).  Secondary tables store
-        primary-key pointers, not trajectory rows, so their censuses are
-        normally empty dicts once compacted.
-        """
-        tables = {PRIMARY_TABLE: self.primary_table}
-        tables.update(
-            (f"tman_sec_{name}", table)
-            for name, table in self.secondary_tables.items()
-        )
-        return {name: table.format_census() for name, table in tables.items()}
-
     def health(self) -> dict:
         """Operational snapshot: admission slots, memtable pressure, breakers.
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 
 import pytest
@@ -128,17 +126,3 @@ def line_trajectory() -> Trajectory:
 
 DATA_DIR = Path(__file__).parent / "data"
 
-
-def golden_v1_rows() -> list[tuple[bytes, dict]]:
-    """Row-format-v1 values written by the last commit that had a v1
-    writer, each with what that commit's reader decoded from it (see
-    ``tests/data/rows_v1.json``)."""
-    blob = (DATA_DIR / "rows_v1.bin").read_bytes()
-    expected = json.loads((DATA_DIR / "rows_v1.json").read_text())["rows"]
-    rows, pos = [], 0
-    while pos < len(blob):
-        (n,) = struct.unpack_from(">I", blob, pos)
-        rows.append(blob[pos + 4 : pos + 4 + n])
-        pos += 4 + n
-    assert len(rows) == len(expected)
-    return list(zip(rows, expected))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import ResultTable, percentile, run_queries, summarize_ms
-from repro.bench.report import build_report
+from benchmarks.harness import ResultTable, percentile, run_queries, summarize_ms
+from benchmarks.report import build_report
 from repro.query.types import QueryResult
 
 

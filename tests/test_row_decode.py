@@ -1,5 +1,7 @@
 """The read half of the row format: the one-pass DP-feature decoder against
-the numpy decoder it replaced, and corrupt rows.
+the numpy decoder it replaced, and corrupt rows (cut, byte-flipped, or of an
+unknown version), which every decode entry point rejects with
+``CorruptionError`` and nothing else.
 
 Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
 for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
@@ -21,7 +23,6 @@ from repro.compression.varint import decode_varint, encode_varint
 from repro.kvstore.errors import CorruptionError
 from repro.model import STPoint, Trajectory
 from repro.storage.serializer import RowSerializer
-from tests.conftest import golden_v1_rows
 
 from . import ingest_reference as ref
 
@@ -127,6 +128,10 @@ def _entry_points(serializer: RowSerializer):
             serializer.decode_trajectory, serializer.decode, serializer.decode_points)
 
 
+# each byte set to 0x00 and 0xff, and with its low and its high bit flipped
+FLIPS = (lambda b: 0x00, lambda b: 0xFF, lambda b: b ^ 0x01, lambda b: b ^ 0x80)
+
+
 def _assert_cuts_decode_same_or_corrupt(serializer: RowSerializer, row: bytes) -> None:
     for fn in _entry_points(serializer):
         whole = _outcome(fn, row)
@@ -136,11 +141,26 @@ def _assert_cuts_decode_same_or_corrupt(serializer: RowSerializer, row: bytes) -
             assert got in ("corrupt", whole), (fn.__name__, cut)
 
 
+def _decodes_or_corrupt(serializer: RowSerializer, row: bytes) -> None:
+    """Every entry point decodes ``row`` or raises ``CorruptionError``; any
+    other exception propagates and fails the test."""
+    for fn in _entry_points(serializer):
+        _outcome(fn, row)
+
+
 @pytest.mark.parametrize("codec", CODECS)
 def test_truncated_golden_rows_raise_corruption(golden_rows, codec):
+    """Every cut of a row decodes as the whole row or raises
+    ``CorruptionError``; every single-byte flip decodes or raises it."""
     serializer = RowSerializer(TrajectoryCodec(codec))
     for i in TRUNCATED:
         _assert_cuts_decode_same_or_corrupt(serializer, golden_rows[codec][i])
+        row = bytearray(golden_rows[codec][i])
+        for at, byte in enumerate(bytes(row)):
+            for flip in FLIPS:
+                row[at] = flip(byte)
+                _decodes_or_corrupt(serializer, bytes(row))
+            row[at] = byte
 
 
 @pytest.mark.parametrize("codec", CODECS)
@@ -162,10 +182,26 @@ def test_truncated_point_blobs_raise_corruption(golden_rows, codec):
             assert got in ("corrupt", whole), cut
 
 
-def test_truncated_v1_rows_raise_corruption():
-    serializer = RowSerializer()
-    for row, _ in golden_v1_rows()[:6]:
-        _assert_cuts_decode_same_or_corrupt(serializer, row)
+@settings(derandomize=True, deadline=None)
+@given(data=st.data(), codec=st.sampled_from(CODECS), index=st.sampled_from(TRUNCATED))
+def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, codec, index):
+    """Any value in any header byte (magic through the ids); the ``fuzz``
+    profile sweeps deeper."""
+    serializer = RowSerializer(TrajectoryCodec(codec))
+    row = bytearray(golden_rows[codec][index])
+    body = serializer.decode_header(bytes(row)).body_offset
+    row[data.draw(st.integers(0, body - 1))] = data.draw(st.integers(0, 255))
+    _decodes_or_corrupt(serializer, bytes(row))
+
+
+@pytest.mark.parametrize("version", [0, 1, 3])
+def test_other_row_versions_raise_corruption(golden_rows, version):
+    serializer = RowSerializer(TrajectoryCodec("simple8b"))
+    row = bytearray(golden_rows["simple8b"][TRUNCATED[0]])
+    row[1] = version
+    for fn in _entry_points(serializer):
+        with pytest.raises(CorruptionError, match=f"^unsupported row version {version}$"):
+            fn(bytes(row))
 
 
 def test_feature_count_mismatch_and_overlong_varints_raise_corruption():

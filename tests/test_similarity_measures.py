@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from repro.model import STPoint
 from repro.model.pointblock import PointBlock
-from repro.similarity import dtw_distance, frechet_distance, hausdorff_distance, reference
+from repro.similarity import dtw_distance, frechet_distance, hausdorff_distance
 from repro.similarity.frechet import antidiagonal, wavefront
 from repro.similarity.measures import DISTANCES, distance_by_name
+
+from . import similarity_reference as reference
 
 
 def traj(coords):

@@ -10,6 +10,7 @@ from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore import simfault
 from repro.kvstore.errors import CorruptionError
+from repro.kvstore.scan import Scan
 from repro.model import MBR
 from repro.storage.persistence import open_tman, save_tman
 from tests.conftest import DATA_DIR
@@ -249,3 +250,13 @@ class TestParentFormatDeployment:
                 res = tman.spatial_range_query(target.mbr)
                 got = {t.tid: t for t in res.trajectories}
                 assert len(got[target.tid]) == len(target)
+
+    def test_every_primary_row_decodes(self):
+        """The one saved deployment holds only rows of the current format."""
+        dataset = {t.tid: t for t in tdrive_like(12, seed=77)}
+        with open_tman(DATA_DIR / "deployment_parent") as tman:
+            rows = list(tman.primary_table.scan(Scan()))
+            assert len(rows) == len(dataset)
+            for _, value in rows:
+                stored = tman.serializer.decode(value)
+                assert len(stored.trajectory) == len(dataset[stored.trajectory.tid])
