@@ -199,7 +199,10 @@ class ShapeIndexCache:
 
         One Redis round trip checks the generation; a stale array (another
         cache published, or a saved deployment was just opened) costs a
-        second one to list the element keys.
+        second one to list the element keys.  Elements never leave the
+        directory, so a listing is merged into the array, never put in its
+        place: another reader may have merged an element published after
+        this listing was taken.
         """
         gen = int(self._redis.get(self._gen_key) or 0)
         self._roundtrip()
@@ -211,11 +214,12 @@ class ShapeIndexCache:
         with self._local_lock:
             if listed is not None or self._pending:
                 own = np.fromiter(self._pending, np.int64, len(self._pending))
-                base = self._directory if listed is None else listed
-                self._directory = np.union1d(base, own)
-                self._pending.clear()
+                merged = np.union1d(self._directory, own)
                 if listed is not None:
-                    self._directory_gen = gen
+                    merged = np.union1d(merged, listed)
+                    self._directory_gen = max(self._directory_gen, gen)
+                self._directory = merged
+                self._pending.clear()
             return self._directory
 
     def stats(self) -> IndexCacheStats:

@@ -110,19 +110,16 @@ class DPFeature:
       from an external point to the span is bounded below by the distance to
       the box, and above by the distance to the box's farthest corner.
 
-    The feature is stored as columns of python floats — ``rep_columns`` (t,
-    lng, lat of each representative) and ``box_columns`` (x1, y1, x2, y2 of
-    each span box) — which the bounds read directly; the ``rep_points`` /
-    ``span_boxes`` object views are built on first access.
+    The feature is stored as columns of python floats — ``rep_columns`` (lng,
+    lat of each representative) and ``box_columns`` (x1, y1, x2, y2 of each
+    span box) — which the bounds read directly; the ``span_boxes`` object
+    view is built on first access.  Representatives carry no timestamp: no
+    bound reads one.
     """
 
     rep_indexes: tuple[int, ...]
-    rep_columns: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    rep_columns: tuple[tuple[float, ...], tuple[float, ...]]
     box_columns: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-
-    @cached_property
-    def rep_points(self) -> tuple[STPoint, ...]:
-        return tuple(STPoint(t, x, y) for t, x, y in zip(*self.rep_columns))
 
     @cached_property
     def span_boxes(self) -> tuple[MBR, ...]:
@@ -155,6 +152,6 @@ def extract_dp_feature(points: Sequence[STPoint], epsilon: float) -> DPFeature:
     reps, _, boxes = dp_feature_columns(block.xs, block.ys, (0, len(block)), epsilon)
     return DPFeature(
         tuple(reps.tolist()),
-        tuple(tuple(col[reps].tolist()) for col in (block.ts, block.xs, block.ys)),
+        tuple(tuple(col[reps].tolist()) for col in (block.xs, block.ys)),
         tuple(tuple(col.tolist()) for col in boxes),
     )

@@ -207,7 +207,7 @@ class SpatialFilter(Ladder, Filter):
         if not touching:
             # The polyline lives inside the span boxes; none touch the window.
             return MISS
-        _, rep_xs, rep_ys = feature.rep_columns
+        rep_xs, rep_ys = feature.rep_columns
         if any(
             wx1 <= x1 and x2 <= wx2 and wy1 <= y1 and y2 <= wy2 for x1, y1, x2, y2 in touching
         ) or any(wx1 <= x <= wx2 and wy1 <= y <= wy2 for x, y in zip(rep_xs, rep_ys)):

@@ -96,7 +96,7 @@ def endpoint_lower_bound(
     """Lower bound from the first and last couplings alone (Fréchet: ``max``,
     DTW: ``sum``), with B's ends taken from its DP representatives."""
     xs, ys = coord_arrays(points_a)
-    _, rep_xs, rep_ys = feature_b.rep_columns
+    rep_xs, rep_ys = feature_b.rep_columns
     first, last = np.hypot(
         (xs[0] - rep_xs[0], xs[-1] - rep_xs[-1]), (ys[0] - rep_ys[0], ys[-1] - rep_ys[-1])
     ).tolist()
@@ -133,5 +133,6 @@ def dp_upper_bound(
     representatives extends to the raw sequence with at most that much extra
     distance per pair.
     """
-    reps = PointBlock(*feature_b.rep_columns)
+    # the measures are planar: the representatives' timestamps never matter
+    reps = PointBlock(feature_b.rep_indexes, *feature_b.rep_columns)
     return distance_fn(points_a, reps) + _max_span_diameter(feature_b)

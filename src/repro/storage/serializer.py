@@ -5,24 +5,38 @@ Figure 11 of the paper stores per row: ``oid``, ``tid``, compressed
 front-loads a fixed-size header (time range + MBR) so push-down filters can
 evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
-compressed point arrays.  One layout, version 2::
+compressed point arrays.  One layout, version 3::
 
-    magic(1) version(1)=2
+    magic(1) version(1)=3
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
     tr_value varint
     oid (varint len + utf8)   tid (varint len + utf8)
     feat_len varint           -- byte length of the feature section (O(1) skip)
-    features: n_reps varint, then 8 count-prefixed varint streams:
-              rep indexes (delta), rep t/x/y (quantized, delta+zigzag),
-              span-box x1/y1/x2/y2 (quantized outward, delta+zigzag)
+    features: LEB128 values, no count prefixes (n_reps implies every length):
+              n_reps
+              rep indexes (n_reps, delta)
+              rep x, rep y (n_reps each, quantized, delta+zigzag)
+              per span k: four offsets pushing its box outward from its two
+              quantized reps: min(qx_k, qx_k+1) - floor(x1*S),
+              min(qy_k, qy_k+1) - floor(y1*S), ceil(x2*S) - max(qx_k, qx_k+1),
+              ceil(y2*S) - max(qy_k, qy_k+1)
     points: varint len + configured codec blob (codec id on the wire;
             every codec id decodes through one vectorized path)
 
-Feature values are quantized on the same fixed-point grids as the point
-codec (rounded outward for the boxes, so they stay sound covers for both
-raw and decoded points).  A row with any other version byte is rejected as
-corrupt, as is any row whose bytes do not parse: every decode entry point
-raises :class:`CorruptionError` and nothing else.
+Feature values are quantized on the point codec's coordinate grid
+(``S = COORD_SCALE``): a representative is ``rint(x*S)``, exactly what the
+point blob decodes at its index, and a box is rounded outward (an edge
+whose ``floor`` / ``ceil`` would decode an ulp past the raw edge steps one
+more quantum out), so it stays a sound cover of both raw and decoded
+points.  Every box holds its span's two representatives, so each offset is
+non-negative; the encoder checks it.  Representatives carry
+no timestamp: no bound reads one.
+
+A row with any other version byte is rejected as corrupt — rows written by
+version 2 (which stored rep timestamps, count-prefixed streams and boxes
+delta-coded from the previous box) included, so a version 2 deployment must
+be reloaded from its source data — as is any row whose bytes do not parse:
+every decode entry point raises :class:`CorruptionError` and nothing else.
 """
 
 from __future__ import annotations
@@ -34,16 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.compression.columnar import (
-    delta_encode_array,
-    varint_encode_segments,
-    zigzag_encode_array,
-)
-from repro.compression.traj_codec import (
-    COORD_SCALE,
-    TIME_SCALE,
-    TrajectoryCodec,
-)
+from repro.compression.columnar import delta_encode_array, leb128_encode, zigzag_encode_array
+from repro.compression.traj_codec import COORD_SCALE, TrajectoryCodec
 from repro.compression.varint import encode_varint
 from repro.geometry.dp import DPFeature, dp_feature_columns
 from repro.kvstore.errors import CorruptionError
@@ -53,7 +59,7 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 
 MAGIC = 0x54  # 'T'
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
 
 
@@ -111,7 +117,7 @@ class RowSerializer:
             np.concatenate([getattr(block, col) for block in blocks])
             for col in ("ts", "xs", "ys")
         )
-        features = _encode_features(ts, xs, ys, offsets, self.dp_epsilon)
+        features = _encode_features(xs, ys, offsets, self.dp_epsilon)
         # The configured codec packs the point streams (its compression
         # ratio is orthogonal to the feature layout); decode_array_block
         # reads every codec id back as columns.
@@ -200,41 +206,46 @@ class RowSerializer:
 # -- feature codec ------------------------------------------------------
 
 
-def _encode_features(ts, xs, ys, offsets, epsilon: float) -> list[bytes]:
-    """Every row's feature section (``n_reps``, then eight count-prefixed
-    streams) from one DP pass and one segmented varint call over the batch;
-    segments are stream-major, so row ``i``'s stream ``s`` is ``s*rows + i``."""
+def _encode_features(xs, ys, offsets, epsilon: float) -> list[bytes]:
+    """Every row's feature section from one DP pass and one LEB128 pass over
+    the batch: each value is scattered to its place in its row's section
+    (``n_reps``, rep indexes, rep x, rep y, four box offsets per span), so a
+    row's section is one slice of the encoded bytes."""
     reps, rep_off, boxes = dp_feature_columns(xs, ys, offsets, epsilon)
-    box_off = rep_off - np.arange(len(rep_off))  # one box per pair of reps
-    local = reps - np.repeat(offsets[:-1], np.diff(rep_off))
-    # reps quantized on the point grids: decoded reps == decoded points[idx]
-    streams = [
-        delta_encode_array(local, rep_off).astype(np.uint64),
-        *(
-            zigzag_encode_array(delta_encode_array(
-                np.rint(col[reps] * scale).astype(np.int64), rep_off))
-            for col, scale in ((ts, TIME_SCALE), (xs, COORD_SCALE), (ys, COORD_SCALE))
-        ),
-        # boxes rounded outward so they keep covering raw and decoded points
-        *(
-            zigzag_encode_array(delta_encode_array(
-                outward(col * COORD_SCALE).astype(np.int64), box_off))
-            for col, outward in zip(boxes, (np.floor, np.floor, np.ceil, np.ceil))
-        ),
-    ]
-    starts = np.cumsum([0] + [len(stream) for stream in streams])
-    seg_off = np.concatenate(
-        [off[:-1] + start for off, start in zip([rep_off] * 4 + [box_off] * 4, starts)]
-        + [starts[-1:]]
-    )
-    segs = varint_encode_segments(np.concatenate(streams), seg_off)
-    k = len(offsets) - 1
-    out = []
-    for i, n_reps in enumerate(np.diff(rep_off).tolist()):
-        head = bytearray()
-        encode_varint(n_reps, head)
-        out.append(b"".join((head, *segs[i::k])))
-    return out
+    n = np.diff(rep_off)
+    row_at = np.concatenate(([0], np.cumsum(7 * n - 3)))  # 1 + 3n + 4(n-1) values
+    rep_row = np.repeat(np.arange(len(n)), n)
+    # reps quantized on the point grid: decoded reps == decoded points[idx]
+    qx, qy = (np.rint(col[reps] * COORD_SCALE).astype(np.int64) for col in (xs, ys))
+    # box k spans reps k and k+1 of its row; its edges go outward from them
+    lo = np.delete(np.arange(len(reps)), rep_off[1:] - 1)
+    lo_x, hi_x = np.minimum(qx[lo], qx[lo + 1]), np.maximum(qx[lo], qx[lo + 1])
+    lo_y, hi_y = np.minimum(qy[lo], qy[lo + 1]), np.maximum(qy[lo], qy[lo + 1])
+    bx1, by1, bx2, by2 = boxes
+    x1, y1 = (np.floor(col * COORD_SCALE).astype(np.int64) for col in (bx1, by1))
+    x2, y2 = (np.ceil(col * COORD_SCALE).astype(np.int64) for col in (bx2, by2))
+    # col * S may round onto the grid line past the raw edge, which then
+    # decodes an ulp inside it: such an edge steps one more quantum outward.
+    x1 -= x1 / COORD_SCALE > bx1
+    y1 -= y1 / COORD_SCALE > by1
+    x2 += x2 / COORD_SCALE < bx2
+    y2 += y2 / COORD_SCALE < by2
+    offs = np.stack((lo_x - x1, lo_y - y1, x2 - hi_x, y2 - hi_y), axis=1)
+    if (offs < 0).any():
+        raise ValueError("a span box does not hold its representatives")
+    flat = np.empty(int(row_at[-1]), dtype=np.uint64)
+    flat[row_at[:-1]] = n
+    at = row_at[rep_row] + 1 + np.arange(len(reps)) - rep_off[rep_row]
+    flat[at] = delta_encode_array(reps - offsets[rep_row], rep_off)
+    for k, q in enumerate((qx, qy), 1):
+        flat[at + k * n[rep_row]] = zigzag_encode_array(delta_encode_array(q, rep_off))
+    box_row = rep_row[lo]
+    box_at = row_at[box_row] + 1 + 3 * n[box_row] + 4 * (lo - rep_off[box_row])
+    flat[box_at[:, None] + np.arange(4)] = offs
+    data, ends = leb128_encode(flat)
+    buf = data.tobytes()
+    cut = np.concatenate(([0], ends))[row_at].tolist()
+    return [buf[a:b] for a, b in zip(cut[:-1], cut[1:])]
 
 
 def _feature_span(buf: bytes, header: RowHeader) -> tuple[int, int]:
@@ -246,13 +257,13 @@ def _feature_span(buf: bytes, header: RowHeader) -> tuple[int, int]:
     return start, end
 
 
-_SCALES = (float(TIME_SCALE),) + (float(COORD_SCALE),) * 6  # rep t/x/y, box x1/y1/x2/y2
+_SCALE = float(COORD_SCALE)
 
 
 def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
     """The row's DP-feature and where its feature section ends, in one LEB128
-    pass: every value of the section, then ``n_reps`` and the eight
-    count-prefixed streams sliced out."""
+    pass: every value of the section, then the columns sliced out by
+    ``n_reps`` and the boxes rebuilt around their representatives."""
     start, end = _feature_span(buf, header)
     vals = []
     value = shift = 0
@@ -267,20 +278,25 @@ def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
                 raise CorruptionError("varint longer than 10 bytes in feature section")
     if shift or not vals:
         raise CorruptionError("truncated feature section")
-    n_reps = vals[0]
-    streams, at = [], 1
-    for count in (n_reps,) * 4 + (n_reps - 1,) * 4:
-        if vals[at : at + 1] != [count]:
-            raise CorruptionError("corrupt feature section: stream count mismatch")
-        streams.append(vals[at + 1 : at + 1 + count])
-        at += 1 + count
-    if at != len(vals):
-        raise CorruptionError("corrupt feature section: stream runs past feat_len")
-    t, x, y, x1, y1, x2, y2 = (
-        tuple([v / scale for v in accumulate([(u >> 1) ^ -(u & 1) for u in stream])])
-        for stream, scale in zip(streams[1:], _SCALES)
+    n = vals[0]  # a 1-point trajectory repeats its rep: never fewer than 2
+    if n < 2 or len(vals) != 7 * n - 3:
+        raise CorruptionError("corrupt feature section: length disagrees with n_reps")
+    qx, qy = (
+        list(accumulate([(u >> 1) ^ -(u & 1) for u in vals[at : at + n]]))
+        for at in (n + 1, 2 * n + 1)
     )
-    return DPFeature(tuple(accumulate(streams[0])), (t, x, y), (x1, y1, x2, y2)), end
+    off = vals[3 * n + 1 :]
+    s = _SCALE
+    return DPFeature(
+        tuple(accumulate(vals[1 : n + 1])),
+        (tuple([v / s for v in qx]), tuple([v / s for v in qy])),
+        (
+            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qx, qx[1:], off[0::4])]),
+            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qy, qy[1:], off[1::4])]),
+            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qx, qx[1:], off[2::4])]),
+            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qy, qy[1:], off[3::4])]),
+        ),
+    ), end
 
 
 def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:

@@ -2,23 +2,33 @@
 
 These are the implementations the row codec ran before it was batched
 (simple8b's greedy ``_fits`` loop, recursive Douglas-Peucker with one
-farthest-point search per span) and the v2 feature decoder that ran one
-pass per stream.  They live here, not under ``src/``, purely as the oracle
-the kernels are checked against.
+farthest-point search per span), the v2 feature decoder that ran one pass
+per stream, and a converter between row versions 2 and 3, which differ only
+in the feature section.  They live here, not under ``src/``, purely as the
+oracle the kernels are checked against; the converter lets rows pinned in
+version 2 (``tests/data/ingest_parent/golden.npz``) check version 3 rows.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 
 import numpy as np
 
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
-from repro.compression.varint import decode_varint
+from repro.compression.varint import decode_varint, encode_varint
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
 
-from .codec_reference import SELECTORS, decode_varint_list, zigzag_decode
+from .codec_reference import (
+    SELECTORS,
+    decode_arrays,
+    decode_varint_list,
+    encode_varint_list,
+    zigzag_decode,
+    zigzag_encode,
+)
 
 
 def simple8b_encode(values: list[int]) -> bytes:
@@ -109,3 +119,93 @@ def decode_feature_v2(buf: bytes, pos: int):
         for x1, y1, x2, y2 in zip(bx1.tolist(), by1.tolist(), bx2.tolist(), by2.tolist())
     )
     return reps, tuple(int(i) for i in idx), boxes, (bx1, by1, bx2, by2)
+
+
+# -- row versions 2 and 3 ----------------------------------------------------
+#
+# Both versions share the header, the ids and the point blob byte for byte.
+# v2 features: n_reps, then eight count-prefixed streams: rep indexes
+# (delta), rep t / x / y (delta+zigzag) and box x1 / y1 / x2 / y2, each box
+# edge delta+zigzag from the previous box's.  v3 features: n_reps, the rep
+# indexes and rep x / y as in v2 without counts, then per span the four
+# offsets of its box edges outward from its two reps.  v2's rep t is the
+# blob's quantized timestamp at the rep's index.
+
+
+def _split_row(row: bytes) -> tuple[bytes, bytes, bytes]:
+    """``(head, features, tail)``: everything up to ``feat_len``, the
+    feature section, and the point blob with its length prefix."""
+    _, pos = decode_varint(row, 2 + 48)  # tr_value
+    for _ in range(2):  # oid, tid
+        n, pos = decode_varint(row, pos)
+        pos += n
+    feat_len, start = decode_varint(row, pos)
+    return row[:pos], row[start : start + feat_len], row[start + feat_len :]
+
+
+def _join_row(head: bytes, version: int, features: bytes, tail: bytes) -> bytes:
+    out = bytearray(head)
+    out[1] = version
+    encode_varint(len(features), out)
+    return bytes(out) + features + tail
+
+
+def _running(deltas: list[int]) -> list[int]:
+    return list(accumulate(zigzag_decode(v) for v in deltas))
+
+
+def _deltas(values: list[int]) -> list[int]:
+    return [zigzag_encode(b - a) for a, b in zip([0] + values, values)]
+
+
+def row_v2_to_v3(row: bytes) -> bytes:
+    """A version 2 row rewritten as the version 3 row of the same trajectory."""
+    head, features, tail = _split_row(row)
+    assert row[1] == 2, row[1]
+    n_reps, pos = decode_varint(features, 0)
+    streams = []
+    for _ in range(8):
+        vals, pos = decode_varint_list(features, pos)
+        streams.append(vals)
+    assert pos == len(features)
+    idx, _t, xd, yd = streams[:4]
+    qx, qy = _running(xd), _running(yd)
+    x1, y1, x2, y2 = (_running(s) for s in streams[4:])
+    out = bytearray()
+    for value in [n_reps, *idx, *xd, *yd]:
+        encode_varint(value, out)
+    for k in range(n_reps - 1):
+        for value in (min(qx[k], qx[k + 1]) - x1[k], min(qy[k], qy[k + 1]) - y1[k],
+                      x2[k] - max(qx[k], qx[k + 1]), y2[k] - max(qy[k], qy[k + 1])):
+            assert value >= 0
+            encode_varint(value, out)
+    return _join_row(head, 3, bytes(out), tail)
+
+
+def row_v3_to_v2(row: bytes) -> bytes:
+    """A version 3 row rewritten as the version 2 row of the same trajectory."""
+    head, features, tail = _split_row(row)
+    assert row[1] == 3, row[1]
+    vals, pos = [], 0
+    while pos < len(features):
+        value, pos = decode_varint(features, pos)
+        vals.append(value)
+    n = vals[0]
+    assert len(vals) == 7 * n - 3
+    idx, xd, yd = vals[1 : n + 1], vals[n + 1 : 2 * n + 1], vals[2 * n + 1 : 3 * n + 1]
+    qx, qy = _running(xd), _running(yd)
+    blob_len, blob_at = decode_varint(tail, 0)
+    ts = decode_arrays(tail[blob_at : blob_at + blob_len])[0]
+    qt = [round(ts[i] * TIME_SCALE) for i in accumulate(idx)]
+    off = vals[3 * n + 1 :]
+    boxes = (
+        [min(a, b) - o for a, b, o in zip(qx, qx[1:], off[0::4])],
+        [min(a, b) - o for a, b, o in zip(qy, qy[1:], off[1::4])],
+        [max(a, b) + o for a, b, o in zip(qx, qx[1:], off[2::4])],
+        [max(a, b) + o for a, b, o in zip(qy, qy[1:], off[3::4])],
+    )
+    out = bytearray()
+    encode_varint(n, out)
+    for stream in (idx, _deltas(qt), xd, yd, *map(_deltas, boxes)):
+        out += encode_varint_list(stream)
+    return _join_row(head, 2, bytes(out), tail)

@@ -162,6 +162,32 @@ class TestShapeIndexCache:
         assert errors == []
         assert cache.directory().tolist() == list(range(8)) + list(range(100, 400))
 
+    def test_listing_never_drops_an_element_merged_meanwhile(self, monkeypatch):
+        """Reader A lists the keys; before A merges its listing, another
+        reader merges, an element is published, and a third reader merges
+        that element.  A's listing predates the element, yet the directory
+        A leaves behind (and returns) must still hold it."""
+        cache = ShapeIndexCache()
+        cache.put_mapping(1, {1: 0})
+        cache.put_mapping(2, {1: 0})  # two publishes: the array is stale
+        real_keys = cache.redis.keys
+        listings = []
+
+        def keys(pattern):
+            listed = real_keys(pattern)
+            listings.append(listed)
+            if len(listings) == 1:  # reader A, between its keys() and merge
+                assert cache.directory().tolist() == [1, 2]  # reader B lists
+                cache.add_shape(9, 1, 0)
+                assert cache.directory().tolist() == [1, 2, 9]  # merges 9
+            return listed
+
+        monkeypatch.setattr(cache.redis, "keys", keys)
+        assert cache.directory().tolist() == [1, 2, 9]  # reader A
+        assert len(listings) == 2 and "tshape:elem:9" not in listings[0]
+        assert cache.directory().tolist() == [1, 2, 9]
+        assert len(listings) == 2  # the merged array is current: no relisting
+
     def test_shared_redis_between_instances(self):
         redis = RedisServer()
         a = ShapeIndexCache(redis)

@@ -91,5 +91,4 @@ class TestDPFeature:
     def test_rep_points_subset_of_raw(self):
         pts = [STPoint(i, i * 0.01, (i % 7) * 0.03) for i in range(25)]
         f = extract_dp_feature(pts, 0.01)
-        raw = set(pts)
-        assert all(rp in raw for rp in f.rep_points)
+        assert list(zip(*f.rep_columns)) == [pts[i].xy for i in f.rep_indexes]

@@ -2,7 +2,9 @@
 
 Rows and TShape keys are pinned to golden bytes written at the parent
 commit (``tests/data/ingest_parent/``, see its ``generate.py``), both for a
-whole batch and one trajectory at a time; the segmented kernels are
+whole batch and one trajectory at a time; the golden rows are version 2, so
+today's rows are compared after ``ingest_reference.row_v3_to_v2`` (and
+must come back unchanged from ``row_v2_to_v3``); the segmented kernels are
 checked against the scalar reference in ``tests/ingest_reference.py``; and
 the store half — ``Table.put_batch``, region row accounting, inserts whose
 buffer overflows mid-batch — must leave the tables exactly as row-by-row
@@ -68,6 +70,9 @@ def golden():
 
 
 def _assert_rows(data, name: str, rows: list[bytes]) -> None:
+    old = [ref.row_v3_to_v2(row) for row in rows]
+    assert [ref.row_v2_to_v3(row) for row in old] == rows
+    rows = old
     if f"rows_{name}" in data:
         buf, off = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
         want = [buf[off[i]:off[i + 1]] for i in range(len(off) - 1)]

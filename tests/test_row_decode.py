@@ -1,11 +1,13 @@
 """The read half of the row format: the one-pass DP-feature decoder against
-the numpy decoder it replaced, and corrupt rows (cut, byte-flipped, or of an
-unknown version), which every decode entry point rejects with
-``CorruptionError`` and nothing else.
+the version 2 decoder it replaced, the feature section's own invariants,
+and corrupt rows (cut, byte-flipped, or of another version), which every
+decode entry point rejects with ``CorruptionError`` and nothing else.
 
 Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
 for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
-checked to reproduce before they are used).
+checked to reproduce before they are used).  They are version 2 rows;
+``ingest_reference.row_v2_to_v3`` rewrites their feature sections (the
+only part the versions do not share) into the rows decoded here.
 """
 
 from __future__ import annotations
@@ -49,31 +51,51 @@ def golden_rows() -> dict[str, list[bytes]]:
         name = f"{codec}_eps"
         if f"rows_{name}" in data:
             buf, cut = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
-            out[codec] = [buf[cut[i]:cut[i + 1]] for i in range(len(cut) - 1)]
+            out[codec] = [
+                ref.row_v2_to_v3(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
+            ]
         else:
             rows = RowSerializer(TrajectoryCodec(codec)).encode_many(
                 trajs, data["tr_values"].tolist()
             )
             digests = [bytes(d) for d in data[f"sha_{name}"]]
-            assert [hashlib.sha256(row).digest() for row in rows] == digests
+            assert [hashlib.sha256(ref.row_v3_to_v2(row)).digest() for row in rows] == digests
             out[codec] = rows
     return out
 
 
-# -- the one-pass feature decoder against the numpy one -------------------------
+def _points(steps, jitter: float) -> list[STPoint]:
+    """A walk on the 1e-7 degree grid; ``jitter`` moves the coordinates off
+    it, and ``x + k * 1e-7`` alone already lands an ulp either side of it."""
+    x, y, t, points = 116.4, 39.9, 1_200_000_000.0, []
+    for dx, dy, dt in steps:
+        x, y, t = x + dx * 1e-7 + jitter, y + dy * 1e-7 - jitter, t + dt / 1000.0
+        points.append(STPoint(t, x, y))
+    return points
+
+
+def _with_section(row: bytes, header, section: bytes) -> bytes:
+    """``row`` with its feature section replaced and ``feat_len`` rewritten."""
+    feat_len, start = decode_varint(row, header.body_offset)
+    out = bytearray(row[: header.body_offset])
+    encode_varint(len(section), out)
+    return bytes(out) + section + row[start + feat_len :]
+
+
+# -- the one-pass feature decoder against the version 2 one ---------------------
 
 
 def _assert_matches_oracle(row: bytes) -> None:
     header = RowSerializer.decode_header(row)
     feature = RowSerializer.decode_feature(row, header)
-    _, start = decode_varint(row, header.body_offset)
-    reps, indexes, boxes, box_arrays = ref.decode_feature_v2(row, start)
+    old = ref.row_v3_to_v2(row)
+    _, start = decode_varint(old, header.body_offset)
+    reps, indexes, boxes, box_arrays = ref.decode_feature_v2(old, start)
     assert feature.rep_indexes == indexes
-    assert feature.rep_points == reps
     assert feature.span_boxes == boxes
     # bit for bit, not just ==: no -0.0 / +0.0 or dtype drift
     got = np.array(feature.rep_columns, dtype=np.float64)
-    want = np.array([[p.t for p in reps], [p.lng for p in reps], [p.lat for p in reps]])
+    want = np.array([[p.lng for p in reps], [p.lat for p in reps]])
     assert got.tobytes() == want.reshape(got.shape).tobytes()
     for mine, theirs in zip(feature.box_arrays, box_arrays):
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
@@ -97,10 +119,7 @@ _offsets = st.integers(-40_000, 40_000)  # 1e-7 deg quanta: deltas of either sig
 )
 def test_feature_decode_matches_numpy_decoder_on_generated_rows(steps, length, epsilon):
     steps = steps[:length] if length is not None else steps
-    x, y, t, points = 116.4, 39.9, 1_200_000_000.0, []
-    for dx, dy, dt in steps:
-        x, y, t = x + dx * 1e-7, y + dy * 1e-7, t + dt / 1000.0
-        points.append(STPoint(t, x, y))
+    points = _points(steps, 0.0)
     row = RowSerializer(dp_epsilon=epsilon).encode(Trajectory("o", "t", points), 7)
     _assert_matches_oracle(row)
 
@@ -194,7 +213,7 @@ def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, codec, 
     _decodes_or_corrupt(serializer, bytes(row))
 
 
-@pytest.mark.parametrize("version", [0, 1, 3])
+@pytest.mark.parametrize("version", [0, 1, 2, 4])
 def test_other_row_versions_raise_corruption(golden_rows, version):
     serializer = RowSerializer(TrajectoryCodec("simple8b"))
     row = bytearray(golden_rows["simple8b"][TRUNCATED[0]])
@@ -205,28 +224,76 @@ def test_other_row_versions_raise_corruption(golden_rows, version):
 
 
 def test_feature_count_mismatch_and_overlong_varints_raise_corruption():
+    """``n_reps`` fixes the section's value count (no stream carries its
+    own): any other count, or a varint that overruns, is corrupt."""
     row = RowSerializer().encode(Trajectory("o", "t", [
         STPoint(float(k), 116.4 + 0.01 * k, 39.9 + 0.003 * (k % 3)) for k in range(6)
     ]), 0)
-    body = RowSerializer.decode_header(row).body_offset
-    feat_len, start = decode_varint(row, body)
+    header = RowSerializer.decode_header(row)
+    feat_len, start = decode_varint(row, header.body_offset)
     section = row[start:start + feat_len]
-
-    def with_section(new: bytes) -> bytes:
-        out = bytearray(row[:body])
-        encode_varint(len(new), out)
-        return bytes(out) + new + row[start + feat_len:]
-
-    assert RowSerializer.decode_feature(with_section(section))  # the splice is sound
+    assert section[-1] < 0x80  # the last value is one byte
+    assert RowSerializer.decode_feature(_with_section(row, header, section))  # a sound splice
     for bad in (
-        bytes([section[0] + 1]) + section[1:],   # n_reps disagrees with the streams
-        section[:1] + bytes([section[1] + 1]) + section[2:],  # a stream count is off
-        section + b"\x00",                       # a value past the last stream
+        bytes([section[0] + 1]) + section[1:],   # n_reps claims one rep more
+        bytes([section[0] - 1]) + section[1:],   # ... or one fewer
+        b"\x00" + section[1:],                   # no reps at all
+        bytes([1, 0, 0, 0]),                     # one rep and so no span box
+        section + b"\x00",                       # a value past the last span
+        section[:-1],                            # the last span short of a value
         b"\x80" * 10 + b"\x01" + section[1:],    # an 11-byte n_reps
         section[:-1] + b"\x80",                  # the last varint never ends
+        b"",                                     # no section
     ):
         with pytest.raises(CorruptionError):
-            RowSerializer.decode_feature(with_section(bad))
+            RowSerializer.decode_feature(_with_section(row, header, bad))
     overlong_tr_value = row[:50] + b"\x80" * 10 + b"\x00" + row[51:]  # tr_value 0 at 50
     with pytest.raises(CorruptionError):
         RowSerializer.decode_header(overlong_tr_value)
+
+
+# -- the version 3 feature section ----------------------------------------------
+
+
+# Each example decodes ~350 altered rows five ways: a quarter of the
+# profile's examples (25 in tier-1, 500 under ``fuzz``).
+@settings(derandomize=True, deadline=None, max_examples=settings.default.max_examples // 4)
+@given(
+    steps=st.lists(st.tuples(_offsets, _offsets, st.integers(0, 90_000)), min_size=1,
+                   max_size=10),
+    jitter=st.sampled_from([0.0, 3e-9, -4.1e-8]),
+    epsilon=st.sampled_from([0.0, 1e-7, 0.002]),
+    codec=st.sampled_from(CODECS),
+    data=st.data(),
+)
+def test_feature_section_properties(steps, jitter, epsilon, codec, data):
+    """Boxes cover their spans' raw and decoded points; reps are the decoded
+    points at the rep indexes; every cut or single-byte change of the section
+    decodes or raises ``CorruptionError`` from every entry point.  The
+    ``fuzz`` profile sweeps deeper."""
+    points = _points(steps, jitter)
+    serializer = RowSerializer(TrajectoryCodec(codec), epsilon)
+    row = serializer.encode(Trajectory("o", "t", points), 3)
+    header = serializer.decode_header(row)
+    feature = serializer.decode_feature(row, header)
+    block = serializer.decode(row).trajectory.block
+    idx = feature.rep_indexes
+    assert idx[0] == 0 and idx[-1] == len(points) - 1
+    rep_xs, rep_ys = feature.rep_columns
+    assert np.array(rep_xs).tobytes() == block.xs[list(idx)].tobytes()
+    assert np.array(rep_ys).tobytes() == block.ys[list(idx)].tobytes()
+    raw_xs, raw_ys = np.array([p.lng for p in points]), np.array([p.lat for p in points])
+    for k, (x1, y1, x2, y2) in enumerate(zip(*feature.box_columns)):
+        span = slice(idx[k], idx[k + 1] + 1)
+        for xs, ys in ((raw_xs[span], raw_ys[span]), (block.xs[span], block.ys[span])):
+            assert x1 <= xs.min() and xs.max() <= x2 and y1 <= ys.min() and ys.max() <= y2, k
+    feat_len, start = decode_varint(row, header.body_offset)
+    section = row[start : start + feat_len]
+    for cut in range(len(section)):
+        _decodes_or_corrupt(serializer, _with_section(row, header, section[:cut]))
+    changed = bytearray(section)
+    for at, byte in enumerate(section):
+        for value in {flip(byte) for flip in FLIPS} | {data.draw(st.integers(0, 255))}:
+            changed[at] = value
+            _decodes_or_corrupt(serializer, _with_section(row, header, bytes(changed)))
+        changed[at] = byte

@@ -191,8 +191,8 @@ class TestBoundsOnStoredRows:
     def test_endpoint_bound_is_exact_on_the_point_grid(self, codec, ca, cb):
         a = traj(ca)
         _, feature, block = stored(cb, codec)
-        _, rep_xs, rep_ys = feature.rep_columns
-        # v2 stores the representatives on the point grid: the ends decode
+        rep_xs, rep_ys = feature.rep_columns
+        # The row stores the representatives on the point grid: the ends decode
         # to the decoded first and last points, bit for bit.
         assert (rep_xs[0], rep_ys[0], rep_xs[-1], rep_ys[-1]) == (
             block.xs[0], block.ys[0], block.xs[-1], block.ys[-1]

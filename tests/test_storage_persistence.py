@@ -224,7 +224,9 @@ class TestProcessModeReopen:
 class TestParentFormatDeployment:
     """``tests/data/deployment_parent`` was written by ``save_tman`` at
     the last commit whose ``TManConfig`` still had ``window_parallel``,
-    ``row_format_version`` and the other retired knobs."""
+    ``row_format_version`` and the other retired knobs; its primary rows
+    were later rewritten into row version 3 by the ``rewrite_v3.py`` beside
+    it (keys, other tables, config and cache untouched)."""
 
     def test_reopens_ignoring_retired_keys(self):
         doc = json.loads((DATA_DIR / "deployment_parent" / "config.json").read_text())

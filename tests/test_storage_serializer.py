@@ -81,8 +81,8 @@ class TestFeatures:
         traj = make_traj(100)
         blob = serializer.encode(traj, 0)
         feature = RowSerializer.decode_feature(blob)
-        assert len(feature.rep_points) >= 2
-        assert len(feature.span_boxes) == len(feature.rep_points) - 1
+        assert len(feature.rep_indexes) >= 2
+        assert len(feature.span_boxes) == len(feature.rep_indexes) - 1
 
     def test_feature_boxes_cover_trajectory(self, serializer):
         traj = make_traj(60)
@@ -99,7 +99,7 @@ class TestFeatures:
         traj = make_traj(80)
         f_coarse = RowSerializer.decode_feature(coarse.encode(traj, 0))
         f_fine = RowSerializer.decode_feature(fine.encode(traj, 0))
-        assert len(f_coarse.rep_points) <= len(f_fine.rep_points)
+        assert len(f_coarse.rep_indexes) <= len(f_fine.rep_indexes)
 
 
 class TestSize:
