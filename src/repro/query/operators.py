@@ -124,12 +124,14 @@ class SecondaryResolve(Operator):
     """Secondary route: scan mapping rows, then fetch the primary rows.
 
     Mapping windows run through the secondary table's region-parallel
-    multi-range scheduler.  Primary keys are de-duplicated across all
-    windows in first-occurrence order and resolved in
-    ``MULTI_GET_BATCH``-sized batches via :meth:`Table.multi_get`, so
-    each batch costs one pool round-trip instead of ``batch``
-    point-gets.  ``row_filter`` (when set) is applied to the fetched
-    primary rows client-side.
+    multi-range scheduler.  ``resolve(key, value)`` turns each mapping row
+    into the primary key it points to (the table's
+    :meth:`~repro.storage.schema.RowKeyCodec.primary_from_mapping`).
+    Primary keys are de-duplicated across all windows in first-occurrence
+    order and resolved in ``MULTI_GET_BATCH``-sized batches via
+    :meth:`Table.multi_get`, so each batch costs one pool round-trip
+    instead of ``batch`` point-gets.  ``row_filter`` (when set) is applied
+    to the fetched primary rows client-side.
     """
 
     name = "secondary_resolve"
@@ -138,11 +140,13 @@ class SecondaryResolve(Operator):
         self,
         secondary: Table,
         primary: Table,
+        resolve: Callable[[bytes, bytes], bytes],
         row_filter: Optional[Filter] = None,
         deadline: Optional[Deadline] = None,
     ):
         self.secondary = secondary
         self.primary = primary
+        self.resolve = resolve
         self.row_filter = row_filter
         self.deadline = deadline
 
@@ -164,8 +168,10 @@ class SecondaryResolve(Operator):
             ((start, stop) for start, stop in upstream),
             deadline=self.deadline,
         )
+        resolve = self.resolve
         try:
-            for _, pkey in mapping_rows:
+            for key, value in mapping_rows:
+                pkey = resolve(key, value)
                 if pkey in seen:
                     continue
                 seen.add(pkey)

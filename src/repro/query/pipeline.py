@@ -14,6 +14,7 @@ one :func:`ring_pipeline` round per expanding ring against a shared trace.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from repro.core.st import STWindow
@@ -360,6 +361,7 @@ def access_path(
         scan: Operator = SecondaryResolve(
             tman.secondary_tables[plan.index],
             tman.primary_table,
+            partial(tman.keys.primary_from_mapping, plan.index),
             pushed,
             deadline=deadline,
         )

@@ -3,7 +3,20 @@
 Keys are plain bytes ordered lexicographically; index values are packed
 big-endian so numeric order equals byte order.  The leading shard byte
 spreads writes across regions to avoid hot-spotting; every query window is
-replicated per shard.
+replicated per shard.  ``::`` below is one NUL byte.
+
+The three row layouts (key → value):
+
+- primary: ``shard :: index value :: tid`` → the serialized row; the index
+  value is 8 bytes (``tr`` / ``tshape``) or 16 (``st``: TR then TShape);
+- secondary ``tr`` / ``tshape`` / ``interval`` / ``st``:
+  ``index value :: tid`` → ``shard :: primary index value`` (8 or 16 bytes
+  of index value, then the separator and tid);
+- ``idt``: ``oid :: TR value(8) :: tid`` → ``shard :: primary index value``.
+
+A mapping row's value is the primary key up to its separator: the key
+already ends in ``:: tid``, so :meth:`RowKeyCodec.primary_from_mapping`
+rebuilds the primary key by concatenation, with no shard hash.
 """
 
 from __future__ import annotations
@@ -12,7 +25,12 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
+from repro.kvstore.errors import CorruptionError
+
 SEPARATOR = b"\x00"
+
+# Index-value width of each secondary table whose key is ``index value :: tid``.
+SECONDARY_INDEX_WIDTH = {"tr": 8, "tshape": 8, "interval": 8, "st": 16}
 
 
 def encode_u64(value: int) -> bytes:
@@ -104,6 +122,40 @@ class RowKeyCodec:
         if not rest.startswith(SEPARATOR):
             raise ValueError(f"malformed secondary key: {key!r}")
         return index_bytes, rest[1:].decode("utf-8")
+
+    @staticmethod
+    def tid_at(table: str, sec_key: bytes) -> int:
+        """Where the tid starts in a key of secondary ``table`` (just past
+        the separator in front of it)."""
+        if table == "idt":
+            sep = sec_key.find(SEPARATOR)  # oids hold no NUL
+            at = sep + 10 if sep >= 0 else -1
+        else:
+            at = SECONDARY_INDEX_WIDTH[table] + 1
+        if at < 1 or sec_key[at - 1 : at] != SEPARATOR:
+            raise CorruptionError(f"malformed {table} secondary key: {sec_key!r}")
+        return at
+
+    def mapping_value(self, primary_key: bytes) -> bytes:
+        """A secondary row's value: ``shard :: primary index value``, the
+        primary key up to its separator."""
+        return primary_key[: 1 + self.index_width]
+
+    def primary_from_mapping(self, table: str, sec_key: bytes, value: bytes) -> bytes:
+        """The primary key a mapping row of ``table`` points to: its value
+        then the ``:: tid`` its key ends in (inverse of :meth:`mapping_value`).
+
+        A value of any other length than ``1 + index_width`` (such as a
+        whole primary key, the layout before this one) raises
+        :class:`CorruptionError`: resolved as is, it would find no primary
+        row and silently drop the trajectory.
+        """
+        if len(value) != 1 + self.index_width:
+            raise CorruptionError(
+                f"{table} mapping value is {len(value)} bytes, expected "
+                f"{1 + self.index_width} (shard :: primary index value)"
+            )
+        return value + sec_key[self.tid_at(table, sec_key) - 1 :]
 
     # -- IDT table ----------------------------------------------------------------
 

@@ -210,8 +210,9 @@ class StorageWriter:
                 p, self._t.tshape_index.pack(p.key.element_code, final_code)
             )
             primary.append((primary_key, value))
+            mapping = self._t.keys.mapping_value(primary_key)
             for name, key in keys:
-                secondary.setdefault(name, []).append((key, primary_key))
+                secondary.setdefault(name, []).append((key, mapping))
         t0 = time.perf_counter()
         if primary:
             self._t.primary_table.put_batch(primary)
@@ -358,13 +359,17 @@ class StorageWriter:
         """
         if "idt" not in self._t.config.secondary_indexes:
             raise ValueError("delete_by_id requires the idt secondary index")
+        keys = self._t.keys
         idt_table = self._t.secondary_tables["idt"]
+        wanted = tid.encode("utf-8")
         for lo, hi in self._t.tr_index.query_ranges(time_range):
-            start, stop = self._t.keys.idt_window(oid, lo, hi)
-            for sec_key, pkey in list(idt_table.scan(Scan(start, stop))):
-                parsed = self._t.keys.parse_primary(pkey)
-                if parsed.tid != tid:
+            start, stop = keys.idt_window(oid, lo, hi)
+            for sec_key, mapping in list(idt_table.scan(Scan(start, stop))):
+                # The key ends in the tid: other trajectories of the object
+                # cost no primary get.
+                if sec_key[keys.tid_at("idt", sec_key) :] != wanted:
                     continue
+                pkey = keys.primary_from_mapping("idt", sec_key, mapping)
                 value = self._t.primary_table.get(pkey)
                 if value is None:
                     continue
@@ -390,7 +395,9 @@ class StorageWriter:
             shapes = sorted(set(existing) | new_shapes)
             mapping = self._t.encoder.encode(shapes)
             rows = self._collect_element_rows(element_code)
-            stale = [self._rewrite_row(*row, element_code, mapping) for row in rows]
+            stale = [
+                self._rewrite_row(*row, element_code, mapping, existing) for row in rows
+            ]
             self._t.index_cache.put_mapping(element_code, mapping)
             for old_keys in stale:
                 for table, old_key in old_keys:
@@ -427,28 +434,41 @@ class StorageWriter:
 
     def _rewrite_row(
         self, old_key: bytes, value: bytes, stored, key: TShapeKey, element_code: int,
-        mapping: dict[int, int],
+        mapping: dict[int, int], old_mapping: dict[int, int],
     ) -> list[tuple[Table, bytes]]:
-        """Put one row under its keys for ``mapping``; returns ``(table,
-        key)`` of the old keys to delete, secondary ones first (none when
-        the row's keys are unchanged)."""
+        """Put one row under its keys for ``mapping`` (it is stored under
+        ``old_mapping``'s); returns ``(table, key)`` of the old keys to
+        delete, secondary ones first (none when the row's keys are
+        unchanged)."""
         final = mapping.get(key.raw_shape)
         if final is None:  # pragma: no cover - mapping covers all element shapes
             return []
         p = _Prepared(stored.trajectory, stored.tr_value, key)
-        new_key, secondary = self._keys(p, self._t.tshape_index.pack(element_code, final))
-        if new_key == old_key:
-            return []
-        self._t.primary_table.put(new_key, value)
-        # TR/IDT secondary keys are unchanged but their values (the primary
-        # key) must be repointed; tshape/st secondary keys embed the shape
-        # code, so a fresh secondary row is written and the old one deleted.
-        old_index = self._t.keys.parse_primary(old_key).index_bytes
-        _, old_secondary = self._keys(p, int.from_bytes(old_index[-8:], "big"))
+        pack = self._t.tshape_index.pack
+        new_key, secondary = self._keys(p, pack(element_code, final))
+        if self._t.config.primary_index == "tr":
+            # No shape code in the primary key: only tshape/st secondary
+            # keys move, from the code the old mapping gave the shape.
+            old_value = pack(element_code, old_mapping.get(key.raw_shape, key.raw_shape))
+        else:
+            old_index = self._t.keys.parse_primary(old_key).index_bytes
+            old_value = int.from_bytes(old_index[-8:], "big")
+        _, old_secondary = self._keys(p, old_value)
+        moved = new_key != old_key
+        if moved:
+            self._t.primary_table.put(new_key, value)
+        # TR/IDT secondary keys are unchanged but, when the primary row
+        # moved, their values (its shard and index value) must be
+        # repointed; tshape/st secondary keys embed the shape code, so a
+        # fresh secondary row is written and the old one deleted.
+        mapping_value = self._t.keys.mapping_value(new_key)
         stale = []
         for (name, sec_key), (_, old_sec_key) in zip(secondary, old_secondary):
             table = self._t.secondary_tables[name]
-            table.put(sec_key, new_key)
+            if moved or old_sec_key != sec_key:
+                table.put(sec_key, mapping_value)
             if old_sec_key != sec_key:
                 stale.append((table, old_sec_key))
-        return stale + [(self._t.primary_table, old_key)]
+        if moved:
+            stale.append((self._t.primary_table, old_key))
+        return stale

@@ -1,0 +1,84 @@
+"""Brings ``tables.snap`` to the current stored format; idempotent.
+
+Run from the repository root whenever the stored format changes (and in CI,
+which then checks that the committed snapshot did not move)::
+
+    PYTHONPATH=src python -m tests.data.deployment_parent.rewrite
+
+Two rewrites, each applied only to rows still in the old layout, so a
+second run writes the same bytes:
+
+- ``tman_primary`` values of row version 2 become version 3 through the
+  test-only converter ``tests/ingest_reference.py::row_v2_to_v3`` (header,
+  ids and point blob byte for byte; the feature section re-laid out with
+  the same decoded values);
+- ``tman_sec_*`` values that hold a whole primary key are cut to
+  ``shard :: primary index value``, the part the mapping row's own key does
+  not already end in (``repro/storage/schema.py``).
+
+Every key, ``config.json`` and ``cache.rdb`` stay as ``save_tman`` wrote
+them.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from pathlib import Path
+
+from repro.storage.schema import RowKeyCodec
+from tests.ingest_reference import row_v2_to_v3
+
+HERE = Path(__file__).parent
+SNAP = HERE / "tables.snap"
+PRIMARY = "tman_primary"
+SECONDARY = "tman_sec_"
+HEAD = 8 + 2  # magic, version (kvstore/snapshot.py)
+
+
+def _current(name: str, key: bytes, value: bytes, index_width: int) -> bytes:
+    """One row's value in the current format."""
+    if name == PRIMARY and value[1] == 2:
+        return row_v2_to_v3(value)
+    if name.startswith(SECONDARY) and len(value) > 1 + index_width:
+        table = name[len(SECONDARY) :]
+        cut = value[: 1 + index_width]
+        assert cut + key[RowKeyCodec.tid_at(table, key) - 1 :] == value, (name, key)
+        return cut
+    return value
+
+
+def rewrite(snap: bytes, index_width: int) -> bytes:
+    """The snapshot with every row in the current format."""
+    out = bytearray(snap[: HEAD + 4])
+    (tables,) = struct.unpack_from(">I", snap, HEAD)
+    pos = HEAD + 4
+    for _ in range(tables):
+        (name_len,) = struct.unpack_from(">H", snap, pos)
+        name = snap[pos + 2 : pos + 2 + name_len].decode("utf-8")
+        (rows,) = struct.unpack_from(">Q", snap, pos + 2 + name_len)
+        out += snap[pos : pos + 10 + name_len]
+        pos += 10 + name_len
+        for _ in range(rows):
+            (key_len,) = struct.unpack_from(">I", snap, pos)
+            key = snap[pos + 4 : pos + 4 + key_len]
+            out += snap[pos : pos + 4 + key_len]
+            pos += 4 + key_len
+            (value_len,) = struct.unpack_from(">I", snap, pos)
+            value = _current(name, key, snap[pos + 4 : pos + 4 + value_len], index_width)
+            pos += 4 + value_len
+            out += struct.pack(">I", len(value)) + value
+    assert pos == len(snap), "trailing bytes in the snapshot"
+    return bytes(out)
+
+
+def main() -> None:
+    primary_index = json.loads((HERE / "config.json").read_text())["primary_index"]
+    before = SNAP.read_bytes()
+    after = rewrite(before, 16 if primary_index == "st" else 8)
+    SNAP.write_bytes(after)
+    print(f"rewrote {SNAP} ({len(before)} -> {len(after)} bytes)")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,9 +36,11 @@ EVERYTHING = TimeRange(0.0, 10 * 24 * 3600.0)
 LAYOUTS = {
     "tshape": ("tshape", ("tr", "idt")),
     "st": ("st", ("tr", "idt", "tshape")),
+    # The primary key holds no shape code: only the tshape rows move.
+    "tr": ("tr", ("tshape", "idt")),
 }
 # Mutations one re-encode makes per layout (3 rows rewritten each time).
-MUTATIONS = {"tshape": 12, "st": 18}
+MUTATIONS = {"tshape": 12, "st": 18, "tr": 6}
 
 
 def _config(layout: str) -> TManConfig:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.model import TimeRange
 
 
 @pytest.fixture()
@@ -67,6 +68,22 @@ class TestDeleteById:
     def test_unknown_tid_returns_false(self, loaded):
         tman, data = loaded
         assert not tman.delete_by_id(data[0].oid, "no-such-trip", data[0].time_range)
+
+    def test_other_trajectories_of_the_object_cost_no_get(self, loaded, monkeypatch):
+        """The IDT key ends in the tid: it is compared before any primary get."""
+        tman, data = loaded
+        victim = data[5]
+        siblings = [t for t in data if t.oid == victim.oid]
+        span = TimeRange(min(t.time_range.start for t in siblings),
+                         max(t.time_range.end for t in siblings))
+        assert len(siblings) > 1
+        gets = []
+        get = tman.primary_table.get
+        monkeypatch.setattr(tman.primary_table, "get", lambda key: gets.append(key) or get(key))
+        assert not tman.delete_by_id(victim.oid, "no-such-trip", span)
+        assert gets == []
+        assert tman.delete_by_id(victim.oid, victim.tid, span)
+        assert {tman.keys.parse_primary(key).tid for key in gets} == {victim.tid}
 
     def test_requires_idt_index(self):
         data = tdrive_like(10, seed=405)

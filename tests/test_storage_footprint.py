@@ -2,10 +2,13 @@
 
 The primary row is header (magic, version, time range, MBR, ``tr_value``),
 ids (oid, tid), DP-features and the point blob, each with its length
-prefix; keys and every secondary table count on their own.  Each section
-has a ceiling taken from row version 3 (which halved the feature section),
-so a change that grows one shows up here, by name, before it reaches the
-benchmark's end-to-end ``stored_bytes_per_point``.
+prefix; keys count on their own, and so do every secondary table's keys
+and values (a value is the 9-byte ``shard :: primary index value``).  Each
+section has a ceiling taken from row version 3 (which halved the feature
+section) and from secondary values cut to the primary key's prefix (which
+took 0.395 B/point off each secondary table), so a change that grows one
+shows up here, by name, before it reaches the benchmark's end-to-end
+``stored_bytes_per_point``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ CEILINGS = {
     "primary.ids": 0.74,  # 0.7308
     "primary.features": 2.31,  # 2.3089 (4.5642 in row version 2)
     "primary.blob": 6.29,  # 6.2830
-    "tr": 1.13,  # 1.1259
-    "idt": 1.47,  # 1.4617
+    "tr.keys": 0.56,  # 0.5531
+    "tr.values": 0.18,  # 0.1778 (0.5728, a whole primary key, before)
+    "idt.keys": 0.89,  # 0.8889
+    "idt.values": 0.18,  # 0.1778 (0.5728 before)
 }
 
 
@@ -48,7 +53,9 @@ def footprint() -> dict[str, float]:
         sizes["primary.features"] += start + feat_len - header.body_offset
         sizes["primary.blob"] += len(value) - start - feat_len
     for name, table in tman.secondary_tables.items():
-        sizes[name] = sum(len(k) + len(v) for k, v in table.scan(Scan()))
+        for key, value in table.scan(Scan()):
+            sizes[f"{name}.keys"] += len(key)
+            sizes[f"{name}.values"] += len(value)
     tman.close()
     points = sum(len(t) for t in data)
     return {name: size / points for name, size in sizes.items()}

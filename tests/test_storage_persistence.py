@@ -224,9 +224,10 @@ class TestProcessModeReopen:
 class TestParentFormatDeployment:
     """``tests/data/deployment_parent`` was written by ``save_tman`` at
     the last commit whose ``TManConfig`` still had ``window_parallel``,
-    ``row_format_version`` and the other retired knobs; its primary rows
-    were later rewritten into row version 3 by the ``rewrite_v3.py`` beside
-    it (keys, other tables, config and cache untouched)."""
+    ``row_format_version`` and the other retired knobs; the ``rewrite.py``
+    beside it later brought its rows to the current format (primary rows to
+    row version 3, secondary values cut to ``shard :: primary index
+    value``; keys, config and cache untouched)."""
 
     def test_reopens_ignoring_retired_keys(self):
         doc = json.loads((DATA_DIR / "deployment_parent" / "config.json").read_text())
@@ -262,3 +263,19 @@ class TestParentFormatDeployment:
             for _, value in rows:
                 stored = tman.serializer.decode(value)
                 assert len(stored.trajectory) == len(dataset[stored.trajectory.tid])
+
+    def test_every_secondary_row_resolves(self):
+        """Every mapping row is in the current layout and reaches the
+        primary row of the tid its key ends in."""
+        dataset = {t.tid for t in tdrive_like(12, seed=77)}
+        with open_tman(DATA_DIR / "deployment_parent") as tman:
+            assert set(tman.secondary_tables) == {"tr", "idt"}
+            for name, table in tman.secondary_tables.items():
+                tids = []
+                for key, value in table.scan(Scan()):
+                    pkey = tman.keys.primary_from_mapping(name, key, value)
+                    row = tman.primary_table.get(pkey)
+                    assert row is not None, (name, key)
+                    tids.append(tman.serializer.decode(row).trajectory.tid)
+                    assert key.endswith(tids[-1].encode("utf-8"))
+                assert sorted(tids) == sorted(dataset), name

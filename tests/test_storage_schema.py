@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kvstore.errors import CorruptionError
 from repro.storage.schema import (
     RowKeyCodec,
     decode_u64,
@@ -124,6 +125,53 @@ class TestIDTKeys:
         key = RowKeyCodec.idt_key("obj-10", 500, "t")
         start, stop = RowKeyCodec.idt_window("obj-1", 0, 2**63)
         assert not (start <= key < stop)
+
+
+oids = st.text(
+    alphabet=st.characters(min_codepoint=1, max_codepoint=0x10FFFF, blacklist_categories=("Cs",)),
+    min_size=1, max_size=12,
+)
+
+
+class TestMappingValues:
+    """A mapping row's value is the primary key up to its separator; the
+    primary key comes back by concatenation with the mapping key's tail."""
+
+    @staticmethod
+    def _secondary_keys(tr: int, shape: int, oid: str, tid: str) -> dict[str, bytes]:
+        return {
+            "tr": RowKeyCodec.secondary_key(encode_u64(tr), tid),
+            "tshape": RowKeyCodec.secondary_key(encode_u64(shape), tid),
+            "interval": RowKeyCodec.secondary_key(encode_u64(tr), tid),
+            "st": RowKeyCodec.secondary_key(RowKeyCodec.st_index_bytes(tr, shape), tid),
+            "idt": RowKeyCodec.idt_key(oid, tr, tid),
+        }
+
+    @given(u64s, u64s, oids, tids, st.sampled_from([8, 16]))
+    def test_roundtrip_every_table(self, tr, shape, oid, tid, width):
+        codec = RowKeyCodec(7, index_width=width)
+        index = encode_u64(shape) if width == 8 else RowKeyCodec.st_index_bytes(tr, shape)
+        pkey = codec.primary_key(index, tid)
+        value = codec.mapping_value(pkey)
+        assert len(value) == 1 + width and pkey.startswith(value)
+        for table, key in self._secondary_keys(tr, shape, oid, tid).items():
+            assert key[RowKeyCodec.tid_at(table, key):] == tid.encode("utf-8")
+            assert codec.primary_from_mapping(table, key, value) == pkey
+
+    @pytest.mark.parametrize("length", [0, 8, 10, 29])  # 29: a whole primary key
+    def test_other_value_lengths_raise_corruption(self, length):
+        codec = RowKeyCodec(2)
+        pkey = codec.primary_key(encode_u64(5), "tdrive-trip-0000001")
+        key = RowKeyCodec.idt_key("obj-1", 3, "tdrive-trip-0000001")
+        with pytest.raises(CorruptionError, match=f"is {length} bytes"):
+            codec.primary_from_mapping("idt", key, pkey[:length])
+
+    def test_malformed_keys_raise_corruption(self):
+        codec = RowKeyCodec(2)
+        value = codec.mapping_value(codec.primary_key(encode_u64(5), "t"))
+        for table, key in [("tr", b"short"), ("st", encode_u64(1) + b"\x01t"), ("idt", b"nonul")]:
+            with pytest.raises(CorruptionError):
+                codec.primary_from_mapping(table, key, value)
 
 
 class TestSTBytes:

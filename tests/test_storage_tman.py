@@ -4,6 +4,11 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.kvstore.errors import CorruptionError
+from repro.kvstore.scan import Scan
+from repro.query.planner import QueryPlan
+from repro.query.types import IDTemporalQuery
+from repro.storage.schema import RowKeyCodec
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +54,25 @@ class TestBulkLoad:
             assert tman.primary_table.count_rows() == 50
 
     def test_secondary_rows_point_to_primary(self, dataset):
-        from repro.kvstore.scan import Scan
-
-        with make_tman() as tman:
-            tman.bulk_load(dataset[:20])
-            for _, pkey in tman.secondary_tables["tr"].scan(Scan()):
-                assert tman.primary_table.get(pkey) is not None
+        """After a re-encode moved rows, every mapping row of every kind
+        resolves to a stored primary row of the tid its own key ends in."""
+        layouts = [("tshape", ("tr", "idt", "st", "interval")), ("tr", ("tshape", "idt", "st"))]
+        for primary, secondaries in layouts:
+            with make_tman(primary_index=primary, secondary_indexes=secondaries,
+                           buffer_shape_threshold=3) as tman:
+                tman.bulk_load(dataset[:80])
+                report = tman.insert(dataset[80:])
+                assert report.reencodes_triggered > 0 and report.rows_rewritten > 0
+                stored = tman.primary_table.count_rows()
+                for name, table in tman.secondary_tables.items():
+                    rows = list(table.scan(Scan()))
+                    assert len(rows) == stored, (primary, name)
+                    for key, value in rows:
+                        tid = key[RowKeyCodec.tid_at(name, key):].decode("utf-8")
+                        pkey = tman.keys.primary_from_mapping(name, key, value)
+                        row = tman.primary_table.get(pkey)
+                        assert row is not None, (primary, name, key)
+                        assert tman.serializer.decode(row).trajectory.tid == tid
 
     def test_incremental_bulk_load_stays_queryable(self, dataset):
         with make_tman() as tman:
@@ -63,6 +81,34 @@ class TestBulkLoad:
             tr = dataset[70].time_range
             res = tman.temporal_range_query(tr)
             assert dataset[70].tid in {t.tid for t in res.trajectories}
+
+
+class TestOldMappingLayout:
+    """A mapping row whose value is a whole primary key (the layout before
+    values were cut to ``shard :: primary index value``) is corrupt, not a
+    miss: resolving it as is would silently drop the trajectory."""
+
+    @pytest.fixture
+    def tman(self, dataset):
+        with make_tman() as tman:
+            tman.bulk_load(dataset[:20])
+            table = tman.secondary_tables["idt"]
+            victim = dataset[7]
+            for key, value in list(table.scan(Scan())):
+                if key.endswith(b"\x00" + victim.tid.encode()):
+                    table.put(key, tman.keys.primary_from_mapping("idt", key, value))
+            yield tman
+
+    def test_idt_query_raises(self, tman, dataset):
+        victim = dataset[7]
+        query = IDTemporalQuery(victim.oid, victim.time_range)
+        with pytest.raises(CorruptionError, match="mapping value is 29 bytes"):
+            tman.query(query, plan=QueryPlan("idt", "secondary", "forced"))
+
+    def test_delete_by_id_raises(self, tman, dataset):
+        victim = dataset[7]
+        with pytest.raises(CorruptionError, match="mapping value is 29 bytes"):
+            tman.delete_by_id(victim.oid, victim.tid, victim.time_range)
 
 
 class TestPrimaryIndexVariants:
