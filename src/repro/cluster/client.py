@@ -6,26 +6,34 @@ worker presents) into
 :class:`~repro.kvstore.errors.ReplicaDownError`.  Every call carries the
 caller's remaining deadline budget on the wire, and the socket timeout is
 derived from that budget plus a margin — a wedged worker can never hang a
-query past its deadline.
+query past its deadline.  A response frame it cannot parse is a transport
+failure too: the socket is closed, never pooled again.
 
-:class:`WorkerHandle` owns the process lifecycle: ``spawn`` (default) or
-``fork`` start method, ``launch`` then readiness probing via PING (split so
-a fleet starts side by side), SIGKILL for fault drills, graceful SHUTDOWN
-otherwise.
+:class:`WorkerHandle` owns the process lifecycle.  ``launch`` starts
+``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH`` — no
+``site``, so the worker loads the storage engine and the standard-library
+modules it needs, nothing more — and ``wait_ready`` reads the worker's
+readiness line from its stdout (split so a fleet starts side by side).
+The worker's stdin is a pipe only this process holds open: when the
+coordinator exits, however it dies, the worker reads EOF and shuts down.
+SIGKILL is the fault-drill path; SHUTDOWN the graceful one.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import select
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.cluster import rpc
 from repro.cluster.metrics import RPC_FAILURE_TOTAL, RPC_MS, RPC_TOTAL
-from repro.cluster.worker import worker_main
+from repro.cluster.worker import READY_LINE
 from repro.kvstore import errors as kv_errors
 from repro.kvstore.errors import KVError, ReplicaDownError
 from repro.runtime.deadline import Deadline, QueryTimeoutError
@@ -36,6 +44,10 @@ DEFAULT_RPC_TIMEOUT_S = 30.0
 # cooperative expiry (which returns a partial page) wins the race against
 # the client-side socket timeout.
 RPC_TIMEOUT_MARGIN_S = 2.0
+
+# The directory holding the ``repro`` package this process imported; a
+# worker runs without ``site``, so it gets this path explicitly.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
 _OP_NAMES = {
     rpc.OP_PING: "ping",
@@ -106,21 +118,25 @@ class NodeClient:
     def call(
         self,
         op: int,
-        args: tuple,
+        args: Union[tuple, bytes],
         deadline: Optional[Deadline] = None,
     ) -> Any:
         """One RPC round trip; returns the response body.
 
-        Raises :class:`ReplicaDownError` on transport failure,
-        :class:`QueryTimeoutError` when the worker reported the deadline
-        spent before it could start the op, and the rebuilt worker-side
-        exception on ``STATUS_ERROR``.
+        ``args`` is the op's argument tuple, or its :func:`rpc.encode`
+        bytes when the caller sends the same request to several nodes.
+        Raises :class:`ReplicaDownError` on transport failure or a response
+        that does not parse, :class:`QueryTimeoutError` when the worker
+        reported the deadline spent before it could start the op, and the
+        rebuilt worker-side exception on ``STATUS_ERROR``.
         """
         op_name = _OP_NAMES.get(op, str(op))
         remaining = rpc.deadline_budget_ms(deadline)
         timeout = DEFAULT_RPC_TIMEOUT_S
         if remaining != float("inf"):
             timeout = min(timeout, remaining / 1000.0 + RPC_TIMEOUT_MARGIN_S)
+        if not isinstance(args, bytes):
+            args = rpc.encode(args)  # before checkout: a bad value leaks no socket
         sock = self._checkout()
         t0 = time.perf_counter()
         try:
@@ -144,89 +160,78 @@ class NodeClient:
         name, message = body
         raise _rebuild_error(name, message)
 
-    def ping(self, timeout_s: float = 1.0) -> bool:
-        """True when the worker answers a PING within ``timeout_s``."""
-        try:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.settimeout(timeout_s)
-                sock.connect(str(self.socket_path))
-                rpc.send_request(sock, rpc.OP_PING, ())
-                status, _ = rpc.recv_response(sock)
-                return status == rpc.STATUS_OK
-            finally:
-                sock.close()
-        except (OSError, rpc.ConnectionClosed):
-            return False
-
 
 class WorkerHandle:
     """Lifecycle of one region-server process."""
 
-    def __init__(
-        self,
-        node_id: str,
-        cluster_dir: Path,
-        start_method: str = "spawn",
-        wal_sync: bool = False,
-    ):
+    def __init__(self, node_id: str, cluster_dir: Path):
         self.node_id = node_id
         self.cluster_dir = Path(cluster_dir)
         self.socket_path = self.cluster_dir / f"{node_id}.sock"
         self.data_dir = self.cluster_dir / node_id
-        self._ctx = multiprocessing.get_context(start_method)
-        self._wal_sync = wal_sync
-        self._process: Optional[multiprocessing.process.BaseProcess] = None
+        self._process: Optional[subprocess.Popen] = None
         self.client = NodeClient(node_id, self.socket_path)
 
     @property
     def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
+        return self._process is not None and self._process.poll() is None
 
     @property
     def pid(self) -> Optional[int]:
         return self._process.pid if self._process is not None else None
 
     def start(self, ready_timeout_s: float = 30.0) -> None:
-        """Spawn the worker and block until it answers PING."""
+        """Start the worker and block until it is ready."""
         self.launch()
         self.wait_ready(ready_timeout_s)
 
     def launch(self) -> None:
-        """Spawn the worker without waiting for it (no-op while alive); the
+        """Start the worker without waiting for it (no-op while alive); the
         worker replaces any stale socket file itself."""
         if self.alive:
             return
-        self._process = self._ctx.Process(
-            target=worker_main,
-            args=(self.node_id, str(self.data_dir), str(self.socket_path)),
-            kwargs={"wal_sync": self._wal_sync},
-            name=f"region-server-{self.node_id}",
-            daemon=True,
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
         )
-        self._process.start()
+        self._process = subprocess.Popen(
+            [
+                sys.executable,
+                "-S",
+                "-m",
+                "repro.cluster.worker",
+                self.node_id,
+                str(self.data_dir),
+                str(self.socket_path),
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
 
     def wait_ready(self, ready_timeout_s: float = 30.0) -> None:
-        """Block until the launched worker answers PING."""
-        give_up = time.monotonic() + ready_timeout_s
-        while time.monotonic() < give_up:
-            if self.client.ping(timeout_s=0.5):
-                return
-            if not self._process.is_alive():
-                raise ReplicaDownError(
-                    f"worker {self.node_id} died during startup "
-                    f"(exit {self._process.exitcode})"
-                )
-            time.sleep(0.02)
-        raise ReplicaDownError(
-            f"worker {self.node_id} not ready after {ready_timeout_s:.0f}s"
-        )
+        """Block until the launched worker reports that it is listening."""
+        process = self._process
+        readable, _, _ = select.select([process.stdout], [], [], ready_timeout_s)
+        if not readable:
+            raise ReplicaDownError(
+                f"worker {self.node_id} not ready after {ready_timeout_s:.0f}s"
+            )
+        if process.stdout.readline() != READY_LINE:
+            try:
+                code = process.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                code = None
+            raise ReplicaDownError(
+                f"worker {self.node_id} died during startup (exit {code})"
+            )
+        process.stdout.close()
 
     def kill(self) -> None:
         """SIGKILL the worker — the fault-drill path, nothing is drained."""
-        if self._process is not None and self._process.is_alive():
+        if self.alive:
             self._process.kill()
-            self._process.join(timeout=5.0)
+            self._process.wait(timeout=5.0)
         self.client.close()
 
     def stop(self) -> None:
@@ -236,16 +241,21 @@ class WorkerHandle:
         thread behind every other pooled connection sees EOF and exits.  A
         worker that cannot take ``SHUTDOWN`` (not yet listening) is killed.
         """
-        if self._process is None:
+        process = self._process
+        if process is None:
             return
-        if self._process.is_alive():
+        if self.alive:
             try:
                 self.client.call(rpc.OP_SHUTDOWN, ())
             except (ReplicaDownError, QueryTimeoutError):
-                self._process.kill()
+                process.kill()
         self.client.close()
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join(timeout=5.0)
+        try:
+            process.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=5.0)
+        for pipe in (process.stdin, process.stdout):
+            if pipe is not None:
+                pipe.close()
         self._process = None

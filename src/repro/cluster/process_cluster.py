@@ -60,7 +60,6 @@ class ProcessCluster(Cluster):
         read_quorum: int = 1,
         write_quorum: int = 1,
         page_rows: int = DEFAULT_PAGE_ROWS,
-        start_method: str = "spawn",
         cluster_data_dir: Optional[str] = None,
         **cluster_kwargs,
     ):
@@ -85,7 +84,6 @@ class ProcessCluster(Cluster):
         self.read_quorum = read_quorum
         self.write_quorum = write_quorum
         self.page_rows = page_rows
-        self._start_method = start_method
         self._owns_dir = cluster_data_dir is None
         self.cluster_dir = Path(
             cluster_data_dir
@@ -124,7 +122,7 @@ class ProcessCluster(Cluster):
     def _new_handle(self) -> WorkerHandle:
         node_id = f"node-{self._next_node}"
         self._next_node += 1
-        return WorkerHandle(node_id, self.cluster_dir, start_method=self._start_method)
+        return WorkerHandle(node_id, self.cluster_dir)
 
     def _admit(self, handle: WorkerHandle) -> str:
         """Put a ready worker in the fleet and on the ring."""

@@ -107,7 +107,9 @@ class ReplicatedStore:
         self, op: int, args: tuple, hints: Sequence[tuple[bytes, bytes]]
     ) -> None:
         """One write RPC per replica, one quorum verdict; every replica that
-        missed it is hinted each of the call's ``(key, value)`` rows."""
+        missed it is hinted each of the call's ``(key, value)`` rows.  The
+        request is encoded once and the same bytes go to every replica."""
+        payload = rpc.encode(args)
         acks = 0
         missed: list[str] = []
         for node in self._router.replicas(self.store_id):
@@ -118,7 +120,7 @@ class ReplicatedStore:
                 missed.append(node)
                 continue
             try:
-                self._router.client(node).call(op, args)
+                self._router.client(node).call(op, payload)
                 acks += 1
             except ReplicaDownError:
                 self._router.mark_down(node)

@@ -26,17 +26,25 @@ The ``rpc.scan`` / ``rpc.get`` crash points (armed via ``OP_ARM_CRASH``)
 kill the worker with ``os._exit(1)`` mid-request — the real-process
 analogue of the thread-mode :class:`~repro.kvstore.simfault.SimulatedCrash`,
 observed by the coordinator as a dead connection.
+
+Run as ``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``
+(what :class:`~repro.cluster.client.WorkerHandle` starts): the worker writes
+:data:`READY_LINE` to stdout once its socket listens, and shuts down when
+stdin reaches EOF — the coordinator holds the only write end, so the
+worker outlives it by no more than a drain.  Keep this module's imports to
+the RPC framing and the engine: ``tests/test_package_imports.py`` pins the
+closure.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import shutil
 import socket
+import sys
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster import rpc
 from repro.kvstore import simfault
@@ -49,14 +57,16 @@ from repro.runtime.deadline import Deadline
 # repro.kvstore.region.DEADLINE_CHECK_ROWS).
 DEADLINE_CHECK_ROWS = 64
 
+# What a worker writes to stdout once it accepts connections.
+READY_LINE = b"ready\n"
+
 
 class _Worker:
     """Per-process state: the stores this node hosts, and their locks."""
 
-    def __init__(self, node_id: str, data_dir: Path, wal_sync: bool):
+    def __init__(self, node_id: str, data_dir: Path):
         self.node_id = node_id
         self.data_dir = data_dir
-        self.wal_sync = wal_sync
         self._stores: dict[str, DurableLSMStore] = {}
         self._locks: dict[str, threading.RLock] = {}
         self._mu = threading.Lock()
@@ -75,9 +85,8 @@ class _Worker:
         with self._mu:
             store = self._stores.get(store_id)
             if store is None:
-                store = DurableLSMStore(
-                    self.data_dir / store_id, sync=self.wal_sync
-                )
+                # Replicas make a write durable; no fsync per WAL append.
+                store = DurableLSMStore(self.data_dir / store_id, sync=False)
                 self._stores[store_id] = store
                 self._locks[store_id] = threading.RLock()
             return store, self._locks[store_id]
@@ -89,6 +98,8 @@ class _Worker:
             self._locks.pop(store_id, None)
         if store is not None:
             store.close()
+        import shutil  # only here: it loads the bz2 and lzma modules
+
         shutil.rmtree(self.data_dir / store_id, ignore_errors=True)
 
     def close_all(self) -> None:
@@ -252,18 +263,20 @@ def _serve_connection(worker: _Worker, conn: socket.socket) -> None:
         while True:
             try:
                 op, remaining_ms, args = rpc.recv_request(conn)
-            except (rpc.ConnectionClosed, OSError):
+            except (rpc.ConnectionClosed, rpc.RPCProtocolError, OSError):
                 return
             try:
-                status, body = _handle(worker, op, remaining_ms, args)
+                frame = rpc.response_frame(*_handle(worker, op, remaining_ms, args))
             except simfault.SimulatedCrash:
                 # The armed crash point fired: die the way a killed
                 # process would — no response, no cleanup, no close.
                 os._exit(1)
             except Exception as exc:  # noqa: BLE001 - wire errors to caller
-                status, body = rpc.STATUS_ERROR, (type(exc).__name__, str(exc))
+                frame = rpc.response_frame(
+                    rpc.STATUS_ERROR, (type(exc).__name__, str(exc))
+                )
             try:
-                rpc.send_response(conn, status, body)
+                conn.sendall(frame)
             except OSError:
                 return
             if worker.shutting_down.is_set():
@@ -276,10 +289,11 @@ def worker_main(
     node_id: str,
     data_dir: str,
     socket_path: str,
-    wal_sync: bool = False,
+    on_listening: Optional[Callable[[_Worker], None]] = None,
 ) -> None:
-    """Entry point of a region-server process (importable for ``spawn``)."""
-    worker = _Worker(node_id, Path(data_dir), wal_sync)
+    """Serve one node until ``SHUTDOWN``; ``on_listening(worker)`` runs once
+    the socket accepts connections."""
+    worker = _Worker(node_id, Path(data_dir))
     Path(socket_path).unlink(missing_ok=True)
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     listener.bind(socket_path)
@@ -287,6 +301,8 @@ def worker_main(
     listener.listen(16)
     # SHUTDOWN shuts the listener down, which fails the blocked accept.
     worker.listener = listener
+    if on_listening is not None:
+        on_listening(worker)
     threads: list[threading.Thread] = []
     try:
         while not worker.shutting_down.is_set():
@@ -308,3 +324,27 @@ def worker_main(
             t.join(timeout=2.0)
         worker.close_all()
         Path(socket_path).unlink(missing_ok=True)
+
+
+def _shutdown_on_eof(worker: _Worker) -> None:
+    """Read stdin to EOF — the coordinator has gone — then shut down."""
+    while os.read(0, 4096):
+        pass
+    worker.shutdown()
+
+
+def _listening(worker: _Worker) -> None:
+    threading.Thread(
+        target=_shutdown_on_eof, args=(worker,), daemon=True, name="rs-stdin"
+    ).start()
+    os.write(1, READY_LINE)
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``."""
+    node_id, data_dir, socket_path = sys.argv[1:] if argv is None else argv
+    worker_main(node_id, data_dir, socket_path, _listening)
+
+
+if __name__ == "__main__":
+    main()

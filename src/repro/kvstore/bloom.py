@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Iterable
+
+# The builtin module behind ``hashlib.blake2b`` (the same type on CPython):
+# importing ``hashlib`` would also load OpenSSL, which nothing else here uses.
+from _blake2 import blake2b
 
 
 class BloomFilter:
@@ -25,7 +28,7 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
 
     def _hashes(self, key: bytes) -> Iterable[int]:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
+        digest = blake2b(key, digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:], "big") | 1
         for i in range(self.num_hashes):

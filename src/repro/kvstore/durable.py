@@ -35,7 +35,6 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
 
 from __future__ import annotations
 
-import logging
 import os
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -51,8 +50,6 @@ from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 from repro.obs import counter as _obs_counter
 from repro.runtime.backpressure import WriteLimits
-
-_log = logging.getLogger(__name__)
 
 _TORN_SKIPPED = _obs_counter(
     "kv_sstable_torn_skipped_total",
@@ -138,7 +135,11 @@ class DurableLSMStore(LSMStore):
                 # acknowledged content is covered by the WAL, which was
                 # only truncated after the file was durably in place.
                 _TORN_SKIPPED.inc()
-                _log.warning("skipping torn SSTable %s: %s", path, exc)
+                import logging  # only here: a worker never loads it otherwise
+
+                logging.getLogger(__name__).warning(
+                    "skipping torn SSTable %s: %s", path, exc
+                )
                 path.rename(path.with_name(path.name + ".corrupt"))
                 continue
             self._sstables.append(table)

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
@@ -40,6 +39,9 @@ from repro.runtime.backpressure import (
     record_stall,
     record_throttle,
 )
+
+if TYPE_CHECKING:  # only annotated here; importing it loads logging into a worker
+    from concurrent.futures import ThreadPoolExecutor
 
 DEFAULT_FLUSH_BYTES = 4 * 1024 * 1024
 DEFAULT_MAX_TABLES = 8

@@ -14,9 +14,9 @@ See ``docs/observability.md`` for the metric catalog and span hierarchy.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.obs.export import to_json, to_prometheus, validate_snapshot
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     CounterFamily,
     GaugeFamily,
@@ -32,13 +32,11 @@ from repro.obs.profile import (
     query_profile,
     run_with_profile,
 )
-from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
-from repro.obs.stats import (
-    WORKLOAD_STATS_SCHEMA,
-    WorkloadStatsCollector,
-    validate_workload_stats,
-)
-from repro.obs.tracing import SpanRecord, Tracer, spans_from_export
+
+if TYPE_CHECKING:
+    from repro.obs.slowlog import SlowQueryLog
+    from repro.obs.stats import WorkloadStatsCollector
+    from repro.obs.tracing import Tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -79,10 +77,26 @@ __all__ = [
 ]
 
 REGISTRY = MetricsRegistry()
-TRACER = Tracer()
-SLOW_QUERY_LOG = SlowQueryLog()
 PROFILE_LOG = ProfileLog()
-WORKLOAD_STATS = WorkloadStatsCollector()
+
+# The exporters, the tracer, the slow-query log and the workload statistics
+# load on first access (PEP 562), each singleton with its module: the engine
+# modules import this package for ``counter`` alone, and a region-server
+# worker must not pay for the rest.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.obs.export": ("to_json", "to_prometheus", "validate_snapshot"),
+        "repro.obs.slowlog": ("SlowQueryEntry", "SlowQueryLog", "SLOW_QUERY_LOG"),
+        "repro.obs.stats": (
+            "WORKLOAD_STATS_SCHEMA",
+            "WorkloadStatsCollector",
+            "validate_workload_stats",
+            "WORKLOAD_STATS",
+        ),
+        "repro.obs.tracing": ("SpanRecord", "Tracer", "spans_from_export", "TRACER"),
+    },
+)
 
 
 def registry() -> MetricsRegistry:
@@ -92,11 +106,15 @@ def registry() -> MetricsRegistry:
 
 def tracer() -> Tracer:
     """The process-wide span tracer."""
+    from repro.obs.tracing import TRACER
+
     return TRACER
 
 
 def slow_query_log() -> SlowQueryLog:
     """The process-wide slow-query log."""
+    from repro.obs.slowlog import SLOW_QUERY_LOG
+
     return SLOW_QUERY_LOG
 
 
@@ -107,6 +125,8 @@ def profile_log() -> ProfileLog:
 
 def workload_stats() -> WorkloadStatsCollector:
     """The process-wide workload statistics collector."""
+    from repro.obs.stats import WORKLOAD_STATS
+
     return WORKLOAD_STATS
 
 
@@ -133,7 +153,7 @@ def snapshot() -> dict:
 def set_metrics_enabled(enabled: bool) -> None:
     """Toggle the global registry and tracer together (the cheap off switch)."""
     REGISTRY.set_enabled(enabled)
-    TRACER.set_enabled(enabled)
+    tracer().set_enabled(enabled)
 
 
 def metrics_enabled() -> bool:
@@ -143,13 +163,13 @@ def metrics_enabled() -> bool:
 
 def set_slow_query_ms(threshold_ms: Optional[float]) -> None:
     """Configure the global slow-query threshold (``None`` disables)."""
-    SLOW_QUERY_LOG.set_threshold(threshold_ms)
+    slow_query_log().set_threshold(threshold_ms)
 
 
 def reset_all() -> None:
     """Zero metrics, drop spans and slow-query entries (test isolation)."""
     REGISTRY.reset()
-    TRACER.clear()
-    SLOW_QUERY_LOG.clear()
+    tracer().clear()
+    slow_query_log().clear()
     PROFILE_LOG.clear()
-    WORKLOAD_STATS.clear()
+    workload_stats().clear()

@@ -119,3 +119,7 @@ class SlowQueryLog:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+# The process-wide slow-query log, ``repro.obs.slow_query_log()``.
+SLOW_QUERY_LOG = SlowQueryLog()

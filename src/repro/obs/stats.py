@@ -251,6 +251,10 @@ class WorkloadStatsCollector:
             self._total = 0
 
 
+# The process-wide collector, ``repro.obs.workload_stats()``.
+WORKLOAD_STATS = WorkloadStatsCollector()
+
+
 def validate_workload_stats(doc: dict) -> list[str]:
     """Schema-check a ``workload_stats.json`` document; returns errors."""
     errors: list[str] = []

@@ -215,3 +215,7 @@ def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+# The process-wide tracer, ``repro.obs.tracer()``.
+TRACER = Tracer()

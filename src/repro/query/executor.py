@@ -23,11 +23,11 @@ from repro.obs import (
     counter as _obs_counter,
     histogram as _obs_histogram,
     profile_log as _obs_profile_log,
-    slow_query_log as _obs_slow_query_log,
-    tracer as _obs_tracer,
-    workload_stats as _obs_workload_stats,
 )
 from repro.obs.profile import QueryProfile, query_profile
+from repro.obs.slowlog import SLOW_QUERY_LOG
+from repro.obs.stats import WORKLOAD_STATS
+from repro.obs.tracing import TRACER
 from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
@@ -105,7 +105,7 @@ class QueryExecutor:
             raise TypeError(f"count is not supported for {type(query).__name__}")
         if plan is None:
             plan = self._t.planner.plan(query)
-        with query_profile(type(query).__name__) as profile, _obs_tracer().span(
+        with query_profile(type(query).__name__) as profile, TRACER.span(
             "query.count" if count else "query.execute",
             type=type(query).__name__,
             plan=f"{plan.index}/{plan.route}",
@@ -269,8 +269,7 @@ class QueryExecutor:
         time_range = getattr(query, "time_range", None)
         window = getattr(query, "window", None)
         boundary = cfg.boundary
-        stats = _obs_workload_stats()
-        stats.record(
+        WORKLOAD_STATS.record(
             profile,
             time_range=(time_range.start, time_range.end)
             if time_range is not None else None,
@@ -282,7 +281,7 @@ class QueryExecutor:
         )
         estimated = self._t.planner.estimate_candidates(query)
         if estimated is not None and estimated > 0:
-            stats.record_estimate(
+            WORKLOAD_STATS.record_estimate(
                 profile.query_type, profile.plan, result.candidates, estimated
             )
 
@@ -298,7 +297,7 @@ class QueryExecutor:
             _QUERY_CANDIDATES.labels(type=qtype).observe(
                 result.candidates, exemplar=exemplar
             )
-        slog = _obs_slow_query_log()
+        slog = SLOW_QUERY_LOG
         if slog.threshold_ms is not None and result.elapsed_ms >= slog.threshold_ms:
             recorded = slog.maybe_record(
                 repr(query),

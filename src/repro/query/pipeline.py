@@ -20,11 +20,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 from repro.core.st import STWindow
 from repro.kvstore.filters import Filter
 from repro.kvstore.stats import ExecutionTrace
-from repro.obs import (
-    counter as _obs_counter,
-    histogram as _obs_histogram,
-    tracer as _obs_tracer,
-)
+from repro.obs import counter as _obs_counter, histogram as _obs_histogram
+from repro.obs.tracing import TRACER
 from repro.query.filters import (
     IdFilter,
     Ladder,
@@ -209,8 +206,7 @@ class Pipeline:
         sink_stream: Iterator[Any] = stream if stream is not None else iter(())
         if self.deadline is not None:
             sink_stream = _DeadlineGuard(sink_stream, self.deadline)
-        tracer = _obs_tracer()
-        with tracer.span("pipeline.run", pipeline=self.describe()) as span:
+        with TRACER.span("pipeline.run", pipeline=self.describe()) as span:
             t0 = time.perf_counter()
             try:
                 value = self.sink.consume(sink_stream)
@@ -260,7 +256,7 @@ class Pipeline:
                         if rows:
                             _STAGE_ROWS.labels(stage=name).inc(rows)
                         if span is not None:
-                            tracer.add_span(
+                            TRACER.add_span(
                                 f"stage.{name}",
                                 cursor,
                                 stage_ms / 1000.0,

@@ -17,9 +17,7 @@ built before this package existed):
   bursts grow memory without bound.
 """
 
-from repro.runtime.admission import AdmissionController, AdmissionRejectedError
-from repro.runtime.backpressure import WriteLimits
-from repro.runtime.deadline import Deadline, QueryTimeoutError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdmissionController",
@@ -28,3 +26,15 @@ __all__ = [
     "QueryTimeoutError",
     "WriteLimits",
 ]
+
+# Re-exports resolve on first access (PEP 562): the storage engine imports
+# ``deadline`` and ``backpressure`` through this package, and a region-server
+# worker must not load admission control with them.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.runtime.admission": ("AdmissionController", "AdmissionRejectedError"),
+        "repro.runtime.backpressure": ("WriteLimits",),
+        "repro.runtime.deadline": ("Deadline", "QueryTimeoutError"),
+    },
+)

@@ -30,12 +30,9 @@ from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeKey
 from repro.kvstore.scan import Scan
 from repro.model.trajectory import Trajectory
-from repro.obs import (
-    counter as _obs_counter,
-    histogram as _obs_histogram,
-    tracer as _obs_tracer,
-)
+from repro.obs import counter as _obs_counter, histogram as _obs_histogram
 from repro.obs.profile import QueryProfile, profile_scope
+from repro.obs.tracing import TRACER
 from repro.storage.schema import encode_u64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -235,7 +232,7 @@ class StorageWriter:
         """
         report = WriteReport()
         ledger = QueryProfile("bulk_load")
-        with profile_scope(ledger), _obs_tracer().span(
+        with profile_scope(ledger), TRACER.span(
             "storage.bulk_load", batch=len(trajs)
         ) as sp:
             t0 = time.perf_counter()
@@ -284,7 +281,7 @@ class StorageWriter:
         """Buffered insert: reuse known codes, stage unknown shapes raw."""
         report = WriteReport()
         ledger = QueryProfile("insert")
-        with profile_scope(ledger), _obs_tracer().span(
+        with profile_scope(ledger), TRACER.span(
             "storage.insert", batch=len(trajs)
         ) as sp:
             t0 = time.perf_counter()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,12 @@ def line_trajectory() -> Trajectory:
 
 DATA_DIR = Path(__file__).parent / "data"
 
+
+def reaped(process) -> bool:
+    """True once a worker ``Popen`` has exited and been waited for: it is
+    neither running nor a zombie child of this process."""
+    try:
+        os.waitpid(process.pid, os.WNOHANG)
+    except ChildProcessError:
+        return process.returncode is not None
+    return False

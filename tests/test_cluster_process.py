@@ -334,21 +334,6 @@ def test_add_node_rebalances_and_preserves_data():
         pc.close()
 
 
-def test_fork_start_method_round_trip():
-    pc = ProcessCluster(
-        nodes=1, replication_factor=1, start_method="fork", workers=2
-    )
-    try:
-        t = pc.create_table("forky")
-        for key, value in _rows(10):
-            t.put(key, value)
-        t.flush()
-        assert t.get(b"k00004") == b"v4v4v4"
-        assert len(list(t.scan(Scan(None, None)))) == 10
-    finally:
-        pc.close()
-
-
 # -- TMan-level equivalence -------------------------------------------------
 
 

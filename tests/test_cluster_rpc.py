@@ -44,7 +44,7 @@ def test_response_round_trip_all_statuses(sockpair):
         (rpc.STATUS_ERROR, ("KeyError", "boom")),
         (rpc.STATUS_EXPIRED, ([(b"k", b"v")], False)),
     ):
-        rpc.send_response(a, status, body)
+        a.sendall(rpc.response_frame(status, body))
         got_status, got_body = rpc.recv_response(b)
         assert (got_status, got_body) == (status, body)
 

@@ -1,10 +1,17 @@
 """Unit tests for SSTable and the bloom filter."""
 
+import hashlib
+
 import pytest
 
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.stats import IOStats
+
+
+# sha256 prefix of the bits below, as written when the filter still hashed
+# through ``hashlib``.
+BLOOM_BITS_SHA256 = "cfc428b23f501a70"
 
 
 def entries(n):
@@ -28,6 +35,24 @@ class TestBloom:
     def test_rejects_bad_fp_rate(self):
         with pytest.raises(ValueError):
             BloomFilter(10, fp_rate=1.5)
+
+    def test_bits_equal_a_hashlib_reference(self):
+        # The filter hashes with the builtin blake2b, not through hashlib;
+        # its bits must be the ones hashlib's blake2b gives.
+        keys = [b"", b"k", *(b"key-%05d" % i for i in range(0, 3000, 7))]
+        bf = BloomFilter(len(keys), fp_rate=0.02)
+        for key in keys:
+            bf.add(key)
+        expect = bytearray((bf.num_bits + 7) // 8)
+        for key in keys:
+            digest = hashlib.blake2b(key, digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:], "big") | 1
+            for i in range(bf.num_hashes):
+                pos = (h1 + i * h2) % bf.num_bits
+                expect[pos >> 3] |= 1 << (pos & 7)
+        assert bf._bits == expect
+        assert hashlib.sha256(bytes(expect)).hexdigest()[:16] == BLOOM_BITS_SHA256
 
 
 class TestSSTable:

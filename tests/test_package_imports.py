@@ -1,10 +1,13 @@
 """The package surface: lazy re-exports and the worker's import closure.
 
-``repro``, ``repro.kvstore`` and ``repro.cluster`` resolve their re-exports
-on first access, so a spawned region-server worker — which imports only
-``repro.cluster.worker`` — loads the storage engine and nothing else: no
-numpy, no query, storage or similarity stack.  Start-up time and worker
-memory both depend on that closure staying small.
+``repro``, ``repro.kvstore``, ``repro.cluster``, ``repro.obs`` and
+``repro.runtime`` resolve their re-exports on first access, so a
+region-server worker — ``python -S``, importing only
+``repro.cluster.worker`` — loads the RPC framing and the storage engine and
+nothing else: no numpy, no query, storage or similarity stack, no
+exporters, tracer or admission control, and from the standard library
+neither OpenSSL's ``hashlib``, ``pickle`` nor ``multiprocessing``.  Start-up
+time and worker memory both depend on that closure staying small.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PACKAGES = ["repro", "repro.kvstore", "repro.cluster"]
+PACKAGES = ["repro", "repro.kvstore", "repro.cluster", "repro.obs", "repro.runtime"]
 
 # Never loaded by a worker.
 EXCLUDED = [
@@ -36,8 +39,12 @@ EXCLUDED = [
     "repro.datasets",
 ]
 
+# Standard-library modules a worker never loads.
+EXCLUDED_STDLIB = ["hashlib", "_hashlib", "pickle", "multiprocessing"]
+
 # Everything a worker may load: the RPC layer, the durable engine and
-# what it imports, plus the observability and runtime packages.
+# what it imports, the metric instruments and the deadline and backpressure
+# the engine reads.
 WORKER_CLOSURE = {
     "repro",
     "repro._lazy",
@@ -53,8 +60,13 @@ WORKER_CLOSURE = {
             "stats retry simfault errors scan filters"
         ).split()
     ),
+    "repro.obs",
+    "repro.obs.metrics",
+    "repro.obs.profile",
+    "repro.runtime",
+    "repro.runtime.backpressure",
+    "repro.runtime.deadline",
 }
-WORKER_PACKAGES = ("repro.obs", "repro.runtime")
 
 
 def _under(module: str, package: str) -> bool:
@@ -63,7 +75,7 @@ def _under(module: str, package: str) -> bool:
 
 @pytest.fixture(scope="module")
 def worker_modules() -> set[str]:
-    """``sys.modules`` of a fresh interpreter after ``import repro.cluster.worker``."""
+    """``sys.modules`` of a fresh ``python -S`` after ``import repro.cluster.worker``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -71,6 +83,7 @@ def worker_modules() -> set[str]:
     out = subprocess.run(
         [
             sys.executable,
+            "-S",
             "-c",
             "import json, sys; import repro.cluster.worker; "
             "print(json.dumps(sorted(sys.modules)))",
@@ -92,13 +105,15 @@ def test_worker_loads_no_numpy_and_no_excluded_layer(worker_modules):
 
 def test_worker_loads_only_the_storage_engine(worker_modules):
     repro_modules = {m for m in worker_modules if _under(m, "repro")}
-    extra = sorted(
-        m
-        for m in repro_modules - WORKER_CLOSURE
-        if not any(_under(m, pkg) for pkg in WORKER_PACKAGES)
-    )
-    assert extra == []
+    assert sorted(repro_modules - WORKER_CLOSURE) == []
     assert {"repro.cluster.worker", "repro.kvstore.durable"} <= repro_modules
+
+
+def test_worker_loads_no_openssl_pickle_or_multiprocessing(worker_modules):
+    leaked = sorted(
+        m for m in worker_modules if any(_under(m, ex) for ex in EXCLUDED_STDLIB)
+    )
+    assert leaked == []
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -128,9 +143,17 @@ def test_reexports_are_the_defining_objects():
     from repro.kvstore.cluster import Cluster
     from repro.storage.tman import TMan
 
+    import repro.obs
+    import repro.runtime
+    from repro.obs import tracing
+    from repro.runtime.admission import AdmissionController
+
     assert repro.TMan is TMan
     assert repro.kvstore.Cluster is Cluster
     assert repro.cluster.ProcessCluster is ProcessCluster
+    assert repro.obs.Tracer is tracing.Tracer
+    assert repro.obs.tracer() is repro.obs.TRACER is tracing.TRACER
+    assert repro.runtime.AdmissionController is AdmissionController
 
 
 @pytest.mark.parametrize("package", PACKAGES)

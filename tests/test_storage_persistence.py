@@ -2,18 +2,18 @@
 
 import dataclasses
 import json
-import multiprocessing
 
 import pytest
 
 from repro import TMan, TManConfig
+from repro.cluster.client import WorkerHandle
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore import simfault
 from repro.kvstore.errors import CorruptionError
 from repro.kvstore.scan import Scan
 from repro.model import MBR
 from repro.storage.persistence import open_tman, save_tman
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, reaped
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,20 @@ class TestConfigRoundTrip:
             assert reopened.config.push_down is False
 
 
+@pytest.fixture()
+def workers(monkeypatch) -> list:
+    """Every worker process a ``WorkerHandle`` launches during the test."""
+    launched: list = []
+    launch = WorkerHandle.launch
+
+    def recorded(self):
+        launch(self)
+        launched.append(self._process)
+
+    monkeypatch.setattr(WorkerHandle, "launch", recorded)
+    return launched
+
+
 class TestProcessModeReopen:
     """``config_overrides`` can reopen a (thread-mode) snapshot on worker
     processes: the tables are restored into the cluster the config asks
@@ -195,7 +209,7 @@ class TestProcessModeReopen:
             save_tman(tman, tmp_path / "deploy")
         return tmp_path / "deploy", data
 
-    def test_reopens_on_worker_processes(self, small_dir):
+    def test_reopens_on_worker_processes(self, small_dir, workers):
         directory, data = small_dir
         time_range = data[0].time_range
         with open_tman(directory) as threads:
@@ -210,15 +224,15 @@ class TestProcessModeReopen:
             result = processes.temporal_range_query(time_range)
             assert sorted(t.tid for t in result.trajectories) == expected
             assert processes.row_count == len(data)
-        assert multiprocessing.active_children() == []
+        assert len(workers) == 2 and all(reaped(p) for p in workers)
 
-    def test_failed_restore_stops_the_workers(self, small_dir):
+    def test_failed_restore_stops_the_workers(self, small_dir, workers):
         directory, _ = small_dir
         snap = directory / "tables.snap"
         snap.write_bytes(snap.read_bytes()[:-7])  # truncated
         with pytest.raises(CorruptionError):
             open_tman(directory, config_overrides=self.PROCESSES)
-        assert multiprocessing.active_children() == []
+        assert len(workers) == 2 and all(reaped(p) for p in workers)
 
 
 class TestParentFormatDeployment:
