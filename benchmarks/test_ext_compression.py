@@ -9,16 +9,11 @@ raw point arrays.
 
 import time
 
-from benchmarks.harness import ResultTable
-from repro.compression import (
-    TrajectoryCodec,
-    elf_decode,
-    elf_encode,
-    xor_float_decode,
-    xor_float_encode,
-)
-
 from benchmarks.conftest import save_table
+from benchmarks.elf import elf_decode, elf_encode
+from benchmarks.harness import ResultTable
+from benchmarks.xor_float import xor_float_decode, xor_float_encode
+from repro.compression import TrajectoryCodec
 
 
 def test_ext_codec_menu(benchmark, tdrive_data):

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
-from repro.kvstore.stats import CostModel
 from repro.kvstore.table import Table
 from repro.model.trajectory import Trajectory
 from repro.obs.profile import query_profile
@@ -44,7 +43,6 @@ def scan_query(
     *,
     push_down: bool,
     refine: Operator,
-    cost: CostModel,
 ) -> QueryResult:
     """Read ``windows`` of ``table`` through the query operators.
 
@@ -63,7 +61,7 @@ def scan_query(
         trajs = pipeline.run()
         elapsed = (time.perf_counter() - t0) * 1000
         return QueryResult.from_profile(
-            profile, trajs, elapsed, plan, cost, trace=pipeline.trace
+            profile, trajs, elapsed, plan, trace=pipeline.trace
         )
 
 
@@ -78,7 +76,6 @@ class SingleIndexStore:
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
-        cost_model: Optional[CostModel] = None,
     ):
         self.name = name
         self._index_value = index_value_fn
@@ -88,7 +85,6 @@ class SingleIndexStore:
         self.table = self.cluster.create_table(f"{name}_primary")
         self.keys = RowKeyCodec(num_shards, index_width=8)
         self.serializer = RowSerializer(TrajectoryCodec())
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.row_count = 0
 
     def close(self) -> None:
@@ -114,5 +110,5 @@ class SingleIndexStore:
         """Scan windows, filter (server- or client-side), decode, account."""
         return scan_query(
             f"{self.name}/primary", self.table, windows, row_filter,
-            push_down=self.push_down, refine=Decode(self.serializer), cost=self._cost,
+            push_down=self.push_down, refine=Decode(self.serializer),
         )

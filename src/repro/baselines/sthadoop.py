@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
 from repro.model.timerange import TimeRange
@@ -46,7 +45,6 @@ class STHadoop:
         origin: float = 0.0,
         kv_workers: int = 4,
         job_overhead_ms: float = DEFAULT_JOB_OVERHEAD_MS,
-        cost_model: Optional[CostModel] = None,
     ):
         if slice_seconds <= 0:
             raise ValueError(f"slice_seconds must be positive: {slice_seconds}")
@@ -57,7 +55,6 @@ class STHadoop:
         self.job_overhead_ms = job_overhead_ms
         self.cluster = Cluster(workers=kv_workers)
         self.table = self.cluster.create_table("sth_points")
-        self._cost = cost_model if cost_model is not None else CostModel()
         self._oid_of: dict[str, str] = {}
         self._slices: set[int] = set()
         self.point_count = 0
@@ -146,9 +143,7 @@ class STHadoop:
                 if traj_pred is None or traj_pred(traj):
                     out.append(traj)
             elapsed = (time.perf_counter() - t0) * 1000
-            result = QueryResult.from_profile(
-                profile, out, elapsed, "sthadoop/job", self._cost
-            )
+            result = QueryResult.from_profile(profile, out, elapsed, "sthadoop/job")
         result.simulated_ms += self.job_overhead_ms
         return result
 

@@ -11,13 +11,12 @@ TR-index gain.  Their windows come from the same builders as TMan's
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.temporal import TRIndex
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -38,7 +37,6 @@ class TManXZT:
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
-        cost_model: Optional[CostModel] = None,
     ):
         self.xzt = XZTIndex(xzt_period_seconds, max_level, origin)
         # The row format stores a TR value; reuse a TR index for that slot.
@@ -50,7 +48,6 @@ class TManXZT:
             num_shards=num_shards,
             kv_workers=kv_workers,
             push_down=push_down,
-            cost_model=cost_model,
         )
 
     def bulk_load(self, trajs: Sequence[Trajectory]) -> int:
@@ -80,7 +77,6 @@ class TManXZ:
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
-        cost_model: Optional[CostModel] = None,
     ):
         self.grid = QuadTreeGrid(boundary, max_resolution)
         self.xz2 = XZ2Index(self.grid)
@@ -92,7 +88,6 @@ class TManXZ:
             num_shards=num_shards,
             kv_workers=kv_workers,
             push_down=push_down,
-            cost_model=cost_model,
         )
 
     def bulk_load(self, trajs: Sequence[Trajectory]) -> int:

@@ -24,7 +24,6 @@ from repro.core.quadtree import QuadTreeGrid
 from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -52,7 +51,6 @@ class TrajMesa:
         origin: float = 0.0,
         num_shards: int = 4,
         kv_workers: int = 4,
-        cost_model: Optional[CostModel] = None,
     ):
         self.grid = QuadTreeGrid(boundary, max_resolution)
         self.xzt = XZTIndex(xzt_period_seconds, 16, origin)
@@ -64,7 +62,6 @@ class TrajMesa:
         self.cluster = Cluster(workers=kv_workers)
         self.keys = RowKeyCodec(num_shards, index_width=8)
         self.serializer = RowSerializer(TrajectoryCodec())
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.temporal_table = self.cluster.create_table("tm_temporal")
         self.spatial_table = self.cluster.create_table("tm_spatial")
         self.st_table = self.cluster.create_table("tm_st")
@@ -108,7 +105,7 @@ class TrajMesa:
         # No push-down: the region returns every candidate row.
         return scan_query(
             f"trajmesa/{name}", table, windows, row_filter,
-            push_down=False, refine=Decode(self.serializer), cost=self._cost,
+            push_down=False, refine=Decode(self.serializer),
         )
 
     # -- queries --------------------------------------------------------------
@@ -159,7 +156,7 @@ class TrajMesa:
         refine = _ThresholdRefine(self.serializer, query_traj, threshold, measure)
         return scan_query(
             "trajmesa/similarity", self.spatial_table, windows, None,
-            push_down=False, refine=refine, cost=self._cost,
+            push_down=False, refine=refine,
         )
 
 

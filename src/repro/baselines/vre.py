@@ -14,14 +14,13 @@ this design pays, both measured here:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.start_time import StartTimeSegmentIndex
 from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory, concat_trajectories
 from repro.obs.profile import query_profile
@@ -41,7 +40,6 @@ class VRE:
         segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
         origin: float = 0.0,
         kv_workers: int = 2,
-        cost_model: Optional[CostModel] = None,
     ):
         self.index = StartTimeSegmentIndex(segment_seconds, origin)
         self.cluster = Cluster(workers=kv_workers)
@@ -49,7 +47,6 @@ class VRE:
         self.by_tid = self.cluster.create_table("vre_tid")
         self.serializer = RowSerializer(TrajectoryCodec())
         self._tr_slot = TRIndex(origin=origin)
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.segment_count = 0
         self.trajectory_count = 0
 
@@ -128,6 +125,4 @@ class VRE:
                     out.append(concat_trajectories(parts))
 
             elapsed = (time.perf_counter() - t0) * 1000
-            return QueryResult.from_profile(
-                profile, out, elapsed, "vre/start-time", self._cost
-            )
+            return QueryResult.from_profile(profile, out, elapsed, "vre/start-time")

@@ -51,7 +51,6 @@ _PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
 _OP_NAMES = {
     rpc.OP_PING: "ping",
-    rpc.OP_OPEN: "open",
     rpc.OP_PUT: "put",
     rpc.OP_DELETE: "delete",
     rpc.OP_GET: "get",

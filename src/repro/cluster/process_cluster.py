@@ -2,12 +2,13 @@
 
 :class:`ProcessCluster` extends the embedded
 :class:`~repro.kvstore.cluster.Cluster` facade: the table catalog, scan
-pool, retry policy, and IOStats stay exactly as in thread mode, but every
-region's storage engine is a
+pool, retry policy, and IOStats stay exactly as in thread mode, but its
+store builder makes every region's storage engine a
 :class:`~repro.cluster.replication.ReplicatedStore` whose replicas live
-in spawned region-server processes.  This class is the store's
-``ReplicaRouter``: it owns the consistent-hash ring, the per-node hint
-queues, the down set, and the worker process handles.
+in spawned region-server processes (the coordinator, holding no region
+data, builds no block cache, write limits or flush pool).  This class is
+the store's ``ReplicaRouter``: it owns the consistent-hash ring, the
+per-node hint queues, the down set, and the worker process handles.
 
 Lifecycle operations exposed for tests, fault drills, and operations:
 
@@ -43,7 +44,9 @@ from repro.cluster.replication import DEFAULT_PAGE_ROWS, ReplicatedStore
 from repro.cluster.ring import ConsistentHashRing
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.errors import ReplicaDownError
+from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.scan import Window, windows_after
+from repro.kvstore.table import DEFAULT_SPLIT_ROWS, StoreBuilder
 
 STATE_UP = 2
 STATE_STALE = 1
@@ -61,7 +64,9 @@ class ProcessCluster(Cluster):
         write_quorum: int = 1,
         page_rows: int = DEFAULT_PAGE_ROWS,
         cluster_data_dir: Optional[str] = None,
-        **cluster_kwargs,
+        workers: int = 4,
+        split_rows: int = DEFAULT_SPLIT_ROWS,
+        retry: Optional[RetryPolicy] = None,
     ):
         if nodes < 1:
             raise ValueError(f"nodes must be positive, got {nodes}")
@@ -76,10 +81,7 @@ class ProcessCluster(Cluster):
                     f"need 1 <= {name} <= replication_factor, got "
                     f"{q}/{replication_factor}"
                 )
-        # The coordinator keeps no local region data: data_dir stays None
-        # and the store factory below supplies replicated remote engines.
-        cluster_kwargs.pop("data_dir", None)
-        super().__init__(**cluster_kwargs)
+        super().__init__(workers=workers, split_rows=split_rows, retry=retry)
         self.replication_factor = replication_factor
         self.read_quorum = read_quorum
         self.write_quorum = write_quorum
@@ -115,7 +117,11 @@ class ProcessCluster(Cluster):
             raise
         for handle in fleet:
             self._admit(handle)
-        self._table_store_factory = self._make_store
+
+    def _store_builder(self, data_dir, block_cache_bytes, write_limits) -> StoreBuilder:
+        """Every region is a :class:`ReplicatedStore` on the workers (the
+        base's engine arguments are never set here)."""
+        return _ReplicatedStores(self)
 
     # -- worker fleet --------------------------------------------------------
 
@@ -177,15 +183,6 @@ class ProcessCluster(Cluster):
             self._stores.pop(store_id, None)
             for node, queue in self._hints.items():
                 self._hints[node] = [h for h in queue if h[0] != store_id]
-
-    # -- store factory (wired through Cluster → Table) -----------------------
-
-    def _make_store(self, table_name: str, region_id: int) -> ReplicatedStore:
-        store_id = f"{table_name}/region-{region_id:04d}"
-        store = ReplicatedStore(store_id, self)
-        with self._mu:
-            self._stores[store_id] = store
-        return store
 
     # -- fault drills and recovery -------------------------------------------
 
@@ -348,3 +345,18 @@ class ProcessCluster(Cluster):
                 pass
         if self._owns_dir:
             shutil.rmtree(self.cluster_dir, ignore_errors=True)
+
+
+class _ReplicatedStores(StoreBuilder):
+    """Backs each region with a :class:`ReplicatedStore` on the cluster's
+    ring; the regions of a table start as one at every open."""
+
+    def __init__(self, cluster: ProcessCluster):
+        self._cluster = cluster
+
+    def store(self, table: str, region_id: int) -> ReplicatedStore:
+        cluster = self._cluster
+        store = ReplicatedStore(f"{table}/region-{region_id:04d}", cluster)
+        with cluster._mu:  # placement tracking for rebalancing and health
+            cluster._stores[store.store_id] = store
+        return store

@@ -63,13 +63,11 @@ class ReplicaRouter(Protocol):
     def queue_hint(
         self, node: str, store_id: str, key: bytes, value: bytes
     ) -> None: ...
+    def forget_store(self, store_id: str) -> None: ...
 
 
 class ReplicatedStore:
     """One region's replicated key/value engine (coordinator side)."""
-
-    # Region._store_scan passes the query deadline through to scan_windows().
-    accepts_deadline = True
 
     def __init__(self, store_id: str, router: ReplicaRouter):
         self.store_id = store_id
@@ -151,14 +149,6 @@ class ReplicatedStore:
         self._replicated_write(rpc.OP_DELETE, (self.store_id, key), [(key, TOMBSTONE)])
 
     # -- reads ---------------------------------------------------------------
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Point lookup from a fresh replica, failing over on death."""
-        fresh = self._require_read_quorum("get")
-        value = self._call_with_failover(
-            fresh, "get", rpc.OP_GET, (self.store_id, key)
-        )
-        return value
 
     def get_batch(self, keys: list[bytes]) -> list[Optional[bytes]]:
         """Batched point lookups — one RPC for the whole batch."""
@@ -289,9 +279,7 @@ class ReplicatedStore:
                 self._router.client(node).call(rpc.OP_DROP, (self.store_id,))
             except ReplicaDownError:
                 self._router.mark_down(node)
-        forget = getattr(self._router, "forget_store", None)
-        if forget is not None:
-            forget(self.store_id)
+        self._router.forget_store(self.store_id)
 
     def close(self) -> None:
         """Nothing to release coordinator-side (workers own the handles)."""

@@ -64,7 +64,6 @@ MAX_DEPTH = 32
 
 # Op codes.
 OP_PING = 1
-OP_OPEN = 2
 OP_PUT = 3
 OP_DELETE = 4
 OP_GET = 5

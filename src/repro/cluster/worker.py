@@ -92,15 +92,15 @@ class _Worker:
             return store, self._locks[store_id]
 
     def drop(self, store_id: str) -> None:
-        """Close a store and delete its directory (replica moved away)."""
+        """Delete a store and its directory (replica moved away or region
+        retired); a store not opened since the worker started is opened
+        first, so its directory goes too."""
+        store, lock = self.store(store_id)
         with self._mu:
-            store = self._stores.pop(store_id, None)
+            self._stores.pop(store_id, None)
             self._locks.pop(store_id, None)
-        if store is not None:
-            store.close()
-        import shutil  # only here: it loads the bz2 and lzma modules
-
-        shutil.rmtree(self.data_dir / store_id, ignore_errors=True)
+        with lock:
+            store.destroy()
 
     def close_all(self) -> None:
         with self._mu:
@@ -168,11 +168,6 @@ def _handle(worker: _Worker, op: int, remaining_ms: float, args: tuple):
 
     if op == rpc.OP_PING:
         return rpc.STATUS_OK, ("pong", os.getpid(), worker.node_id)
-
-    if op == rpc.OP_OPEN:
-        (store_id,) = args
-        worker.store(store_id)
-        return rpc.STATUS_OK, True
 
     if op == rpc.OP_PUT:
         store_id, key, value = args

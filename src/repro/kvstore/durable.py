@@ -270,6 +270,13 @@ class DurableLSMStore(LSMStore):
         except (FileNotFoundError, ValueError, OSError):
             pass
 
+    def destroy(self) -> None:
+        """Close the store and remove its directory."""
+        self.close()
+        import shutil  # only here: it loads the bz2 and lzma modules
+
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+
     def __enter__(self) -> "DurableLSMStore":
         return self
 

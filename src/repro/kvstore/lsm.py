@@ -43,6 +43,8 @@ from repro.runtime.backpressure import (
 if TYPE_CHECKING:  # only annotated here; importing it loads logging into a worker
     from concurrent.futures import ThreadPoolExecutor
 
+    from repro.runtime.deadline import Deadline
+
 DEFAULT_FLUSH_BYTES = 4 * 1024 * 1024
 DEFAULT_MAX_TABLES = 8
 
@@ -339,11 +341,21 @@ class LSMStore:
         """Yield live entries in ``[start, stop)`` in key order."""
         return self.scan_windows(((start, stop),))
 
-    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
+    def scan_windows(
+        self, windows: Sequence[Window], deadline: Optional[Deadline] = None
+    ) -> Iterator[tuple[bytes, bytes]]:
         """Yield the live entries of sorted, disjoint ``windows`` in key order.
 
         One level snapshot serves the whole list.  For duplicate keys the
         newest level (memtable, frozen memtables newest-first, then
-        youngest run) wins, and tombstones suppress the key entirely.
+        youngest run) wins, and tombstones suppress the key entirely.  The
+        cursor runs in the caller's process, so the caller checks
+        ``deadline`` between rows.
         """
         return merge_live(level.scan_windows(windows) for level in self._levels_snapshot())
+
+    def close(self) -> None:
+        """Release the store's handles, keeping its data (memory has none)."""
+
+    def destroy(self) -> None:
+        """Close the store and delete its data (memory: dropped with it)."""

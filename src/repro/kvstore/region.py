@@ -6,12 +6,11 @@ import time
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.kvstore import simfault, simlatency
-from repro.kvstore.lsm import LSMStore
 from repro.kvstore.retry import CircuitBreaker
 from repro.kvstore.scan import Scan, Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
-from repro.runtime.backpressure import WriteLimits
+from repro.runtime.deadline import Deadline
 
 # Rows scanned between cooperative deadline checks inside the region scan
 # loop.  Small enough that an expired query stops within microseconds of
@@ -36,7 +35,10 @@ _ROW_BYTES = _obs_histogram(
 
 
 class KVStoreEngine(Protocol):
-    """The storage contract a region needs (LSMStore and DurableLSMStore)."""
+    """The storage contract of a region, whole: the in-memory
+    :class:`~repro.kvstore.lsm.LSMStore`, the on-disk
+    :class:`~repro.kvstore.durable.DurableLSMStore` and the process-mode
+    :class:`~repro.cluster.replication.ReplicatedStore` implement all of it."""
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key`` with ``value``."""
@@ -55,11 +57,27 @@ class KVStoreEngine(Protocol):
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
 
-    def scan_windows(self, windows: Sequence[Window]) -> Iterator[tuple[bytes, bytes]]:
-        """Yield the pairs of sorted, disjoint ``windows`` in key order."""
+    def scan_windows(
+        self, windows: Sequence[Window], deadline: Optional[Deadline] = None
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Yield the pairs of sorted, disjoint ``windows`` in key order.
+
+        An engine whose cursor runs in another process stops it at
+        ``deadline`` there; in-process engines leave the checks to the
+        region's scan loop."""
 
     def flush(self) -> None:
         """Persist buffered writes."""
+
+    def close(self) -> None:
+        """Release the engine's handles, keeping its data (idempotent)."""
+
+    def destroy(self) -> None:
+        """Close the engine and delete its data (a region retired)."""
+
+    @property
+    def memtable_bytes(self) -> int:
+        """Unflushed bytes buffered in this process."""
 
 
 class Region:
@@ -68,8 +86,7 @@ class Region:
     ``start_key=None`` means unbounded low, ``end_key=None`` unbounded high.
     The region executes push-down filters locally, updating the shared
     :class:`IOStats` so a query's candidate and transfer counts are exact.
-    The backing engine defaults to the in-memory LSM; tables opened with a
-    ``data_dir`` supply durable engines instead.
+    Its engine ``store`` comes from the cluster's store builder.
     """
 
     def __init__(
@@ -77,11 +94,8 @@ class Region:
         start_key: Optional[bytes],
         end_key: Optional[bytes],
         stats: IOStats,
-        flush_bytes: int = 4 * 1024 * 1024,
-        store: Optional[KVStoreEngine] = None,
+        store: KVStoreEngine,
         breaker: Optional[CircuitBreaker] = None,
-        write_limits: Optional[WriteLimits] = None,
-        flusher=None,
     ):
         if start_key is not None and end_key is not None and end_key <= start_key:
             raise ValueError("region end_key must be greater than start_key")
@@ -94,16 +108,9 @@ class Region:
             name=f"[{start_key!r},{end_key!r})"
         )
         self._stats = stats
-        self._store = store if store is not None else LSMStore(
-            stats,
-            flush_bytes=flush_bytes,
-            write_limits=write_limits,
-            flusher=flusher,
-        )
-        self._row_count = 0
-        # Recover the row estimate for pre-existing durable stores.
-        if store is not None:
-            self._row_count = sum(1 for _ in self._store.scan())
+        self._store = store
+        # Recover the row estimate of a store that already holds data.
+        self._row_count = sum(1 for _ in store.scan())
 
     def __repr__(self) -> str:
         return f"Region([{self.start_key!r}, {self.end_key!r}), rows~{self._row_count})"
@@ -116,7 +123,7 @@ class Region:
     @property
     def memtable_bytes(self) -> int:
         """Unflushed bytes buffered in the backing engine's memtable(s)."""
-        return getattr(self._store, "memtable_bytes", 0)
+        return self._store.memtable_bytes
 
     def owns(self, key: bytes) -> bool:
         """True when ``key`` routes to this region."""
@@ -224,7 +231,7 @@ class Region:
         finished = False
         try:
             t0 = perf() if perf else 0.0
-            for key, value in self._store_scan(windows, deadline):
+            for key, value in self._store.scan_windows(windows, deadline):
                 if stop is not None and key >= stop:
                     # The cursor left window i: flush its batch, open the
                     # windows up to the one holding this key.
@@ -276,21 +283,6 @@ class Region:
             if total_returned + returned:
                 _ROWS_RETURNED.inc(total_returned + returned)
 
-    def _store_scan(
-        self, windows: Sequence[Window], deadline
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Open the engine cursor, forwarding the deadline when supported.
-
-        The engine protocol has no deadline parameter; engines that can
-        stop producing on expiry themselves (the process-mode replicated
-        store, whose pages are cut worker-side) advertise
-        ``accepts_deadline = True`` and receive the token explicitly —
-        explicit rather than ambient, like every other deadline hand-off.
-        """
-        if deadline is not None and getattr(self._store, "accepts_deadline", False):
-            return self._store.scan_windows(windows, deadline=deadline)
-        return self._store.scan_windows(windows)
-
     def split_key(self) -> Optional[bytes]:
         """Median key of the region, or None when too small to split."""
         self._store.flush()
@@ -307,28 +299,9 @@ class Region:
         return list(self._store.scan())
 
     def retire(self) -> None:
-        """Release the region's resources after a split replaced it.
-
-        Durable engines are closed and their directory removed; the
-        in-memory engine needs nothing.
-        """
-        # Engines that manage remote or external state (the replicated
-        # process-mode store) expose destroy(); it deletes the data on
-        # every replica before the local close.
-        destroy = getattr(self._store, "destroy", None)
-        if callable(destroy):
-            destroy()
-        close = getattr(self._store, "close", None)
-        if callable(close):
-            close()
-        data_dir = getattr(self._store, "data_dir", None)
-        if data_dir is not None:
-            import shutil
-
-            shutil.rmtree(data_dir, ignore_errors=True)
+        """Delete the region's data after a split replaced it."""
+        self._store.destroy()
 
     def close(self) -> None:
         """Close the backing engine without deleting data."""
-        close = getattr(self._store, "close", None)
-        if callable(close):
-            close()
+        self._store.close()

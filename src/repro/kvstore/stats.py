@@ -220,3 +220,7 @@ class CostModel:
             + transfer_ms
             + (self.rpc_ms if (delta.range_scans or delta.point_gets) else 0.0)
         )
+
+
+# The model every query result's ``simulated_ms`` is priced with.
+COST_MODEL = CostModel()

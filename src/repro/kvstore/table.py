@@ -9,14 +9,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.kvstore.block_cache import BlockCache
 from repro.kvstore.errors import RegionError, TransientError
-from repro.kvstore.region import Region
+from repro.kvstore.region import KVStoreEngine, Region
 from repro.kvstore.retry import CircuitBreaker, RetryPolicy
 from repro.kvstore.scan import Scan, Window, windows_after
 from repro.kvstore.scheduler import scan_scheduled
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile, run_with_profile
-from repro.runtime.backpressure import WriteLimits
 from repro.runtime.deadline import Deadline
 
 DEFAULT_SPLIT_ROWS = 200_000
@@ -41,6 +40,36 @@ _MULTIGET_KEYS = _obs_counter(
 )
 
 
+class StoreBuilder:
+    """Makes the engine behind every region of a cluster's tables.
+
+    A cluster builds one (``Cluster._store_builder``), so all its regions
+    get the same engine with the same arguments.  This base keeps no
+    region layout, so a table starts as one region at every open;
+    subclasses make the stores.
+    """
+
+    block_cache: Optional[BlockCache] = None
+
+    def store(self, table: str, region_id: int) -> KVStoreEngine:
+        """A new engine for region ``region_id`` of ``table``."""
+        raise NotImplementedError
+
+    def load_layout(self, table: str) -> Optional[dict]:
+        """``table``'s persisted region layout, or ``None`` for a new table."""
+        return None
+
+    def save_layout(self, table: str, layout: dict) -> None:
+        """Persist ``table``'s region layout (kept only where data survives)."""
+
+    def table_names(self) -> list[str]:
+        """Tables whose layout survives from an earlier open."""
+        return []
+
+    def close(self) -> None:
+        """Release the builder's own resources once every table is closed."""
+
+
 class Table:
     """A sorted table split into contiguous regions.
 
@@ -49,41 +78,31 @@ class Table:
     HBase auto-splitting.  ``multi_range_scan`` reads each region's share
     of a window list with one cursor, the regions concurrently on a thread
     pool, which mirrors the paper's "push down filters into relevant table
-    regions and execute the query in parallel".
+    regions and execute the query in parallel".  Every region's engine
+    comes from ``stores``.
     """
 
     def __init__(
         self,
         name: str,
         stats: IOStats,
+        stores: StoreBuilder,
         split_rows: int = DEFAULT_SPLIT_ROWS,
         executor: Optional[ThreadPoolExecutor] = None,
-        data_dir=None,
-        block_cache: Optional[BlockCache] = None,
         retry: Optional[RetryPolicy] = None,
-        write_limits: Optional[WriteLimits] = None,
-        flusher: Optional[ThreadPoolExecutor] = None,
-        store_factory=None,
     ):
         self.name = name
         self._stats = stats
+        self._stores = stores
         self._split_rows = split_rows
         self._executor = executor
-        self._data_dir = data_dir
-        # store_factory(table_name, region_id) -> engine: supplied by the
-        # process-mode cluster to back regions with replicated remote
-        # stores; takes precedence over the data_dir durable branch.
-        self._store_factory = store_factory
-        self._block_cache = block_cache
         self._retry = retry if retry is not None else RetryPolicy()
-        self._write_limits = write_limits
-        self._flusher = flusher
         self._next_region_id = 0
         self._regions: list[Region] = []
         # _boundaries[i] is the start key of region i+1.
         self._boundaries: list[bytes] = []
 
-        layout = self._load_layout()
+        layout = stores.load_layout(name)
         if layout is None:
             self._regions = [self._build_region(None, None)]
             self._persist_layout()
@@ -97,81 +116,37 @@ class Table:
                 r.start_key for r in self._regions[1:]  # type: ignore[misc]
             ]
 
-    # -- durable layout ----------------------------------------------------
+    # -- region layout -----------------------------------------------------
 
     def _build_region(self, start, end, region_id: Optional[int] = None) -> Region:
-        store = None
-        if region_id is None and (
-            self._store_factory is not None or self._data_dir is not None
-        ):
+        if region_id is None:
             region_id = self._next_region_id
             self._next_region_id += 1
-        if self._store_factory is not None:
-            store = self._store_factory(self.name, region_id)
-        elif self._data_dir is not None:
-            from pathlib import Path
-
-            from repro.kvstore.durable import DurableLSMStore
-
-            region_dir = Path(self._data_dir) / self.name / f"region-{region_id:04d}"
-            # Group-commit WAL (sync=False): records reach the OS per write
-            # and are fsynced at flush/close, which keeps bulk loads usable.
-            store = DurableLSMStore(
-                region_dir,
-                self._stats,
-                sync=False,
-                block_cache=self._block_cache,
-                retry=self._retry,
-                write_limits=self._write_limits,
-            )
-            store.region_id = region_id  # type: ignore[attr-defined]
-        breaker = CircuitBreaker(name=f"{self.name}/[{start!r},{end!r})")
         region = Region(
             start,
             end,
             self._stats,
-            store=store,
-            breaker=breaker,
-            write_limits=self._write_limits,
-            flusher=self._flusher,
+            self._stores.store(self.name, region_id),
+            breaker=CircuitBreaker(name=f"{self.name}/[{start!r},{end!r})"),
         )
         region.region_id = region_id  # type: ignore[attr-defined]
         return region
 
-    def _layout_path(self):
-        from pathlib import Path
-
-        return Path(self._data_dir) / self.name / "regions.json"
-
-    def _load_layout(self) -> Optional[dict]:
-        if self._data_dir is None:
-            return None
-        path = self._layout_path()
-        if not path.exists():
-            return None
-        import json
-
-        return json.loads(path.read_text())
-
     def _persist_layout(self) -> None:
-        if self._data_dir is None:
-            return
-        import json
-
-        path = self._layout_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "next_region_id": self._next_region_id,
-            "regions": [
-                {
-                    "id": getattr(r, "region_id", None),
-                    "start": r.start_key.hex() if r.start_key is not None else None,
-                    "end": r.end_key.hex() if r.end_key is not None else None,
-                }
-                for r in self._regions
-            ],
-        }
-        path.write_text(json.dumps(doc))
+        self._stores.save_layout(
+            self.name,
+            {
+                "next_region_id": self._next_region_id,
+                "regions": [
+                    {
+                        "id": r.region_id,  # type: ignore[attr-defined]
+                        "start": r.start_key.hex() if r.start_key is not None else None,
+                        "end": r.end_key.hex() if r.end_key is not None else None,
+                    }
+                    for r in self._regions
+                ],
+            },
+        )
 
     def close(self) -> None:
         """Close every region's backing engine (durable tables)."""

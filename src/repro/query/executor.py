@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.kvstore.stats import CostModel, ExecutionTrace
+from repro.kvstore.stats import ExecutionTrace
 from repro.model.trajectory import Trajectory
 from repro.obs import (
     counter as _obs_counter,
@@ -67,9 +67,8 @@ _QUERY_DEADLINE = _obs_counter(
 class QueryExecutor:
     """Runs planned queries against the primary and secondary tables."""
 
-    def __init__(self, tman: "TMan", cost_model: Optional[CostModel] = None):
+    def __init__(self, tman: "TMan"):
         self._t = tman
-        self._cost = cost_model if cost_model is not None else CostModel()
 
     # -- public entry points -------------------------------------------------
 
@@ -251,7 +250,7 @@ class QueryExecutor:
         partial = deadline.partial if deadline is not None else False
         plan_name = f"{plan.index}/{plan.route}"
         result = QueryResult.from_profile(
-            profile, trajs, elapsed, plan_name, self._cost,
+            profile, trajs, elapsed, plan_name,
             trace=trace, distances=distances, partial=partial,
         )
         profile.finish(elapsed, type(query).__name__, plan_name, partial=partial)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.kvstore.stats import CostModel, ExecutionTrace
+from repro.kvstore.stats import COST_MODEL, ExecutionTrace
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -145,7 +145,6 @@ class QueryResult:
         trajectories: list[Trajectory],
         elapsed_ms: float,
         plan: str,
-        cost: CostModel,
         trace: Optional[ExecutionTrace] = None,
         distances: Optional[list[float]] = None,
         partial: bool = False,
@@ -154,8 +153,8 @@ class QueryResult:
 
         ``candidates`` is rows scanned plus point gets, ``transferred_rows``
         the rows returned, ``windows`` the range scans and ``simulated_ms``
-        ``cost``'s model of that work.  Records nothing: logging the
-        profile is the caller's business.
+        :data:`~repro.kvstore.stats.COST_MODEL`'s model of that work.
+        Records nothing: logging the profile is the caller's business.
         """
         return cls(
             trajectories=trajectories,
@@ -163,7 +162,7 @@ class QueryResult:
             transferred_rows=profile.rows_returned,
             windows=profile.range_scans,
             elapsed_ms=elapsed_ms,
-            simulated_ms=cost.simulate_ms(profile),
+            simulated_ms=COST_MODEL.simulate_ms(profile),
             plan=plan,
             distances=distances,
             trace=trace,

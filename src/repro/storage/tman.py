@@ -30,7 +30,6 @@ from repro.compression.traj_codec import TrajectoryCodec
 from repro.cluster.process_cluster import ProcessCluster
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.retry import RetryPolicy
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -79,13 +78,6 @@ def cluster_from(config: TManConfig) -> Cluster:
     spawns ``cluster_nodes`` region-server worker processes and backs
     every region with an N-way replicated remote store.
     """
-    common = dict(
-        workers=config.kv_workers,
-        split_rows=config.split_rows,
-        block_cache_bytes=config.block_cache_bytes,
-        retry=retry_policy_from(config),
-        write_limits=write_limits_from(config),
-    )
     if config.cluster_mode == "processes":
         return ProcessCluster(
             nodes=config.cluster_nodes,
@@ -94,9 +86,16 @@ def cluster_from(config: TManConfig) -> Cluster:
             write_quorum=config.write_quorum,
             page_rows=config.cluster_page_rows,
             cluster_data_dir=config.cluster_data_dir,
-            **common,
+            workers=config.kv_workers,
+            split_rows=config.split_rows,
+            retry=retry_policy_from(config),
         )
-    return Cluster(**common)
+    return Cluster(
+        workers=config.kv_workers,
+        split_rows=config.split_rows,
+        retry=retry_policy_from(config),
+        write_limits=write_limits_from(config),
+    )
 
 
 def write_limits_from(config: TManConfig) -> Optional[WriteLimits]:
@@ -118,7 +117,6 @@ class TMan:
         config: TManConfig,
         cluster: Optional[Cluster] = None,
         redis: Optional[RedisServer] = None,
-        cost_model: Optional[CostModel] = None,
     ):
         self.config = config
         self.cluster = cluster if cluster is not None else cluster_from(config)
@@ -188,7 +186,7 @@ class TMan:
         self.planner.set_statistics_provider(self.stats_builder.snapshot)
         self.planner.set_spatial_window_counter(lambda w: len(self.spatial_ranges(w)))
         self._expansions = threading.local()  # .memo: see one_expansion
-        self.executor = QueryExecutor(self, cost_model)
+        self.executor = QueryExecutor(self)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Tests for the Elf-style erasing float codec."""
+"""Tests for the Elf-style erasing float codec (`benchmarks/elf.py`)."""
 
 import struct
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.elf import _decimals_needed, _erase, elf_decode, elf_encode
+from benchmarks.elf import _decimals_needed, _erase, elf_decode, elf_encode
 
 
 class TestHelpers:
@@ -85,7 +85,7 @@ class TestRoundtrip:
 
 class TestCompression:
     def test_beats_plain_xor_on_decimal_data(self):
-        from repro.compression.xor_float import xor_float_encode
+        from benchmarks.xor_float import xor_float_encode
 
         values = [round(116.3 + i * 0.0001234, 7) for i in range(500)]
         elf_size = len(elf_encode(values))

@@ -9,12 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import (
-    pfor_encode,
-    simple8b_encode,
-    xor_float_decode,
-    xor_float_encode,
-)
+from benchmarks.xor_float import xor_float_decode, xor_float_encode
+from repro.compression import pfor_encode, simple8b_encode
 from repro.compression.pfor import pfor_unpack
 from repro.compression.simple8b import simple8b_unpack
 

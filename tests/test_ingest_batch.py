@@ -31,6 +31,7 @@ from repro.core.tshape import TShapeIndex
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.geometry.dp import dp_keep_mask
 from repro.kvstore import region as region_mod
+from repro.kvstore.cluster import MemoryStores
 from repro.kvstore.scan import Scan
 from repro.kvstore.stats import IOStats
 from repro.kvstore.table import Table
@@ -282,7 +283,8 @@ def test_table_put_batch_splits_like_row_by_row(monkeypatch, distinct):
     for mode in ("batch", "rows"):
         monkeypatch.setattr(region_mod, "_ROW_BYTES", type("Rec", (), {
             "observe": staticmethod(observed[mode].append)})())
-        table = Table(mode, IOStats(), split_rows=7)
+        stats = IOStats()
+        table = Table(mode, stats, MemoryStores(stats, None), split_rows=7)
         if mode == "batch":
             for lo in range(0, len(rows), 64):
                 table.put_batch(rows[lo:lo + 64])

@@ -5,6 +5,7 @@ import pytest
 from repro.kvstore import Cluster, PrefixFilter, Scan, TrueFilter
 from repro.kvstore.errors import TableExistsError, TableNotFoundError
 from repro.kvstore.filters import FilterChain, KeyRangeFilter
+from repro.kvstore.lsm import LSMStore
 from repro.kvstore.region import Region
 from repro.kvstore.stats import CostModel, IOStats
 
@@ -15,21 +16,21 @@ def k(i):
 
 class TestRegion:
     def test_owns_respects_bounds(self):
-        r = Region(k(10), k(20), IOStats())
+        r = Region(k(10), k(20), IOStats(), LSMStore())
         assert r.owns(k(10)) and r.owns(k(19))
         assert not r.owns(k(9)) and not r.owns(k(20))
 
     def test_unbounded_region_owns_everything(self):
-        r = Region(None, None, IOStats())
+        r = Region(None, None, IOStats(), LSMStore())
         assert r.owns(b"") and r.owns(b"\xff" * 8)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            Region(k(5), k(5), IOStats())
+            Region(k(5), k(5), IOStats(), LSMStore())
 
     def test_scan_counts_rows(self):
         stats = IOStats()
-        r = Region(None, None, stats)
+        r = Region(None, None, stats, LSMStore(stats))
         for i in range(10):
             r.put(k(i), b"v")
         rows = list(r.execute_scan(Scan(k(2), k(8))))
@@ -40,7 +41,7 @@ class TestRegion:
 
     def test_pushdown_filter_reduces_returned_not_scanned(self):
         stats = IOStats()
-        r = Region(None, None, stats)
+        r = Region(None, None, stats, LSMStore(stats))
         for i in range(10):
             r.put(k(i), b"even" if i % 2 == 0 else b"odd")
 
@@ -54,7 +55,7 @@ class TestRegion:
         assert snap.rows_scanned == 10 and snap.rows_returned == 5
 
     def test_scan_limit(self):
-        r = Region(None, None, IOStats())
+        r = Region(None, None, IOStats(), LSMStore())
         for i in range(10):
             r.put(k(i), b"v")
         assert len(list(r.execute_scan(Scan(limit=3)))) == 3

@@ -233,9 +233,9 @@ class _FailOnce:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def scan_windows(self, windows):
+    def scan_windows(self, windows, deadline=None):
         self.opened += 1
-        rows = self._store.scan_windows(windows)
+        rows = self._store.scan_windows(windows, deadline)
         if self.opened > 1:
             return rows
         return self._fail_after(rows)
@@ -256,9 +256,9 @@ class _Recording:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def scan_windows(self, windows):
+    def scan_windows(self, windows, deadline=None):
         self._opened.append(self._index)
-        return self._store.scan_windows(windows)
+        return self._store.scan_windows(windows, deadline)
 
 
 WINDOWS = [(key(i), key(i + 7)) for i in range(0, 600, 10)]
