@@ -57,12 +57,9 @@ def scan_query(
         stages: list[Operator] = [WindowSource(windows), RegionScan(table, pushed)]
         if row_filter is not None and pushed is None:
             stages.append(PushDownFilter(row_filter))
-        pipeline = Pipeline(stages + [refine], Collect())
-        trajs = pipeline.run()
+        trajs = Pipeline(stages + [refine], Collect()).run()
         elapsed = (time.perf_counter() - t0) * 1000
-        return QueryResult.from_profile(
-            profile, trajs, elapsed, plan, trace=pipeline.trace
-        )
+        return QueryResult.from_profile(profile, trajs, elapsed, plan)
 
 
 class SingleIndexStore:

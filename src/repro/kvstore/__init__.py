@@ -24,8 +24,6 @@ __all__ = [
     "PrefixFilter",
     "IOStats",
     "CostModel",
-    "ExecutionTrace",
-    "StageStats",
     "RetryPolicy",
     "CircuitBreaker",
     "FaultConfig",
@@ -58,7 +56,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.kvstore.scan": ("Scan",),
         "repro.kvstore.simfault": ("FaultConfig", "FaultInjector", "fault_injection"),
         "repro.kvstore.snapshot": ("load_cluster", "save_cluster"),
-        "repro.kvstore.stats": ("CostModel", "ExecutionTrace", "IOStats", "StageStats"),
+        "repro.kvstore.stats": ("CostModel", "IOStats"),
         "repro.kvstore.table": ("Table",),
     },
 )

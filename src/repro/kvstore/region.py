@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
-from repro.kvstore import simfault, simlatency
+from repro.kvstore import simfault
 from repro.kvstore.retry import CircuitBreaker
 from repro.kvstore.scan import Scan, Window
 from repro.kvstore.stats import IOStats
@@ -86,7 +86,8 @@ class Region:
     ``start_key=None`` means unbounded low, ``end_key=None`` unbounded high.
     The region executes push-down filters locally, updating the shared
     :class:`IOStats` so a query's candidate and transfer counts are exact.
-    Its engine ``store`` comes from the cluster's store builder.
+    Its engine ``store`` comes from the cluster's store builder, and
+    ``rows`` is what the store already holds (0 for a new region).
     """
 
     def __init__(
@@ -95,6 +96,7 @@ class Region:
         end_key: Optional[bytes],
         stats: IOStats,
         store: KVStoreEngine,
+        rows: int = 0,
         breaker: Optional[CircuitBreaker] = None,
     ):
         if start_key is not None and end_key is not None and end_key <= start_key:
@@ -109,8 +111,7 @@ class Region:
         )
         self._stats = stats
         self._store = store
-        # Recover the row estimate of a store that already holds data.
-        self._row_count = sum(1 for _ in store.scan())
+        self._row_count = rows
 
     def __repr__(self) -> str:
         return f"Region([{self.start_key!r}, {self.end_key!r}), rows~{self._row_count})"
@@ -169,7 +170,6 @@ class Region:
         counts match across engines and modes.
         """
         simfault.get_fault()
-        simlatency.get_delay()
         values = self._store.get_batch(list(keys))
         found = [len(k) + len(v) for k, v in zip(keys, values) if v is not None]
         _POINT_GETS.inc(len(keys))
@@ -220,7 +220,6 @@ class Region:
         # (Table._resilient_region_scan) resumes after the last delivered
         # key, so consumers never see duplicates or gaps.
         simfault.scan_fault()
-        simlatency.scan_delay()
         flt, limit, stats = scan.server_filter, scan.limit, self._stats
         perf = time.perf_counter if _SCAN_MS._registry.enabled else None
         busy = 0.0

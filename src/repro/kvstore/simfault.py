@@ -1,9 +1,9 @@
 """Deterministic, seeded fault injection for the emulated kvstore.
 
 The kvstore stands in for a distributed store (HBase in the paper) whose
-region RPCs fail transiently and whose region servers crash mid-flush.
-Local code never exercises those paths, so this module — the failure-side
-sibling of :mod:`repro.kvstore.simlatency` — injects them on demand:
+region RPCs are slow, fail transiently, and whose region servers crash
+mid-flush.  Local code never exercises those paths, so this module injects
+them on demand:
 
 - **Transient RPC faults.**  Region scans, point gets, and batched gets
   raise :class:`~repro.kvstore.errors.TransientRPCError` with a
@@ -14,6 +14,11 @@ sibling of :mod:`repro.kvstore.simlatency` — injects them on demand:
   how threads interleave across sites.  ``max_consecutive`` bounds the
   failure run length at any one site, which makes recovery-under-retry
   deterministic instead of merely overwhelmingly probable.
+
+- **RPC latency.**  ``scan_delay_ms`` / ``get_delay_ms`` sleep (releasing
+  the GIL) once per region scan and once per point-get *request* — a
+  batched ``multi_get`` pays it per region batch — so wall-clock tests see
+  the round trips the scan scheduler and batching exist to overlap.
 
 - **Crash points.**  Named locations in the flush → WAL-truncate and
   compact → unlink sequences (:data:`CRASH_POINTS`) raise
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -76,18 +82,21 @@ class SimulatedCrash(BaseException):
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Per-site fault probabilities and crash-point arming.
+    """Per-site fault probabilities, RPC delays and crash-point arming.
 
     Rates are per *attempt*: a retried operation re-rolls on every try.
     ``max_consecutive`` forces a success after that many back-to-back
     failures at one site, so any retry budget of at least
-    ``max_consecutive + 1`` attempts is guaranteed to recover.
+    ``max_consecutive + 1`` attempts is guaranteed to recover.  Delays
+    (milliseconds) are paid by every scan / get request that does not fail.
     """
 
     scan_fail_rate: float = 0.0
     get_fail_rate: float = 0.0
     flush_fail_rate: float = 0.0
     compact_fail_rate: float = 0.0
+    scan_delay_ms: float = 0.0
+    get_delay_ms: float = 0.0
     seed: int = 0
     max_consecutive: int = 4
     crash_points: frozenset[str] = field(default_factory=frozenset)
@@ -102,6 +111,9 @@ class FaultConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        for name in ("scan_delay_ms", "get_delay_ms"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.max_consecutive < 1:
             raise ValueError(
                 f"max_consecutive must be positive, got {self.max_consecutive}"
@@ -163,12 +175,17 @@ class FaultInjector:
             raise exc_cls(f"injected fault at {site}")
 
     def scan_fault(self) -> None:
-        """Maybe fail a region scan RPC (raised at scan open)."""
+        """Maybe fail a region scan RPC (raised at scan open), else pay its
+        delay."""
         self._raise_if("scan", self.config.scan_fail_rate, TransientRPCError)
+        if self.config.scan_delay_ms > 0.0:
+            time.sleep(self.config.scan_delay_ms / 1000.0)
 
     def get_fault(self) -> None:
-        """Maybe fail a point-get / batched-get RPC."""
+        """Maybe fail a point-get / batched-get RPC, else pay its delay."""
         self._raise_if("get", self.config.get_fail_rate, TransientRPCError)
+        if self.config.get_delay_ms > 0.0:
+            time.sleep(self.config.get_delay_ms / 1000.0)
 
     def flush_fault(self) -> None:
         """Maybe fail the SSTable write of a memtable flush."""

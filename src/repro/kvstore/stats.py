@@ -19,13 +19,6 @@ same fields on a query's :class:`~repro.obs.profile.QueryProfile` — into
 simulated milliseconds for a disk-backed distributed deployment, so
 benchmark reports can show both real wall time of the embedded store and
 modeled cluster time.
-
-:class:`ExecutionTrace` complements the counters with *per-operator*
-accounting for the streaming query pipeline: each stage (window generation,
-region scan, push-down, decode, refinement, sink) records rows-in/rows-out,
-bytes produced, and wall time, so a query result can explain where its
-candidates were pruned — numbers directly comparable to the paper's
-candidate plots.
 """
 
 from __future__ import annotations
@@ -78,7 +71,7 @@ class IOStats:
                 setattr(self._snap, name, getattr(self._snap, name) + delta)
         profile = _current_profile()
         if profile is not None:
-            profile.add_io(deltas)
+            profile.add(**deltas)
 
     def snapshot(self) -> StatsSnapshot:
         """Return a copy of the current counters."""
@@ -91,108 +84,6 @@ class IOStats:
         """Zero every counter."""
         with self._lock:
             self._snap = StatsSnapshot()
-
-
-@dataclass
-class StageStats:
-    """Accounting for one operator of a streaming query pipeline.
-
-    ``rows_in``/``rows_out`` are the items that crossed the operator's input
-    and output edges; ``bytes_out`` sums key+value sizes for row-shaped
-    output (zero for decoded-trajectory stages); ``wall_ms`` is the
-    operator's *self* time — time spent producing its output minus time
-    spent waiting on its upstream.
-    """
-
-    name: str
-    rows_in: int = 0
-    rows_out: int = 0
-    bytes_out: int = 0
-    wall_ms: float = 0.0
-
-    def merge(self, other: "StageStats") -> None:
-        """Fold another round of the same stage into this one (loop queries)."""
-        self.rows_in += other.rows_in
-        self.rows_out += other.rows_out
-        self.bytes_out += other.bytes_out
-        self.wall_ms += other.wall_ms
-
-
-class ExecutionTrace:
-    """Ordered per-stage accounting attached to a :class:`QueryResult`.
-
-    Stages are keyed by name; iterative queries (top-k / kNN ring
-    expansion) run the same pipeline once per round and their rounds are
-    merged stage-by-stage, so the trace always reads as one pipeline.
-    """
-
-    def __init__(self) -> None:
-        self._stages: list[StageStats] = []
-        self._by_name: dict[str, StageStats] = {}
-        self.rounds: int = 0
-        # Free-form query-level facts (e.g. kv_retries) set by the executor.
-        self.annotations: dict[str, object] = {}
-
-    def annotate(self, key: str, value: object) -> None:
-        """Attach a query-level fact (retry counts, degradations, ...)."""
-        self.annotations[key] = value
-
-    def stage(self, name: str) -> StageStats:
-        """Get-or-create the stage record for ``name`` (insertion-ordered)."""
-        stage = self._by_name.get(name)
-        if stage is None:
-            stage = StageStats(name)
-            self._stages.append(stage)
-            self._by_name[name] = stage
-        return stage
-
-    @property
-    def stages(self) -> tuple[StageStats, ...]:
-        """The stage records in pipeline order."""
-        return tuple(self._stages)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> StageStats:
-        return self._by_name[name]
-
-    def as_dict(self) -> dict:
-        """A JSON-friendly rendering (benchmark emission)."""
-        return {
-            "rounds": self.rounds,
-            "annotations": dict(self.annotations),
-            "stages": [
-                {
-                    "name": s.name,
-                    "rows_in": s.rows_in,
-                    "rows_out": s.rows_out,
-                    "bytes_out": s.bytes_out,
-                    "wall_ms": round(s.wall_ms, 4),
-                }
-                for s in self._stages
-            ],
-        }
-
-    def render(self) -> str:
-        """A fixed-width table of the trace (EXPLAIN ANALYZE style)."""
-        header = f"{'stage':<20}{'rows_in':>10}{'rows_out':>10}{'bytes':>12}{'ms':>10}"
-        lines = [header, "-" * len(header)]
-        for s in self._stages:
-            lines.append(
-                f"{s.name:<20}{s.rows_in:>10}{s.rows_out:>10}"
-                f"{s.bytes_out:>12}{s.wall_ms:>10.3f}"
-            )
-        if self.annotations:
-            rendered = ", ".join(f"{k}={v}" for k, v in self.annotations.items())
-            lines.append(f"annotations: {rendered}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{s.name}:{s.rows_in}->{s.rows_out}" for s in self._stages
-        )
-        return f"ExecutionTrace({inner})"
 
 
 @dataclass(frozen=True)

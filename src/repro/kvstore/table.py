@@ -119,14 +119,19 @@ class Table:
     # -- region layout -----------------------------------------------------
 
     def _build_region(self, start, end, region_id: Optional[int] = None) -> Region:
-        if region_id is None:
+        """A new, empty region; with ``region_id``, one reopened from the
+        persisted layout, whose rows are counted once."""
+        reopened = region_id is not None
+        if not reopened:
             region_id = self._next_region_id
             self._next_region_id += 1
+        store = self._stores.store(self.name, region_id)
         region = Region(
             start,
             end,
             self._stats,
-            self._stores.store(self.name, region_id),
+            store,
+            sum(1 for _ in store.scan()) if reopened else 0,
             breaker=CircuitBreaker(name=f"{self.name}/[{start!r},{end!r})"),
         )
         region.region_id = region_id  # type: ignore[attr-defined]

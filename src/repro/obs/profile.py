@@ -24,6 +24,11 @@ exactly with the process-wide snapshot deltas when queries run serially —
 and stay exact per call when they overlap, which the process-wide deltas
 do not.  ``QueryResult`` counters and ``WriteReport`` backpressure fields
 are read off the call's profile.
+
+A query's profile is also its pipeline record: :class:`~repro.query.pipeline.Pipeline`
+runs add one round and per-stage :class:`StageRecord` (rows in / out, bytes,
+self time) to the active profile, so ``result.profile.render()`` explains
+where the candidates were pruned.
 """
 
 from __future__ import annotations
@@ -33,7 +38,10 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.runtime.deadline import Deadline
 
 _PROFILE: ContextVar[Optional["QueryProfile"]] = ContextVar(
     "repro_query_profile", default=None
@@ -126,6 +134,29 @@ def run_with_profile(profile: Optional["QueryProfile"], fn: Callable, *args, **k
         _PROFILE.reset(token)
 
 
+class StageRecord:
+    """Accounting for one operator of a streaming query pipeline.
+
+    ``rows_in``/``rows_out`` are the items that crossed the operator's input
+    and output edges; ``bytes_out`` sums key+value sizes for row-shaped
+    output (zero for decoded-trajectory stages); ``wall_ms`` is the
+    operator's *self* time — time spent producing its output minus time
+    spent waiting on its upstream.
+    """
+
+    __slots__ = ("name", "rows_in", "rows_out", "bytes_out", "wall_ms")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.rows_in = 0
+        self.rows_out = 0
+        self.bytes_out = 0
+        self.wall_ms = 0.0
+
+    def __repr__(self) -> str:
+        return f"StageRecord({self.name}: {self.rows_in}->{self.rows_out})"
+
+
 class QueryProfile:
     """Resource accounting for one query, shared across its worker threads.
 
@@ -145,9 +176,17 @@ class QueryProfile:
       waiting on scan-scheduler prefetch;
     - ``throttled_writes``/``stalled_writes``/``rejected_writes``/
       ``write_stall_ms`` are the memtable watermarks' toll on a write batch.
+
+    The pipeline record: ``rounds`` counts pipeline runs (one per
+    expanding ring for top-k / kNN), and :attr:`stages` holds one
+    :class:`StageRecord` per operator in pipeline order, rounds merged
+    stage by stage (``"decode" in p``, ``p["decode"].rows_in``).
+    ``deadline_ms`` / ``deadline_remaining_ms`` are the query's budget and
+    what was left of it at the end (``None`` without a deadline).
     """
 
     __slots__ = ("query_id", "query_type", "plan", "elapsed_ms", "partial",
+                 "rounds", "deadline_ms", "deadline_remaining_ms", "_stages",
                  "_lock") + tuple(_ALL_FIELDS)
 
     def __init__(self, query_type: str = "", plan: str = ""):
@@ -156,6 +195,10 @@ class QueryProfile:
         self.plan = plan
         self.elapsed_ms = 0.0
         self.partial = False
+        self.rounds = 0
+        self.deadline_ms: Optional[float] = None
+        self.deadline_remaining_ms: Optional[float] = None
+        self._stages: dict[str, StageRecord] = {}
         self._lock = threading.Lock()
         for name in _ALL_FIELDS:
             setattr(self, name, 0 if name not in TIME_FIELDS else 0.0)
@@ -172,11 +215,19 @@ class QueryProfile:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def add_io(self, deltas: dict) -> None:
-        """Accumulate an ``IOStats.add`` delta dict (hot path)."""
+    def add_round(self, stages: Sequence[tuple[str, int, int, int, float]]) -> None:
+        """Fold one pipeline run into the record: ``(name, rows_in,
+        rows_out, bytes_out, wall_ms)`` per operator, in pipeline order."""
         with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
+            self.rounds += 1
+            for name, rows_in, rows_out, bytes_out, wall_ms in stages:
+                stage = self._stages.get(name) or self._stages.setdefault(
+                    name, StageRecord(name)
+                )
+                stage.rows_in += rows_in
+                stage.rows_out += rows_out
+                stage.bytes_out += bytes_out
+                stage.wall_ms += wall_ms
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -185,28 +236,42 @@ class QueryProfile:
         elapsed_ms: float,
         query_type: str = "",
         plan: str = "",
-        partial: bool = False,
+        deadline: Optional["Deadline"] = None,
     ) -> "QueryProfile":
-        """Stamp identity + wall time once the query completes."""
+        """Stamp identity + wall time once the query completes, and the
+        query's ``deadline``: its budget, what is left of it, and whether
+        it truncated the result."""
         self.elapsed_ms = elapsed_ms
         if query_type:
             self.query_type = query_type
         if plan:
             self.plan = plan
-        self.partial = partial
+        if deadline is not None:
+            self.deadline_ms = deadline.budget_ms
+            self.deadline_remaining_ms = round(deadline.remaining_ms(), 3)
+            self.partial = deadline.partial
         return self
 
     # -- read side -----------------------------------------------------------
 
-    @property
-    def windows(self) -> int:
-        """Contiguous key ranges opened (alias of ``range_scans``)."""
-        return self.range_scans
+    def stage(self, name: str) -> StageRecord:
+        """Get-or-create the stage record for ``name`` (pipeline order)."""
+        with self._lock:
+            return self._stages.get(name) or self._stages.setdefault(
+                name, StageRecord(name)
+            )
 
     @property
-    def bytes_scanned(self) -> int:
-        """Payload bytes shipped (alias of ``bytes_transferred``)."""
-        return self.bytes_transferred
+    def stages(self) -> tuple[StageRecord, ...]:
+        """The stage records in pipeline order."""
+        with self._lock:
+            return tuple(self._stages.values())
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._stages
+
+    def __getitem__(self, name: str) -> StageRecord:
+        return self._stages[name]
 
     @property
     def attributed_ms(self) -> float:
@@ -215,7 +280,7 @@ class QueryProfile:
                 + self.admission_wait_ms + self.stall_ms + self.write_stall_ms)
 
     def as_dict(self) -> dict:
-        """JSON-friendly dump of every attributed counter."""
+        """JSON-friendly dump of every attributed counter and stage."""
         with self._lock:
             out = {
                 "query_id": self.query_id,
@@ -223,14 +288,39 @@ class QueryProfile:
                 "plan": self.plan,
                 "elapsed_ms": round(self.elapsed_ms, 4),
                 "partial": self.partial,
+                "deadline_ms": self.deadline_ms,
+                "deadline_remaining_ms": self.deadline_remaining_ms,
             }
             for name in _ALL_FIELDS:
                 value = getattr(self, name)
                 out[name] = round(value, 4) if name in TIME_FIELDS else value
+            out["rounds"] = self.rounds
+            out["stages"] = [
+                {
+                    "name": s.name,
+                    "rows_in": s.rows_in,
+                    "rows_out": s.rows_out,
+                    "bytes_out": s.bytes_out,
+                    "wall_ms": round(s.wall_ms, 4),
+                }
+                for s in self._stages.values()
+            ]
         return out
 
+    def render(self) -> str:
+        """The stage table (EXPLAIN ANALYZE style), then :meth:`summary`."""
+        header = f"{'stage':<20}{'rows_in':>10}{'rows_out':>10}{'bytes':>12}{'ms':>10}"
+        lines = [header, "-" * len(header)]
+        for s in self.stages:
+            lines.append(
+                f"{s.name:<20}{s.rows_in:>10}{s.rows_out:>10}"
+                f"{s.bytes_out:>12}{s.wall_ms:>10.3f}"
+            )
+        lines.append(self.summary())
+        return "\n".join(lines)
+
     def summary(self) -> str:
-        """Compact one-line rendering (trace annotations, slow-query log)."""
+        """Compact one-line rendering (the last line of :meth:`render`)."""
         parts = [
             f"id={self.query_id}",
             f"rows={self.rows_scanned}/{self.rows_returned}",
@@ -244,6 +334,14 @@ class QueryProfile:
         ]
         if self.retries:
             parts.append(f"retries={self.retries}({self.retry_backoff_ms:.1f}ms)")
+        if self.rpc_failures:
+            parts.append(f"rpc_failures={self.rpc_failures}")
+        if self.deadline_ms is not None:
+            parts.append(
+                f"deadline={self.deadline_ms}ms({self.deadline_remaining_ms}ms left)"
+            )
+        if self.partial:
+            parts.append("partial")
         if self.admission_wait_ms:
             parts.append(f"adm_wait={self.admission_wait_ms:.1f}ms")
         if self.stall_ms:

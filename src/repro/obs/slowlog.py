@@ -3,7 +3,7 @@
 When a query's wall time crosses ``threshold_ms`` the executor hands the
 log the full picture — the query descriptor (which carries the window /
 time range / object id), the chosen plan, the candidate counts, and the
-rendered per-stage :class:`~repro.kvstore.stats.ExecutionTrace` — so a tail
+query profile's rendered stage table and summary line — so a tail
 latency spike (the paper's Fig. 23 subject) can be diagnosed after the
 fact without re-running anything.
 """

@@ -6,8 +6,8 @@ calculation (done by the core index planners), query-window generation
 (:mod:`repro.query.filters`).  The rule/cost-based optimizer lives in
 :mod:`repro.query.planner`; it maps each query to a streaming operator
 pipeline (:mod:`repro.query.operators`, :mod:`repro.query.pipeline`) whose
-per-stage accounting is returned on every result as
-:class:`~repro.kvstore.stats.ExecutionTrace`.
+per-stage accounting lands in the query's
+:class:`~repro.obs.profile.QueryProfile`, returned on every result.
 """
 
 from repro.query.filters import IdFilter, SimilarityFilter, SpatialFilter, TemporalFilter

@@ -5,11 +5,10 @@ sequence per query type; it asks the planner for a plan, assembles the
 matching :class:`~repro.query.pipeline.Pipeline`, and drives it.  Counting
 is the same pipeline with a different terminal sink; the iterative queries
 (top-k similarity, kNN point) run one pipeline round per expanding ring
-with shared refine/sink state.  Every result carries an
-:class:`~repro.kvstore.stats.ExecutionTrace` with per-stage
-rows-in/rows-out/bytes/time, and its
-:class:`~repro.obs.profile.QueryProfile`, whose ledger the paper's
-candidate counts are read from.
+with shared refine/sink state.  Every result carries its
+:class:`~repro.obs.profile.QueryProfile`, the query's one ledger: the
+paper's candidate counts are read from it, and the pipeline adds its
+per-stage rows-in/rows-out/bytes/time to it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.kvstore.stats import ExecutionTrace
 from repro.model.trajectory import Trajectory
 from repro.obs import (
     counter as _obs_counter,
@@ -110,35 +108,32 @@ class QueryExecutor:
             plan=f"{plan.index}/{plan.route}",
         ):
             t0 = time.perf_counter()
-            trace = ExecutionTrace()
             trajs: list[Trajectory] = []
             distances: Optional[list[float]] = None
             matched = 0
             try:
                 if count:
                     matched = build_pipeline(
-                        self._t, query, plan, trace=trace, count=True,
-                        deadline=deadline,
+                        self._t, query, plan, count=True, deadline=deadline,
                     ).run()
                 elif isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
                     if limit is not None:
                         raise ValueError(
                             "limit is not supported for top-k and kNN queries"
                         )
-                    trajs, distances = self._run_rings(query, plan, trace, deadline)
+                    trajs, distances = self._run_rings(query, plan, deadline)
                 elif isinstance(query, ThresholdSimilarityQuery) and limit is not None:
                     raise ValueError("limit is not supported for similarity queries")
                 else:
                     trajs = build_pipeline(
-                        self._t, query, plan, trace=trace, limit=limit,
-                        deadline=deadline,
+                        self._t, query, plan, limit=limit, deadline=deadline,
                     ).run()
             except QueryTimeoutError:
                 if _QUERY_DEADLINE._registry.enabled:
                     _QUERY_DEADLINE.labels(outcome="error").inc()
                 raise
             result = self._finalize(
-                query, trajs, distances, plan, t0, trace, deadline, profile
+                query, trajs, distances, plan, t0, deadline, profile
             )
             result.count = matched
             return result
@@ -167,7 +162,6 @@ class QueryExecutor:
         self,
         query: Union[TopKSimilarityQuery, KNNPointQuery],
         plan: QueryPlan,
-        trace: ExecutionTrace,
         deadline: Optional[Deadline] = None,
     ) -> tuple[list[Trajectory], list[float]]:
         """The expanding-ring loop behind both iterative queries.
@@ -193,7 +187,7 @@ class QueryExecutor:
         t = self._t
         refine, sink = ring_operators(t, query)
         if plan.route == "scan":
-            return ring_pipeline(t, plan, refine, sink, None, trace, deadline).run()
+            return ring_pipeline(t, plan, refine, sink, None, deadline).run()
         boundary = t.config.boundary
         knn = isinstance(query, KNNPointQuery)
         radius = query.first_radius(boundary)
@@ -212,7 +206,7 @@ class QueryExecutor:
                 )
                 scanned = coalesce_inclusive_ranges(scanned + fresh)
                 trajs, dists = ring_pipeline(
-                    t, plan, refine, sink, fresh, trace, deadline
+                    t, plan, refine, sink, fresh, deadline
                 ).run()
                 if len(sink.best) >= query.k and sink.kth_bound() <= radius:
                     break
@@ -230,34 +224,20 @@ class QueryExecutor:
         distances: Optional[list[float]],
         plan: QueryPlan,
         t0: float,
-        trace: ExecutionTrace,
         deadline: Optional[Deadline],
         profile: QueryProfile,
     ) -> QueryResult:
         elapsed = (time.perf_counter() - t0) * 1000
-        if profile.retries or profile.rpc_failures:
-            trace.annotate("kv_retries", profile.retries)
-            trace.annotate("kv_rpc_failures", profile.rpc_failures)
-        if deadline is not None:
-            trace.annotate("deadline_ms", deadline.budget_ms)
-            trace.annotate(
-                "deadline_remaining_ms", round(deadline.remaining_ms(), 3)
-            )
-            if deadline.partial:
-                trace.annotate("partial", True)
-                if _QUERY_DEADLINE._registry.enabled:
-                    _QUERY_DEADLINE.labels(outcome="partial").inc()
-        partial = deadline.partial if deadline is not None else False
         plan_name = f"{plan.index}/{plan.route}"
+        profile.finish(elapsed, type(query).__name__, plan_name, deadline)
+        if profile.partial and _QUERY_DEADLINE._registry.enabled:
+            _QUERY_DEADLINE.labels(outcome="partial").inc()
         result = QueryResult.from_profile(
-            profile, trajs, elapsed, plan_name,
-            trace=trace, distances=distances, partial=partial,
+            profile, trajs, elapsed, plan_name, distances=distances
         )
-        profile.finish(elapsed, type(query).__name__, plan_name, partial=partial)
-        trace.annotate("profile", profile.summary())
         _obs_profile_log().record(profile)
         self._record_workload(query, profile, result)
-        self._observe(query, result, trace)
+        self._observe(query, result)
         return result
 
     def _record_workload(
@@ -284,9 +264,7 @@ class QueryExecutor:
                 profile.query_type, profile.plan, result.candidates, estimated
             )
 
-    def _observe(
-        self, query: Query, result: QueryResult, trace: ExecutionTrace
-    ) -> None:
+    def _observe(self, query: Query, result: QueryResult) -> None:
         """Feed the finished query into the registry and the slow-query log."""
         qtype = type(query).__name__
         if _QUERY_TOTAL._registry.enabled:
@@ -304,7 +282,7 @@ class QueryExecutor:
                 result.elapsed_ms,
                 candidates=result.candidates,
                 transferred_rows=result.transferred_rows,
-                trace=trace.render(),
+                trace=result.profile.render(),
                 profile=result.profile.as_dict(),
             )
             if recorded:

@@ -6,8 +6,8 @@ upstream iterator and yields its own output, so a terminal sink that stops
 early (``Limit``, ``TopK``) terminates the whole chain — down to the
 region scans — without materializing the remaining candidates at any
 layer.  A :class:`~repro.query.pipeline.Pipeline` chains operators,
-instruments every edge, and records per-stage rows/bytes/time into an
-:class:`~repro.kvstore.stats.ExecutionTrace`.
+instruments every edge, and records per-stage rows/bytes/time into the
+query's :class:`~repro.obs.profile.QueryProfile`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Pipeline assembly and instrumented execution.
 
 :class:`Pipeline` chains :mod:`repro.query.operators` stages in front of a
-terminal sink, wrapping every edge with a counting/timing probe so the run
-produces an :class:`~repro.kvstore.stats.ExecutionTrace` — per-stage
-rows-in/rows-out, bytes, and self wall time.  A plan's ``(index, route)``
+terminal sink, wrapping every edge with a counting/timing probe so each run
+adds a round — per-stage rows-in/rows-out, bytes, and self wall time — to
+the active :class:`~repro.obs.profile.QueryProfile`.  A plan's ``(index, route)``
 maps to one access path (:func:`key_windows`, :func:`access_path`): the
 table it reads and its key windows.  :func:`build_pipeline` puts a single-pass
 query's row filter and decode stage around it (range, ID-temporal, threshold
 similarity, counts); the iterative types (top-k similarity, kNN point) run
-one :func:`ring_pipeline` round per expanding ring against a shared trace.
+one :func:`ring_pipeline` round per expanding ring into the query's profile.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from repro.core.st import STWindow
 from repro.kvstore.filters import Filter
-from repro.kvstore.stats import ExecutionTrace
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
+from repro.obs.profile import current_profile
 from repro.obs.tracing import TRACER
 from repro.query.filters import (
     IdFilter,
@@ -172,13 +172,11 @@ class Pipeline:
         self,
         stages: Sequence[Operator],
         sink: Sink,
-        trace: Optional[ExecutionTrace] = None,
         plan: Optional["QueryPlan"] = None,
         deadline: Optional[Deadline] = None,
     ):
         self.stages = list(stages)
         self.sink = sink
-        self.trace = trace if trace is not None else ExecutionTrace()
         self.plan = plan
         self.deadline = deadline
 
@@ -191,12 +189,11 @@ class Pipeline:
     def run(self) -> Any:
         """Drive the sink over the instrumented chain; returns its value.
 
-        Stage statistics merge into the pipeline's trace even when the sink
-        terminates early; iterative queries call ``run`` repeatedly with a
-        shared trace and accumulate round by round.
+        The round's stage statistics merge into the active query profile
+        even when the sink terminates early or raises; iterative queries
+        call ``run`` once per round and accumulate in the same profile.
+        With no profile open the run records nothing.
         """
-        trace = self.trace
-        trace.rounds += 1
         edges: list[_Edge] = []
         stream: Optional[Iterator[Any]] = None
         for op in self.stages:
@@ -208,8 +205,10 @@ class Pipeline:
             sink_stream = _DeadlineGuard(sink_stream, self.deadline)
         with TRACER.span("pipeline.run", pipeline=self.describe()) as span:
             t0 = time.perf_counter()
+            sink_rows = 0
             try:
                 value = self.sink.consume(sink_stream)
+                sink_rows = self.sink.result_size(value)
             finally:
                 total_ms = (time.perf_counter() - t0) * 1000.0
                 # Close top-down so abandoned generators (early-terminating
@@ -222,38 +221,32 @@ class Pipeline:
                     for ladder in (op, getattr(op, "row_filter", None)):
                         if isinstance(ladder, Ladder):
                             ladder.flush()
-                # (stage name, this round's self time, rows out) — the trace
-                # accumulates across rounds, the observability hooks below
-                # want per-round values.
-                round_stages: list[tuple[str, float, int]] = []
-                prev: Optional[_Edge] = None
+                # (stage name, rows in, rows out, bytes out, self ms) of this
+                # round, in pipeline order.
+                round_stages: list[tuple[str, int, int, int, float]] = []
+                rows_in, upstream_s = 0, 0.0
                 for op, edge in zip(self.stages, edges):
-                    stats = trace.stage(op.name)
-                    if prev is not None:
-                        stats.rows_in += prev.count
-                    stats.rows_out += edge.count
-                    stats.bytes_out += edge.bytes
-                    upstream_s = prev.elapsed if prev is not None else 0.0
                     stage_ms = max(0.0, (edge.elapsed - upstream_s) * 1000.0)
-                    stats.wall_ms += stage_ms
-                    round_stages.append((op.name, stage_ms, edge.count))
-                    prev = edge
-                sink_stats = trace.stage(self.sink.name)
-                if prev is not None:
-                    sink_stats.rows_in += prev.count
-                    sink_ms = max(0.0, total_ms - prev.elapsed * 1000.0)
-                else:
-                    sink_ms = total_ms
-                sink_stats.wall_ms += sink_ms
-                round_stages.append((self.sink.name, sink_ms, 0))
+                    round_stages.append(
+                        (op.name, rows_in, edge.count, edge.bytes, stage_ms)
+                    )
+                    rows_in, upstream_s = edge.count, edge.elapsed
+                sink_ms = max(0.0, total_ms - upstream_s * 1000.0)
+                round_stages.append((self.sink.name, rows_in, sink_rows, 0, sink_ms))
+                profile = current_profile()
+                if profile is not None:
+                    profile.add_round(round_stages)
                 if _STAGE_MS._registry.enabled:
                     # Stage spans are laid out back-to-back inside the
                     # pipeline span: a self-time flame chart, not a true
                     # timeline (volcano stages interleave row by row).
+                    # The sink's rows_out is its result size, not a stream:
+                    # it counts no rows here.
                     cursor = t0
-                    for name, stage_ms, rows in round_stages:
+                    sink_at = len(round_stages) - 1
+                    for i, (name, _, rows, _, stage_ms) in enumerate(round_stages):
                         _STAGE_MS.labels(stage=name).observe(stage_ms)
-                        if rows:
+                        if rows and i < sink_at:
                             _STAGE_ROWS.labels(stage=name).inc(rows)
                         if span is not None:
                             TRACER.add_span(
@@ -263,7 +256,6 @@ class Pipeline:
                                 parent_id=span.span_id,
                             )
                         cursor += stage_ms / 1000.0
-        trace.stage(self.sink.name).rows_out += self.sink.result_size(value)
         return value
 
 
@@ -373,7 +365,6 @@ def build_pipeline(
     tman: "TMan",
     query: Query,
     plan: "QueryPlan",
-    trace: Optional[ExecutionTrace] = None,
     limit: Optional[int] = None,
     count: bool = False,
     deadline: Optional[Deadline] = None,
@@ -420,7 +411,7 @@ def build_pipeline(
     else:
         stages += [Decode(tman.serializer)] + post_decode
         sink = Collect() if limit is None else Limit(limit)
-    return Pipeline(stages, sink, trace, plan, deadline)
+    return Pipeline(stages, sink, plan, deadline)
 
 
 def ring_operators(
@@ -445,11 +436,10 @@ def ring_pipeline(
     refine: Operator,
     sink: TopK,
     ring_ranges: Optional[Sequence[tuple[int, int]]],
-    trace: Optional[ExecutionTrace] = None,
     deadline: Optional[Deadline] = None,
 ) -> Pipeline:
     """One expanding-ring round: the plan's access path over the inclusive
     TShape ``ring_ranges`` (a scan plan reads the whole table), then the
     shared refine stage and top-k sink."""
     stages = access_path(tman, plan, None, deadline, ring_ranges=ring_ranges)
-    return Pipeline(stages + [refine], sink, trace, plan, deadline)
+    return Pipeline(stages + [refine], sink, plan, deadline)

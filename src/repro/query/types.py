@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.kvstore.stats import COST_MODEL, ExecutionTrace
+from repro.kvstore.stats import COST_MODEL
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -111,12 +111,12 @@ class QueryResult:
     paper's retrieval count); ``windows`` the number of range scans issued;
     ``elapsed_ms`` wall-clock time of the embedded store; ``simulated_ms``
     modeled disk-cluster latency; ``plan`` the index the optimizer chose;
-    ``trace`` the per-operator execution trace of the streaming pipeline
-    (rows-in/rows-out/bytes/time for every stage); ``partial`` is True when
-    a deadline with ``allow_partial`` truncated the query early — the rows
-    present are correct but the set may be incomplete.  ``profile`` is the
-    per-query resource attribution (``profile.as_dict()`` for the full
-    breakdown), present on the result of every system that reads a
+    ``partial`` is True when a deadline with ``allow_partial`` truncated the
+    query early — the rows present are correct but the set may be
+    incomplete.  ``profile`` is the query's ledger: its resource
+    attribution and the per-stage record of its pipeline runs
+    (``profile.as_dict()`` for the full breakdown, ``profile.render()`` for
+    the stage table), present on the result of every system that reads a
     key-value store (TMan and the KV-backed baselines); the counters above
     are read off it by :meth:`from_profile`, so they count this query's
     work only, even while other queries run concurrently.
@@ -131,12 +131,16 @@ class QueryResult:
     simulated_ms: float = 0.0
     plan: str = ""
     distances: Optional[list[float]] = None
-    trace: Optional[ExecutionTrace] = None
     partial: bool = False
     profile: Optional[QueryProfile] = None
 
     def __len__(self) -> int:
         return len(self.trajectories)
+
+    @property
+    def trace(self) -> Optional[QueryProfile]:
+        """The profile, read-only: kept for readers of ``result.trace.rounds``."""
+        return self.profile
 
     @classmethod
     def from_profile(
@@ -145,15 +149,14 @@ class QueryResult:
         trajectories: list[Trajectory],
         elapsed_ms: float,
         plan: str,
-        trace: Optional[ExecutionTrace] = None,
         distances: Optional[list[float]] = None,
-        partial: bool = False,
     ) -> "QueryResult":
         """The result of a query whose work ``profile`` attributed.
 
         ``candidates`` is rows scanned plus point gets, ``transferred_rows``
-        the rows returned, ``windows`` the range scans and ``simulated_ms``
-        :data:`~repro.kvstore.stats.COST_MODEL`'s model of that work.
+        the rows returned, ``windows`` the range scans, ``simulated_ms``
+        :data:`~repro.kvstore.stats.COST_MODEL`'s model of that work and
+        ``partial`` the profile's own flag.
         Records nothing: logging the profile is the caller's business.
         """
         return cls(
@@ -165,7 +168,6 @@ class QueryResult:
             simulated_ms=COST_MODEL.simulate_ms(profile),
             plan=plan,
             distances=distances,
-            trace=trace,
-            partial=partial,
+            partial=profile.partial,
             profile=profile,
         )

@@ -367,9 +367,7 @@ class TMan:
                 # The budget ran out while queued: allow_partial promises a
                 # (possibly empty) result rather than an error.
                 deadline.note_partial()
-                profile.finish(
-                    deadline.budget_ms, type(q).__name__, "shed", partial=True
-                )
+                profile.finish(deadline.budget_ms, type(q).__name__, "shed", deadline)
                 return QueryResult(partial=True, profile=profile)
 
     def explain(self, q) -> str:

@@ -156,7 +156,7 @@ def test_every_plan_counts_without_decoding(deployments, dataset, dname, qname):
         label = f"{qname} via {cand.plan.index}/{cand.plan.route}"
         counted = tman.executor.execute(q, plan=cand.plan, count=True)
         assert counted.count == len(tman.query(q, plan=cand.plan)) == expected, label
-        assert "decode" not in counted.trace, label
+        assert "decode" not in counted.profile, label
     assert tman.count(q).count == expected
 
 
@@ -166,15 +166,15 @@ def test_ring_rounds_follow_the_plan(deployments, dataset, qname):
     expand exactly the rings the TShape primary does, and without a TShape
     index one scan round answers."""
     q = seven_queries(dataset)[qname]
-    rounds = deployments["tshape_primary"].query(q).trace.rounds
+    rounds = deployments["tshape_primary"].query(q).profile.rounds
     assert rounds > 1
     secondary = QueryPlan("tshape", "secondary", "forced")
     for dname in ("st_primary", "tr_primary"):
         res = deployments[dname].query(q, plan=secondary)
-        assert res.trace.rounds == rounds, dname
+        assert res.profile.rounds == rounds, dname
     res = deployments["no_tshape"].query(q)
     assert res.plan == "scan/scan"
-    assert res.trace.rounds == 1
+    assert res.profile.rounds == 1
 
 
 @pytest.mark.parametrize("dname", ["tshape_primary", "st_primary"])

@@ -99,8 +99,8 @@ def test_generous_deadline_changes_nothing(tman, dataset, baseline, qname):
     if distances is not None:
         assert res.distances == distances
     assert res.partial is False
-    assert res.trace.annotations["deadline_ms"] == GENEROUS_MS
-    assert res.trace.annotations["deadline_remaining_ms"] > 0
+    assert res.profile.deadline_ms == GENEROUS_MS
+    assert res.profile.deadline_remaining_ms > 0
 
 
 @pytest.mark.parametrize("qname", QUERY_NAMES)
@@ -117,7 +117,7 @@ def test_expired_deadline_with_allow_partial_truncates(
         _queries(dataset)[qname], deadline_ms=EXPIRED_MS, allow_partial=True
     )
     assert res.partial is True
-    assert res.trace.annotations.get("partial") is True
+    assert res.profile.partial is True
     # A truncated result is a prefix of the work, never invented rows.
     baseline_tids = set(baseline[qname][0])
     dataset_tids = {t.tid for t in dataset}
@@ -144,6 +144,28 @@ def test_default_deadline_from_config(dataset):
         # An explicit per-query deadline overrides the config default.
         res = t.query(q, deadline_ms=GENEROUS_MS)
         assert len(res) == 10
+
+
+def test_deadline_spent_in_admission_queue_is_on_the_profile(dataset):
+    """A query whose budget runs out while queued comes back partial, and
+    its profile records the deadline like an executed query's."""
+    config = _config(
+        admission_max_inflight=1, admission_max_queue=4,
+        admission_queue_timeout_ms=GENEROUS_MS,
+    )
+    with TMan(config) as t:
+        t.bulk_load(dataset[:10])
+        t.admission.acquire()  # hold the only slot
+        try:
+            res = t.query(
+                _queries(dataset)["temporal"], deadline_ms=20.0, allow_partial=True
+            )
+        finally:
+            t.admission.release()
+    assert res.partial and res.profile.partial
+    assert res.profile.plan == "shed"
+    assert res.profile.deadline_ms == 20.0
+    assert res.profile.deadline_remaining_ms <= 0
 
 
 def test_deadline_exceeded_metric_counts_outcomes(tman, dataset):

@@ -125,11 +125,9 @@ def test_trace_annotations_record_retries(tman, dataset, baseline):
             )
         )
     assert injector.injected > 0
-    assert res.trace is not None
-    assert res.trace.annotations.get("kv_retries", 0) > 0
-    assert res.trace.annotations.get("kv_rpc_failures", 0) >= res.trace.annotations[
-        "kv_retries"
-    ]
-    # Annotations survive into the JSON rendering and the EXPLAIN table.
-    assert "kv_retries" in res.trace.as_dict()["annotations"]
-    assert "kv_retries" in res.trace.render()
+    assert res.profile.retries > 0
+    assert res.profile.rpc_failures >= res.profile.retries
+    # The counts survive into the JSON rendering and the stage table's
+    # summary line.
+    assert res.profile.as_dict()["retries"] == res.profile.retries
+    assert f"retries={res.profile.retries}(" in res.profile.render()

@@ -16,6 +16,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.cluster import rpc
+from repro.cluster.client import NodeClient
 from repro.cluster.process_cluster import ProcessCluster
 from repro.datasets import TDRIVE_SPEC
 from repro.kvstore.block_cache import BlockCache
@@ -126,3 +127,47 @@ def test_durable_cluster_shares_one_block_cache(tmp_path):
         assert len(regions) > 2
         assert isinstance(cluster.block_cache, BlockCache)
         assert all(r._store._block_cache is cluster.block_cache for r in regions)
+
+
+def test_new_regions_read_nothing(tmp_path, monkeypatch):
+    """A new table and both halves of every split start empty: building them
+    costs no scan, so a process-mode load pays ``SCAN_PAGE`` only for each
+    split's median key and drain (one page each at this size)."""
+    ops = []
+    call = NodeClient.call
+
+    def counting(self, op, args, deadline=None):
+        ops.append(op)
+        return call(self, op, args, deadline)
+
+    monkeypatch.setattr(NodeClient, "call", counting)
+    with ProcessCluster(
+        nodes=1, replication_factor=1, workers=1, split_rows=50,
+        cluster_data_dir=str(tmp_path),
+    ) as cluster:
+        table = cluster.create_table("t")
+        assert ops.count(rpc.OP_SCAN_PAGE) == 0
+        for i in range(200):
+            table.put(i.to_bytes(4, "big"), b"v%d" % i)
+        splits = len(table.regions) - 1
+        assert splits >= 3
+        assert ops.count(rpc.OP_SCAN_PAGE) == 2 * splits
+        assert [r.approx_rows for r in table.regions] == [
+            sum(1 for _ in r.drain()) for r in table.regions
+        ]
+
+
+def test_reopened_regions_count_their_rows(tmp_path):
+    """Regions rebuilt from ``regions.json`` recover their row estimates."""
+    with Cluster(workers=1, split_rows=40, data_dir=tmp_path / "db") as cluster:
+        table = cluster.create_table("t")
+        table.put_batch([(b"k%04d" % i, b"v") for i in range(200)])
+        for i in range(0, 200, 7):
+            table.delete(b"k%04d" % i)
+        before = [r.approx_rows for r in table.regions]
+    with Cluster(workers=1, split_rows=40, data_dir=tmp_path / "db") as cluster:
+        regions = cluster.table("t").regions
+        assert len(regions) > 2
+        live = [sum(1 for _ in r.drain()) for r in regions]
+        assert [r.approx_rows for r in regions] == live == before
+        assert sum(live) == 200 - len(range(0, 200, 7))

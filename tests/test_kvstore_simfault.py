@@ -1,9 +1,14 @@
-"""Tests for the deterministic, seeded fault injector."""
+"""Tests for the deterministic, seeded fault injector, and what its RPC
+delays prove about the multi-range scheduler and batched multi_get."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro.kvstore import Cluster, Scan, simfault
 from repro.kvstore.errors import (
     TransientError,
     TransientIOError,
@@ -16,6 +21,7 @@ from repro.kvstore.simfault import (
     SimulatedCrash,
     fault_injection,
     fault_injector,
+    get_fault,
     scan_fault,
     set_fault_injector,
 )
@@ -26,6 +32,20 @@ def _no_global_injector():
     set_fault_injector(None)
     yield
     set_fault_injector(None)
+
+
+def k(i):
+    return i.to_bytes(4, "big")
+
+
+@pytest.fixture()
+def cluster(tmp_path):
+    c = Cluster(workers=4, split_rows=200)
+    t = c.create_table("t")
+    for i in range(600):
+        t.put(k(i), b"v%06d" % i)
+    yield c, t
+    c.close()
 
 
 def _scan_outcomes(injector: FaultInjector, n: int) -> list[bool]:
@@ -53,6 +73,12 @@ class TestFaultConfig:
     def test_rejects_unknown_crash_point(self):
         with pytest.raises(ValueError):
             FaultConfig(crash_points=frozenset({"flush.nope"}))
+
+    def test_rejects_negative_delay(self):
+        with pytest.raises(ValueError):
+            FaultConfig(scan_delay_ms=-1.0)
+        with pytest.raises(ValueError):
+            FaultConfig(get_delay_ms=-0.5)
 
     def test_uniform_sets_every_rate(self):
         cfg = FaultConfig.uniform(0.25, seed=9)
@@ -172,9 +198,13 @@ class TestCrashPoints:
 
 
 class TestProcessGlobalHooks:
-    def test_hooks_are_noops_when_disabled(self):
+    def test_hooks_are_noops_when_disabled(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(simfault.time, "sleep", sleeps.append)
         assert fault_injector() is None
         scan_fault()  # must not raise
+        get_fault()
+        assert sleeps == []
 
     def test_context_manager_installs_and_restores(self):
         outer = FaultInjector(FaultConfig())
@@ -190,3 +220,84 @@ class TestProcessGlobalHooks:
             with fault_injection(FaultConfig()):
                 raise RuntimeError("boom")
         assert fault_injector() is None
+
+
+class TestRPCAccounting:
+    """One emulated RPC per request: sleeps counted, not timed."""
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simfault.time, "sleep", lambda s: calls.append(s))
+        return calls
+
+    def test_point_get_pays_one_rpc(self, cluster, sleeps):
+        _, t = cluster
+        with fault_injection(FaultConfig(get_delay_ms=1.0)):
+            t.get(k(5))
+        assert len(sleeps) == 1
+
+    def test_multi_get_batches_pay_per_region(self, cluster, sleeps):
+        _, t = cluster
+        keys = [k(i) for i in range(0, 600, 10)]  # spans every region
+        with fault_injection(FaultConfig(get_delay_ms=1.0)):
+            values = t.multi_get(keys)
+        assert values == [b"v%06d" % i for i in range(0, 600, 10)]
+        # One RPC per region batch, far fewer than one per key.
+        assert len(sleeps) <= len(t.regions)
+        assert len(sleeps) < len(keys)
+
+    def test_region_scan_pays_one_rpc(self, cluster, sleeps):
+        _, t = cluster
+        with fault_injection(FaultConfig(scan_delay_ms=1.0)):
+            rows = list(t.regions[0].execute_scan(Scan(k(0), k(10))))
+        assert len(rows) == 10
+        assert len(sleeps) == 1
+
+
+class TestSchedulerOverlap:
+    def test_scheduled_overlaps_remote_scans(self, cluster, monkeypatch):
+        """The tentpole property: under remote-RPC latency the scheduler
+        overlaps the region scans a pool-less table pays one at a time.
+        Counted as scan delays in flight at once, not timed, so a loaded
+        machine cannot flip it."""
+        _, t = cluster
+        poolless = Cluster(workers=1, split_rows=200)
+        serial_t = poolless.create_table("t")
+        for key, value in t.scan(Scan()):
+            serial_t.put(key, value)
+        windows = [(k(i * 12), k(i * 12 + 12)) for i in range(50)]  # every region
+        model = FaultConfig(scan_delay_ms=100.0)
+        sleep = time.sleep
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, most at once
+
+        def tracked(seconds):
+            if seconds != model.scan_delay_ms / 1000.0:
+                return sleep(seconds)
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight[1], in_flight[0])
+            try:
+                sleep(seconds)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(simfault.time, "sleep", tracked)
+
+        def run(table):
+            in_flight[1] = 0
+            with fault_injection(model):
+                rows = list(table.multi_range_scan(windows))
+            return rows, in_flight[1]
+
+        try:
+            serial_rows, serial_peak = run(serial_t)
+        finally:
+            poolless.close()
+        sched_rows, sched_peak = run(t)
+        assert len(t.regions) >= 3
+        assert sched_rows == serial_rows and len(sched_rows) == 600
+        assert serial_peak == 1
+        assert sched_peak >= 2

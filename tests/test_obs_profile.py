@@ -16,7 +16,7 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
-from repro.kvstore.simlatency import SimulatedRPC, rpc_latency
+from repro.kvstore.simfault import FaultConfig, fault_injection
 from repro.model import MBR, TimeRange
 from repro.obs import profile_log, reset_all, workload_stats
 from repro.obs.profile import (
@@ -25,6 +25,7 @@ from repro.obs.profile import (
     profile_scope,
     run_with_profile,
 )
+from repro.query.pipeline import build_pipeline
 from repro.query.types import (
     IDTemporalQuery,
     KNNPointQuery,
@@ -130,8 +131,9 @@ class TestReconciliation:
     def test_profile_rendered_in_trace(self, tman, dataset):
         span = dataset[0].time_range
         result = tman.query(TemporalRangeQuery(TimeRange(span.start, span.start + 3600)))
-        assert "profile=" in result.trace.render()
-        assert result.profile.query_id in result.trace.render()
+        text = result.profile.render()
+        assert text.splitlines()[-1] == result.profile.summary()
+        assert result.profile.query_id in text
 
 
 class TestLadderAttribution:
@@ -243,21 +245,24 @@ class TestProfileMachinery:
         # executor attributed into the installed (outer) profile
         assert result.profile is outer
         assert outer.rows_scanned >= 0
+        assert outer.rounds == 1 and "decode" in outer  # and the stages
         assert outer.query_type == "TemporalRangeQuery"  # finish() stamped it
 
     def test_concurrent_queries_attribute_independently(self, tman, dataset):
         span = dataset[0].time_range
+        query = TemporalRangeQuery(TimeRange(span.start, span.start + 7200))
         results = {}
+
+        def stages(profile):
+            return [(s.name, s.rows_in, s.rows_out, s.bytes_out) for s in profile.stages]
+
+        serial = stages(tman.query(query).profile)
 
         def client(name, query):
             results[name] = tman.query(query)
 
         threads = [
-            threading.Thread(
-                target=client,
-                args=(i, TemporalRangeQuery(TimeRange(span.start, span.start + 7200))),
-            )
-            for i in range(4)
+            threading.Thread(target=client, args=(i, query)) for i in range(4)
         ]
         for t in threads:
             t.start()
@@ -267,6 +272,42 @@ class TestProfileMachinery:
         assert len(ids) == 4  # four distinct profiles, no cross-talk
         for r in results.values():
             assert r.profile.rows_scanned > 0
+            assert stages(r.profile) == serial
+
+    def test_shared_profile_loses_no_round(self, tman, dataset):
+        """Pipelines on many threads folding rounds into one outer profile
+        (a shared ``profile_scope``) lose no update."""
+        span = dataset[0].time_range
+        query = TemporalRangeQuery(TimeRange(span.start, span.start + 3600))
+        plan = tman.planner.plan(query)
+        single = QueryProfile()
+        with profile_scope(single):
+            build_pipeline(tman, query, plan).run()
+        shared = QueryProfile()
+        threads, runs = 8, 5
+
+        def client():
+            with profile_scope(shared):
+                for _ in range(runs):
+                    build_pipeline(tman, query, plan).run()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client) for _ in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        n = threads * runs
+        assert shared.rounds == n
+        assert [(s.name, s.rows_in, s.rows_out, s.bytes_out) for s in shared.stages] == [
+            (s.name, n * s.rows_in, n * s.rows_out, n * s.bytes_out)
+            for s in single.stages
+        ]
 
     def test_profile_log_records_and_ranks(self, tman, dataset):
         reset_all()
@@ -314,7 +355,7 @@ class TestAdmissionAndSlowlog:
 
             # A region cursor that sleeps (releasing the GIL) holds the one
             # slot long enough for the other clients to arrive and queue.
-            with rpc_latency(SimulatedRPC(scan_ms=5.0)):
+            with fault_injection(FaultConfig(scan_delay_ms=5.0)):
                 threads = [threading.Thread(target=client) for _ in range(6)]
                 for t in threads:
                     t.start()

@@ -1,7 +1,7 @@
 """Overload smoke: the system degrades gracefully, never hangs.
 
 32 concurrent mixed queries run against an emulated-remote deployment
-(per-RPC simulated latency) with a tight deadline and a small admission
+(the fault injector's per-RPC delay) with a tight deadline and a small admission
 window.  Every query must terminate promptly — completed, partial, shed by
 admission, or failed fast on its deadline — and the deployment must serve
 follow-up queries normally afterwards.  A watchdog timeout on the futures
@@ -25,7 +25,7 @@ from repro import (
     TManConfig,
 )
 from repro.datasets import TDRIVE_SPEC, tdrive_like
-from repro.kvstore.simlatency import SimulatedRPC, rpc_latency
+from repro.kvstore.simfault import FaultConfig, fault_injection
 from repro.model import MBR, TimeRange
 
 N_CLIENTS = 32
@@ -85,7 +85,7 @@ def test_overload_completes_and_recovers(tman):
         except AdmissionRejectedError:
             return "shed"
 
-    with rpc_latency(SimulatedRPC(scan_ms=5.0, get_ms=1.0)):
+    with fault_injection(FaultConfig(scan_delay_ms=5.0, get_delay_ms=1.0)):
         with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
             futures = [pool.submit(client, i) for i in range(N_CLIENTS)]
             for future in as_completed(futures, timeout=WATCHDOG_S):
@@ -114,7 +114,7 @@ def test_overload_completes_and_recovers(tman):
 
 def test_no_thread_leaks(tman):
     before = threading.active_count()
-    with rpc_latency(SimulatedRPC(scan_ms=2.0)):
+    with fault_injection(FaultConfig(scan_delay_ms=2.0)):
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [
                 pool.submit(

@@ -122,7 +122,7 @@ def test_counts_match(deployments, dataset, qname):
 
 def test_limit_scans_less_under_scheduler(deployments, dataset):
     # Early termination through the window scheduler: limit=k touches
-    # strictly fewer candidates than the full run (ExecutionTrace proof).
+    # strictly fewer candidates than the full run (per-stage proof).
     tmin = min(t.time_range.start for t in dataset)
     tmax = max(t.time_range.end for t in dataset)
     tr = TimeRange(tmin, tmax)  # matches everything -> limit prunes a lot
@@ -131,8 +131,8 @@ def test_limit_scans_less_under_scheduler(deployments, dataset):
     lim = tman.temporal_range_query(tr, limit=2)
     assert len(lim.trajectories) == 2
     assert lim.candidates < full.candidates
-    assert lim.trace["windows"].rows_out <= full.trace["windows"].rows_out
-    assert lim.trace["decode"].rows_in <= full.trace["decode"].rows_in
+    assert lim.profile["windows"].rows_out <= full.profile["windows"].rows_out
+    assert lim.profile["decode"].rows_in <= full.profile["decode"].rows_in
 
 
 def test_limit_equivalence(deployments, dataset):

@@ -1,11 +1,12 @@
-"""Per-stage execution traces and streaming behavior of the query pipeline."""
+"""Per-stage records in the query profile and streaming behavior of the
+query pipeline."""
 
 import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
-from repro.kvstore.stats import ExecutionTrace
 from repro.model.timerange import TimeRange
+from repro.obs.profile import QueryProfile, profile_scope
 from repro.query import build_pipeline
 from repro.query.types import (
     IDTemporalQuery,
@@ -69,52 +70,55 @@ class TestTracePresence:
     def test_all_six_query_types_report_traces(self, tman):
         for name, q in queries_for(tman).items():
             res = tman.query(q)
-            trace = res.trace
-            assert isinstance(trace, ExecutionTrace), name
-            assert trace.rounds >= 1
+            profile = res.profile
+            assert isinstance(profile, QueryProfile), name
+            assert profile.rounds >= 1
             # Primary routes scan regions directly; secondary routes resolve
             # index entries into point gets instead.
-            assert "region_scan" in trace or "secondary_resolve" in trace, name
-            names = [s.name for s in trace.stages]
+            assert "region_scan" in profile or "secondary_resolve" in profile, name
+            names = [s.name for s in profile.stages]
             assert len(names) == len(set(names))
-            for stage in trace.stages:
+            for stage in profile.stages:
                 assert stage.rows_in >= 0 and stage.rows_out >= 0
                 assert stage.wall_ms >= 0.0
 
     def test_windows_feed_region_scan(self, tman):
         res = tman.query(queries_for(tman)["srq"])
-        trace = res.trace
-        assert trace["windows"].rows_out == trace["region_scan"].rows_in
-        assert trace["windows"].rows_out == res.windows
-        assert trace["region_scan"].bytes_out > 0
+        profile = res.profile
+        assert profile["windows"].rows_out == profile["region_scan"].rows_in
+        assert profile["windows"].rows_out == res.windows
+        assert profile["region_scan"].bytes_out > 0
 
     def test_sink_rows_match_result(self, tman):
         qs = queries_for(tman)
         for name in ("trq", "srq", "strq", "idt"):
             res = tman.query(qs[name])
-            assert res.trace["collect"].rows_out == len(res.trajectories), name
+            assert res.profile["collect"].rows_out == len(res.trajectories), name
         res = tman.query(qs["topk"])
         # The top-k sink reports its heap size once per expanding-ring
         # round, so its cumulative rows_out is at least the result size.
-        assert res.trace["top_k"].rows_out >= len(res.trajectories)
+        assert res.profile["top_k"].rows_out >= len(res.trajectories)
 
     def test_count_reports_trace_without_decode(self, tman):
         qs = queries_for(tman)
         res = tman.count(qs["trq"])
-        trace = res.trace
-        assert trace is not None
-        assert "count" in trace
-        assert trace["count"].rows_out == res.count
+        profile = res.profile
+        assert profile is not None
+        assert "count" in profile
+        assert profile["count"].rows_out == res.count
         full = tman.query(qs["trq"])
         assert res.count == len(full.trajectories)
 
     def test_trace_renders_and_serializes(self, tman):
         res = tman.query(queries_for(tman)["srq"])
-        d = res.trace.as_dict()
+        d = res.profile.as_dict()
         assert d["rounds"] >= 1
         assert any(s["name"] == "region_scan" for s in d["stages"])
-        text = res.trace.render()
+        text = res.profile.render()
         assert "region_scan" in text and "rows_out" in text
+        assert text.splitlines()[-1] == res.profile.summary()
+        # The read-only view older readers use.
+        assert res.trace is res.profile
 
     def test_explain_matches_trace_stages(self, tman, tr_tman):
         """EXPLAIN names the stages the run traces, for all seven types."""
@@ -127,7 +131,7 @@ class TestTracePresence:
                 plan = t.planner.plan(q)
                 assert text.startswith(f"{plan.index}/{plan.route}: ")
                 static = text.split(": ", 1)[1].split(" -> ")
-                traced = [s.name for s in t.query(q).trace.stages]
+                traced = [s.name for s in t.query(q).profile.stages]
                 assert traced == static, (t.config.primary_index, name)
 
 
@@ -144,13 +148,32 @@ class TestPublicPipeline:
                 t.tid for t in tman.query(q).trajectories
             ), name
 
+    def test_pipeline_records_into_the_open_profile(self, tman):
+        """Each run adds one round and its stages to the active profile; an
+        outer scope accumulates them like its counters."""
+        q = queries_for(tman)["srq"]
+        plan = tman.planner.plan(q)
+        outer = QueryProfile()
+        with profile_scope(outer):
+            build_pipeline(tman, q, plan).run()
+            assert outer.rounds == 1
+            first = {s.name: s.rows_out for s in outer.stages}
+            build_pipeline(tman, q, plan).run()
+        assert outer.rounds == 2
+        names = tman.explain(q).split(": ", 1)[1].split(" -> ")
+        assert [s.name for s in outer.stages] == names
+        assert outer.stage("collect") is outer["collect"]  # get, not create
+        assert {s.name: s.rows_out for s in outer.stages} == {
+            name: 2 * rows for name, rows in first.items()
+        }
+
 
 class TestIterativeQueries:
     def test_topk_trace_accumulates_rounds(self, tman):
         res = tman.query(queries_for(tman)["topk"])
-        assert res.trace.rounds >= 1
-        assert res.trace["similarity_refine"].rows_out == len(res.trajectories) or (
-            res.trace["similarity_refine"].rows_out >= len(res.trajectories)
+        assert res.profile.rounds >= 1
+        assert res.profile["similarity_refine"].rows_out == len(res.trajectories) or (
+            res.profile["similarity_refine"].rows_out >= len(res.trajectories)
         )
         assert res.distances == sorted(res.distances)
 
@@ -163,8 +186,8 @@ class TestIterativeQueries:
         res = tman.query(KNNPointQuery(t0.points[0].lng, t0.points[0].lat, 2))
         scanned = (tman.cluster.stats.snapshot() - before).rows_scanned
         assert len(res.trajectories) == 2
-        assert res.trace is not None and "knn_refine" in res.trace
-        assert res.trace.rounds >= 1
+        assert res.profile is not None and "knn_refine" in res.profile
+        assert res.profile.rounds >= 1
         assert scanned < total_rows
 
 
@@ -183,8 +206,8 @@ class TestStreamingLimit:
             t.tid for t in full.trajectories
         ][:2]
         assert lim.candidates < full.candidates
-        assert lim.trace["decode"].rows_in <= full.trace["decode"].rows_in
-        assert lim.trace["limit"].rows_out == 2
+        assert lim.profile["decode"].rows_in <= full.profile["decode"].rows_in
+        assert lim.profile["limit"].rows_out == 2
 
     def test_limit_rejected_for_similarity_queries(self, tman):
         qs = queries_for(tman)

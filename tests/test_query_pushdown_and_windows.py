@@ -143,7 +143,7 @@ class TestWindowGenerationCounts:
         for q in (TopKSimilarityQuery(data[0], 5), KNNPointQuery(cx, cy, 5)):
             del expansions[:]
             res = tman.query(q)
-            assert len(expansions) == res.trace.rounds >= 1
+            assert len(expansions) == res.profile.rounds >= 1
             assert len(set(expansions)) == len(expansions)  # a new window per ring
 
 

@@ -69,11 +69,11 @@ class TestPushDownSwitchOnSecondaryRoute:
             assert [t.tid for t in a.trajectories] == [t.tid for t in b.trajectories]
             # Client-side, the resolve emits every fetched row and a
             # client_filter stage drops the TR windows' false positives.
-            assert "client_filter" not in a.trace
-            resolved = b.trace["secondary_resolve"].rows_out
-            assert resolved > a.trace["secondary_resolve"].rows_out
-            assert b.trace["client_filter"].rows_in == resolved
-            assert b.trace["client_filter"].rows_out == len(b)
+            assert "client_filter" not in a.profile
+            resolved = b.profile["secondary_resolve"].rows_out
+            assert resolved > a.profile["secondary_resolve"].rows_out
+            assert b.profile["client_filter"].rows_in == resolved
+            assert b.profile["client_filter"].rows_out == len(b)
             assert "client_filter" in off.explain(TemporalRangeQuery(window))
             # A point get ships the row before any filter sees it.
             assert a.transferred_rows == b.transferred_rows

@@ -60,7 +60,7 @@ def test_topk_scans_each_key_once_and_is_exact(ring_tman, scanned_keys, measure,
     ).trajectory
     del scanned_keys[:]  # the oracle's and the query pick's scans
     res = ring_tman.top_k_similarity_query(query, 6, measure)
-    assert res.trace.rounds >= 2
+    assert res.profile.rounds >= 2
     assert len(scanned_keys) == len(set(scanned_keys))
     distance = distance_by_name(measure)
     want = best({tid: distance(query.block, block) for tid, block in blocks.items()
@@ -73,7 +73,7 @@ def test_knn_scans_each_key_once_and_is_exact(ring_tman, scanned_keys, x, y):
     blocks = stored(ring_tman)
     del scanned_keys[:]
     res = ring_tman.knn_point_query(x, y, 5)
-    assert res.trace.rounds >= 2
+    assert res.profile.rounds >= 2
     assert len(scanned_keys) == len(set(scanned_keys))
     want = best({tid: point_to_polyline_arrays(x, y, block.xs, block.ys)
                  for tid, block in blocks.items()}, 5)
