@@ -7,7 +7,11 @@ spawned region-server worker imports only the storage engine.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable
+from collections.abc import Callable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from typing import Any
 
 
 def lazy_exports(

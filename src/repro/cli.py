@@ -30,6 +30,7 @@ trajectory contiguous and time-ordered (the format ``generate`` emits).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -185,20 +186,23 @@ def cmd_query(args: argparse.Namespace) -> int:
     """``query``: run a query against a saved deployment."""
     if args.slow_ms is not None:
         obs.set_slow_query_ms(args.slow_ms)
-    if args.fault_rate:
-        # Reproduction: fail scans/gets/flush I/O at this seeded rate; the
-        # retry layer must still deliver exact results.
-        simfault.set_fault_injector(
-            simfault.FaultInjector(
-                simfault.FaultConfig.uniform(args.fault_rate, seed=args.fault_seed)
-            )
-        )
     q = _build_query(args)
     with open_tman(args.deployment) as tman:
-        try:
-            res = tman.query(
-                q, deadline_ms=args.deadline_ms, allow_partial=args.allow_partial
+        # Reproduction: fail scans/gets/flush I/O at this seeded rate; the
+        # retry layer must still deliver exact results.  The injector covers
+        # the query alone, not the reopen's statistics-rebuild scans.
+        faults = (
+            simfault.fault_injection(
+                simfault.FaultConfig.uniform(args.fault_rate, seed=args.fault_seed)
             )
+            if args.fault_rate
+            else contextlib.nullcontext()
+        )
+        try:
+            with faults as injector:
+                res = tman.query(
+                    q, deadline_ms=args.deadline_ms, allow_partial=args.allow_partial
+                )
         except QueryTimeoutError as exc:
             print(f"query timed out: {exc}", file=sys.stderr)
             return 2
@@ -208,12 +212,10 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{res.windows} scans, plan {res.plan}, {res.elapsed_ms:.1f} ms)"
             f"{partial}"
         )
-        if args.fault_rate:
-            injector = simfault.fault_injector()
-            injected = injector.injected if injector is not None else 0
+        if injector is not None:
             print(
                 f"fault injection: rate={args.fault_rate} seed={args.fault_seed} "
-                f"injected={injected} rpc_failures={res.profile.rpc_failures} "
+                f"injected={injector.injected} rpc_failures={res.profile.rpc_failures} "
                 f"retries={res.profile.retries}"
             )
         for traj in res.trajectories[: args.limit]:

@@ -50,9 +50,12 @@ from __future__ import annotations
 
 import socket
 import struct
-from typing import Any, Optional, Union
 
 from repro.runtime.deadline import Deadline
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from typing import Any
 
 _LEN = struct.Struct(">I")
 _REQ_HEAD = struct.Struct(">Bd")  # op, deadline_remaining_ms
@@ -241,7 +244,7 @@ def decode(buf: bytes, pos: int = 0) -> Any:
 
 
 def request_frame(
-    op: int, args: Union[tuple, bytes], remaining_ms: float = float("inf")
+    op: int, args: tuple | bytes, remaining_ms: float = float("inf")
 ) -> bytes:
     """A whole request frame.  ``args`` is the op's tuple or its
     :func:`encode` bytes, so a request sent to several nodes is encoded once."""
@@ -307,7 +310,7 @@ def _recv_frame(sock: socket.socket) -> bytes:
 def send_request(
     sock: socket.socket,
     op: int,
-    args: Union[tuple, bytes],
+    args: tuple | bytes,
     remaining_ms: float = float("inf"),
 ) -> None:
     """Write one request frame (``args`` as in :func:`request_frame`)."""
@@ -327,14 +330,14 @@ def recv_response(sock: socket.socket) -> tuple[int, Any]:
 # -- deadlines ---------------------------------------------------------------
 
 
-def deadline_budget_ms(deadline: Optional[Deadline]) -> float:
+def deadline_budget_ms(deadline: Deadline | None) -> float:
     """The remaining-budget value to put on the wire (``inf`` = unbounded)."""
     if deadline is None:
         return float("inf")
     return max(0.0, deadline.remaining_ms())
 
 
-def reanchor_deadline(remaining_ms: float) -> Optional[Deadline]:
+def reanchor_deadline(remaining_ms: float) -> Deadline | None:
     """Rebuild a worker-side deadline from a wire budget.
 
     ``inf`` (unbounded) maps to ``None``; a budget that arrived already

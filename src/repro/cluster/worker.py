@@ -33,7 +33,10 @@ Run as ``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``
 stdin reaches EOF — the coordinator holds the only write end, so the
 worker outlives it by no more than a drain.  Keep this module's imports to
 the RPC framing and the engine: ``tests/test_package_imports.py`` pins the
-closure.
+closure.  It has no ``dataclasses``, runtime ``typing``, ``pathlib`` or
+``random``: the engine's records are named tuples, its files ``os.path``
+strings, and the fault injector and retry jitter import ``random`` when
+they first draw.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ import os
 import socket
 import sys
 import threading
-from pathlib import Path
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from repro.cluster import rpc
 from repro.kvstore import simfault
 from repro.kvstore.durable import DurableLSMStore
-from repro.kvstore.memtable import TOMBSTONE
-from repro.kvstore.scan import Window
+from repro.kvstore.memtable import TOMBSTONE, Window
 from repro.runtime.deadline import Deadline
 
 # Rows between cooperative deadline checks inside a scan page (mirrors
@@ -64,14 +65,14 @@ READY_LINE = b"ready\n"
 class _Worker:
     """Per-process state: the stores this node hosts, and their locks."""
 
-    def __init__(self, node_id: str, data_dir: Path):
+    def __init__(self, node_id: str, data_dir: str):
         self.node_id = node_id
         self.data_dir = data_dir
         self._stores: dict[str, DurableLSMStore] = {}
         self._locks: dict[str, threading.RLock] = {}
         self._mu = threading.Lock()
         self.shutting_down = threading.Event()
-        self.listener: Optional[socket.socket] = None
+        self.listener: socket.socket | None = None
 
     def shutdown(self) -> None:
         """Stop serving: wake the accept loop, which then drains and exits."""
@@ -86,7 +87,7 @@ class _Worker:
             store = self._stores.get(store_id)
             if store is None:
                 # Replicas make a write durable; no fsync per WAL append.
-                store = DurableLSMStore(self.data_dir / store_id, sync=False)
+                store = DurableLSMStore(os.path.join(self.data_dir, store_id), sync=False)
                 self._stores[store_id] = store
                 self._locks[store_id] = threading.RLock()
             return store, self._locks[store_id]
@@ -126,7 +127,7 @@ def _scan_page(
     store: DurableLSMStore,
     windows: list[Window],
     max_rows: int,
-    deadline: Optional[Deadline],
+    deadline: Deadline | None,
 ) -> tuple[list[tuple[bytes, bytes]], bool, bool]:
     """``(rows, done, expired)`` for one stateless page of a window list."""
     rows: list[tuple[bytes, bytes]] = []
@@ -284,12 +285,13 @@ def worker_main(
     node_id: str,
     data_dir: str,
     socket_path: str,
-    on_listening: Optional[Callable[[_Worker], None]] = None,
+    on_listening: Callable[[_Worker], None] | None = None,
 ) -> None:
     """Serve one node until ``SHUTDOWN``; ``on_listening(worker)`` runs once
     the socket accepts connections."""
-    worker = _Worker(node_id, Path(data_dir))
-    Path(socket_path).unlink(missing_ok=True)
+    worker = _Worker(node_id, data_dir)
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(socket_path)
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     listener.bind(socket_path)
     os.chmod(socket_path, 0o700)
@@ -318,7 +320,8 @@ def worker_main(
         for t in threads:
             t.join(timeout=2.0)
         worker.close_all()
-        Path(socket_path).unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(socket_path)
 
 
 def _shutdown_on_eof(worker: _Worker) -> None:
@@ -335,7 +338,7 @@ def _listening(worker: _Worker) -> None:
     os.write(1, READY_LINE)
 
 
-def main(argv: Optional[list[str]] = None) -> None:
+def main(argv: list[str] | None = None) -> None:
     """``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``."""
     node_id, data_dir, socket_path = sys.argv[1:] if argv is None else argv
     worker_main(node_id, data_dir, socket_path, _listening)

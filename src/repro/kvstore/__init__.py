@@ -45,6 +45,7 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "repro.kvstore.cluster": ("Cluster",),
+        "repro.kvstore.cost": ("CostModel",),
         "repro.kvstore.durable": ("DurableLSMStore",),
         "repro.kvstore.errors": (
             "KVError", "RegionError", "RetryExhaustedError", "TableExistsError",
@@ -56,7 +57,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.kvstore.scan": ("Scan",),
         "repro.kvstore.simfault": ("FaultConfig", "FaultInjector", "fault_injection"),
         "repro.kvstore.snapshot": ("load_cluster", "save_cluster"),
-        "repro.kvstore.stats": ("CostModel", "IOStats"),
+        "repro.kvstore.stats": ("IOStats",),
         "repro.kvstore.table": ("Table",),
     },
 )

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import OrderedDict, namedtuple
+from collections.abc import Callable
 
 from repro.obs import counter as _obs_counter, gauge as _obs_gauge
 from repro.obs.profile import current_profile
@@ -45,16 +44,14 @@ def next_file_token() -> int:
     return next(_file_tokens)
 
 
-@dataclass(frozen=True)
-class BlockCacheStats:
-    """A point-in-time view of one cache's counters."""
+class BlockCacheStats(
+    namedtuple(
+        "BlockCacheStats", "hits misses evictions entries bytes capacity_bytes"
+    )
+):
+    """A point-in-time view of one cache's counters (an immutable record)."""
 
-    hits: int
-    misses: int
-    evictions: int
-    entries: int
-    bytes: int
-    capacity_bytes: int
+    __slots__ = ()
 
     @property
     def hit_ratio(self) -> float:
@@ -228,7 +225,7 @@ class CachedBlockFile:
         self.close()
 
 
-def make_block_cache(capacity_bytes: Optional[int]) -> Optional[BlockCache]:
+def make_block_cache(capacity_bytes: int | None) -> BlockCache | None:
     """A :class:`BlockCache` for ``capacity_bytes``, or ``None`` when off."""
     if not capacity_bytes:
         return None

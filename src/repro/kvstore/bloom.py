@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 # The builtin module behind ``hashlib.blake2b`` (the same type on CPython):
 # importing ``hashlib`` would also load OpenSSL, which nothing else here uses.

@@ -21,8 +21,7 @@ import bisect
 import os
 import struct
 import zlib
-from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from collections.abc import Iterator, Sequence
 
 from repro.kvstore.block_cache import (
     DEFAULT_BLOCK_BYTES,
@@ -31,7 +30,7 @@ from repro.kvstore.block_cache import (
     next_file_token,
 )
 from repro.kvstore.errors import CorruptionError
-from repro.kvstore.scan import Window
+from repro.kvstore.memtable import Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 
@@ -47,7 +46,7 @@ _FOOTER = struct.Struct(">QQI")
 
 
 def write_disk_sstable(
-    path: Union[str, Path],
+    path: str | os.PathLike,
     entries: Sequence[tuple[bytes, bytes]],
     fsync: bool = False,
 ) -> None:
@@ -60,8 +59,7 @@ def write_disk_sstable(
     keys = [k for k, _ in entries]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ValueError("disk SSTable entries must be strictly sorted")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     sparse: list[tuple[bytes, int]] = []
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -83,7 +81,7 @@ def write_disk_sstable(
 class _PlainFile:
     """``read(offset, n)`` slices straight from the file (no block cache)."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: str):
         self._fd = os.open(path, os.O_RDONLY)
 
     def read(self, offset: int, n: int) -> bytes:
@@ -103,7 +101,7 @@ class _RecordCursor:
     returned, and ``parsed`` counts the records parsed.
     """
 
-    def __init__(self, path: Path, reader, block_bytes: int, end: int, offset: int):
+    def __init__(self, path: str, reader, block_bytes: int, end: int, offset: int):
         self._path = path
         self._reader = reader
         self._block = block_bytes
@@ -125,7 +123,7 @@ class _RecordCursor:
         self._buf, self._buf_start = buf, offset
         return buf
 
-    def next(self, floor: Optional[bytes] = None) -> Optional[tuple[bytes, bytes]]:
+    def next(self, floor: bytes | None = None) -> tuple[bytes, bytes] | None:
         """The next record whose key is at least ``floor`` (None at the end);
         records below ``floor`` are stepped over without reading values."""
         while self.offset < self._end:
@@ -159,11 +157,11 @@ class DiskSSTable:
 
     def __init__(
         self,
-        path: Union[str, Path],
-        stats: Optional[IOStats] = None,
-        block_cache: Optional[BlockCache] = None,
+        path: str | os.PathLike,
+        stats: IOStats | None = None,
+        block_cache: BlockCache | None = None,
     ):
-        self.path = Path(path)
+        self.path = os.fspath(path)
         self._stats = stats
         self._block_cache = block_cache
         # Cache entries are keyed by this token, not the path: it is unique
@@ -175,7 +173,7 @@ class DiskSSTable:
             fh.seek(-_FOOTER.size, 2)
             footer = fh.read(_FOOTER.size)
             index_offset, self.record_count, crc = _FOOTER.unpack(footer)
-            file_size = self.path.stat().st_size
+            file_size = os.fstat(fh.fileno()).st_size
             if not len(MAGIC) <= index_offset <= file_size - _FOOTER.size:
                 raise CorruptionError(f"{self.path}: footer index offset out of range")
             fh.seek(index_offset)
@@ -197,7 +195,7 @@ class DiskSSTable:
             self._sparse_offsets.append(offset)
         self._data_end = index_offset
         # The largest key, from the last sparse block (uncounted, uncached).
-        self.max_key: Optional[bytes] = None
+        self.max_key: bytes | None = None
         if self._sparse_offsets:
             cursor = self._cursor(self._sparse_offsets[-1], _PlainFile(self.path))
             try:
@@ -210,11 +208,11 @@ class DiskSSTable:
         return self.record_count
 
     @property
-    def min_key(self) -> Optional[bytes]:
+    def min_key(self) -> bytes | None:
         """Smallest key in the table, or ``None`` when empty."""
         return self._sparse_keys[0] if self._sparse_keys else None
 
-    def _floor_offset(self, key: Optional[bytes]) -> int:
+    def _floor_offset(self, key: bytes | None) -> int:
         """File offset of the sparse entry at or before ``key``."""
         if key is None:
             return len(MAGIC)
@@ -237,7 +235,7 @@ class DiskSSTable:
         if self._block_cache is not None:
             self._block_cache.drop_file(self._cache_token)
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes) -> bytes | None:
         """Return the value stored under ``key``, or ``None`` when absent."""
         rows = self.scan_windows(((key, key + b"\x00"),))
         try:
@@ -251,7 +249,7 @@ class DiskSSTable:
         return self.scan_windows([(k, k + b"\x00") for k in keys])
 
     def scan(
-        self, start: Optional[bytes] = None, stop: Optional[bytes] = None
+        self, start: bytes | None = None, stop: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
         return self.scan_windows(((start, stop),))
@@ -266,8 +264,8 @@ class DiskSSTable:
         parsed at most once.  Records parsed are counted in
         ``stats.block_reads`` once, when the scan ends or is closed.
         """
-        cursor: Optional[_RecordCursor] = None
-        record: Optional[tuple[bytes, bytes]] = None  # the lookahead
+        cursor: _RecordCursor | None = None
+        record: tuple[bytes, bytes] | None = None  # the lookahead
         try:
             for start, stop in windows:
                 if not self.overlaps(start, stop):
@@ -294,7 +292,7 @@ class DiskSSTable:
                         self._stats.add(block_reads=cursor.parsed)
                     _BLOCK_READS.inc(cursor.parsed)
 
-    def overlaps(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+    def overlaps(self, start: bytes | None, stop: bytes | None) -> bool:
         """True when the table's key span intersects ``[start, stop)``."""
         if not self._sparse_keys:
             return False

@@ -35,9 +35,9 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
 
 from __future__ import annotations
 
+import contextlib
 import os
-from pathlib import Path
-from typing import Callable, Optional, Union
+from collections.abc import Callable
 
 from repro.kvstore import simfault
 from repro.kvstore.block_cache import BlockCache
@@ -68,7 +68,13 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _fsync_dir(path: Path) -> None:
+def _remove(path: str) -> None:
+    """Delete a file that may already be gone."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
+def _fsync_dir(path: str | os.PathLike) -> None:
     """Persist a directory entry change (rename/unlink) to stable storage."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -92,23 +98,29 @@ class DurableLSMStore(LSMStore):
 
     def __init__(
         self,
-        data_dir: Union[str, Path],
-        stats: Optional[IOStats] = None,
+        data_dir: str | os.PathLike,
+        stats: IOStats | None = None,
         flush_bytes: int = DEFAULT_FLUSH_BYTES,
         max_tables: int = DEFAULT_MAX_TABLES,
         sync: bool = True,
-        block_cache: Optional[BlockCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        write_limits: Optional[WriteLimits] = None,
+        block_cache: BlockCache | None = None,
+        retry: RetryPolicy | None = None,
+        write_limits: WriteLimits | None = None,
     ):
-        self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        # Kept as the caller named it; the files under it are path strings.
+        self.data_dir = data_dir
+        os.makedirs(data_dir, exist_ok=True)
         # Single-writer ownership: two processes appending to one WAL
         # interleave records and corrupt the log, so the directory is
         # claimed with a pid lockfile before anything is opened.  A lock
         # left by a dead process (crash, SIGKILL) is stale and reclaimed;
         # a lock held by a *live* different process is a hard error.
-        self._lock_path = self.data_dir / "LOCK"
+        # LOCK alone keeps the caller's path type: a worker passes a str and
+        # reads it with open(), a pathlib caller with Path.read_text (where
+        # tests/test_fork_safety.py races a claim in between).
+        self._lock_path = (
+            os.path.join(data_dir, "LOCK") if isinstance(data_dir, str) else data_dir / "LOCK"
+        )
         self._acquire_lock()
         super().__init__(stats, flush_bytes, max_tables, write_limits)
         self._sync = sync
@@ -119,13 +131,16 @@ class DurableLSMStore(LSMStore):
         # A crash mid-flush/compaction leaves the half-written run at its
         # .tmp path; it was never acknowledged (the WAL still covers it or
         # the pre-compaction runs still exist), so it is plain garbage.
-        for leftover in self.data_dir.glob("*.tmp"):
-            leftover.unlink(missing_ok=True)
+        names = os.listdir(data_dir)
+        for name in names:
+            if name.endswith(".tmp"):
+                _remove(os.path.join(data_dir, name))
 
         # Discover existing runs (oldest first by sequence number).
         self._next_seq = 0
-        for path in sorted(self.data_dir.glob("sst-*.sst")):
-            seq = int(path.stem.split("-")[1])
+        for name in sorted(n for n in names if n.startswith("sst-") and n.endswith(".sst")):
+            path = os.path.join(data_dir, name)
+            seq = int(name[: -len(".sst")].split("-")[1])
             self._next_seq = max(self._next_seq, seq + 1)
             try:
                 table = DiskSSTable(path, stats, block_cache=block_cache)
@@ -140,22 +155,25 @@ class DurableLSMStore(LSMStore):
                 logging.getLogger(__name__).warning(
                     "skipping torn SSTable %s: %s", path, exc
                 )
-                path.rename(path.with_name(path.name + ".corrupt"))
+                os.rename(path, path + ".corrupt")
                 continue
             self._sstables.append(table)
 
         # Recover un-flushed writes from the WAL.
-        self._wal = WriteAheadLog(self.data_dir / "wal.log", sync=sync)
+        self._wal = WriteAheadLog(os.path.join(data_dir, "wal.log"), sync=sync)
         for op, key, value in self._wal.replay():
             if op == OP_PUT:
                 self._memtable.put(key, value)
             else:
                 self._memtable.delete(key)
 
-    def _lock_owner(self) -> Optional[str]:
+    def _lock_owner(self) -> str | None:
         """The raw content of ``LOCK``, or ``None`` when there is none."""
         try:
-            return self._lock_path.read_text()
+            if not isinstance(self._lock_path, str):
+                return self._lock_path.read_text()
+            with open(self._lock_path) as fh:
+                return fh.read()
         except FileNotFoundError:
             return None
 
@@ -172,7 +190,7 @@ class DurableLSMStore(LSMStore):
             raw = self._lock_owner()
             if raw is not None:
                 try:
-                    owner: Optional[int] = int(raw.strip())
+                    owner: int | None = int(raw.strip())
                 except ValueError:
                     owner = None
                 if owner is not None and owner != me and _pid_alive(owner):
@@ -181,7 +199,7 @@ class DurableLSMStore(LSMStore):
                         f"(this is pid {me})"
                     )
                 if self._lock_owner() == raw:
-                    self._lock_path.unlink(missing_ok=True)
+                    _remove(self._lock_path)
             try:
                 fd = os.open(self._lock_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             except FileExistsError:
@@ -211,8 +229,8 @@ class DurableLSMStore(LSMStore):
         each attempt); then it is renamed into place and the directory
         fsynced.  Nothing is visible at the final path until the rename.
         """
-        path = self.data_dir / f"sst-{self._next_seq:06d}.sst"
-        tmp = path.with_name(path.name + ".tmp")
+        path = os.path.join(self.data_dir, f"sst-{self._next_seq:06d}.sst")
+        tmp = path + ".tmp"
 
         def attempt() -> None:
             fault_hook()
@@ -221,7 +239,7 @@ class DurableLSMStore(LSMStore):
         try:
             self._retry.run(attempt, op="sstable_write")
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            _remove(tmp)
             raise
         # CP1: the run exists only at its .tmp path; the WAL (flush) or the
         # superseded runs (compaction) are intact.
@@ -244,7 +262,7 @@ class DurableLSMStore(LSMStore):
         for old in self._sstables:
             # Reclaim the dead runs' cache residency before unlinking them.
             old.release_cache()
-            old.path.unlink(missing_ok=True)
+            _remove(old.path)
         return [merged]
 
     def close(self) -> None:
@@ -264,11 +282,9 @@ class DurableLSMStore(LSMStore):
             table.release_cache()
         # Release single-writer ownership — but only if this pid still
         # holds it (a restarted process may have reclaimed a stale lock).
-        try:
-            if int(self._lock_path.read_text().strip()) == os.getpid():
-                self._lock_path.unlink()
-        except (FileNotFoundError, ValueError, OSError):
-            pass
+        with contextlib.suppress(ValueError, OSError):
+            if int(self._lock_owner() or "-1") == os.getpid():
+                os.remove(self._lock_path)
 
     def destroy(self) -> None:
         """Close the store and remove its directory."""

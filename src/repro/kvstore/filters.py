@@ -9,7 +9,7 @@ query layer subclasses :class:`Filter` with trajectory-aware predicates
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 
 class Filter:
@@ -62,7 +62,7 @@ class PrefixFilter(Filter):
 class KeyRangeFilter(Filter):
     """Keeps rows whose key is inside ``[start, stop)`` (either side open)."""
 
-    def __init__(self, start: Optional[bytes] = None, stop: Optional[bytes] = None):
+    def __init__(self, start: bytes | None = None, stop: bytes | None = None):
         self.start = start
         self.stop = stop
 

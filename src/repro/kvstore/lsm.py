@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.kvstore.errors import WriteStalledError
-from repro.kvstore.memtable import TOMBSTONE, MemTable, merge_live, newest_values
-from repro.kvstore.scan import Window
+from repro.kvstore.memtable import TOMBSTONE, MemTable, Window, merge_live, newest_values
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
@@ -40,6 +39,7 @@ from repro.runtime.backpressure import (
     record_throttle,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # only annotated here; importing it loads logging into a worker
     from concurrent.futures import ThreadPoolExecutor
 
@@ -77,11 +77,11 @@ class LSMStore:
 
     def __init__(
         self,
-        stats: Optional[IOStats] = None,
+        stats: IOStats | None = None,
         flush_bytes: int = DEFAULT_FLUSH_BYTES,
         max_tables: int = DEFAULT_MAX_TABLES,
-        write_limits: Optional[WriteLimits] = None,
-        flusher: Optional[ThreadPoolExecutor] = None,
+        write_limits: WriteLimits | None = None,
+        flusher: ThreadPoolExecutor | None = None,
     ):
         self._stats = stats
         self._flush_bytes = flush_bytes
@@ -99,7 +99,7 @@ class LSMStore:
         self._cond = threading.Condition(self._lock)
         self._frozen: list[MemTable] = []  # oldest first, flush order
         self._flush_inflight = False
-        self._flush_error: Optional[BaseException] = None
+        self._flush_error: BaseException | None = None
 
     def __len__(self) -> int:
         """Upper bound on live entries (duplicates across levels counted once per scan)."""
@@ -320,11 +320,11 @@ class LSMStore:
         with self._lock:
             return [self._memtable, *reversed(self._frozen), *reversed(self._sstables)]
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes) -> bytes | None:
         """Return the live value for ``key`` or ``None``."""
         return self.get_batch([key])[0]
 
-    def get_batch(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
+    def get_batch(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """Values (or ``None``) of ``keys``, in input order.
 
         One level snapshot serves the sorted, de-duplicated batch; each
@@ -336,13 +336,13 @@ class LSMStore:
         return [found.get(key) for key in keys]
 
     def scan(
-        self, start: Optional[bytes] = None, stop: Optional[bytes] = None
+        self, start: bytes | None = None, stop: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield live entries in ``[start, stop)`` in key order."""
         return self.scan_windows(((start, stop),))
 
     def scan_windows(
-        self, windows: Sequence[Window], deadline: Optional[Deadline] = None
+        self, windows: Sequence[Window], deadline: Deadline | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield the live entries of sorted, disjoint ``windows`` in key order.
 

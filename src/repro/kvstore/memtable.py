@@ -5,9 +5,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from repro.kvstore.scan import Window
+# A key window [start, stop); None is unbounded on that side.
+Window = tuple[bytes | None, bytes | None]
 
 TOMBSTONE = b"\x00__tombstone__\x00"
 
@@ -47,7 +48,7 @@ class MemTable:
         """Write a tombstone for ``key``."""
         self.put(key, TOMBSTONE)
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes) -> bytes | None:
         """Return the stored value, a tombstone, or ``None`` when absent."""
         return self._map.get(key)
 
@@ -56,7 +57,7 @@ class MemTable:
         return [(k, self._map[k]) for k in keys if k in self._map]
 
     def scan(
-        self, start: Optional[bytes] = None, stop: Optional[bytes] = None
+        self, start: bytes | None = None, stop: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs in ``[start, stop)`` in key order."""
         return self.scan_windows(((start, stop),))
@@ -121,7 +122,7 @@ def merge_live(
         return
     heapq.heapify(heap)
 
-    last_key: Optional[bytes] = None
+    last_key: bytes | None = None
     while heap:
         key, age, value, it = heapq.heappop(heap)
         nxt = next(it, None)

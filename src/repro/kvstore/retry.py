@@ -20,18 +20,21 @@ pool until the region recovers (half-open probe succeeds).
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from collections import namedtuple
+from collections.abc import Callable
 
 from repro.kvstore.errors import RetryExhaustedError, TransientError
 from repro.obs import counter as _obs_counter, gauge as _obs_gauge
 from repro.obs.profile import current_profile
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 
-T = TypeVar("T")
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from typing import TypeVar
+
+    T = TypeVar("T")
 
 _RETRY_TOTAL = _obs_counter(
     "kv_retry_total",
@@ -61,28 +64,28 @@ def is_retryable(exc: BaseException) -> bool:
     return isinstance(exc, TransientError)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff budget for one class of operations.
+class RetryPolicy(
+    namedtuple(
+        "RetryPolicy",
+        "max_attempts base_delay_ms max_delay_ms deadline_ms jitter_seed sleep clock",
+        defaults=(6, 1.0, 50.0, 10_000.0, None, time.sleep, time.monotonic),
+    )
+):
+    """Backoff budget for one class of operations (an immutable record).
 
     Delays follow AWS-style *decorrelated jitter*: each sleep is drawn
     uniformly from ``[base, prev * 3]`` and capped at ``max_delay_ms``,
     which spreads concurrent retriers apart instead of synchronizing them
     the way plain exponential backoff does.  ``deadline_ms`` bounds the
     total time an operation may spend across attempts; ``max_attempts``
-    bounds their number.  ``sleep`` and ``clock`` are injectable for
-    tests.
+    bounds their number.  ``jitter_seed`` seeds the jitter (``None``: the
+    OS).  ``sleep`` and ``clock`` are injectable for tests.
     """
 
-    max_attempts: int = 6
-    base_delay_ms: float = 1.0
-    max_delay_ms: float = 50.0
-    deadline_ms: float = 10_000.0
-    jitter_seed: Optional[int] = None
-    sleep: Callable[[float], None] = time.sleep
-    clock: Callable[[], float] = time.monotonic
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be positive, got {self.max_attempts}")
         if self.base_delay_ms < 0 or self.max_delay_ms < self.base_delay_ms:
@@ -92,9 +95,10 @@ class RetryPolicy:
             )
         if self.deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
+        return self
 
     def attempts(
-        self, op: str = "op", deadline: Optional[Deadline] = None
+        self, op: str = "op", deadline: Deadline | None = None
     ) -> "AttemptTracker":
         """A fresh attempt/deadline budget for one logical operation.
 
@@ -110,8 +114,8 @@ class RetryPolicy:
         self,
         fn: Callable[[], T],
         op: str = "op",
-        breaker: Optional["CircuitBreaker"] = None,
-        deadline: Optional[Deadline] = None,
+        breaker: CircuitBreaker | None = None,
+        deadline: Deadline | None = None,
     ) -> T:
         """Call ``fn`` under this policy, retrying transient failures.
 
@@ -148,11 +152,11 @@ class AttemptTracker:
         self,
         policy: RetryPolicy,
         op: str,
-        deadline: Optional[Deadline] = None,
+        deadline: Deadline | None = None,
     ):
         self._policy = policy
         self._op = op
-        self._rng = random.Random(policy.jitter_seed)
+        self._rng = None  # the jitter source, made at the first failure
         self._deadline = policy.clock() + policy.deadline_ms / 1000.0
         self._query_deadline = deadline
         self._failures = 0
@@ -196,6 +200,10 @@ class AttemptTracker:
             raise QueryTimeoutError(
                 f"retry:{self._op}", query_deadline.budget_ms
             ) from exc
+        if self._rng is None:
+            import random  # only here: most operations never back off
+
+            self._rng = random.Random(policy.jitter_seed)
         delay_ms = min(
             policy.max_delay_ms,
             self._rng.uniform(policy.base_delay_ms, self._prev_delay_ms * 3.0),

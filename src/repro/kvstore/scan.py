@@ -1,15 +1,17 @@
-"""Scan specifications."""
+"""Scan specifications: the coordinator's read requests.
+
+The engine sees only key windows (:data:`~repro.kvstore.memtable.Window`,
+re-exported here), so a region-server worker never imports this module.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.kvstore.filters import Filter
+from repro.kvstore.memtable import Window
 from repro.runtime.deadline import Deadline
-
-# A key window [start, stop); None is unbounded on that side.
-Window = tuple[Optional[bytes], Optional[bytes]]
 
 
 def windows_after(windows: Sequence[Window], key: bytes) -> list[Window]:
@@ -42,12 +44,12 @@ class Scan:
     :class:`~repro.runtime.deadline.QueryTimeoutError`.
     """
 
-    start: Optional[bytes] = None
-    stop: Optional[bytes] = None
-    server_filter: Optional[Filter] = None
-    limit: Optional[int] = None
-    batch_rows: Optional[int] = None
-    deadline: Optional[Deadline] = None
+    start: bytes | None = None
+    stop: bytes | None = None
+    server_filter: Filter | None = None
+    limit: int | None = None
+    batch_rows: int | None = None
+    deadline: Deadline | None = None
 
     def __post_init__(self) -> None:
         if (

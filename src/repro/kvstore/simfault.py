@@ -33,12 +33,11 @@ a single attribute read, so production paths pay nothing.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
+from collections import namedtuple
+from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 from repro.kvstore.errors import TransientIOError, TransientRPCError
 from repro.obs import counter as _obs_counter
@@ -80,9 +79,16 @@ class SimulatedCrash(BaseException):
         self.point = point
 
 
-@dataclass(frozen=True)
-class FaultConfig:
-    """Per-site fault probabilities, RPC delays and crash-point arming.
+class FaultConfig(
+    namedtuple(
+        "FaultConfig",
+        "scan_fail_rate get_fail_rate flush_fail_rate compact_fail_rate "
+        "scan_delay_ms get_delay_ms seed max_consecutive crash_points",
+        defaults=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 4, frozenset()),
+    )
+):
+    """Per-site fault probabilities, RPC delays and crash-point arming (an
+    immutable record).
 
     Rates are per *attempt*: a retried operation re-rolls on every try.
     ``max_consecutive`` forces a success after that many back-to-back
@@ -91,17 +97,10 @@ class FaultConfig:
     (milliseconds) are paid by every scan / get request that does not fail.
     """
 
-    scan_fail_rate: float = 0.0
-    get_fail_rate: float = 0.0
-    flush_fail_rate: float = 0.0
-    compact_fail_rate: float = 0.0
-    scan_delay_ms: float = 0.0
-    get_delay_ms: float = 0.0
-    seed: int = 0
-    max_consecutive: int = 4
-    crash_points: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in (
             "scan_fail_rate",
             "get_fail_rate",
@@ -121,6 +120,7 @@ class FaultConfig:
         unknown = set(self.crash_points) - set(CRASH_POINTS)
         if unknown:
             raise ValueError(f"unknown crash points: {sorted(unknown)}")
+        return self
 
     @classmethod
     def uniform(cls, rate: float, seed: int = 0, **kwargs) -> "FaultConfig":
@@ -141,7 +141,7 @@ class FaultInjector:
     def __init__(self, config: FaultConfig):
         self.config = config
         self._lock = threading.Lock()
-        self._rngs: dict[str, random.Random] = {}
+        self._rngs: dict = {}  # site -> random.Random
         self._consecutive: dict[str, int] = {}
         self._armed = set(config.crash_points)
         self.injected = 0
@@ -155,6 +155,8 @@ class FaultInjector:
             if rng is None:
                 # One independent stream per site: outcomes depend only on
                 # (seed, site, draw index), never on cross-site interleaving.
+                import random  # only here: no injector, no RNG
+
                 rng = random.Random(f"{self.config.seed}:{site}")
                 self._rngs[site] = rng
             streak = self._consecutive.get(site, 0)
@@ -224,16 +226,16 @@ class FaultInjector:
             return frozenset(self._armed)
 
 
-_injector: Optional[FaultInjector] = None
+_injector: FaultInjector | None = None
 
 
-def set_fault_injector(injector: Optional[FaultInjector]) -> None:
+def set_fault_injector(injector: FaultInjector | None) -> None:
     """Install (or with ``None`` remove) the process-wide injector."""
     global _injector
     _injector = injector
 
 
-def fault_injector() -> Optional[FaultInjector]:
+def fault_injector() -> FaultInjector | None:
     """The active injector, or ``None`` when injection is off."""
     return _injector
 

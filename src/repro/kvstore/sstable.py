@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.kvstore.bloom import BloomFilter
-from repro.kvstore.scan import Window
+from repro.kvstore.memtable import Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 
@@ -31,7 +31,7 @@ class SSTable:
     ``stats.block_reads`` so the cost model can price disk reads.
     """
 
-    def __init__(self, entries: Sequence[tuple[bytes, bytes]], stats: Optional[IOStats] = None):
+    def __init__(self, entries: Sequence[tuple[bytes, bytes]], stats: IOStats | None = None):
         keys = [k for k, _ in entries]
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise ValueError("SSTable entries must be sorted by key")
@@ -50,12 +50,12 @@ class SSTable:
         return len(self._keys)
 
     @property
-    def min_key(self) -> Optional[bytes]:
+    def min_key(self) -> bytes | None:
         """Smallest key in the table, or ``None`` when empty."""
         return self._keys[0] if self._keys else None
 
     @property
-    def max_key(self) -> Optional[bytes]:
+    def max_key(self) -> bytes | None:
         """Largest key in the table, or ``None`` when empty."""
         return self._keys[-1] if self._keys else None
 
@@ -67,7 +67,7 @@ class SSTable:
             if self._stats is not None:
                 self._stats.add(block_reads=last_block - first_block + 1)
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes) -> bytes | None:
         """Point lookup; bloom-filter misses are counted and cost nothing."""
         if not self._bloom.might_contain(key):
             _BLOOM_REJECT.inc()
@@ -90,7 +90,7 @@ class SSTable:
                 yield key, value
 
     def scan(
-        self, start: Optional[bytes] = None, stop: Optional[bytes] = None
+        self, start: bytes | None = None, stop: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield entries with ``start <= key < stop`` in order."""
         return self.scan_windows(((start, stop),))
@@ -108,7 +108,7 @@ class SSTable:
             for i in range(lo, hi):
                 yield keys[i], values[i]
 
-    def overlaps(self, start: Optional[bytes], stop: Optional[bytes]) -> bool:
+    def overlaps(self, start: bytes | None, stop: bytes | None) -> bool:
         """True when the table's key span intersects ``[start, stop)``."""
         if not self._keys:
             return False

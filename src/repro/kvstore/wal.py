@@ -12,8 +12,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from pathlib import Path
-from typing import Iterator, Union
+from collections.abc import Iterator
 
 from repro.obs import counter as _obs_counter
 
@@ -47,9 +46,9 @@ class WriteAheadLog:
     descriptor from the first write.
     """
 
-    def __init__(self, path: Union[str, Path], sync: bool = True):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+    def __init__(self, path: str | os.PathLike, sync: bool = True):
+        self.path = os.fspath(path)
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         self.sync = sync
         self._fh = open(self.path, "ab")
         self._owner_pid = os.getpid()

@@ -14,8 +14,6 @@ See ``docs/observability.md`` for the metric catalog and span hierarchy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     CounterFamily,
@@ -33,6 +31,7 @@ from repro.obs.profile import (
     run_with_profile,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from repro.obs.slowlog import SlowQueryLog
     from repro.obs.stats import WorkloadStatsCollector
@@ -161,7 +160,7 @@ def metrics_enabled() -> bool:
     return REGISTRY.enabled
 
 
-def set_slow_query_ms(threshold_ms: Optional[float]) -> None:
+def set_slow_query_ms(threshold_ms: float | None) -> None:
     """Configure the global slow-query threshold (``None`` disables)."""
     slow_query_log().set_threshold(threshold_ms)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from typing import Callable, Iterable, Optional, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 DEFAULT_GROWTH = 2.0 ** 0.25
 DEFAULT_BASE = 1e-3  # smallest bucket bound (e.g. one microsecond, in ms)
@@ -100,7 +100,7 @@ class GaugeChild(_Child):
     def __init__(self, registry, lock):
         super().__init__(registry, lock)
         self._value = 0.0
-        self._callback: Optional[Callable[[], float]] = None
+        self._callback: Callable[[], float] | None = None
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
@@ -120,7 +120,7 @@ class GaugeChild(_Child):
         """Subtract ``amount`` from the gauge."""
         self.inc(-amount)
 
-    def set_callback(self, callback: Optional[Callable[[], float]]) -> None:
+    def set_callback(self, callback: Callable[[], float] | None) -> None:
         """Back the gauge with ``callback``, sampled at snapshot time.
 
         Re-registering replaces the previous callback (the newest instance
@@ -172,7 +172,7 @@ class HistogramChild(_Child):
         """Inclusive upper bound of bucket ``index``."""
         return self._base * self._growth ** index
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
+    def observe(self, value: float, exemplar: str | None = None) -> None:
         """Record one sample (negative values clamp to zero).
 
         ``exemplar`` tags the sample with a trace/query id; each bucket
@@ -386,7 +386,7 @@ class GaugeFamily(MetricFamily):
         """Decrement the unlabeled series."""
         self._default.dec(amount)
 
-    def set_callback(self, callback: Optional[Callable[[], float]]) -> None:
+    def set_callback(self, callback: Callable[[], float] | None) -> None:
         """Back the unlabeled series with a sampled callback."""
         self._default.set_callback(callback)
 
@@ -402,7 +402,7 @@ class HistogramFamily(MetricFamily):
     kind = "histogram"
     _child_cls = HistogramChild
 
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
+    def observe(self, value: float, exemplar: str | None = None) -> None:
         """Observe into the unlabeled series."""
         self._default.observe(value, exemplar=exemplar)
 
@@ -501,7 +501,7 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        callback: Optional[Callable[[], float]] = None,
+        callback: Callable[[], float] | None = None,
     ) -> GaugeFamily:
         """Get or create a gauge family (optionally callback-backed)."""
         family = self._register(GaugeFamily, name, help, labelnames)
@@ -528,7 +528,7 @@ class MetricsRegistry:
 
     # -- introspection ------------------------------------------------------
 
-    def get(self, name: str) -> Optional[MetricFamily]:
+    def get(self, name: str) -> MetricFamily | None:
         """The family registered under ``name``, or ``None``."""
         return self._families.get(name)
 

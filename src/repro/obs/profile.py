@@ -18,7 +18,7 @@ with the query through a :class:`contextvars.ContextVar`:
   re-activate it on the worker via :func:`run_with_profile`.
 
 The I/O counters use the same field names as
-:class:`repro.kvstore.stats.StatsSnapshot` and are fed from the single
+:class:`repro.kvstore.cost.StatsSnapshot` and are fed from the single
 ``IOStats.add`` chokepoint, so a query's attributed totals reconcile
 exactly with the process-wide snapshot deltas when queries run serially —
 and stay exact per call when they overlap, which the process-wide deltas
@@ -38,12 +38,13 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.runtime.deadline import Deadline
 
-_PROFILE: ContextVar[Optional["QueryProfile"]] = ContextVar(
+_PROFILE: ContextVar[QueryProfile | None] = ContextVar(
     "repro_query_profile", default=None
 )
 
@@ -88,13 +89,13 @@ TIME_FIELDS = (
 _ALL_FIELDS = IO_FIELDS + EXTRA_COUNT_FIELDS + TIME_FIELDS
 
 
-def current_profile() -> Optional["QueryProfile"]:
+def current_profile() -> QueryProfile | None:
     """The profile of the query running on this thread, or ``None``."""
     return _PROFILE.get()
 
 
 @contextmanager
-def profile_scope(profile: Optional["QueryProfile"]) -> Iterator[Optional["QueryProfile"]]:
+def profile_scope(profile: QueryProfile | None) -> Iterator[QueryProfile | None]:
     """Install ``profile`` as the current profile for the ``with`` body."""
     token = _PROFILE.set(profile)
     try:
@@ -118,7 +119,7 @@ def query_profile(query_type: str = "") -> Iterator["QueryProfile"]:
         yield profile
 
 
-def run_with_profile(profile: Optional["QueryProfile"], fn: Callable, *args, **kwargs):
+def run_with_profile(profile: QueryProfile | None, fn: Callable, *args, **kwargs):
     """Call ``fn`` with ``profile`` active — the worker-thread handoff.
 
     ``ThreadPoolExecutor.submit`` does not propagate context vars, so pool
@@ -163,7 +164,7 @@ class QueryProfile:
     Counter semantics:
 
     - ``rows_scanned`` .. ``point_gets`` mirror
-      :class:`~repro.kvstore.stats.StatsSnapshot` — rows/bytes/blocks the
+      :class:`~repro.kvstore.cost.StatsSnapshot` — rows/bytes/blocks the
       storage layer touched on this query's behalf (including from scan-
       scheduler worker threads);
     - ``block_cache_hits/misses`` and ``index_cache_hits/misses`` split
@@ -196,8 +197,8 @@ class QueryProfile:
         self.elapsed_ms = 0.0
         self.partial = False
         self.rounds = 0
-        self.deadline_ms: Optional[float] = None
-        self.deadline_remaining_ms: Optional[float] = None
+        self.deadline_ms: float | None = None
+        self.deadline_remaining_ms: float | None = None
         self._stages: dict[str, StageRecord] = {}
         self._lock = threading.Lock()
         for name in _ALL_FIELDS:
@@ -236,7 +237,7 @@ class QueryProfile:
         elapsed_ms: float,
         query_type: str = "",
         plan: str = "",
-        deadline: Optional["Deadline"] = None,
+        deadline: Deadline | None = None,
     ) -> "QueryProfile":
         """Stamp identity + wall time once the query completes, and the
         query's ``deadline``: its budget, what is left of it, and whether
@@ -251,6 +252,17 @@ class QueryProfile:
             self.deadline_remaining_ms = round(deadline.remaining_ms(), 3)
             self.partial = deadline.partial
         return self
+
+    def slim_copy(self) -> QueryProfile:
+        """A copy of the identity and counters without the stage records."""
+        copy = QueryProfile.__new__(QueryProfile)
+        with self._lock:
+            for name in self.__slots__:
+                if not name.startswith("_"):
+                    setattr(copy, name, getattr(self, name))
+        copy._stages = {}
+        copy._lock = threading.Lock()
+        return copy
 
     # -- read side -----------------------------------------------------------
 
@@ -354,7 +366,11 @@ class QueryProfile:
 
 
 class ProfileLog:
-    """Bounded ring of recently finished profiles (the ``repro top`` feed)."""
+    """Bounded ring of recently finished profiles (the ``repro top`` feed).
+
+    It keeps slim copies: the counters its readers rank and fit, not the
+    per-stage records, which stay on the caller's profile.
+    """
 
     DEFAULT_CAPACITY = 256
 
@@ -363,9 +379,10 @@ class ProfileLog:
         self._entries: deque[QueryProfile] = deque(maxlen=capacity)
 
     def record(self, profile: QueryProfile) -> None:
-        """Append a finished profile."""
+        """Append a slim copy of a finished profile."""
+        slim = profile.slim_copy()
         with self._lock:
-            self._entries.append(profile)
+            self._entries.append(slim)
 
     def entries(self) -> list[QueryProfile]:
         """Newest-last copy of the ring."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.kvstore.stats import COST_MODEL
+from repro.kvstore.cost import COST_MODEL
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -155,7 +155,7 @@ class QueryResult:
 
         ``candidates`` is rows scanned plus point gets, ``transferred_rows``
         the rows returned, ``windows`` the range scans, ``simulated_ms``
-        :data:`~repro.kvstore.stats.COST_MODEL`'s model of that work and
+        :data:`~repro.kvstore.cost.COST_MODEL`'s model of that work and
         ``partial`` the profile's own flag.
         Records nothing: logging the profile is the caller's business.
         """

@@ -25,8 +25,7 @@ metrics registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile
@@ -85,21 +84,25 @@ def record_stall(seconds: float, rejected: bool) -> None:
             _REJECTED_TOTAL.inc()
 
 
-@dataclass(frozen=True)
-class WriteLimits:
-    """Memtable watermark configuration for one LSM store.
+class WriteLimits(
+    namedtuple(
+        "WriteLimits",
+        "soft_bytes hard_bytes stall_timeout_ms throttle_ms",
+        defaults=(None, None, 1000.0, 1.0),
+    )
+):
+    """Memtable watermark configuration for one LSM store (an immutable
+    record).
 
     ``soft_bytes`` < ``hard_bytes``; both count unflushed bytes (the
     active memtable plus any frozen memtables awaiting flush).  ``None``
     for either watermark disables that mechanism.
     """
 
-    soft_bytes: Optional[int] = None
-    hard_bytes: Optional[int] = None
-    stall_timeout_ms: float = 1000.0
-    throttle_ms: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.soft_bytes is not None and self.soft_bytes <= 0:
             raise ValueError(f"soft_bytes must be positive, got {self.soft_bytes}")
         if self.hard_bytes is not None and self.hard_bytes <= 0:
@@ -119,6 +122,7 @@ class WriteLimits:
             )
         if self.throttle_ms < 0:
             raise ValueError(f"throttle_ms must be >= 0, got {self.throttle_ms}")
+        return self
 
     @property
     def enabled(self) -> bool:

@@ -27,7 +27,7 @@ never a hang.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from collections.abc import Callable
 
 
 class QueryTimeoutError(Exception):

@@ -118,6 +118,35 @@ class TestCommands:
             line for line in out.splitlines()[1:] if not line.startswith("fault ")
         ]
 
+    def test_fault_injection_counts_the_query_alone(self, deployment, csv_path, capsys):
+        from repro.kvstore.simfault import FaultConfig, fault_injection
+        from repro.query.types import TemporalRangeQuery
+        from repro.storage.persistence import open_tman
+
+        tr = list(read_csv(csv_path))[0].time_range
+        config = FaultConfig.uniform(0.2, seed=3)
+        # A reopen rebuilds the planner statistics with a scan, so an
+        # injector installed before it draws faults no query made.
+        with fault_injection(config) as during_open:
+            with open_tman(deployment):
+                pass
+        assert during_open.injected > 0
+        with open_tman(deployment) as tman:
+            with fault_injection(config) as during_query:
+                res = tman.query(TemporalRangeQuery(tr))
+        # Every fault the query drew is one of its RPC failures.
+        n = during_query.injected
+        assert n == res.profile.rpc_failures > 0
+        code = main([
+            "query", str(deployment), "--type", "temporal",
+            "--start", str(tr.start), "--end", str(tr.end),
+            "--fault-rate", "0.2", "--fault-seed", "3",
+        ])
+        assert code == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("fault injection:")]
+        assert f" injected={n} rpc_failures={n} " in line
+
     @pytest.mark.parametrize("command", ["query", "explain"])
     @pytest.mark.parametrize(
         "window", ["116.2,39.8,116.5", "116.2,39.8,east,40.0", "116.5,39.8,116.2,40.0"]

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.kvstore import Cluster, PrefixFilter, Scan, TrueFilter
+from repro.kvstore.cost import CostModel, StatsSnapshot
 from repro.kvstore.errors import TableExistsError, TableNotFoundError
 from repro.kvstore.filters import FilterChain, KeyRangeFilter
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.region import Region
-from repro.kvstore.stats import CostModel, IOStats
+from repro.kvstore.stats import IOStats
 
 
 def k(i):
@@ -185,13 +186,9 @@ class TestStats:
 
     def test_cost_model_prices_seeks(self):
         cm = CostModel(seek_ms=8.0, rpc_ms=0.0)
-        from repro.kvstore.stats import StatsSnapshot
-
         cost_1 = cm.simulate_ms(StatsSnapshot(range_scans=1))
         cost_10 = cm.simulate_ms(StatsSnapshot(range_scans=10))
         assert cost_10 == pytest.approx(10 * cost_1)
 
     def test_cost_model_zero_work_is_free(self):
-        from repro.kvstore.stats import StatsSnapshot
-
         assert CostModel().simulate_ms(StatsSnapshot()) == 0.0

@@ -320,6 +320,30 @@ class TestProfileMachinery:
         assert len(top) == 1
         assert top[0].elapsed_ms == max(p.elapsed_ms for p in log.entries())
 
+    def test_profile_log_keeps_slim_copies(self, tman, dataset):
+        import repro.obs as obs
+        from repro.obs.dashboard import render_dashboard
+        from repro.query.cost import MIN_CALIBRATION_SAMPLES, calibrate
+
+        reset_all()
+        results = [tman.query(q) for q in _all_queries(dataset) * 2]
+        assert len(results) >= MIN_CALIBRATION_SAMPLES
+        entries = profile_log().entries()
+        originals = [res.profile for res in results]
+        for profile, entry in zip(originals, entries):
+            assert entry is not profile and entry.stages == ()
+            assert entry.as_dict() == {**profile.as_dict(), "stages": []}
+            # The caller's profile keeps its stage table.
+            table = profile.render().splitlines()
+            assert table[0].split() == ["stage", "rows_in", "rows_out", "bytes", "ms"]
+            assert len(table) == len(profile.stages) + 3 and profile.stages
+        # What `repro top` and the cost calibration read is unchanged.
+        snap = obs.snapshot()
+        assert render_dashboard(snap, profiles=entries) == render_dashboard(
+            snap, profiles=originals
+        )
+        assert calibrate(entries) == calibrate(originals)
+
     def test_as_dict_round_trips_all_fields(self, tman, dataset):
         span = dataset[0].time_range
         result = tman.query(
