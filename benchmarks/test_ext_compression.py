@@ -4,7 +4,10 @@ Compares the integer packers (varint / simple8b / PFOR) through the full
 trajectory codec, plus the float codecs (XOR, Elf) on raw coordinate
 columns: compressed size and encode/decode throughput on realistic GPS
 tracks.  Supports the storage-layer claim that rows are much smaller than
-raw point arrays.
+raw point arrays.  The blobs are the standalone codec's: the row version 4
+frame (codec id, varint point count, varint t and x stream lengths, no
+per-stream counts) with first values counted from 0, so they do not show
+the row's header-relative first point.
 """
 
 import time
@@ -23,7 +26,8 @@ def test_ext_codec_menu(benchmark, tdrive_data):
 
     table = ResultTable(
         "Extension - trajectory codec menu (300 trips, "
-        f"{total_points} points, raw={raw_bytes}B)",
+        f"{total_points} points, raw={raw_bytes}B; blob frame: codec id, "
+        "varint n, varint len(t), varint len(x), no per-stream counts)",
         ["codec", "bytes", "ratio", "encode_ms", "decode_ms"],
     )
 

@@ -35,7 +35,7 @@ from repro.cluster import rpc
 from repro.cluster.metrics import RPC_FAILURE_TOTAL, RPC_MS, RPC_TOTAL
 from repro.cluster.worker import READY_LINE
 from repro.kvstore import errors as kv_errors
-from repro.kvstore.errors import KVError, ReplicaDownError
+from repro.kvstore.errors import FormatMismatchError, KVError, ReplicaDownError
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 
 # Ceiling on any single RPC; the no-hang backstop for unbounded calls.
@@ -209,18 +209,24 @@ class WorkerHandle:
         )
 
     def wait_ready(self, ready_timeout_s: float = 30.0) -> None:
-        """Block until the launched worker reports that it is listening."""
+        """Block until the launched worker reports that it is listening; a
+        worker whose node directory holds another stored format raises
+        :class:`FormatMismatchError`."""
         process = self._process
         readable, _, _ = select.select([process.stdout], [], [], ready_timeout_s)
         if not readable:
             raise ReplicaDownError(
                 f"worker {self.node_id} not ready after {ready_timeout_s:.0f}s"
             )
-        if process.stdout.readline() != READY_LINE:
+        line = process.stdout.readline()
+        if line != READY_LINE:
             try:
                 code = process.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 code = None
+            name, _, message = line.decode("utf-8", "replace").rstrip("\n").partition(" ")
+            if name == FormatMismatchError.__name__:
+                raise FormatMismatchError(message)
             raise ReplicaDownError(
                 f"worker {self.node_id} died during startup (exit {code})"
             )

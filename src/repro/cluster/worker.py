@@ -27,6 +27,12 @@ kill the worker with ``os._exit(1)`` mid-request — the real-process
 analogue of the thread-mode :class:`~repro.kvstore.simfault.SimulatedCrash`,
 observed by the coordinator as a dead connection.
 
+The node directory carries the format stamp
+(:func:`~repro.kvstore.durable.claim_format`), checked before the socket
+listens: a worker started on a directory of another format writes
+``FormatMismatchError <message>`` to stdout instead of :data:`READY_LINE`
+and exits.
+
 Run as ``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``
 (what :class:`~repro.cluster.client.WorkerHandle` starts): the worker writes
 :data:`READY_LINE` to stdout once its socket listens, and shuts down when
@@ -50,7 +56,8 @@ from collections.abc import Callable
 
 from repro.cluster import rpc
 from repro.kvstore import simfault
-from repro.kvstore.durable import DurableLSMStore
+from repro.kvstore.durable import DurableLSMStore, claim_format
+from repro.kvstore.errors import FormatMismatchError
 from repro.kvstore.memtable import TOMBSTONE, Window
 from repro.runtime.deadline import Deadline
 
@@ -288,7 +295,9 @@ def worker_main(
     on_listening: Callable[[_Worker], None] | None = None,
 ) -> None:
     """Serve one node until ``SHUTDOWN``; ``on_listening(worker)`` runs once
-    the socket accepts connections."""
+    the socket accepts connections.  A node directory of another stored
+    format raises :class:`FormatMismatchError` before anything is served."""
+    claim_format(data_dir)
     worker = _Worker(node_id, data_dir)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(socket_path)
@@ -341,7 +350,11 @@ def _listening(worker: _Worker) -> None:
 def main(argv: list[str] | None = None) -> None:
     """``python -S -m repro.cluster.worker NODE_ID DATA_DIR SOCKET_PATH``."""
     node_id, data_dir, socket_path = sys.argv[1:] if argv is None else argv
-    worker_main(node_id, data_dir, socket_path, _listening)
+    try:
+        worker_main(node_id, data_dir, socket_path, _listening)
+    except FormatMismatchError as exc:
+        os.write(1, f"{type(exc).__name__} {exc}\n".encode())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Encoding or decoding a 10k-point trajectory costs a fixed number of array
 operations instead of tens of thousands of interpreter iterations.  The
 streams are the wire format of the ``varint`` codec and of the row's feature
-section: ``varint_encode_array`` emits a count prefix, then the LEB128
-values (the scalar reference in ``tests/codec_reference.py`` writes and
-reads exactly the same bytes), and :func:`varint_unpack` reads a blob's
-three such streams back in one pass.
+section: ``varint_encode_array`` emits the LEB128 values with no count
+(the trajectory blob's frame holds it; the scalar reference in
+``tests/codec_reference.py`` writes and reads exactly the same bytes), and
+:func:`varint_unpack` reads a blob's three such streams back in one pass.
 """
 
 from __future__ import annotations
@@ -122,24 +122,17 @@ def leb128_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def varint_encode_segments(values: np.ndarray, offsets) -> list[bytes]:
-    """One count-prefixed LEB128 stream per segment ``[offsets[i], offsets[i+1])``.
-
-    Each stream is the segment's count, then its values, all LEB128; the
-    whole batch costs one pass however many segments it holds.
-    """
-    u = np.ascontiguousarray(values, dtype=np.uint64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    # Each segment's count goes in front of its values, so segment i spans
-    # flat positions [offsets[i] + i, offsets[i+1] + i + 1).
-    flat = np.insert(u, offsets[:-1], np.diff(offsets).astype(np.uint64))
-    data, ends = leb128_encode(flat)
+    """One LEB128 stream per segment ``[offsets[i], offsets[i+1])``: its
+    values alone, with no count (the trajectory blob's frame holds it).
+    The whole batch costs one pass however many segments it holds."""
+    data, ends = leb128_encode(values)
     buf = data.tobytes()
-    bounds = np.concatenate(([0], ends))[offsets + np.arange(len(offsets))].tolist()
+    bounds = np.concatenate(([0], ends))[np.asarray(offsets, dtype=np.int64)].tolist()
     return [buf[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def varint_encode_array(values: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 array behind its count (also LEB128)."""
+    """LEB128-encode a uint64 array (no count: the reader must know it)."""
     return varint_encode_segments(values, (0, len(values)))[0]
 
 
@@ -170,20 +163,17 @@ def leb128_decode(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def varint_unpack(streams: list[bytes], n: int) -> np.ndarray:
-    """The values of count-prefixed LEB128 streams holding ``n`` values
-    each, as a ``(len(streams), n)`` uint64 array.
+    """The values of LEB128 streams holding ``n`` values each, as a
+    ``(len(streams), n)`` uint64 array.
 
-    One LEB128 pass decodes the streams' concatenated bytes: stream ``i``'s
-    count is value ``i * (n + 1)``, and its last value must end on the
-    stream's last byte.
+    One LEB128 pass decodes the streams' concatenated bytes: stream ``i``
+    holds values ``[i * n, (i + 1) * n)``, and its last value must end on
+    the stream's last byte.
     """
     values, ends = leb128_decode(np.frombuffer(b"".join(streams), dtype=np.uint8))
-    if len(values) != len(streams) * (n + 1):
+    if len(values) != len(streams) * n:
         raise ValueError("corrupt varint streams: value count mismatch")
-    table = values.reshape(len(streams), n + 1)
     stream_ends = list(accumulate(len(stream) for stream in streams))
-    if table[:, 0].tolist() != [n] * len(streams) or (
-        (ends[n :: n + 1] + 1).tolist() != stream_ends
-    ):
+    if n and (ends[n - 1 :: n] + 1).tolist() != stream_ends:
         raise ValueError("corrupt varint streams: array length mismatch")
-    return table[:, 1:]
+    return values.reshape(len(streams), n)

@@ -8,7 +8,6 @@ Encoding and decoding both work on all of a blob's streams at once.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 import numpy as np
@@ -17,11 +16,11 @@ from repro.compression.columnar import POW2, bit_length_array, int_array, leb128
 from repro.compression.varint import decode_varint
 
 BLOCK = 128
-_U32 = struct.Struct(">I")
 
 
 def pfor_encode_segments(values, offsets) -> list[bytes]:
-    """One PFOR stream per segment ``[offsets[i], offsets[i+1])``: bases,
+    """One PFOR stream per segment ``[offsets[i], offsets[i+1])``, its blocks
+    with no count (the trajectory blob's frame holds it): bases,
     widths (covering the shifted value ranked ``int(0.9 * count)``, at least
     1), exceptions and LSB-first bit streams of every block of every segment
     come from array passes; only the per-block byte assembly loops."""
@@ -78,14 +77,12 @@ def pfor_encode_segments(values, offsets) -> list[bytes]:
         )
     ]
     first = (np.cumsum(nblocks) - nblocks).tolist()
-    return [
-        struct.pack(">I", n) + b"".join(blocks[f : f + k])
-        for n, f, k in zip(lens.tolist(), first, nblocks.tolist())
-    ]
+    return [b"".join(blocks[f : f + k]) for f, k in zip(first, nblocks.tolist())]
 
 
 def pfor_encode(values: Sequence[int]) -> bytes:
-    """Compress a sequence of non-negative integers (each below 2^64)."""
+    """Compress a sequence of non-negative integers (each below 2^64); the
+    blocks alone, so the reader must know how many values they hold."""
     return pfor_encode_segments(values, (0, len(values)))[0]
 
 
@@ -93,6 +90,8 @@ def pfor_unpack(streams: list[bytes], n: int) -> np.ndarray:
     """The values of PFOR streams holding ``n`` values each, as a
     ``(len(streams), n)`` uint64 array.
 
+    A stream is its blocks alone: the caller knows ``n``, and the blocks
+    must hold exactly ``n`` values and end on the stream's last byte.
     Block headers and exceptions are read with :func:`decode_varint`; the
     bit payloads of every block of every stream are unpacked by one
     ``np.unpackbits`` call, each block's ``count x width`` bit matrix is
@@ -102,9 +101,7 @@ def pfor_unpack(streams: list[bytes], n: int) -> np.ndarray:
     counts, bases, widths, payloads, exc_at, exc_val = [], [], [], [], [], []
     total = 0  # values in the blocks read so far
     for stream in streams:
-        if len(stream) < 4 or _U32.unpack_from(stream)[0] != n:
-            raise ValueError("corrupt PFOR stream: bad count")
-        pos, done = 4, 0
+        pos, done = 0, 0
         while done < n:
             count, pos = decode_varint(stream, pos)
             base, pos = decode_varint(stream, pos)
@@ -128,6 +125,8 @@ def pfor_unpack(streams: list[bytes], n: int) -> np.ndarray:
             widths.append(width)
             done += count
             total += count
+        if pos != len(stream):
+            raise ValueError("corrupt PFOR stream: bytes past its last block")
     bits = np.unpackbits(np.frombuffer(b"".join(payloads), dtype=np.uint8), bitorder="little")
     blocks, at = [np.zeros(0, dtype=np.uint64)], 0  # (concatenate needs one block)
     for count, width, payload in zip(counts, widths, payloads):

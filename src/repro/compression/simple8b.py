@@ -15,7 +15,6 @@ and the words are OR-reduced from their values.  Decoding
 
 from __future__ import annotations
 
-import struct
 from itertools import accumulate
 from typing import Sequence
 
@@ -52,7 +51,6 @@ _SHIFTS = np.array(
     dtype=np.uint64,
 )
 _U60 = np.uint64(60)
-_U32 = struct.Struct(">I")
 _MAX_VALUE = (1 << 60) - 1
 
 
@@ -88,7 +86,8 @@ def _selectors(bitlen: np.ndarray, room: np.ndarray) -> np.ndarray:
 def simple8b_encode_segments(values, offsets) -> list[bytes]:
     """One simple8b stream per segment ``[offsets[i], offsets[i+1])``.
 
-    Each stream is what :func:`simple8b_encode` returns for its values.
+    Each stream is what :func:`simple8b_encode` returns for its values:
+    its words, with no count (the trajectory blob's frame holds it).
     """
     v = _checked(values)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -118,14 +117,12 @@ def simple8b_encode_segments(values, offsets) -> list[bytes]:
         wbounds = (8 * np.searchsorted(starts, offsets)).tolist()
     else:
         wbytes, wbounds = b"", [0] * len(offsets)
-    return [
-        struct.pack(">I", m) + wbytes[a:b]
-        for m, a, b in zip(lens.tolist(), wbounds[:-1], wbounds[1:])
-    ]
+    return [wbytes[a:b] for a, b in zip(wbounds[:-1], wbounds[1:])]
 
 
 def simple8b_encode(values: Sequence[int]) -> bytes:
-    """Pack non-negative integers (< 2^60 each) into simple8b words."""
+    """Pack non-negative integers (< 2^60 each) into simple8b words; the
+    words alone, so the reader must know how many values they hold."""
     return simple8b_encode_segments(values, (0, len(values)))[0]
 
 
@@ -133,20 +130,20 @@ def simple8b_unpack(streams: list[bytes], n: int) -> np.ndarray:
     """The values of simple8b streams holding ``n`` values each, as a
     ``(len(streams), n)`` uint64 array.
 
-    One pass over every stream's words: each word's selector gives its
-    value count, ``np.repeat`` gives every value its word and its place in
-    it, and a shift and mask extract it.  The encoder only writes full
-    words, so a stream's words must hold exactly its ``n`` values.
+    A stream is its words alone: the caller knows ``n``.  One pass over
+    every stream's words: each word's selector gives its value count,
+    ``np.repeat`` gives every value its word and its place in it, and a
+    shift and mask extract it.  The encoder only writes full words, so a
+    stream's words must hold exactly its ``n`` values.
     """
-    for stream in streams:
-        if len(stream) < 4 or (len(stream) - 4) % 8 or _U32.unpack_from(stream)[0] != n:
-            raise ValueError("corrupt simple8b stream: bad count or length")
-    words = np.frombuffer(b"".join([s[4:] for s in streams]), dtype=">u8").astype(np.uint64)
+    if any(len(stream) % 8 for stream in streams):
+        raise ValueError("corrupt simple8b stream: not whole words")
+    words = np.frombuffer(b"".join(streams), dtype=">u8").astype(np.uint64)
     sel = words >> _U60
     counts = _COUNTS[sel]
     ends = np.add.accumulate(counts)
     end_list = ends.tolist()
-    held = [end_list[w - 1] if w else 0 for w in accumulate((len(s) - 4) // 8 for s in streams)]
+    held = [end_list[w - 1] if w else 0 for w in accumulate(len(s) // 8 for s in streams)]
     if held != [n * (i + 1) for i in range(len(streams))]:
         raise ValueError("corrupt simple8b stream: words do not hold its count")
     word_of = np.repeat(np.arange(len(words)), counts)

@@ -48,7 +48,9 @@ class DurableStores(StoreBuilder):
 
     Every region's disk SSTables share one block cache.  The stores take
     no flusher pool: a single-file WAL truncated at flush would race a
-    background flush, so their watermarks drain inline.
+    background flush, so their watermarks drain inline.  The root carries
+    the format stamp (:func:`~repro.kvstore.durable.claim_format`), checked
+    before any table under it is served.
     """
 
     def __init__(
@@ -59,6 +61,9 @@ class DurableStores(StoreBuilder):
         retry: RetryPolicy,
         write_limits: Optional[WriteLimits],
     ):
+        from repro.kvstore.durable import claim_format
+
+        claim_format(root)
         self._root = root
         self._stats = stats
         self.block_cache = block_cache

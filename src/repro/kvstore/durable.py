@@ -31,6 +31,11 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
   ``kv_sstable_torn_skipped_total`` count instead of poisoning the open,
   and a torn WAL tail is cut off at the last intact record, so the
   writes appended after recovery replay too.
+
+Format stamp: every durable data directory that holds stores (a cluster's
+region root, a worker's node directory) carries a ``FORMAT`` file with
+:data:`FORMAT`, written by :func:`claim_format` when the directory is
+created and checked by it before any store under it is served.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from collections.abc import Callable
 from repro.kvstore import simfault
 from repro.kvstore.block_cache import BlockCache
 from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
-from repro.kvstore.errors import CorruptionError, StoreLockedError
+from repro.kvstore.errors import CorruptionError, FormatMismatchError, StoreLockedError
 from repro.kvstore.lsm import DEFAULT_FLUSH_BYTES, DEFAULT_MAX_TABLES, LSMStore
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.retry import RetryPolicy
@@ -55,6 +60,39 @@ _TORN_SKIPPED = _obs_counter(
     "kv_sstable_torn_skipped_total",
     "Torn or corrupt SSTable files skipped during store reopen",
 )
+
+
+# The stored format this tree writes and reads: the row layout
+# (storage/serializer.py), the key and mapping-value layouts
+# (storage/schema.py) and the engine's files.  Bump it with any of them; a
+# saved deployment's config.json states it too (storage/persistence.py).
+FORMAT = 4
+FORMAT_FILE = "FORMAT"
+
+
+def format_mismatch(where: object, found: object) -> FormatMismatchError:
+    """The error for ``where`` holding stored format ``found`` (``None``: no stamp)."""
+    stated = "no format stamp" if found is None else f"stored format {found!r}"
+    return FormatMismatchError(f"{where} holds {stated}; this build reads format {FORMAT}")
+
+
+def claim_format(directory: str | os.PathLike) -> None:
+    """Stamp a new or empty data directory with :data:`FORMAT`, or check the
+    stamp of one in use.  Another stamp, or content without a stamp (written
+    before directories were stamped), raises :class:`FormatMismatchError`."""
+    path = os.path.join(directory, FORMAT_FILE)
+    try:
+        with open(path) as fh:
+            raw = fh.read().strip()
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        if os.listdir(directory):
+            raise format_mismatch(directory, None) from None
+        with open(path, "w") as fh:
+            fh.write(f"{FORMAT}\n")
+        return
+    if raw != str(FORMAT):
+        raise format_mismatch(directory, int(raw) if raw.isdigit() else raw)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -115,12 +153,7 @@ class DurableLSMStore(LSMStore):
         # claimed with a pid lockfile before anything is opened.  A lock
         # left by a dead process (crash, SIGKILL) is stale and reclaimed;
         # a lock held by a *live* different process is a hard error.
-        # LOCK alone keeps the caller's path type: a worker passes a str and
-        # reads it with open(), a pathlib caller with Path.read_text (where
-        # tests/test_fork_safety.py races a claim in between).
-        self._lock_path = (
-            os.path.join(data_dir, "LOCK") if isinstance(data_dir, str) else data_dir / "LOCK"
-        )
+        self._lock_path = os.path.join(data_dir, "LOCK")
         self._acquire_lock()
         super().__init__(stats, flush_bytes, max_tables, write_limits)
         self._sync = sync
@@ -170,8 +203,6 @@ class DurableLSMStore(LSMStore):
     def _lock_owner(self) -> str | None:
         """The raw content of ``LOCK``, or ``None`` when there is none."""
         try:
-            if not isinstance(self._lock_path, str):
-                return self._lock_path.read_text()
             with open(self._lock_path) as fh:
                 return fh.read()
         except FileNotFoundError:

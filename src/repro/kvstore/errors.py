@@ -21,6 +21,15 @@ class CorruptionError(KVError):
     """Raised when stored bytes fail to decode."""
 
 
+class FormatMismatchError(KVError):
+    """A saved deployment or a durable data directory holds another stored
+    format than this build writes and reads, or states none.
+
+    Raised when the deployment or directory is opened, before any table is
+    served; the message names the format found and the format expected.
+    """
+
+
 class TransientError(KVError):
     """Base class for failures that a retry is expected to cure.
 

@@ -2,7 +2,8 @@
 
 A deployment directory holds three artifacts:
 
-- ``config.json`` — the :class:`TManConfig` fields (boundary as a tuple);
+- ``config.json`` — the stored ``format`` (see below), the
+  :class:`TManConfig` fields (boundary as a tuple) and the row count;
 - ``tables.snap`` — every KV table (primary, secondaries, metadata);
 - ``cache.rdb`` — the Redis-backed shape index cache.
 
@@ -10,6 +11,15 @@ A deployment directory holds three artifacts:
 index parameters, every stored row, and the shape-code mappings.  The
 volatile buffer shape cache is intentionally not persisted (the paper's
 update protocol re-stages unknown shapes on demand).
+
+``config.json`` states the stored format it was saved in
+(:data:`repro.kvstore.durable.FORMAT`: row layout, key layouts, engine
+files).  ``open_tman`` refuses another format, or none, with
+:class:`~repro.kvstore.errors.FormatMismatchError` before any table is
+read, and refuses a key that is neither a field, nor the format or row
+count, nor one of :data:`RETIRED_KEYS`.  A saved deployment is brought to
+a new format test-side (``tests/data/deployment_parent/rewrite.py``) or
+reloaded from its source data.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.cache.redis_sim import RedisServer
+from repro.kvstore.durable import FORMAT, format_mismatch
 from repro.kvstore.snapshot import load_cluster, save_cluster
 from repro.model.mbr import MBR
 from repro.storage.config import TManConfig
@@ -28,6 +39,15 @@ from repro.storage.tman import TMan, cluster_from
 CONFIG_FILE = "config.json"
 TABLES_FILE = "tables.snap"
 CACHE_FILE = "cache.rdb"
+# Fields TManConfig dropped on purpose; a config.json that still holds them
+# opens as if they were absent.
+RETIRED_KEYS = frozenset({
+    "adaptive_replan", "breaker_failure_threshold", "breaker_reset_s",
+    "cluster_start_method", "coalesce_windows", "columnar_decode", "fault_rate",
+    "fault_seed", "index_cache_capacity", "multi_get_batch", "replan_divergence_ratio",
+    "replan_min_candidates", "retry_deadline_ms", "row_format_version", "scan_batch_rows",
+    "window_concurrency", "window_parallel", "write_stall_timeout_ms",
+})
 
 
 def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
@@ -35,7 +55,7 @@ def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    doc = dataclasses.asdict(tman.config)
+    doc = {"format": FORMAT, **dataclasses.asdict(tman.config)}
     doc["boundary"] = tman.config.boundary.as_tuple()
     # Snapshots always reopen in thread mode: the table dump below
     # streams every row out of the live deployment (works identically
@@ -57,12 +77,19 @@ def open_tman(
 
     ``config_overrides`` replaces individual persisted config fields for
     this process only (the directory is not rewritten) — e.g. to reopen
-    a snapshot in process mode.  Persisted keys that are no longer
-    ``TManConfig`` fields (written by an older version) are ignored.
+    a snapshot in process mode.  A deployment of another stored format
+    raises :class:`~repro.kvstore.errors.FormatMismatchError`; persisted
+    keys in :data:`RETIRED_KEYS` are ignored, and any other unknown key
+    raises ``ValueError``.
     """
     directory = Path(directory)
     doc = json.loads((directory / CONFIG_FILE).read_text())
+    if doc.get("format") != FORMAT:
+        raise format_mismatch(directory, doc.get("format"))
     known = {f.name for f in dataclasses.fields(TManConfig)}
+    unknown = set(doc) - known - RETIRED_KEYS - {"format", "row_count"}
+    if unknown:
+        raise ValueError(f"{directory / CONFIG_FILE}: unknown keys {sorted(unknown)}")
     doc = {name: value for name, value in doc.items() if name in known}
     doc["boundary"] = MBR(*doc["boundary"])
     doc["secondary_indexes"] = tuple(doc["secondary_indexes"])

@@ -5,9 +5,9 @@ Figure 11 of the paper stores per row: ``oid``, ``tid``, compressed
 front-loads a fixed-size header (time range + MBR) so push-down filters can
 evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
-compressed point arrays.  One layout, version 3::
+compressed point arrays.  One layout, version 4::
 
-    magic(1) version(1)=3
+    magic(1) version(1)=4
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
     tr_value varint
     oid (varint len + utf8)   tid (varint len + utf8)
@@ -20,8 +20,15 @@ compressed point arrays.  One layout, version 3::
               quantized reps: min(qx_k, qx_k+1) - floor(x1*S),
               min(qy_k, qy_k+1) - floor(y1*S), ceil(x2*S) - max(qx_k, qx_k+1),
               ceil(y2*S) - max(qy_k, qy_k+1)
-    points: varint len + configured codec blob (codec id on the wire;
-            every codec id decodes through one vectorized path)
+    points: the configured codec's blob, to the end of the row (no length):
+            codec id(1) | varint n | varint len(t) | varint len(x) | t | x | y
+            (every codec id decodes through one vectorized path)
+
+The point blob's first t, x and y values are stored relative to
+``rint(t_start * 1000)``, ``rint(x1 * S)`` and ``rint(y1 * S)``, read from
+this row's own header (:meth:`TrajectoryCodec.encode_columns`): for x and y
+these are the quantized minima, so the first deltas are small and
+non-negative.
 
 Feature values are quantized on the point codec's coordinate grid
 (``S = COORD_SCALE``): a representative is ``rint(x*S)``, exactly what the
@@ -33,10 +40,11 @@ non-negative; the encoder checks it.  Representatives carry
 no timestamp: no bound reads one.
 
 A row with any other version byte is rejected as corrupt — rows written by
-version 2 (which stored rep timestamps, count-prefixed streams and boxes
-delta-coded from the previous box) included, so a version 2 deployment must
-be reloaded from its source data — as is any row whose bytes do not parse:
-every decode entry point raises :class:`CorruptionError` and nothing else.
+version 3 (a length-prefixed blob with a fixed-width head, a count in
+front of each stream and absolute first values) included; the deployment's
+format stamp (``storage/persistence.py``) refuses such a deployment before
+any row is read — as is any row whose bytes do not parse: every decode
+entry point raises :class:`CorruptionError` and nothing else.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.compression.columnar import delta_encode_array, leb128_encode, zigzag_encode_array
-from repro.compression.traj_codec import COORD_SCALE, TrajectoryCodec
+from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE, TrajectoryCodec
 from repro.compression.varint import encode_varint
 from repro.geometry.dp import DPFeature, dp_feature_columns
 from repro.kvstore.errors import CorruptionError
@@ -59,7 +67,7 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 
 MAGIC = 0x54  # 'T'
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
 
 
@@ -118,16 +126,23 @@ class RowSerializer:
             for col in ("ts", "xs", "ys")
         )
         features = _encode_features(xs, ys, offsets, self.dp_epsilon)
+        heads = np.array(
+            [(traj.time_range.start, traj.time_range.end, *traj.mbr.as_tuple())
+             for traj in trajs],
+            dtype=np.float64,
+        )
         # The configured codec packs the point streams (its compression
         # ratio is orthogonal to the feature layout); decode_array_block
-        # reads every codec id back as columns.
-        blobs = self.codec.encode_columns(ts, xs, ys, offsets)
+        # reads every codec id back as columns.  Each blob starts from the
+        # origin its row's header states (_point_origin).
+        origins = np.rint(heads[:, [0, 2, 3]] * (TIME_SCALE, COORD_SCALE, COORD_SCALE))
+        blobs = self.codec.encode_columns(ts, xs, ys, offsets, origins.astype(np.int64))
         rows = []
-        for traj, tr_value, feat, blob in zip(trajs, tr_values, features, blobs):
+        for traj, tr_value, head, feat, blob in zip(
+            trajs, tr_values, heads.tolist(), features, blobs
+        ):
             out = bytearray([MAGIC, VERSION])
-            tr = traj.time_range
-            m = traj.mbr
-            out += _HEADER.pack(tr.start, tr.end, m.x1, m.y1, m.x2, m.y2)
+            out += _HEADER.pack(*head)
             encode_varint(tr_value, out)
             for text in (traj.oid, traj.tid):
                 raw = text.encode("utf-8")
@@ -135,7 +150,6 @@ class RowSerializer:
                 out += raw
             encode_varint(len(feat), out)
             out += feat
-            encode_varint(len(blob), out)
             out += blob
             rows.append(bytes(out))
         return rows
@@ -188,12 +202,9 @@ class RowSerializer:
         return StoredTrajectory(self._decode_points_at(buf, end, header), header.tr_value, None)
 
     def _decode_points_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
-        blob_len, pos = _read_varint(buf, pos)
-        if pos + blob_len > len(buf):
-            raise CorruptionError("point blob runs past the end of the row")
         try:
-            ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
-        except (ValueError, IndexError, struct.error) as exc:
+            ts, xs, ys = self.codec.decode_array_block(buf[pos:], _point_origin(header))
+        except (ValueError, IndexError, OverflowError) as exc:
             raise CorruptionError(f"corrupt point blob: {exc}") from exc
         return Trajectory(header.oid, header.tid, PointBlock(ts, xs, ys), validate=False)
 
@@ -201,6 +212,17 @@ class RowSerializer:
         """Decode just the raw point sequence (exact-filter path) as a
         lazily-materializing :class:`PointBlock`."""
         return self.decode_trajectory(buf).trajectory.block
+
+
+def _point_origin(header: RowHeader) -> tuple[int, int, int]:
+    """The integers the row's point blob counts its first t, x and y from:
+    ``t_start`` and the MBR's low corner on the codec's grids (``round`` is
+    ``np.rint`` on a python float; a NaN or infinite corner raises)."""
+    return (
+        round(header.time_range.start * TIME_SCALE),
+        round(header.mbr.x1 * COORD_SCALE),
+        round(header.mbr.y1 * COORD_SCALE),
+    )
 
 
 # -- feature codec ------------------------------------------------------

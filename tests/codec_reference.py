@@ -2,16 +2,17 @@
 
 These are the python-list implementations the codec decoded with before
 every codec had one numpy unpacker: zigzag, delta and delta-of-delta
-transforms, count-prefixed varint lists, simple8b words and PFOR blocks,
-walked one value at a time, and :func:`decode_arrays`, the blob decoder
-built from them.  They live here, not under ``src/``, as the oracle the
-vectorized decoders are checked against.
+transforms, count-prefixed varint lists, and varint, simple8b and PFOR
+streams of a known count, walked one value at a time, and
+:func:`decode_arrays`, the blob decoder built from them.  They live here,
+not under ``src/``, as the oracle the vectorized decoders are checked
+against.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
 from repro.compression.varint import decode_varint, encode_varint
@@ -93,13 +94,17 @@ def delta_of_delta_decode(encoded: Sequence[int]) -> list[int]:
 # -- packers -----------------------------------------------------------------
 
 
-def encode_varint_list(values: Sequence[int]) -> bytes:
-    """Encode a length-prefixed list of non-negative integers."""
+def encode_varints(values: Sequence[int]) -> bytes:
+    """Encode non-negative integers as LEB128 values, with no count."""
     out = bytearray()
-    encode_varint(len(values), out)
     for v in values:
         encode_varint(v, out)
     return bytes(out)
+
+
+def encode_varint_list(values: Sequence[int]) -> bytes:
+    """Encode a length-prefixed list of non-negative integers."""
+    return encode_varints([len(values)]) + encode_varints(values)
 
 
 def decode_varint_list(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
@@ -112,26 +117,38 @@ def decode_varint_list(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
     return values, pos
 
 
-def simple8b_decode(buf: bytes) -> list[int]:
-    """The values of one simple8b stream, one word at a time."""
-    if len(buf) < 4:
-        raise ValueError("truncated simple8b stream")
-    (n,) = struct.unpack_from(">I", buf, 0)
+def varint_decode(buf: bytes, n: int) -> list[int]:
+    """The ``n`` values of one LEB128 stream, which they must fill exactly."""
+    values, pos = [], 0
+    for _ in range(n):
+        v, pos = decode_varint(buf, pos)
+        values.append(v)
+    if pos != len(buf):
+        raise ValueError("corrupt varint stream: bytes past its last value")
+    return values
+
+
+def simple8b_decode(buf: bytes, n: int) -> list[int]:
+    """The ``n`` values of one simple8b stream, one word at a time; the
+    words must hold exactly ``n`` values."""
     values: list[int] = []
-    pos = 4
+    pos = 0
     while len(values) < n:
         if pos + 8 > len(buf):
             raise ValueError("truncated simple8b stream")
         (word,) = struct.unpack_from(">Q", buf, pos)
         pos += 8
         count, bits = _BY_SELECTOR[word >> 60]
-        take = min(count, n - len(values))
+        if count > n - len(values):
+            raise ValueError("corrupt simple8b stream: a word past its count")
         if bits == 0:
-            values.extend([0] * take)
+            values.extend([0] * count)
         else:
             mask = (1 << bits) - 1
-            for j in range(take):
+            for j in range(count):
                 values.append((word >> (j * bits)) & mask)
+    if pos != len(buf):
+        raise ValueError("corrupt simple8b stream: words past its count")
     return values
 
 
@@ -157,15 +174,15 @@ def _unpack_bits(buf: bytes, count: int, bits: int) -> list[int]:
     return values
 
 
-def pfor_decode(buf: bytes) -> list[int]:
-    """The values of one PFOR stream, one block and one value at a time."""
-    if len(buf) < 4:
-        raise ValueError("truncated PFOR stream")
-    (n,) = struct.unpack_from(">I", buf, 0)
-    pos = 4
+def pfor_decode(buf: bytes, n: int) -> list[int]:
+    """The ``n`` values of one PFOR stream, one block and one value at a
+    time; the blocks must hold exactly ``n`` values and end with the stream."""
+    pos = 0
     values: list[int] = []
     while len(values) < n:
         count, pos = decode_varint(buf, pos)
+        if not 0 < count <= n - len(values):
+            raise ValueError("corrupt PFOR block header")
         base, pos = decode_varint(buf, pos)
         bits = buf[pos]
         pos += 1
@@ -178,40 +195,47 @@ def pfor_decode(buf: bytes) -> list[int]:
             val, pos = decode_varint(buf, pos)
             block[idx] = val
         values.extend(v + base for v in block)
+    if pos != len(buf):
+        raise ValueError("corrupt PFOR stream: bytes past its last block")
     return values
 
 
-UNPACKERS = {
-    0: lambda buf: decode_varint_list(buf, 0)[0],
-    1: simple8b_decode,
-    2: pfor_decode,
-}
+# codec id -> the scalar unpacker of one stream of known count
+UNPACKERS = {0: varint_decode, 1: simple8b_decode, 2: pfor_decode}
 
 
-def decode_arrays(blob: bytes) -> tuple[list[float], list[float], list[float]]:
-    """A trajectory blob's (t, lng, lat) arrays, decoded with the scalar
-    helpers above: the stream layout is codec id, point count, then three
-    u32-length-prefixed streams (delta-of-delta t, delta lng, delta lat)."""
-    if len(blob) < 5:
+def decode_frame(blob: bytes) -> tuple[int, int, list[bytes]]:
+    """A trajectory blob's codec id, point count and three streams: the frame
+    is codec id (1 byte), then the point count and the t and x stream
+    lengths as varints; the y stream runs to the end of the blob."""
+    if not blob:
         raise ValueError("truncated trajectory blob")
-    if blob[0] not in UNPACKERS:
-        raise ValueError(f"unknown codec id {blob[0]}")
-    unpack = UNPACKERS[blob[0]]
-    (n,) = struct.unpack_from(">I", blob, 1)
-    pos = 5
-    streams = []
-    for _ in range(3):
-        (slen,) = struct.unpack_from(">I", blob, pos)
-        pos += 4
-        streams.append(blob[pos : pos + slen])
-        pos += slen
-    t_ints = delta_of_delta_decode([zigzag_decode(v) for v in unpack(streams[0])])
-    x_ints = delta_decode([zigzag_decode(v) for v in unpack(streams[1])])
-    y_ints = delta_decode([zigzag_decode(v) for v in unpack(streams[2])])
-    if not (len(t_ints) == len(x_ints) == len(y_ints) == n):
-        raise ValueError("corrupt trajectory blob: array length mismatch")
+    n, pos = decode_varint(blob, 1)
+    t_len, pos = decode_varint(blob, pos)
+    x_len, pos = decode_varint(blob, pos)
+    if pos + t_len + x_len > len(blob):
+        raise ValueError("truncated trajectory blob")
+    x_at = pos + t_len
+    return blob[0], n, [blob[pos:x_at], blob[x_at : x_at + x_len], blob[x_at + x_len :]]
+
+
+def decode_arrays(
+    blob: bytes, origin: Optional[tuple[int, int, int]] = None
+) -> tuple[list[float], list[float], list[float]]:
+    """A trajectory blob's (t, lng, lat) arrays, decoded with the scalar
+    helpers above: delta-of-delta t, delta x and delta y, each stream's
+    first value counted from ``origin`` (default 0)."""
+    cid, n, streams = decode_frame(blob)
+    if cid not in UNPACKERS:
+        raise ValueError(f"unknown codec id {cid}")
+    signed = []
+    for stream, first in zip(streams, origin if origin is not None else (0, 0, 0)):
+        values = [zigzag_decode(v) for v in UNPACKERS[cid](stream, n)]
+        if values:
+            values[0] += first
+        signed.append(values)
     return (
-        [t / TIME_SCALE for t in t_ints],
-        [x / COORD_SCALE for x in x_ints],
-        [y / COORD_SCALE for y in y_ints],
+        [t / TIME_SCALE for t in delta_of_delta_decode(signed[0])],
+        [x / COORD_SCALE for x in delta_decode(signed[1])],
+        [y / COORD_SCALE for y in delta_decode(signed[2])],
     )

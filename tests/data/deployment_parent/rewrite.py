@@ -1,23 +1,27 @@
-"""Brings ``tables.snap`` to the current stored format; idempotent.
+"""Brings the saved deployment to the current stored format; idempotent.
 
 Run from the repository root whenever the stored format changes (and in CI,
-which then checks that the committed snapshot did not move)::
+which then checks that the committed deployment did not move)::
 
     PYTHONPATH=src python -m tests.data.deployment_parent.rewrite
 
-Two rewrites, each applied only to rows still in the old layout, so a
+Three rewrites, each applied only to what is still in an old layout, so a
 second run writes the same bytes:
 
-- ``tman_primary`` values of row version 2 become version 3 through the
-  test-only converter ``tests/ingest_reference.py::row_v2_to_v3`` (header,
-  ids and point blob byte for byte; the feature section re-laid out with
-  the same decoded values);
+- ``tman_primary`` values of row version 2 or 3 become version 4 through
+  the test-only converters ``tests/ingest_reference.py::row_v2_to_v3``
+  (the feature section re-laid out with the same decoded values) and
+  ``row_v3_to_v4`` (the point blob re-framed from its decoded integers);
+  header and ids stay byte for byte;
 - ``tman_sec_*`` values that hold a whole primary key are cut to
   ``shard :: primary index value``, the part the mapping row's own key does
-  not already end in (``repro/storage/schema.py``).
+  not already end in (``repro/storage/schema.py``);
+- ``config.json`` gains the ``format`` stamp these rows are in
+  (:data:`FORMAT`; ``repro/storage/persistence.py``), as its first key.
 
-Every key, ``config.json`` and ``cache.rdb`` stay as ``save_tman`` wrote
-them.
+Every key, every other ``config.json`` entry and ``cache.rdb`` stay as
+``save_tman`` wrote them.  A later format extends this script and bumps
+:data:`FORMAT` here, or declares its change reload-only.
 """
 
 from __future__ import annotations
@@ -27,19 +31,22 @@ import struct
 from pathlib import Path
 
 from repro.storage.schema import RowKeyCodec
-from tests.ingest_reference import row_v2_to_v3
+from tests.ingest_reference import row_v2_to_v3, row_v3_to_v4
 
 HERE = Path(__file__).parent
 SNAP = HERE / "tables.snap"
 PRIMARY = "tman_primary"
 SECONDARY = "tman_sec_"
 HEAD = 8 + 2  # magic, version (kvstore/snapshot.py)
+FORMAT = 4  # the stored format the rewritten rows are in
 
 
 def _current(name: str, key: bytes, value: bytes, index_width: int) -> bytes:
     """One row's value in the current format."""
     if name == PRIMARY and value[1] == 2:
-        return row_v2_to_v3(value)
+        value = row_v2_to_v3(value)
+    if name == PRIMARY and value[1] == 3:
+        return row_v3_to_v4(value)
     if name.startswith(SECONDARY) and len(value) > 1 + index_width:
         table = name[len(SECONDARY) :]
         cut = value[: 1 + index_width]
@@ -73,11 +80,14 @@ def rewrite(snap: bytes, index_width: int) -> bytes:
 
 
 def main() -> None:
-    primary_index = json.loads((HERE / "config.json").read_text())["primary_index"]
+    config = HERE / "config.json"
+    doc = json.loads(config.read_text())
     before = SNAP.read_bytes()
-    after = rewrite(before, 16 if primary_index == "st" else 8)
+    after = rewrite(before, 16 if doc["primary_index"] == "st" else 8)
     SNAP.write_bytes(after)
     print(f"rewrote {SNAP} ({len(before)} -> {len(after)} bytes)")
+    config.write_text(json.dumps({"format": FORMAT, **doc}, indent=2))
+    print(f"stamped {config} with format {FORMAT}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 These are the implementations the row codec ran before it was batched
 (simple8b's greedy ``_fits`` loop, recursive Douglas-Peucker with one
 farthest-point search per span), the v2 feature decoder that ran one pass
-per stream, and a converter between row versions 2 and 3, which differ only
-in the feature section.  They live here, not under ``src/``, purely as the
-oracle the kernels are checked against; the converter lets rows pinned in
-version 2 (``tests/data/ingest_parent/golden.npz``) check version 3 rows.
+per stream, and converters between row versions 2, 3 and 4: versions 2 and
+3 differ only in the feature section, versions 3 and 4 only in the point
+blob.  They live here, not under ``src/``, purely as the oracle the kernels
+are checked against; the converters let rows pinned in version 2
+(``tests/data/ingest_parent/golden.npz``) check version 4 rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from repro.compression.pfor import pfor_encode
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
 from repro.compression.varint import decode_varint, encode_varint
 from repro.model.mbr import MBR
@@ -23,9 +25,12 @@ from repro.model.point import STPoint
 
 from .codec_reference import (
     SELECTORS,
-    decode_arrays,
+    UNPACKERS,
+    decode_frame,
     decode_varint_list,
+    delta_of_delta_decode,
     encode_varint_list,
+    encode_varints,
     zigzag_decode,
     zigzag_encode,
 )
@@ -54,7 +59,7 @@ def simple8b_encode(values: list[int]) -> bytes:
                 words.append(word)
                 i += count
                 break
-    return struct.pack(">I", len(values)) + b"".join(struct.pack(">Q", w) for w in words)
+    return b"".join(struct.pack(">Q", w) for w in words)
 
 
 def perpendicular_distance(
@@ -134,7 +139,8 @@ def decode_feature_v2(buf: bytes, pos: int):
 
 def _split_row(row: bytes) -> tuple[bytes, bytes, bytes]:
     """``(head, features, tail)``: everything up to ``feat_len``, the
-    feature section, and the point blob with its length prefix."""
+    feature section, and the rest of the row (the point blob; in versions 2
+    and 3 behind its length prefix)."""
     _, pos = decode_varint(row, 2 + 48)  # tr_value
     for _ in range(2):  # oid, tid
         n, pos = decode_varint(row, pos)
@@ -194,9 +200,8 @@ def row_v3_to_v2(row: bytes) -> bytes:
     assert len(vals) == 7 * n - 3
     idx, xd, yd = vals[1 : n + 1], vals[n + 1 : 2 * n + 1], vals[2 * n + 1 : 3 * n + 1]
     qx, qy = _running(xd), _running(yd)
-    blob_len, blob_at = decode_varint(tail, 0)
-    ts = decode_arrays(tail[blob_at : blob_at + blob_len])[0]
-    qt = [round(ts[i] * TIME_SCALE) for i in accumulate(idx)]
+    t_ints = delta_of_delta_decode(_v3_blob(tail)[2][0])
+    qt = [t_ints[i] for i in accumulate(idx)]
     off = vals[3 * n + 1 :]
     boxes = (
         [min(a, b) - o for a, b, o in zip(qx, qx[1:], off[0::4])],
@@ -209,3 +214,97 @@ def row_v3_to_v2(row: bytes) -> bytes:
     for stream in (idx, _deltas(qt), xd, yd, *map(_deltas, boxes)):
         out += encode_varint_list(stream)
     return _join_row(head, 2, bytes(out), tail)
+
+
+# -- row versions 3 and 4 ----------------------------------------------------
+#
+# Both versions share the header, the ids and the feature section byte for
+# byte, and their point blobs pack the same deltas with the same codec,
+# apart from each stream's first value.  v3: the blob behind its varint
+# length; a ``>BII`` head (codec id, n, t stream length), the t stream, then
+# the x and y streams each behind a ``>I`` length; each stream opens with
+# its own count (``>I``, or a varint for the varint codec); first values
+# are absolute.  v4: the blob to the end of the row; codec id, then varints
+# n, len(t), len(x); streams without counts; first values counted from the
+# header's quantized t_start, x1, y1.
+
+_PACKERS = {  # codec id -> one stream's packer, with no count
+    0: encode_varints,
+    1: simple8b_encode,
+    2: pfor_encode,
+}
+
+
+def _v3_count(cid: int, n: int) -> bytes:
+    """A v3 stream's count prefix."""
+    return encode_varints([n]) if cid == 0 else struct.pack(">I", n)
+
+
+def _v3_blob(tail: bytes) -> tuple[int, int, list[list[int]]]:
+    """A v3 row's tail (length-prefixed blob) as codec id, n and the three
+    streams' signed values (first values absolute)."""
+    blob_len, pos = decode_varint(tail, 0)
+    assert pos + blob_len == len(tail)
+    cid, n, size = struct.unpack_from(">BII", tail, pos)
+    pos += 9
+    streams = []
+    for k in range(3):
+        if k:
+            (size,) = struct.unpack_from(">I", tail, pos)
+            pos += 4
+        prefix = _v3_count(cid, n)
+        assert tail[pos : pos + len(prefix)] == prefix
+        streams.append(tail[pos + len(prefix) : pos + size])
+        pos += size
+    assert pos == len(tail)
+    return cid, n, [[zigzag_decode(v) for v in UNPACKERS[cid](st, n)] for st in streams]
+
+
+def _origin(row: bytes) -> tuple[int, int, int]:
+    """The row's point origin: its header's t_start, x1 and y1, quantized."""
+    t_start, _, x1, y1, _, _ = struct.unpack_from(">dddddd", row, 2)
+    return round(t_start * TIME_SCALE), round(x1 * COORD_SCALE), round(y1 * COORD_SCALE)
+
+
+def _shift_firsts(signed: list[list[int]], origin, sign: int) -> list[list[int]]:
+    return [[v[0] + sign * o, *v[1:]] if v else v for v, o in zip(signed, origin)]
+
+
+def row_v3_to_v4(row: bytes) -> bytes:
+    """A version 3 row rewritten as the version 4 row of the same trajectory:
+    the blob re-framed from its decoded integers; header, ids and features
+    byte for byte."""
+    head, features, tail = _split_row(row)
+    assert row[1] == 3, row[1]
+    cid, n, signed = _v3_blob(tail)
+    t, x, y = (
+        _PACKERS[cid]([zigzag_encode(v) for v in values])
+        for values in _shift_firsts(signed, _origin(row), -1)
+    )
+    blob = bytes([cid]) + encode_varints([n, len(t), len(x)]) + t + x + y
+    return _join_row(head, 4, features, blob)
+
+
+def row_v4_to_v3(row: bytes) -> bytes:
+    """A version 4 row rewritten as the version 3 row of the same trajectory."""
+    head, features, blob = _split_row(row)
+    assert row[1] == 4, row[1]
+    cid, n, streams = decode_frame(blob)
+    signed = [[zigzag_decode(v) for v in UNPACKERS[cid](st, n)] for st in streams]
+    t, x, y = (
+        _v3_count(cid, n) + _PACKERS[cid]([zigzag_encode(v) for v in values])
+        for values in _shift_firsts(signed, _origin(row), 1)
+    )
+    blob = (struct.pack(">BII", cid, n, len(t)) + t + struct.pack(">I", len(x)) + x
+            + struct.pack(">I", len(y)) + y)
+    return _join_row(head, 3, features, encode_varints([len(blob)]) + blob)
+
+
+def row_v2_to_v4(row: bytes) -> bytes:
+    """A version 2 row (the golden fixtures' version) as a version 4 row."""
+    return row_v3_to_v4(row_v2_to_v3(row))
+
+
+def row_v4_to_v2(row: bytes) -> bytes:
+    """A version 4 row as the version 2 row of the same trajectory."""
+    return row_v3_to_v2(row_v4_to_v3(row))

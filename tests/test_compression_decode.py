@@ -14,8 +14,6 @@ profile: the ``fuzz`` profile (``tests/conftest.py``) sweeps deeper.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +35,7 @@ PACKERS = {
     "pfor": (pfor_encode_segments, pfor_unpack, 2),
 }
 # What ``RowSerializer`` turns into ``CorruptionError``.
-CORRUPT = (ValueError, IndexError, struct.error)
+CORRUPT = (ValueError, IndexError, OverflowError)
 # Quantized coordinates this far apart zigzag to just under 2^60, the
 # largest value a simple8b word holds.
 EDGE = (1 << 58) - (1 << 10)
@@ -67,16 +65,31 @@ def columns(draw):
     return ts, xs, ys, offsets
 
 
+# Any origin a quantized value may lie near, so the first deltas take either
+# sign and any width.
+triples = st.tuples(*[st.integers(-(2**53), 2**53)] * 3)
+
+
 @pytest.mark.parametrize("codec", CODECS)
 @settings(derandomize=True, deadline=None)
-@given(columns())
-def test_blobs_round_trip_and_match_the_oracle(codec, cols):
+@given(columns(), st.sampled_from(["none", "minima", "any"]), st.data())
+def test_blobs_round_trip_and_match_the_oracle(codec, cols, kind, data):
+    """Origin none (the standalone API), each segment's quantized minima
+    (what ``RowSerializer`` passes) or any triple per segment."""
     ts, xs, ys, offsets = cols
-    blobs = TrajectoryCodec(codec).encode_columns(ts, xs, ys, offsets)
-    for blob, lo, hi in zip(blobs, offsets[:-1], offsets[1:]):
-        got = TrajectoryCodec().decode_array_block(blob)
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    origins = None
+    if kind == "minima":
+        q = np.stack(quantize_arrays(ts, xs, ys), axis=1)
+        origins = [tuple(q[lo:hi].min(axis=0).tolist()) for lo, hi in spans]
+    elif kind == "any":
+        origins = [data.draw(triples) for _ in spans]
+    blobs = TrajectoryCodec(codec).encode_columns(ts, xs, ys, offsets, origins)
+    for k, (blob, (lo, hi)) in enumerate(zip(blobs, spans)):
+        origin = None if origins is None else origins[k]
+        got = TrajectoryCodec().decode_array_block(blob, origin)
         want = dequantize_arrays(*quantize_arrays(ts[lo:hi], xs[lo:hi], ys[lo:hi]))
-        oracle = ref.decode_arrays(blob)
+        oracle = ref.decode_arrays(blob, origin)
         for mine, exact, scalar in zip(got, want, oracle):
             assert mine.dtype == np.float64 and mine.tobytes() == exact.tobytes()
             assert mine.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
@@ -106,7 +119,7 @@ def test_unpackers_match_the_scalar_decoders(codec, drawn):
     got = unpack(packed, n)
     assert got.dtype == np.uint64 and got.shape == (3, n)
     assert got.ravel().tolist() == values.tolist()
-    assert got.tolist() == [ref.UNPACKERS[cid](stream) for stream in packed]
+    assert got.tolist() == [ref.UNPACKERS[cid](stream, n) for stream in packed]
 
 
 @pytest.mark.parametrize("codec", CODECS)
@@ -132,10 +145,9 @@ def test_leb128_rejects_values_past_64_bits():
         with pytest.raises(ValueError):
             leb128_decode(np.frombuffer(bad, dtype=np.uint8))
     # the same value as a one-point varint blob's t stream
-    t_stream = bytes([1, *[0xFF] * 9, 0x7F])
-    assert ref.decode_varint_list(t_stream)[0] == [1180591620717411303423]
-    xy_stream = struct.pack(">I", 2) + bytes([1, 0])
-    blob = struct.pack(">BII", 0, 1, len(t_stream)) + t_stream + xy_stream * 2
+    t_stream = bytes([*[0xFF] * 9, 0x7F])
+    assert ref.varint_decode(t_stream, 1) == [1180591620717411303423]
+    blob = bytes([0, 1, len(t_stream), 1]) + t_stream + bytes([0, 0])
     with pytest.raises(ValueError, match="64 bits"):
         TrajectoryCodec().decode_array_block(blob)
 

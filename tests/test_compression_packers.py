@@ -2,6 +2,7 @@
 
 Each integer packer's stream is read back both by the program's array
 unpacker and by the scalar reference decoder in ``tests/codec_reference.py``.
+A stream holds no count: both readers are told how many values it holds.
 """
 
 import numpy as np
@@ -21,9 +22,9 @@ def _both(unpack, reference):
     """A decoder that reads a stream with ``unpack`` and ``reference`` and
     returns their values once it has checked that they agree."""
 
-    def decode(blob: bytes) -> list[int]:
-        want = reference(blob)
-        got = unpack([blob], len(want))
+    def decode(blob: bytes, n: int) -> list[int]:
+        want = reference(blob, n)
+        got = unpack([blob], n)
         assert got.dtype == np.uint64 and got.tolist() == [want]
         return want
 
@@ -38,12 +39,12 @@ small_uints = st.integers(0, 2**40)
 
 class TestSimple8b:
     def test_empty(self):
-        assert simple8b_decode(simple8b_encode([])) == []
+        assert simple8b_decode(simple8b_encode([]), 0) == []
 
     def test_run_of_zeros_is_compact(self):
         blob = simple8b_encode([0] * 240)
-        # 4-byte count + a single 8-byte word.
-        assert len(blob) == 12
+        # a single 8-byte word (no count: the blob's frame holds it)
+        assert len(blob) == 8
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -55,28 +56,28 @@ class TestSimple8b:
 
     def test_max_60bit_value(self):
         v = (1 << 60) - 1
-        assert simple8b_decode(simple8b_encode([v])) == [v]
+        assert simple8b_decode(simple8b_encode([v]), 1) == [v]
 
     def test_truncated_raises(self):
         blob = simple8b_encode([1, 2, 3])
         with pytest.raises(ValueError):
-            ref.simple8b_decode(blob[:6])
+            ref.simple8b_decode(blob[:6], 3)
         with pytest.raises(ValueError):
             simple8b_unpack([blob[:6]], 3)
 
     @given(st.lists(small_uints, max_size=300))
     @settings(max_examples=50)
     def test_roundtrip(self, values):
-        assert simple8b_decode(simple8b_encode(values)) == values
+        assert simple8b_decode(simple8b_encode(values), len(values)) == values
 
     def test_mixed_magnitudes(self):
         values = [0, 1, 2**30, 0, 0, 5, 2**59, 1]
-        assert simple8b_decode(simple8b_encode(values)) == values
+        assert simple8b_decode(simple8b_encode(values), len(values)) == values
 
 
 class TestPFOR:
     def test_empty(self):
-        assert pfor_decode(pfor_encode([])) == []
+        assert pfor_decode(pfor_encode([]), 0) == []
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -84,11 +85,11 @@ class TestPFOR:
 
     def test_outliers_patched(self):
         values = [1, 2, 3, 2**50, 2, 1] * 30
-        assert pfor_decode(pfor_encode(values)) == values
+        assert pfor_decode(pfor_encode(values), len(values)) == values
 
     def test_constant_block(self):
         values = [42] * 500
-        assert pfor_decode(pfor_encode(values)) == values
+        assert pfor_decode(pfor_encode(values), len(values)) == values
 
     def test_compresses_small_ranges(self):
         values = list(range(1000, 1128))
@@ -98,7 +99,7 @@ class TestPFOR:
     @given(st.lists(st.integers(0, 2**62), max_size=400))
     @settings(max_examples=50)
     def test_roundtrip(self, values):
-        assert pfor_decode(pfor_encode(values)) == values
+        assert pfor_decode(pfor_encode(values), len(values)) == values
 
 
 class TestXorFloat:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from pathlib import Path
 
 import pytest
 
@@ -175,22 +174,22 @@ def test_lock_claimed_between_read_and_claim_is_a_hard_error(tmp_path, monkeypat
     directory.mkdir()
     foreign = os.getppid()  # a live process that is not this one
     assert foreign != os.getpid()
-    real_read_text = Path.read_text
+    real_lock_owner = DurableLSMStore._lock_owner
     raced: list[bool] = []
 
-    def read_then_race(self, *args, **kwargs):
+    def read_then_race(self):
         try:
-            return real_read_text(self, *args, **kwargs)
+            return real_lock_owner(self)
         finally:
-            if self.name == "LOCK" and not raced:
+            if not raced:
                 raced.append(True)
-                self.write_text(str(foreign))
+                (directory / "LOCK").write_text(str(foreign))
 
-    monkeypatch.setattr(Path, "read_text", read_then_race)
+    monkeypatch.setattr(DurableLSMStore, "_lock_owner", read_then_race)
     with pytest.raises(StoreLockedError):
         DurableLSMStore(directory, sync=False)
     assert raced
-    assert real_read_text(directory / "LOCK") == str(foreign)
+    assert (directory / "LOCK").read_text() == str(foreign)
 
 
 def test_close_does_not_steal_foreign_lock(tmp_path):

@@ -3,8 +3,8 @@
 Rows and TShape keys are pinned to golden bytes written at the parent
 commit (``tests/data/ingest_parent/``, see its ``generate.py``), both for a
 whole batch and one trajectory at a time; the golden rows are version 2, so
-today's rows are compared after ``ingest_reference.row_v3_to_v2`` (and
-must come back unchanged from ``row_v2_to_v3``); the segmented kernels are
+today's rows are compared after ``ingest_reference.row_v4_to_v2`` (and
+must come back unchanged from ``row_v2_to_v4``); the segmented kernels are
 checked against the scalar reference in ``tests/ingest_reference.py``; and
 the store half — ``Table.put_batch``, region row accounting, inserts whose
 buffer overflows mid-batch — must leave the tables exactly as row-by-row
@@ -40,7 +40,7 @@ from repro.model.pointblock import PointBlock
 from repro.storage.serializer import RowSerializer
 
 from . import ingest_reference as ref
-from .codec_reference import encode_varint_list
+from .codec_reference import encode_varints
 
 GOLDEN = Path(__file__).parent / "data" / "ingest_parent" / "golden.npz"
 BOUNDARY = TDRIVE_SPEC.boundary
@@ -71,8 +71,8 @@ def golden():
 
 
 def _assert_rows(data, name: str, rows: list[bytes]) -> None:
-    old = [ref.row_v3_to_v2(row) for row in rows]
-    assert [ref.row_v2_to_v3(row) for row in old] == rows
+    old = [ref.row_v4_to_v2(row) for row in rows]
+    assert [ref.row_v2_to_v4(row) for row in old] == rows
     rows = old
     if f"rows_{name}" in data:
         buf, off = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
@@ -149,8 +149,8 @@ def test_simple8b_segments_match_scalar(segments):
 @given(st.lists(_streams(64), min_size=1, max_size=5))
 def test_varint_segments_match_scalar(segments):
     flat, offsets = _concat(segments)
-    assert varint_encode_segments(flat, offsets) == [encode_varint_list(seg) for seg in segments]
-    assert varint_encode_array(flat[: offsets[1]]) == encode_varint_list(segments[0])
+    assert varint_encode_segments(flat, offsets) == [encode_varints(seg) for seg in segments]
+    assert varint_encode_array(flat[: offsets[1]]) == encode_varints(segments[0])
 
 
 @pytest.mark.parametrize(

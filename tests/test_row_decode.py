@@ -6,8 +6,9 @@ decode entry point rejects with ``CorruptionError`` and nothing else.
 Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
 for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
 checked to reproduce before they are used).  They are version 2 rows;
-``ingest_reference.row_v2_to_v3`` rewrites their feature sections (the
-only part the versions do not share) into the rows decoded here.
+``ingest_reference.row_v2_to_v4`` rewrites their feature sections and point
+blobs (the only parts the versions do not share) into the rows decoded
+here.
 """
 
 from __future__ import annotations
@@ -52,14 +53,14 @@ def golden_rows() -> dict[str, list[bytes]]:
         if f"rows_{name}" in data:
             buf, cut = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
             out[codec] = [
-                ref.row_v2_to_v3(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
+                ref.row_v2_to_v4(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
             ]
         else:
             rows = RowSerializer(TrajectoryCodec(codec)).encode_many(
                 trajs, data["tr_values"].tolist()
             )
             digests = [bytes(d) for d in data[f"sha_{name}"]]
-            assert [hashlib.sha256(ref.row_v3_to_v2(row)).digest() for row in rows] == digests
+            assert [hashlib.sha256(ref.row_v4_to_v2(row)).digest() for row in rows] == digests
             out[codec] = rows
     return out
 
@@ -88,7 +89,7 @@ def _with_section(row: bytes, header, section: bytes) -> bytes:
 def _assert_matches_oracle(row: bytes) -> None:
     header = RowSerializer.decode_header(row)
     feature = RowSerializer.decode_feature(row, header)
-    old = ref.row_v3_to_v2(row)
+    old = ref.row_v4_to_v2(row)
     _, start = decode_varint(old, header.body_offset)
     reps, indexes, boxes, box_arrays = ref.decode_feature_v2(old, start)
     assert feature.rep_indexes == indexes
@@ -184,21 +185,18 @@ def test_truncated_golden_rows_raise_corruption(golden_rows, codec):
 
 @pytest.mark.parametrize("codec", CODECS)
 def test_truncated_point_blobs_raise_corruption(golden_rows, codec):
-    """The blob is cut but the row's framing is rewritten to match, so only
-    the codec itself can notice."""
+    """The blob runs to the end of the row, so no row framing states its
+    length: only the codec itself can notice a cut."""
     serializer = RowSerializer(TrajectoryCodec(codec))
     for i in TRUNCATED:
         row = golden_rows[codec][i]
         feat_len, start = decode_varint(row, serializer.decode_header(row).body_offset)
         blob_at = start + feat_len
-        _, blob_start = decode_varint(row, blob_at)
-        blob = row[blob_start:]
         whole = _outcome(serializer.decode_trajectory, row)
-        for cut in range(len(blob)):
-            framed = bytearray(row[:blob_at])
-            encode_varint(cut, framed)
-            got = _outcome(serializer.decode_trajectory, bytes(framed) + blob[:cut])
-            assert got in ("corrupt", whole), cut
+        for cut in range(blob_at, len(row)):
+            got = _outcome(serializer.decode_trajectory, row[:cut])
+            assert got == "corrupt", cut
+        assert whole != "corrupt"
 
 
 @settings(derandomize=True, deadline=None)
@@ -213,7 +211,7 @@ def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, codec, 
     _decodes_or_corrupt(serializer, bytes(row))
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, 4])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
 def test_other_row_versions_raise_corruption(golden_rows, version):
     serializer = RowSerializer(TrajectoryCodec("simple8b"))
     row = bytearray(golden_rows["simple8b"][TRUNCATED[0]])

@@ -27,6 +27,8 @@ def k(i: int) -> bytes:
 
 
 VALUE = b"v" * 100
+# Attempts per write after a hard-watermark rejection (each may stall 20 ms).
+RESUME_RETRIES = 50
 
 
 @pytest.fixture(params=["mem", "dir"])
@@ -179,10 +181,21 @@ class TestHardWatermark:
                     wrote += 1
             except WriteStalledError:
                 pass
+            assert wrote < 500  # the wedged flusher got a write rejected
             release.set()  # unwedge the flusher
             store.flush()
             for i in range(wrote, 500):
-                store.put(k(i), VALUE)
+                # The resumed stream may reach the hard watermark again
+                # before the flusher thread drains it: a rejected write is
+                # told to slow down and retry, so it does, a bounded number
+                # of times.
+                for attempt in range(RESUME_RETRIES):
+                    try:
+                        store.put(k(i), VALUE)
+                        break
+                    except WriteStalledError:
+                        if attempt == RESUME_RETRIES - 1:
+                            raise
             store.flush()
             assert [key for key, _ in store.scan()] == sorted(
                 k(i) for i in range(500)

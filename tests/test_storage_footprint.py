@@ -1,22 +1,36 @@
 """Stored bytes per point of a fixed load, section by section.
 
 The primary row is header (magic, version, time range, MBR, ``tr_value``),
-ids (oid, tid), DP-features and the point blob, each with its length
-prefix; keys count on their own, and so do every secondary table's keys
-and values (a value is the 9-byte ``shard :: primary index value``).  Each
-section has a ceiling taken from row version 3 (which halved the feature
-section) and from secondary values cut to the primary key's prefix (which
-took 0.395 B/point off each secondary table), so a change that grows one
-shows up here, by name, before it reaches the benchmark's end-to-end
-``stored_bytes_per_point``.
+ids (oid, tid), DP-features with their length prefix, and the point blob,
+which runs to the end of the row; keys count on their own, and so do every
+secondary table's keys and values (a value is the 9-byte ``shard :: primary
+index value``).  Each section has a ceiling taken from row version 3 (which
+halved the feature section), from row version 4 (whose blob frame states
+each count and length once and counts its first point from the header) and
+from secondary values cut to the primary key's prefix (which took 0.395
+B/point off each secondary table), so a change that grows one shows up
+here, by name, before it reaches the benchmark's end-to-end
+``stored_bytes_per_point``.  The blob's frame is pinned exactly by a
+property test.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TMan, TManConfig
-from repro.compression.varint import decode_varint
+from repro.compression import pfor_encode, simple8b_encode
+from repro.compression.columnar import (
+    delta_encode_array,
+    delta_of_delta_encode_array,
+    varint_encode_array,
+    zigzag_encode_array,
+)
+from repro.compression.traj_codec import TrajectoryCodec, dequantize_arrays, quantize_arrays
+from repro.compression.varint import decode_varint, encode_varint
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.scan import Scan
 from repro.storage.serializer import RowSerializer
@@ -27,7 +41,7 @@ CEILINGS = {
     "primary.header": 1.03,  # 1.0269
     "primary.ids": 0.74,  # 0.7308
     "primary.features": 2.31,  # 2.3089 (4.5642 in row version 2)
-    "primary.blob": 6.29,  # 6.2830
+    "primary.blob": 5.62,  # 5.6146 (6.2830 in row version 3)
     "tr.keys": 0.56,  # 0.5531
     "tr.values": 0.18,  # 0.1778 (0.5728, a whole primary key, before)
     "idt.keys": 0.89,  # 0.8889
@@ -72,3 +86,48 @@ def test_bytes_per_point_within_ceiling(footprint, section):
 
 def test_features_are_a_small_share_of_the_row(footprint):
     assert footprint["primary.features"] <= 3.0
+
+
+# codec -> (codec id, one stream's packer)
+PACKERS = {"varint": (0, varint_encode_array), "simple8b": (1, simple8b_encode),
+           "pfor": (2, pfor_encode)}
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    encode_varint(value, out)
+    return bytes(out)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    codec=st.sampled_from(sorted(PACKERS)),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 35, 300]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    origin=st.one_of(st.none(), st.tuples(*[st.integers(-(2**53), 2**53)] * 3)),
+)
+def test_blob_frame_is_codec_id_count_and_two_lengths(codec, sizes, seed, origin):
+    """A blob is ``codec id | varint n | varint len(t) | varint len(x)``
+    and then the three packed streams, nothing more, and it decodes back
+    from the same origin, for 0-, 1- and many-point trajectories."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    ts = 1.2e9 + np.cumsum(rng.integers(0, 90_000, n)) / 1000.0
+    xs = 116.4 + np.cumsum(rng.normal(0.0, 1e-3, n))
+    ys = 39.9 + np.cumsum(rng.normal(0.0, 1e-3, n))
+    offsets = np.cumsum([0, *sizes])
+    origins = None if origin is None else [origin] * len(sizes)
+    blobs = TrajectoryCodec(codec).encode_columns(ts, xs, ys, offsets, origins)
+    cid, pack = PACKERS[codec]
+    for blob, lo, hi in zip(blobs, offsets[:-1], offsets[1:]):
+        ints = quantize_arrays(ts[lo:hi], xs[lo:hi], ys[lo:hi])
+        deltas = [delta_of_delta_encode_array(ints[0]), delta_encode_array(ints[1]),
+                  delta_encode_array(ints[2])]
+        for stream, first in zip(deltas, origin or (0, 0, 0)):
+            stream[:1] -= first
+        t, x, y = (pack(zigzag_encode_array(stream)) for stream in deltas)
+        frame = bytes([cid]) + _varint(hi - lo) + _varint(len(t)) + _varint(len(x))
+        assert blob == frame + t + x + y
+        got = TrajectoryCodec().decode_array_block(blob, origin)
+        for mine, want in zip(got, dequantize_arrays(*ints)):
+            assert mine.tobytes() == want.tobytes()

@@ -8,8 +8,10 @@ import pytest
 from repro import TMan, TManConfig
 from repro.cluster.client import WorkerHandle
 from repro.datasets import TDRIVE_SPEC, tdrive_like
-from repro.kvstore import simfault
-from repro.kvstore.errors import CorruptionError
+from repro.cluster.process_cluster import ProcessCluster
+from repro.kvstore import Cluster, simfault
+from repro.kvstore.durable import FORMAT, FORMAT_FILE
+from repro.kvstore.errors import CorruptionError, FormatMismatchError
 from repro.kvstore.scan import Scan
 from repro.model import MBR
 from repro.storage.persistence import open_tman, save_tman
@@ -240,8 +242,9 @@ class TestParentFormatDeployment:
     the last commit whose ``TManConfig`` still had ``window_parallel``,
     ``row_format_version`` and the other retired knobs; the ``rewrite.py``
     beside it later brought its rows to the current format (primary rows to
-    row version 3, secondary values cut to ``shard :: primary index
-    value``; keys, config and cache untouched)."""
+    row version 4, secondary values cut to ``shard :: primary index
+    value``, ``config.json`` stamped with the stored format; keys, every
+    other config entry and cache untouched)."""
 
     def test_reopens_ignoring_retired_keys(self):
         doc = json.loads((DATA_DIR / "deployment_parent" / "config.json").read_text())
@@ -293,3 +296,63 @@ class TestParentFormatDeployment:
                     tids.append(tman.serializer.decode(row).trajectory.tid)
                     assert key.endswith(tids[-1].encode("utf-8"))
                 assert sorted(tids) == sorted(dataset), name
+
+
+class TestFormatStamp:
+    """Each saved deployment and durable data directory states its stored
+    format, and opening checks it before any table is served."""
+
+    def _config(self, directory):
+        path = directory / "config.json"
+        return path, json.loads(path.read_text())
+
+    def test_saved_config_states_the_format_first(self, saved_dir):
+        _, doc = self._config(saved_dir)
+        assert next(iter(doc)) == "format" and doc["format"] == FORMAT
+
+    @pytest.mark.parametrize("found", [None, FORMAT - 1, FORMAT + 1])
+    def test_other_or_missing_format_raises_at_open(self, saved_dir, found):
+        path, doc = self._config(saved_dir)
+        if found is None:
+            del doc["format"]
+        else:
+            doc["format"] = found
+        path.write_text(json.dumps(doc))
+        stated = "no format stamp" if found is None else f"stored format {found}"
+        with pytest.raises(FormatMismatchError,
+                           match=f"{stated}; this build reads format {FORMAT}$"):
+            open_tman(saved_dir)
+
+    def test_unknown_config_key_raises(self, saved_dir):
+        path, doc = self._config(saved_dir)
+        doc["shard_count"] = 4  # neither a field nor a retired one
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown keys \\['shard_count'\\]"):
+            open_tman(saved_dir)
+
+    def test_durable_cluster_root_is_stamped_and_checked(self, tmp_path):
+        root = tmp_path / "cluster"
+        with Cluster(workers=1, data_dir=root) as cluster:
+            cluster.create_table("t").put(b"k", b"v")
+        assert (root / FORMAT_FILE).read_text() == f"{FORMAT}\n"
+        with Cluster(workers=1, data_dir=root) as cluster:  # same format: opens
+            assert cluster.table("t").get(b"k") == b"v"
+        (root / FORMAT_FILE).write_text(f"{FORMAT - 1}\n")
+        with pytest.raises(FormatMismatchError, match=f"stored format {FORMAT - 1};"):
+            Cluster(workers=1, data_dir=root)
+        (root / FORMAT_FILE).unlink()  # content written before stamps existed
+        with pytest.raises(FormatMismatchError, match="no format stamp"):
+            Cluster(workers=1, data_dir=root)
+
+    def test_worker_node_directory_is_stamped_and_checked(self, tmp_path, workers):
+        cluster_dir = tmp_path / "nodes"
+        with ProcessCluster(nodes=1, replication_factor=1, cluster_data_dir=str(cluster_dir),
+                            workers=1):
+            pass
+        stamp = cluster_dir / "node-0" / FORMAT_FILE
+        assert stamp.read_text() == f"{FORMAT}\n"
+        stamp.write_text(f"{FORMAT + 1}\n")
+        with pytest.raises(FormatMismatchError, match=f"stored format {FORMAT + 1};"):
+            ProcessCluster(nodes=1, replication_factor=1, cluster_data_dir=str(cluster_dir),
+                           workers=1)
+        assert len(workers) == 2 and all(reaped(p) for p in workers)
