@@ -226,8 +226,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(f"  ... and {len(res) - args.limit} more")
     if args.trace_out:
         out = Path(args.trace_out)
-        out.write_text(json.dumps(obs.tracer().to_chrome(), indent=2))
-        print(f"wrote Chrome trace ({len(obs.tracer())} spans) to {out}")
+        doc = obs.chrome_trace([res.profile])
+        out.write_text(json.dumps(doc, indent=2))
+        print(f"wrote Chrome trace ({len(doc['traceEvents'])} events) to {out}")
     for entry in obs.slow_query_log().entries():
         print(entry.render())
     return 0

@@ -205,10 +205,11 @@ class Region:
         touched counts as scanned; rows passing the push-down filter are
         transferred (and counted) to the caller.  ``range_scans`` counts
         one seek per window the cursor reaches, and the row counters are
-        batched per window.  With metrics enabled the cursor also feeds the
-        ``kv_region_scan_*`` instruments: busy time (producing rows,
-        excluding the consumer's time between pulls) lands in the latency
-        histogram, and row totals in the counters when the cursor closes.
+        batched per window.  The cursor also feeds the ``kv_region_scan_*``
+        instruments: busy time (producing rows, excluding the consumer's
+        time between pulls) lands in the latency histogram, and row totals
+        in the counters when the cursor closes.  ``scan.limit`` is the
+        caller's to apply (``Table`` does, across regions).
         """
         windows = self.clip([(scan.start, scan.stop)] if windows is None else windows)
         if not windows:
@@ -220,8 +221,7 @@ class Region:
         # (Table._resilient_region_scan) resumes after the last delivered
         # key, so consumers never see duplicates or gaps.
         simfault.scan_fault()
-        flt, limit, stats = scan.server_filter, scan.limit, self._stats
-        perf = time.perf_counter if _SCAN_MS._registry.enabled else None
+        flt, stats, perf = scan.server_filter, self._stats, time.perf_counter
         busy = 0.0
         total_scanned = total_returned = 0
         # Counters since the last per-window flush; the first window opens now.
@@ -229,7 +229,7 @@ class Region:
         i, stop = 0, windows[0][1]
         finished = False
         try:
-            t0 = perf() if perf else 0.0
+            t0 = perf()
             for key, value in self._store.scan_windows(windows, deadline):
                 if stop is not None and key >= stop:
                     # The cursor left window i: flush its batch, open the
@@ -259,13 +259,9 @@ class Region:
                         continue
                 returned += 1
                 nbytes += len(key) + len(value)
-                if perf:
-                    busy += perf() - t0
+                busy += perf() - t0
                 yield key, value
-                if perf:
-                    t0 = perf()
-                if limit is not None and total_returned + returned >= limit:
-                    return
+                t0 = perf()
             finished = True
         finally:
             # An exhausted cursor has reached every window; a closed one

@@ -180,8 +180,7 @@ class AttemptTracker:
         """
         policy = self._policy
         self._failures += 1
-        if _RPC_FAILURE_TOTAL._registry.enabled:
-            _RPC_FAILURE_TOTAL.labels(op=self._op).inc()
+        _RPC_FAILURE_TOTAL.labels(op=self._op).inc()
         profile = current_profile()
         if profile is not None:
             profile.add(rpc_failures=1)
@@ -218,10 +217,7 @@ class AttemptTracker:
                 # against whatever budget is left.
                 delay_ms = max(0.0, remaining_ms)
                 capped = True
-        if _RETRY_TOTAL._registry.enabled:
-            _RETRY_TOTAL.labels(
-                op=self._op, capped="yes" if capped else "no"
-            ).inc()
+        _RETRY_TOTAL.labels(op=self._op, capped="yes" if capped else "no").inc()
         if profile is not None:
             profile.add(retries=1, retry_backoff_ms=delay_ms)
         if delay_ms > 0:
@@ -268,9 +264,8 @@ class CircuitBreaker:
         if state == self._state:
             return
         self._state = state
-        if _BREAKER_STATE._registry.enabled:
-            _BREAKER_STATE.labels(region=self.name or "-").set(_STATE_VALUE[state])
-            _BREAKER_TRANSITIONS.labels(region=self.name or "-", to=state).inc()
+        _BREAKER_STATE.labels(region=self.name or "-").set(_STATE_VALUE[state])
+        _BREAKER_TRANSITIONS.labels(region=self.name or "-", to=state).inc()
 
     @property
     def state(self) -> str:

@@ -1,15 +1,15 @@
 """``repro.obs`` — the unified observability layer.
 
-One process-wide :class:`~repro.obs.metrics.MetricsRegistry`, one
-:class:`~repro.obs.tracing.Tracer`, and one
+One process-wide :class:`~repro.obs.metrics.MetricsRegistry` and one
 :class:`~repro.obs.slowlog.SlowQueryLog` serve the whole stack; the
 kvstore, cache, query, and storage layers register their instruments
 against these singletons at import time, so a deployment is observable
 with zero configuration and a dashboardable snapshot is one
-``repro.obs.snapshot()`` away.  ``set_metrics_enabled(False)`` turns every
-instrument into a flag check for overhead-free production of benchmarks.
+``repro.obs.snapshot()`` away.  Each query's own record is its
+:class:`~repro.obs.profile.QueryProfile`; ``chrome_trace([result.profile])``
+renders it as a Chrome trace.
 
-See ``docs/observability.md`` for the metric catalog and span hierarchy.
+See ``docs/observability.md`` for the metric catalog and the query trace.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from repro.obs.slowlog import SlowQueryLog
     from repro.obs.stats import WorkloadStatsCollector
-    from repro.obs.tracing import Tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -43,23 +42,18 @@ __all__ = [
     "CounterFamily",
     "GaugeFamily",
     "HistogramFamily",
-    "Tracer",
-    "SpanRecord",
-    "spans_from_export",
     "SlowQueryLog",
     "SlowQueryEntry",
     "to_prometheus",
     "to_json",
     "validate_snapshot",
+    "chrome_trace",
     "registry",
-    "tracer",
     "slow_query_log",
     "counter",
     "gauge",
     "histogram",
     "snapshot",
-    "set_metrics_enabled",
-    "metrics_enabled",
     "set_slow_query_ms",
     "reset_all",
     "QueryProfile",
@@ -78,14 +72,16 @@ __all__ = [
 REGISTRY = MetricsRegistry()
 PROFILE_LOG = ProfileLog()
 
-# The exporters, the tracer, the slow-query log and the workload statistics
+# The exporters, the slow-query log and the workload statistics
 # load on first access (PEP 562), each singleton with its module: the engine
 # modules import this package for ``counter`` alone, and a region-server
 # worker must not pay for the rest.
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.obs.export": ("to_json", "to_prometheus", "validate_snapshot"),
+        "repro.obs.export": (
+            "chrome_trace", "to_json", "to_prometheus", "validate_snapshot"
+        ),
         "repro.obs.slowlog": ("SlowQueryEntry", "SlowQueryLog", "SLOW_QUERY_LOG"),
         "repro.obs.stats": (
             "WORKLOAD_STATS_SCHEMA",
@@ -93,7 +89,6 @@ __getattr__, __dir__ = lazy_exports(
             "validate_workload_stats",
             "WORKLOAD_STATS",
         ),
-        "repro.obs.tracing": ("SpanRecord", "Tracer", "spans_from_export", "TRACER"),
     },
 )
 
@@ -101,13 +96,6 @@ __getattr__, __dir__ = lazy_exports(
 def registry() -> MetricsRegistry:
     """The process-wide metrics registry."""
     return REGISTRY
-
-
-def tracer() -> Tracer:
-    """The process-wide span tracer."""
-    from repro.obs.tracing import TRACER
-
-    return TRACER
 
 
 def slow_query_log() -> SlowQueryLog:
@@ -149,26 +137,14 @@ def snapshot() -> dict:
     return REGISTRY.snapshot()
 
 
-def set_metrics_enabled(enabled: bool) -> None:
-    """Toggle the global registry and tracer together (the cheap off switch)."""
-    REGISTRY.set_enabled(enabled)
-    tracer().set_enabled(enabled)
-
-
-def metrics_enabled() -> bool:
-    """Whether the global registry is recording."""
-    return REGISTRY.enabled
-
-
 def set_slow_query_ms(threshold_ms: float | None) -> None:
     """Configure the global slow-query threshold (``None`` disables)."""
     slow_query_log().set_threshold(threshold_ms)
 
 
 def reset_all() -> None:
-    """Zero metrics, drop spans and slow-query entries (test isolation)."""
+    """Zero metrics, drop slow-query entries and profiles (test isolation)."""
     REGISTRY.reset()
-    tracer().clear()
     slow_query_log().clear()
     PROFILE_LOG.clear()
     workload_stats().clear()

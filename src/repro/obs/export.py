@@ -1,16 +1,20 @@
-"""Exporters for registry snapshots: Prometheus text and JSON.
+"""Exporters: registry snapshots as Prometheus text and JSON, and query
+profiles as a Chrome trace.
 
-Both exporters consume :meth:`MetricsRegistry.snapshot` output, so they
-never hold metric locks longer than the snapshot itself.
+The snapshot exporters consume :meth:`MetricsRegistry.snapshot` output, so
+they never hold metric locks longer than the snapshot itself.
 :func:`validate_snapshot` is the schema contract CI enforces against the
 benchmark-emitted snapshot — exporter drift (renamed keys, missing
 percentiles, non-cumulative buckets) fails the build instead of silently
-producing unreadable dashboards.
+producing unreadable dashboards.  :func:`chrome_trace` renders finished
+:class:`~repro.obs.profile.QueryProfile` records; load its output in
+``chrome://tracing`` or https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from typing import Optional
 
 from repro.obs.metrics import (
@@ -18,6 +22,7 @@ from repro.obs.metrics import (
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
 )
+from repro.obs.profile import QueryProfile
 
 _VALID_TYPES = ("counter", "gauge", "histogram")
 
@@ -174,3 +179,51 @@ def validate_snapshot(doc: object) -> list[str]:
             if total != count:
                 err(f"{swhere}: bucket counts sum to {total}, 'count' is {count}")
     return errors
+
+
+def _complete_event(name: str, start_s: float, dur_ms: float, lane: int, args: dict) -> dict:
+    return {
+        "name": name, "ph": "X", "ts": round(start_s * 1e6, 3),
+        "dur": round(dur_ms * 1e3, 3), "pid": 1, "tid": lane, "args": args,
+    }
+
+
+def chrome_trace(profiles: Iterable[QueryProfile]) -> dict:
+    """The Chrome ``trace_event`` document of finished query profiles.
+
+    Each query is a ``query.execute`` event (``query.count`` when its sink
+    counted) carrying its type and plan; inside it, one ``pipeline.run``
+    event per round; inside each round, its ``stage.*`` events laid
+    back-to-back — a self-time flame chart, not a true timeline (volcano
+    stages interleave row by row).  Complete ("X") events, microseconds
+    rebased to the earliest query start, one Chrome ``tid`` lane per query.
+    A profile the executor never finished (a query shed at admission) has
+    no start and no rounds, and is left out.
+    """
+    started = [p for p in profiles if p.started is not None]
+    epoch = min((p.started for p in started), default=0.0)
+    events: list[dict] = []
+    for lane, profile in enumerate(started, 1):
+        rounds = profile.round_records
+        # A count's sink is the Count operator, named "count".
+        counted = bool(rounds) and rounds[-1][1][-1][0] == "count"
+        events.append(_complete_event(
+            "query.count" if counted else "query.execute",
+            profile.started - epoch, profile.elapsed_ms, lane,
+            {"type": profile.query_type, "plan": profile.plan},
+        ))
+        for round_start, stages in rounds:
+            names = " -> ".join(stage[0] for stage in stages)
+            events.append(_complete_event(
+                "pipeline.run", round_start - epoch,
+                sum(stage[4] for stage in stages), lane,
+                {"pipeline": f"{profile.plan}: {names}"},
+            ))
+            cursor = round_start - epoch
+            for name, rows_in, rows_out, bytes_out, ms in stages:
+                events.append(_complete_event(
+                    f"stage.{name}", cursor, ms, lane,
+                    {"rows_in": rows_in, "rows_out": rows_out, "bytes_out": bytes_out},
+                ))
+                cursor += ms / 1e3
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

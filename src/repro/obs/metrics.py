@@ -14,10 +14,7 @@ the paper's evaluation axes:
   percent across nine orders of magnitude while storing only touched
   buckets.
 
-Disabled mode (``registry.set_enabled(False)``) turns every ``inc`` /
-``set`` / ``observe`` into an early-return flag check, so instrumented hot
-paths cost ~nothing when observability is off; cached metric handles stay
-valid across ``reset()`` and enable/disable toggles.
+Cached metric handles stay valid across ``reset()``.
 """
 
 from __future__ import annotations
@@ -55,10 +52,9 @@ def _check_labels(labelnames: Sequence[str], labels: dict) -> tuple:
 class _Child:
     """One time series of a family (one label-value combination)."""
 
-    __slots__ = ("_registry", "_lock")
+    __slots__ = ("_lock",)
 
-    def __init__(self, registry: "MetricsRegistry", lock: threading.Lock):
-        self._registry = registry
+    def __init__(self, lock: threading.Lock):
         self._lock = lock
 
 
@@ -67,14 +63,12 @@ class CounterChild(_Child):
 
     __slots__ = ("_value",)
 
-    def __init__(self, registry, lock):
-        super().__init__(registry, lock)
+    def __init__(self, lock):
+        super().__init__(lock)
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
-        if not self._registry._enabled:
-            return
         if amount < 0:
             raise MetricError(f"counters only go up, got {amount}")
         with self._lock:
@@ -97,22 +91,18 @@ class GaugeChild(_Child):
 
     __slots__ = ("_value", "_callback")
 
-    def __init__(self, registry, lock):
-        super().__init__(registry, lock)
+    def __init__(self, lock):
+        super().__init__(lock)
         self._value = 0.0
         self._callback: Callable[[], float] | None = None
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
-        if not self._registry._enabled:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be negative) to the gauge."""
-        if not self._registry._enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -149,8 +139,8 @@ class HistogramChild(_Child):
     __slots__ = ("_base", "_log_growth", "_growth", "_buckets", "_count",
                  "_sum", "_min", "_max", "_exemplars")
 
-    def __init__(self, registry, lock, base: float, growth: float):
-        super().__init__(registry, lock)
+    def __init__(self, lock, base: float, growth: float):
+        super().__init__(lock)
         self._base = base
         self._growth = growth
         self._log_growth = math.log(growth)
@@ -179,8 +169,6 @@ class HistogramChild(_Child):
         remembers the slowest exemplar-carrying sample it received, so a
         latency spike can be chased back to the query that caused it.
         """
-        if not self._registry._enabled:
-            return
         value = float(value)
         if value < 0.0:
             value = 0.0
@@ -297,7 +285,7 @@ class MetricFamily:
             self._children[()] = self._default
 
     def _make_child(self) -> _Child:
-        return self._child_cls(self._registry, self._lock, **self._child_kwargs)
+        return self._child_cls(self._lock, **self._child_kwargs)
 
     def labels(self, **labels) -> _Child:
         """The child series for one label-value combination (get-or-create).
@@ -425,22 +413,12 @@ class MetricsRegistry:
     or with different label names raises.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_label_series: int = DEFAULT_MAX_LABEL_SERIES,
-    ):
-        self._enabled = enabled
+    def __init__(self, max_label_series: int = DEFAULT_MAX_LABEL_SERIES):
         self._lock = threading.Lock()
         self._families: dict[str, MetricFamily] = {}
         self._max_label_series = max_label_series
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Whether writes are being recorded."""
-        return self._enabled
 
     @property
     def max_label_series(self) -> int:
@@ -452,10 +430,6 @@ class MetricsRegistry:
         if cap < 1:
             raise MetricError(f"max_label_series must be positive, got {cap}")
         self._max_label_series = cap
-
-    def set_enabled(self, enabled: bool) -> None:
-        """Toggle recording; existing values are kept either way."""
-        self._enabled = bool(enabled)
 
     def reset(self) -> None:
         """Zero every series in place; registered handles stay valid."""
@@ -544,7 +518,8 @@ class MetricsRegistry:
         """JSON-ready snapshot of every family (the exporter input)."""
         return {
             "schema": SNAPSHOT_SCHEMA,
-            "enabled": self._enabled,
+            # Always true: kept so v1 documents keep their shape.
+            "enabled": True,
             "metrics": [
                 {
                     "name": family.name,

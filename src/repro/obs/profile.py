@@ -25,10 +25,11 @@ and stay exact per call when they overlap, which the process-wide deltas
 do not.  ``QueryResult`` counters and ``WriteReport`` backpressure fields
 are read off the call's profile.
 
-A query's profile is also its pipeline record: :class:`~repro.query.pipeline.Pipeline`
-runs add one round and per-stage :class:`StageRecord` (rows in / out, bytes,
-self time) to the active profile, so ``result.profile.render()`` explains
-where the candidates were pruned.
+A query's profile is also its pipeline record: each
+:class:`~repro.query.pipeline.Pipeline` run adds one round — its start and
+per-stage rows in / out, bytes and self time — to the active profile, so
+``result.profile.render()`` explains where the candidates were pruned and
+:func:`repro.obs.export.chrome_trace` lays the query out as a flame chart.
 """
 
 from __future__ import annotations
@@ -135,8 +136,13 @@ def run_with_profile(profile: QueryProfile | None, fn: Callable, *args, **kwargs
         _PROFILE.reset(token)
 
 
+# (stage name, rows in, rows out, bytes out, self ms): one operator's share
+# of one pipeline run.
+Stage = tuple[str, int, int, int, float]
+
+
 class StageRecord:
-    """Accounting for one operator of a streaming query pipeline.
+    """One operator's accounting, summed over a query's pipeline runs.
 
     ``rows_in``/``rows_out`` are the items that crossed the operator's input
     and output edges; ``bytes_out`` sums key+value sizes for row-shaped
@@ -179,27 +185,32 @@ class QueryProfile:
       ``write_stall_ms`` are the memtable watermarks' toll on a write batch.
 
     The pipeline record: ``rounds`` counts pipeline runs (one per
-    expanding ring for top-k / kNN), and :attr:`stages` holds one
-    :class:`StageRecord` per operator in pipeline order, rounds merged
-    stage by stage (``"decode" in p``, ``p["decode"].rows_in``).
-    ``deadline_ms`` / ``deadline_remaining_ms`` are the query's budget and
-    what was left of it at the end (``None`` without a deadline).
+    expanding ring for top-k / kNN); each keeps its ``perf_counter`` start
+    and one ``(name, rows_in, rows_out, bytes_out, wall_ms)`` tuple per
+    operator (:attr:`round_records`).  :attr:`stages` is the view that
+    merges them stage by stage into one :class:`StageRecord` per operator
+    in pipeline order (``"decode" in p``, ``p["decode"].rows_in``).
+    ``started`` is the ``perf_counter`` instant the executor began the
+    query (``None`` until it finishes one).  ``deadline_ms`` /
+    ``deadline_remaining_ms`` are the query's budget and what was left of
+    it at the end (``None`` without a deadline).
     """
 
-    __slots__ = ("query_id", "query_type", "plan", "elapsed_ms", "partial",
-                 "rounds", "deadline_ms", "deadline_remaining_ms", "_stages",
-                 "_lock") + tuple(_ALL_FIELDS)
+    __slots__ = ("query_id", "query_type", "plan", "started", "elapsed_ms",
+                 "partial", "rounds", "deadline_ms", "deadline_remaining_ms",
+                 "_rounds", "_lock") + tuple(_ALL_FIELDS)
 
     def __init__(self, query_type: str = "", plan: str = ""):
         self.query_id = f"q{next(_QUERY_IDS):06d}"
         self.query_type = query_type
         self.plan = plan
+        self.started: float | None = None
         self.elapsed_ms = 0.0
         self.partial = False
         self.rounds = 0
         self.deadline_ms: float | None = None
         self.deadline_remaining_ms: float | None = None
-        self._stages: dict[str, StageRecord] = {}
+        self._rounds: list[tuple[float, tuple[Stage, ...]]] = []
         self._lock = threading.Lock()
         for name in _ALL_FIELDS:
             setattr(self, name, 0 if name not in TIME_FIELDS else 0.0)
@@ -216,19 +227,14 @@ class QueryProfile:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def add_round(self, stages: Sequence[tuple[str, int, int, int, float]]) -> None:
-        """Fold one pipeline run into the record: ``(name, rows_in,
-        rows_out, bytes_out, wall_ms)`` per operator, in pipeline order."""
+    def add_round(self, started: float, stages: Sequence[Stage]) -> None:
+        """Record one pipeline run: its ``perf_counter`` start and
+        ``(name, rows_in, rows_out, bytes_out, wall_ms)`` per operator, in
+        pipeline order."""
+        record = (started, tuple(stages))
         with self._lock:
             self.rounds += 1
-            for name, rows_in, rows_out, bytes_out, wall_ms in stages:
-                stage = self._stages.get(name) or self._stages.setdefault(
-                    name, StageRecord(name)
-                )
-                stage.rows_in += rows_in
-                stage.rows_out += rows_out
-                stage.bytes_out += bytes_out
-                stage.wall_ms += wall_ms
+            self._rounds.append(record)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -238,11 +244,14 @@ class QueryProfile:
         query_type: str = "",
         plan: str = "",
         deadline: Deadline | None = None,
+        started: float | None = None,
     ) -> "QueryProfile":
-        """Stamp identity + wall time once the query completes, and the
-        query's ``deadline``: its budget, what is left of it, and whether
-        it truncated the result."""
+        """Stamp identity, start + wall time once the query completes, and
+        the query's ``deadline``: its budget, what is left of it, and
+        whether it truncated the result."""
         self.elapsed_ms = elapsed_ms
+        if started is not None:
+            self.started = started
         if query_type:
             self.query_type = query_type
         if plan:
@@ -254,36 +263,45 @@ class QueryProfile:
         return self
 
     def slim_copy(self) -> QueryProfile:
-        """A copy of the identity and counters without the stage records."""
+        """A copy of the identity and counters without the round records."""
         copy = QueryProfile.__new__(QueryProfile)
         with self._lock:
             for name in self.__slots__:
                 if not name.startswith("_"):
                     setattr(copy, name, getattr(self, name))
-        copy._stages = {}
+        copy._rounds = []
         copy._lock = threading.Lock()
         return copy
 
     # -- read side -----------------------------------------------------------
 
-    def stage(self, name: str) -> StageRecord:
-        """Get-or-create the stage record for ``name`` (pipeline order)."""
+    @property
+    def round_records(self) -> tuple[tuple[float, tuple[Stage, ...]], ...]:
+        """``(start, stages)`` per pipeline run, in the order they ran."""
         with self._lock:
-            return self._stages.get(name) or self._stages.setdefault(
-                name, StageRecord(name)
-            )
+            return tuple(self._rounds)
 
     @property
     def stages(self) -> tuple[StageRecord, ...]:
-        """The stage records in pipeline order."""
-        with self._lock:
-            return tuple(self._stages.values())
+        """The stage records in pipeline order, rounds merged stage by stage."""
+        merged: dict[str, StageRecord] = {}
+        for _, stages in self.round_records:
+            for name, rows_in, rows_out, bytes_out, wall_ms in stages:
+                stage = merged.get(name) or merged.setdefault(name, StageRecord(name))
+                stage.rows_in += rows_in
+                stage.rows_out += rows_out
+                stage.bytes_out += bytes_out
+                stage.wall_ms += wall_ms
+        return tuple(merged.values())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._stages
+        return any(s.name == name for s in self.stages)
 
     def __getitem__(self, name: str) -> StageRecord:
-        return self._stages[name]
+        for stage in self.stages:
+            if stage.name == name:
+                return stage
+        raise KeyError(name)
 
     @property
     def attributed_ms(self) -> float:
@@ -307,16 +325,16 @@ class QueryProfile:
                 value = getattr(self, name)
                 out[name] = round(value, 4) if name in TIME_FIELDS else value
             out["rounds"] = self.rounds
-            out["stages"] = [
-                {
-                    "name": s.name,
-                    "rows_in": s.rows_in,
-                    "rows_out": s.rows_out,
-                    "bytes_out": s.bytes_out,
-                    "wall_ms": round(s.wall_ms, 4),
-                }
-                for s in self._stages.values()
-            ]
+        out["stages"] = [
+            {
+                "name": s.name,
+                "rows_in": s.rows_in,
+                "rows_out": s.rows_out,
+                "bytes_out": s.bytes_out,
+                "wall_ms": round(s.wall_ms, 4),
+            }
+            for s in self.stages
+        ]
         return out
 
     def render(self) -> str:
@@ -369,7 +387,7 @@ class ProfileLog:
     """Bounded ring of recently finished profiles (the ``repro top`` feed).
 
     It keeps slim copies: the counters its readers rank and fit, not the
-    per-stage records, which stay on the caller's profile.
+    round records, which stay on the caller's profile.
     """
 
     DEFAULT_CAPACITY = 256

@@ -25,7 +25,6 @@ from repro.obs import (
 from repro.obs.profile import QueryProfile, query_profile
 from repro.obs.slowlog import SLOW_QUERY_LOG
 from repro.obs.stats import WORKLOAD_STATS
-from repro.obs.tracing import TRACER
 from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
@@ -102,11 +101,7 @@ class QueryExecutor:
             raise TypeError(f"count is not supported for {type(query).__name__}")
         if plan is None:
             plan = self._t.planner.plan(query)
-        with query_profile(type(query).__name__) as profile, TRACER.span(
-            "query.count" if count else "query.execute",
-            type=type(query).__name__,
-            plan=f"{plan.index}/{plan.route}",
-        ):
+        with query_profile(type(query).__name__) as profile:
             t0 = time.perf_counter()
             trajs: list[Trajectory] = []
             distances: Optional[list[float]] = None
@@ -129,8 +124,7 @@ class QueryExecutor:
                         self._t, query, plan, limit=limit, deadline=deadline,
                     ).run()
             except QueryTimeoutError:
-                if _QUERY_DEADLINE._registry.enabled:
-                    _QUERY_DEADLINE.labels(outcome="error").inc()
+                _QUERY_DEADLINE.labels(outcome="error").inc()
                 raise
             result = self._finalize(
                 query, trajs, distances, plan, t0, deadline, profile
@@ -229,8 +223,8 @@ class QueryExecutor:
     ) -> QueryResult:
         elapsed = (time.perf_counter() - t0) * 1000
         plan_name = f"{plan.index}/{plan.route}"
-        profile.finish(elapsed, type(query).__name__, plan_name, deadline)
-        if profile.partial and _QUERY_DEADLINE._registry.enabled:
+        profile.finish(elapsed, type(query).__name__, plan_name, deadline, started=t0)
+        if profile.partial:
             _QUERY_DEADLINE.labels(outcome="partial").inc()
         result = QueryResult.from_profile(
             profile, trajs, elapsed, plan_name, distances=distances
@@ -267,13 +261,12 @@ class QueryExecutor:
     def _observe(self, query: Query, result: QueryResult) -> None:
         """Feed the finished query into the registry and the slow-query log."""
         qtype = type(query).__name__
-        if _QUERY_TOTAL._registry.enabled:
-            exemplar = result.profile.query_id
-            _QUERY_TOTAL.labels(type=qtype).inc()
-            _QUERY_MS.labels(type=qtype).observe(result.elapsed_ms, exemplar=exemplar)
-            _QUERY_CANDIDATES.labels(type=qtype).observe(
-                result.candidates, exemplar=exemplar
-            )
+        exemplar = result.profile.query_id
+        _QUERY_TOTAL.labels(type=qtype).inc()
+        _QUERY_MS.labels(type=qtype).observe(result.elapsed_ms, exemplar=exemplar)
+        _QUERY_CANDIDATES.labels(type=qtype).observe(
+            result.candidates, exemplar=exemplar
+        )
         slog = SLOW_QUERY_LOG
         if slog.threshold_ms is not None and result.elapsed_ms >= slog.threshold_ms:
             recorded = slog.maybe_record(

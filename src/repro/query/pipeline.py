@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 from repro.core.st import STWindow
 from repro.kvstore.filters import Filter
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
-from repro.obs.profile import current_profile
-from repro.obs.tracing import TRACER
+from repro.obs.profile import Stage, current_profile
 from repro.query.filters import (
     IdFilter,
     Ladder,
@@ -203,59 +202,43 @@ class Pipeline:
         sink_stream: Iterator[Any] = stream if stream is not None else iter(())
         if self.deadline is not None:
             sink_stream = _DeadlineGuard(sink_stream, self.deadline)
-        with TRACER.span("pipeline.run", pipeline=self.describe()) as span:
-            t0 = time.perf_counter()
-            sink_rows = 0
-            try:
-                value = self.sink.consume(sink_stream)
-                sink_rows = self.sink.result_size(value)
-            finally:
-                total_ms = (time.perf_counter() - t0) * 1000.0
-                # Close top-down so abandoned generators (early-terminating
-                # sinks) release their region streams deterministically.
-                for edge in reversed(edges):
-                    edge.close()
-                # No pool thread walks rows for this round's ladders any more:
-                # add the decodes and kernels they tallied to the profile.
-                for op in self.stages:
-                    for ladder in (op, getattr(op, "row_filter", None)):
-                        if isinstance(ladder, Ladder):
-                            ladder.flush()
-                # (stage name, rows in, rows out, bytes out, self ms) of this
-                # round, in pipeline order.
-                round_stages: list[tuple[str, int, int, int, float]] = []
-                rows_in, upstream_s = 0, 0.0
-                for op, edge in zip(self.stages, edges):
-                    stage_ms = max(0.0, (edge.elapsed - upstream_s) * 1000.0)
-                    round_stages.append(
-                        (op.name, rows_in, edge.count, edge.bytes, stage_ms)
-                    )
-                    rows_in, upstream_s = edge.count, edge.elapsed
-                sink_ms = max(0.0, total_ms - upstream_s * 1000.0)
-                round_stages.append((self.sink.name, rows_in, sink_rows, 0, sink_ms))
-                profile = current_profile()
-                if profile is not None:
-                    profile.add_round(round_stages)
-                if _STAGE_MS._registry.enabled:
-                    # Stage spans are laid out back-to-back inside the
-                    # pipeline span: a self-time flame chart, not a true
-                    # timeline (volcano stages interleave row by row).
-                    # The sink's rows_out is its result size, not a stream:
-                    # it counts no rows here.
-                    cursor = t0
-                    sink_at = len(round_stages) - 1
-                    for i, (name, _, rows, _, stage_ms) in enumerate(round_stages):
-                        _STAGE_MS.labels(stage=name).observe(stage_ms)
-                        if rows and i < sink_at:
-                            _STAGE_ROWS.labels(stage=name).inc(rows)
-                        if span is not None:
-                            TRACER.add_span(
-                                f"stage.{name}",
-                                cursor,
-                                stage_ms / 1000.0,
-                                parent_id=span.span_id,
-                            )
-                        cursor += stage_ms / 1000.0
+        t0 = time.perf_counter()
+        sink_rows = 0
+        try:
+            value = self.sink.consume(sink_stream)
+            sink_rows = self.sink.result_size(value)
+        finally:
+            total_ms = (time.perf_counter() - t0) * 1000.0
+            # Close top-down so abandoned generators (early-terminating
+            # sinks) release their region streams deterministically.
+            for edge in reversed(edges):
+                edge.close()
+            # No pool thread walks rows for this round's ladders any more:
+            # add the decodes and kernels they tallied to the profile.
+            for op in self.stages:
+                for ladder in (op, getattr(op, "row_filter", None)):
+                    if isinstance(ladder, Ladder):
+                        ladder.flush()
+            # (stage name, rows in, rows out, bytes out, self ms) of this
+            # round, in pipeline order.
+            round_stages: list[Stage] = []
+            rows_in, upstream_s = 0, 0.0
+            for op, edge in zip(self.stages, edges):
+                stage_ms = max(0.0, (edge.elapsed - upstream_s) * 1000.0)
+                round_stages.append((op.name, rows_in, edge.count, edge.bytes, stage_ms))
+                rows_in, upstream_s = edge.count, edge.elapsed
+            sink_ms = max(0.0, total_ms - upstream_s * 1000.0)
+            round_stages.append((self.sink.name, rows_in, sink_rows, 0, sink_ms))
+            profile = current_profile()
+            if profile is not None:
+                profile.add_round(t0, round_stages)
+            # The sink's rows_out is its result size, not a stream: it
+            # counts no rows here.
+            sink_at = len(round_stages) - 1
+            for i, (name, _, rows, _, stage_ms) in enumerate(round_stages):
+                _STAGE_MS.labels(stage=name).observe(stage_ms)
+                if rows and i < sink_at:
+                    _STAGE_ROWS.labels(stage=name).inc(rows)
         return value
 
 

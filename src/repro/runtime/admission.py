@@ -95,9 +95,8 @@ class AdmissionController:
         self._queues: dict[str, deque[object]] = {p: deque() for p in PRIORITIES}
         self._shed: dict[str, int] = {"queue_full": 0, "queue_timeout": 0}
         self._admitted = 0
-        if _INFLIGHT._registry.enabled:
-            _INFLIGHT.set_callback(lambda: float(self._inflight))
-            _QUEUED.set_callback(lambda: float(self._queued_locked()))
+        _INFLIGHT.set_callback(lambda: float(self._inflight))
+        _QUEUED.set_callback(lambda: float(self._queued_locked()))
 
     # -- introspection -------------------------------------------------------
 
@@ -142,8 +141,7 @@ class AdmissionController:
 
     def _reject_locked(self, reason: str, detail: str) -> AdmissionRejectedError:
         self._shed[reason] += 1
-        if _SHED_TOTAL._registry.enabled:
-            _SHED_TOTAL.labels(reason=reason).inc()
+        _SHED_TOTAL.labels(reason=reason).inc()
         return AdmissionRejectedError(reason, detail)
 
     def acquire(
@@ -201,8 +199,7 @@ class AdmissionController:
                 # (several released at once) it must wake to claim one.
                 self._cond.notify_all()
                 wait_ms = (self._clock() - waited_from) * 1000.0
-                if _QUEUE_WAIT_MS._registry.enabled:
-                    _QUEUE_WAIT_MS.observe(wait_ms)
+                _QUEUE_WAIT_MS.observe(wait_ms)
                 profile = current_profile()
                 if profile is not None:
                     profile.add(admission_wait_ms=wait_ms)

@@ -64,8 +64,7 @@ def record_throttle() -> None:
     profile = current_profile()
     if profile is not None:
         profile.add(throttled_writes=1)
-    if _THROTTLE_TOTAL._registry.enabled:
-        _THROTTLE_TOTAL.inc()
+    _THROTTLE_TOTAL.inc()
 
 
 def record_stall(seconds: float, rejected: bool) -> None:
@@ -77,11 +76,10 @@ def record_stall(seconds: float, rejected: bool) -> None:
             write_stall_ms=seconds * 1000.0,
             rejected_writes=int(rejected),
         )
-    if _STALL_TOTAL._registry.enabled:
-        _STALL_TOTAL.inc()
-        _STALL_SECONDS.inc(seconds)
-        if rejected:
-            _REJECTED_TOTAL.inc()
+    _STALL_TOTAL.inc()
+    _STALL_SECONDS.inc(seconds)
+    if rejected:
+        _REJECTED_TOTAL.inc()
 
 
 class WriteLimits(

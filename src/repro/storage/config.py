@@ -42,8 +42,6 @@ class TManConfig:
     st_window_budget: int = 4096
     kv_workers: int = 4
     split_rows: int = 200_000
-    # Cluster-wide SSTable block cache budget (0 disables).
-    block_cache_bytes: int = 16 * 1024 * 1024
     # Resilience: transient region-RPC/IO failures are retried with
     # exponential backoff and decorrelated jitter under these budgets.
     retry_max_attempts: int = 6
@@ -99,10 +97,6 @@ class TManConfig:
             )
         if self.shape_encoding not in ("bitmap", "greedy", "genetic"):
             raise ValueError(f"unknown shape_encoding {self.shape_encoding!r}")
-        if self.block_cache_bytes < 0:
-            raise ValueError(
-                f"block_cache_bytes must be non-negative, got {self.block_cache_bytes}"
-            )
         if self.retry_max_attempts < 1:
             raise ValueError(
                 f"retry_max_attempts must be positive, got {self.retry_max_attempts}"

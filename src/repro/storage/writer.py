@@ -32,7 +32,6 @@ from repro.kvstore.scan import Scan
 from repro.model.trajectory import Trajectory
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
 from repro.obs.profile import QueryProfile, profile_scope
-from repro.obs.tracing import TRACER
 from repro.storage.schema import encode_u64
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -232,9 +231,7 @@ class StorageWriter:
         """
         report = WriteReport()
         ledger = QueryProfile("bulk_load")
-        with profile_scope(ledger), TRACER.span(
-            "storage.bulk_load", batch=len(trajs)
-        ) as sp:
+        with profile_scope(ledger):
             t0 = time.perf_counter()
             prepared = [
                 p for chunk in _point_chunks(trajs, len) for p in self._prepare(chunk)
@@ -269,8 +266,6 @@ class StorageWriter:
                 report.rows_written += len(staged)
                 report.write_seconds += self._send(staged)
             report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
-            if sp is not None:
-                sp.set(rows=report.rows_written, elements=report.elements_encoded)
         report.take_backpressure(ledger)
         self._record_ingest(report)
         return report
@@ -281,9 +276,7 @@ class StorageWriter:
         """Buffered insert: reuse known codes, stage unknown shapes raw."""
         report = WriteReport()
         ledger = QueryProfile("insert")
-        with profile_scope(ledger), TRACER.span(
-            "storage.insert", batch=len(trajs)
-        ) as sp:
+        with profile_scope(ledger):
             t0 = time.perf_counter()
             staged: list[tuple[_Prepared, int, bytes]] = []
             for chunk in _point_chunks(trajs, len):
@@ -316,8 +309,6 @@ class StorageWriter:
                         report.write_seconds += time.perf_counter() - t1
                 report.write_seconds += self._send(staged)
             report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
-            if sp is not None:
-                sp.set(rows=report.rows_written, reencodes=report.reencodes_triggered)
         report.take_backpressure(ledger)
         self._record_ingest(report)
         return report

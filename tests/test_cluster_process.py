@@ -163,7 +163,6 @@ def test_replica_killed_between_window_pages_gives_identical_stream():
 def test_digest_check_covers_window_pages(rpc_ops):
     from repro import obs
 
-    obs.set_metrics_enabled(True)
     mismatches = obs.registry().get("cluster_digest_mismatch_total")
     pc = ProcessCluster(
         nodes=2, replication_factor=2, read_quorum=2, write_quorum=2,

@@ -171,7 +171,6 @@ def test_deadline_spent_in_admission_queue_is_on_the_profile(dataset):
 def test_deadline_exceeded_metric_counts_outcomes(tman, dataset):
     from repro import obs
 
-    obs.set_metrics_enabled(True)
     counter = obs.registry().get("query_deadline_exceeded_total")
     err_before = counter.labels(outcome="error").value
     part_before = counter.labels(outcome="partial").value

@@ -55,12 +55,6 @@ class TestRegion:
         assert len(rows) == 5
         assert snap.rows_scanned == 10 and snap.rows_returned == 5
 
-    def test_scan_limit(self):
-        r = Region(None, None, IOStats(), LSMStore())
-        for i in range(10):
-            r.put(k(i), b"v")
-        assert len(list(r.execute_scan(Scan(limit=3)))) == 3
-
 
 class TestTable:
     def test_put_get_roundtrip(self):

@@ -69,8 +69,6 @@ class TestChunkedStream:
     def test_worker_failure_raised_and_counted(self, pool):
         from repro import obs
 
-        obs.set_metrics_enabled(True)
-
         def gen():
             yield 1
             raise RuntimeError("worker boom")
@@ -91,7 +89,6 @@ class TestChunkedStream:
 
         from repro import obs
 
-        obs.set_metrics_enabled(True)
         entered = threading.Event()
         release = threading.Event()
 
@@ -208,7 +205,6 @@ class TestMultiRangeScan:
         # region's breaker is open; the rows must not depend on which.
         from repro import obs
 
-        obs.set_metrics_enabled(True)
         by_mode = obs.registry().get("kv_multirange_scans_total")
         c, t = _populated(tmp_path / "pool", durable=durable)
         c1, t1 = _populated(tmp_path / "nopool", workers=1, durable=durable)

@@ -202,7 +202,6 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN  # cooldown restarted
 
     def test_state_gauge_exported(self):
-        obs.set_metrics_enabled(True)
         breaker, _ = self._breaker(threshold=1)
         breaker.record_failure()
         gauge = obs.registry().get("kv_breaker_state")

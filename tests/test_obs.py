@@ -1,10 +1,10 @@
 """Tests for the unified observability layer (``repro.obs``).
 
-Unit tests construct private :class:`MetricsRegistry` / :class:`Tracer`
-instances so they cannot interfere with the process-wide singletons the
-instrumented modules hold handles to; the integration tests at the bottom
-exercise those singletons against a real deployment and restore their
-state afterwards.
+Unit tests construct private :class:`MetricsRegistry` instances so they
+cannot interfere with the process-wide singletons the instrumented modules
+hold handles to; the integration tests exercise those singletons against a
+real deployment and restore their state afterwards, and the Chrome-trace
+tests render the profiles of real queries.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from repro.obs import (
     MetricError,
     MetricsRegistry,
     SlowQueryLog,
-    Tracer,
-    spans_from_export,
+    chrome_trace,
     to_json,
     to_prometheus,
     validate_snapshot,
@@ -98,18 +97,6 @@ class TestRegistry:
         reg.gauge("g", callback=lambda: 2)
         assert reg.get("g").value == 2.0
 
-    def test_disabled_mode_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("c")
-        h = reg.histogram("h")
-        c.inc()
-        h.observe(5)
-        assert c.value == 0.0
-        assert h.count == 0
-        reg.set_enabled(True)
-        c.inc()
-        assert c.value == 1.0
-
     def test_reset_keeps_handles_valid(self, reg):
         c = reg.counter("c")
         c.inc(5)
@@ -178,66 +165,6 @@ class TestHistogram:
             reg.histogram("h1", growth=1.0)
         with pytest.raises(MetricError):
             reg.histogram("h2", base=0.0)
-
-
-class TestTracer:
-    def test_nesting_parent_ids(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert inner.parent_id == outer.span_id
-            assert tracer.current_span_id() == outer.span_id
-        assert tracer.current_span_id() is None
-        spans = {s.name: s for s in tracer.spans()}
-        assert spans["outer"].parent_id is None
-        assert spans["inner"].parent_id == spans["outer"].span_id
-
-    def test_export_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("a", color="red"):
-            with tracer.span("b"):
-                pass
-        doc = json.loads(json.dumps(tracer.export()))
-        back = spans_from_export(doc)
-        assert [s.name for s in back] == [s.name for s in tracer.spans()]
-        by_name = {s.name: s for s in back}
-        assert by_name["b"].parent_id == by_name["a"].span_id
-        assert by_name["a"].attrs == {"color": "red"}
-
-    def test_add_span_parents_to_open_span(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            rec = tracer.add_span("stage", start=0.0, duration=0.5)
-        assert rec.parent_id == outer.span_id
-
-    def test_chrome_export(self):
-        tracer = Tracer()
-        with tracer.span("q"):
-            tracer.add_span("stage", start=0.0, duration=0.001, attrs={"rows": 5})
-        doc = tracer.to_chrome()
-        assert doc["displayTimeUnit"] == "ms"
-        assert len(doc["traceEvents"]) == 2
-        for event in doc["traceEvents"]:
-            assert event["ph"] == "X"
-            assert event["ts"] >= 0
-            assert event["pid"] == 1
-        # Round-trips through JSON (what --trace-out writes).
-        json.loads(json.dumps(doc))
-
-    def test_disabled_yields_none(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("x") as record:
-            assert record is None
-        assert tracer.add_span("y", 0.0, 1.0) is None
-        assert len(tracer) == 0
-
-    def test_capacity_bound(self):
-        tracer = Tracer(capacity=4)
-        for i in range(10):
-            with tracer.span(f"s{i}"):
-                pass
-        assert len(tracer) == 4
-        assert [s.name for s in tracer.spans()] == ["s6", "s7", "s8", "s9"]
 
 
 class TestSlowQueryLog:
@@ -340,24 +267,55 @@ def demo_tman():
     tman.bulk_load(data)
     yield tman, data
     tman.close()
-    obs.set_metrics_enabled(True)
     obs.set_slow_query_ms(None)
     obs.reset_all()
 
 
+def _run_queries(tman, data):
+    """One TRQ, SRQ, IDT and STRQ around ``data[0]``; returns the results."""
+    from repro.model import TimeRange
+
+    tr = TimeRange(data[0].time_range.start, data[0].time_range.end)
+    return [
+        tman.temporal_range_query(tr),
+        tman.spatial_range_query(data[0].mbr),
+        tman.id_temporal_query(data[0].oid, tr),
+        tman.st_range_query(data[0].mbr, tr),
+    ]
+
+
+# Timestamps and durations are rounded to 1e-3 us; a child may overhang its
+# parent's interval by that rounding, and by no more.
+_ROUNDING_US = 0.01
+
+
+def _nest(events: list[dict]) -> list[tuple[dict, list[tuple[dict, list[dict]]]]]:
+    """``[(query event, [(pipeline.run event, [stage events])])]`` in
+    document order, asserting every event lies inside its parent's interval.
+    """
+    tree: list[tuple[dict, list]] = []
+    for event in events:
+        if event["name"].startswith("query."):
+            tree.append((event, []))
+            continue
+        query, runs = tree[-1]
+        if event["name"] == "pipeline.run":
+            parent = query
+            runs.append((event, []))
+        else:
+            assert event["name"].startswith("stage."), event
+            parent, stages = runs[-1]
+            stages.append(event)
+        assert event["tid"] == parent["tid"]
+        assert event["ts"] >= parent["ts"] - _ROUNDING_US
+        assert event["ts"] + event["dur"] <= parent["ts"] + parent["dur"] + _ROUNDING_US
+    return tree
+
+
 class TestIntegration:
-    def _run_queries(self, tman, data):
-        from repro.model import TimeRange
-
-        tr = data[0].time_range
-        tman.temporal_range_query(TimeRange(tr.start, tr.end))
-        tman.spatial_range_query(data[0].mbr)
-        tman.id_temporal_query(data[0].oid, TimeRange(tr.start, tr.end))
-        tman.st_range_query(data[0].mbr, TimeRange(tr.start, tr.end))
-
     def test_registry_populated_across_layers(self, demo_tman):
         tman, data = demo_tman
-        self._run_queries(tman, data)
+        _run_queries(tman, data)
         snap = obs.snapshot()
         assert validate_snapshot(snap) == []
         populated = {
@@ -375,7 +333,7 @@ class TestIntegration:
 
     def test_query_latency_labeled_by_type(self, demo_tman):
         tman, data = demo_tman
-        self._run_queries(tman, data)
+        _run_queries(tman, data)
         lat = obs.registry().get("query_latency_ms")
         assert lat.labels(type="TemporalRangeQuery").count >= 1
         assert lat.labels(type="SpatialRangeQuery").count >= 1
@@ -385,46 +343,100 @@ class TestIntegration:
 
     def test_trace_spans_nest_query_over_pipeline(self, demo_tman):
         tman, data = demo_tman
-        obs.tracer().clear()
-        self._run_queries(tman, data)
-        spans = obs.tracer().spans()
-        by_id = {s.span_id: s for s in spans}
-        pipeline_spans = [s for s in spans if s.name == "pipeline.run"]
-        assert pipeline_spans
-        for ps in pipeline_spans:
-            assert by_id[ps.parent_id].name in ("query.execute", "query.count")
-        stage_spans = [s for s in spans if s.name.startswith("stage.")]
-        assert stage_spans
-        for ss in stage_spans:
-            assert by_id[ss.parent_id].name == "pipeline.run"
-        chrome = obs.tracer().to_chrome()
-        assert len(chrome["traceEvents"]) == len(spans)
+        profiles = [res.profile for res in _run_queries(tman, data)]
+        tree = _nest(chrome_trace(profiles)["traceEvents"])
+        assert len(tree) == len(profiles)
+        for lane, (profile, (query, runs)) in enumerate(zip(profiles, tree), 1):
+            assert query["name"] == "query.execute" and query["tid"] == lane
+            assert query["args"] == {"type": profile.query_type, "plan": profile.plan}
+            assert len(runs) == profile.rounds == 1
+            ((_, stages),) = runs
+            assert [e["name"] for e in stages] == [f"stage.{s.name}" for s in profile.stages]
+            # Back to back: each stage starts where the one before it ended.
+            for before, after in zip(stages, stages[1:]):
+                assert after["ts"] == pytest.approx(
+                    before["ts"] + before["dur"], abs=_ROUNDING_US
+                )
 
     def test_slow_query_log_captures_trace(self, demo_tman):
         tman, data = demo_tman
         obs.set_slow_query_ms(0.0)
-        self._run_queries(tman, data)
+        _run_queries(tman, data)
         entries = obs.slow_query_log().entries()
         assert len(entries) == 4
         assert any("TemporalRangeQuery" in e.query for e in entries)
         assert all(e.trace for e in entries), "entries must carry stage tables"
         assert obs.registry().get("query_slow_total").value == 4
 
-    def test_disabled_metrics_do_not_change_results(self, demo_tman):
+
+class TestChromeTrace:
+    def test_topk_has_one_pipeline_run_per_round(self, demo_tman):
+        from repro.query.types import TopKSimilarityQuery
+
+        tman, data = demo_tman
+        profile = tman.query(TopKSimilarityQuery(data[0], 10)).profile
+        assert profile.rounds >= 2
+        ((query, runs),) = _nest(chrome_trace([profile])["traceEvents"])
+        assert query["name"] == "query.execute"
+        assert len(runs) == profile.rounds
+        starts = [run["ts"] for run, _ in runs]
+        assert starts == sorted(starts)
+
+    def test_count_query_top_event_is_query_count(self, demo_tman):
         from repro.model import TimeRange
+        from repro.query.types import TemporalRangeQuery
 
         tman, data = demo_tman
         tr = data[0].time_range
-        enabled = tman.temporal_range_query(TimeRange(tr.start, tr.end))
-        obs.set_metrics_enabled(False)
-        spans_before = len(obs.tracer())
-        disabled = tman.temporal_range_query(TimeRange(tr.start, tr.end))
-        obs.set_metrics_enabled(True)
-        assert sorted(t.tid for t in disabled.trajectories) == sorted(
-            t.tid for t in enabled.trajectories
+        res = tman.count(TemporalRangeQuery(TimeRange(tr.start, tr.end)))
+        ((query, runs),) = _nest(chrome_trace([res.profile])["traceEvents"])
+        assert query["name"] == "query.count"
+        assert runs[0][1][-1]["name"] == "stage.count"
+
+    def test_document_round_trips_through_json(self, demo_tman):
+        tman, data = demo_tman
+        doc = chrome_trace([res.profile for res in _run_queries(tman, data)])
+        assert doc["displayTimeUnit"] == "ms"
+        assert all(e["ph"] == "X" and e["pid"] == 1 for e in doc["traceEvents"])
+        assert min(e["ts"] for e in doc["traceEvents"]) == 0.0
+        assert json.loads(json.dumps(doc)) == doc
+
+    def test_process_mode_gives_the_same_event_names(self, demo_tman, tmp_path):
+        import dataclasses
+
+        from repro import TMan
+
+        tman, data = demo_tman
+        config = dataclasses.replace(
+            tman.config, cluster_mode="processes", cluster_nodes=1,
+            replication_factor=1, read_quorum=1, write_quorum=1,
+            cluster_data_dir=str(tmp_path),
         )
-        assert disabled.candidates == enabled.candidates
-        assert len(obs.tracer()) == spans_before, "no spans while disabled"
+        with TMan(config) as remote:
+            remote.bulk_load(data)
+            in_processes = [res.profile for res in _run_queries(remote, data)]
+        in_threads = [res.profile for res in _run_queries(tman, data)]
+        for threads, processes in zip(in_threads, in_processes):
+            assert [e["name"] for e in chrome_trace([threads])["traceEvents"]] == [
+                e["name"] for e in chrome_trace([processes])["traceEvents"]
+            ]
+
+    def test_profile_log_entries_carry_no_round_records(self, demo_tman):
+        tman, data = demo_tman
+        obs.profile_log().clear()
+        results = _run_queries(tman, data)
+        entries = obs.profile_log().entries()
+        assert len(entries) == len(results)
+        for res, entry in zip(results, entries):
+            assert res.profile.round_records and entry.round_records == ()
+            assert entry.rounds == res.profile.rounds
+        names = {e["name"] for e in chrome_trace(entries)["traceEvents"]}
+        assert names == {"query.execute"}
+
+    def test_unfinished_profile_is_left_out(self):
+        assert chrome_trace([obs.QueryProfile("shed")]) == {
+            "traceEvents": [], "displayTimeUnit": "ms",
+        }
 
 
 class TestHistogramExemplars:
@@ -507,49 +519,6 @@ class TestLabelCardinalityGuard:
         assert reg.max_label_series == 100
         with pytest.raises(MetricError):
             reg.set_max_label_series(0)
-
-
-class TestTracerConcurrency:
-    def test_export_consistent_under_concurrent_spans(self):
-        """Scheduler worker threads emit spans concurrently; export must
-        stay well-formed (every parent_id resolvable, no torn records)."""
-        tracer = Tracer(capacity=10_000)
-        barrier = threading.Barrier(4)
-
-        def worker(tid: int) -> None:
-            barrier.wait()
-            for i in range(50):
-                with tracer.span(f"outer-{tid}-{i}"):
-                    with tracer.span(f"inner-{tid}-{i}"):
-                        pass
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        spans = spans_from_export(tracer.export())
-        assert len(spans) == 4 * 50 * 2
-        by_id = {s.span_id: s for s in spans}
-        inners = [s for s in spans if s.name.startswith("inner")]
-        assert len(inners) == 200
-        for inner in inners:
-            parent = by_id[inner.parent_id]
-            # nesting is per-thread: the parent is the matching outer span
-            assert parent.name == inner.name.replace("inner", "outer")
-        json.loads(json.dumps(tracer.to_chrome()))  # chrome export intact
-
-    def test_spans_from_scheduler_threads_attributed_during_query(self, demo_tman):
-        tman, data = demo_tman
-        from repro.model import TimeRange
-
-        obs.tracer().clear()
-        tr = data[0].time_range
-        tman.temporal_range_query(TimeRange(tr.start, tr.end))
-        spans = obs.tracer().spans()
-        assert any(s.name == "query.execute" for s in spans)
-        exported = spans_from_export(obs.tracer().export())
-        assert len(exported) == len(spans)
 
 
 class TestSlowQueryLogEviction:

@@ -158,14 +158,13 @@ def test_reexports_are_the_defining_objects():
 
     import repro.obs
     import repro.runtime
-    from repro.obs import tracing
+    from repro.obs.export import chrome_trace
     from repro.runtime.admission import AdmissionController
 
     assert repro.TMan is TMan
     assert repro.kvstore.Cluster is Cluster
     assert repro.cluster.ProcessCluster is ProcessCluster
-    assert repro.obs.Tracer is tracing.Tracer
-    assert repro.obs.tracer() is repro.obs.TRACER is tracing.TRACER
+    assert repro.obs.chrome_trace is chrome_trace
     assert repro.runtime.AdmissionController is AdmissionController
 
 

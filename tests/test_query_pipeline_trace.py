@@ -162,7 +162,9 @@ class TestPublicPipeline:
         assert outer.rounds == 2
         names = tman.explain(q).split(": ", 1)[1].split(" -> ")
         assert [s.name for s in outer.stages] == names
-        assert outer.stage("collect") is outer["collect"]  # get, not create
+        assert "collect" in outer and "top_k" not in outer  # reads never create
+        with pytest.raises(KeyError):
+            outer["top_k"]
         assert {s.name: s.rows_out for s in outer.stages} == {
             name: 2 * rows for name, rows in first.items()
         }

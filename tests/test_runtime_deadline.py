@@ -108,7 +108,6 @@ class TestRetryDeadlineCap:
     def test_capped_retries_surface_in_metrics(self):
         from repro import obs
 
-        obs.set_metrics_enabled(True)
         clock = FakeClock()
         sleeps: list[float] = []
         policy = self._policy(clock, sleeps)

@@ -108,7 +108,6 @@ NON_DEFAULT = dict(
     st_window_budget=1024,
     kv_workers=2,
     split_rows=1234,
-    block_cache_bytes=1 << 20,
     retry_max_attempts=3,
     retry_base_ms=2.0,
     retry_max_ms=20.0,
