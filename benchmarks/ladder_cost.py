@@ -59,7 +59,7 @@ def main() -> None:
 
     serializer = RowSerializer()
     data = tdrive_like(1000, seed=42, max_points=50)
-    rows = [serializer.encode(t, 0) for t in data]
+    rows = [serializer.encode(t) for t in data]
     for name, fn in (
         ("header", serializer.decode_header),
         ("feature", serializer.decode_feature),

@@ -52,7 +52,6 @@ def _tr_store(name, period, data):
     store = SingleIndexStore(
         name,
         index_value_fn=lambda t: index.index_time_range(t.time_range),
-        tr_value_fn=lambda t: index.index_time_range(t.time_range),
         num_shards=2,
         kv_workers=1,
     )
@@ -67,11 +66,9 @@ def _tr_store(name, period, data):
 
 def _xzt_store(data):
     index = XZTIndex(period_seconds=7 * 24 * HOUR, max_level=16)
-    tr_slot = TRIndex()
     store = SingleIndexStore(
         "xzt",
         index_value_fn=lambda t: index.index_time_range(t.time_range),
-        tr_value_fn=lambda t: tr_slot.index_time_range(t.time_range),
         num_shards=2,
         kv_workers=1,
     )

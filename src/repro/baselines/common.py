@@ -49,7 +49,8 @@ def scan_query(
     ``row_filter`` runs inside the regions when ``push_down`` is set, else
     client-side after the scan; ``refine`` turns the surviving rows into
     trajectories (``Decode``, or a system's own refine step).  The result's
-    counters are read off the query's profile.
+    counters are read off the query's profile, which is finished (wall
+    time, start, plan) like an executor query's.
     """
     with query_profile() as profile:
         t0 = time.perf_counter()
@@ -59,6 +60,7 @@ def scan_query(
             stages.append(PushDownFilter(row_filter))
         trajs = Pipeline(stages + [refine], Collect()).run()
         elapsed = (time.perf_counter() - t0) * 1000
+        profile.finish(elapsed, plan=plan, started=t0)
         return QueryResult.from_profile(profile, trajs, elapsed, plan)
 
 
@@ -69,14 +71,12 @@ class SingleIndexStore:
         self,
         name: str,
         index_value_fn: Callable[[Trajectory], int],
-        tr_value_fn: Callable[[Trajectory], int],
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
     ):
         self.name = name
         self._index_value = index_value_fn
-        self._tr_value = tr_value_fn
         self.push_down = push_down
         self.cluster = Cluster(workers=kv_workers)
         self.table = self.cluster.create_table(f"{name}_primary")
@@ -95,7 +95,7 @@ class SingleIndexStore:
         for traj in trajs:
             value = self._index_value(traj)
             key = self.keys.primary_key(encode_u64(value), traj.tid)
-            self.table.put(key, self.serializer.encode(traj, self._tr_value(traj)))
+            self.table.put(key, self.serializer.encode(traj))
             self.row_count += 1
         return self.row_count
 

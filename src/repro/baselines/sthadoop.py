@@ -143,6 +143,7 @@ class STHadoop:
                 if traj_pred is None or traj_pred(traj):
                     out.append(traj)
             elapsed = (time.perf_counter() - t0) * 1000
+            profile.finish(elapsed, plan="sthadoop/job", started=t0)
             result = QueryResult.from_profile(profile, out, elapsed, "sthadoop/job")
         result.simulated_ms += self.job_overhead_ms
         return result

@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
-from repro.core.temporal import TRIndex
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -39,12 +38,9 @@ class TManXZT:
         push_down: bool = True,
     ):
         self.xzt = XZTIndex(xzt_period_seconds, max_level, origin)
-        # The row format stores a TR value; reuse a TR index for that slot.
-        self._tr = TRIndex(origin=origin)
         self._store = SingleIndexStore(
             "tman_xzt",
             index_value_fn=lambda t: self.xzt.index_time_range(t.time_range),
-            tr_value_fn=lambda t: self._tr.index_time_range(t.time_range),
             num_shards=num_shards,
             kv_workers=kv_workers,
             push_down=push_down,
@@ -73,18 +69,15 @@ class TManXZ:
         self,
         boundary: MBR,
         max_resolution: int = 16,
-        origin: float = 0.0,
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
     ):
         self.grid = QuadTreeGrid(boundary, max_resolution)
         self.xz2 = XZ2Index(self.grid)
-        self._tr = TRIndex(origin=origin)
         self._store = SingleIndexStore(
             "tman_xz",
             index_value_fn=self.xz2.index_trajectory,
-            tr_value_fn=lambda t: self._tr.index_time_range(t.time_range),
             num_shards=num_shards,
             kv_workers=kv_workers,
             push_down=push_down,

@@ -21,7 +21,6 @@ from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
-from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
 from repro.model.mbr import MBR
@@ -55,7 +54,6 @@ class TrajMesa:
         self.grid = QuadTreeGrid(boundary, max_resolution)
         self.xzt = XZTIndex(xzt_period_seconds, 16, origin)
         self.xz2 = XZ2Index(self.grid)
-        self._tr_slot = TRIndex(origin=origin)  # row format's TR slot only
         self.st_period_seconds = st_period_seconds
         self.origin = origin
 
@@ -80,7 +78,7 @@ class TrajMesa:
     def bulk_load(self, trajs: Sequence[Trajectory]) -> int:
         """Write every trajectory into all four index tables (redundantly)."""
         for traj in trajs:
-            row = self.serializer.encode(traj, self._tr_slot.index_time_range(traj.time_range))
+            row = self.serializer.encode(traj)
             xzt_value = self.xzt.index_time_range(traj.time_range)
             xz2_value = self.xz2.index_trajectory(traj)
             period = int(

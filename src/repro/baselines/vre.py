@@ -18,7 +18,6 @@ from typing import Sequence
 
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.start_time import StartTimeSegmentIndex
-from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
 from repro.model.timerange import TimeRange
@@ -46,7 +45,6 @@ class VRE:
         self.primary = self.cluster.create_table("vre_segments")
         self.by_tid = self.cluster.create_table("vre_tid")
         self.serializer = RowSerializer(TrajectoryCodec())
-        self._tr_slot = TRIndex(origin=origin)
         self.segment_count = 0
         self.trajectory_count = 0
 
@@ -77,9 +75,7 @@ class VRE:
         for traj in trajs:
             segments = self.index.split(traj)
             for seq, segment in enumerate(segments):
-                row = self.serializer.encode(
-                    segment, self._tr_slot.index_time_range(segment.time_range)
-                )
+                row = self.serializer.encode(segment)
                 pkey = self._primary_key(segment.time_range.start, traj.tid, seq)
                 self.primary.put(pkey, row)
                 self.by_tid.put(self._tid_key(traj.tid, seq), pkey)
@@ -125,4 +121,5 @@ class VRE:
                     out.append(concat_trajectories(parts))
 
             elapsed = (time.perf_counter() - t0) * 1000
+            profile.finish(elapsed, plan="vre/start-time", started=t0)
             return QueryResult.from_profile(profile, out, elapsed, "vre/start-time")

@@ -13,7 +13,8 @@ stops being asked for, and :meth:`BlockCache.drop_file` reclaims its
 bytes eagerly when the owning SSTable is released.
 
 Hit/miss/eviction counters and the resident-bytes/entries gauges are
-registered in :mod:`repro.obs` as ``kv_blockcache_*``.
+registered in :mod:`repro.obs` as ``kv_blockcache_*`` when this module is
+imported; the gauges sum every live cache.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict, namedtuple
+from _weakrefset import WeakSet  # weakref.WeakSet, without loading weakref
 from collections.abc import Callable
 
 from repro.obs import counter as _obs_counter, gauge as _obs_gauge
@@ -34,6 +36,26 @@ _MISSES = _obs_counter(
 )
 _EVICTIONS = _obs_counter(
     "kv_blockcache_evictions_total", "SSTable blocks evicted by the LRU policy"
+)
+
+_live: WeakSet = WeakSet()  # every BlockCache not yet collected
+_live_lock = threading.Lock()
+
+
+def _resident(measure: Callable[["BlockCache"], int]) -> float:
+    with _live_lock:
+        return float(sum(measure(cache) for cache in _live))
+
+
+_obs_gauge(
+    "kv_blockcache_bytes",
+    "Bytes resident in the SSTable block caches",
+    callback=lambda: _resident(lambda cache: cache._bytes),
+)
+_obs_gauge(
+    "kv_blockcache_entries",
+    "Blocks resident in the SSTable block caches",
+    callback=lambda: _resident(len),
 )
 
 _file_tokens = itertools.count()
@@ -86,16 +108,8 @@ class BlockCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        _obs_gauge(
-            "kv_blockcache_bytes",
-            "Bytes resident in the SSTable block cache",
-            callback=lambda: float(self._bytes),
-        )
-        _obs_gauge(
-            "kv_blockcache_entries",
-            "Blocks resident in the SSTable block cache",
-            callback=lambda: float(len(self._blocks)),
-        )
+        with _live_lock:
+            _live.add(self)
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -35,7 +35,12 @@ points, recovered by :meth:`DurableLSMStore.__init__`):
 Format stamp: every durable data directory that holds stores (a cluster's
 region root, a worker's node directory) carries a ``FORMAT`` file with
 :data:`FORMAT`, written by :func:`claim_format` when the directory is
-created and checked by it before any store under it is served.
+created and checked by it before any store under it is served.  The
+``<table>/region-NNNN`` store directories below a root carry no stamp of
+their own: a store is only ever opened through its root's builder
+(``DurableStores`` or a worker's node), which claims the root first, and
+every store under one root is written by the same build, so one stamp per
+root states the format of all of them.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ _TORN_SKIPPED = _obs_counter(
 # (storage/serializer.py), the key and mapping-value layouts
 # (storage/schema.py) and the engine's files.  Bump it with any of them; a
 # saved deployment's config.json states it too (storage/persistence.py).
-FORMAT = 4
+FORMAT = 5
 FORMAT_FILE = "FORMAT"
 
 

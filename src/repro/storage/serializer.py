@@ -5,16 +5,15 @@ Figure 11 of the paper stores per row: ``oid``, ``tid``, compressed
 front-loads a fixed-size header (time range + MBR) so push-down filters can
 evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
-compressed point arrays.  One layout, version 4::
+compressed point arrays.  One layout, version 5::
 
-    magic(1) version(1)=4
+    magic(1) version(1)=5
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
-    tr_value varint
     oid (varint len + utf8)   tid (varint len + utf8)
     feat_len varint           -- byte length of the feature section (O(1) skip)
     features: LEB128 values, no count prefixes (n_reps implies every length):
               n_reps
-              rep indexes (n_reps, delta)
+              rep indexes (n_reps - 1, delta; the first index is always 0)
               rep x, rep y (n_reps each, quantized, delta+zigzag)
               per span k: four offsets pushing its box outward from its two
               quantized reps: min(qx_k, qx_k+1) - floor(x1*S),
@@ -24,11 +23,17 @@ compressed point arrays.  One layout, version 4::
             codec id(1) | varint n | varint len(t) | varint len(x) | t | x | y
             (every codec id decodes through one vectorized path)
 
-The point blob's first t, x and y values are stored relative to
-``rint(t_start * 1000)``, ``rint(x1 * S)`` and ``rint(y1 * S)``, read from
-this row's own header (:meth:`TrajectoryCodec.encode_columns`): for x and y
-these are the quantized minima, so the first deltas are small and
-non-negative.
+The row holds no TR index value: it is a function of the header's time
+range (Eq. 1), which is the exact f64 range the keys were built from, so a
+rewrite recomputes it from :attr:`RowHeader.time_range` (never from the
+decoded points, whose times sit on the millisecond grid).
+
+The point blob's first t, x and y values and the feature section's first
+rep x and y are stored relative to ``rint(t_start * 1000)``,
+``rint(x1 * S)`` and ``rint(y1 * S)``, read from this row's own header
+(:func:`_point_origin`; :meth:`TrajectoryCodec.encode_columns` for the
+blob): for x and y these are the quantized minima, so the first deltas are
+small and non-negative.
 
 Feature values are quantized on the point codec's coordinate grid
 (``S = COORD_SCALE``): a representative is ``rint(x*S)``, exactly what the
@@ -40,8 +45,8 @@ non-negative; the encoder checks it.  Representatives carry
 no timestamp: no bound reads one.
 
 A row with any other version byte is rejected as corrupt — rows written by
-version 3 (a length-prefixed blob with a fixed-width head, a count in
-front of each stream and absolute first values) included; the deployment's
+version 4 (a ``tr_value`` varint after the header, the first rep index and
+absolute first reps in the feature section) included; the deployment's
 format stamp (``storage/persistence.py``) refuses such a deployment before
 any row is read — as is any row whose bytes do not parse: every decode
 entry point raises :class:`CorruptionError` and nothing else.
@@ -67,7 +72,7 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 
 MAGIC = 0x54  # 'T'
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
 
 
@@ -77,7 +82,6 @@ class RowHeader:
 
     time_range: TimeRange
     mbr: MBR
-    tr_value: int
     oid: str
     tid: str
     body_offset: int  # where the features section starts
@@ -88,7 +92,6 @@ class StoredTrajectory:
     """A fully decoded row."""
 
     trajectory: Trajectory
-    tr_value: int
     feature: Optional[DPFeature]
 
 
@@ -109,11 +112,11 @@ class RowSerializer:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode(self, traj: Trajectory, tr_value: int) -> bytes:
+    def encode(self, traj: Trajectory) -> bytes:
         """Serialize one trajectory row."""
-        return self.encode_many([traj], [tr_value])[0]
+        return self.encode_many([traj])[0]
 
-    def encode_many(self, trajs: Sequence[Trajectory], tr_values: Sequence[int]) -> list[bytes]:
+    def encode_many(self, trajs: Sequence[Trajectory]) -> list[bytes]:
         """Serialize a batch of rows: DP-features and point blobs come from
         segment-wise kernels over the batch's concatenated columns; only the
         framing (header, ids, length prefixes) is assembled row by row."""
@@ -125,25 +128,25 @@ class RowSerializer:
             np.concatenate([getattr(block, col) for block in blocks])
             for col in ("ts", "xs", "ys")
         )
-        features = _encode_features(xs, ys, offsets, self.dp_epsilon)
         heads = np.array(
             [(traj.time_range.start, traj.time_range.end, *traj.mbr.as_tuple())
              for traj in trajs],
             dtype=np.float64,
         )
+        # Blob and features count their first values from the origin each
+        # row's header states (_point_origin).
+        origins = np.rint(
+            heads[:, [0, 2, 3]] * (TIME_SCALE, COORD_SCALE, COORD_SCALE)
+        ).astype(np.int64)
+        features = _encode_features(xs, ys, offsets, self.dp_epsilon, origins[:, 1:])
         # The configured codec packs the point streams (its compression
         # ratio is orthogonal to the feature layout); decode_array_block
-        # reads every codec id back as columns.  Each blob starts from the
-        # origin its row's header states (_point_origin).
-        origins = np.rint(heads[:, [0, 2, 3]] * (TIME_SCALE, COORD_SCALE, COORD_SCALE))
-        blobs = self.codec.encode_columns(ts, xs, ys, offsets, origins.astype(np.int64))
+        # reads every codec id back as columns.
+        blobs = self.codec.encode_columns(ts, xs, ys, offsets, origins)
         rows = []
-        for traj, tr_value, head, feat, blob in zip(
-            trajs, tr_values, heads.tolist(), features, blobs
-        ):
+        for traj, head, feat, blob in zip(trajs, heads.tolist(), features, blobs):
             out = bytearray([MAGIC, VERSION])
             out += _HEADER.pack(*head)
-            encode_varint(tr_value, out)
             for text in (traj.oid, traj.tid):
                 raw = text.encode("utf-8")
                 encode_varint(len(raw), out)
@@ -164,13 +167,10 @@ class RowSerializer:
         if buf[1] != VERSION:
             raise CorruptionError(f"unsupported row version {buf[1]}")
         t_start, t_end, x1, y1, x2, y2 = _HEADER.unpack_from(buf, 2)
-        tr_value, pos = _read_varint(buf, 2 + _HEADER.size)
         try:  # an inverted range / MBR or bad utf-8 is a corrupt row
-            oid, pos = _read_text(buf, pos)
+            oid, pos = _read_text(buf, 2 + _HEADER.size)
             tid, pos = _read_text(buf, pos)
-            return RowHeader(
-                TimeRange(t_start, t_end), MBR(x1, y1, x2, y2), tr_value, oid, tid, pos
-            )
+            return RowHeader(TimeRange(t_start, t_end), MBR(x1, y1, x2, y2), oid, tid, pos)
         except ValueError as exc:
             raise CorruptionError(f"corrupt row header: {exc}") from exc
 
@@ -185,7 +185,7 @@ class RowSerializer:
         """Fully decode a row back into a trajectory."""
         header = self.decode_header(buf)
         feature, end = _decode_feature(buf, header)
-        return StoredTrajectory(self._decode_points_at(buf, end, header), header.tr_value, feature)
+        return StoredTrajectory(self._decode_points_at(buf, end, header), feature)
 
     def decode_trajectory(
         self, buf: bytes, header: Optional[RowHeader] = None
@@ -199,7 +199,7 @@ class RowSerializer:
         if header is None:
             header = self.decode_header(buf)
         _, end = _feature_span(buf, header)
-        return StoredTrajectory(self._decode_points_at(buf, end, header), header.tr_value, None)
+        return StoredTrajectory(self._decode_points_at(buf, end, header), None)
 
     def _decode_points_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
         try:
@@ -228,15 +228,18 @@ def _point_origin(header: RowHeader) -> tuple[int, int, int]:
 # -- feature codec ------------------------------------------------------
 
 
-def _encode_features(xs, ys, offsets, epsilon: float) -> list[bytes]:
+def _encode_features(xs, ys, offsets, epsilon: float, origins) -> list[bytes]:
     """Every row's feature section from one DP pass and one LEB128 pass over
     the batch: each value is scattered to its place in its row's section
-    (``n_reps``, rep indexes, rep x, rep y, four box offsets per span), so a
-    row's section is one slice of the encoded bytes."""
+    (``n_reps``, rep indexes but the first, rep x, rep y, four box offsets
+    per span), so a row's section is one slice of the encoded bytes.
+    ``origins`` holds each row's quantized ``(x1, y1)``, which its first rep
+    x and y are counted from."""
     reps, rep_off, boxes = dp_feature_columns(xs, ys, offsets, epsilon)
     n = np.diff(rep_off)
-    row_at = np.concatenate(([0], np.cumsum(7 * n - 3)))  # 1 + 3n + 4(n-1) values
+    row_at = np.concatenate(([0], np.cumsum(7 * n - 4)))  # n + 2n + 4(n-1) values
     rep_row = np.repeat(np.arange(len(n)), n)
+    firsts = rep_off[:-1]
     # reps quantized on the point grid: decoded reps == decoded points[idx]
     qx, qy = (np.rint(col[reps] * COORD_SCALE).astype(np.int64) for col in (xs, ys))
     # box k spans reps k and k+1 of its row; its edges go outward from them
@@ -255,14 +258,20 @@ def _encode_features(xs, ys, offsets, epsilon: float) -> list[bytes]:
     offs = np.stack((lo_x - x1, lo_y - y1, x2 - hi_x, y2 - hi_y), axis=1)
     if (offs < 0).any():
         raise ValueError("a span box does not hold its representatives")
+    index_deltas = delta_encode_array(reps - offsets[rep_row], rep_off)
+    if index_deltas[firsts].any():
+        raise ValueError("a row's first representative is not its first point")
     flat = np.empty(int(row_at[-1]), dtype=np.uint64)
     flat[row_at[:-1]] = n
-    at = row_at[rep_row] + 1 + np.arange(len(reps)) - rep_off[rep_row]
-    flat[at] = delta_encode_array(reps - offsets[rep_row], rep_off)
-    for k, q in enumerate((qx, qy), 1):
-        flat[at + k * n[rep_row]] = zigzag_encode_array(delta_encode_array(q, rep_off))
+    at = row_at[rep_row] + np.arange(len(reps)) - rep_off[rep_row]  # + rep's rank
+    later = np.delete(np.arange(len(reps)), firsts)
+    flat[at[later]] = index_deltas[later]
+    for k, (q, origin) in enumerate(((qx, origins[:, 0]), (qy, origins[:, 1])), 1):
+        deltas = delta_encode_array(q, rep_off)
+        deltas[firsts] -= origin
+        flat[at + k * n[rep_row]] = zigzag_encode_array(deltas)
     box_row = rep_row[lo]
-    box_at = row_at[box_row] + 1 + 3 * n[box_row] + 4 * (lo - rep_off[box_row])
+    box_at = row_at[box_row] + 3 * n[box_row] + 4 * (lo - rep_off[box_row])
     flat[box_at[:, None] + np.arange(4)] = offs
     data, ends = leb128_encode(flat)
     buf = data.tobytes()
@@ -301,16 +310,20 @@ def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
     if shift or not vals:
         raise CorruptionError("truncated feature section")
     n = vals[0]  # a 1-point trajectory repeats its rep: never fewer than 2
-    if n < 2 or len(vals) != 7 * n - 3:
+    if n < 2 or len(vals) != 7 * n - 4:
         raise CorruptionError("corrupt feature section: length disagrees with n_reps")
+    try:
+        _, ox, oy = _point_origin(header)
+    except (ValueError, OverflowError) as exc:  # a NaN or infinite header value
+        raise CorruptionError(f"corrupt row header: {exc}") from exc
     qx, qy = (
-        list(accumulate([(u >> 1) ^ -(u & 1) for u in vals[at : at + n]]))
-        for at in (n + 1, 2 * n + 1)
+        list(accumulate([(u >> 1) ^ -(u & 1) for u in vals[at : at + n]], initial=o))[1:]
+        for at, o in ((n, ox), (2 * n, oy))
     )
-    off = vals[3 * n + 1 :]
+    off = vals[3 * n :]
     s = _SCALE
     return DPFeature(
-        tuple(accumulate(vals[1 : n + 1])),
+        tuple(accumulate(vals[1:n], initial=0)),
         (tuple([v / s for v in qx]), tuple([v / s for v in qy])),
         (
             tuple([((a if a < b else b) - o) / s for a, b, o in zip(qx, qx[1:], off[0::4])]),

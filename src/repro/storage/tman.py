@@ -27,7 +27,6 @@ from repro.core.st import STIndex
 from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeIndex
 from repro.compression.traj_codec import TrajectoryCodec
-from repro.cluster.process_cluster import ProcessCluster
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.retry import RetryPolicy
 from repro.model.mbr import MBR
@@ -79,6 +78,9 @@ def cluster_from(config: TManConfig) -> Cluster:
     every region with an N-way replicated remote store.
     """
     if config.cluster_mode == "processes":
+        # Imported here: a thread-mode deployment loads no process-cluster code.
+        from repro.cluster.process_cluster import ProcessCluster
+
         return ProcessCluster(
             nodes=config.cluster_nodes,
             replication_factor=config.replication_factor,

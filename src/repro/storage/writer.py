@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVa
 from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeKey
 from repro.kvstore.scan import Scan
+from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
 from repro.obs.profile import QueryProfile, profile_scope
@@ -121,6 +122,9 @@ class WriteReport:
 @dataclass(frozen=True)
 class _Prepared:
     traj: Trajectory
+    # The exact f64 range the row's temporal keys are built from: a stored
+    # row's header holds it; its decoded points sit on the millisecond grid.
+    time_range: TimeRange
     tr_value: int
     key: TShapeKey
 
@@ -147,14 +151,16 @@ class StorageWriter:
         tr: TRIndex = self._t.tr_index
         keys = self._t.tshape_index.index_trajectories(trajs)
         return [
-            _Prepared(traj, tr.index_time_range(traj.time_range), key)
+            _Prepared(traj, traj.time_range, tr.index_time_range(traj.time_range), key)
             for traj, key in zip(trajs, keys)
         ]
 
+    def _prepared(self, traj: Trajectory, time_range: TimeRange, key: TShapeKey) -> _Prepared:
+        """A stored row's entry, keyed by its header's ``time_range``."""
+        return _Prepared(traj, time_range, self._t.tr_index.index_time_range(time_range), key)
+
     def _encode_rows(self, prepared: Sequence[_Prepared]) -> list[bytes]:
-        return self._t.serializer.encode_many(
-            [p.traj for p in prepared], [p.tr_value for p in prepared]
-        )
+        return self._t.serializer.encode_many([p.traj for p in prepared])
 
     def _primary_index_bytes(self, tr_value: int, tshape_value: int) -> bytes:
         primary = self._t.config.primary_index
@@ -174,9 +180,7 @@ class StorageWriter:
         if name == "interval":
             # End-period-keyed LIT-style value; unlike the TR value it is
             # not precomputed in _Prepared because only this table uses it.
-            return encode_u64(
-                self._t.interval_index.index_time_range(p.traj.time_range)
-            )
+            return encode_u64(self._t.interval_index.index_time_range(p.time_range))
         raise ValueError(f"unexpected secondary index {name!r}")
 
     def _keys(self, p: _Prepared, tshape_value: int) -> tuple[bytes, list[tuple[str, bytes]]]:
@@ -322,7 +326,9 @@ class StorageWriter:
         when the primary row was not present (already deleted or never
         stored).
         """
-        p = self._prepare([traj])[0]
+        return self._delete(self._prepare([traj])[0])
+
+    def _delete(self, p: _Prepared) -> bool:
         final = self._t.index_cache.lookup_final_code(p.key.element_code, p.key.raw_shape)
         if final is None:
             final = p.key.raw_shape
@@ -361,8 +367,9 @@ class StorageWriter:
                 value = self._t.primary_table.get(pkey)
                 if value is None:
                     continue
-                stored = self._t.serializer.decode_trajectory(value)
-                return self.delete(stored.trajectory)
+                _, _, traj, exact = self._decode_row((pkey, value))
+                key = self._t.tshape_index.index_trajectories([traj])[0]
+                return self._delete(self._prepared(traj, exact, key))
         return False
 
     # -- re-encoding -----------------------------------------------------------
@@ -394,7 +401,7 @@ class StorageWriter:
         return rewritten
 
     def _collect_element_rows(self, element_code: int) -> list[tuple]:
-        """``(key, value, decoded row, TShape key)`` of every primary row
+        """``(key, value, trajectory, time range, TShape key)`` of every primary row
         stored under one enlarged element, indexed chunk by chunk."""
         scattered = self._t.config.primary_index != "tshape"
         if not scattered:
@@ -408,20 +415,30 @@ class StorageWriter:
             # Other primaries scatter the element's rows; fall back to a full
             # scan with recomputation (documented, used only by the update path).
             rows = self._t.primary_table.scan(Scan())
-        decoded = (
-            (key, value, self._t.serializer.decode_trajectory(value)) for key, value in rows
-        )
         out = []
-        for chunk in _point_chunks(decoded, lambda row: len(row[2].trajectory)):
-            keys = self._t.tshape_index.index_trajectories([row[2].trajectory for row in chunk])
+        for chunk in _point_chunks(map(self._decode_row, rows), lambda row: len(row[2])):
+            keys = self._t.tshape_index.index_trajectories([row[2] for row in chunk])
             out += [
                 (*row, k) for row, k in zip(chunk, keys)
                 if not scattered or k.element_code == element_code
             ]
         return out
 
+    def _decode_row(
+        self, row: tuple[bytes, bytes]
+    ) -> tuple[bytes, bytes, Trajectory, TimeRange]:
+        """``(key, value, trajectory, time range)`` of one primary row.  The
+        time range is the header's f64 one, which the row's keys were built
+        from: the decoded points' times sit on the millisecond grid and may
+        fall in the next TR period."""
+        key, value = row
+        header = self._t.serializer.decode_header(value)
+        traj = self._t.serializer.decode_trajectory(value, header).trajectory
+        return key, value, traj, header.time_range
+
     def _rewrite_row(
-        self, old_key: bytes, value: bytes, stored, key: TShapeKey, element_code: int,
+        self, old_key: bytes, value: bytes, traj: Trajectory, time_range: TimeRange,
+        key: TShapeKey, element_code: int,
         mapping: dict[int, int], old_mapping: dict[int, int],
     ) -> list[tuple[Table, bytes]]:
         """Put one row under its keys for ``mapping`` (it is stored under
@@ -431,7 +448,7 @@ class StorageWriter:
         final = mapping.get(key.raw_shape)
         if final is None:  # pragma: no cover - mapping covers all element shapes
             return []
-        p = _Prepared(stored.trajectory, stored.tr_value, key)
+        p = self._prepared(traj, time_range, key)
         pack = self._t.tshape_index.pack
         new_key, secondary = self._keys(p, pack(element_code, final))
         if self._t.config.primary_index == "tr":

@@ -3,11 +3,12 @@
 These are the implementations the row codec ran before it was batched
 (simple8b's greedy ``_fits`` loop, recursive Douglas-Peucker with one
 farthest-point search per span), the v2 feature decoder that ran one pass
-per stream, and converters between row versions 2, 3 and 4: versions 2 and
-3 differ only in the feature section, versions 3 and 4 only in the point
-blob.  They live here, not under ``src/``, purely as the oracle the kernels
-are checked against; the converters let rows pinned in version 2
-(``tests/data/ingest_parent/golden.npz``) check version 4 rows.
+per stream, and converters between row versions 2 to 5: versions 2 and 3
+differ only in the feature section, versions 3 and 4 only in the point
+blob, versions 4 and 5 in the ``tr_value`` varint and the feature
+section's first values.  They live here, not under ``src/``, purely as the
+oracle the kernels are checked against; the converters let rows pinned in
+version 2 (``tests/data/ingest_parent/golden.npz``) check version 5 rows.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def _split_row(row: bytes) -> tuple[bytes, bytes, bytes]:
     """``(head, features, tail)``: everything up to ``feat_len``, the
     feature section, and the rest of the row (the point blob; in versions 2
     and 3 behind its length prefix)."""
-    _, pos = decode_varint(row, 2 + 48)  # tr_value
+    pos = 2 + 48
+    if row[1] < 5:
+        _, pos = decode_varint(row, pos)  # tr_value
     for _ in range(2):  # oid, tid
         n, pos = decode_varint(row, pos)
         pos += n
@@ -300,11 +303,69 @@ def row_v4_to_v3(row: bytes) -> bytes:
     return _join_row(head, 3, features, encode_varints([len(blob)]) + blob)
 
 
-def row_v2_to_v4(row: bytes) -> bytes:
-    """A version 2 row (the golden fixtures' version) as a version 4 row."""
-    return row_v3_to_v4(row_v2_to_v3(row))
+# -- row versions 4 and 5 ----------------------------------------------------
+#
+# Both versions share the f64 header, the ids and the point blob byte for
+# byte.  v4: a ``tr_value`` varint between the header and the ids; the
+# feature section holds every rep index (the first is always 0) and its
+# first rep x / y absolute.  v5: no ``tr_value`` (a function of the
+# header's time range); no first rep index; the first rep x / y counted from
+# the header's quantized x1 / y1, the blob's origin.
 
 
-def row_v4_to_v2(row: bytes) -> bytes:
-    """A version 4 row as the version 2 row of the same trajectory."""
-    return row_v3_to_v2(row_v4_to_v3(row))
+def _features(features: bytes) -> list[int]:
+    vals, pos = [], 0
+    while pos < len(features):
+        value, pos = decode_varint(features, pos)
+        vals.append(value)
+    return vals
+
+
+def _shift_first_reps(vals: list[int], at: int, n: int, origin, sign: int) -> list[int]:
+    """``vals`` with the first value of the rep x and y runs (at ``at`` and
+    ``at + n``) moved by ``sign`` times the origin's x and y."""
+    out = list(vals)
+    for k, o in zip((at, at + n), origin[1:]):
+        out[k] = zigzag_encode(zigzag_decode(out[k]) + sign * o)
+    return out
+
+
+def row_v4_to_v5(row: bytes) -> bytes:
+    """A version 4 row rewritten as the version 5 row of the same trajectory."""
+    head, features, blob = _split_row(row)
+    assert row[1] == 4, row[1]
+    _, ids_at = decode_varint(row, 2 + 48)  # drop tr_value
+    vals = _features(features)
+    n = vals[0]
+    assert len(vals) == 7 * n - 3 and vals[1] == 0
+    vals = _shift_first_reps([n, *vals[2:]], n, n, _origin(row), -1)
+    out = bytearray()
+    for value in vals:
+        encode_varint(value, out)
+    return _join_row(head[:50] + head[ids_at:], 5, bytes(out), blob)
+
+
+def row_v5_to_v4(row: bytes, tr_value: int) -> bytes:
+    """A version 5 row as the version 4 row of the same trajectory, stored
+    under ``tr_value``."""
+    head, features, blob = _split_row(row)
+    assert row[1] == 5, row[1]
+    vals = _features(features)
+    n = vals[0]
+    assert len(vals) == 7 * n - 4
+    vals = _shift_first_reps([n, 0, *vals[1:]], n + 1, n, _origin(row), 1)
+    out = bytearray()
+    for value in vals:
+        encode_varint(value, out)
+    return _join_row(head[:50] + encode_varints([tr_value]) + head[50:], 4, bytes(out), blob)
+
+
+def row_v2_to_v5(row: bytes) -> bytes:
+    """A version 2 row (the golden fixtures' version) as a version 5 row."""
+    return row_v4_to_v5(row_v3_to_v4(row_v2_to_v3(row)))
+
+
+def row_v5_to_v2(row: bytes, tr_value: int) -> bytes:
+    """A version 5 row as the version 2 row of the same trajectory, stored
+    under ``tr_value``."""
+    return row_v3_to_v2(row_v4_to_v3(row_v5_to_v4(row, tr_value)))

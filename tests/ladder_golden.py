@@ -11,7 +11,7 @@ refiners shared one walk)::
 The rows are the first 300 (``tdrive_like(300, seed=21)``) whole simple8b
 rows of ``tests/data/ingest_parent/golden.npz``, which are row version 2;
 they are rewritten into the current version by
-``ingest_reference.row_v2_to_v4``, which keeps every decoded value.  For every push-down
+``ingest_reference.row_v2_to_v5``, which keeps every decoded value.  For every push-down
 predicate the table holds one character per row, ``"<verdict><rung>"``
 packed as ``3 * verdict + rung``: verdict 1 keeps the row, and the rung is
 how deep the decision went (0 header, 1 DP feature, 2 points), counted
@@ -36,7 +36,7 @@ from repro.query.filters import IdFilter, SimilarityFilter, SpatialFilter, Tempo
 from repro.query.operators import PointDistanceRefine, SimilarityRefine
 from repro.storage.serializer import RowSerializer
 
-from .ingest_reference import row_v2_to_v4
+from .ingest_reference import row_v2_to_v5
 
 DATA = Path(__file__).parent / "data"
 OUT = DATA / "ladder_parent.json"
@@ -70,7 +70,7 @@ def golden_rows() -> list[bytes]:
     """The 300 rows every ladder cell is computed over."""
     data = np.load(DATA / "ingest_parent" / "golden.npz")
     buf, cut = data["rows_simple8b_eps"].tobytes(), data["rowoff_simple8b_eps"]
-    return [row_v2_to_v4(buf[cut[i]:cut[i + 1]]) for i in range(ROWS)]
+    return [row_v2_to_v5(buf[cut[i]:cut[i + 1]]) for i in range(ROWS)]
 
 
 class _Rungs:

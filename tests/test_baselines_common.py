@@ -22,7 +22,6 @@ def make_store(dataset, push_down=True):
     store = SingleIndexStore(
         "probe",
         index_value_fn=lambda t: index.index_time_range(t.time_range),
-        tr_value_fn=lambda t: index.index_time_range(t.time_range),
         num_shards=2,
         kv_workers=1,
         push_down=push_down,

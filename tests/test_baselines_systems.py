@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.baselines import DFT, DITA, REPOSE, STHadoop, TManXZ, TManXZT, TrajMesa, make_trass
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
 from repro.model import TimeRange
@@ -37,6 +38,16 @@ class TestTrajMesa:
         for window in wl.spatial_windows(2.0, 3):
             got = sorted(t.tid for t in system.spatial_range_query(window).trajectories)
             assert got == brute_force_spatial(dataset, window)
+
+    def test_result_profile_is_finished(self, system, dataset):
+        """The profile states the query's wall time, start and plan, so a
+        baseline query renders as a Chrome trace like a TMan query."""
+        result = system.temporal_range_query(dataset[0].time_range)
+        profile = result.profile
+        assert profile.elapsed_ms == result.elapsed_ms > 0
+        assert profile.plan == result.plan == "trajmesa/xzt"
+        names = [e["name"] for e in obs.chrome_trace([profile])["traceEvents"]]
+        assert names[:2] == ["query.execute", "pipeline.run"]
 
     def test_strq(self, system, dataset, wl):
         for window, tr in wl.st_windows(3.0, 7200, 3):
@@ -86,7 +97,9 @@ class TestSTHadoop:
     def test_point_level_trq(self, system, dataset):
         """STH matches trajectories that have a *fix* in the window."""
         tr = dataset[0].time_range
-        got = {t.tid for t in system.temporal_range_query(tr).trajectories}
+        result = system.temporal_range_query(tr)
+        assert result.profile.elapsed_ms == result.elapsed_ms > 0
+        got = {t.tid for t in result.trajectories}
         expected = {
             t.tid
             for t in dataset[:80]

@@ -51,6 +51,7 @@ class TestTemporalQueries:
         # Every reassembly primary.get is one of the profile's point gets.
         assert res.profile.point_gets >= len(res)
         assert res.count == 0
+        assert res.profile.elapsed_ms == res.elapsed_ms > 0
 
     def test_candidates_are_segments(self, system, dataset):
         """Segment rows scanned exceed matching trajectories (Fig 1a cost)."""

@@ -156,8 +156,7 @@ def test_row_round_trip():
         _trajectory(9, seed=12, duplicate_ts=True),
         _trajectory(400, seed=13),
     ):
-        row = serializer.encode(traj, tr_value=3)
+        row = serializer.encode(traj)
         stored = serializer.decode(row)
-        assert stored.tr_value == 3
         assert stored.trajectory.tid == traj.tid
         assert len(stored.trajectory) == len(traj)

@@ -3,8 +3,9 @@
 Rows and TShape keys are pinned to golden bytes written at the parent
 commit (``tests/data/ingest_parent/``, see its ``generate.py``), both for a
 whole batch and one trajectory at a time; the golden rows are version 2, so
-today's rows are compared after ``ingest_reference.row_v4_to_v2`` (and
-must come back unchanged from ``row_v2_to_v4``); the segmented kernels are
+today's rows are compared after ``ingest_reference.row_v5_to_v2``, which
+puts back the TR value the golden rows were stored under (and must come
+back unchanged from ``row_v2_to_v5``); the segmented kernels are
 checked against the scalar reference in ``tests/ingest_reference.py``; and
 the store half — ``Table.put_batch``, region row accounting, inserts whose
 buffer overflows mid-batch — must leave the tables exactly as row-by-row
@@ -67,12 +68,12 @@ def golden():
         ])
         for i, (oid, tid) in enumerate(zip(data["oids"], data["tids"]))
     ]
-    return data, trajs, data["tr_values"].tolist()
+    return data, trajs
 
 
 def _assert_rows(data, name: str, rows: list[bytes]) -> None:
-    old = [ref.row_v4_to_v2(row) for row in rows]
-    assert [ref.row_v2_to_v4(row) for row in old] == rows
+    old = [ref.row_v5_to_v2(row, tr) for row, tr in zip(rows, data["tr_values"].tolist())]
+    assert [ref.row_v2_to_v5(row) for row in old] == rows
     rows = old
     if f"rows_{name}" in data:
         buf, off = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
@@ -86,24 +87,24 @@ def _assert_rows(data, name: str, rows: list[bytes]) -> None:
 
 @pytest.mark.parametrize("name", sorted(ROW_SETS))
 def test_rows_reproduce_parent_bytes(golden, name):
-    data, trajs, tr_values = golden
+    data, trajs = golden
     codec, eps = ROW_SETS[name]
     serializer = RowSerializer(TrajectoryCodec(codec), eps)
-    _assert_rows(data, name, serializer.encode_many(trajs, tr_values))
-    _assert_rows(data, name, [serializer.encode(t, v) for t, v in zip(trajs, tr_values)])
+    _assert_rows(data, name, serializer.encode_many(trajs))
+    _assert_rows(data, name, [serializer.encode(t) for t in trajs])
 
 
 def test_rows_identical_for_block_backed_trajectories(golden):
-    data, trajs, tr_values = golden
+    data, trajs = golden
     blocks = [
         Trajectory(t.oid, t.tid, PointBlock.from_points(list(t.points))) for t in trajs
     ]
-    _assert_rows(data, "simple8b_eps", RowSerializer().encode_many(blocks, tr_values))
+    _assert_rows(data, "simple8b_eps", RowSerializer().encode_many(blocks))
 
 
 @pytest.mark.parametrize("name,g,alpha,beta", INDEXES)
 def test_keys_reproduce_parent(golden, name, g, alpha, beta):
-    data, trajs, _ = golden
+    data, trajs = golden
     index = TShapeIndex(QuadTreeGrid(BOUNDARY, g), alpha, beta)
     batch = index.index_trajectories(trajs)
     assert [index.index_trajectory(t) for t in trajs] == batch

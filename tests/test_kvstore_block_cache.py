@@ -23,6 +23,27 @@ def flush_table(t):
 
 
 class TestBlockCacheUnit:
+    def test_resident_gauges_sum_every_live_cache(self):
+        import gc
+
+        from repro import obs
+
+        def resident():
+            reg = obs.registry()
+            return (reg.get("kv_blockcache_bytes").value,
+                    reg.get("kv_blockcache_entries").value)
+
+        gc.collect()
+        bytes0, entries0 = resident()
+        caches = [BlockCache(1 << 16, block_bytes=8) for _ in range(2)]
+        caches[0].get_block(1, 0, lambda idx: b"x" * 8)
+        caches[1].get_block(2, 0, lambda idx: b"y" * 5)
+        caches[1].get_block(2, 1, lambda idx: b"z" * 8)
+        assert resident() == (bytes0 + 21, entries0 + 3)
+        del caches[1]
+        gc.collect()
+        assert resident() == (bytes0 + 8, entries0 + 1)
+
     def test_miss_then_hit(self):
         cache = BlockCache(1 << 16, block_bytes=8)
         loads = []

@@ -73,6 +73,10 @@ def registered_metrics():
     # modules that only register under faults/injection
     import repro.kvstore.simfault  # noqa: F401
     import repro.runtime.backpressure  # noqa: F401
+    # the durable engine and the process cluster, which this in-memory,
+    # thread-mode deployment never loads
+    import repro.cluster.process_cluster  # noqa: F401
+    import repro.kvstore.durable  # noqa: F401
 
     names = {m["name"] for m in obs.snapshot()["metrics"]}
     tman.close()

@@ -122,6 +122,41 @@ def test_worker_loads_only_the_storage_engine(worker_modules):
     assert {"repro.cluster.worker", "repro.kvstore.durable"} <= repro_modules
 
 
+# The process cluster's own modules: a thread-mode deployment needs none.
+PROCESS_CLUSTER = [
+    f"repro.cluster.{name}"
+    for name in ("worker", "process_cluster", "client", "rpc", "replication", "ring")
+]
+
+THREAD_MODE_PROBE = """
+import sys
+from repro import TMan, TManConfig
+from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.query.types import SpatialRangeQuery, TemporalRangeQuery
+
+data = tdrive_like(40, seed=3, max_points=30)
+tman = TMan(TManConfig(boundary=TDRIVE_SPEC.boundary, num_shards=2, kv_workers=2))
+tman.bulk_load(data)
+assert tman.query(SpatialRangeQuery(data[0].mbr)).trajectories
+assert tman.query(TemporalRangeQuery(data[0].time_range)).trajectories
+tman.health()
+tman.close()
+print(sorted(sys.modules))
+"""
+
+
+def test_thread_mode_tman_loads_no_process_cluster_code():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", THREAD_MODE_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = set(ast.literal_eval(out.stdout))
+    assert "repro.storage.tman" in loaded
+    assert sorted(loaded & set(PROCESS_CLUSTER)) == []
+
+
 def test_worker_loads_no_excluded_stdlib_module(worker_modules):
     leaked = sorted(
         m for m in worker_modules if any(_under(m, ex) for ex in EXCLUDED_STDLIB)

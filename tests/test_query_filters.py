@@ -14,9 +14,9 @@ def serializer():
     return RowSerializer()
 
 
-def row(serializer, points, oid="o1", tid="t1", tr_value=5):
+def row(serializer, points, oid="o1", tid="t1"):
     traj = Trajectory(oid, tid, points)
-    return serializer.encode(traj, tr_value), traj
+    return serializer.encode(traj), traj
 
 
 def diagonal(n=20, x0=116.30, y0=39.90, step=0.001):

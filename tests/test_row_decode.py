@@ -6,9 +6,9 @@ decode entry point rejects with ``CorruptionError`` and nothing else.
 Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
 for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
 checked to reproduce before they are used).  They are version 2 rows;
-``ingest_reference.row_v2_to_v4`` rewrites their feature sections and point
-blobs (the only parts the versions do not share) into the rows decoded
-here.
+``ingest_reference.row_v2_to_v5`` rewrites their ``tr_value``, feature
+sections and point blobs (the only parts the versions do not share) into
+the rows decoded here.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ def golden_rows() -> dict[str, list[bytes]]:
         if f"rows_{name}" in data:
             buf, cut = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
             out[codec] = [
-                ref.row_v2_to_v4(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
+                ref.row_v2_to_v5(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
             ]
         else:
-            rows = RowSerializer(TrajectoryCodec(codec)).encode_many(
-                trajs, data["tr_values"].tolist()
-            )
+            rows = RowSerializer(TrajectoryCodec(codec)).encode_many(trajs)
             digests = [bytes(d) for d in data[f"sha_{name}"]]
-            assert [hashlib.sha256(ref.row_v4_to_v2(row)).digest() for row in rows] == digests
+            old = map(ref.row_v5_to_v2, rows, data["tr_values"].tolist())
+            assert [hashlib.sha256(row).digest() for row in old] == digests
             out[codec] = rows
     return out
 
@@ -89,8 +88,8 @@ def _with_section(row: bytes, header, section: bytes) -> bytes:
 def _assert_matches_oracle(row: bytes) -> None:
     header = RowSerializer.decode_header(row)
     feature = RowSerializer.decode_feature(row, header)
-    old = ref.row_v4_to_v2(row)
-    _, start = decode_varint(old, header.body_offset)
+    old = ref.row_v5_to_v2(row, 0)
+    _, start = decode_varint(old, header.body_offset + 1)  # past a one-byte tr_value
     reps, indexes, boxes, box_arrays = ref.decode_feature_v2(old, start)
     assert feature.rep_indexes == indexes
     assert feature.span_boxes == boxes
@@ -121,7 +120,7 @@ _offsets = st.integers(-40_000, 40_000)  # 1e-7 deg quanta: deltas of either sig
 def test_feature_decode_matches_numpy_decoder_on_generated_rows(steps, length, epsilon):
     steps = steps[:length] if length is not None else steps
     points = _points(steps, 0.0)
-    row = RowSerializer(dp_epsilon=epsilon).encode(Trajectory("o", "t", points), 7)
+    row = RowSerializer(dp_epsilon=epsilon).encode(Trajectory("o", "t", points))
     _assert_matches_oracle(row)
 
 
@@ -136,7 +135,7 @@ def _outcome(fn, row: bytes):
         return "corrupt"
     if hasattr(out, "trajectory"):  # StoredTrajectory
         block = out.trajectory.block
-        return (out.trajectory.oid, out.trajectory.tid, out.tr_value, out.feature,
+        return (out.trajectory.oid, out.trajectory.tid, out.feature,
                 block.ts.tobytes(), block.xs.tobytes(), block.ys.tobytes())
     if hasattr(out, "xs"):  # PointBlock
         return out.ts.tobytes(), out.xs.tobytes(), out.ys.tobytes()
@@ -211,7 +210,7 @@ def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, codec, 
     _decodes_or_corrupt(serializer, bytes(row))
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6])
 def test_other_row_versions_raise_corruption(golden_rows, version):
     serializer = RowSerializer(TrajectoryCodec("simple8b"))
     row = bytearray(golden_rows["simple8b"][TRUNCATED[0]])
@@ -226,7 +225,7 @@ def test_feature_count_mismatch_and_overlong_varints_raise_corruption():
     own): any other count, or a varint that overruns, is corrupt."""
     row = RowSerializer().encode(Trajectory("o", "t", [
         STPoint(float(k), 116.4 + 0.01 * k, 39.9 + 0.003 * (k % 3)) for k in range(6)
-    ]), 0)
+    ]))
     header = RowSerializer.decode_header(row)
     feat_len, start = decode_varint(row, header.body_offset)
     section = row[start:start + feat_len]
@@ -236,7 +235,7 @@ def test_feature_count_mismatch_and_overlong_varints_raise_corruption():
         bytes([section[0] + 1]) + section[1:],   # n_reps claims one rep more
         bytes([section[0] - 1]) + section[1:],   # ... or one fewer
         b"\x00" + section[1:],                   # no reps at all
-        bytes([1, 0, 0, 0]),                     # one rep and so no span box
+        bytes([1, 0, 0]),                        # one rep and so no span box
         section + b"\x00",                       # a value past the last span
         section[:-1],                            # the last span short of a value
         b"\x80" * 10 + b"\x01" + section[1:],    # an 11-byte n_reps
@@ -245,9 +244,9 @@ def test_feature_count_mismatch_and_overlong_varints_raise_corruption():
     ):
         with pytest.raises(CorruptionError):
             RowSerializer.decode_feature(_with_section(row, header, bad))
-    overlong_tr_value = row[:50] + b"\x80" * 10 + b"\x00" + row[51:]  # tr_value 0 at 50
+    overlong_oid_len = row[:50] + b"\x81" + b"\x80" * 9 + b"\x00" + row[51:]  # len 1 at 50
     with pytest.raises(CorruptionError):
-        RowSerializer.decode_header(overlong_tr_value)
+        RowSerializer.decode_header(overlong_oid_len)
 
 
 # -- the version 3 feature section ----------------------------------------------
@@ -271,7 +270,7 @@ def test_feature_section_properties(steps, jitter, epsilon, codec, data):
     ``fuzz`` profile sweeps deeper."""
     points = _points(steps, jitter)
     serializer = RowSerializer(TrajectoryCodec(codec), epsilon)
-    row = serializer.encode(Trajectory("o", "t", points), 3)
+    row = serializer.encode(Trajectory("o", "t", points))
     header = serializer.decode_header(row)
     feature = serializer.decode_feature(row, header)
     block = serializer.decode(row).trajectory.block

@@ -167,7 +167,7 @@ class TestEndpointBound:
 def stored(coords, codec):
     """A row written by ``codec``, and its header, feature and decoded points."""
     serializer = RowSerializer(TrajectoryCodec(codec))
-    row = serializer.encode(Trajectory("o", "t", traj(coords)), 0)
+    row = serializer.encode(Trajectory("o", "t", traj(coords)))
     header = RowSerializer.decode_header(row)
     feature = RowSerializer.decode_feature(row, header)
     return header, feature, serializer.decode_trajectory(row, header).trajectory.block

@@ -1,15 +1,16 @@
 """Stored bytes per point of a fixed load, section by section.
 
-The primary row is header (magic, version, time range, MBR, ``tr_value``),
-ids (oid, tid), DP-features with their length prefix, and the point blob,
-which runs to the end of the row; keys count on their own, and so do every
-secondary table's keys and values (a value is the 9-byte ``shard :: primary
-index value``).  Each section has a ceiling taken from row version 3 (which
+The primary row is header (magic, version, time range, MBR), ids (oid,
+tid), DP-features with their length prefix, and the point blob, which runs
+to the end of the row; keys count on their own, and so do every secondary
+table's keys and values (a value is the 9-byte ``shard :: primary index
+value``).  Each section has a ceiling taken from row version 3 (which
 halved the feature section), from row version 4 (whose blob frame states
-each count and length once and counts its first point from the header) and
-from secondary values cut to the primary key's prefix (which took 0.395
-B/point off each secondary table), so a change that grows one shows up
-here, by name, before it reaches the benchmark's end-to-end
+each count and length once and counts its first point from the header),
+from row version 5 (no ``tr_value``, no first rep index, first reps counted
+from the header) and from secondary values cut to the primary key's prefix
+(which took 0.395 B/point off each secondary table), so a change that grows
+one shows up here, by name, before it reaches the benchmark's end-to-end
 ``stored_bytes_per_point``.  The blob's frame is pinned exactly by a
 property test.
 """
@@ -38,9 +39,9 @@ from repro.storage.serializer import RowSerializer
 # B per point, rounded up from the measured values in the comments.
 CEILINGS = {
     "primary.keys": 0.58,  # 0.5728
-    "primary.header": 1.03,  # 1.0269
+    "primary.header": 0.99,  # 0.9876 (1.0269 with row version 4's tr_value)
     "primary.ids": 0.74,  # 0.7308
-    "primary.features": 2.31,  # 2.3089 (4.5642 in row version 2)
+    "primary.features": 2.18,  # 2.1793 (2.3089 in row version 4, 4.5642 in version 2)
     "primary.blob": 5.62,  # 5.6146 (6.2830 in row version 3)
     "tr.keys": 0.56,  # 0.5531
     "tr.values": 0.18,  # 0.1778 (0.5728, a whole primary key, before)
@@ -59,7 +60,7 @@ def footprint() -> dict[str, float]:
     sizes = dict.fromkeys(CEILINGS, 0)
     for key, value in tman.primary_table.scan(Scan()):
         header = RowSerializer.decode_header(value)
-        ids_at = decode_varint(value, 2 + 48)[1]  # just past tr_value
+        ids_at = 2 + 48  # magic, version, six f64
         feat_len, start = decode_varint(value, header.body_offset)
         sizes["primary.keys"] += len(key)
         sizes["primary.header"] += ids_at

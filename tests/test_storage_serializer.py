@@ -24,9 +24,8 @@ def serializer():
 class TestRoundtrip:
     def test_full_roundtrip(self, serializer):
         traj = make_traj()
-        blob = serializer.encode(traj, tr_value=4321)
+        blob = serializer.encode(traj)
         stored = serializer.decode(blob)
-        assert stored.tr_value == 4321
         assert stored.trajectory.oid == traj.oid
         assert stored.trajectory.tid == traj.tid
         assert len(stored.trajectory) == len(traj)
@@ -36,12 +35,12 @@ class TestRoundtrip:
 
     def test_single_point_trajectory(self, serializer):
         traj = Trajectory("o", "t", [STPoint(5.0, 116.0, 39.0)])
-        stored = serializer.decode(serializer.encode(traj, 0))
+        stored = serializer.decode(serializer.encode(traj))
         assert len(stored.trajectory) == 1
 
     def test_unicode_ids(self, serializer):
         traj = make_traj(oid="对象-1", tid="轨迹-42")
-        stored = serializer.decode(serializer.encode(traj, 1))
+        stored = serializer.decode(serializer.encode(traj))
         assert stored.trajectory.oid == "对象-1"
         assert stored.trajectory.tid == "轨迹-42"
 
@@ -49,14 +48,13 @@ class TestRoundtrip:
         traj = make_traj()
         for codec in ("varint", "simple8b", "pfor"):
             s = RowSerializer(TrajectoryCodec(codec))
-            assert len(s.decode(s.encode(traj, 1)).trajectory) == len(traj)
+            assert len(s.decode(s.encode(traj)).trajectory) == len(traj)
 
 
 class TestHeader:
     def test_header_matches_trajectory(self, serializer):
         traj = make_traj()
-        header = RowSerializer.decode_header(serializer.encode(traj, 99))
-        assert header.tr_value == 99
+        header = RowSerializer.decode_header(serializer.encode(traj))
         assert header.oid == traj.oid and header.tid == traj.tid
         assert header.time_range.start == pytest.approx(traj.time_range.start)
         assert header.mbr.x1 == pytest.approx(traj.mbr.x1)
@@ -66,7 +64,7 @@ class TestHeader:
             RowSerializer.decode_header(b"\x00" * 100)
 
     def test_header_rejects_wrong_version(self, serializer):
-        blob = bytearray(serializer.encode(make_traj(), 0))
+        blob = bytearray(serializer.encode(make_traj()))
         blob[1] = 99
         with pytest.raises(CorruptionError):
             RowSerializer.decode_header(bytes(blob))
@@ -79,14 +77,14 @@ class TestHeader:
 class TestFeatures:
     def test_feature_decodes_without_points(self, serializer):
         traj = make_traj(100)
-        blob = serializer.encode(traj, 0)
+        blob = serializer.encode(traj)
         feature = RowSerializer.decode_feature(blob)
         assert len(feature.rep_indexes) >= 2
         assert len(feature.span_boxes) == len(feature.rep_indexes) - 1
 
     def test_feature_boxes_cover_trajectory(self, serializer):
         traj = make_traj(60)
-        feature = RowSerializer.decode_feature(serializer.encode(traj, 0))
+        feature = RowSerializer.decode_feature(serializer.encode(traj))
         for p in traj.points:
             assert any(
                 b.expanded(1e-9).contains_point(p.lng, p.lat)
@@ -97,14 +95,14 @@ class TestFeatures:
         coarse = RowSerializer(dp_epsilon=0.5)
         fine = RowSerializer(dp_epsilon=1e-7)
         traj = make_traj(80)
-        f_coarse = RowSerializer.decode_feature(coarse.encode(traj, 0))
-        f_fine = RowSerializer.decode_feature(fine.encode(traj, 0))
+        f_coarse = RowSerializer.decode_feature(coarse.encode(traj))
+        f_fine = RowSerializer.decode_feature(fine.encode(traj))
         assert len(f_coarse.rep_indexes) <= len(f_fine.rep_indexes)
 
 
 class TestSize:
     def test_row_smaller_than_raw_floats(self, serializer):
         traj = make_traj(200)
-        blob = serializer.encode(traj, 0)
+        blob = serializer.encode(traj)
         raw_size = 24 * len(traj)
         assert len(blob) < raw_size
