@@ -2,8 +2,8 @@
 
 :func:`scan_query` runs a baseline's key windows through TMan's own query
 operators (``WindowSource → RegionScan → [PushDownFilter] → decode or
-refine → Collect``) under a query profile, and builds the result with
-:meth:`QueryResult.from_profile`, so the baselines differ from TMan in
+refine → Collect``) under a query profile, and finishes it with
+:func:`~repro.query.types.finish_query`, so the baselines differ from TMan in
 their indexes and row layouts, not in their executor.
 ``SingleIndexStore`` stores full trajectory rows under
 ``shard :: u64(index value) :: tid`` keys in its own cluster — the skeleton
@@ -30,7 +30,7 @@ from repro.query.operators import (
     WindowSource,
 )
 from repro.query.pipeline import Pipeline
-from repro.query.types import QueryResult
+from repro.query.types import QueryResult, finish_query
 from repro.storage.schema import RowKeyCodec, encode_u64
 from repro.storage.serializer import RowSerializer
 
@@ -59,9 +59,7 @@ def scan_query(
         if row_filter is not None and pushed is None:
             stages.append(PushDownFilter(row_filter))
         trajs = Pipeline(stages + [refine], Collect()).run()
-        elapsed = (time.perf_counter() - t0) * 1000
-        profile.finish(elapsed, plan=plan, started=t0)
-        return QueryResult.from_profile(profile, trajs, elapsed, plan)
+        return finish_query(profile, plan, trajs, started=t0)
 
 
 class SingleIndexStore:

@@ -25,7 +25,7 @@ from repro.model.point import STPoint
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.obs.profile import query_profile
-from repro.query.types import QueryResult
+from repro.query.types import QueryResult, finish_query
 from repro.storage.schema import SEPARATOR, encode_u64
 
 _POINT = struct.Struct(">ddd")  # t, lng, lat
@@ -142,9 +142,7 @@ class STHadoop:
                 traj = Trajectory(self._oid_of[tid], tid, [p for _, p in seq_points])
                 if traj_pred is None or traj_pred(traj):
                     out.append(traj)
-            elapsed = (time.perf_counter() - t0) * 1000
-            profile.finish(elapsed, plan="sthadoop/job", started=t0)
-            result = QueryResult.from_profile(profile, out, elapsed, "sthadoop/job")
+            result = finish_query(profile, "sthadoop/job", out, started=t0)
         result.simulated_ms += self.job_overhead_ms
         return result
 

@@ -23,7 +23,7 @@ from repro.kvstore.scan import Scan
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory, concat_trajectories
 from repro.obs.profile import query_profile
-from repro.query.types import QueryResult
+from repro.query.types import QueryResult, finish_query
 from repro.storage.schema import SEPARATOR, encode_u64
 from repro.storage.serializer import RowSerializer
 
@@ -120,6 +120,4 @@ class VRE:
                 if parts:
                     out.append(concat_trajectories(parts))
 
-            elapsed = (time.perf_counter() - t0) * 1000
-            profile.finish(elapsed, plan="vre/start-time", started=t0)
-            return QueryResult.from_profile(profile, out, elapsed, "vre/start-time")
+            return finish_query(profile, "vre/start-time", out, started=t0)

@@ -154,7 +154,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """``explain``: candidate plans, estimated costs, and the actual run."""
     with open_tman(args.deployment) as tman:
         q = _build_query(args)
-        est = tman.planner.estimate_candidates(q)
         print(tman.explain(q))
         print("candidate plans (cost in calibrated I/O units):")
         for p in tman.explain_plans(q):
@@ -168,11 +167,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
         if args.no_run:
             return 0
         res = tman.query(q)
+        # The estimate the chosen plan was costed with, stamped on the profile.
+        est = res.profile.estimated_candidates
         est_text = "n/a" if est is None else f"{est:.0f}"
         ratio = (
             "n/a"
             if est is None or est <= 0
-            else f"{res.candidates / est:.2f}x"
+            else f"{res.profile.candidates / est:.2f}x"
         )
         print(
             f"actual: {len(res)} trajectories, {res.candidates} candidates "

@@ -1,13 +1,13 @@
 """``repro.obs`` — the unified observability layer.
 
-One process-wide :class:`~repro.obs.metrics.MetricsRegistry` and one
-:class:`~repro.obs.slowlog.SlowQueryLog` serve the whole stack; the
-kvstore, cache, query, and storage layers register their instruments
-against these singletons at import time, so a deployment is observable
-with zero configuration and a dashboardable snapshot is one
+One process-wide :class:`~repro.obs.metrics.MetricsRegistry` serves the
+whole stack; the kvstore, cache, query, and storage layers register their
+instruments against it at import time, so a deployment is observable with
+zero configuration and a dashboardable snapshot is one
 ``repro.obs.snapshot()`` away.  Each query's own record is its
 :class:`~repro.obs.profile.QueryProfile`; ``chrome_trace([result.profile])``
-renders it as a Chrome trace.
+renders it as a Chrome trace.  Finished, it goes to the record of finished
+queries, :func:`repro.obs.finished.publish`.
 
 See ``docs/observability.md`` for the metric catalog and the query trace.
 """
@@ -33,7 +33,7 @@ from repro.obs.profile import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from repro.obs.slowlog import SlowQueryLog
+    from repro.obs.finished import SlowQueryLog
     from repro.obs.stats import WorkloadStatsCollector
 
 __all__ = [
@@ -72,7 +72,7 @@ __all__ = [
 REGISTRY = MetricsRegistry()
 PROFILE_LOG = ProfileLog()
 
-# The exporters, the slow-query log and the workload statistics
+# The exporters, the record of finished queries and the workload statistics
 # load on first access (PEP 562), each singleton with its module: the engine
 # modules import this package for ``counter`` alone, and a region-server
 # worker must not pay for the rest.
@@ -82,7 +82,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.obs.export": (
             "chrome_trace", "to_json", "to_prometheus", "validate_snapshot"
         ),
-        "repro.obs.slowlog": ("SlowQueryEntry", "SlowQueryLog", "SLOW_QUERY_LOG"),
+        "repro.obs.finished": ("SlowQueryEntry", "SlowQueryLog", "SLOW_QUERY_LOG"),
         "repro.obs.stats": (
             "WORKLOAD_STATS_SCHEMA",
             "WorkloadStatsCollector",
@@ -100,7 +100,7 @@ def registry() -> MetricsRegistry:
 
 def slow_query_log() -> SlowQueryLog:
     """The process-wide slow-query log."""
-    from repro.obs.slowlog import SLOW_QUERY_LOG
+    from repro.obs.finished import SLOW_QUERY_LOG
 
     return SLOW_QUERY_LOG
 
@@ -139,7 +139,7 @@ def snapshot() -> dict:
 
 def set_slow_query_ms(threshold_ms: float | None) -> None:
     """Configure the global slow-query threshold (``None`` disables)."""
-    slow_query_log().set_threshold(threshold_ms)
+    slow_query_log().threshold_ms = threshold_ms
 
 
 def reset_all() -> None:

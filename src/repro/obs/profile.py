@@ -193,12 +193,14 @@ class QueryProfile:
     ``started`` is the ``perf_counter`` instant the executor began the
     query (``None`` until it finishes one).  ``deadline_ms`` /
     ``deadline_remaining_ms`` are the query's budget and what was left of
-    it at the end (``None`` without a deadline).
+    it at the end (``None`` without a deadline).  ``estimated_candidates``
+    is the prior the planner costed the query's plan with, to compare with
+    :attr:`candidates` (``None`` for a forced plan or without statistics).
     """
 
     __slots__ = ("query_id", "query_type", "plan", "started", "elapsed_ms",
                  "partial", "rounds", "deadline_ms", "deadline_remaining_ms",
-                 "_rounds", "_lock") + tuple(_ALL_FIELDS)
+                 "estimated_candidates", "_rounds", "_lock") + tuple(_ALL_FIELDS)
 
     def __init__(self, query_type: str = "", plan: str = ""):
         self.query_id = f"q{next(_QUERY_IDS):06d}"
@@ -210,6 +212,7 @@ class QueryProfile:
         self.rounds = 0
         self.deadline_ms: float | None = None
         self.deadline_remaining_ms: float | None = None
+        self.estimated_candidates: float | None = None
         self._rounds: list[tuple[float, tuple[Stage, ...]]] = []
         self._lock = threading.Lock()
         for name in _ALL_FIELDS:
@@ -245,11 +248,13 @@ class QueryProfile:
         plan: str = "",
         deadline: Deadline | None = None,
         started: float | None = None,
+        estimated_candidates: float | None = None,
     ) -> "QueryProfile":
-        """Stamp identity, start + wall time once the query completes, and
-        the query's ``deadline``: its budget, what is left of it, and
-        whether it truncated the result."""
+        """Stamp identity, start + wall time once the query completes, the
+        planner's estimate, and the query's ``deadline``: its budget, what
+        is left of it, and whether it truncated the result."""
         self.elapsed_ms = elapsed_ms
+        self.estimated_candidates = estimated_candidates
         if started is not None:
             self.started = started
         if query_type:
@@ -304,6 +309,11 @@ class QueryProfile:
         raise KeyError(name)
 
     @property
+    def candidates(self) -> int:
+        """Rows scanned plus point gets: the paper's retrieval count."""
+        return self.rows_scanned + self.point_gets
+
+    @property
     def attributed_ms(self) -> float:
         """Sum of the attributed time components (not wall time)."""
         return (self.decode_ms + self.similarity_ms + self.retry_backoff_ms
@@ -320,6 +330,7 @@ class QueryProfile:
                 "partial": self.partial,
                 "deadline_ms": self.deadline_ms,
                 "deadline_remaining_ms": self.deadline_remaining_ms,
+                "estimated_candidates": self.estimated_candidates,
             }
             for name in _ALL_FIELDS:
                 value = getattr(self, name)
@@ -383,41 +394,49 @@ class QueryProfile:
                 f"rows={self.rows_scanned} elapsed={self.elapsed_ms:.2f}ms)")
 
 
-class ProfileLog:
+class BoundedLog:
+    """A bounded, thread-safe ring, oldest entry first; ``dropped`` counts
+    the entries it evicted."""
+
+    def __init__(self, capacity: int = 256):
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self._lock = threading.Lock()
+        self._entries: deque = deque(maxlen=capacity)
+        self.dropped = 0
+
+    def _append(self, entry) -> None:
+        with self._lock:
+            if len(self._entries) == self._entries.maxlen:
+                self.dropped += 1
+            self._entries.append(entry)
+
+    def entries(self) -> list:
+        """A copy of the ring, newest last."""
+        with self._lock:
+            return list(self._entries)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._entries.clear()
+            self.dropped = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class ProfileLog(BoundedLog):
     """Bounded ring of recently finished profiles (the ``repro top`` feed).
 
     It keeps slim copies: the counters its readers rank and fit, not the
     round records, which stay on the caller's profile.
     """
 
-    DEFAULT_CAPACITY = 256
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self._lock = threading.Lock()
-        self._entries: deque[QueryProfile] = deque(maxlen=capacity)
-
     def record(self, profile: QueryProfile) -> None:
         """Append a slim copy of a finished profile."""
-        slim = profile.slim_copy()
-        with self._lock:
-            self._entries.append(slim)
-
-    def entries(self) -> list[QueryProfile]:
-        """Newest-last copy of the ring."""
-        with self._lock:
-            return list(self._entries)
+        self._append(profile.slim_copy())
 
     def top(self, n: int = 5) -> list[QueryProfile]:
         """The ``n`` most expensive recent queries by wall time."""
-        with self._lock:
-            ranked = sorted(self._entries, key=lambda p: p.elapsed_ms, reverse=True)
-        return ranked[:n]
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return sorted(self.entries(), key=lambda p: p.elapsed_ms, reverse=True)[:n]

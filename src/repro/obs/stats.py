@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from typing import Optional
 
 from repro.obs.profile import QueryProfile
@@ -138,7 +138,7 @@ class WorkloadStatsCollector:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._groups: dict[tuple[str, str], _Group] = {}
+        self._groups: defaultdict[tuple[str, str], _Group] = defaultdict(_Group)
         self._total = 0
 
     def record(
@@ -149,27 +149,23 @@ class WorkloadStatsCollector:
         window: Optional[tuple[float, float, float, float]] = None,
         period_seconds: float = 3600.0,
         boundary: Optional[tuple[float, float, float, float]] = None,
-        estimated_candidates: Optional[float] = None,
-        observed_candidates: int = 0,
     ) -> None:
         """Fold one finished profile into the rolling aggregates.
 
         ``time_range``/``window`` are the query's temporal/spatial extent
-        (when it has one); ``estimated_candidates`` is the planner's prior
-        so the export carries observed-vs-estimated ratios.
+        (when it has one).
         """
         key = (profile.query_type or "unknown", profile.plan or "unknown")
         scanned = profile.rows_scanned
         returned = profile.rows_returned
+        candidates = profile.candidates
         with self._lock:
             self._total += 1
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = _Group()
+            group = self._groups[key]
             group.count += 1
             group.latencies.append(profile.elapsed_ms)
-            group.candidates_sum += observed_candidates
-            group.candidates_max = max(group.candidates_max, observed_candidates)
+            group.candidates_sum += candidates
+            group.candidates_max = max(group.candidates_max, candidates)
             if profile.elapsed_ms > group.slowest_ms:
                 group.slowest_ms = profile.elapsed_ms
                 group.slowest_query_id = profile.query_id
@@ -215,9 +211,7 @@ class WorkloadStatsCollector:
         ratio = observed / estimated
         key = (query_type or "unknown", plan or "unknown")
         with self._lock:
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = _Group()
+            group = self._groups[key]
             group.est_count += 1
             group.est_ratio_sum += ratio
             group.est_ratio_min = min(group.est_ratio_min, ratio)

@@ -17,14 +17,8 @@ import time
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.model.trajectory import Trajectory
-from repro.obs import (
-    counter as _obs_counter,
-    histogram as _obs_histogram,
-    profile_log as _obs_profile_log,
-)
-from repro.obs.profile import QueryProfile, query_profile
-from repro.obs.slowlog import SLOW_QUERY_LOG
-from repro.obs.stats import WORKLOAD_STATS
+from repro.obs import counter as _obs_counter
+from repro.obs.profile import query_profile
 from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlan
 from repro.runtime.deadline import Deadline, QueryTimeoutError
@@ -34,26 +28,13 @@ from repro.query.types import (
     QueryResult,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    finish_query,
 )
 from repro.query.windows import coalesce_inclusive_ranges, subtract_inclusive_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.storage.tman import TMan
 
-_QUERY_TOTAL = _obs_counter(
-    "query_total", "Queries executed", labelnames=("type",)
-)
-_QUERY_MS = _obs_histogram(
-    "query_latency_ms", "End-to-end query wall time", labelnames=("type",)
-)
-_QUERY_CANDIDATES = _obs_histogram(
-    "query_candidates",
-    "Candidate rows touched per query (scanned + point gets)",
-    labelnames=("type",),
-)
-_QUERY_SLOW = _obs_counter(
-    "query_slow_total", "Queries captured by the slow-query log"
-)
 _QUERY_DEADLINE = _obs_counter(
     "query_deadline_exceeded_total",
     "Queries whose deadline expired, by outcome (error or partial)",
@@ -93,7 +74,10 @@ class QueryExecutor:
         ``trajectories`` stay empty and the answer is ``result.count``.
 
         The result's counters are read off the query's profile — the
-        active one when a caller installed it, else a fresh one.
+        active one when a caller installed it, else a fresh one —
+        which :func:`~repro.query.types.finish_query` stamps with the
+        plan's estimate (none on a plan built by hand) and hands to the record of
+        finished queries.
         """
         if count and isinstance(
             query, (ThresholdSimilarityQuery, TopKSimilarityQuery, KNNPointQuery)
@@ -126,11 +110,15 @@ class QueryExecutor:
             except QueryTimeoutError:
                 _QUERY_DEADLINE.labels(outcome="error").inc()
                 raise
-            result = self._finalize(
-                query, trajs, distances, plan, t0, deadline, profile
+            result = finish_query(
+                profile, f"{plan.index}/{plan.route}", trajs,
+                started=t0, query=query, deadline=deadline, distances=distances,
+                estimate=plan.estimate, config=self._t.config,
             )
-            result.count = matched
-            return result
+        if result.partial:
+            _QUERY_DEADLINE.labels(outcome="partial").inc()
+        result.count = matched
+        return result
 
     # -- iterative queries (expanding-ring pipelines) ------------------------
 
@@ -208,75 +196,3 @@ class QueryExecutor:
                 break
             radius *= 2.0
         return trajs, dists
-
-    # -- result assembly -----------------------------------------------------
-
-    def _finalize(
-        self,
-        query: Query,
-        trajs: list[Trajectory],
-        distances: Optional[list[float]],
-        plan: QueryPlan,
-        t0: float,
-        deadline: Optional[Deadline],
-        profile: QueryProfile,
-    ) -> QueryResult:
-        elapsed = (time.perf_counter() - t0) * 1000
-        plan_name = f"{plan.index}/{plan.route}"
-        profile.finish(elapsed, type(query).__name__, plan_name, deadline, started=t0)
-        if profile.partial:
-            _QUERY_DEADLINE.labels(outcome="partial").inc()
-        result = QueryResult.from_profile(
-            profile, trajs, elapsed, plan_name, distances=distances
-        )
-        _obs_profile_log().record(profile)
-        self._record_workload(query, profile, result)
-        self._observe(query, result)
-        return result
-
-    def _record_workload(
-        self, query: Query, profile: QueryProfile, result: QueryResult
-    ) -> None:
-        """Fold the finished profile into the workload statistics."""
-        cfg = self._t.config
-        time_range = getattr(query, "time_range", None)
-        window = getattr(query, "window", None)
-        boundary = cfg.boundary
-        WORKLOAD_STATS.record(
-            profile,
-            time_range=(time_range.start, time_range.end)
-            if time_range is not None else None,
-            window=(window.x1, window.y1, window.x2, window.y2)
-            if window is not None else None,
-            period_seconds=cfg.tr_period_seconds,
-            boundary=(boundary.x1, boundary.y1, boundary.x2, boundary.y2),
-            observed_candidates=result.candidates,
-        )
-        estimated = self._t.planner.estimate_candidates(query)
-        if estimated is not None and estimated > 0:
-            WORKLOAD_STATS.record_estimate(
-                profile.query_type, profile.plan, result.candidates, estimated
-            )
-
-    def _observe(self, query: Query, result: QueryResult) -> None:
-        """Feed the finished query into the registry and the slow-query log."""
-        qtype = type(query).__name__
-        exemplar = result.profile.query_id
-        _QUERY_TOTAL.labels(type=qtype).inc()
-        _QUERY_MS.labels(type=qtype).observe(result.elapsed_ms, exemplar=exemplar)
-        _QUERY_CANDIDATES.labels(type=qtype).observe(
-            result.candidates, exemplar=exemplar
-        )
-        slog = SLOW_QUERY_LOG
-        if slog.threshold_ms is not None and result.elapsed_ms >= slog.threshold_ms:
-            recorded = slog.maybe_record(
-                repr(query),
-                result.plan,
-                result.elapsed_ms,
-                candidates=result.candidates,
-                transferred_rows=result.transferred_rows,
-                trace=result.profile.render(),
-                profile=result.profile.as_dict(),
-            )
-            if recorded:
-                _QUERY_SLOW.inc()

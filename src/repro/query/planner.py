@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.core.temporal import TRIndex
@@ -44,11 +44,18 @@ TEMPORAL_INDEXES = ("tr", "st", "interval")
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The optimizer's decision: which index, via which route."""
+    """The optimizer's decision: which index, via which route.
+
+    ``estimate`` is the planner's prior for the rows the query will touch
+    (:meth:`QueryPlanner.estimate_candidates`, from the statistics snapshot
+    the plan was costed with); ``None`` without statistics and on a plan
+    built by hand.  It takes no part in plan equality.
+    """
 
     index: str  # tr | tshape | st | idt | interval | scan
     route: str  # primary | secondary | scan
     reason: str
+    estimate: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,7 @@ class QueryPlanner:
         candidate matrix against the old histograms and half against the
         new ones — inconsistent costs, and a chosen plan that none of the
         printed candidates actually describes.  Nested scopes (the
-        estimate behind each costed candidate) reuse the outer snapshot;
+        estimate the planning call asks for) reuse the outer snapshot;
         the state is thread-local so concurrent queries each freeze their
         own.
         """
@@ -165,9 +172,10 @@ class QueryPlanner:
         ``None`` without statistics.  Range shapes estimate from the
         period/cell histograms; similarity and kNN shapes estimate the
         first expanding ring's spatial candidates via the cell histogram.
-        The workload-statistics collector compares this prior against the
-        observed candidate count, which is exactly the feedback signal an
-        adaptive CBO needs.
+        Each planning call asks once and the chosen :class:`QueryPlan`
+        carries the answer, so the workload statistics compare the prior
+        the plan was costed with against the observed candidate count —
+        the feedback signal an adaptive CBO needs.
         """
         with self._stats_scope():
             ts = self.table_statistics()
@@ -208,18 +216,18 @@ class QueryPlanner:
         return max(1, len(coalesce_inclusive_ranges(self._tr.query_ranges(tr))))
 
     def _cost_candidate(
-        self, query: Query, index: str, route: str, ts: "TableStatistics"
+        self, query: Query, index: str, route: str, ts: "TableStatistics", matches: float
     ) -> tuple[float, float]:
         """``(cost, est_rows_touched)`` for one applicable (index, route).
 
         Costs are in calibrated I/O units (:class:`CostConstants`): rows
         streamed through range scans, window-open overhead per scan (×
         shard count on the primary table), one point get per secondary
-        match resolved, and decode work for surviving rows.
+        match resolved, and decode work for the ``matches`` surviving rows
+        (the query's estimate).
         """
         c = self.cost_constants
         shards = max(1, self.config.num_shards)
-        matches = self.estimate_candidates(query) or 0.0
         # Only the secondary routes pay a point get per resolved match.
         gets = matches if route == "secondary" else 0.0
 
@@ -312,16 +320,18 @@ class QueryPlanner:
         ST-primary deployment: their windows are always the narrowest).
         Otherwise it is the first minimum-cost candidate, so ties and the
         no-statistics case keep RBO order.  ``cost_all=False`` skips the
-        costing when it cannot change the head.
+        costing when it cannot change the head.  The query's estimate is
+        asked for once and rides the head plan.
         """
         pairs = self._applicable(query)
         ts = self.table_statistics()
+        estimate = self.estimate_candidates(query)
         pinned = (isinstance(query, IDTemporalQuery) and pairs[0][0] == "idt") or (
             isinstance(query, STRangeQuery) and pairs[0] == ("st", "primary")
         )
         rbo = pinned or len(pairs) == 1 or ts is None
         if ts is not None and (cost_all or not rbo):
-            costs = [self._cost_candidate(query, i, r, ts) for i, r in pairs]
+            costs = [self._cost_candidate(query, i, r, ts, estimate or 0.0) for i, r in pairs]
         else:
             costs = [(None, None)] * len(pairs)
         head = 0 if rbo else min(range(len(pairs)), key=lambda k: costs[k][0])
@@ -340,7 +350,7 @@ class QueryPlanner:
                 f"CBO: {index}/{route} cheapest of {len(pairs)} routes "
                 f"(cost ~{cost:.0f}, ~{rows:.0f} rows)"
             )
-        ranked = [PlanCandidate(QueryPlan(index, route, reason), *costs[head])]
+        ranked = [PlanCandidate(QueryPlan(index, route, reason, estimate), *costs[head])]
         rest = [
             PlanCandidate(
                 QueryPlan(i, r, f"alternative to {index}/{route}"), *costs[k]

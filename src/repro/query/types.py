@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kvstore.cost import COST_MODEL
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
+from repro.obs.finished import publish
 from repro.obs.profile import QueryProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.runtime.deadline import Deadline
+    from repro.storage.config import TManConfig
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,12 @@ class QueryResult:
         the rows returned, ``windows`` the range scans, ``simulated_ms``
         :data:`~repro.kvstore.cost.COST_MODEL`'s model of that work and
         ``partial`` the profile's own flag.
-        Records nothing: logging the profile is the caller's business.
+        Records nothing: :func:`finish_query` stamps the profile, builds
+        the result with this and publishes a TMan query's profile.
         """
         return cls(
             trajectories=trajectories,
-            candidates=profile.rows_scanned + profile.point_gets,
+            candidates=profile.candidates,
             transferred_rows=profile.rows_returned,
             windows=profile.range_scans,
             elapsed_ms=elapsed_ms,
@@ -171,3 +178,41 @@ class QueryResult:
             partial=profile.partial,
             profile=profile,
         )
+
+
+def finish_query(
+    profile: QueryProfile,
+    plan: str,
+    trajectories: list[Trajectory],
+    *,
+    started: Optional[float] = None,
+    elapsed_ms: Optional[float] = None,
+    query: Optional[Query] = None,
+    deadline: Optional[Deadline] = None,
+    distances: Optional[list[float]] = None,
+    estimate: Optional[float] = None,
+    config: Optional[TManConfig] = None,
+) -> QueryResult:
+    """The one finish of every query: stamp its profile, build its result.
+
+    The wall time runs from ``started`` (a ``perf_counter`` instant) to now,
+    unless ``elapsed_ms`` states it.  The profile is stamped with that time,
+    the start, ``plan``, the query's type, the ``deadline`` and the
+    planner's ``estimate``; the result is :meth:`QueryResult.from_profile`.
+    A TMan query passes its deployment's ``config``: the finished profile
+    then goes to the record of finished queries
+    (:func:`repro.obs.finished.publish`).
+    """
+    if elapsed_ms is None:
+        elapsed_ms = (time.perf_counter() - started) * 1000
+    query_type = type(query).__name__ if query is not None else ""
+    profile.finish(
+        elapsed_ms, query_type, plan, deadline,
+        started=started, estimated_candidates=estimate,
+    )
+    result = QueryResult.from_profile(
+        profile, trajectories, elapsed_ms, plan, distances=distances
+    )
+    if config is not None:
+        publish(query, profile, config.tr_period_seconds, config.boundary)
+    return result

@@ -50,6 +50,7 @@ from repro.query.types import (
     TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    finish_query,
 )
 from repro.storage.config import TManConfig
 from repro.storage.meta import MetadataTable
@@ -369,8 +370,10 @@ class TMan:
                 # The budget ran out while queued: allow_partial promises a
                 # (possibly empty) result rather than an error.
                 deadline.note_partial()
-                profile.finish(deadline.budget_ms, type(q).__name__, "shed", deadline)
-                return QueryResult(partial=True, profile=profile)
+                return finish_query(
+                    profile, "shed", [], elapsed_ms=deadline.budget_ms,
+                    query=q, deadline=deadline,
+                )
 
     def explain(self, q) -> str:
         """The optimizer's plan and the stages the executor assembles for it

@@ -32,6 +32,13 @@ def reg():
     return MetricsRegistry()
 
 
+def _finished(elapsed_ms: float, **counts) -> obs.QueryProfile:
+    """A finished profile with the given wall time and counters."""
+    profile = obs.QueryProfile("TemporalRangeQuery", "tr/primary")
+    profile.add(**counts)
+    return profile.finish(elapsed_ms)
+
+
 class TestRegistry:
     def test_counter_get_or_create(self, reg):
         a = reg.counter("c", "help")
@@ -170,27 +177,33 @@ class TestHistogram:
 class TestSlowQueryLog:
     def test_disabled_by_default(self):
         log = SlowQueryLog()
-        assert not log.maybe_record("q", "plan", elapsed_ms=1e9)
+        assert not log.maybe_record("q", _finished(1e9))
         assert log.entries() == []
 
     def test_threshold_triggers(self):
         log = SlowQueryLog(threshold_ms=10.0)
-        assert not log.maybe_record("fast", "p", elapsed_ms=9.9)
-        assert log.maybe_record("slow", "p", elapsed_ms=10.0, candidates=3,
-                                transferred_rows=2, trace="stage table")
+        assert not log.maybe_record("fast", _finished(9.9))
+        profile = _finished(10.0, rows_scanned=2, point_gets=1, rows_returned=2)
+        assert log.maybe_record("slow", profile)
         (entry,) = log.entries()
-        assert entry.query == "slow"
+        assert entry.query == repr("slow")
+        assert entry.profile is profile  # the profile itself, not a copy
         rendered = entry.render()
-        assert "slow-query" in rendered and "stage table" in rendered
-        assert entry.as_dict()["candidates"] == 3
+        assert "slow-query" in rendered and profile.render() in rendered
+        doc = entry.as_dict()
+        assert set(doc) == {"query", "plan", "elapsed_ms", "candidates",
+                            "transferred_rows", "trace", "wall_time", "profile"}
+        assert doc["candidates"] == 3 and doc["transferred_rows"] == 2
+        assert doc["trace"] == profile.render()
+        assert doc["profile"] == profile.as_dict()
 
     def test_capacity_and_dropped(self):
         log = SlowQueryLog(threshold_ms=0.0, capacity=2)
         for i in range(5):
-            log.maybe_record(f"q{i}", "p", elapsed_ms=1.0)
+            log.maybe_record(f"q{i}", _finished(1.0))
         assert len(log) == 2
         assert log.dropped == 3
-        assert [e.query for e in log.entries()] == ["q3", "q4"]
+        assert [e.query for e in log.entries()] == [repr("q3"), repr("q4")]
 
 
 class TestExporters:
@@ -365,7 +378,7 @@ class TestIntegration:
         entries = obs.slow_query_log().entries()
         assert len(entries) == 4
         assert any("TemporalRangeQuery" in e.query for e in entries)
-        assert all(e.trace for e in entries), "entries must carry stage tables"
+        assert all(e.profile.stages for e in entries), "entries must carry stage tables"
         assert obs.registry().get("query_slow_total").value == 4
 
 
@@ -525,8 +538,8 @@ class TestSlowQueryLogEviction:
     def test_eviction_keeps_newest_and_counts_dropped(self):
         log = SlowQueryLog(threshold_ms=0.0, capacity=3)
         for i in range(10):
-            log.maybe_record(f"q{i}", "p", elapsed_ms=float(i))
-        assert [e.query for e in log.entries()] == ["q7", "q8", "q9"]
+            log.maybe_record(f"q{i}", _finished(float(i)))
+        assert [e.profile.elapsed_ms for e in log.entries()] == [7.0, 8.0, 9.0]
         assert log.dropped == 7
         log.clear()
         assert log.dropped == 0 and len(log) == 0
@@ -536,7 +549,7 @@ class TestSlowQueryLogEviction:
 
         def writer(tid: int) -> None:
             for i in range(100):
-                log.maybe_record(f"t{tid}-q{i}", "p", elapsed_ms=1.0)
+                log.maybe_record(f"t{tid}-q{i}", _finished(1.0))
 
         threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
         for t in threads:

@@ -398,12 +398,13 @@ class TestAdmissionAndSlowlog:
         set_slow_query_ms(0.0)  # capture everything
         try:
             span = dataset[0].time_range
-            tman.query(TemporalRangeQuery(TimeRange(span.start, span.start + 3600)))
+            result = tman.query(
+                TemporalRangeQuery(TimeRange(span.start, span.start + 3600))
+            )
             entries = slow_query_log().entries()
             assert entries
-            assert entries[-1].profile is not None
-            assert entries[-1].profile["rows_scanned"] >= 0
-            assert "profile" in entries[-1].as_dict()
+            assert entries[-1].profile is result.profile
+            assert entries[-1].as_dict()["profile"]["rows_scanned"] >= 0
         finally:
             set_slow_query_ms(None)
 

@@ -5,15 +5,22 @@ the live provider on *every* selectivity estimate, so a flush landing
 mid-plan could cost half the candidate matrix against the old histograms
 and half against the new ones.  Each planning entry point now freezes
 one snapshot (thread-locally) for its whole duration.
+
+A query asks for its estimate once, while planning; the plan carries it,
+and the workload statistics compare the observed candidates with that
+estimate.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.datasets import TDRIVE_SPEC
+import pytest
+
+from repro import TMan, obs
+from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.model import MBR, TimeRange
-from repro.query.planner import QueryPlanner
+from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.types import STRangeQuery, TemporalRangeQuery
 from repro.storage.config import TManConfig
 
@@ -157,3 +164,84 @@ def test_concurrent_plans_each_freeze_their_own_snapshot():
         assert len(serials) == runs * per_plan
         total_runs += runs
     assert total_runs == 80
+
+
+# -- one estimate per query, carried by the plan ------------------------------
+
+
+class ScaledStatistics(StubStatistics):
+    """STRQ estimates that grow with the snapshot's serial, so a recorded
+    observed/estimated ratio names the snapshot it was computed from."""
+
+    def estimate_st(self, window: MBR, tr: TimeRange) -> float:
+        super().estimate_st(window, tr)
+        return 20.0 * self.serial
+
+
+class ScaledProvider(MutatingProvider):
+    def __call__(self):
+        with self._mu:
+            self.calls += 1
+            return ScaledStatistics(self.calls, self.usage_log)
+
+
+@pytest.fixture(scope="module")
+def loaded_tman():
+    data = tdrive_like(120, seed=3, max_points=30)
+    tman = TMan(TManConfig(boundary=TDRIVE_SPEC.boundary, max_resolution=12,
+                           num_shards=2, kv_workers=2))
+    tman.bulk_load(data)
+    yield tman, data
+    tman.close()
+
+
+def _count_estimates(monkeypatch, planner: QueryPlanner) -> list:
+    calls: list = []
+    original = planner.estimate_candidates
+
+    def counted(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(planner, "estimate_candidates", counted)
+    return calls
+
+
+def test_planned_query_estimates_once(loaded_tman, monkeypatch):
+    tman, data = loaded_tman
+    monkeypatch.setattr(tman.planner, "_table_stats", ScaledProvider())
+    strq = _strq()
+    # The STRQ is costed over two or more routes.
+    assert len(tman.planner.candidate_plans(strq)) >= 2
+    assert tman.planner.plan(strq).reason.startswith("CBO")
+    calls = _count_estimates(monkeypatch, tman.planner)
+    for query in (strq, TemporalRangeQuery(data[0].time_range)):
+        calls.clear()
+        tman.query(query)
+        assert calls == [query]
+
+
+def test_forced_plan_estimates_nothing_and_records_no_ratio(loaded_tman, monkeypatch):
+    tman, _ = loaded_tman
+    monkeypatch.setattr(tman.planner, "_table_stats", ScaledProvider())
+    obs.reset_all()
+    calls = _count_estimates(monkeypatch, tman.planner)
+    result = tman.query(_strq(), plan=QueryPlan("tshape", "primary", "forced"))
+    assert calls == []
+    assert result.profile.estimated_candidates is None
+    (group,) = obs.workload_stats().snapshot()["groups"]
+    assert group["estimate_ratio"]["count"] == 0
+
+
+def test_recorded_ratio_uses_the_plans_snapshot(loaded_tman, monkeypatch):
+    tman, _ = loaded_tman
+    provider = ScaledProvider()
+    monkeypatch.setattr(tman.planner, "_table_stats", provider)
+    obs.reset_all()
+    result = tman.query(_strq())
+    assert result.candidates > 0
+    # The plan was costed with the first snapshot (estimate 20 x serial 1).
+    (group,) = obs.workload_stats().snapshot()["groups"]
+    assert group["estimate_ratio"]["recent"] == [round(result.candidates / 20.0, 4)]
+    assert result.profile.estimated_candidates == 20.0
+    assert provider.calls == 1  # nothing pulled a later snapshot
