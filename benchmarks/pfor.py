@@ -3,7 +3,14 @@
 Each block of up to 128 values is stored with a per-block base and bit width
 chosen to fit ~90% of the values; outliers ("exceptions") are patched in a
 varint side list.  Lossless for non-negative integers below 2^64.
-Encoding and decoding both work on all of a blob's streams at once.
+Encoding and decoding both work on a batch of streams at once.
+
+No row stores PFOR streams: rows are packed with simple8b alone.  PFOR
+packs about 5 % fewer bytes per point than simple8b on T-Drive-like
+tracks, but its encoder builds one ``uint64`` per bit of a batch, so an
+8,192-point ingest chunk costs several MiB more peak memory.  The codec
+menu benchmark (``benchmarks/test_ext_compression.py``) measures it beside
+simple8b and the LEB128 packer (``benchmarks/varint_stream.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ BLOCK = 128
 
 def pfor_encode_segments(values, offsets) -> list[bytes]:
     """One PFOR stream per segment ``[offsets[i], offsets[i+1])``, its blocks
-    with no count (the trajectory blob's frame holds it): bases,
+    with no count (the reader must know it): bases,
     widths (covering the shifted value ranked ``int(0.9 * count)``, at least
     1), exceptions and LSB-first bit streams of every block of every segment
     come from array passes; only the per-block byte assembly loops."""

@@ -1,22 +1,60 @@
 """Extension benchmark — the trajectory compression codec menu.
 
-Compares the integer packers (varint / simple8b / PFOR) through the full
-trajectory codec, plus the float codecs (XOR, Elf) on raw coordinate
-columns: compressed size and encode/decode throughput on realistic GPS
-tracks.  Supports the storage-layer claim that rows are much smaller than
-raw point arrays.  The blobs are the standalone codec's: the row version 4
-frame (codec id, varint point count, varint t and x stream lengths, no
-per-stream counts) with first values counted from 0, so they do not show
-the row's header-relative first point.
+Compares the integer packers (LEB128 varint / simple8b / PFOR) on the same
+zigzagged streams the trajectory codec builds (delta-of-delta t, delta lng
+and lat, first values counted from 0), plus the float codecs (XOR, Elf) on
+raw coordinate columns: compressed size and encode/decode throughput on
+realistic GPS tracks.  Supports the storage-layer claim that rows are much
+smaller than raw point arrays.  Rows are packed with simple8b alone; the
+other packers live here in ``benchmarks/`` (``varint_stream.py``,
+``pfor.py``).  A packer's bytes are its three streams per trip without the
+blob frame (codec id, varint n, varint len(t), varint len(x)); the
+simple8b streams plus that frame are checked to be the codec's blobs.
 """
 
 import time
 
+import numpy as np
+
 from benchmarks.conftest import save_table
 from benchmarks.elf import elf_decode, elf_encode
 from benchmarks.harness import ResultTable
+from benchmarks.pfor import pfor_encode_segments, pfor_unpack
+from benchmarks.varint_stream import varint_encode_segments, varint_unpack
 from benchmarks.xor_float import xor_float_decode, xor_float_encode
 from repro.compression import TrajectoryCodec
+from repro.compression.columnar import (
+    delta_encode_array,
+    delta_of_delta_encode_array,
+    zigzag_encode_array,
+)
+from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
+from repro.compression.traj_codec import quantize_arrays
+from repro.compression.varint import encode_varint
+
+PACKERS = {  # packer -> (segmented packer, array unpacker)
+    "varint": (varint_encode_segments, varint_unpack),
+    "simple8b": (simple8b_encode_segments, simple8b_unpack),
+    "pfor": (pfor_encode_segments, pfor_unpack),
+}
+
+
+def zigzag_streams(trajs) -> tuple[np.ndarray, np.ndarray]:
+    """Every trip's three zigzagged streams, as the trajectory codec builds
+    them with origin 0, concatenated (all t streams, then x, then y), and
+    the offsets of those ``3 * len(trajs)`` streams."""
+    offsets = np.cumsum([0] + [len(t) for t in trajs])
+    t, x, y = quantize_arrays(*(
+        np.concatenate([getattr(traj.block, col) for traj in trajs])
+        for col in ("ts", "xs", "ys")
+    ))
+    n = offsets[-1]
+    values = zigzag_encode_array(np.concatenate((
+        delta_of_delta_encode_array(t, offsets),
+        delta_encode_array(x, offsets),
+        delta_encode_array(y, offsets),
+    )))
+    return values, np.concatenate((offsets, offsets[1:] + n, offsets[1:] + 2 * n))
 
 
 def test_ext_codec_menu(benchmark, tdrive_data):
@@ -26,24 +64,35 @@ def test_ext_codec_menu(benchmark, tdrive_data):
 
     table = ResultTable(
         "Extension - trajectory codec menu (300 trips, "
-        f"{total_points} points, raw={raw_bytes}B; blob frame: codec id, "
-        "varint n, varint len(t), varint len(x), no per-stream counts)",
+        f"{total_points} points, raw={raw_bytes}B; packer bytes are the three "
+        "zigzagged delta streams per trip, without the blob frame: codec id, "
+        "varint n, varint len(t), varint len(x))",
         ["codec", "bytes", "ratio", "encode_ms", "decode_ms"],
     )
 
-    for name in ("varint", "simple8b", "pfor"):
-        codec = TrajectoryCodec(name)
+    zigzagged, bounds = zigzag_streams(sample)
+    k = len(sample)
+    for name, (pack, unpack) in PACKERS.items():
         t0 = time.perf_counter()
-        blobs = [codec.encode_points(t.points) for t in sample]
+        streams = pack(zigzagged, bounds)
         encode_ms = (time.perf_counter() - t0) * 1000
+        trips = [streams[i::k] for i in range(k)]  # each trip's t, x and y streams
         t0 = time.perf_counter()
-        for blob in blobs:
-            codec.decode_points(blob)
+        decoded = [unpack(trip, len(traj)) for trip, traj in zip(trips, sample)]
         decode_ms = (time.perf_counter() - t0) * 1000
-        size = sum(len(b) for b in blobs)
+        restored = np.concatenate([d[j] for j in range(3) for d in decoded])
+        assert np.array_equal(restored, zigzagged), name
+        size = sum(len(stream) for stream in streams)
         table.add_row(name, size, raw_bytes / size, encode_ms, decode_ms)
         # The quantize+delta+pack pipeline must beat raw doubles comfortably.
         assert size < raw_bytes / 2, name
+        if name == "simple8b":  # the codec's blobs are these streams, framed
+            codec = TrajectoryCodec()
+            for trip, traj in zip(trips, sample):
+                frame = bytearray((1,))
+                for value in (len(traj), len(trip[0]), len(trip[1])):
+                    encode_varint(value, frame)
+                assert codec.encode_points(traj.points) == bytes(frame) + b"".join(trip)
 
     # Float codecs on the longitude column.  Two variants: the raw synthetic
     # doubles (full random mantissas — worst case) and the same column

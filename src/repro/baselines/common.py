@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
 from repro.kvstore.table import Table
@@ -79,7 +78,7 @@ class SingleIndexStore:
         self.cluster = Cluster(workers=kv_workers)
         self.table = self.cluster.create_table(f"{name}_primary")
         self.keys = RowKeyCodec(num_shards, index_width=8)
-        self.serializer = RowSerializer(TrajectoryCodec())
+        self.serializer = RowSerializer()
         self.row_count = 0
 
     def close(self) -> None:

@@ -17,7 +17,6 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from repro.baselines.common import scan_query
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.xz2 import XZ2Index
 from repro.core.baselines.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
@@ -59,7 +58,7 @@ class TrajMesa:
 
         self.cluster = Cluster(workers=kv_workers)
         self.keys = RowKeyCodec(num_shards, index_width=8)
-        self.serializer = RowSerializer(TrajectoryCodec())
+        self.serializer = RowSerializer()
         self.temporal_table = self.cluster.create_table("tm_temporal")
         self.spatial_table = self.cluster.create_table("tm_spatial")
         self.st_table = self.cluster.create_table("tm_st")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.start_time import StartTimeSegmentIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
@@ -44,7 +43,7 @@ class VRE:
         self.cluster = Cluster(workers=kv_workers)
         self.primary = self.cluster.create_table("vre_segments")
         self.by_tid = self.cluster.create_table("vre_tid")
-        self.serializer = RowSerializer(TrajectoryCodec())
+        self.serializer = RowSerializer()
         self.segment_count = 0
         self.trajectory_count = 0
 

@@ -2,23 +2,20 @@
 
 The paper stores each trajectory as three compressed arrays (timestamps,
 longitudes, latitudes) inside the primary-table row value and lists a menu of
-codecs (Elf, VGB, simple8b, PFOR, ...).  This package implements a compatible
-menu of order-preserving, lossless integer codecs plus the trajectory codec
-that glues them together (the float codecs XOR and Elf are benchmarked from
-``benchmarks/``).  Every integer packer encodes and decodes whole numpy
-arrays; the trajectory codec decodes any blob through one vectorized path.
+codecs (Elf, VGB, simple8b, PFOR, ...).  Rows here use one of them: the
+trajectory codec delta-transforms and zigzags each array and packs it with
+simple8b, encoding and decoding whole numpy arrays.  The rest of the menu
+(LEB128 varint streams, PFOR, and the float codecs XOR and Elf) is
+benchmarked from ``benchmarks/``.
 """
 
-from repro.compression.pfor import pfor_encode
 from repro.compression.simple8b import simple8b_encode
-from repro.compression.traj_codec import TrajectoryCodec, CodecName
+from repro.compression.traj_codec import TrajectoryCodec
 from repro.compression.varint import decode_varint, encode_varint
 
 __all__ = [
     "encode_varint",
     "decode_varint",
     "simple8b_encode",
-    "pfor_encode",
     "TrajectoryCodec",
-    "CodecName",
 ]

@@ -3,18 +3,18 @@
 Coordinates are quantized to fixed-point integers (1e-7 degrees, ~1 cm —
 finer than any GPS fix, so round-tripping is exact for 7-decimal inputs),
 timestamps to milliseconds.  Each array is delta(-of-delta) transformed,
-zigzagged, and packed with a selectable integer codec.  The codec id is
-recorded in the blob so rows written with different configurations remain
-readable.
+zigzagged, and packed with simple8b, the one integer packer rows use.
 
 A blob states each fact once::
 
-    codec id (1 B) | varint n | varint len(t) | varint len(x) | t | x | y
+    codec id (1 B, always 1) | varint n | varint len(t) | varint len(x) | t | x | y
 
-``n`` is the point count of all three streams, so no stream carries its
-own count, and the y stream runs to the end of the blob.  Each stream's
-first value is stored relative to an integer *origin* the caller supplies
-and must supply again to decode: the row serializer passes the quantized
+The leading byte is simple8b's id from when rows could name other
+packers; a blob whose first byte is anything else is rejected.  ``n`` is
+the point count of all three streams, so no stream carries its own count,
+and the y stream runs to the end of the blob.  Each stream's first value
+is stored relative to an integer *origin* the caller supplies and must
+supply again to decode: the row serializer passes the quantized
 ``t_start`` and MBR corner its own header already holds, so the first
 timestamp and coordinates cost a few bits instead of 30 or 60.  The
 standalone API (:meth:`TrajectoryCodec.encode_arrays`, ``encode_points`` /
@@ -23,16 +23,15 @@ standalone API (:meth:`TrajectoryCodec.encode_arrays`, ``encode_points`` /
 Encoding is batched: :meth:`TrajectoryCodec.encode_columns` takes a whole
 batch's concatenated columns and builds every trajectory's delta /
 delta-of-delta / zigzag streams in one set of array passes, then packs
-them with the codec's segmented packer; the one-trajectory APIs are
-one-element calls into it.  Decoding has one path for every codec:
-:meth:`TrajectoryCodec.decode_array_block` unpacks a blob's three streams
-with the codec's array unpacker in one call, then zigzag, delta-of-delta /
+them with one segmented simple8b call; the one-trajectory APIs are
+one-element calls into it.  :meth:`TrajectoryCodec.decode_array_block`
+unpacks a blob's three streams in one call, then zigzag, delta-of-delta /
 delta and dequantization run once, vectorized, into float64 columns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +40,9 @@ from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_decode_array,
     delta_of_delta_encode_array,
-    varint_encode_segments,
-    varint_unpack,
     zigzag_decode_array,
     zigzag_encode_array,
 )
-from repro.compression.pfor import pfor_encode_segments, pfor_unpack
 from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
 from repro.compression.varint import decode_varint, encode_varint
 from repro.model.point import STPoint
@@ -55,18 +51,10 @@ from repro.model.pointblock import PointBlock
 COORD_SCALE = 10_000_000  # 1e-7 degrees per unit
 TIME_SCALE = 1000  # milliseconds
 
-CodecName = str
-
-# codec -> (segmented packer: (values, offsets) -> one stream per segment,
-#           unpacker: (streams, n) -> (len(streams), n) uint64 values)
-_PACKERS: dict[CodecName, tuple[Callable, Callable[[list[bytes], int], np.ndarray]]] = {
-    "varint": (varint_encode_segments, varint_unpack),
-    "simple8b": (simple8b_encode_segments, simple8b_unpack),
-    "pfor": (pfor_encode_segments, pfor_unpack),
-}
-# Id 3 belonged to a retired twin of varint; it stays unassigned.
-_CODEC_IDS: dict[CodecName, int] = {"varint": 0, "simple8b": 1, "pfor": 2}
-_CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
+CODEC = "simple8b"
+# Every blob's first byte.  It was simple8b's id among several packers' and
+# stays, so stored rows are byte-identical; any other first byte is corrupt.
+_CODEC_ID = 1
 
 
 def quantize_arrays(
@@ -105,10 +93,11 @@ class TrajectoryCodec:
     [STPoint(t=0.0, lng=116.35, lat=39.98)]
     """
 
-    def __init__(self, codec: CodecName = "simple8b"):
-        if codec not in _PACKERS:
-            raise ValueError(f"unknown codec {codec!r}; pick one of {sorted(_PACKERS)}")
-        self.codec = codec
+    def __init__(self, codec: str = CODEC):
+        """``codec`` names the packer, so callers passing
+        ``TManConfig.codec`` keep working; only ``"simple8b"`` is one."""
+        if codec != CODEC:
+            raise ValueError(f"unknown codec {codec!r}; rows are packed with {CODEC!r}")
 
     # -- array-level API ---------------------------------------------------
 
@@ -119,7 +108,7 @@ class TrajectoryCodec:
 
         Every trajectory's quantized delta-of-delta (t) and delta (lng, lat)
         streams are built with segmented array passes, zigzagged, and packed
-        by one segmented packer call over all three streams of the batch.
+        by one segmented simple8b call over all three streams of the batch.
         ``origins`` (one ``(t, x, y)`` integer row per segment, default 0)
         is subtracted from each segment's first t, x and y value.
         """
@@ -137,15 +126,15 @@ class TrajectoryCodec:
             for k, stream in enumerate(streams):
                 stream[offsets[:-1][full]] -= origins[full, k]
         values = zigzag_encode_array(np.concatenate(streams))
-        pack, _ = _PACKERS[self.codec]
-        packed = pack(values, np.concatenate((offsets, offsets[1:] + n, offsets[1:] + 2 * n)))
+        packed = simple8b_encode_segments(
+            values, np.concatenate((offsets, offsets[1:] + n, offsets[1:] + 2 * n))
+        )
         k = len(offsets) - 1
-        cid = _CODEC_IDS[self.codec]
         blobs = []
         for m, st, sx, sy in zip(
             np.diff(offsets).tolist(), packed[:k], packed[k : 2 * k], packed[2 * k :]
         ):
-            out = bytearray((cid,))
+            out = bytearray((_CODEC_ID,))
             for value in (m, len(st), len(sx)):
                 encode_varint(value, out)
             blobs.append(b"".join((out, st, sx, sy)))
@@ -163,14 +152,14 @@ class TrajectoryCodec:
     def decode_array_block(
         self, blob: bytes, origin: Optional[tuple[int, int, int]] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Restore (t, lng, lat) as float64 numpy columns, whatever codec id
-        ``blob`` carries; ``origin`` is the ``(t, x, y)`` integer origin it
-        was encoded with (default 0).  ``ValueError`` on a truncated or
-        corrupt blob, ``OverflowError`` on an origin past 64 bits."""
+        """Restore (t, lng, lat) as float64 numpy columns; ``origin`` is the
+        ``(t, x, y)`` integer origin ``blob`` was encoded with (default 0).
+        ``ValueError`` on a truncated or corrupt blob or one whose first
+        byte is not simple8b's id, ``OverflowError`` on an origin past 64
+        bits."""
         if not blob:
             raise ValueError("truncated trajectory blob")
-        codec_name = _CODEC_NAMES.get(blob[0])
-        if codec_name is None:
+        if blob[0] != _CODEC_ID:
             raise ValueError(f"unknown codec id {blob[0]}")
         n, pos = decode_varint(blob, 1)
         t_len, pos = decode_varint(blob, pos)
@@ -180,7 +169,7 @@ class TrajectoryCodec:
         if y_at > len(blob):
             raise ValueError("truncated trajectory blob")
         streams = [blob[pos:x_at], blob[x_at:y_at], blob[y_at:]]
-        ints = zigzag_decode_array(_PACKERS[codec_name][1](streams, n))
+        ints = zigzag_decode_array(simple8b_unpack(streams, n))
         if origin is not None and n:
             ints[:, 0] += np.array(origin, dtype=np.int64)
         return dequantize_arrays(

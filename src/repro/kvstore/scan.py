@@ -35,12 +35,8 @@ class Scan:
     ``start`` is inclusive, ``stop`` exclusive (``None`` = unbounded).  When
     ``server_filter`` is set, it is evaluated inside the region (push-down);
     rejected rows count as scanned but are not transferred.  ``limit`` caps
-    the number of returned rows.  ``batch_rows`` is a chunking hint for
-    streaming region reads: the table fetches rows from each region in
-    chunks of this size (prefetching one chunk ahead per region), so an
-    abandoned scan never materializes more than one extra chunk per region.
-    ``deadline`` (when set) is checked cooperatively inside the region
-    scan loop; expiry aborts the scan with
+    the number of returned rows.  ``deadline`` (when set) is checked
+    cooperatively inside the region scan loop; expiry aborts the scan with
     :class:`~repro.runtime.deadline.QueryTimeoutError`.
     """
 
@@ -48,7 +44,6 @@ class Scan:
     stop: bytes | None = None
     server_filter: Filter | None = None
     limit: int | None = None
-    batch_rows: int | None = None
     deadline: Deadline | None = None
 
     def __post_init__(self) -> None:
@@ -60,5 +55,3 @@ class Scan:
             raise ValueError(f"scan stop < start: {self.stop!r} < {self.start!r}")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"negative scan limit: {self.limit}")
-        if self.batch_rows is not None and self.batch_rows <= 0:
-            raise ValueError(f"non-positive scan batch_rows: {self.batch_rows}")

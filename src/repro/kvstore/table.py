@@ -316,20 +316,16 @@ class Table:
         yield from itertools.islice(rows, scan.limit)
 
     def parallel_scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
-        """A one-window :meth:`multi_range_scan`: every overlapping region
-        streams in chunks of ``scan.batch_rows``, in key order.
-
-        ``limit`` is applied exactly once, here: region cursors carry no
-        limit and simply stop being pulled, so an early-terminated consumer
-        scans at most the in-flight chunks beyond what it yielded.
+        """A one-window :meth:`multi_range_scan` that applies ``scan.limit``
+        once to the merged stream: every overlapping region streams in
+        chunks, in key order, and stops being pulled at the limit.  The
+        query path calls :meth:`multi_range_scan`; the benchmark spine's
+        tracer still wraps this method by name.
         """
         if scan.limit is not None and scan.limit <= 0:
             return
         rows = self.multi_range_scan(
-            [(scan.start, scan.stop)],
-            scan.server_filter,
-            scan.deadline,
-            batch_rows=scan.batch_rows or DEFAULT_BATCH_ROWS,
+            [(scan.start, scan.stop)], scan.server_filter, scan.deadline
         )
         try:
             yield from itertools.islice(rows, scan.limit)
@@ -353,7 +349,11 @@ class Table:
         order, so the result is byte-identical to a serial loop, which is
         what runs without a pool, for a single run, or while a region's
         breaker is open.  ``windows`` is consumed lazily either way.
+        ``batch_rows`` bounds each scheduled run's buffered rows and must be
+        positive (``ValueError``).
         """
+        if batch_rows <= 0:
+            raise ValueError(f"non-positive scan batch_rows: {batch_rows}")
         scan = Scan(server_filter=row_filter, deadline=deadline)
 
         def read(run: tuple[Region, list[Window]]) -> Iterator[tuple[bytes, bytes]]:
@@ -407,8 +407,6 @@ class Table:
             or not self._regions_healthy([self._regions[r] for r in groups])
         ):
             for ridx, idxs in groups.items():
-                if deadline is not None:
-                    deadline.check("multi_get")
                 values = self._get_batch_resilient(
                     self._regions[ridx], [keys[i] for i in idxs], deadline
                 )
@@ -419,20 +417,18 @@ class Table:
         # profile to every region batch so its gets stay attributed.
         profile = current_profile()
         futures = [
-            self._executor.submit(
+            (idxs, self._executor.submit(
                 run_with_profile,
                 profile,
-                _get_batch,
+                self._get_batch_resilient,
                 self._regions[ridx],
                 [keys[i] for i in idxs],
-                idxs,
-                self._retry,
                 deadline,
-            )
+            ))
             for ridx, idxs in groups.items()
         ]
-        for future in futures:
-            for i, value in future.result():
+        for idxs, future in futures:
+            for i, value in zip(idxs, future.result()):
                 out[i] = value
         return out
 
@@ -442,7 +438,10 @@ class Table:
         keys: list[bytes],
         deadline: Optional[Deadline] = None,
     ) -> list[Optional[bytes]]:
-        """One region's batched get under the retry policy."""
+        """One region's batched get under the retry policy (inline or on the
+        pool), refused up front once ``deadline`` has passed."""
+        if deadline is not None:
+            deadline.check("multi_get")
         return self._retry.run(
             lambda: region.get_batch(keys),
             op="multi_get",
@@ -463,21 +462,3 @@ class Table:
         """Unflushed bytes buffered across the table's regions."""
         return sum(region.memtable_bytes for region in self._regions)
 
-
-def _get_batch(
-    region: Region,
-    keys: Sequence[bytes],
-    idxs: Sequence[int],
-    retry: RetryPolicy,
-    deadline: Optional[Deadline] = None,
-) -> list[tuple[int, Optional[bytes]]]:
-    """Resolve one region's share of a multi_get (runs on the pool)."""
-    if deadline is not None:
-        deadline.check("multi_get")
-    values = retry.run(
-        lambda: region.get_batch(list(keys)),
-        op="multi_get",
-        breaker=region.breaker,
-        deadline=deadline,
-    )
-    return list(zip(idxs, values))

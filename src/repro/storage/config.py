@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.compression.traj_codec import CODEC
 from repro.model.mbr import MBR
 
 VALID_INDEXES = ("tshape", "tr", "st")
@@ -34,7 +36,9 @@ class TManConfig:
     time_origin: float = 0.0
     # storage
     num_shards: int = 4
-    codec: str = "simple8b"
+    # Not a field: every row's point blob is packed with simple8b.  Saved
+    # deployments state it, and open_tman refuses any other value.
+    codec: ClassVar[str] = CODEC
     dp_epsilon: float = 0.002
     buffer_shape_threshold: int = 512
     # query processing

@@ -14,12 +14,14 @@ update protocol re-stages unknown shapes on demand).
 
 ``config.json`` states the stored format it was saved in
 (:data:`repro.kvstore.durable.FORMAT`: row layout, key layouts, engine
-files).  ``open_tman`` refuses another format, or none, with
-:class:`~repro.kvstore.errors.FormatMismatchError` before any table is
-read, and refuses a key that is neither a field, nor the format or row
-count, nor one of :data:`RETIRED_KEYS`.  A saved deployment is brought to
-a new format test-side (``tests/data/deployment_parent/rewrite.py``) or
-reloaded from its source data.
+files).  ``open_tman`` refuses another format, or none, and a ``codec``
+other than :attr:`TManConfig.codec` (deployments saved while the codec was
+a field state it), with :class:`~repro.kvstore.errors.FormatMismatchError`
+before any table is read; it refuses a key that is neither a field, nor
+the format, codec or row count, nor one of :data:`RETIRED_KEYS`.  A saved
+deployment is brought to a new format test-side
+(``tests/data/deployment_parent/rewrite.py``) or reloaded from its source
+data.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Optional, Union
 
 from repro.cache.redis_sim import RedisServer
 from repro.kvstore.durable import FORMAT, format_mismatch
+from repro.kvstore.errors import FormatMismatchError
 from repro.kvstore.snapshot import load_cluster, save_cluster
 from repro.model.mbr import MBR
 from repro.storage.config import TManConfig
@@ -78,8 +81,8 @@ def open_tman(
 
     ``config_overrides`` replaces individual persisted config fields for
     this process only (the directory is not rewritten) — e.g. to reopen
-    a snapshot in process mode.  A deployment of another stored format
-    raises :class:`~repro.kvstore.errors.FormatMismatchError`; persisted
+    a snapshot in process mode.  A deployment of another stored format or
+    codec raises :class:`~repro.kvstore.errors.FormatMismatchError`; persisted
     keys in :data:`RETIRED_KEYS` are ignored, and any other unknown key
     raises ``ValueError``.
     """
@@ -87,8 +90,13 @@ def open_tman(
     doc = json.loads((directory / CONFIG_FILE).read_text())
     if doc.get("format") != FORMAT:
         raise format_mismatch(directory, doc.get("format"))
+    if doc.get("codec", TManConfig.codec) != TManConfig.codec:
+        raise FormatMismatchError(
+            f"{directory} holds rows packed with codec {doc['codec']!r}; "
+            f"this build reads {TManConfig.codec!r}"
+        )
     known = {f.name for f in dataclasses.fields(TManConfig)}
-    unknown = set(doc) - known - RETIRED_KEYS - {"format", "row_count"}
+    unknown = set(doc) - known - RETIRED_KEYS - {"format", "codec", "row_count"}
     if unknown:
         raise ValueError(f"{directory / CONFIG_FILE}: unknown keys {sorted(unknown)}")
     doc = {name: value for name, value in doc.items() if name in known}

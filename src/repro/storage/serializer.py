@@ -19,9 +19,8 @@ compressed point arrays.  One layout, version 5::
               quantized reps: min(qx_k, qx_k+1) - floor(x1*S),
               min(qy_k, qy_k+1) - floor(y1*S), ceil(x2*S) - max(qx_k, qx_k+1),
               ceil(y2*S) - max(qy_k, qy_k+1)
-    points: the configured codec's blob, to the end of the row (no length):
-            codec id(1) | varint n | varint len(t) | varint len(x) | t | x | y
-            (every codec id decodes through one vectorized path)
+    points: the simple8b blob, to the end of the row (no length):
+            codec id(1)=1 | varint n | varint len(t) | varint len(x) | t | x | y
 
 The row holds no TR index value: it is a function of the header's time
 range (Eq. 1), which is the exact f64 range the keys were built from, so a
@@ -139,9 +138,6 @@ class RowSerializer:
             heads[:, [0, 2, 3]] * (TIME_SCALE, COORD_SCALE, COORD_SCALE)
         ).astype(np.int64)
         features = _encode_features(xs, ys, offsets, self.dp_epsilon, origins[:, 1:])
-        # The configured codec packs the point streams (its compression
-        # ratio is orthogonal to the feature layout); decode_array_block
-        # reads every codec id back as columns.
         blobs = self.codec.encode_columns(ts, xs, ys, offsets, origins)
         rows = []
         for traj, head, feat, blob in zip(trajs, heads.tolist(), features, blobs):

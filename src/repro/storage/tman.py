@@ -26,7 +26,6 @@ from repro.core.shape_encoding import ShapeEncoder
 from repro.core.st import STIndex
 from repro.core.temporal import TRIndex
 from repro.core.tshape import TShapeIndex
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.retry import RetryPolicy
 from repro.model.mbr import MBR
@@ -149,9 +148,7 @@ class TMan:
         self.st_index = STIndex(self.tr_index, self.tshape_index, config.st_window_budget)
 
         # Storage plumbing.
-        self.serializer = RowSerializer(
-            TrajectoryCodec(config.codec), config.dp_epsilon
-        )
+        self.serializer = RowSerializer(dp_epsilon=config.dp_epsilon)
         self.keys = RowKeyCodec(config.num_shards, config.primary_index_width)
         self.index_cache = ShapeIndexCache(redis)
         self.buffer_cache = BufferShapeCache(config.buffer_shape_threshold)

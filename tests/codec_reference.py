@@ -1,12 +1,14 @@
 """Scalar reference decoders for the trajectory codec.
 
 These are the python-list implementations the codec decoded with before
-every codec had one numpy unpacker: zigzag, delta and delta-of-delta
+every packer had one numpy unpacker: zigzag, delta and delta-of-delta
 transforms, count-prefixed varint lists, and varint, simple8b and PFOR
 streams of a known count, walked one value at a time, and
 :func:`decode_arrays`, the blob decoder built from them.  They live here,
 not under ``src/``, as the oracle the vectorized decoders are checked
-against.
+against: simple8b's in ``repro.compression`` (the one packer rows use),
+and the codec menu's LEB128 and PFOR packers in ``benchmarks/``
+(``varint_stream.py``, ``pfor.py``).
 """
 
 from __future__ import annotations
@@ -200,23 +202,21 @@ def pfor_decode(buf: bytes, n: int) -> list[int]:
     return values
 
 
-# codec id -> the scalar unpacker of one stream of known count
-UNPACKERS = {0: varint_decode, 1: simple8b_decode, 2: pfor_decode}
-
-
-def decode_frame(blob: bytes) -> tuple[int, int, list[bytes]]:
-    """A trajectory blob's codec id, point count and three streams: the frame
-    is codec id (1 byte), then the point count and the t and x stream
-    lengths as varints; the y stream runs to the end of the blob."""
+def decode_frame(blob: bytes) -> tuple[int, list[bytes]]:
+    """A trajectory blob's point count and three simple8b streams: the frame
+    is codec id (1 byte, simple8b's 1), then the point count and the t and x
+    stream lengths as varints; the y stream runs to the end of the blob."""
     if not blob:
         raise ValueError("truncated trajectory blob")
+    if blob[0] != 1:
+        raise ValueError(f"unknown codec id {blob[0]}")
     n, pos = decode_varint(blob, 1)
     t_len, pos = decode_varint(blob, pos)
     x_len, pos = decode_varint(blob, pos)
     if pos + t_len + x_len > len(blob):
         raise ValueError("truncated trajectory blob")
     x_at = pos + t_len
-    return blob[0], n, [blob[pos:x_at], blob[x_at : x_at + x_len], blob[x_at + x_len :]]
+    return n, [blob[pos:x_at], blob[x_at : x_at + x_len], blob[x_at + x_len :]]
 
 
 def decode_arrays(
@@ -225,12 +225,10 @@ def decode_arrays(
     """A trajectory blob's (t, lng, lat) arrays, decoded with the scalar
     helpers above: delta-of-delta t, delta x and delta y, each stream's
     first value counted from ``origin`` (default 0)."""
-    cid, n, streams = decode_frame(blob)
-    if cid not in UNPACKERS:
-        raise ValueError(f"unknown codec id {cid}")
+    n, streams = decode_frame(blob)
     signed = []
     for stream, first in zip(streams, origin if origin is not None else (0, 0, 0)):
-        values = [zigzag_decode(v) for v in UNPACKERS[cid](stream, n)]
+        values = [zigzag_decode(v) for v in simple8b_decode(stream, n)]
         if values:
             values[0] += first
         signed.append(values)

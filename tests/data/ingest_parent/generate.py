@@ -12,7 +12,11 @@ Rows are kept whole for simple8b and pfor (the two packers with their own
 kernels); the varint rows and the fine-epsilon rows are kept as one sha256
 digest per row, which pins them as exactly at a fraction of the size.
 The committed file also holds ``sha_columnar_eps``, the rows of a codec id
-(3, a varint twin) that has since been retired; nothing reads it.
+(3, a varint twin) that has since been retired; nothing reads it.  Nor is
+anything reading the varint and PFOR entries (``sha_varint_eps``,
+``rows_pfor_eps``, ``rowoff_pfor_eps``) any more: rows are packed with
+simple8b alone, and a current tree cannot write this script's varint and
+PFOR rows.
 """
 
 from __future__ import annotations

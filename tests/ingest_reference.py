@@ -18,7 +18,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.compression.pfor import pfor_encode
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
 from repro.compression.varint import decode_varint, encode_varint
 from repro.model.mbr import MBR
@@ -26,12 +25,12 @@ from repro.model.point import STPoint
 
 from .codec_reference import (
     SELECTORS,
-    UNPACKERS,
     decode_frame,
     decode_varint_list,
     delta_of_delta_decode,
     encode_varint_list,
     encode_varints,
+    simple8b_decode,
     zigzag_decode,
     zigzag_encode,
 )
@@ -203,7 +202,7 @@ def row_v3_to_v2(row: bytes) -> bytes:
     assert len(vals) == 7 * n - 3
     idx, xd, yd = vals[1 : n + 1], vals[n + 1 : 2 * n + 1], vals[2 * n + 1 : 3 * n + 1]
     qx, qy = _running(xd), _running(yd)
-    t_ints = delta_of_delta_decode(_v3_blob(tail)[2][0])
+    t_ints = delta_of_delta_decode(_v3_blob(tail)[1][0])
     qt = [t_ints[i] for i in accumulate(idx)]
     off = vals[3 * n + 1 :]
     boxes = (
@@ -222,45 +221,34 @@ def row_v3_to_v2(row: bytes) -> bytes:
 # -- row versions 3 and 4 ----------------------------------------------------
 #
 # Both versions share the header, the ids and the feature section byte for
-# byte, and their point blobs pack the same deltas with the same codec,
-# apart from each stream's first value.  v3: the blob behind its varint
-# length; a ``>BII`` head (codec id, n, t stream length), the t stream, then
-# the x and y streams each behind a ``>I`` length; each stream opens with
-# its own count (``>I``, or a varint for the varint codec); first values
+# byte, and their point blobs pack the same deltas with simple8b (codec id
+# 1; the converters take no other), apart from each stream's first value.
+# v3: the blob behind its varint length; a ``>BII`` head (codec id, n, t
+# stream length), the t stream, then the x and y streams each behind a
+# ``>I`` length; each stream opens with its own ``>I`` count; first values
 # are absolute.  v4: the blob to the end of the row; codec id, then varints
 # n, len(t), len(x); streams without counts; first values counted from the
 # header's quantized t_start, x1, y1.
 
-_PACKERS = {  # codec id -> one stream's packer, with no count
-    0: encode_varints,
-    1: simple8b_encode,
-    2: pfor_encode,
-}
 
-
-def _v3_count(cid: int, n: int) -> bytes:
-    """A v3 stream's count prefix."""
-    return encode_varints([n]) if cid == 0 else struct.pack(">I", n)
-
-
-def _v3_blob(tail: bytes) -> tuple[int, int, list[list[int]]]:
-    """A v3 row's tail (length-prefixed blob) as codec id, n and the three
-    streams' signed values (first values absolute)."""
+def _v3_blob(tail: bytes) -> tuple[int, list[list[int]]]:
+    """A v3 row's tail (length-prefixed blob) as n and the three streams'
+    signed values (first values absolute)."""
     blob_len, pos = decode_varint(tail, 0)
     assert pos + blob_len == len(tail)
     cid, n, size = struct.unpack_from(">BII", tail, pos)
+    assert cid == 1, cid
     pos += 9
     streams = []
     for k in range(3):
         if k:
             (size,) = struct.unpack_from(">I", tail, pos)
             pos += 4
-        prefix = _v3_count(cid, n)
-        assert tail[pos : pos + len(prefix)] == prefix
-        streams.append(tail[pos + len(prefix) : pos + size])
+        assert tail[pos : pos + 4] == struct.pack(">I", n)
+        streams.append(tail[pos + 4 : pos + size])
         pos += size
     assert pos == len(tail)
-    return cid, n, [[zigzag_decode(v) for v in UNPACKERS[cid](st, n)] for st in streams]
+    return n, [[zigzag_decode(v) for v in simple8b_decode(st, n)] for st in streams]
 
 
 def _origin(row: bytes) -> tuple[int, int, int]:
@@ -279,12 +267,12 @@ def row_v3_to_v4(row: bytes) -> bytes:
     byte for byte."""
     head, features, tail = _split_row(row)
     assert row[1] == 3, row[1]
-    cid, n, signed = _v3_blob(tail)
+    n, signed = _v3_blob(tail)
     t, x, y = (
-        _PACKERS[cid]([zigzag_encode(v) for v in values])
+        simple8b_encode([zigzag_encode(v) for v in values])
         for values in _shift_firsts(signed, _origin(row), -1)
     )
-    blob = bytes([cid]) + encode_varints([n, len(t), len(x)]) + t + x + y
+    blob = bytes([1]) + encode_varints([n, len(t), len(x)]) + t + x + y
     return _join_row(head, 4, features, blob)
 
 
@@ -292,13 +280,13 @@ def row_v4_to_v3(row: bytes) -> bytes:
     """A version 4 row rewritten as the version 3 row of the same trajectory."""
     head, features, blob = _split_row(row)
     assert row[1] == 4, row[1]
-    cid, n, streams = decode_frame(blob)
-    signed = [[zigzag_decode(v) for v in UNPACKERS[cid](st, n)] for st in streams]
+    n, streams = decode_frame(blob)
+    signed = [[zigzag_decode(v) for v in simple8b_decode(st, n)] for st in streams]
     t, x, y = (
-        _v3_count(cid, n) + _PACKERS[cid]([zigzag_encode(v) for v in values])
+        struct.pack(">I", n) + simple8b_encode([zigzag_encode(v) for v in values])
         for values in _shift_firsts(signed, _origin(row), 1)
     )
-    blob = (struct.pack(">BII", cid, n, len(t)) + t + struct.pack(">I", len(x)) + x
+    blob = (struct.pack(">BII", 1, n, len(t)) + t + struct.pack(">I", len(x)) + x
             + struct.pack(">I", len(y)) + y)
     return _join_row(head, 3, features, encode_varints([len(blob)]) + blob)
 

@@ -1,9 +1,10 @@
 """Round-trip properties of the vectorized delta+zigzag+varint kernels.
 
-The array streams must be byte-identical to what the scalar reference
-implementations in ``tests/codec_reference.py`` produce and read, every
-codec's blob must decode to the reference's columns, and rows must round-trip
-through the serializer.
+The array streams (the transforms, and the codec menu's LEB128 packer in
+``benchmarks/varint_stream.py``) must be byte-identical to what the scalar
+reference implementations in ``tests/codec_reference.py`` produce and read,
+a point blob must decode to the reference's columns, and rows must
+round-trip through the serializer.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import random
 import numpy as np
 import pytest
 
+from benchmarks.varint_stream import leb128_decode, varint_encode_array
 from repro.compression.columnar import (
     delta_decode_array,
     delta_encode_array,
     delta_of_delta_decode_array,
     delta_of_delta_encode_array,
-    leb128_decode,
-    varint_encode_array,
     zigzag_decode_array,
     zigzag_encode_array,
 )
@@ -29,9 +29,6 @@ from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
 
 from . import codec_reference as ref
-
-CODECS = ("varint", "simple8b", "pfor")
-
 
 def _random_uints(rng, n, bits):
     return np.array([rng.getrandbits(bits) for _ in range(n)], dtype=np.uint64)
@@ -125,17 +122,16 @@ def _trajectory_points(n, seed, duplicate_ts=False):
 )
 def test_array_block_round_trip(n, duplicate_ts):
     points = _trajectory_points(n, seed=n, duplicate_ts=duplicate_ts)
-    for name in CODECS:
-        codec = TrajectoryCodec(name)
-        blob = codec.encode_points(points)
-        ts, lngs, lats = codec.decode_array_block(blob)
-        want = ref.decode_arrays(blob)
-        assert (ts.tolist(), lngs.tolist(), lats.tolist()) == want, name
-        assert codec.decode_points(blob) == [STPoint(*p) for p in zip(*want)]
-        # Quantized round trip: within half a grid cell of the raw input.
-        assert np.allclose(ts, [p.t for p in points], atol=1e-3)
-        assert np.allclose(lngs, [p.lng for p in points], atol=1e-7)
-        assert np.allclose(lats, [p.lat for p in points], atol=1e-7)
+    codec = TrajectoryCodec()
+    blob = codec.encode_points(points)
+    ts, lngs, lats = codec.decode_array_block(blob)
+    want = ref.decode_arrays(blob)
+    assert (ts.tolist(), lngs.tolist(), lats.tolist()) == want
+    assert codec.decode_points(blob) == [STPoint(*p) for p in zip(*want)]
+    # Quantized round trip: within half a grid cell of the raw input.
+    assert np.allclose(ts, [p.t for p in points], atol=1e-3)
+    assert np.allclose(lngs, [p.lng for p in points], atol=1e-7)
+    assert np.allclose(lats, [p.lat for p in points], atol=1e-7)
 
 
 def test_array_block_rejects_mismatched_lengths():

@@ -1,12 +1,14 @@
 """The one trajectory decoder against the scalar oracle, and corrupt blobs.
 
-Every codec's blob decodes through ``TrajectoryCodec.decode_array_block``:
-the codec's array unpacker, then zigzag, delta-of-delta / delta and
-dequantization, vectorized.  Here it must agree bit for bit with the scalar
-decoders in ``tests/codec_reference.py`` on generated columns, and a
-truncated or bit-flipped blob must either decode to three equal-length
-columns or raise one of the errors the row decoder maps to
-``CorruptionError``.
+A blob decodes through ``TrajectoryCodec.decode_array_block``: simple8b's
+array unpacker, then zigzag, delta-of-delta / delta and dequantization,
+vectorized.  Here it must agree bit for bit with the scalar decoders in
+``tests/codec_reference.py`` on generated columns, and a truncated or
+bit-flipped blob must either decode to three equal-length columns or raise
+one of the errors the row decoder maps to ``CorruptionError``.  The array
+unpackers of simple8b and of the codec menu's LEB128 and PFOR packers
+(``benchmarks/varint_stream.py``, ``benchmarks/pfor.py``) must read back
+what their packers wrote, as the scalar decoders do.
 
 The property tests take their example counts from the active Hypothesis
 profile: the ``fuzz`` profile (``tests/conftest.py``) sweeps deeper.
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.columnar import leb128_decode, varint_encode_segments, varint_unpack
-from repro.compression.pfor import pfor_encode_segments, pfor_unpack
+from benchmarks.pfor import pfor_encode_segments, pfor_unpack
+from benchmarks.varint_stream import leb128_decode, varint_encode_segments, varint_unpack
 from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
 from repro.compression.traj_codec import TrajectoryCodec, dequantize_arrays, quantize_arrays
 from repro.datasets import tdrive_like
@@ -28,11 +30,11 @@ from repro.model.pointblock import MAX_ABS_TIME
 
 from . import codec_reference as ref
 
-CODECS = ("varint", "simple8b", "pfor")
-PACKERS = {
-    "varint": (varint_encode_segments, varint_unpack, 0),
-    "simple8b": (simple8b_encode_segments, simple8b_unpack, 1),
-    "pfor": (pfor_encode_segments, pfor_unpack, 2),
+CODECS = ("simple8b",)  # the packers rows are written with
+PACKERS = {  # packer -> (segmented packer, array unpacker, scalar decoder)
+    "varint": (varint_encode_segments, varint_unpack, ref.varint_decode),
+    "simple8b": (simple8b_encode_segments, simple8b_unpack, ref.simple8b_decode),
+    "pfor": (pfor_encode_segments, pfor_unpack, ref.pfor_decode),
 }
 # What ``RowSerializer`` turns into ``CorruptionError``.
 CORRUPT = (ValueError, IndexError, OverflowError)
@@ -109,17 +111,17 @@ def streams(draw):
     return values, n
 
 
-@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("codec", sorted(PACKERS))
 @settings(derandomize=True, deadline=None)
 @given(streams())
 def test_unpackers_match_the_scalar_decoders(codec, drawn):
     values, n = drawn
-    pack, unpack, cid = PACKERS[codec]
+    pack, unpack, scalar = PACKERS[codec]
     packed = pack(values, (0, n, 2 * n, 3 * n))
     got = unpack(packed, n)
     assert got.dtype == np.uint64 and got.shape == (3, n)
     assert got.ravel().tolist() == values.tolist()
-    assert got.tolist() == [ref.UNPACKERS[cid](stream, n) for stream in packed]
+    assert got.tolist() == [scalar(stream, n) for stream in packed]
 
 
 @pytest.mark.parametrize("codec", CODECS)
@@ -144,12 +146,12 @@ def test_leb128_rejects_values_past_64_bits():
                 bytes([0x80] * 10 + [0x00])):
         with pytest.raises(ValueError):
             leb128_decode(np.frombuffer(bad, dtype=np.uint8))
-    # the same value as a one-point varint blob's t stream
+    # the scalar reference reads the overflowing value; the array decoder
+    # refuses it from the streams it unpacks too
     t_stream = bytes([*[0xFF] * 9, 0x7F])
     assert ref.varint_decode(t_stream, 1) == [1180591620717411303423]
-    blob = bytes([0, 1, len(t_stream), 1]) + t_stream + bytes([0, 0])
     with pytest.raises(ValueError, match="64 bits"):
-        TrajectoryCodec().decode_array_block(blob)
+        varint_unpack([t_stream, b"\x00", b"\x00"], 1)
 
 
 def _tdrive_blobs(codec: str) -> list[bytes]:

@@ -1,8 +1,10 @@
 """Unit and property tests for simple8b, PFOR, and the XOR float codec.
 
-Each integer packer's stream is read back both by the program's array
-unpacker and by the scalar reference decoder in ``tests/codec_reference.py``.
-A stream holds no count: both readers are told how many values it holds.
+Each integer packer's stream is read back both by its array unpacker and by
+the scalar reference decoder in ``tests/codec_reference.py``.  A stream
+holds no count: both readers are told how many values it holds.  Simple8b
+packs every row's point streams; PFOR (``benchmarks/pfor.py``) and XOR are
+the codec menu benchmark's.
 """
 
 import numpy as np
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.pfor import pfor_encode, pfor_unpack
 from benchmarks.xor_float import xor_float_decode, xor_float_encode
-from repro.compression import pfor_encode, simple8b_encode
-from repro.compression.pfor import pfor_unpack
+from repro.compression import simple8b_encode
 from repro.compression.simple8b import simple8b_unpack
 
 from . import codec_reference as ref

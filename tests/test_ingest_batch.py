@@ -23,10 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.varint_stream import varint_encode_array, varint_encode_segments
 from repro import TMan, TManConfig
-from repro.compression.columnar import varint_encode_array, varint_encode_segments
 from repro.compression.simple8b import simple8b_encode, simple8b_encode_segments
-from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.tshape import TShapeIndex
 from repro.datasets import TDRIVE_SPEC, tdrive_like
@@ -45,12 +44,9 @@ from .codec_reference import encode_varints
 
 GOLDEN = Path(__file__).parent / "data" / "ingest_parent" / "golden.npz"
 BOUNDARY = TDRIVE_SPEC.boundary
-ROW_SETS = {  # fixture name -> (codec, dp_epsilon)
-    "varint_eps": ("varint", 0.002),
-    "simple8b_eps": ("simple8b", 0.002),
-    "simple8b_fine": ("simple8b", 0.0002),
-    "pfor_eps": ("pfor", 0.002),
-}
+# golden row set -> dp_epsilon; golden.npz's varint and PFOR rows are not
+# read, as no row is packed with those codecs any more
+ROW_SETS = {"simple8b_eps": 0.002, "simple8b_fine": 0.0002}
 INDEXES = [("g14a3b3", 14, 3, 3), ("g16a4b2", 16, 4, 2)]
 
 
@@ -88,8 +84,7 @@ def _assert_rows(data, name: str, rows: list[bytes]) -> None:
 @pytest.mark.parametrize("name", sorted(ROW_SETS))
 def test_rows_reproduce_parent_bytes(golden, name):
     data, trajs = golden
-    codec, eps = ROW_SETS[name]
-    serializer = RowSerializer(TrajectoryCodec(codec), eps)
+    serializer = RowSerializer(dp_epsilon=ROW_SETS[name])
     _assert_rows(data, name, serializer.encode_many(trajs))
     _assert_rows(data, name, [serializer.encode(t) for t in trajs])
 

@@ -116,7 +116,6 @@ def test_fault_config_uniform_sets_every_rate():
         (lambda: RetryPolicy(deadline_ms=0.0), "deadline_ms must be positive"),
         (lambda: Scan(start=b"b", stop=b"a"), r"scan stop < start: b'a' < b'b'"),
         (lambda: Scan(limit=-1), "negative scan limit: -1"),
-        (lambda: Scan(batch_rows=0), "non-positive scan batch_rows: 0"),
     ],
 )
 def test_invalid_arguments_raise_the_same_errors(build, message):

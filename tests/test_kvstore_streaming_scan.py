@@ -1,4 +1,10 @@
-"""Streaming parallel scans: laziness, limit-once semantics, early termination."""
+"""Streaming multi-range scans: laziness, merged order, early termination.
+
+``Table.multi_range_scan`` is the query path's read; a caller that wants
+fewer rows takes them with ``itertools.islice`` and closes the stream.
+"""
+
+import itertools
 
 import pytest
 
@@ -18,6 +24,15 @@ def build_table(workers=4, split_rows=100, rows=600):
     return c, t
 
 
+def limited(table, n, windows=((None, None),), **kwargs):
+    """The first ``n`` rows of a multi-range scan; the stream is closed."""
+    rows = table.multi_range_scan(list(windows), **kwargs)
+    try:
+        return list(itertools.islice(rows, n))
+    finally:
+        rows.close()
+
+
 class EvenKeyFilter(Filter):
     def test(self, key, value):
         return int.from_bytes(key, "big") % 2 == 0
@@ -26,16 +41,17 @@ class EvenKeyFilter(Filter):
 class TestStreamingParallelScan:
     def test_returns_lazy_iterator(self):
         c, t = build_table()
-        it = t.parallel_scan(Scan())
+        it = t.multi_range_scan([(None, None)])
         assert iter(it) is it
         assert not isinstance(it, list)
+        it.close()
         c.close()
 
     def test_merge_matches_sequential_order(self):
         c, t = build_table()
         assert len(t.regions) >= 3
         seq = list(t.scan(Scan(k(10), k(550))))
-        par = list(t.parallel_scan(Scan(k(10), k(550))))
+        par = list(t.multi_range_scan([(k(10), k(550))]))
         assert par == seq
         c.close()
 
@@ -44,46 +60,47 @@ class TestStreamingParallelScan:
         c, t = build_table()
         assert len(t.regions) >= 3
         full = list(t.scan(Scan()))
-        got = list(t.parallel_scan(Scan(limit=37)))
-        assert got == full[:37]
+        assert limited(t, 37) == full[:37]
         c.close()
 
     def test_limit_counts_filtered_rows_once(self):
         """With a push-down filter, the limit caps surviving rows."""
         c, t = build_table()
-        got = list(t.parallel_scan(Scan(server_filter=EvenKeyFilter(), limit=20)))
+        got = limited(t, 20, row_filter=EvenKeyFilter())
         assert [int.from_bytes(key, "big") for key, _ in got] == list(range(0, 40, 2))
         c.close()
 
     def test_limit_zero_returns_nothing(self):
         c, t = build_table()
-        assert list(t.parallel_scan(Scan(limit=0))) == []
+        assert limited(t, 0) == []
         assert list(t.scan(Scan(limit=0))) == []
         c.close()
 
     def test_sequential_fallback_without_executor(self):
         c, t = build_table(workers=1)
         seq = list(t.scan(Scan()))
-        assert list(t.parallel_scan(Scan(limit=11))) == seq[:11]
+        assert limited(t, 11) == seq[:11]
         c.close()
 
     def test_batch_rows_hint_respected(self):
         c, t = build_table()
         seq = list(t.scan(Scan()))
-        got = list(t.parallel_scan(Scan(batch_rows=7)))
+        got = list(t.multi_range_scan([(None, None)], batch_rows=7))
         assert got == seq
         c.close()
 
     def test_invalid_batch_rows_rejected(self):
-        with pytest.raises(ValueError):
-            Scan(batch_rows=0)
-        with pytest.raises(ValueError):
-            Scan(batch_rows=-3)
+        """A scheduled stream of non-positive chunks used to spin forever."""
+        c, t = build_table()
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"non-positive scan batch_rows: {bad}"):
+                list(t.multi_range_scan([(None, None)], batch_rows=bad))
+        c.close()
 
 
 class TestEarlyTermination:
     def test_limited_scan_touches_fewer_rows_than_full(self):
-        """A limit=k scan over >=3 regions scans strictly fewer rows than a
+        """A limited stream over >=3 regions scans strictly fewer rows than a
         full materialized scan (the streaming merge stops pulling)."""
         c, t = build_table(rows=600, split_rows=100)
         assert len(t.regions) >= 3
@@ -94,7 +111,7 @@ class TestEarlyTermination:
         assert full_scanned == 600
 
         before = c.stats.snapshot()
-        got = list(t.parallel_scan(Scan(limit=5, batch_rows=8)))
+        got = limited(t, 5, batch_rows=8)
         limited_scanned = (c.stats.snapshot() - before).rows_scanned
         assert len(got) == 5
         assert limited_scanned < full_scanned
@@ -105,7 +122,7 @@ class TestEarlyTermination:
         leaves the scan bounded (at most one in-flight chunk per region)."""
         c, t = build_table(rows=600, split_rows=100)
         before = c.stats.snapshot()
-        it = t.parallel_scan(Scan(batch_rows=8))
+        it = t.multi_range_scan([(None, None)], batch_rows=8)
         for _ in range(3):
             next(it)
         it.close()
@@ -116,8 +133,7 @@ class TestEarlyTermination:
     def test_closed_iterator_is_reusable_cluster(self):
         """After an early-terminated scan the table still serves reads."""
         c, t = build_table(rows=300, split_rows=50)
-        it = t.parallel_scan(Scan(limit=2, batch_rows=4))
-        assert len(list(it)) == 2
+        assert len(limited(t, 2, batch_rows=4)) == 2
         assert t.get(k(123)) == b"v123"
-        assert len(list(t.parallel_scan(Scan()))) == 300
+        assert len(list(t.multi_range_scan([(None, None)]))) == 300
         c.close()

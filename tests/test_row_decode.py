@@ -3,17 +3,17 @@ the version 2 decoder it replaced, the feature section's own invariants,
 and corrupt rows (cut, byte-flipped, or of another version), which every
 decode entry point rejects with ``CorruptionError`` and nothing else.
 
-Golden rows come from ``tests/data/ingest_parent/golden.npz`` (whole rows
-for simple8b / pfor, sha256 digests for varint, which ``encode_many`` is
-checked to reproduce before they are used).  They are version 2 rows;
+Golden rows come from ``tests/data/ingest_parent/golden.npz`` (its whole
+simple8b rows; its varint and PFOR rows are not read, as no row is packed
+with those codecs any more).  They are version 2 rows;
 ``ingest_reference.row_v2_to_v5`` rewrites their ``tr_value``, feature
 sections and point blobs (the only parts the versions do not share) into
-the rows decoded here.
+the rows decoded here.  A row whose point blob opens with another codec id
+(0 was varint's, 2 PFOR's) is corrupt.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.pfor import pfor_encode
+from benchmarks.varint_stream import varint_encode_array
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.compression.varint import decode_varint, encode_varint
 from repro.kvstore.errors import CorruptionError
 from repro.model import STPoint, Trajectory
 from repro.storage.serializer import RowSerializer
 
+from . import codec_reference
 from . import ingest_reference as ref
 
 GOLDEN = Path(__file__).parent / "data" / "ingest_parent" / "golden.npz"
-CODECS = ("varint", "simple8b", "pfor")
+CODECS = ("simple8b",)  # the packers rows are written with
 # 1, 2 and 3 points, 300 stationary points, irregular gaps, 9 and 50 random fixes
 TRUNCATED = (300, 301, 308, 303, 307, 0, 1)
 
@@ -39,28 +42,10 @@ TRUNCATED = (300, 301, 308, 303, 307, 0, 1)
 def golden_rows() -> dict[str, list[bytes]]:
     """Every golden trajectory's row under each codec (default epsilon)."""
     data = np.load(GOLDEN)
-    off = data["offsets"]
-    trajs = [
-        Trajectory(str(oid), str(tid), [
-            STPoint(*p) for p in zip(*(data[c][off[i]:off[i + 1]].tolist()
-                                       for c in ("ts", "xs", "ys")))
-        ])
-        for i, (oid, tid) in enumerate(zip(data["oids"], data["tids"]))
-    ]
     out = {}
     for codec in CODECS:
-        name = f"{codec}_eps"
-        if f"rows_{name}" in data:
-            buf, cut = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
-            out[codec] = [
-                ref.row_v2_to_v5(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)
-            ]
-        else:
-            rows = RowSerializer(TrajectoryCodec(codec)).encode_many(trajs)
-            digests = [bytes(d) for d in data[f"sha_{name}"]]
-            old = map(ref.row_v5_to_v2, rows, data["tr_values"].tolist())
-            assert [hashlib.sha256(row).digest() for row in old] == digests
-            out[codec] = rows
+        buf, cut = data[f"rows_{codec}_eps"].tobytes(), data[f"rowoff_{codec}_eps"]
+        out[codec] = [ref.row_v2_to_v5(buf[cut[i]:cut[i + 1]]) for i in range(len(cut) - 1)]
     return out
 
 
@@ -101,7 +86,7 @@ def _assert_matches_oracle(row: bytes) -> None:
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
-@pytest.mark.parametrize("codec", ["simple8b", "pfor"])
+@pytest.mark.parametrize("codec", CODECS)
 def test_feature_decode_matches_numpy_decoder_on_golden_rows(golden_rows, codec):
     for row in golden_rows[codec]:
         _assert_matches_oracle(row)
@@ -198,13 +183,49 @@ def test_truncated_point_blobs_raise_corruption(golden_rows, codec):
         assert whole != "corrupt"
 
 
+def _repacked(row: bytes, cid: int) -> bytes:
+    """``row`` with its point blob as a retired codec id wrote it (0: LEB128
+    varint, 2: PFOR): the same zigzagged deltas, packed by that packer."""
+    feat_len, start = decode_varint(row, RowSerializer.decode_header(row).body_offset)
+    at = start + feat_len
+    n, streams = codec_reference.decode_frame(row[at:])
+    pack = {0: varint_encode_array, 2: pfor_encode}[cid]
+    t, x, y = (
+        pack(np.array(codec_reference.simple8b_decode(stream, n), dtype=np.uint64))
+        for stream in streams
+    )
+    out = bytearray(row[:at] + bytes([cid]))
+    for value in (n, len(t), len(x)):
+        encode_varint(value, out)
+    return bytes(out) + t + x + y
+
+
+@pytest.mark.parametrize("cid", [0, 2])
+def test_point_blobs_of_retired_codecs_raise_corruption(golden_rows, cid):
+    """Rows are packed with simple8b alone: a blob of another codec id is
+    corrupt to every entry point that reads it, while the header and the
+    feature section still decode as the simple8b row's."""
+    serializer = RowSerializer()
+    for i in TRUNCATED:
+        row = golden_rows["simple8b"][i]
+        other = _repacked(row, cid)
+        assert other != row
+        for fn in (serializer.decode_header, serializer.decode_feature):
+            assert fn(other) == fn(row)
+        for fn in (serializer.decode_trajectory, serializer.decode, serializer.decode_points):
+            with pytest.raises(CorruptionError, match=f"unknown codec id {cid}$"):
+                fn(other)
+
+
 @settings(derandomize=True, deadline=None)
-@given(data=st.data(), codec=st.sampled_from(CODECS), index=st.sampled_from(TRUNCATED))
-def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, codec, index):
-    """Any value in any header byte (magic through the ids); the ``fuzz``
+@given(data=st.data(), cid=st.sampled_from([1, 0, 2]), index=st.sampled_from(TRUNCATED))
+def test_any_header_byte_decodes_or_raises_corruption(golden_rows, data, cid, index):
+    """Any value in any header byte (magic through the ids) of a simple8b
+    row, or of one whose blob a retired codec id packed; the ``fuzz``
     profile sweeps deeper."""
-    serializer = RowSerializer(TrajectoryCodec(codec))
-    row = bytearray(golden_rows[codec][index])
+    serializer = RowSerializer()
+    row = golden_rows["simple8b"][index]
+    row = bytearray(row if cid == 1 else _repacked(row, cid))
     body = serializer.decode_header(bytes(row)).body_offset
     row[data.draw(st.integers(0, body - 1))] = data.draw(st.integers(0, 255))
     _decodes_or_corrupt(serializer, bytes(row))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.traj_codec import COORD_SCALE, TrajectoryCodec
+from repro.compression.traj_codec import COORD_SCALE
 from repro.geometry.dp import extract_dp_feature
 from repro.model import MBR, STPoint, Trajectory
 from repro.similarity import (
@@ -164,9 +164,9 @@ class TestEndpointBound:
         assert endpoint_lower_bound(a, extract_dp_feature(b, 0.01), "sum") == 15.0
 
 
-def stored(coords, codec):
-    """A row written by ``codec``, and its header, feature and decoded points."""
-    serializer = RowSerializer(TrajectoryCodec(codec))
+def stored(coords):
+    """A stored row of ``coords``, and its header, feature and decoded points."""
+    serializer = RowSerializer()
     row = serializer.encode(Trajectory("o", "t", traj(coords)))
     header = RowSerializer.decode_header(row)
     feature = RowSerializer.decode_feature(row, header)
@@ -177,20 +177,17 @@ def stored(coords, codec):
 row_coords = st.lists(
     st.tuples(st.floats(116.0, 116.8), st.floats(39.6, 40.2)), min_size=1, max_size=12
 )
-CODECS = ("varint", "simple8b", "pfor")
 
 
 class TestBoundsOnStoredRows:
-    """Rows through a real encode -> decode_feature, every codec id: the
-    bounds the ladder takes from the row hold against the decoded points
+    """Rows through a real encode -> decode_feature: the bounds the ladder takes from the row hold against the decoded points
     its points rung measures."""
 
-    @pytest.mark.parametrize("codec", CODECS)
     @given(row_coords, row_coords)
     @DERANDOMIZED
-    def test_endpoint_bound_is_exact_on_the_point_grid(self, codec, ca, cb):
+    def test_endpoint_bound_is_exact_on_the_point_grid(self, ca, cb):
         a = traj(ca)
-        _, feature, block = stored(cb, codec)
+        _, feature, block = stored(cb)
         rep_xs, rep_ys = feature.rep_columns
         # The row stores the representatives on the point grid: the ends decode
         # to the decoded first and last points, bit for bit.
@@ -200,12 +197,11 @@ class TestBoundsOnStoredRows:
         assert endpoint_lower_bound(a, feature, "max") <= frechet_distance(a, block)
         assert endpoint_lower_bound(a, feature, "sum") <= dtw_distance(a, block)
 
-    @pytest.mark.parametrize("codec", CODECS)
     @given(row_coords, row_coords)
     @DERANDOMIZED
-    def test_header_and_feature_boxes_hold_the_decoded_points(self, codec, ca, cb):
+    def test_header_and_feature_boxes_hold_the_decoded_points(self, ca, cb):
         a = traj(ca)
-        header, feature, block = stored(cb, codec)
+        header, feature, block = stored(cb)
         m = header.mbr
         quantum = 1.0 / COORD_SCALE
         grown = m.x1 - quantum, m.y1 - quantum, m.x2 + quantum, m.y2 + quantum

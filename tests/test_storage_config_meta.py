@@ -1,5 +1,7 @@
 """Tests for TManConfig validation and the metadata table."""
 
+import dataclasses
+
 import pytest
 
 from repro.kvstore import Cluster
@@ -34,6 +36,15 @@ class TestConfig:
     def test_rejects_unknown_encoding(self):
         with pytest.raises(ValueError):
             TManConfig(boundary=BOUNDARY, shape_encoding="huffman")
+
+    def test_codec_is_no_option(self):
+        """Every row is packed with simple8b: ``codec`` is readable, but no
+        field, so no deployment can ask for another packer."""
+        assert TManConfig.codec == TManConfig(boundary=BOUNDARY).codec == "simple8b"
+        assert "codec" not in {f.name for f in dataclasses.fields(TManConfig)}
+        for name in ("pfor", "varint", "simple8b"):
+            with pytest.raises(TypeError, match="codec"):
+                TManConfig(boundary=BOUNDARY, codec=name)
 
     def test_index_width(self):
         assert TManConfig(boundary=BOUNDARY).primary_index_width == 8

@@ -23,11 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TMan, TManConfig
-from repro.compression import pfor_encode, simple8b_encode
+from repro.compression import simple8b_encode
 from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_encode_array,
-    varint_encode_array,
     zigzag_encode_array,
 )
 from repro.compression.traj_codec import TrajectoryCodec, dequantize_arrays, quantize_arrays
@@ -89,11 +88,6 @@ def test_features_are_a_small_share_of_the_row(footprint):
     assert footprint["primary.features"] <= 3.0
 
 
-# codec -> (codec id, one stream's packer)
-PACKERS = {"varint": (0, varint_encode_array), "simple8b": (1, simple8b_encode),
-           "pfor": (2, pfor_encode)}
-
-
 def _varint(value: int) -> bytes:
     out = bytearray()
     encode_varint(value, out)
@@ -102,15 +96,15 @@ def _varint(value: int) -> bytes:
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    codec=st.sampled_from(sorted(PACKERS)),
     sizes=st.lists(st.sampled_from([0, 1, 2, 35, 300]), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
     origin=st.one_of(st.none(), st.tuples(*[st.integers(-(2**53), 2**53)] * 3)),
 )
-def test_blob_frame_is_codec_id_count_and_two_lengths(codec, sizes, seed, origin):
-    """A blob is ``codec id | varint n | varint len(t) | varint len(x)``
-    and then the three packed streams, nothing more, and it decodes back
-    from the same origin, for 0-, 1- and many-point trajectories."""
+def test_blob_frame_is_codec_id_count_and_two_lengths(sizes, seed, origin):
+    """A blob is ``codec id (1, simple8b) | varint n | varint len(t) |
+    varint len(x)`` and then the three simple8b streams, nothing more, and
+    it decodes back from the same origin, for 0-, 1- and many-point
+    trajectories."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     ts = 1.2e9 + np.cumsum(rng.integers(0, 90_000, n)) / 1000.0
@@ -118,16 +112,15 @@ def test_blob_frame_is_codec_id_count_and_two_lengths(codec, sizes, seed, origin
     ys = 39.9 + np.cumsum(rng.normal(0.0, 1e-3, n))
     offsets = np.cumsum([0, *sizes])
     origins = None if origin is None else [origin] * len(sizes)
-    blobs = TrajectoryCodec(codec).encode_columns(ts, xs, ys, offsets, origins)
-    cid, pack = PACKERS[codec]
+    blobs = TrajectoryCodec().encode_columns(ts, xs, ys, offsets, origins)
     for blob, lo, hi in zip(blobs, offsets[:-1], offsets[1:]):
         ints = quantize_arrays(ts[lo:hi], xs[lo:hi], ys[lo:hi])
         deltas = [delta_of_delta_encode_array(ints[0]), delta_encode_array(ints[1]),
                   delta_encode_array(ints[2])]
         for stream, first in zip(deltas, origin or (0, 0, 0)):
             stream[:1] -= first
-        t, x, y = (pack(zigzag_encode_array(stream)) for stream in deltas)
-        frame = bytes([cid]) + _varint(hi - lo) + _varint(len(t)) + _varint(len(x))
+        t, x, y = (simple8b_encode(zigzag_encode_array(stream)) for stream in deltas)
+        frame = bytes([1]) + _varint(hi - lo) + _varint(len(t)) + _varint(len(x))
         assert blob == frame + t + x + y
         got = TrajectoryCodec().decode_array_block(blob, origin)
         for mine, want in zip(got, dequantize_arrays(*ints)):

@@ -101,7 +101,6 @@ NON_DEFAULT = dict(
     tr_max_periods=24,
     time_origin=-3600.0,
     num_shards=3,
-    codec="varint",
     dp_epsilon=0.01,
     buffer_shape_threshold=64,
     push_down=False,
@@ -320,6 +319,26 @@ class TestFormatStamp:
         stated = "no format stamp" if found is None else f"stored format {found}"
         with pytest.raises(FormatMismatchError,
                            match=f"{stated}; this build reads format {FORMAT}$"):
+            open_tman(saved_dir)
+
+    def test_simple8b_codec_entry_opens(self, saved_dir, dataset):
+        """A config.json saved while ``codec`` was a field states it."""
+        path, doc = self._config(saved_dir)
+        assert "codec" not in doc
+        doc["codec"] = "simple8b"
+        path.write_text(json.dumps(doc))
+        with open_tman(saved_dir) as tman:
+            assert tman.row_count == len(dataset)
+
+    @pytest.mark.parametrize("codec", ["pfor", "varint"])
+    def test_other_codec_raises_before_any_table_is_read(self, saved_dir, codec):
+        path, doc = self._config(saved_dir)
+        doc["codec"] = codec
+        path.write_text(json.dumps(doc))
+        (saved_dir / "tables.snap").write_bytes(b"")  # never reached
+        with pytest.raises(FormatMismatchError,
+                           match=f"rows packed with codec '{codec}'; this build reads "
+                                 "'simple8b'$"):
             open_tman(saved_dir)
 
     def test_unknown_config_key_raises(self, saved_dir):
