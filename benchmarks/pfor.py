@@ -5,12 +5,15 @@ chosen to fit ~90% of the values; outliers ("exceptions") are patched in a
 varint side list.  Lossless for non-negative integers below 2^64.
 Encoding and decoding both work on a batch of streams at once.
 
-No row stores PFOR streams: rows are packed with simple8b alone.  PFOR
-packs about 5 % fewer bytes per point than simple8b on T-Drive-like
-tracks, but its encoder builds one ``uint64`` per bit of a batch, so an
-8,192-point ingest chunk costs several MiB more peak memory.  The codec
-menu benchmark (``benchmarks/test_ext_compression.py``) measures it beside
-simple8b and the LEB128 packer (``benchmarks/varint_stream.py``).
+No row stores PFOR streams: rows are packed with the bit packer
+``repro.compression.bitpack``, which patches outliers too but packs a
+whole row's streams into one body at one width per stream, without
+blocks.  PFOR packs about 5 % fewer bytes per point than simple8b on
+T-Drive-like tracks, but its encoder builds one ``uint64`` per bit of a
+batch, so an 8,192-point ingest chunk costs several MiB more peak memory.
+The codec menu benchmark (``benchmarks/test_ext_compression.py``) measures
+it beside the row packer, simple8b (``benchmarks/simple8b.py``) and the
+LEB128 packer (``benchmarks/varint_stream.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression.columnar import POW2, bit_length_array, int_array, leb128_encode
+from benchmarks.simple8b import int_array
+from benchmarks.varint_stream import leb128_encode
+from repro.compression.columnar import POW2, bit_length_array
 from repro.compression.varint import decode_varint
 
 BLOCK = 128

@@ -1,15 +1,18 @@
 """Extension benchmark — the trajectory compression codec menu.
 
-Compares the integer packers (LEB128 varint / simple8b / PFOR) on the same
-zigzagged streams the trajectory codec builds (delta-of-delta t, delta lng
-and lat, first values counted from 0), plus the float codecs (XOR, Elf) on
-raw coordinate columns: compressed size and encode/decode throughput on
-realistic GPS tracks.  Supports the storage-layer claim that rows are much
-smaller than raw point arrays.  Rows are packed with simple8b alone; the
-other packers live here in ``benchmarks/`` (``varint_stream.py``,
+Compares the integer packers (the row packer ``repro.compression.bitpack``,
+LEB128 varint, simple8b, PFOR) on the same zigzagged streams the trajectory
+codec builds (delta-of-delta t, delta lng and lat, first values counted
+from 0), plus the float codecs (XOR, Elf) on raw coordinate columns:
+compressed size and encode/decode throughput on realistic GPS tracks.
+Supports the storage-layer claim that rows are much smaller than raw point
+arrays.  Rows are packed with the bit packer alone; the other packers live
+here in ``benchmarks/`` (``varint_stream.py``, ``simple8b.py``,
 ``pfor.py``).  A packer's bytes are its three streams per trip without the
-blob frame (codec id, varint n, varint len(t), varint len(x)); the
-simple8b streams plus that frame are checked to be the codec's blobs.
+point count: the row packer's section (heads, descriptors, bit body), the
+others' three streams (a stream framing of their own would add a codec id
+and two lengths); the row packer's sections behind the count are checked
+to be the codec's blobs.
 """
 
 import time
@@ -20,15 +23,16 @@ from benchmarks.conftest import save_table
 from benchmarks.elf import elf_decode, elf_encode
 from benchmarks.harness import ResultTable
 from benchmarks.pfor import pfor_encode_segments, pfor_unpack
+from benchmarks.simple8b import simple8b_encode_segments, simple8b_unpack
 from benchmarks.varint_stream import varint_encode_segments, varint_unpack
 from benchmarks.xor_float import xor_float_decode, xor_float_encode
 from repro.compression import TrajectoryCodec
+from repro.compression.bitpack import pack, unpack_array
 from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_encode_array,
     zigzag_encode_array,
 )
-from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
 from repro.compression.traj_codec import quantize_arrays
 from repro.compression.varint import encode_varint
 
@@ -65,16 +69,34 @@ def test_ext_codec_menu(benchmark, tdrive_data):
     table = ResultTable(
         "Extension - trajectory codec menu (300 trips, "
         f"{total_points} points, raw={raw_bytes}B; packer bytes are the three "
-        "zigzagged delta streams per trip, without the blob frame: codec id, "
-        "varint n, varint len(t), varint len(x))",
+        "zigzagged delta streams per trip, without the point count; the row "
+        "packer's include its heads and descriptors)",
         ["codec", "bytes", "ratio", "encode_ms", "decode_ms"],
     )
 
     zigzagged, bounds = zigzag_streams(sample)
     k = len(sample)
-    for name, (pack, unpack) in PACKERS.items():
+    offsets, n = bounds[: k + 1], bounds[k]
+    t0 = time.perf_counter()
+    sections = pack([zigzagged[:n], zigzagged[n : 2 * n], zigzagged[2 * n :]], [offsets] * 3,
+                    (2, 1, 1))
+    encode_ms = (time.perf_counter() - t0) * 1000
+    t0 = time.perf_counter()
+    decoded = [unpack_array(s, 0, (len(traj),) * 3, (2, 1, 1)).reshape(3, -1)
+               for s, traj in zip(sections, sample)]
+    decode_ms = (time.perf_counter() - t0) * 1000
+    restored = np.concatenate([d[j] for j in range(3) for d in decoded])
+    assert np.array_equal(restored, zigzagged)
+    size = sum(len(section) for section in sections)
+    table.add_row("bitpack (rows)", size, raw_bytes / size, encode_ms, decode_ms)
+    codec = TrajectoryCodec()
+    for section, traj in zip(sections, sample):  # the codec's blobs: count, section
+        count = bytearray()
+        encode_varint(len(traj), count)
+        assert codec.encode_points(traj.points) == bytes(count) + section
+    for name, (pack_streams, unpack) in PACKERS.items():
         t0 = time.perf_counter()
-        streams = pack(zigzagged, bounds)
+        streams = pack_streams(zigzagged, bounds)
         encode_ms = (time.perf_counter() - t0) * 1000
         trips = [streams[i::k] for i in range(k)]  # each trip's t, x and y streams
         t0 = time.perf_counter()
@@ -82,17 +104,11 @@ def test_ext_codec_menu(benchmark, tdrive_data):
         decode_ms = (time.perf_counter() - t0) * 1000
         restored = np.concatenate([d[j] for j in range(3) for d in decoded])
         assert np.array_equal(restored, zigzagged), name
-        size = sum(len(stream) for stream in streams)
-        table.add_row(name, size, raw_bytes / size, encode_ms, decode_ms)
-        # The quantize+delta+pack pipeline must beat raw doubles comfortably.
-        assert size < raw_bytes / 2, name
-        if name == "simple8b":  # the codec's blobs are these streams, framed
-            codec = TrajectoryCodec()
-            for trip, traj in zip(trips, sample):
-                frame = bytearray((1,))
-                for value in (len(traj), len(trip[0]), len(trip[1])):
-                    encode_varint(value, frame)
-                assert codec.encode_points(traj.points) == bytes(frame) + b"".join(trip)
+        other = sum(len(stream) for stream in streams)
+        table.add_row(name, other, raw_bytes / other, encode_ms, decode_ms)
+        # The quantize+delta+pack pipeline must beat raw doubles comfortably,
+        # and the row packer must beat every packer of the menu.
+        assert size < other < raw_bytes / 2, name
 
     # Float codecs on the longitude column.  Two variants: the raw synthetic
     # doubles (full random mantissas — worst case) and the same column
@@ -125,7 +141,6 @@ def test_ext_codec_menu(benchmark, tdrive_data):
 
     save_table("ext_compression", table)
 
-    codec = TrajectoryCodec("simple8b")
     points = sample[0].points
     benchmark.pedantic(
         lambda: codec.decode_points(codec.encode_points(points)),

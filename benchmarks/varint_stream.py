@@ -2,13 +2,14 @@
 
 Each value is its 7-bit groups, low group first, every byte but a value's
 last with its high bit set; a stream holds no count, so the reader must
-know it.  Encoding and decoding are whole-array passes (the LEB128 kernel
-:func:`repro.compression.columnar.leb128_encode` also writes the row's
-feature section).  No row stores point streams this way: rows are packed
-with simple8b alone, and the codec menu benchmark
-(``benchmarks/test_ext_compression.py``) measures this packer beside it and
-PFOR (``benchmarks/pfor.py``).  The scalar reference in
-``tests/codec_reference.py`` writes and reads exactly the same bytes.
+know it.  Encoding (:func:`leb128_encode`) and decoding are whole-array
+passes.  No row stores a stream this way (row version 5 wrote its feature
+section with :func:`leb128_encode`): rows are packed with the bit packer
+``repro.compression.bitpack`` alone, and the codec menu benchmark
+(``benchmarks/test_ext_compression.py``) measures this packer beside it,
+simple8b (``benchmarks/simple8b.py``) and PFOR (``benchmarks/pfor.py``).
+The scalar reference in ``tests/codec_reference.py`` writes and reads
+exactly the same bytes.
 """
 
 from __future__ import annotations
@@ -17,10 +18,23 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.compression.columnar import leb128_encode
+from repro.compression.columnar import bit_length_array
 
 _U7 = np.uint64(7)
+_LOW7 = np.uint64(0x7F)
 _LOW7_U8 = np.uint8(0x7F)
+
+
+def leb128_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 bytes of every value, concatenated, and each value's end offset."""
+    u = np.ascontiguousarray(values, dtype=np.uint64)
+    nbytes = np.maximum(1, -(-bit_length_array(u) // 7))
+    width = int(nbytes.max()) if len(u) else 0
+    shifts = np.arange(width, dtype=np.uint64) * _U7
+    mat = ((u[:, None] >> shifts) & _LOW7).astype(np.uint8)
+    cols = np.arange(width, dtype=np.int64)[None, :]
+    mat |= (cols < (nbytes - 1)[:, None]).astype(np.uint8) << np.uint8(7)
+    return mat[cols < nbytes[:, None]], np.cumsum(nbytes)
 
 
 def varint_encode_segments(values: np.ndarray, offsets) -> list[bytes]:
@@ -40,7 +54,7 @@ def varint_encode_array(values: np.ndarray) -> bytes:
 
 def leb128_decode(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every LEB128 value in the uint8 array ``data``, and each one's last
-    byte: the inverse of :func:`~repro.compression.columnar.leb128_encode`.
+    byte: the inverse of :func:`leb128_encode`.
 
     ``data`` must end on a value's last byte, and every value must fit in
     64 bits (a 10th byte above ``0x01`` does not); otherwise ``ValueError``.

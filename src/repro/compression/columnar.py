@@ -1,19 +1,17 @@
-"""Vectorized delta, zigzag and LEB128 varint kernels over numpy arrays.
+"""Vectorized delta, zigzag and bit-length kernels over numpy arrays.
 
 Encoding or decoding a 10k-point trajectory costs a fixed number of array
 operations instead of tens of thousands of interpreter iterations.  The
-delta and zigzag transforms feed the point blob's simple8b streams;
-:func:`leb128_encode` writes the row's feature section.
+delta and zigzag transforms make the streams the row's bit packer
+(:mod:`repro.compression.bitpack`) packs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_U7 = np.uint64(7)
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
-_LOW7 = np.uint64(0x7F)
 
 # -- zigzag ----------------------------------------------------------------
 
@@ -29,14 +27,6 @@ def zigzag_decode_array(encoded: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_encode_array`."""
     u = np.asarray(encoded, dtype=np.uint64)
     return ((u >> _U1) ^ (_U0 - (u & _U1))).view(np.int64)
-
-
-def int_array(values) -> np.ndarray:
-    """An integer array of ``values`` (object dtype past 64 bits, for range checks)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iu":
-        return arr
-    return np.asarray(values, dtype=object) if len(arr) else np.zeros(0, np.uint64)
 
 
 POW2 = np.array([1 << k for k in range(64)], dtype=np.uint64)
@@ -98,18 +88,3 @@ def delta_of_delta_decode_array(encoded: np.ndarray) -> np.ndarray:
     e = np.array(encoded, dtype=np.int64)
     e[1:2] -= e[:1]
     return np.add.accumulate(np.add.accumulate(e))
-
-
-# -- varint ----------------------------------------------------------------
-
-
-def leb128_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LEB128 bytes of every value, concatenated, and each value's end offset."""
-    u = np.ascontiguousarray(values, dtype=np.uint64)
-    nbytes = np.maximum(1, -(-bit_length_array(u) // 7))
-    width = int(nbytes.max()) if len(u) else 0
-    shifts = np.arange(width, dtype=np.uint64) * _U7
-    mat = ((u[:, None] >> shifts) & _LOW7).astype(np.uint8)
-    cols = np.arange(width, dtype=np.int64)[None, :]
-    mat |= (cols < (nbytes - 1)[:, None]).astype(np.uint8) << np.uint8(7)
-    return mat[cols < nbytes[:, None]], np.cumsum(nbytes)

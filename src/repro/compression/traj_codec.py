@@ -2,30 +2,21 @@
 
 Coordinates are quantized to fixed-point integers (1e-7 degrees, ~1 cm —
 finer than any GPS fix, so round-tripping is exact for 7-decimal inputs),
-timestamps to milliseconds.  Each array is delta(-of-delta) transformed,
-zigzagged, and packed with simple8b, the one integer packer rows use.
-
-A blob states each fact once::
-
-    codec id (1 B, always 1) | varint n | varint len(t) | varint len(x) | t | x | y
-
-The leading byte is simple8b's id from when rows could name other
-packers; a blob whose first byte is anything else is rejected.  ``n`` is
-the point count of all three streams, so no stream carries its own count,
-and the y stream runs to the end of the blob.  Each stream's first value
-is stored relative to an integer *origin* the caller supplies and must
-supply again to decode: the row serializer passes the quantized
-``t_start`` and MBR corner its own header already holds, so the first
-timestamp and coordinates cost a few bits instead of 30 or 60.  The
+timestamps to milliseconds.  Each array is delta(-of-delta) transformed and
+zigzagged, and a blob is ``varint n`` and one section of the three streams
+packed by the row's one packer (:mod:`repro.compression.bitpack`), with the
+first two t values and the first x and y value as varint heads.  Each
+stream's first value is stored relative to an integer *origin* the caller
+supplies and must supply again to decode: the row serializer passes the
+quantized ``t_start`` and MBR corner its own header already holds, so the
+first timestamp and coordinates cost a byte or three instead of eight.  The
 standalone API (:meth:`TrajectoryCodec.encode_arrays`, ``encode_points`` /
 ``decode_points``) uses origin 0, so its blobs are self-contained.
 
-Encoding is batched: :meth:`TrajectoryCodec.encode_columns` takes a whole
-batch's concatenated columns and builds every trajectory's delta /
-delta-of-delta / zigzag streams in one set of array passes, then packs
-them with one segmented simple8b call; the one-trajectory APIs are
-one-element calls into it.  :meth:`TrajectoryCodec.decode_array_block`
-unpacks a blob's three streams in one call, then zigzag, delta-of-delta /
+:meth:`TrajectoryCodec.encode_columns` encodes a whole batch's concatenated
+columns with segmented array passes and one packing call (the one-trajectory
+APIs are one-element calls into it); :meth:`TrajectoryCodec.decode_array_block`
+unpacks a blob's three streams in one pass, then zigzag, delta-of-delta /
 delta and dequantization run once, vectorized, into float64 columns.
 """
 
@@ -35,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.compression.bitpack import pack, unpack_array
 from repro.compression.columnar import (
     delta_decode_array,
     delta_encode_array,
@@ -43,18 +35,16 @@ from repro.compression.columnar import (
     zigzag_decode_array,
     zigzag_encode_array,
 )
-from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import decode_varint
 from repro.model.point import STPoint
 from repro.model.pointblock import PointBlock
 
 COORD_SCALE = 10_000_000  # 1e-7 degrees per unit
 TIME_SCALE = 1000  # milliseconds
 
-CODEC = "simple8b"
-# Every blob's first byte.  It was simple8b's id among several packers' and
-# stays, so stored rows are byte-identical; any other first byte is corrupt.
-_CODEC_ID = 1
+CODEC = "bitpack"
+# Values of each stream (t, x, y) that go out as varints ahead of the body.
+_HEADS = (2, 1, 1)
 
 
 def quantize_arrays(
@@ -87,7 +77,7 @@ def dequantize_arrays(
 class TrajectoryCodec:
     """Compress and restore trajectory point arrays losslessly.
 
-    >>> codec = TrajectoryCodec("simple8b")
+    >>> codec = TrajectoryCodec("bitpack")
     >>> blob = codec.encode_points([STPoint(0.0, 116.35, 39.98)])
     >>> codec.decode_points(blob)
     [STPoint(t=0.0, lng=116.35, lat=39.98)]
@@ -95,7 +85,7 @@ class TrajectoryCodec:
 
     def __init__(self, codec: str = CODEC):
         """``codec`` names the packer, so callers passing
-        ``TManConfig.codec`` keep working; only ``"simple8b"`` is one."""
+        ``TManConfig.codec`` keep working; only ``"bitpack"`` is one."""
         if codec != CODEC:
             raise ValueError(f"unknown codec {codec!r}; rows are packed with {CODEC!r}")
 
@@ -108,13 +98,12 @@ class TrajectoryCodec:
 
         Every trajectory's quantized delta-of-delta (t) and delta (lng, lat)
         streams are built with segmented array passes, zigzagged, and packed
-        by one segmented simple8b call over all three streams of the batch.
+        by one call over all three streams of the batch.
         ``origins`` (one ``(t, x, y)`` integer row per segment, default 0)
         is subtracted from each segment's first t, x and y value.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         t_ints, x_ints, y_ints = quantize_arrays(ts, lngs, lats)
-        n = len(t_ints)
         streams = [
             delta_of_delta_encode_array(t_ints, offsets),
             delta_encode_array(x_ints, offsets),
@@ -125,20 +114,8 @@ class TrajectoryCodec:
             full = offsets[:-1] < offsets[1:]
             for k, stream in enumerate(streams):
                 stream[offsets[:-1][full]] -= origins[full, k]
-        values = zigzag_encode_array(np.concatenate(streams))
-        packed = simple8b_encode_segments(
-            values, np.concatenate((offsets, offsets[1:] + n, offsets[1:] + 2 * n))
-        )
-        k = len(offsets) - 1
-        blobs = []
-        for m, st, sx, sy in zip(
-            np.diff(offsets).tolist(), packed[:k], packed[k : 2 * k], packed[2 * k :]
-        ):
-            out = bytearray((_CODEC_ID,))
-            for value in (m, len(st), len(sx)):
-                encode_varint(value, out)
-            blobs.append(b"".join((out, st, sx, sy)))
-        return blobs
+        return pack([zigzag_encode_array(stream) for stream in streams], (offsets,) * 3,
+                    _HEADS, np.diff(offsets).tolist())
 
     def encode_arrays(
         self, ts: Sequence[float], lngs: Sequence[float], lats: Sequence[float]
@@ -154,22 +131,10 @@ class TrajectoryCodec:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Restore (t, lng, lat) as float64 numpy columns; ``origin`` is the
         ``(t, x, y)`` integer origin ``blob`` was encoded with (default 0).
-        ``ValueError`` on a truncated or corrupt blob or one whose first
-        byte is not simple8b's id, ``OverflowError`` on an origin past 64
-        bits."""
-        if not blob:
-            raise ValueError("truncated trajectory blob")
-        if blob[0] != _CODEC_ID:
-            raise ValueError(f"unknown codec id {blob[0]}")
-        n, pos = decode_varint(blob, 1)
-        t_len, pos = decode_varint(blob, pos)
-        x_len, pos = decode_varint(blob, pos)
-        x_at = pos + t_len
-        y_at = x_at + x_len
-        if y_at > len(blob):
-            raise ValueError("truncated trajectory blob")
-        streams = [blob[pos:x_at], blob[x_at:y_at], blob[y_at:]]
-        ints = zigzag_decode_array(simple8b_unpack(streams, n))
+        ``ValueError`` on a truncated or corrupt blob, ``OverflowError`` on
+        an origin past 64 bits."""
+        n, pos = decode_varint(blob, 0)
+        ints = zigzag_decode_array(unpack_array(blob, pos, (n, n, n), _HEADS).reshape(3, n))
         if origin is not None and n:
             ints[:, 0] += np.array(origin, dtype=np.int64)
         return dequantize_arrays(

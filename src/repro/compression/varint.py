@@ -18,16 +18,17 @@ def encode_varint(value: int, out: bytearray) -> None:
 
 
 def decode_varint(buf: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode one varint from ``buf`` at ``offset``; return (value, next offset)."""
-    result = 0
-    shift = 0
+    """Decode one varint from ``buf`` at ``offset``; return (value, next
+    offset).  ``ValueError`` if it runs past the buffer or past 64 bits."""
+    result = shift = 0
     pos = offset
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint")
+    while pos < len(buf) and shift < 64:
         byte = buf[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
+            if result >> 64:
+                break
             return result, pos
         shift += 7
+    raise ValueError("truncated or overlong varint")

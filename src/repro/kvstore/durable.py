@@ -71,7 +71,7 @@ _TORN_SKIPPED = _obs_counter(
 # (storage/serializer.py), the key and mapping-value layouts
 # (storage/schema.py) and the engine's files.  Bump it with any of them; a
 # saved deployment's config.json states it too (storage/persistence.py).
-FORMAT = 5
+FORMAT = 6
 FORMAT_FILE = "FORMAT"
 
 

@@ -20,7 +20,8 @@ from repro.model.timerange import TimeRange
 
 # Rows store times as int64 milliseconds (compression.traj_codec.TIME_SCALE).
 # Within 2^53 ms of the epoch that grid is exact, and every zigzagged
-# delta-of-delta stays below 2^56, inside simple8b's 60-bit values.
+# delta-of-delta stays below 2^56, inside the row packer's 64-bit values
+# (compression/bitpack.py) and int64 arithmetic.
 MAX_ABS_TIME = 2**53 / 1000
 
 

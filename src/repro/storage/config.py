@@ -36,8 +36,9 @@ class TManConfig:
     time_origin: float = 0.0
     # storage
     num_shards: int = 4
-    # Not a field: every row's point blob is packed with simple8b.  Saved
-    # deployments state it, and open_tman refuses any other value.
+    # Not a field: every integer stream of a row is packed by the one bit
+    # packer (compression/bitpack.py).  Saves made while it was a field state
+    # it, and open_tman refuses any value but this one.
     codec: ClassVar[str] = CODEC
     dp_epsilon: float = 0.002
     buffer_shape_threshold: int = 512

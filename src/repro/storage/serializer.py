@@ -5,22 +5,23 @@ Figure 11 of the paper stores per row: ``oid``, ``tid``, compressed
 front-loads a fixed-size header (time range + MBR) so push-down filters can
 evaluate coarse predicates without decompressing anything, then the
 DP-features (for the spatial/similarity refinement ladder), then the
-compressed point arrays.  One layout, version 5::
+compressed point arrays.  One layout, version 6::
 
-    magic(1) version(1)=5
+    magic(1) version(1)=6
     t_start f64  t_end f64  mbr x1 y1 x2 y2 (4 × f64)
     oid (varint len + utf8)   tid (varint len + utf8)
     feat_len varint           -- byte length of the feature section (O(1) skip)
-    features: LEB128 values, no count prefixes (n_reps implies every length):
-              n_reps
+    features: varint n_reps, then one packed section of three streams
+              (``compression/bitpack.py``; n_reps implies every length):
               rep indexes (n_reps - 1, delta; the first index is always 0)
-              rep x, rep y (n_reps each, quantized, delta+zigzag)
+              rep x, rep y in turn (2 n_reps, quantized, delta+zigzag; the
+              first two as heads)
               per span k: four offsets pushing its box outward from its two
               quantized reps: min(qx_k, qx_k+1) - floor(x1*S),
               min(qy_k, qy_k+1) - floor(y1*S), ceil(x2*S) - max(qx_k, qx_k+1),
               ceil(y2*S) - max(qy_k, qy_k+1)
-    points: the simple8b blob, to the end of the row (no length):
-            codec id(1)=1 | varint n | varint len(t) | varint len(x) | t | x | y
+    points: the point blob, to the end of the row (no length):
+            varint n | one packed section of the t, x and y streams
 
 The row holds no TR index value: it is a function of the header's time
 range (Eq. 1), which is the exact f64 range the keys were built from, so a
@@ -44,8 +45,8 @@ non-negative; the encoder checks it.  Representatives carry
 no timestamp: no bound reads one.
 
 A row with any other version byte is rejected as corrupt — rows written by
-version 4 (a ``tr_value`` varint after the header, the first rep index and
-absolute first reps in the feature section) included; the deployment's
+version 5 (LEB128 feature values, a simple8b point blob behind a codec id
+and two stream lengths) included; the deployment's
 format stamp (``storage/persistence.py``) refuses such a deployment before
 any row is read — as is any row whose bytes do not parse: every decode
 entry point raises :class:`CorruptionError` and nothing else.
@@ -60,9 +61,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.compression.columnar import delta_encode_array, leb128_encode, zigzag_encode_array
+from repro.compression.bitpack import pack, unpack_lists
+from repro.compression.columnar import delta_encode_array, zigzag_encode_array
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE, TrajectoryCodec
-from repro.compression.varint import encode_varint
+from repro.compression.varint import decode_varint, encode_varint
 from repro.geometry.dp import DPFeature, dp_feature_columns
 from repro.kvstore.errors import CorruptionError
 from repro.model.mbr import MBR
@@ -71,7 +73,10 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 
 MAGIC = 0x54  # 'T'
-VERSION = 5
+VERSION = 6
+# Values of each feature stream (rep index deltas, rep x / y, box offsets)
+# that go out as varints ahead of the section's bit body: the first rep's.
+_FEATURE_HEADS = (0, 2, 0)
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
 
 
@@ -225,15 +230,13 @@ def _point_origin(header: RowHeader) -> tuple[int, int, int]:
 
 
 def _encode_features(xs, ys, offsets, epsilon: float, origins) -> list[bytes]:
-    """Every row's feature section from one DP pass and one LEB128 pass over
-    the batch: each value is scattered to its place in its row's section
-    (``n_reps``, rep indexes but the first, rep x, rep y, four box offsets
-    per span), so a row's section is one slice of the encoded bytes.
-    ``origins`` holds each row's quantized ``(x1, y1)``, which its first rep
-    x and y are counted from."""
+    """Every row's feature section from one DP pass over the batch and one
+    packing of its three streams (rep indexes but the first; each rep's x
+    and y in turn; the four box offsets of each span), behind the row's
+    ``n_reps``.  ``origins`` holds each row's quantized ``(x1, y1)``, which
+    its first rep x and y are counted from."""
     reps, rep_off, boxes = dp_feature_columns(xs, ys, offsets, epsilon)
     n = np.diff(rep_off)
-    row_at = np.concatenate(([0], np.cumsum(7 * n - 4)))  # n + 2n + 4(n-1) values
     rep_row = np.repeat(np.arange(len(n)), n)
     firsts = rep_off[:-1]
     # reps quantized on the point grid: decoded reps == decoded points[idx]
@@ -257,22 +260,14 @@ def _encode_features(xs, ys, offsets, epsilon: float, origins) -> list[bytes]:
     index_deltas = delta_encode_array(reps - offsets[rep_row], rep_off)
     if index_deltas[firsts].any():
         raise ValueError("a row's first representative is not its first point")
-    flat = np.empty(int(row_at[-1]), dtype=np.uint64)
-    flat[row_at[:-1]] = n
-    at = row_at[rep_row] + np.arange(len(reps)) - rep_off[rep_row]  # + rep's rank
-    later = np.delete(np.arange(len(reps)), firsts)
-    flat[at[later]] = index_deltas[later]
-    for k, (q, origin) in enumerate(((qx, origins[:, 0]), (qy, origins[:, 1])), 1):
+    reps_xy = np.empty((len(reps), 2), dtype=np.uint64)  # each rep's x and y, in turn
+    for k, (q, origin) in enumerate(((qx, origins[:, 0]), (qy, origins[:, 1]))):
         deltas = delta_encode_array(q, rep_off)
         deltas[firsts] -= origin
-        flat[at + k * n[rep_row]] = zigzag_encode_array(deltas)
-    box_row = rep_row[lo]
-    box_at = row_at[box_row] + 3 * n[box_row] + 4 * (lo - rep_off[box_row])
-    flat[box_at[:, None] + np.arange(4)] = offs
-    data, ends = leb128_encode(flat)
-    buf = data.tobytes()
-    cut = np.concatenate(([0], ends))[row_at].tolist()
-    return [buf[a:b] for a, b in zip(cut[:-1], cut[1:])]
+        reps_xy[:, k] = zigzag_encode_array(deltas)
+    span_off = rep_off - np.arange(len(rep_off))  # n_reps - 1 spans per row
+    return pack((np.delete(index_deltas, firsts), reps_xy.ravel(), offs.ravel()),
+                (span_off, 2 * rep_off, 4 * span_off), _FEATURE_HEADS, n.tolist())
 
 
 def _feature_span(buf: bytes, header: RowHeader) -> tuple[int, int]:
@@ -288,44 +283,34 @@ _SCALE = float(COORD_SCALE)
 
 
 def _decode_feature(buf: bytes, header: RowHeader) -> tuple[DPFeature, int]:
-    """The row's DP-feature and where its feature section ends, in one LEB128
-    pass: every value of the section, then the columns sliced out by
-    ``n_reps`` and the boxes rebuilt around their representatives."""
+    """The row's DP-feature and where its feature section ends: ``n_reps``,
+    the three streams unpacked in pure Python, and the boxes rebuilt around
+    their representatives."""
     start, end = _feature_span(buf, header)
-    vals = []
-    value = shift = 0
-    for byte in buf[start:end]:
-        if byte < 0x80:
-            vals.append(value | byte << shift)
-            value = shift = 0
-        else:
-            value |= (byte & 0x7F) << shift
-            shift += 7
-            if shift > 63:
-                raise CorruptionError("varint longer than 10 bytes in feature section")
-    if shift or not vals:
-        raise CorruptionError("truncated feature section")
-    n = vals[0]  # a 1-point trajectory repeats its rep: never fewer than 2
-    if n < 2 or len(vals) != 7 * n - 4:
-        raise CorruptionError("corrupt feature section: length disagrees with n_reps")
+    n, pos = _read_varint(buf, start)
+    if n < 2 or pos > end:  # a 1-point trajectory repeats its rep: never fewer than 2
+        raise CorruptionError(f"corrupt feature section: {n} reps")
     try:
+        index_deltas, reps, off = unpack_lists(buf[pos:end], 0, (n - 1, 2 * n, 4 * n - 4),
+                                               _FEATURE_HEADS)
+        # each rep's x and y, in turn: the first counted from the header's x1, y1
+        z = [(u >> 1) ^ -(u & 1) for u in reps]
         _, ox, oy = _point_origin(header)
-    except (ValueError, OverflowError) as exc:  # a NaN or infinite header value
-        raise CorruptionError(f"corrupt row header: {exc}") from exc
-    qx, qy = (
-        list(accumulate([(u >> 1) ^ -(u & 1) for u in vals[at : at + n]], initial=o))[1:]
-        for at, o in ((n, ox), (2 * n, oy))
-    )
-    off = vals[3 * n :]
+        z[0] += ox
+        z[1] += oy
+    except (ValueError, OverflowError) as exc:  # a corrupt section, a NaN or infinite header
+        raise CorruptionError(f"corrupt feature section: {exc}") from exc
+    qx, qy = list(accumulate(z[0::2])), list(accumulate(z[1::2]))
+    nx, ny = qx[1:], qy[1:]  # each span's second rep
     s = _SCALE
     return DPFeature(
-        tuple(accumulate(vals[1:n], initial=0)),
+        tuple(accumulate(index_deltas, initial=0)),
         (tuple([v / s for v in qx]), tuple([v / s for v in qy])),
         (
-            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qx, qx[1:], off[0::4])]),
-            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qy, qy[1:], off[1::4])]),
-            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qx, qx[1:], off[2::4])]),
-            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qy, qy[1:], off[3::4])]),
+            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qx, nx, off[0::4])]),
+            tuple([((a if a < b else b) - o) / s for a, b, o in zip(qy, ny, off[1::4])]),
+            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qx, nx, off[2::4])]),
+            tuple([((b if a < b else a) + o) / s for a, b, o in zip(qy, ny, off[3::4])]),
         ),
     ), end
 
@@ -334,14 +319,10 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
     """One LEB128 value at ``pos``; a truncated or overlong one is corruption."""
     if pos < len(buf) and buf[pos] < 0x80:  # the common one-byte value
         return buf[pos], pos + 1
-    value = shift = 0
-    for at in range(pos, min(len(buf), pos + 10)):
-        byte = buf[at]
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, at + 1
-        shift += 7
-    raise CorruptionError("truncated or overlong varint in row")
+    try:
+        return decode_varint(buf, pos)
+    except ValueError as exc:
+        raise CorruptionError(f"{exc} in row") from exc
 
 
 def _read_text(buf: bytes, pos: int) -> tuple[str, int]:

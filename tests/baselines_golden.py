@@ -6,8 +6,8 @@ query layer's operators)::
 
     PYTHONPATH=<parent checkout>/src python tests/baselines_golden.py
 
-and since rewritten twice, by row versions 3 and 4, whose smaller rows
-change only the ``simulated_ms`` cells (the model prices bytes
+and since rewritten three times, by row versions 3, 4 and 6, whose smaller
+rows change only the ``simulated_ms`` cells (the model prices bytes
 transferred); every other cell is the one 265432e wrote.
 
 The data is ``tdrive_like(160, seed=5, max_points=30)``.  For every system

@@ -1,14 +1,15 @@
-"""Scalar reference decoders for the trajectory codec.
+"""Scalar reference codecs for the trajectory codec and the row's packer.
 
-These are the python-list implementations the codec decoded with before
-every packer had one numpy unpacker: zigzag, delta and delta-of-delta
-transforms, count-prefixed varint lists, and varint, simple8b and PFOR
-streams of a known count, walked one value at a time, and
-:func:`decode_arrays`, the blob decoder built from them.  They live here,
-not under ``src/``, as the oracle the vectorized decoders are checked
-against: simple8b's in ``repro.compression`` (the one packer rows use),
-and the codec menu's LEB128 and PFOR packers in ``benchmarks/``
-(``varint_stream.py``, ``pfor.py``).
+These are python-list implementations walked one value (or one bit) at a
+time: zigzag, delta and delta-of-delta transforms, count-prefixed varint
+lists, varint, simple8b and PFOR streams of a known count, and the row's
+patched bit packing (:func:`pack_section`, :func:`unpack_section`, read
+through their own :class:`BitReader`), with :func:`decode_arrays`, the
+point blob decoder built from them.  They live here, not under ``src/``,
+as the oracle the vectorized codecs are checked against: the bit packer
+in ``repro.compression.bitpack`` (the one packer rows use), and the codec
+menu's LEB128, simple8b and PFOR packers in ``benchmarks/``
+(``varint_stream.py``, ``simple8b.py``, ``pfor.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import struct
 from typing import Optional, Sequence
 
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import encode_varint
 
 # (selector, values-per-word, bits-per-value): the simple8b word layouts.
 SELECTORS = [
@@ -94,6 +95,21 @@ def delta_of_delta_decode(encoded: Sequence[int]) -> list[int]:
 
 
 # -- packers -----------------------------------------------------------------
+
+
+def decode_varint(buf: bytes, offset: int = 0) -> tuple[int, int]:
+    """One LEB128 value of any size at ``offset``: (value, next offset)."""
+    value = shift = 0
+    pos = offset
+    while True:
+        if pos >= len(buf):
+            raise ValueError("truncated varint")
+        byte = buf[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
 
 
 def encode_varints(values: Sequence[int]) -> bytes:
@@ -203,9 +219,10 @@ def pfor_decode(buf: bytes, n: int) -> list[int]:
 
 
 def decode_frame(blob: bytes) -> tuple[int, list[bytes]]:
-    """A trajectory blob's point count and three simple8b streams: the frame
-    is codec id (1 byte, simple8b's 1), then the point count and the t and x
-    stream lengths as varints; the y stream runs to the end of the blob."""
+    """A row version 4 or 5 point blob's point count and three simple8b
+    streams: the frame is codec id (1 byte, simple8b's 1), then the point
+    count and the t and x stream lengths as varints; the y stream runs to
+    the end of the blob."""
     if not blob:
         raise ValueError("truncated trajectory blob")
     if blob[0] != 1:
@@ -219,16 +236,143 @@ def decode_frame(blob: bytes) -> tuple[int, list[bytes]]:
     return n, [blob[pos:x_at], blob[x_at : x_at + x_len], blob[x_at + x_len :]]
 
 
+# -- patched bit packing (row version 6) ----------------------------------------
+#
+# A section is, stream by stream, the stream's first ``heads`` values as
+# varints and, if more values follow (its tail), a descriptor: a byte
+# ``w | x << 7`` and, if ``x``, a varint ``e - 1`` and a byte ``h - 1``.  Then
+# the body, each byte's low bit first: every tail at its width ``w``, then
+# every stream's ``e`` exceptions (index in ``bit_length(L - 1)`` bits, the
+# value's bits above ``w`` in ``h`` bits), zero-padded to a byte.
+
+
+class BitReader:
+    """Fields of a little-endian bit string, each byte's low bit first."""
+
+    def __init__(self, data: bytes):
+        self.bits = "".join(format(byte, "08b")[::-1] for byte in data)
+        self.pos = 0
+
+    def read(self, width: int) -> int:
+        if self.pos + width > len(self.bits):
+            raise ValueError("truncated bit body")
+        field = self.bits[self.pos : self.pos + width]
+        self.pos += width
+        return int(field[::-1], 2) if width else 0
+
+
+def _varint_len(value: int) -> int:
+    return len(encode_varints([value]))
+
+
+def choose_width(tail: Sequence[int]) -> tuple[int, list[int], int]:
+    """The packer's choice for a tail: ``(w, exception indexes, h)``, the
+    smallest width of the fewest descriptor, tail and exception bits."""
+    widest = max(v.bit_length() for v in tail)
+    index_bits = (len(tail) - 1).bit_length()
+    best = None
+    for w in range(widest + 1):
+        wide = [i for i, v in enumerate(tail) if v.bit_length() > w]
+        cost = len(tail) * w
+        if wide:
+            cost += 8 + 8 * _varint_len(len(wide) - 1) + len(wide) * (
+                index_bits + widest - w)
+        if best is None or cost < best[0]:
+            best = (cost, w, wide, widest - w if wide else 0)
+    return best[1:]
+
+
+def pack_section(streams: Sequence[Sequence[int]], heads: Sequence[int]) -> bytes:
+    """One row's section of ``streams``, each sending its first ``heads``
+    values as varints."""
+    prefix = bytearray()
+    tails, patches = [], []
+    for values, count in zip(streams, heads):
+        prefix += encode_varints(values[:count])
+        tail = list(values[count:])
+        if not tail:
+            continue
+        w, wide, h = choose_width(tail)
+        prefix.append(w | (0x80 if wide else 0))
+        if wide:
+            prefix += encode_varints([len(wide) - 1])
+            prefix.append(h - 1)
+        tails.append((tail, w))
+        patches += [((i, (len(tail) - 1).bit_length()), (tail[i] >> w, h)) for i in wide]
+    fields = [(v & ((1 << w) - 1), w) for tail, w in tails for v in tail]
+    fields += [field for pair in patches for field in pair]
+    bits = "".join(format(v, f"0{w}b")[::-1] if w else "" for v, w in fields)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(prefix) + bytes(int(bits[i : i + 8][::-1], 2) for i in range(0, len(bits), 8))
+
+
+def unpack_section(buf: bytes, pos: int, end: int, lengths: Sequence[int],
+                   heads: Sequence[int]) -> list[list[int]]:
+    """The streams of the section ``buf[pos:end]``, ``lengths[c]`` values
+    each; ``ValueError`` unless the section is exactly that."""
+    plan = []
+    for n, count in zip(lengths, heads):
+        values = []
+        for _ in range(min(n, count)):
+            value, pos = decode_varint(buf, pos)
+            values.append(value)
+        tail = n - len(values)
+        w = e = h = 0
+        if tail:
+            if pos >= end:
+                raise ValueError("truncated section")
+            w, pos = buf[pos] & 0x7F, pos + 1
+            if buf[pos - 1] & 0x80:
+                e, pos = decode_varint(buf, pos)
+                e += 1
+                if pos >= end:
+                    raise ValueError("truncated section")
+                h, pos = buf[pos] + 1, pos + 1
+            if w + h > 64 or e > tail:
+                raise ValueError("corrupt descriptor")
+        plan.append((values, tail, w, e, h))
+    if pos > end:
+        raise ValueError("truncated section")
+    reader = BitReader(buf[pos:end])
+    for values, tail, w, _, _ in plan:
+        values += [reader.read(w) for _ in range(tail)]
+    for values, tail, w, e, h in plan:
+        for _ in range(e):
+            index = reader.read((tail - 1).bit_length())
+            if index >= tail:
+                raise ValueError("exception index past its tail")
+            values[len(values) - tail + index] |= reader.read(h) << w
+    if len(reader.bits) - reader.pos >= 8:
+        raise ValueError("bytes past the section's last field")
+    return [values for values, *_ in plan]
+
+
+# -- the point blob -------------------------------------------------------------
+
+
+def decode_blob(blob: bytes) -> tuple[int, list[list[int]]]:
+    """A row version 6 point blob's point count and its t, x and y streams
+    (zigzagged): varint n, then one section of three streams of n values,
+    whose first two (t) and first (x, y) values are heads."""
+    n, pos = decode_varint(blob, 0)
+    return n, unpack_section(blob, pos, len(blob), (n, n, n), (2, 1, 1))
+
+
+def encode_blob(streams: Sequence[Sequence[int]]) -> bytes:
+    """The version 6 blob of three zigzagged streams of equal length."""
+    return encode_varints([len(streams[0])]) + pack_section(streams, (2, 1, 1))
+
+
 def decode_arrays(
     blob: bytes, origin: Optional[tuple[int, int, int]] = None
 ) -> tuple[list[float], list[float], list[float]]:
     """A trajectory blob's (t, lng, lat) arrays, decoded with the scalar
     helpers above: delta-of-delta t, delta x and delta y, each stream's
     first value counted from ``origin`` (default 0)."""
-    n, streams = decode_frame(blob)
+    _, streams = decode_blob(blob)
     signed = []
     for stream, first in zip(streams, origin if origin is not None else (0, 0, 0)):
-        values = [zigzag_decode(v) for v in simple8b_decode(stream, n)]
+        values = [zigzag_decode(v) for v in stream]
         if values:
             values[0] += first
         signed.append(values)

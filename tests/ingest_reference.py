@@ -3,12 +3,14 @@
 These are the implementations the row codec ran before it was batched
 (simple8b's greedy ``_fits`` loop, recursive Douglas-Peucker with one
 farthest-point search per span), the v2 feature decoder that ran one pass
-per stream, and converters between row versions 2 to 5: versions 2 and 3
+per stream, and converters between row versions 2 to 6: versions 2 and 3
 differ only in the feature section, versions 3 and 4 only in the point
 blob, versions 4 and 5 in the ``tr_value`` varint and the feature
-section's first values.  They live here, not under ``src/``, purely as the
-oracle the kernels are checked against; the converters let rows pinned in
-version 2 (``tests/data/ingest_parent/golden.npz``) check version 5 rows.
+section's first values, versions 5 and 6 in how the feature section and
+the point blob pack the same integers.  They live here, not under
+``src/``, purely as the oracle the kernels are checked against; the
+converters let rows pinned in version 2
+(``tests/data/ingest_parent/golden.npz``) check version 6 rows.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from repro.model.point import STPoint
 
 from .codec_reference import (
     SELECTORS,
+    decode_blob,
     decode_frame,
+    encode_blob,
     decode_varint_list,
     delta_of_delta_decode,
     encode_varint_list,
     encode_varints,
+    pack_section,
     simple8b_decode,
+    unpack_section,
     zigzag_decode,
     zigzag_encode,
 )
@@ -348,12 +354,60 @@ def row_v5_to_v4(row: bytes, tr_value: int) -> bytes:
     return _join_row(head[:50] + encode_varints([tr_value]) + head[50:], 4, bytes(out), blob)
 
 
+# -- row versions 5 and 6 ----------------------------------------------------
+#
+# Both versions share the f64 header and the ids, and their feature
+# sections and point blobs hold the same integers, packed differently.  v5:
+# the feature section is LEB128 values (n_reps, the rep index deltas, rep x,
+# rep y, and each span's four box offsets); the blob is the simple8b frame
+# (``decode_frame``).  v6: the feature section is varint n_reps and one
+# packed section of three streams (the index deltas; the reps' x and y in
+# turn, the first two as heads; the box offsets span by span); the blob is
+# varint n and one packed section of the t, x and y streams
+# (``decode_blob``).
+
+
+def row_v5_to_v6(row: bytes) -> bytes:
+    """A version 5 row rewritten as the version 6 row of the same trajectory."""
+    head, features, blob = _split_row(row)
+    assert row[1] == 5, row[1]
+    vals = _features(features)
+    n = vals[0]
+    assert len(vals) == 7 * n - 4
+    xs, ys = vals[n : 2 * n], vals[2 * n : 3 * n]
+    reps = [v for pair in zip(xs, ys) for v in pair]
+    section = encode_varints([n]) + pack_section(
+        [vals[1:n], reps, vals[3 * n :]], (0, 2, 0))
+    count, streams = decode_frame(blob)
+    points = encode_blob([simple8b_decode(stream, count) for stream in streams])
+    return _join_row(head, 6, section, points)
+
+
+def row_v6_to_v5(row: bytes) -> bytes:
+    """A version 6 row as the version 5 row of the same trajectory."""
+    head, features, blob = _split_row(row)
+    assert row[1] == 6, row[1]
+    n, pos = decode_varint(features, 0)
+    index_deltas, reps, offsets = unpack_section(
+        features, pos, len(features), (n - 1, 2 * n, 4 * n - 4), (0, 2, 0))
+    section = encode_varints([n, *index_deltas, *reps[0::2], *reps[1::2], *offsets])
+    count, streams = decode_blob(blob)
+    t, x, y = (simple8b_encode(stream) for stream in streams)
+    points = bytes([1]) + encode_varints([count, len(t), len(x)]) + t + x + y
+    return _join_row(head, 5, section, points)
+
+
 def row_v2_to_v5(row: bytes) -> bytes:
     """A version 2 row (the golden fixtures' version) as a version 5 row."""
     return row_v4_to_v5(row_v3_to_v4(row_v2_to_v3(row)))
 
 
-def row_v5_to_v2(row: bytes, tr_value: int) -> bytes:
-    """A version 5 row as the version 2 row of the same trajectory, stored
+def row_v2_to_v6(row: bytes) -> bytes:
+    """A version 2 row as a version 6 row."""
+    return row_v5_to_v6(row_v2_to_v5(row))
+
+
+def row_v6_to_v2(row: bytes, tr_value: int) -> bytes:
+    """A version 6 row as the version 2 row of the same trajectory, stored
     under ``tr_value``."""
-    return row_v3_to_v2(row_v4_to_v3(row_v5_to_v4(row, tr_value)))
+    return row_v3_to_v2(row_v4_to_v3(row_v5_to_v4(row_v6_to_v5(row), tr_value)))

@@ -1,14 +1,14 @@
 """The one trajectory decoder against the scalar oracle, and corrupt blobs.
 
-A blob decodes through ``TrajectoryCodec.decode_array_block``: simple8b's
-array unpacker, then zigzag, delta-of-delta / delta and dequantization,
-vectorized.  Here it must agree bit for bit with the scalar decoders in
-``tests/codec_reference.py`` on generated columns, and a truncated or
-bit-flipped blob must either decode to three equal-length columns or raise
-one of the errors the row decoder maps to ``CorruptionError``.  The array
-unpackers of simple8b and of the codec menu's LEB128 and PFOR packers
-(``benchmarks/varint_stream.py``, ``benchmarks/pfor.py``) must read back
-what their packers wrote, as the scalar decoders do.
+A blob decodes through ``TrajectoryCodec.decode_array_block``: the bit
+packer's array reader, then zigzag, delta-of-delta / delta and
+dequantization, vectorized.  Here it must agree bit for bit with the scalar
+decoders in ``tests/codec_reference.py`` on generated columns, and a
+truncated or bit-flipped blob must either decode to three equal-length
+columns or raise one of the errors the row decoder maps to
+``CorruptionError``.  The bit packer's two readers must read back what it
+packed, as the scalar reader does, and so must the array unpackers of the
+codec menu's LEB128, simple8b and PFOR packers (``benchmarks/``).
 
 The property tests take their example counts from the active Hypothesis
 profile: the ``fuzz`` profile (``tests/conftest.py``) sweeps deeper.
@@ -22,24 +22,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.pfor import pfor_encode_segments, pfor_unpack
+from benchmarks.simple8b import simple8b_encode_segments, simple8b_unpack
 from benchmarks.varint_stream import leb128_decode, varint_encode_segments, varint_unpack
-from repro.compression.simple8b import simple8b_encode_segments, simple8b_unpack
-from repro.compression.traj_codec import TrajectoryCodec, dequantize_arrays, quantize_arrays
+from repro.compression.bitpack import pack, unpack_array, unpack_lists
+from repro.compression.traj_codec import (
+    CODEC,
+    TrajectoryCodec,
+    dequantize_arrays,
+    quantize_arrays,
+)
 from repro.datasets import tdrive_like
 from repro.model.pointblock import MAX_ABS_TIME
 
 from . import codec_reference as ref
 
-CODECS = ("simple8b",)  # the packers rows are written with
-PACKERS = {  # packer -> (segmented packer, array unpacker, scalar decoder)
+CODECS = (CODEC,)  # the packers rows are written with
+PACKERS = {  # the codec menu's: (segmented packer, array unpacker, scalar decoder)
     "varint": (varint_encode_segments, varint_unpack, ref.varint_decode),
     "simple8b": (simple8b_encode_segments, simple8b_unpack, ref.simple8b_decode),
     "pfor": (pfor_encode_segments, pfor_unpack, ref.pfor_decode),
 }
 # What ``RowSerializer`` turns into ``CorruptionError``.
 CORRUPT = (ValueError, IndexError, OverflowError)
-# Quantized coordinates this far apart zigzag to just under 2^60, the
-# largest value a simple8b word holds.
+# Quantized coordinates this far apart zigzag to just under 2^60.
 EDGE = (1 << 58) - (1 << 10)
 
 lengths = st.one_of(st.integers(1, 3), st.integers(300, 420))
@@ -109,6 +114,27 @@ def streams(draw):
     values[rng.random(3 * n) < draw(st.sampled_from([0.0, 0.5, 0.97]))] = 0
     values[rng.random(3 * n) < 0.02] = (1 << 60) - 1
     return values, n
+
+
+@settings(derandomize=True, deadline=None)
+@given(streams(), st.sampled_from([0, 64]), st.tuples(*[st.integers(0, 3)] * 3))
+def test_sections_match_the_scalar_reader(drawn, top, heads):
+    """Two rows' sections of three streams each, with values up to
+    2^64 - 1 when ``top`` is 64, read back by both of the bit packer's
+    readers and by the scalar reader."""
+    values, n = drawn
+    if top:
+        values[::7] = np.uint64(2**64 - 1)
+    flat = values.reshape(3, n)
+    cut = n // 2
+    offsets = [(0, cut, n)] * 3
+    sections = pack(list(flat), offsets, heads)
+    for section, (lo, hi) in zip(sections, [(0, cut), (cut, n)]):
+        want = [row[lo:hi].tolist() for row in flat]
+        lengths = [hi - lo] * 3
+        assert unpack_lists(section, 0, lengths, heads) == want
+        assert unpack_array(section, 0, lengths, heads).tolist() == sum(want, [])
+        assert ref.unpack_section(section, 0, len(section), lengths, heads) == want
 
 
 @pytest.mark.parametrize("codec", sorted(PACKERS))

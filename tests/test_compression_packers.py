@@ -1,11 +1,14 @@
-"""Unit and property tests for simple8b, PFOR, and the XOR float codec.
+"""Unit and property tests for the row's bit packer, simple8b, PFOR, and
+the XOR float codec.
 
 Each integer packer's stream is read back both by its array unpacker and by
 the scalar reference decoder in ``tests/codec_reference.py``.  A stream
-holds no count: both readers are told how many values it holds.  Simple8b
-packs every row's point streams; PFOR (``benchmarks/pfor.py``) and XOR are
-the codec menu benchmark's.
+holds no count: both readers are told how many values it holds.  The bit
+packer (``repro.compression.bitpack``) packs every row's streams; simple8b,
+PFOR and XOR (``benchmarks/``) are the codec menu benchmark's.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.pfor import pfor_encode, pfor_unpack
+from benchmarks.simple8b import simple8b_encode, simple8b_unpack
 from benchmarks.xor_float import xor_float_decode, xor_float_encode
-from repro.compression import simple8b_encode
-from repro.compression.simple8b import simple8b_unpack
+from repro.compression.bitpack import MAX_COUNT, pack, unpack_array, unpack_lists
+from repro.compression.columnar import (
+    delta_encode_array,
+    delta_of_delta_encode_array,
+    zigzag_encode_array,
+)
+from repro.compression.traj_codec import quantize_arrays
+from repro.datasets import tdrive_like
 
 from . import codec_reference as ref
 
@@ -37,6 +47,70 @@ simple8b_decode = _both(simple8b_unpack, ref.simple8b_decode)
 pfor_decode = _both(pfor_unpack, ref.pfor_decode)
 
 small_uints = st.integers(0, 2**40)
+
+
+def _section(values, heads=0) -> bytes:
+    """One stream's section, checked against both readers and the scalar one."""
+    (section,) = pack([np.array(values, dtype=np.uint64)], [(0, len(values))], (heads,))
+    assert ref.pack_section([list(values)], (heads,)) == section
+    assert unpack_lists(section, 0, (len(values),), (heads,)) == [list(values)]
+    assert unpack_array(section, 0, (len(values),), (heads,)).tolist() == list(values)
+    return section
+
+
+class TestBitpack:
+    def test_empty_and_zero_width(self):
+        assert _section([]) == b""
+        # a zero-width tail is its descriptor byte alone
+        assert _section([0] * 500) == bytes([0])
+
+    def test_width_64_up_to_the_largest_value(self):
+        top = 2**64 - 1
+        section = _section([top, 1 << 63, top - 1, (1 << 63) + 5])
+        assert section[0] == 64  # one width, no exceptions
+        _section([top, 0, top, 1 << 63, top - 1])  # zero width, four patched
+        _section([top] * 3 + [5] * 200)  # the three patched on a small width
+        _section([top, 7], heads=1)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=60), st.integers(0, 3))
+    @settings(max_examples=50)
+    def test_roundtrip(self, values, heads):
+        _section(values, heads)
+
+    def test_an_outlier_does_not_widen_the_stream(self):
+        """One 40-bit GPS gap among 10-bit deltas is patched, not packed at
+        40 bits: the stream is no larger than simple8b makes it."""
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 1 << 10, 300).tolist()
+        values[123] = (1 << 40) - 3
+        section = _section(values)
+        assert section[0] == 0x80 | 10  # width 10, with exceptions
+        assert len(section) <= len(simple8b_encode(values))
+
+    def test_rejects_streams_past_the_count_limit(self):
+        with pytest.raises(ValueError, match="more than"):
+            pack([np.zeros(MAX_COUNT + 1, dtype=np.uint64)], [(0, MAX_COUNT + 1)], (0,))
+        with pytest.raises(ValueError, match="a stream of"):
+            unpack_lists(b"\x00", 0, (MAX_COUNT + 1,), (0,))
+
+    def test_packing_a_chunk_stays_small(self):
+        """Packing one ingest chunk's point streams (8,022 points) peaks
+        under 2.5 MiB: no array holds an element per bit (simple8b peaks at
+        about 3.0 MiB here, PFOR at 11 MiB)."""
+        trajs = tdrive_like(240, seed=42, max_points=50)
+        offsets = np.cumsum([0] + [len(t) for t in trajs])
+        t, x, y = quantize_arrays(*(np.concatenate([getattr(tr.block, col) for tr in trajs])
+                                    for col in ("ts", "xs", "ys")))
+        streams = [zigzag_encode_array(s) for s in (delta_of_delta_encode_array(t, offsets),
+                                                    delta_encode_array(x, offsets),
+                                                    delta_encode_array(y, offsets))]
+        tracemalloc.start()
+        try:
+            pack(streams, [offsets] * 3, (2, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert offsets[-1] == 8022 and peak <= 2.5 * 2**20, peak
 
 
 class TestSimple8b:

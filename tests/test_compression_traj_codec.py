@@ -17,13 +17,14 @@ def make_points(n, t0=1_500_000_000.0):
 
 class TestConfiguration:
     def test_rejects_unknown_codec(self):
-        """Rows are packed with simple8b alone; the codec menu's other
-        packers are no trajectory codec."""
-        for name in ("lzma", "columnar", "varint", "pfor"):
+        """Rows are packed with the bit packer alone; the codec menu's other
+        packers, simple8b (rows' packer through version 5) included, are no
+        trajectory codec."""
+        for name in ("lzma", "columnar", "varint", "pfor", "simple8b"):
             with pytest.raises(ValueError):
                 TrajectoryCodec(name)
 
-    @pytest.mark.parametrize("name", ["simple8b"])
+    @pytest.mark.parametrize("name", ["bitpack"])
     def test_all_codecs_roundtrip(self, name):
         codec = TrajectoryCodec(name)
         pts = make_points(80)
@@ -52,20 +53,13 @@ class TestEncoding:
 
     def test_compression_beats_raw_doubles(self):
         pts = make_points(200)
-        blob = TrajectoryCodec("simple8b").encode_points(pts)
+        blob = TrajectoryCodec().encode_points(pts)
         assert len(blob) < 24 * len(pts) / 2  # at least 2x vs three f64 arrays
 
     def test_truncated_blob_raises(self):
         blob = TrajectoryCodec().encode_points(make_points(5))
         with pytest.raises(ValueError):
             TrajectoryCodec().decode_array_block(blob[:3])
-
-    def test_unknown_codec_id_raises(self):
-        blob = bytearray(TrajectoryCodec().encode_points(make_points(3)))
-        for cid in (0, 2, 3, 99):  # the retired varint, PFOR and varint twin ids
-            blob[0] = cid
-            with pytest.raises(ValueError, match="unknown codec id"):
-                TrajectoryCodec().decode_array_block(bytes(blob))
 
 
 class TestPropertyRoundtrip:

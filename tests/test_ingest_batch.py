@@ -3,9 +3,11 @@
 Rows and TShape keys are pinned to golden bytes written at the parent
 commit (``tests/data/ingest_parent/``, see its ``generate.py``), both for a
 whole batch and one trajectory at a time; the golden rows are version 2, so
-today's rows are compared after ``ingest_reference.row_v5_to_v2``, which
+today's rows are compared after ``ingest_reference.row_v6_to_v2``, which
 puts back the TR value the golden rows were stored under (and must come
-back unchanged from ``row_v2_to_v5``); the segmented kernels are
+back unchanged from ``row_v2_to_v6``, whose scalar packer makes the same
+width and exception choices as ``repro.compression.bitpack``); the codec
+menu's segmented simple8b and LEB128 kernels are
 checked against the scalar reference in ``tests/ingest_reference.py``; and
 the store half — ``Table.put_batch``, region row accounting, inserts whose
 buffer overflows mid-batch — must leave the tables exactly as row-by-row
@@ -23,9 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.simple8b import simple8b_encode, simple8b_encode_segments
 from benchmarks.varint_stream import varint_encode_array, varint_encode_segments
 from repro import TMan, TManConfig
-from repro.compression.simple8b import simple8b_encode, simple8b_encode_segments
+from repro.compression.bitpack import pack, unpack_array, unpack_lists
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.tshape import TShapeIndex
 from repro.datasets import TDRIVE_SPEC, tdrive_like
@@ -40,7 +43,7 @@ from repro.model.pointblock import PointBlock
 from repro.storage.serializer import RowSerializer
 
 from . import ingest_reference as ref
-from .codec_reference import encode_varints
+from .codec_reference import encode_varints, pack_section
 
 GOLDEN = Path(__file__).parent / "data" / "ingest_parent" / "golden.npz"
 BOUNDARY = TDRIVE_SPEC.boundary
@@ -68,8 +71,8 @@ def golden():
 
 
 def _assert_rows(data, name: str, rows: list[bytes]) -> None:
-    old = [ref.row_v5_to_v2(row, tr) for row, tr in zip(rows, data["tr_values"].tolist())]
-    assert [ref.row_v2_to_v5(row) for row in old] == rows
+    old = [ref.row_v6_to_v2(row, tr) for row, tr in zip(rows, data["tr_values"].tolist())]
+    assert [ref.row_v2_to_v6(row) for row in old] == rows
     rows = old
     if f"rows_{name}" in data:
         buf, off = data[f"rows_{name}"].tobytes(), data[f"rowoff_{name}"]
@@ -147,6 +150,21 @@ def test_varint_segments_match_scalar(segments):
     flat, offsets = _concat(segments)
     assert varint_encode_segments(flat, offsets) == [encode_varints(seg) for seg in segments]
     assert varint_encode_array(flat[: offsets[1]]) == encode_varints(segments[0])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_streams(64), _streams(64)), min_size=1, max_size=4),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_bitpack_sections_match_scalar(rows, heads):
+    """Every row's section of two streams, packed for the whole batch, is
+    the scalar reference's section, and both readers read it back."""
+    columns = [_concat([row[c] for row in rows]) for c in (0, 1)]
+    sections = pack([flat for flat, _ in columns], [off for _, off in columns], heads)
+    for row, section in zip(rows, sections):
+        assert section == pack_section(row, heads)
+        lengths = [len(stream) for stream in row]
+        assert unpack_lists(section, 0, lengths, heads) == list(row)
+        assert unpack_array(section, 0, lengths, heads).tolist() == row[0] + row[1]
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ class TestConstruction:
     def test_rejects_times_beyond_the_millisecond_grid(self, t0):
         """Stored rows quantize times to int64 milliseconds; such times used
         to be accepted and then decode as -9.2e15 s (varint, pfor) or fail
-        the simple8b encoder."""
+        the row encoder (simple8b's, before row version 6)."""
         ts = t0 + np.array([0.0, 10.0, 20.0])
         with pytest.raises(ValueError, match="trajectory trip: timestamps"):
             make(PointBlock(ts, np.full(3, 116.0), np.full(3, 39.0)))

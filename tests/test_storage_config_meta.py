@@ -38,11 +38,11 @@ class TestConfig:
             TManConfig(boundary=BOUNDARY, shape_encoding="huffman")
 
     def test_codec_is_no_option(self):
-        """Every row is packed with simple8b: ``codec`` is readable, but no
-        field, so no deployment can ask for another packer."""
-        assert TManConfig.codec == TManConfig(boundary=BOUNDARY).codec == "simple8b"
+        """Every row is packed with the bit packer: ``codec`` is readable, but
+        no field, so no deployment can ask for another packer."""
+        assert TManConfig.codec == TManConfig(boundary=BOUNDARY).codec == "bitpack"
         assert "codec" not in {f.name for f in dataclasses.fields(TManConfig)}
-        for name in ("pfor", "varint", "simple8b"):
+        for name in ("pfor", "varint", "simple8b", "bitpack"):
             with pytest.raises(TypeError, match="codec"):
                 TManConfig(boundary=BOUNDARY, codec=name)
 

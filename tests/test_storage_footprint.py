@@ -23,25 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TMan, TManConfig
-from repro.compression import simple8b_encode
 from repro.compression.columnar import (
     delta_encode_array,
     delta_of_delta_encode_array,
     zigzag_encode_array,
 )
 from repro.compression.traj_codec import TrajectoryCodec, dequantize_arrays, quantize_arrays
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import decode_varint
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.scan import Scan
 from repro.storage.serializer import RowSerializer
+
+from .codec_reference import encode_varints, pack_section
 
 # B per point, rounded up from the measured values in the comments.
 CEILINGS = {
     "primary.keys": 0.58,  # 0.5728
     "primary.header": 0.99,  # 0.9876 (1.0269 with row version 4's tr_value)
     "primary.ids": 0.74,  # 0.7308
-    "primary.features": 2.18,  # 2.1793 (2.3089 in row version 4, 4.5642 in version 2)
-    "primary.blob": 5.62,  # 5.6146 (6.2830 in row version 3)
+    "primary.features": 1.42,  # 1.4149 (2.1793 in row version 5, 4.5642 in version 2)
+    "primary.blob": 4.49,  # 4.4808 (5.6146 in row version 5, 6.2830 in version 3)
     "tr.keys": 0.56,  # 0.5531
     "tr.values": 0.18,  # 0.1778 (0.5728, a whole primary key, before)
     "idt.keys": 0.89,  # 0.8889
@@ -88,26 +89,26 @@ def test_features_are_a_small_share_of_the_row(footprint):
     assert footprint["primary.features"] <= 3.0
 
 
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    encode_varint(value, out)
-    return bytes(out)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    sizes=st.lists(st.sampled_from([0, 1, 2, 35, 300]), min_size=1, max_size=3),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 3, 35, 300]), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
+    gaps=st.booleans(),
     origin=st.one_of(st.none(), st.tuples(*[st.integers(-(2**53), 2**53)] * 3)),
 )
-def test_blob_frame_is_codec_id_count_and_two_lengths(sizes, seed, origin):
-    """A blob is ``codec id (1, simple8b) | varint n | varint len(t) |
-    varint len(x)`` and then the three simple8b streams, nothing more, and
-    it decodes back from the same origin, for 0-, 1- and many-point
-    trajectories."""
+def test_blob_frame_is_the_count_and_one_packed_section(sizes, seed, gaps, origin):
+    """A blob is ``varint n`` and then one packed section of the t, x and y
+    streams (heads t0 and t1, x0, y0 as varints, then each tail's
+    descriptor and one shared bit body; the scalar reference packer makes
+    the same choices), nothing more, and it decodes back from the same
+    origin, for 0-, 1-, 2- and many-point trajectories, with GPS gaps
+    (patched outliers) or without."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
-    ts = 1.2e9 + np.cumsum(rng.integers(0, 90_000, n)) / 1000.0
+    steps = rng.integers(0, 90_000, n)
+    if gaps:
+        steps[rng.random(n) < 0.03] = 10**9
+    ts = 1.2e9 + np.cumsum(steps) / 1000.0
     xs = 116.4 + np.cumsum(rng.normal(0.0, 1e-3, n))
     ys = 39.9 + np.cumsum(rng.normal(0.0, 1e-3, n))
     offsets = np.cumsum([0, *sizes])
@@ -119,9 +120,8 @@ def test_blob_frame_is_codec_id_count_and_two_lengths(sizes, seed, origin):
                   delta_encode_array(ints[2])]
         for stream, first in zip(deltas, origin or (0, 0, 0)):
             stream[:1] -= first
-        t, x, y = (simple8b_encode(zigzag_encode_array(stream)) for stream in deltas)
-        frame = bytes([1]) + _varint(hi - lo) + _varint(len(t)) + _varint(len(x))
-        assert blob == frame + t + x + y
+        streams = [zigzag_encode_array(stream).tolist() for stream in deltas]
+        assert blob == encode_varints([hi - lo]) + pack_section(streams, (2, 1, 1))
         got = TrajectoryCodec().decode_array_block(blob, origin)
         for mine, want in zip(got, dequantize_arrays(*ints)):
             assert mine.tobytes() == want.tobytes()

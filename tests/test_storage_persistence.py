@@ -240,9 +240,10 @@ class TestParentFormatDeployment:
     the last commit whose ``TManConfig`` still had ``window_parallel``,
     ``row_format_version`` and the other retired knobs; the ``rewrite.py``
     beside it later brought its rows to the current format (primary rows to
-    row version 4, secondary values cut to ``shard :: primary index
-    value``, ``config.json`` stamped with the stored format; keys, every
-    other config entry and cache untouched)."""
+    row version 6, secondary values cut to ``shard :: primary index
+    value``, ``config.json`` stamped with the stored format and its
+    ``simple8b`` codec entry dropped; keys, every other config entry and
+    cache untouched)."""
 
     def test_reopens_ignoring_retired_keys(self):
         doc = json.loads((DATA_DIR / "deployment_parent" / "config.json").read_text())
@@ -308,7 +309,8 @@ class TestFormatStamp:
         _, doc = self._config(saved_dir)
         assert next(iter(doc)) == "format" and doc["format"] == FORMAT
 
-    @pytest.mark.parametrize("found", [None, FORMAT - 1, FORMAT + 1])
+    # no stamp, the two formats before this one, and the next
+    @pytest.mark.parametrize("found", [None, FORMAT - 2, FORMAT - 1, FORMAT + 1])
     def test_other_or_missing_format_raises_at_open(self, saved_dir, found):
         path, doc = self._config(saved_dir)
         if found is None:
@@ -321,16 +323,17 @@ class TestFormatStamp:
                            match=f"{stated}; this build reads format {FORMAT}$"):
             open_tman(saved_dir)
 
-    def test_simple8b_codec_entry_opens(self, saved_dir, dataset):
-        """A config.json saved while ``codec`` was a field states it."""
+    def test_codec_entry_of_this_build_opens(self, saved_dir, dataset):
+        """A config.json may state the codec (saves made while ``codec`` was
+        a field did); naming the one this build packs rows with, it opens."""
         path, doc = self._config(saved_dir)
         assert "codec" not in doc
-        doc["codec"] = "simple8b"
+        doc["codec"] = "bitpack"
         path.write_text(json.dumps(doc))
         with open_tman(saved_dir) as tman:
             assert tman.row_count == len(dataset)
 
-    @pytest.mark.parametrize("codec", ["pfor", "varint"])
+    @pytest.mark.parametrize("codec", ["pfor", "varint", "simple8b"])
     def test_other_codec_raises_before_any_table_is_read(self, saved_dir, codec):
         path, doc = self._config(saved_dir)
         doc["codec"] = codec
@@ -338,7 +341,7 @@ class TestFormatStamp:
         (saved_dir / "tables.snap").write_bytes(b"")  # never reached
         with pytest.raises(FormatMismatchError,
                            match=f"rows packed with codec '{codec}'; this build reads "
-                                 "'simple8b'$"):
+                                 "'bitpack'$"):
             open_tman(saved_dir)
 
     def test_unknown_config_key_raises(self, saved_dir):

@@ -45,12 +45,12 @@ class TestRoundtrip:
         assert stored.trajectory.tid == "轨迹-42"
 
     def test_all_codecs(self):
-        """Rows are packed with simple8b alone; the codec menu's other
+        """Rows are packed with the bit packer alone; the codec menu's other
         packers are no row codec."""
         traj = make_traj()
-        s = RowSerializer(TrajectoryCodec("simple8b"))
+        s = RowSerializer(TrajectoryCodec("bitpack"))
         assert len(s.decode(s.encode(traj)).trajectory) == len(traj)
-        for codec in ("varint", "pfor"):
+        for codec in ("varint", "pfor", "simple8b"):
             with pytest.raises(ValueError, match="unknown codec"):
                 TrajectoryCodec(codec)
 
