@@ -1,4 +1,5 @@
-"""Baseline trajectory systems re-implemented for the paper's comparisons.
+"""Baseline trajectory systems re-implemented for the paper's comparisons
+(their indexes are in ``indexes/``).
 
 - :class:`TrajMesa` — multi-index-table NoSQL engine (XZT temporal + XZ2
   spatial + composite spatio-temporal + id tables), client-side filtering,
@@ -9,18 +10,20 @@
   (XZ* = TShape with α=β=2, raw bitmap codes, no index cache);
 - :class:`TManXZT` / :class:`TManXZ` — the paper's retrofit ablations:
   TMan's storage + push-down framework with the baseline XZT/XZ2 indexes;
+- :class:`VRE` — segment storage under a start-time index, reassembled
+  through a tid-keyed table;
 - :class:`DFT`, :class:`DITA`, :class:`REPOSE` — distributed in-memory
   similarity systems reduced to their index + pruning logic.
 """
 
-from repro.baselines.dft import DFT
-from repro.baselines.dita import DITA
-from repro.baselines.repose import REPOSE
-from repro.baselines.sthadoop import STHadoop
-from repro.baselines.tman_variants import TManXZ, TManXZT
-from repro.baselines.trajmesa import TrajMesa
-from repro.baselines.trass import make_trass
-from repro.baselines.vre import VRE
+from benchmarks.comparators.dft import DFT
+from benchmarks.comparators.dita import DITA
+from benchmarks.comparators.repose import REPOSE
+from benchmarks.comparators.sthadoop import STHadoop
+from benchmarks.comparators.tman_variants import TManXZ, TManXZT
+from benchmarks.comparators.trajmesa import TrajMesa
+from benchmarks.comparators.trass import make_trass
+from benchmarks.comparators.vre import VRE
 
 __all__ = [
     "TrajMesa",

@@ -16,6 +16,16 @@ from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 
 
+def slice_time(traj: Trajectory, tr: TimeRange) -> Trajectory | None:
+    """The sub-trajectory whose fixes fall inside ``tr``, or ``None`` when
+    no fix does."""
+    ts = traj.block.ts
+    inside = (tr.start <= ts) & (ts <= tr.end)
+    if not inside.any():
+        return None
+    return Trajectory(traj.oid, traj.tid, traj.block[inside])
+
+
 @dataclass(frozen=True)
 class StartTimeSegmentIndex:
     """Maps trajectories to start-time-indexed segments and plans queries."""
@@ -40,7 +50,7 @@ class StartTimeSegmentIndex:
         for b in range(first, last + 1):
             lo = self.origin + b * d
             span = TimeRange(lo, lo + d - 1e-9)
-            part = traj.slice_time(span)
+            part = slice_time(traj, span)
             if part is not None:
                 segments.append(part)
         return segments

@@ -34,6 +34,11 @@ DEFAULT_GRID_BITS = 6  # 64 x 64 cells per slice
 DEFAULT_JOB_OVERHEAD_MS = 2500.0  # MapReduce job startup, charged to simulated time
 
 
+def contains_instant(time_range: TimeRange, t: float) -> bool:
+    """True when the instant ``t`` lies inside the closed range."""
+    return time_range.start <= t <= time_range.end
+
+
 class STHadoop:
     """Point-sliced storage + simulated scan-job query execution."""
 
@@ -154,7 +159,7 @@ class STHadoop:
         return self._run_job(
             list(slices),
             None,
-            lambda t, lng, lat: time_range.contains_instant(t),
+            lambda t, lng, lat: contains_instant(time_range, t),
             None,
         )
 
@@ -177,7 +182,7 @@ class STHadoop:
         return self._run_job(
             list(slices),
             cells,
-            lambda t, lng, lat: time_range.contains_instant(t)
+            lambda t, lng, lat: contains_instant(time_range, t)
             and window.contains_point(lng, lat),
             None,
         )

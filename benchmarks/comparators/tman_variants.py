@@ -6,15 +6,15 @@ spatial index).  These isolate the index structure from the architecture:
 TMan-XZT vs TrajMesa shows the push-down gain, TMan vs TMan-XZT shows the
 TR-index gain.  Their windows come from the same builders as TMan's
 (``query.windows``) and are read by the same operators
-(:func:`~repro.baselines.common.scan_query`), so only the index differs.
+(:func:`~benchmarks.comparators.common.scan_query`), so only the index differs.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.baselines.xz2 import XZ2Index
-from repro.core.baselines.xzt import XZTIndex
+from benchmarks.comparators.indexes.xz2 import XZ2Index
+from benchmarks.comparators.indexes.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
@@ -22,7 +22,7 @@ from repro.model.trajectory import Trajectory
 from repro.query.filters import SpatialFilter, TemporalFilter
 from repro.query.types import QueryResult
 from repro.query.windows import primary_windows_inclusive, primary_windows_u64
-from repro.baselines.common import SingleIndexStore
+from benchmarks.comparators.common import SingleIndexStore
 
 
 class TManXZT:

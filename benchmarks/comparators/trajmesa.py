@@ -6,7 +6,7 @@ an XZT-keyed temporal table, an XZ2-keyed spatial table, a composite
 redundancy §II-3 of the paper criticizes.  Filters are evaluated client-side
 (every candidate row is transferred), which is what the TMan-XZT/TMan-XZ
 retrofits then improve via push-down.  Its tables are read through TMan's
-query operators (:func:`~repro.baselines.common.scan_query`, never with
+query operators (:func:`~benchmarks.comparators.common.scan_query`, never with
 push-down), so its costs differ from TMan's by index and storage layout
 alone.
 """
@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from repro.baselines.common import scan_query
-from repro.core.baselines.xz2 import XZ2Index
-from repro.core.baselines.xzt import XZTIndex
+from benchmarks.comparators.common import scan_query
+from benchmarks.comparators.indexes.xz2 import XZ2Index
+from benchmarks.comparators.indexes.xzt import XZTIndex
 from repro.core.quadtree import QuadTreeGrid
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter

@@ -14,13 +14,16 @@ this design pays, both measured here:
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from repro.core.baselines.start_time import StartTimeSegmentIndex
+import numpy as np
+
+from benchmarks.comparators.indexes.start_time import StartTimeSegmentIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
 from repro.model.timerange import TimeRange
-from repro.model.trajectory import Trajectory, concat_trajectories
+from repro.model.pointblock import PointBlock
+from repro.model.trajectory import Trajectory
 from repro.obs.profile import query_profile
 from repro.query.types import QueryResult, finish_query
 from repro.storage.schema import SEPARATOR, encode_u64
@@ -28,6 +31,32 @@ from repro.storage.serializer import RowSerializer
 
 DEFAULT_SEGMENT_SECONDS = 1800.0
 TIME_SCALE = 1000  # key granularity: milliseconds
+
+
+def concat_trajectories(parts: Iterable[Trajectory]) -> Trajectory:
+    """Reassemble a trajectory from time-ordered segments with the same tid.
+
+    A fix earlier than one already taken is dropped, and so is a fix equal
+    to the one taken just before it (segments sharing a boundary fix).
+
+    This is the reassembly step segment-storing systems must pay; TMan
+    stores intact rows and never calls it.
+    """
+    ordered = sorted(parts, key=lambda t: t.time_range.start)
+    if not ordered:
+        raise ValueError("cannot concatenate zero segments")
+    first = ordered[0]
+    for part in ordered:
+        if part.tid != first.tid:
+            raise ValueError(f"mixed tids: {part.tid} vs {first.tid}")
+    ts, xs, ys = (np.concatenate(cols) for cols in zip(*(p.xy_arrays() for p in ordered)))
+    # the last fix taken always holds the running maximum of t
+    keep = np.ones(len(ts), dtype=bool)
+    keep[1:] = ts[1:] >= np.maximum.accumulate(ts)[:-1]
+    ts, xs, ys = ts[keep], xs[keep], ys[keep]
+    repeat = (ts[1:] == ts[:-1]) & (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    keep = np.concatenate(([True], ~repeat))
+    return Trajectory(first.oid, first.tid, PointBlock(ts[keep], xs[keep], ys[keep]))
 
 
 class VRE:

@@ -13,7 +13,7 @@ import pathlib
 import pytest
 
 from repro import TMan, TManConfig
-from repro.baselines import STHadoop, TManXZ, TManXZT, TrajMesa
+from benchmarks.comparators import STHadoop, TManXZ, TManXZT, TrajMesa
 from repro.datasets import (
     LORRY_SPEC,
     TDRIVE_SPEC,

@@ -1,4 +1,5 @@
-"""Flow analytics: OD matrices, visit heatmaps, speed profiles."""
+"""Flow analytics over query results (an extension): OD matrices, visit
+heatmaps, speed profiles."""
 
 from __future__ import annotations
 

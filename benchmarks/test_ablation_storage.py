@@ -7,7 +7,7 @@ extra point-gets.  This ablation quantifies each cost against TMan's
 intact-row storage on the same data and windows.
 """
 
-from repro.baselines.vre import VRE
+from benchmarks.comparators.vre import VRE
 from benchmarks.harness import ResultTable, run_queries
 
 from benchmarks.conftest import save_table

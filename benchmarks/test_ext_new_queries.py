@@ -10,7 +10,7 @@ import time
 from benchmarks.harness import ResultTable, percentile, run_queries
 from repro.geometry.distance import point_to_polyline
 from repro.query.types import TemporalRangeQuery
-from repro.similarity.join import threshold_self_join
+from benchmarks.similarity_join import threshold_self_join
 from repro.similarity.measures import distance_by_name
 
 from benchmarks.conftest import save_table

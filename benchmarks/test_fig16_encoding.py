@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import TMan, TManConfig
-from repro.baselines import make_trass
+from benchmarks.comparators import make_trass
 from benchmarks.harness import ResultTable, percentile, run_queries
 from repro.core.quadtree import QuadTreeGrid
 from repro.core.tshape import TShapeIndex

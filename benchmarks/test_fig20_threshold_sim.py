@@ -8,7 +8,7 @@ systems verify many more candidates.
 
 import pytest
 
-from repro.baselines import DFT, DITA, REPOSE, TrajMesa, make_trass
+from benchmarks.comparators import DFT, DITA, REPOSE, TrajMesa, make_trass
 from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import LORRY_SPEC
 

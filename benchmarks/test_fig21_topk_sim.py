@@ -7,7 +7,7 @@ thresholds; all systems return identical top-k sets (exact semantics).
 
 import pytest
 
-from repro.baselines import DFT, DITA, REPOSE, make_trass
+from benchmarks.comparators import DFT, DITA, REPOSE, make_trass
 from benchmarks.harness import ResultTable, run_queries
 from repro.datasets import LORRY_SPEC
 

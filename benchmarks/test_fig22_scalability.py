@@ -24,7 +24,7 @@ HOUR = 3600.0
 
 @pytest.fixture(scope="module")
 def scaled_systems():
-    from repro.baselines import TrajMesa
+    from benchmarks.comparators import TrajMesa
 
     base = lorry_like(BASE_N, seed=43, max_points=40)
     built = {}

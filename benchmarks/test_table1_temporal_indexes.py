@@ -9,9 +9,9 @@ win on time thanks to better locality.
 
 import pytest
 
-from repro.baselines.common import SingleIndexStore
+from benchmarks.comparators.common import SingleIndexStore
 from benchmarks.harness import ResultTable, run_queries
-from repro.core.baselines.xzt import XZTIndex
+from benchmarks.comparators.indexes.xzt import XZTIndex
 from repro.core.temporal import TRIndex
 from repro.query.filters import TemporalFilter
 from repro.query.windows import primary_windows_inclusive

@@ -70,21 +70,27 @@ def main() -> None:
         for vehicles, name in sorted(ranking, reverse=True):
             print(f"  {name:14s} {vehicles:4d} unique vehicles")
 
-        # --- City-wide visit heatmap (analytics over a query result) ------
-        from repro.analytics import GridSpec, heatmap
-
+        # --- City-wide visit heatmap (trips per cell of a query result) ---
         whole_week = TimeRange(0.0, 7 * 24 * HOUR)
         res = tman.temporal_range_query(whole_week)
         core = district(cx, cy, 25.0)
-        grid = GridSpec(core, cols=24, rows=10)
-        h = heatmap(res.trajectories, grid)
-        peak = h.max()
+        cols, rows = 24, 10
+        h = [[0] * cols for _ in range(rows)]
+        for traj in res.trajectories:
+            cells = {
+                (min(rows - 1, max(0, int((p.lat - core.y1) / core.height * rows))),
+                 min(cols - 1, max(0, int((p.lng - core.x1) / core.width * cols))))
+                for p in traj.points
+            }
+            for row, col in cells:
+                h[row][col] += 1
+        peak = max(map(max, h))
         print("\nDowntown visit heatmap (each char ~1km, darker = busier):")
         shades = " .:-=+*#%@"
-        for row in reversed(range(grid.rows)):
+        for row in reversed(range(rows)):
             line = "".join(
-                shades[min(len(shades) - 1, int(h[row, col] / max(1, peak) * (len(shades) - 1)))]
-                for col in range(grid.cols)
+                shades[min(len(shades) - 1, int(h[row][col] / max(1, peak) * (len(shades) - 1)))]
+                for col in range(cols)
             )
             print(f"  |{line}|")
 

@@ -4,15 +4,17 @@ Reproduction of He et al., ICDE 2024.  The top-level package re-exports the
 user-facing API; subpackages hold the substrates:
 
 - :mod:`repro.model` -- trajectories, points, MBRs, time ranges;
-- :mod:`repro.core` -- the TR / TShape / IDT / ST indexes and baselines;
+- :mod:`repro.core` -- the TR / TShape / IDT / ST indexes;
 - :mod:`repro.kvstore` -- the embedded range-partitioned key-value store;
 - :mod:`repro.cache` -- LFU + Redis-like index cache;
 - :mod:`repro.compression` -- lossless trajectory codecs;
 - :mod:`repro.similarity` -- Frechet / DTW / Hausdorff with pruning bounds;
 - :mod:`repro.storage` -- schema, serialization, and the :class:`TMan` facade;
 - :mod:`repro.query` -- planning, window generation, push-down execution;
-- :mod:`repro.baselines` -- TrajMesa / ST-Hadoop / TraSS / DFT / DITA / REPOSE;
 - :mod:`repro.datasets` -- seeded TDrive-like / Lorry-like generators.
+
+The systems TMan is compared against live with the figures that use them,
+in ``benchmarks/comparators/``, outside the installed package.
 """
 
 from repro._lazy import lazy_exports

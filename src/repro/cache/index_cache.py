@@ -46,12 +46,6 @@ class IndexCacheStats:
     entries: int
     remote_fetches: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of local lookups served without a miss (0 when idle)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class ShapeIndexCache:
     """Mapping from (enlarged element, raw shape bitmap) to final shape code.
@@ -265,10 +259,6 @@ class BufferShapeCache:
     def pending_elements(self) -> list[int]:
         """Pending elements."""
         return sorted(self._pending)
-
-    def shapes_for(self, element_code: int) -> set[int]:
-        """Shapes for."""
-        return set(self._pending.get(element_code, ()))
 
     def drain(self) -> dict[int, set[int]]:
         """Return and clear everything staged."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -123,22 +123,7 @@ class MBR:
         dy = max(self.y1 - y, y - self.y2, 0.0)
         return math.hypot(dx, dy)
 
-    def max_distance(self, other: "MBR") -> float:
-        """Largest possible distance between a point of each rectangle."""
-        dx = max(abs(self.x2 - other.x1), abs(other.x2 - self.x1))
-        dy = max(abs(self.y2 - other.y1), abs(other.y2 - self.y1))
-        return math.hypot(dx, dy)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         """The rectangle as an ``(x1, y1, x2, y2)`` tuple."""
         return (self.x1, self.y1, self.x2, self.y2)
 
-
-def union_mbr(mbrs: Sequence[MBR]) -> MBR:
-    """Return the bounding rectangle covering every rectangle in ``mbrs``."""
-    if not mbrs:
-        raise ValueError("cannot union zero MBRs")
-    out = mbrs[0]
-    for m in mbrs[1:]:
-        out = out.union_hull(m)
-    return out

@@ -29,10 +29,6 @@ class TimeRange:
         """True when ``other`` lies entirely inside this range."""
         return self.start <= other.start and other.end <= self.end
 
-    def contains_instant(self, t: float) -> bool:
-        """True when the instant ``t`` lies inside the closed range."""
-        return self.start <= t <= self.end
-
     def intersection(self, other: "TimeRange") -> "TimeRange | None":
         """Return the overlap of two ranges, or ``None`` when disjoint."""
         lo = max(self.start, other.start)

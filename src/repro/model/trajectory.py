@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -112,41 +112,3 @@ class Trajectory:
             tid if tid is not None else self.tid,
             PointBlock(block.ts + dt, block.xs + dlng, block.ys + dlat),
         )
-
-    def slice_time(self, tr: TimeRange) -> "Trajectory | None":
-        """Return the sub-trajectory whose fixes fall inside ``tr``.
-
-        Used by segment-based baselines (VRE-style) to split trajectories.
-        Returns ``None`` when no point falls inside.
-        """
-        ts = self._block.ts
-        inside = (tr.start <= ts) & (ts <= tr.end)
-        if not inside.any():
-            return None
-        return Trajectory(self.oid, self.tid, self._block[inside])
-
-
-def concat_trajectories(parts: Iterable[Trajectory]) -> Trajectory:
-    """Reassemble a trajectory from time-ordered segments with the same tid.
-
-    A fix earlier than one already taken is dropped, and so is a fix equal
-    to the one taken just before it (segments sharing a boundary fix).
-
-    This is the reassembly step segment-storing baselines must pay; TMan
-    stores intact rows and never calls it on the hot path.
-    """
-    ordered = sorted(parts, key=lambda t: t.time_range.start)
-    if not ordered:
-        raise ValueError("cannot concatenate zero segments")
-    first = ordered[0]
-    for part in ordered:
-        if part.tid != first.tid:
-            raise ValueError(f"mixed tids: {part.tid} vs {first.tid}")
-    ts, xs, ys = (np.concatenate(cols) for cols in zip(*(p.xy_arrays() for p in ordered)))
-    # the last fix taken always holds the running maximum of t
-    keep = np.ones(len(ts), dtype=bool)
-    keep[1:] = ts[1:] >= np.maximum.accumulate(ts)[:-1]
-    ts, xs, ys = ts[keep], xs[keep], ys[keep]
-    repeat = (ts[1:] == ts[:-1]) & (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
-    keep = np.concatenate(([True], ~repeat))
-    return Trajectory(first.oid, first.tid, PointBlock(ts[keep], xs[keep], ys[keep]))

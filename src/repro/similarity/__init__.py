@@ -11,7 +11,6 @@ Hausdorff.
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.frechet import frechet_distance
 from repro.similarity.hausdorff import hausdorff_distance
-from repro.similarity.join import threshold_self_join
 from repro.similarity.measures import DISTANCES, distance_by_name
 from repro.similarity.pruning import (
     dp_lower_bound,
@@ -28,5 +27,4 @@ __all__ = [
     "mbr_lower_bound",
     "dp_lower_bound",
     "dp_upper_bound",
-    "threshold_self_join",
 ]

@@ -44,6 +44,11 @@ points.  Every box holds its span's two representatives, so each offset is
 non-negative; the encoder checks it.  Representatives carry
 no timestamp: no bound reads one.
 
+A row packs at most ``bitpack.MAX_COUNT`` (2^20) values per stream, so it
+holds at most :data:`MAX_POINTS` points and :data:`MAX_REPS` DP
+representatives (the box stream holds 4 (n_reps - 1) values);
+:meth:`RowSerializer.check_fits` refuses a longer trajectory.
+
 A row with any other version byte is rejected as corrupt — rows written by
 version 5 (LEB128 feature values, a simple8b point blob behind a codec id
 and two stream lengths) included; the deployment's
@@ -61,11 +66,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.compression.bitpack import pack, unpack_lists
+from repro.compression.bitpack import MAX_COUNT, pack, unpack_lists
 from repro.compression.columnar import delta_encode_array, zigzag_encode_array
 from repro.compression.traj_codec import COORD_SCALE, TIME_SCALE, TrajectoryCodec
 from repro.compression.varint import decode_varint, encode_varint
-from repro.geometry.dp import DPFeature, dp_feature_columns
+from repro.geometry.dp import DPFeature, dp_feature_columns, dp_keep_mask
 from repro.kvstore.errors import CorruptionError
 from repro.model.mbr import MBR
 from repro.model.pointblock import PointBlock
@@ -78,6 +83,8 @@ VERSION = 6
 # that go out as varints ahead of the section's bit body: the first rep's.
 _FEATURE_HEADS = (0, 2, 0)
 _HEADER = struct.Struct(">dddddd")  # t_start, t_end, x1, y1, x2, y2
+MAX_POINTS = MAX_COUNT
+MAX_REPS = MAX_COUNT // 4 + 1
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,20 @@ class RowSerializer:
         self.dp_epsilon = dp_epsilon
 
     # -- encoding ----------------------------------------------------------
+
+    def check_fits(self, traj: Trajectory) -> None:
+        """Raise ValueError when ``traj`` has more points or DP
+        representatives than one row holds."""
+        n = len(traj)
+        if n > MAX_POINTS:
+            raise ValueError(f"trajectory {traj.tid} has {n} points; a row holds {MAX_POINTS}")
+        if n > MAX_REPS:  # only then can the representatives overflow
+            _, xs, ys = traj.xy_arrays()
+            reps = int(dp_keep_mask(xs, ys, (0, n), self.dp_epsilon).sum())
+            if reps > MAX_REPS:
+                raise ValueError(
+                    f"trajectory {traj.tid} has {reps} DP representatives; a row holds {MAX_REPS}"
+                )
 
     def encode(self, traj: Trajectory) -> bytes:
         """Serialize one trajectory row."""

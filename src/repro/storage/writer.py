@@ -155,6 +155,14 @@ class StorageWriter:
             for traj, key in zip(trajs, keys)
         ]
 
+    def _prepare_batch(self, trajs: Sequence[Trajectory]) -> list[_Prepared]:
+        """Every trajectory of a write batch, prepared chunk by chunk before
+        the batch writes anything: one that no row can hold (too many points
+        or representatives, a time bin past N periods) fails the batch whole."""
+        for traj in trajs:
+            self._t.serializer.check_fits(traj)
+        return [p for chunk in _point_chunks(trajs, len) for p in self._prepare(chunk)]
+
     def _prepared(self, traj: Trajectory, time_range: TimeRange, key: TShapeKey) -> _Prepared:
         """A stored row's entry, keyed by its header's ``time_range``."""
         return _Prepared(traj, time_range, self._t.tr_index.index_time_range(time_range), key)
@@ -237,9 +245,7 @@ class StorageWriter:
         ledger = QueryProfile("bulk_load")
         with profile_scope(ledger):
             t0 = time.perf_counter()
-            prepared = [
-                p for chunk in _point_chunks(trajs, len) for p in self._prepare(chunk)
-            ]
+            prepared = self._prepare_batch(trajs)
 
             by_element: dict[int, list[int]] = {}
             for p in prepared:
@@ -283,9 +289,8 @@ class StorageWriter:
         with profile_scope(ledger):
             t0 = time.perf_counter()
             staged: list[tuple[_Prepared, int, bytes]] = []
-            for chunk in _point_chunks(trajs, len):
-                prepared = self._prepare(chunk)
-                for p, row in zip(prepared, self._encode_rows(prepared)):
+            for chunk in _point_chunks(self._prepare_batch(trajs), lambda p: len(p.traj)):
+                for p, row in zip(chunk, self._encode_rows(chunk)):
                     final = self._t.index_cache.lookup_final_code(
                         p.key.element_code, p.key.raw_shape
                     )

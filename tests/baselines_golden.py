@@ -24,8 +24,8 @@ import json
 import struct
 from pathlib import Path
 
-from repro.baselines import STHadoop, TManXZ, TManXZT, TrajMesa
-from repro.baselines.vre import VRE
+from benchmarks.comparators import STHadoop, TManXZ, TManXZT, TrajMesa
+from benchmarks.comparators.vre import VRE
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.model import MBR, TimeRange
 

@@ -1,8 +1,8 @@
-"""Tests for the analytics module."""
+"""Tests for the flows extension (``benchmarks/flows.py``)."""
 
 import pytest
 
-from repro.analytics import GridSpec, heatmap, od_matrix, speed_profile
+from benchmarks.flows import GridSpec, heatmap, od_matrix, speed_profile
 from repro.model import MBR, STPoint, Trajectory
 
 BOUNDARY = MBR(0.0, 0.0, 10.0, 10.0)

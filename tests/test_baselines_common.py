@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.common import SingleIndexStore
+from benchmarks.comparators.common import SingleIndexStore
 from repro.core.temporal import TRIndex
 from repro.datasets import tdrive_like
 from repro.model import TimeRange

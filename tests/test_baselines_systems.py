@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.baselines import DFT, DITA, REPOSE, STHadoop, TManXZ, TManXZT, TrajMesa, make_trass
+from benchmarks.comparators import DFT, DITA, REPOSE, STHadoop, TManXZ, TManXZT, TrajMesa, make_trass
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
 from repro.model import TimeRange
 from repro.similarity.measures import distance_by_name
@@ -103,7 +103,7 @@ class TestSTHadoop:
         expected = {
             t.tid
             for t in dataset[:80]
-            if any(tr.contains_instant(p.t) for p in t.points)
+            if any(tr.start <= p.t <= tr.end for p in t.points)
         }
         assert got == expected
 

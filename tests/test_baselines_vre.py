@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.vre import VRE
+from benchmarks.comparators.vre import VRE
 from repro.datasets import tdrive_like
 
 from tests.conftest import brute_force_temporal

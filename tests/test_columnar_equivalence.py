@@ -9,7 +9,7 @@ import pytest
 
 from repro.datasets import tdrive_like
 from repro.model.trajectory import Trajectory
-from repro.similarity.join import threshold_self_join
+from benchmarks.similarity_join import threshold_self_join
 
 
 @pytest.mark.parametrize("measure", ["frechet", "dtw", "hausdorff"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import (
+from benchmarks.comparators.indexes import (
     FixedBinIndex,
     StartTimeSegmentIndex,
     XZ2Index,
@@ -188,7 +188,7 @@ class TestStartTimeSegments:
         assert window.start == 600.0 and window.end == 900.0
 
     def test_reassembly_recovers_trajectory(self):
-        from repro.model.trajectory import concat_trajectories
+        from benchmarks.comparators.vre import concat_trajectories
 
         traj = self._traj()
         idx = StartTimeSegmentIndex(segment_seconds=450.0)

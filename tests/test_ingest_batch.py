@@ -40,7 +40,7 @@ from repro.kvstore.stats import IOStats
 from repro.kvstore.table import Table
 from repro.model import STPoint, Trajectory
 from repro.model.pointblock import PointBlock
-from repro.storage.serializer import RowSerializer
+from repro.storage.serializer import MAX_POINTS, RowSerializer
 
 from . import ingest_reference as ref
 from .codec_reference import encode_varints, pack_section
@@ -279,6 +279,43 @@ def test_insert_with_mid_batch_reencode_matches_one_at_a_time():
     assert {x.tid for x in got.trajectories} == {x.tid for x in data}
     batched.close()
     single.close()
+
+
+def _long_trajectory(n: int, noise: float = 0.0, step: float = 0.01) -> Trajectory:
+    """``n`` fixes ``step`` seconds apart along a 0.01-degree diagonal, plus
+    uniform ``noise`` (degrees) on each coordinate."""
+    rng = np.random.default_rng(3)
+    walk = np.linspace(0.0, 0.01, n)
+    xs, ys = (origin + walk + rng.uniform(0.0, noise, n)
+              for origin in (BOUNDARY.x1 + 0.3, BOUNDARY.y1 + 0.3))
+    return Trajectory("o", "long", PointBlock(np.arange(n) * step, xs, ys))
+
+
+@pytest.mark.parametrize("write", ["bulk_load", "insert"])
+@pytest.mark.parametrize("long, error", [
+    ((MAX_POINTS + 1,), f"trajectory long has {MAX_POINTS + 1} points"),
+    ((10_000, 0.0, 36.0), r"spans \d+ periods"),  # 100 h, a chunk of its own
+], ids=["points", "time-bin"])
+def test_a_trajectory_no_row_holds_fails_its_batch_before_any_write(write, long, error):
+    """Rows are packed chunk by chunk: a trajectory past the packer's limit
+    (or, in an insert, past N periods) used to fail its chunk after the
+    earlier chunks of the batch, and in a bulk load every new element's
+    mapping, were stored."""
+    data = tdrive_like(40, seed=5, max_points=30)
+    t = TMan(_config())
+    t.bulk_load(data[:20])
+    before = (t.row_count, t.index_cache.directory().tolist(), _table_contents(t))
+    with pytest.raises(ValueError, match=error):
+        getattr(t, write)(data[20:] + [_long_trajectory(*long)])
+    assert (t.row_count, t.index_cache.directory().tolist(), _table_contents(t)) == before
+    t.close()
+
+
+def test_check_fits_counts_dp_representatives_past_the_box_stream_limit():
+    serializer = RowSerializer()
+    serializer.check_fits(_long_trajectory(MAX_POINTS))  # a line: two reps
+    with pytest.raises(ValueError, match="DP representatives; a row holds 262145"):
+        serializer.check_fits(_long_trajectory(280_000, noise=0.1))
 
 
 def _rows(n: int, seed: int, distinct: int) -> list[tuple[bytes, bytes]]:

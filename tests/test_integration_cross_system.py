@@ -9,8 +9,8 @@ how much work they do, never in what they answer.
 import pytest
 
 from repro import TMan, TManConfig
-from repro.baselines import TManXZ, TManXZT, TrajMesa
-from repro.baselines.vre import VRE
+from benchmarks.comparators import TManXZ, TManXZT, TrajMesa
+from benchmarks.comparators.vre import VRE
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
 
 from tests.conftest import brute_force_spatial, brute_force_temporal

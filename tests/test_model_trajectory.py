@@ -1,4 +1,4 @@
-"""Unit tests for Trajectory."""
+"""Unit tests for Trajectory (and VRE's segment split and reassembly)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,9 @@ import pytest
 from repro.model import MBR, STPoint, TimeRange, Trajectory
 from repro.compression.traj_codec import TIME_SCALE
 from repro.model.pointblock import MAX_ABS_TIME, PointBlock
-from repro.model.trajectory import concat_trajectories
+
+from benchmarks.comparators.indexes.start_time import slice_time
+from benchmarks.comparators.vre import concat_trajectories
 
 
 def make(points):
@@ -108,13 +110,13 @@ class TestOperations:
 
     def test_slice_time(self):
         t = make([STPoint(i, float(i), 0) for i in range(10)])
-        part = t.slice_time(TimeRange(3, 6))
+        part = slice_time(t, TimeRange(3, 6))
         assert part is not None
         assert [p.t for p in part.points] == [3, 4, 5, 6]
 
     def test_slice_time_empty_is_none(self):
         t = make([STPoint(0, 0, 0), STPoint(1, 1, 1)])
-        assert t.slice_time(TimeRange(5, 6)) is None
+        assert slice_time(t, TimeRange(5, 6)) is None
 
     def test_equality_and_hash(self):
         pts = [STPoint(0, 0, 0), STPoint(1, 1, 1)]
@@ -129,16 +131,16 @@ class TestConcat:
     def test_reassembles_segments_in_order(self):
         pts = [STPoint(i, float(i) / 10, 0) for i in range(10)]
         whole = make(pts)
-        a = whole.slice_time(TimeRange(0, 4))
-        b = whole.slice_time(TimeRange(5, 9))
+        a = slice_time(whole, TimeRange(0, 4))
+        b = slice_time(whole, TimeRange(5, 9))
         rebuilt = concat_trajectories([b, a])
         assert [p.t for p in rebuilt.points] == [p.t for p in pts]
 
     def test_deduplicates_shared_boundary_points(self):
         pts = [STPoint(i, float(i) / 10, 0) for i in range(6)]
         whole = make(pts)
-        a = whole.slice_time(TimeRange(0, 3))
-        b = whole.slice_time(TimeRange(3, 5))  # shares point t=3
+        a = slice_time(whole, TimeRange(0, 3))
+        b = slice_time(whole, TimeRange(3, 5))  # shares point t=3
         rebuilt = concat_trajectories([a, b])
         assert [p.t for p in rebuilt.points] == [0, 1, 2, 3, 4, 5]
 

@@ -209,3 +209,30 @@ def test_unknown_attribute_raises_attribute_error(package):
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(module, "no_such_name")
     assert not hasattr(module, "no_such_name")
+
+
+# The comparators and the extensions live under benchmarks/, which the
+# installed package does not ship: no module of the system may import them.
+REMOVED = ["benchmarks", "repro.baselines", "repro.core.baselines", "repro.analytics",
+           "repro.similarity.join"]
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_of_the_system_imports_benchmarks_or_a_removed_path():
+    found = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in SRC.rglob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if any(_under(name, removed) for removed in REMOVED)
+    )
+    assert found == []

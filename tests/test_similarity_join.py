@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets import tdrive_like
 from repro.model import STPoint, Trajectory
-from repro.similarity.join import threshold_self_join
+from benchmarks.similarity_join import threshold_self_join
 from repro.similarity.measures import distance_by_name
 
 
