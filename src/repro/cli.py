@@ -252,7 +252,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print("io stats:")
         for name in (
             "rows_scanned", "rows_returned", "range_scans", "bytes_transferred",
-            "block_reads", "filter_evals", "bloom_rejects", "point_gets",
+            "block_reads", "filter_evals", "point_gets",
         ):
             print(f"  {name}: {getattr(snap, name)}")
         block_cache = tman.cluster.block_cache

@@ -26,8 +26,9 @@ def dp_keep_mask(xs: np.ndarray, ys: np.ndarray, offsets, epsilon: float) -> np.
     """Mask of the points Douglas-Peucker keeps in every segment
     ``[offsets[i], offsets[i+1])``, computed level by level: each level
     measures the deviation of every interior point of every pending span in
-    one pass and splits each span at its farthest point (the first on ties)
-    if that exceeds ``epsilon``.  Spans split independently, so the kept
+    one pass and splits each span at its farthest point (of ties, the one
+    nearest the span's middle, the first of two as near) if that exceeds
+    ``epsilon``.  Spans split independently, so the kept
     set is the recursive algorithm's."""
     offsets = np.asarray(offsets, dtype=np.int64)
     lens = np.diff(offsets)
@@ -54,9 +55,14 @@ def dp_keep_mask(xs: np.ndarray, ys: np.ndarray, offsets, epsilon: float) -> np.
         )
         best = np.maximum.reduceat(d, first)
         hits = np.flatnonzero(d == best[span])
-        firsts = hits[np.concatenate(([True], span[hits][1:] != span[hits][:-1]))]
+        # Of tied farthest points, split at the one nearest the span's
+        # middle (the first of two as near), so a run of ties halves the
+        # span instead of peeling one point per level.
+        off = np.abs(2 * pos[hits] - (lo + hi)[span[hits]])
+        hits = hits[np.lexsort((off, span[hits]))]
+        hits = hits[np.concatenate(([True], span[hits][1:] != span[hits][:-1]))]
         split = best > epsilon
-        mid = pos[firsts][split]
+        mid = pos[hits][split]
         keep[mid] = True
         lo = np.concatenate((lo[split], mid))
         hi = np.concatenate((mid, hi[split]))

@@ -1,10 +1,12 @@
-"""Shared LRU cache for disk SSTable file blocks.
+"""Shared LRU cache for SSTable file blocks.
 
-Disk SSTables are immutable, so their file blocks are perfect cache
-fodder: a scan that revisits a key range (or a point get that lands in
-an already-read block) should never touch the filesystem twice.  One
+SSTable files are immutable, so their blocks are perfect cache fodder: a
+scan that revisits a key range (or a point get that lands in an
+already-read block) should never touch the filesystem twice.  One
 :class:`BlockCache` is shared cluster-wide (every table, every region,
-every SSTable run) and bounded by a byte budget; eviction is plain LRU.
+every file-backed run) and bounded by a byte budget; eviction is plain
+LRU.  A run held as an in-memory image is read in place and takes no
+cache.
 
 Cache entries are keyed by a per-open *file token* instead of the file
 path: tokens are process-unique, so a path reused after a compaction or
@@ -192,8 +194,8 @@ class BlockCache:
 class CachedBlockFile:
     """Serves arbitrary ``read(offset, n)`` slices of one file via a cache.
 
-    Used by :class:`~repro.kvstore.disk_sstable.DiskSSTable` for its data
-    section: record parsing issues many small reads, which this class
+    Used by a file-backed :class:`~repro.kvstore.sstable.SSTable` for its
+    data section: record parsing issues many small reads, which this class
     answers from whole cached blocks (one disk read per 4 KiB block cold,
     zero warm) instead of one syscall per field.
     """

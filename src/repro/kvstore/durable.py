@@ -51,11 +51,11 @@ from collections.abc import Callable
 
 from repro.kvstore import simfault
 from repro.kvstore.block_cache import BlockCache
-from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
 from repro.kvstore.errors import CorruptionError, FormatMismatchError, StoreLockedError
 from repro.kvstore.lsm import DEFAULT_FLUSH_BYTES, DEFAULT_MAX_TABLES, LSMStore
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.retry import RetryPolicy
+from repro.kvstore.sstable import SSTable, write_sstable
 from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 from repro.obs import counter as _obs_counter
@@ -181,7 +181,7 @@ class DurableLSMStore(LSMStore):
             seq = int(name[: -len(".sst")].split("-")[1])
             self._next_seq = max(self._next_seq, seq + 1)
             try:
-                table = DiskSSTable(path, stats, block_cache=block_cache)
+                table = SSTable(path, stats, block_cache=block_cache)
             except (CorruptionError, OSError) as exc:
                 # Torn leftover of a pre-protocol crash (or bit rot):
                 # quarantine it rather than failing the whole reopen.  Its
@@ -257,7 +257,7 @@ class DurableLSMStore(LSMStore):
 
     def _new_run(
         self, entries: list[tuple[bytes, bytes]], stage: str, fault_hook: Callable[[], None]
-    ) -> DiskSSTable:
+    ) -> SSTable:
         """Put ``entries`` on disk as the next numbered run, crash-safely.
 
         The run is written to its ``.tmp`` path and fsynced, the whole
@@ -270,7 +270,7 @@ class DurableLSMStore(LSMStore):
 
         def attempt() -> None:
             fault_hook()
-            write_disk_sstable(tmp, entries, fsync=True)
+            write_sstable(tmp, entries, fsync=True)
 
         try:
             self._retry.run(attempt, op="sstable_write")
@@ -288,12 +288,12 @@ class DurableLSMStore(LSMStore):
         # fully shadowed (the merged run is newest).
         simfault.crash_point(f"{stage}.post_rename")
         self._next_seq += 1
-        return DiskSSTable(path, self._stats, block_cache=self._block_cache)
+        return SSTable(path, self._stats, block_cache=self._block_cache)
 
-    def _flush_run(self, entries: list[tuple[bytes, bytes]]) -> DiskSSTable:
+    def _flush_run(self, entries: list[tuple[bytes, bytes]]) -> SSTable:
         return self._new_run(entries, "flush", simfault.flush_fault)
 
-    def _compaction_runs(self, entries: list[tuple[bytes, bytes]]) -> list[DiskSSTable]:
+    def _compaction_runs(self, entries: list[tuple[bytes, bytes]]) -> list[SSTable]:
         merged = self._new_run(entries, "compact", simfault.compact_fault)
         for old in self._sstables:
             # Reclaim the dead runs' cache residency before unlinking them.

@@ -5,9 +5,10 @@ watermark backpressure, the freeze/flush pipeline, the compaction trigger
 and the read path.  The medium supplies only how a write is logged
 (``_log_write`` / ``_log_flushed``), how a frozen memtable or a compaction
 becomes a run (``_flush_run`` / ``_compaction_runs``), and whether
-compaction may drop tombstones.  This class is the memory medium
-(bloom-filtered :class:`~repro.kvstore.sstable.SSTable` runs, no log);
-:class:`repro.kvstore.durable.DurableLSMStore` is the directory medium.
+compaction may drop tombstones.  This class is the memory medium (runs
+are :class:`~repro.kvstore.sstable.SSTable` images: the file format in a
+``bytes`` buffer; no log); :class:`repro.kvstore.durable.DurableLSMStore`
+is the directory medium, whose runs are the same format in files.
 
 Every write goes through one flush pipeline: when the active memtable
 crosses ``flush_bytes`` (or, with
@@ -30,7 +31,7 @@ from collections.abc import Iterator, Sequence
 
 from repro.kvstore.errors import WriteStalledError
 from repro.kvstore.memtable import TOMBSTONE, MemTable, Window, merge_live, newest_values
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import SSTable, sstable_image
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 from repro.runtime.backpressure import (
@@ -102,7 +103,7 @@ class LSMStore:
         self._flush_error: BaseException | None = None
 
     def __len__(self) -> int:
-        """Upper bound on live entries (duplicates across levels counted once per scan)."""
+        """The number of live entries (one full merged scan)."""
         return sum(1 for _ in self.scan())
 
     @property
@@ -302,11 +303,11 @@ class LSMStore:
 
     def _flush_run(self, entries: list[tuple[bytes, bytes]]) -> SSTable:
         """A run holding a frozen memtable's sorted ``entries``."""
-        return SSTable(entries, self._stats)
+        return SSTable(sstable_image(entries), self._stats)
 
     def _compaction_runs(self, entries: list[tuple[bytes, bytes]]) -> list:
         """The run list replacing every run after a compaction to ``entries``."""
-        return [SSTable(entries, self._stats)] if entries else []
+        return [SSTable(sstable_image(entries), self._stats)] if entries else []
 
     # -- reads --------------------------------------------------------------
 
@@ -329,8 +330,7 @@ class LSMStore:
 
         One level snapshot serves the sorted, de-duplicated batch; each
         level, newest first, looks up only the keys no newer level decided
-        (bloom-filtered probes on in-memory runs, one forward cursor pass
-        on a disk run).
+        (dict probes on a memtable, one forward cursor pass on a run).
         """
         found = newest_values(self._levels_snapshot(), sorted(set(keys)))
         return [found.get(key) for key in keys]

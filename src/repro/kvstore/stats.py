@@ -9,10 +9,11 @@ mirror the quantities the paper reports:
   transferred to the client;
 - ``range_scans`` — number of contiguous key ranges opened (seek count);
 - ``bytes_transferred`` — payload bytes shipped to the client;
-- ``block_reads`` — in-memory SSTable index blocks touched, and disk
-  SSTable records parsed (a disk table has no fixed-size blocks);
+- ``block_reads`` — SSTable records parsed, in one unit whether the run
+  is a file or a memory image (a run has no fixed-size blocks);
 - ``filter_evals`` — push-down filter evaluations;
-- ``bloom_rejects`` — point gets skipped thanks to bloom filters.
+- ``bloom_rejects`` — no writer (no run carries a bloom filter); kept,
+  reading 0, for the readers of the counter set.
 
 Snapshots of the counters and the cost model that prices them live in
 :mod:`repro.kvstore.cost`, which only the coordinator imports.

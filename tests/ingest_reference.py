@@ -85,7 +85,8 @@ def perpendicular_distance(
 
 
 def douglas_peucker(xs: list[float], ys: list[float], epsilon: float) -> list[int]:
-    """Kept indexes; the farthest point of a span is the first on ties."""
+    """Kept indexes; of tied farthest points a span splits at the one
+    nearest its middle, the first of two as near."""
     n = len(xs)
     if n <= 2:
         return list(range(n))
@@ -98,7 +99,7 @@ def douglas_peucker(xs: list[float], ys: list[float], epsilon: float) -> list[in
         best, best_idx = -1.0, lo
         for i in range(lo + 1, hi):
             d = perpendicular_distance(xs[i], ys[i], xs[lo], ys[lo], xs[hi], ys[hi])
-            if d > best:
+            if d > best or (d == best and abs(2 * i - lo - hi) < abs(2 * best_idx - lo - hi)):
                 best, best_idx = d, i
         if best > epsilon:
             keep.add(best_idx)

@@ -1,13 +1,16 @@
 """Unit tests for Douglas-Peucker and DP-features."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.dp import douglas_peucker, extract_dp_feature
+from repro.geometry.dp import douglas_peucker, dp_keep_mask, extract_dp_feature
 from repro.model import STPoint
+from tests import ingest_reference as ref
 
 
 def line(n, noise=0.0):
@@ -56,6 +59,32 @@ class TestDouglasPeucker:
             bx, by = pts[hi].xy
             for i in range(lo + 1, hi):
                 assert perpendicular_distance(pts[i].lng, pts[i].lat, ax, ay, bx, by) <= eps + 1e-12
+
+
+def zigzag(n):
+    """x = k * 0.001, y alternating 0 / 0.01: every interior point of a
+    level chord ties for farthest."""
+    return np.arange(n) * 0.001, np.where(np.arange(n) % 2, 0.01, 0.0)
+
+
+def test_zigzag_ties_split_near_the_middle():
+    # Splitting at the first of the tied points peeled one point per
+    # level, which made the pass quadratic in the trajectory's length.
+    xs, ys = zigzag(20_000)
+    t0 = time.perf_counter()
+    keep = dp_keep_mask(xs, ys, (0, len(xs)), 0.002)
+    assert time.perf_counter() - t0 < 2.0
+    kept = np.flatnonzero(keep)
+    assert kept[0] == 0 and kept[-1] == len(xs) - 1
+    for lo, hi in zip(kept.tolist(), kept[1:].tolist()):
+        for i in range(lo + 1, hi):
+            assert ref.perpendicular_distance(xs[i], ys[i], xs[lo], ys[lo], xs[hi], ys[hi]) <= 0.002
+
+
+def test_zigzag_matches_the_scalar_reference():
+    xs, ys = zigzag(1_001)
+    got = np.flatnonzero(dp_keep_mask(xs, ys, (0, len(xs)), 0.002)).tolist()
+    assert got == ref.douglas_peucker(xs.tolist(), ys.tolist(), 0.002)
 
 
 class TestDPFeature:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore.disk_sstable import DiskSSTable, write_disk_sstable
 from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.errors import CorruptionError
 from repro.kvstore.memtable import TOMBSTONE
+from repro.kvstore.sstable import SSTable, write_sstable
 from repro.kvstore.stats import IOStats
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
 
@@ -100,64 +100,64 @@ class TestDiskSSTable:
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(200))
-        table = DiskSSTable(path)
+        write_sstable(path, self._entries(200))
+        table = SSTable(path)
         assert len(table) == 200
         assert list(table.scan()) == self._entries(200)
 
     def test_point_gets(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(100))
-        table = DiskSSTable(path)
+        write_sstable(path, self._entries(100))
+        table = SSTable(path)
         assert table.get((42).to_bytes(4, "big")) == b"value-42"
         assert table.get((1000).to_bytes(4, "big")) is None
 
     def test_range_scan(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(300))
-        table = DiskSSTable(path)
+        write_sstable(path, self._entries(300))
+        table = SSTable(path)
         got = [k for k, _ in table.scan((50).to_bytes(4, "big"), (90).to_bytes(4, "big"))]
         assert got == [i.to_bytes(4, "big") for i in range(50, 90)]
 
     def test_empty_table(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, [])
-        table = DiskSSTable(path)
+        write_sstable(path, [])
+        table = SSTable(path)
         assert len(table) == 0 and list(table.scan()) == []
 
     def test_rejects_unsorted(self, tmp_path):
         with pytest.raises(ValueError):
-            write_disk_sstable(tmp_path / "t.sst", [(b"b", b"1"), (b"a", b"2")])
+            write_sstable(tmp_path / "t.sst", [(b"b", b"1"), (b"a", b"2")])
 
     def test_detects_index_corruption(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(64))
+        write_sstable(path, self._entries(64))
         data = bytearray(path.read_bytes())
         data[-25] ^= 0xFF  # damage the index section (just before the footer)
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
-            DiskSSTable(path)
+            SSTable(path)
 
     def test_detects_footer_corruption(self, tmp_path):
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(64))
+        write_sstable(path, self._entries(64))
         data = bytearray(path.read_bytes())
         data[-20] ^= 0xFF  # damage the footer's index offset
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
-            DiskSSTable(path)
+            SSTable(path)
 
     def test_rejects_non_sstable(self, tmp_path):
         path = tmp_path / "junk.sst"
         path.write_bytes(b"hello world, definitely not an sstable")
         with pytest.raises(CorruptionError):
-            DiskSSTable(path)
+            SSTable(path)
 
     def test_block_reads_counted(self, tmp_path):
         stats = IOStats()
         path = tmp_path / "t.sst"
-        write_disk_sstable(path, self._entries(100))
-        table = DiskSSTable(path, stats)
+        write_sstable(path, self._entries(100))
+        table = SSTable(path, stats)
         list(table.scan())
         assert stats.snapshot().block_reads == 100
 

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.kvstore import Cluster, Scan
 from repro.kvstore.block_cache import BlockCache
-from repro.kvstore.disk_sstable import SPARSE_EVERY, DiskSSTable, write_disk_sstable
 from repro.kvstore.durable import DurableLSMStore
 from repro.kvstore.errors import TransientRPCError
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memtable import TOMBSTONE
+from repro.kvstore.sstable import SPARSE_EVERY, SSTable, write_sstable
 from repro.kvstore.stats import IOStats
 
 KEY_SPACE = 150  # > 4 sparse blocks of SPARSE_EVERY records
@@ -142,8 +142,8 @@ def test_durable_engine_scan_windows_and_get_batch(
 
 
 def _disk_table(path, n, stats=None, cache=None):
-    write_disk_sstable(path, [(key(i), b"v%d" % i) for i in range(n)])
-    return DiskSSTable(path, stats, block_cache=cache)
+    write_sstable(path, [(key(i), b"v%d" % i) for i in range(n)])
+    return SSTable(path, stats, block_cache=cache)
 
 
 class TestDiskCursor:
@@ -175,7 +175,7 @@ class TestDiskCursor:
     def test_overlaps_is_exact(self, tmp_path, reopened):
         table = _disk_table(tmp_path / "t.sst", 100)
         if reopened:
-            table = DiskSSTable(tmp_path / "t.sst")
+            table = SSTable(tmp_path / "t.sst")
         assert table.max_key == key(99)
         assert table.overlaps(key(99), None)
         assert not table.overlaps(key(100), None)

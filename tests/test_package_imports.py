@@ -69,7 +69,7 @@ WORKER_CLOSURE = {
     *(
         f"repro.kvstore.{name}"
         for name in (
-            "durable lsm memtable sstable disk_sstable wal bloom block_cache "
+            "durable lsm memtable sstable wal block_cache "
             "stats retry simfault errors"
         ).split()
     ),
