@@ -88,17 +88,6 @@ class LFUCache(Generic[K, V]):
         del self._freq_of[victim]
         self.evictions += 1
 
-    def invalidate(self, key: K) -> None:
-        """Drop ``key`` if present."""
-        if key not in self._values:
-            return
-        freq = self._freq_of.pop(key)
-        bucket = self._buckets[freq]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[freq]
-        del self._values[key]
-
     def clear(self) -> None:
         """Clear."""
         self._values.clear()

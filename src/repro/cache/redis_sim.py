@@ -65,35 +65,11 @@ class RedisServer:
             self.ops += 1
             self._hashes.setdefault(key, {})[field] = value
 
-    def hget(self, key: str, field: str) -> Optional[bytes]:
-        """Return one field of a hash key, or ``None``."""
-        with self._lock:
-            self.ops += 1
-            return self._hashes.get(key, {}).get(field)
-
     def hgetall(self, key: str) -> dict[str, bytes]:
         """Return a copy of all fields of a hash key."""
         with self._lock:
             self.ops += 1
             return dict(self._hashes.get(key, {}))
-
-    def hlen(self, key: str) -> int:
-        """Number of fields in a hash key."""
-        with self._lock:
-            self.ops += 1
-            return len(self._hashes.get(key, {}))
-
-    def hdel(self, key: str, field: str) -> int:
-        """Delete one hash field; returns the number removed (0 or 1)."""
-        with self._lock:
-            self.ops += 1
-            table = self._hashes.get(key)
-            if table and field in table:
-                del table[field]
-                if not table:
-                    del self._hashes[key]
-                return 1
-            return 0
 
     # -- keyspace ------------------------------------------------------------
 
@@ -103,13 +79,6 @@ class RedisServer:
             self.ops += 1
             space = set(self._strings) | set(self._hashes)
             return sorted(k for k in space if fnmatch.fnmatch(k, pattern))
-
-    def flushall(self) -> None:
-        """Clear the entire keyspace."""
-        with self._lock:
-            self.ops += 1
-            self._strings.clear()
-            self._hashes.clear()
 
     # -- persistence (RDB-style dump) ----------------------------------------
 

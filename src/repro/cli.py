@@ -10,11 +10,11 @@ Commands:
 - ``explain`` — show every applicable plan with its estimated cost, run
   the query, and compare the optimizer's estimate against what it touched;
 - ``info`` — show a saved deployment's configuration and statistics;
-- ``health`` — operational snapshot (admission, memtable pressure, breakers);
+- ``health`` — operational snapshot (admission, memtable pressure, regions);
 - ``metrics`` — dump the process metrics registry (Prometheus text or JSON);
 - ``top`` — live text dashboard (QPS, per-type latency, cache hit rates,
-  memtable/breaker state, top queries by attributed cost); ``--once``
-  renders a single frame for CI;
+  memtable pressure and region count, top queries by attributed cost);
+  ``--once`` renders a single frame for CI;
 - ``stats`` — export the workload-statistics collector as
   ``workload_stats.json`` (per query type x plan: latency percentiles,
   selectivity histograms, period/cell heat, estimate-vs-observed ratios).
@@ -338,13 +338,12 @@ def cmd_health(args: argparse.Namespace) -> int:
                     f"  {node}: {n['state']} pid={n['pid']} "
                     f"pending_hints={n['pending_hints']}"
                 )
-        b = doc["breakers"]
-        print(f"breakers: {b['open']} open of {b['regions']} regions")
-        for name in sorted(b["tables"]):
-            t = b["tables"][name]
+        tables = doc["tables"]
+        print(f"regions: {sum(t['regions'] for t in tables.values())}")
+        for name in sorted(tables):
+            t = tables[name]
             print(
                 f"  {name}: regions={t['regions']} "
-                f"open_breakers={t['open_breakers']} "
                 f"memtable_bytes={t['memtable_bytes']}"
             )
         dl = doc["default_deadline_ms"]
@@ -545,9 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("deployment")
     i.set_defaults(fn=cmd_info)
 
-    h = sub.add_parser(
-        "health", help="admission / memtable / breaker snapshot"
-    )
+    h = sub.add_parser("health", help="admission / memtable / region snapshot")
     h.add_argument("deployment")
     h.add_argument("--json", action="store_true", help="machine-readable output")
     h.set_defaults(fn=cmd_health)

@@ -59,15 +59,6 @@ class ConsistentHashRing:
             self._positions.insert(idx, pos)
             self._owners.insert(idx, node)
 
-    def remove_node(self, node: str) -> None:
-        """Remove every virtual point of ``node``."""
-        if node not in self._nodes:
-            raise ValueError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        keep = [(p, o) for p, o in zip(self._positions, self._owners) if o != node]
-        self._positions = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
     def preference(self, item: str, n: int) -> list[str]:
         """The first ``n`` *distinct* nodes clockwise from ``item``'s position.
 

@@ -25,7 +25,6 @@ __all__ = [
     "IOStats",
     "CostModel",
     "RetryPolicy",
-    "CircuitBreaker",
     "FaultConfig",
     "FaultInjector",
     "fault_injection",
@@ -53,7 +52,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.kvstore.filters": ("Filter", "FilterChain", "PrefixFilter", "TrueFilter"),
         "repro.kvstore.lsm": ("LSMStore",),
-        "repro.kvstore.retry": ("CircuitBreaker", "RetryPolicy"),
+        "repro.kvstore.retry": ("RetryPolicy",),
         "repro.kvstore.scan": ("Scan",),
         "repro.kvstore.simfault": ("FaultConfig", "FaultInjector", "fault_injection"),
         "repro.kvstore.snapshot": ("load_cluster", "save_cluster"),

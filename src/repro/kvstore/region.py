@@ -6,7 +6,6 @@ import time
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.kvstore import simfault
-from repro.kvstore.retry import CircuitBreaker
 from repro.kvstore.scan import Scan, Window
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter, histogram as _obs_histogram
@@ -97,18 +96,11 @@ class Region:
         stats: IOStats,
         store: KVStoreEngine,
         rows: int = 0,
-        breaker: Optional[CircuitBreaker] = None,
     ):
         if start_key is not None and end_key is not None and end_key <= start_key:
             raise ValueError("region end_key must be greater than start_key")
         self.start_key = start_key
         self.end_key = end_key
-        # Consecutive RPC failures against this region trip the breaker,
-        # which degrades the table's execution strategy (serial windows,
-        # inline multi_get) until a probe succeeds.
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            name=f"[{start_key!r},{end_key!r})"
-        )
         self._stats = stats
         self._store = store
         self._row_count = rows

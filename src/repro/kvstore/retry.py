@@ -1,4 +1,4 @@
-"""Retry with decorrelated-jitter backoff, and per-region circuit breakers.
+"""Retry with decorrelated-jitter backoff: the one failure path of the store.
 
 The read path treats every region interaction as an RPC that can fail
 transiently (see :mod:`repro.kvstore.simfault` for the emulated failure
@@ -8,25 +8,21 @@ with exponential backoff and decorrelated jitter under a per-operation
 attempt and deadline budget; everything else is fatal and propagates
 unchanged.  A budget overrun raises
 :class:`~repro.kvstore.errors.RetryExhaustedError` chained to the last
-underlying failure.
-
-:class:`CircuitBreaker` tracks consecutive failures per region.  The
-kvstore never *blocks* requests on an open breaker — results must stay
-correct, so every operation is still attempted — instead an open breaker
-degrades the execution strategy: the multi-range scheduler falls back to
-serial window execution and ``multi_get`` stops dispatching to the worker
-pool until the region recovers (half-open probe succeeds).
+underlying failure.  Region scans add one thing on top: a scan that
+fails after delivering rows resumes strictly after the last delivered key
+(``Table._resilient_region_scan``), so a retried stream is identical to an
+unfailed one.  How a table executes a read (scheduled or serial) never
+depends on past failures.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import namedtuple
 from collections.abc import Callable
 
 from repro.kvstore.errors import RetryExhaustedError, TransientError
-from repro.obs import counter as _obs_counter, gauge as _obs_gauge
+from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile
 from repro.runtime.deadline import Deadline, QueryTimeoutError
 
@@ -48,16 +44,7 @@ _RPC_FAILURE_TOTAL = _obs_counter(
     "Transient RPC/IO failures observed (before retry)",
     labelnames=("op",),
 )
-_BREAKER_STATE = _obs_gauge(
-    "kv_breaker_state",
-    "Per-region circuit breaker state (0=closed, 1=half-open, 2=open)",
-    labelnames=("region",),
-)
-_BREAKER_TRANSITIONS = _obs_counter(
-    "kv_breaker_transitions_total",
-    "Circuit breaker state transitions",
-    labelnames=("region", "to"),
-)
+
 
 def is_retryable(exc: BaseException) -> bool:
     """True when the retry layer may re-attempt after this failure."""
@@ -114,14 +101,9 @@ class RetryPolicy(
         self,
         fn: Callable[[], T],
         op: str = "op",
-        breaker: CircuitBreaker | None = None,
         deadline: Deadline | None = None,
     ) -> T:
-        """Call ``fn`` under this policy, retrying transient failures.
-
-        ``breaker`` (when given) records each transient failure and the
-        final success, driving the region's degradation state.
-        """
+        """Call ``fn`` under this policy, retrying transient failures."""
         tracker = self.attempts(op, deadline=deadline)
         while True:
             try:
@@ -129,12 +111,8 @@ class RetryPolicy(
             except Exception as exc:
                 if not is_retryable(exc):
                     raise
-                if breaker is not None:
-                    breaker.record_failure()
                 tracker.failed(exc)  # sleeps, or raises RetryExhaustedError
             else:
-                if breaker is not None:
-                    breaker.record_success()
                 return value
 
 
@@ -223,83 +201,3 @@ class AttemptTracker:
         if delay_ms > 0:
             policy.sleep(delay_ms / 1000.0)
 
-
-CLOSED = "closed"
-HALF_OPEN = "half_open"
-OPEN = "open"
-_STATE_VALUE = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker for one region.
-
-    ``closed`` is healthy.  ``failure_threshold`` consecutive failures
-    open the breaker; after ``reset_after_s`` it moves to ``half_open``
-    (one probe allowed), and the next success closes it again while a
-    failure re-opens it.  State is exported through the
-    ``kv_breaker_state`` gauge.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 8,
-        reset_after_s: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-        name: str = "",
-    ):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be positive, got {failure_threshold}"
-            )
-        self.name = name
-        self._threshold = failure_threshold
-        self._reset_after = reset_after_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = CLOSED
-        self._consecutive = 0
-        self._opened_at = 0.0
-
-    def _set_state(self, state: str) -> None:
-        if state == self._state:
-            return
-        self._state = state
-        _BREAKER_STATE.labels(region=self.name or "-").set(_STATE_VALUE[state])
-        _BREAKER_TRANSITIONS.labels(region=self.name or "-", to=state).inc()
-
-    @property
-    def state(self) -> str:
-        """Current state, promoting ``open`` to ``half_open`` after cooldown."""
-        with self._lock:
-            if (
-                self._state == OPEN
-                and self._clock() - self._opened_at >= self._reset_after
-            ):
-                self._set_state(HALF_OPEN)
-            return self._state
-
-    @property
-    def healthy(self) -> bool:
-        """False while the breaker is open (cooldown not yet elapsed)."""
-        return self.state != OPEN
-
-    def allow(self) -> bool:
-        """True when a caller that *can* skip work should proceed normally."""
-        return self.state != OPEN
-
-    def record_success(self) -> None:
-        """Note a successful operation: closes the breaker."""
-        with self._lock:
-            self._consecutive = 0
-            self._set_state(CLOSED)
-
-    def record_failure(self) -> None:
-        """Note a failed operation: may open the breaker."""
-        with self._lock:
-            self._consecutive += 1
-            if self._state == HALF_OPEN or self._consecutive >= self._threshold:
-                self._opened_at = self._clock()
-                self._set_state(OPEN)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CircuitBreaker({self.name!r}, state={self.state})"

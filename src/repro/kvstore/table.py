@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.kvstore.block_cache import BlockCache
 from repro.kvstore.errors import RegionError, TransientError
 from repro.kvstore.region import KVStoreEngine, Region
-from repro.kvstore.retry import CircuitBreaker, RetryPolicy
+from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.scan import Scan, Window, windows_after
 from repro.kvstore.scheduler import scan_scheduled
 from repro.kvstore.stats import IOStats
@@ -132,7 +132,6 @@ class Table:
             self._stats,
             store,
             sum(1 for _ in store.scan()) if reopened else 0,
-            breaker=CircuitBreaker(name=f"{self.name}/[{start!r},{end!r})"),
         )
         region.region_id = region_id  # type: ignore[attr-defined]
         return region
@@ -171,17 +170,6 @@ class Table:
         if not region.owns(key):  # pragma: no cover - invariant guard
             raise RegionError(f"routing error: {key!r} not owned by {region}")
         return region
-
-    def _regions_healthy(self, regions: Optional[Sequence[Region]] = None) -> bool:
-        """False when any (given) region's breaker is open.
-
-        An open breaker degrades execution to the serial strategy: the
-        same scans still run (results must stay correct), but window- and
-        region-level concurrency is shed so a flapping region is not
-        hammered from every pool worker at once.
-        """
-        check = self._regions if regions is None else regions
-        return all(region.breaker.healthy for region in check)
 
     def _region_runs(
         self, windows: Iterable[Window]
@@ -264,9 +252,7 @@ class Table:
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value stored under ``key``, or ``None`` when absent."""
         region = self._region_for(key)
-        return self._retry.run(
-            lambda: region.get(key), op="get", breaker=region.breaker
-        )
+        return self._retry.run(lambda: region.get(key), op="get")
 
     def _resilient_region_scan(
         self, region: Region, windows: list[Window], scan: Scan
@@ -292,10 +278,8 @@ class Table:
                     last = key
                     if tracker is not None:
                         tracker.reset()
-                region.breaker.record_success()
                 return
             except TransientError as exc:
-                region.breaker.record_failure()
                 if last is not None:
                     windows, last = windows_after(windows, last), None
                 if tracker is None:
@@ -347,8 +331,8 @@ class Table:
         concurrently through :func:`~repro.kvstore.scheduler.scan_scheduled`
         (bounded buffering, lazy admission, cancellation on close) in run
         order, so the result is byte-identical to a serial loop, which is
-        what runs without a pool, for a single run, or while a region's
-        breaker is open.  ``windows`` is consumed lazily either way.
+        what runs without a pool or for a single run.  ``windows`` is
+        consumed lazily either way.
         ``batch_rows`` bounds each scheduled run's buffered rows and must be
         positive (``ValueError``).
         """
@@ -361,11 +345,10 @@ class Table:
             return self._resilient_region_scan(*run, scan)
 
         runs = self._region_runs(windows)
-        degraded = not self._regions_healthy()
-        head = list(itertools.islice(runs, 1 if self._executor is None or degraded else 2))
+        head = list(itertools.islice(runs, 1 if self._executor is None else 2))
         runs = itertools.chain(head, runs)
         if len(head) < 2:
-            _SCANS_BY_MODE.labels(mode="degraded" if degraded else "serial").inc()
+            _SCANS_BY_MODE.labels(mode="serial").inc()
             for run in runs:
                 yield from read(run)
             return
@@ -398,13 +381,11 @@ class Table:
             groups.setdefault(bisect.bisect_right(self._boundaries, key), []).append(i)
         out: list[Optional[bytes]] = [None] * len(keys)
         # One batched request per region; the pool only earns its dispatch
-        # overhead when several region batches can actually overlap.  An
-        # open breaker sheds the pool dispatch too (degraded mode).
+        # overhead when several region batches can actually overlap.
         if (
             self._executor is None
             or len(groups) == 1
             or len(keys) < MULTI_GET_MIN_PARALLEL
-            or not self._regions_healthy([self._regions[r] for r in groups])
         ):
             for ridx, idxs in groups.items():
                 values = self._get_batch_resilient(
@@ -445,7 +426,6 @@ class Table:
         return self._retry.run(
             lambda: region.get_batch(keys),
             op="multi_get",
-            breaker=region.breaker,
             deadline=deadline,
         )
 

@@ -164,7 +164,7 @@ def render_dashboard(
         memtable = write.get("memtable_bytes", 0)
         soft = write.get("soft_bytes") or 0
         pressure = f"{100.0 * memtable / soft:.0f}% of soft" if soft else "n/a"
-        breakers = health.get("breakers", {}) or {}
+        regions = sum(t["regions"] for t in health.get("tables", {}).values())
         admission = health.get("admission")
         if isinstance(admission, dict):
             shed = admission.get("shed_queue_full", 0) + admission.get(
@@ -179,7 +179,7 @@ def render_dashboard(
             adm = "off"
         lines.append(
             f"memtable={memtable}B ({pressure})   "
-            f"breakers open={breakers.get('open', 0)}/{breakers.get('regions', 0)}   "
+            f"regions={regions}   "
             f"admission {adm}"
         )
     else:

@@ -461,32 +461,19 @@ class TMan:
     # -- health ------------------------------------------------------------------
 
     def health(self) -> dict:
-        """Operational snapshot: admission slots, memtable pressure, breakers.
+        """Operational snapshot: admission slots, memtable pressure, regions.
 
         The ``repro health`` CLI renders this; tests assert on it.  Keys
         are stable: ``admission`` (controller stats or None), ``cluster``
         (per-node replica states in process mode, None in thread mode),
         ``write`` (memtable bytes plus the configured watermarks),
-        ``breakers`` (open-breaker count and per-table totals).
+        ``tables`` (each table's region count and memtable bytes).
         """
         tables = {PRIMARY_TABLE: self.primary_table}
         tables.update(
             (f"tman_sec_{name}", table)
             for name, table in self.secondary_tables.items()
         )
-        open_breakers = 0
-        regions_total = 0
-        per_table: dict[str, dict] = {}
-        for name, table in tables.items():
-            regions = table.regions
-            opened = sum(1 for r in regions if not r.breaker.healthy)
-            open_breakers += opened
-            regions_total += len(regions)
-            per_table[name] = {
-                "regions": len(regions),
-                "open_breakers": opened,
-                "memtable_bytes": table.memtable_bytes(),
-            }
         cluster_health = getattr(self.cluster, "cluster_health", None)
         return {
             "admission": None if self.admission is None else self.admission.stats(),
@@ -496,10 +483,12 @@ class TMan:
                 "soft_bytes": self.config.memtable_soft_bytes,
                 "hard_bytes": self.config.memtable_hard_bytes,
             },
-            "breakers": {
-                "regions": regions_total,
-                "open": open_breakers,
-                "tables": per_table,
+            "tables": {
+                name: {
+                    "regions": len(table.regions),
+                    "memtable_bytes": table.memtable_bytes(),
+                }
+                for name, table in tables.items()
             },
             "default_deadline_ms": self.config.default_deadline_ms,
         }

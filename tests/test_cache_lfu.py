@@ -72,14 +72,7 @@ class TestEviction:
 
 
 class TestInvalidate:
-    def test_invalidate_removes(self):
-        c = LFUCache(2)
-        c.put("a", 1)
-        c.invalidate("a")
-        assert "a" not in c
-
-    def test_invalidate_missing_is_noop(self):
-        LFUCache(2).invalidate("nope")
+    """Whole-cache invalidation (``clear``)."""
 
     def test_clear(self):
         c = LFUCache(3)
@@ -89,11 +82,3 @@ class TestInvalidate:
         assert len(c) == 0
         c.put("x", 1)  # still usable
         assert c.get("x") == 1
-
-    def test_invalidate_then_reinsert(self):
-        c = LFUCache(2)
-        c.put("a", 1)
-        c.get("a")
-        c.invalidate("a")
-        c.put("a", 2)
-        assert c.get("a") == 2

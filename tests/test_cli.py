@@ -63,6 +63,25 @@ class TestCommands:
         assert "block cache:" in out
         assert "scan scheduler:" in out
 
+    def test_health(self, deployment, capsys):
+        import json
+
+        assert main(["health", str(deployment), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {
+            "admission", "cluster", "write", "tables", "default_deadline_ms"
+        }
+        assert main(["health", str(deployment)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "cluster: threads (in-process regions)" in out
+        total = sum(t["regions"] for t in doc["tables"].values())
+        assert f"regions: {total}" in out
+        for name, t in doc["tables"].items():
+            assert (
+                f"  {name}: regions={t['regions']} "
+                f"memtable_bytes={t['memtable_bytes']}"
+            ) in out
+
     def test_temporal_query(self, deployment, csv_path, capsys):
         trajs = list(read_csv(csv_path))
         tr = trajs[0].time_range

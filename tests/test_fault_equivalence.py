@@ -3,17 +3,24 @@
 This is the harness's end-to-end guarantee: with transient scan/get/IO
 faults injected at any seed and a rate within the retry budget, every
 query type returns exactly the trajectories (same order, same distances)
-it returns with injection off.  Resumable region scans, retried batched
-gets, and breaker-degraded execution may change *how* the rows are
-fetched — never *which* rows.
+it returns with injection off.  Resumable region scans and retried
+batched gets may change *how* the rows are fetched — never *which* rows.
+Two deployments of the same data run every case: one region per table,
+read serially, and a multi-region one (``split_rows=16``), whose scans
+stream on the pooled scheduler and whose batched gets fan out to the pool
+while the faults land there.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import Counter
 
 import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.kvstore.errors import TransientRPCError
 from repro.kvstore.simfault import FaultConfig, fault_injection, set_fault_injector
 from repro.model import MBR, TimeRange
 
@@ -22,6 +29,16 @@ SEED = 777
 
 QUERY_NAMES = ["temporal", "spatial", "st", "idt", "threshold", "topk", "knn"]
 FAULT_CASES = [(0.05, 1), (0.05, 42), (0.1, 1), (0.1, 42)]
+# The multi-region deployment adds a heavier case so that faults also land
+# on the few region batches of its pooled multi_get.
+MULTI_REGION_FAULT_CASES = FAULT_CASES + [(0.3, 3)]
+DEPLOYMENT_CASES = [
+    pytest.param("tman", rate, fseed, id=f"{rate}-{fseed}")
+    for rate, fseed in FAULT_CASES
+] + [
+    pytest.param("tman_multi", rate, fseed, id=f"multi-{rate}-{fseed}")
+    for rate, fseed in MULTI_REGION_FAULT_CASES
+]
 
 
 @pytest.fixture(autouse=True)
@@ -36,14 +53,13 @@ def dataset():
     return tdrive_like(N_TRAJS, seed=SEED)
 
 
-@pytest.fixture(scope="module")
-def tman(dataset):
+def _deploy(dataset, split_rows):
     config = TManConfig(
         boundary=TDRIVE_SPEC.boundary,
         max_resolution=12,
         num_shards=2,
         kv_workers=2,
-        split_rows=500,
+        split_rows=split_rows,
         # Zero-delay backoff keeps the suite fast; the attempt budget must
         # exceed the injector's max_consecutive (4) to guarantee recovery.
         retry_max_attempts=8,
@@ -52,6 +68,19 @@ def tman(dataset):
     )
     t = TMan(config)
     t.bulk_load(dataset)
+    return t
+
+
+@pytest.fixture(scope="module")
+def tman(dataset):
+    t = _deploy(dataset, split_rows=500)
+    yield t
+    t.close()
+
+
+@pytest.fixture(scope="module")
+def tman_multi(dataset):
+    t = _deploy(dataset, split_rows=16)
     yield t
     t.close()
 
@@ -64,7 +93,11 @@ def _queries(dataset):
     probe = dataset[7]
     t0 = probe.time_range.start
     return {
-        "temporal": lambda t: t.temporal_range_query(TimeRange(t0, t0 + 5400)),
+        # Two days: enough primary keys (11) over enough regions that the
+        # multi-region deployment resolves them with a pooled multi_get.
+        "temporal": lambda t: t.temporal_range_query(
+            TimeRange(t0, t0 + 2 * 86400)
+        ),
         "spatial": lambda t: t.spatial_range_query(window),
         "st": lambda t: t.st_range_query(window, TimeRange(t0, t0 + 7200)),
         "idt": lambda t: t.id_temporal_query(
@@ -78,9 +111,7 @@ def _queries(dataset):
     }
 
 
-@pytest.fixture(scope="module")
-def baseline(tman, dataset):
-    """Fault-free reference results per query type."""
+def _results(tman, dataset):
     out = {}
     for name, run in _queries(dataset).items():
         res = run(tman)
@@ -89,11 +120,18 @@ def baseline(tman, dataset):
     return out
 
 
-@pytest.mark.parametrize("rate,fseed", FAULT_CASES)
+@pytest.fixture(scope="module")
+def baseline(tman, dataset):
+    """Fault-free reference results per query type."""
+    return _results(tman, dataset)
+
+
+@pytest.mark.parametrize("deployment,rate,fseed", DEPLOYMENT_CASES)
 @pytest.mark.parametrize("qname", QUERY_NAMES)
 def test_results_identical_under_faults(
-    tman, dataset, baseline, qname, rate, fseed
+    request, dataset, baseline, qname, deployment, rate, fseed
 ):
+    tman = request.getfixturevalue(deployment)
     run = _queries(dataset)[qname]
     with fault_injection(FaultConfig.uniform(rate, seed=fseed)):
         res = run(tman)
@@ -101,6 +139,38 @@ def test_results_identical_under_faults(
     assert [t.tid for t in res.trajectories] == tids
     if distances is not None:
         assert res.distances == distances
+
+
+def test_multi_region_matches_single_region(tman_multi, dataset, baseline):
+    tables = tman_multi.health()["tables"]
+    assert all(t["regions"] > 1 for t in tables.values()), tables
+    assert _results(tman_multi, dataset) == baseline
+
+
+def test_multi_region_faults_hit_the_pool(tman_multi, dataset):
+    # Guard: the "multi-" cases above must put faults on the pooled
+    # scheduler's region scans and on pooled multi_get batches, which run
+    # on the table's scan pool threads ("kv-scan").
+    on_pool = Counter()
+
+    def on_pool_threads(site, raise_fault):
+        def wrapped():
+            try:
+                raise_fault()
+            except TransientRPCError:
+                if threading.current_thread().name.startswith("kv-scan"):
+                    on_pool[site] += 1
+                raise
+
+        return wrapped
+
+    for rate, fseed in MULTI_REGION_FAULT_CASES:
+        with fault_injection(FaultConfig.uniform(rate, seed=fseed)) as injector:
+            injector.scan_fault = on_pool_threads("scan", injector.scan_fault)
+            injector.get_fault = on_pool_threads("get", injector.get_fault)
+            for run in _queries(dataset).values():
+                run(tman_multi)
+    assert on_pool["scan"] > 0 and on_pool["get"] > 0, on_pool
 
 
 def test_faults_were_actually_injected(tman, dataset, baseline):

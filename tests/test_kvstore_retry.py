@@ -1,4 +1,4 @@
-"""Tests for the retry policy, attempt budgets, and circuit breakers."""
+"""Tests for the retry policy and its attempt and deadline budgets."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import pytest
 
 from repro import obs
 from repro.kvstore.errors import RetryExhaustedError, TransientRPCError
-from repro.kvstore.retry import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-    is_retryable,
-)
+from repro.kvstore.retry import RetryPolicy, is_retryable
 from repro.obs.profile import QueryProfile, profile_scope
 
 
@@ -148,76 +141,3 @@ class TestRetryPolicy:
         assert not is_retryable(ValueError("x"))
         assert not is_retryable(RetryExhaustedError("x"))
 
-
-class TestCircuitBreaker:
-    def _breaker(self, threshold=3, reset_after=5.0):
-        clock = FakeClock()
-        return CircuitBreaker(
-            failure_threshold=threshold,
-            reset_after_s=reset_after,
-            clock=clock,
-            name="test-region",
-        ), clock
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-
-    def test_opens_after_threshold(self):
-        breaker, _ = self._breaker(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.healthy
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.healthy
-        assert not breaker.allow()
-
-    def test_success_resets_streak(self):
-        breaker, _ = self._breaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_after_cooldown_then_close(self):
-        breaker, clock = self._breaker(threshold=1, reset_after=5.0)
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(5.0)
-        assert breaker.state == HALF_OPEN
-        assert breaker.healthy  # half-open probes are allowed
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_half_open_failure_reopens(self):
-        breaker, clock = self._breaker(threshold=3, reset_after=5.0)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.state == HALF_OPEN
-        breaker.record_failure()  # the probe failed
-        assert breaker.state == OPEN
-        clock.advance(4.9)
-        assert breaker.state == OPEN  # cooldown restarted
-
-    def test_state_gauge_exported(self):
-        breaker, _ = self._breaker(threshold=1)
-        breaker.record_failure()
-        gauge = obs.registry().get("kv_breaker_state")
-        assert gauge.labels(region="test-region").value == 2.0
-        breaker.record_success()
-        assert gauge.labels(region="test-region").value == 0.0
-
-    def test_run_with_breaker_drives_state(self):
-        policy = RetryPolicy(
-            max_attempts=2, base_delay_ms=0.0, max_delay_ms=0.0
-        )
-        breaker, _ = self._breaker(threshold=1)
-        with pytest.raises(RetryExhaustedError):
-            policy.run(
-                lambda: (_ for _ in ()).throw(TransientRPCError("down")),
-                op="t",
-                breaker=breaker,
-            )
-        assert breaker.state == OPEN

@@ -86,4 +86,4 @@ class TestRedisDump:
         r = RedisServer()
         r.hset("缓存:1", "字段", b"v")
         restored = RedisServer.from_dump(r.dump())
-        assert restored.hget("缓存:1", "字段") == b"v"
+        assert restored.hgetall("缓存:1") == {"字段": b"v"}

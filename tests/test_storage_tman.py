@@ -151,6 +151,26 @@ class TestStatistics:
             assert res.simulated_ms > 0
 
 
+class TestHealth:
+    def test_thread_mode_snapshot(self, dataset):
+        with make_tman(split_rows=40) as tman:
+            tman.bulk_load(dataset)
+            doc = tman.health()
+            assert set(doc) == {
+                "admission", "cluster", "write", "tables", "default_deadline_ms"
+            }
+            assert doc["cluster"] is None
+            assert set(doc["tables"]) == {"tman_primary", "tman_sec_tr", "tman_sec_idt"}
+            for name, entry in doc["tables"].items():
+                table = tman.cluster.table(name)
+                assert entry == {
+                    "regions": len(table.regions),
+                    "memtable_bytes": table.memtable_bytes(),
+                }
+                assert entry["regions"] > 1  # 120 rows split at 40
+                assert entry["memtable_bytes"] > 0
+
+
 class TestValidation:
     def test_topk_rejects_bad_k(self, dataset):
         with make_tman() as tman:
