@@ -155,10 +155,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     with open_tman(args.deployment) as tman:
         q = _build_query(args)
         print(tman.explain(q))
-        print("candidate plans (cost in calibrated I/O units):")
+        print("candidate plans (cost in modeled ms):")
         for p in tman.explain_plans(q):
             marker = "*" if p["chosen"] else " "
-            cost = "-" if p["cost"] is None else f"{p['cost']:.0f}"
+            cost = "-" if p["cost"] is None else f"{p['cost']:.2f}"
             rows = "-" if p["est_rows"] is None else f"{p['est_rows']:.0f}"
             print(
                 f"  {marker} {p['index'] + '/' + p['route']:<20} "

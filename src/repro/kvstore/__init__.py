@@ -23,7 +23,6 @@ __all__ = [
     "TrueFilter",
     "PrefixFilter",
     "IOStats",
-    "CostModel",
     "RetryPolicy",
     "FaultConfig",
     "FaultInjector",
@@ -44,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "repro.kvstore.cluster": ("Cluster",),
-        "repro.kvstore.cost": ("CostModel",),
         "repro.kvstore.durable": ("DurableLSMStore",),
         "repro.kvstore.errors": (
             "KVError", "RegionError", "RetryExhaustedError", "TableExistsError",

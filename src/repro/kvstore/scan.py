@@ -1,13 +1,15 @@
-"""Scan specifications: the coordinator's read requests.
+"""The coordinator's records: scan specifications and counter snapshots.
 
 The engine sees only key windows (:data:`~repro.kvstore.memtable.Window`,
-re-exported here), so a region-server worker never imports this module.
+re-exported here) and counts into :class:`~repro.kvstore.stats.IOStats`
+without snapshotting it, so a region-server worker never imports this
+module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.kvstore.filters import Filter
 from repro.kvstore.memtable import Window
@@ -55,3 +57,26 @@ class Scan:
             raise ValueError(f"scan stop < start: {self.stop!r} < {self.start!r}")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"negative scan limit: {self.limit}")
+
+
+@dataclass
+class StatsSnapshot:
+    """A copy of the :class:`~repro.kvstore.stats.IOStats` counters at one
+    instant; subtract two for the work in between."""
+
+    rows_scanned: int = 0
+    rows_returned: int = 0
+    range_scans: int = 0
+    bytes_transferred: int = 0
+    block_reads: int = 0
+    filter_evals: int = 0
+    bloom_rejects: int = 0
+    point_gets: int = 0
+
+    def __sub__(self, other: StatsSnapshot) -> StatsSnapshot:
+        return StatsSnapshot(
+            **{
+                f.name: getattr(self, f.name) - getattr(other, f.name)
+                for f in fields(StatsSnapshot)
+            }
+        )

@@ -15,8 +15,10 @@ mirror the quantities the paper reports:
 - ``bloom_rejects`` — no writer (no run carries a bloom filter); kept,
   reading 0, for the readers of the counter set.
 
-Snapshots of the counters and the cost model that prices them live in
-:mod:`repro.kvstore.cost`, which only the coordinator imports.
+Snapshots of the counters (:class:`~repro.kvstore.scan.StatsSnapshot`)
+live with the coordinator's other records in :mod:`repro.kvstore.scan`,
+which a region-server worker never imports; the one cost model that prices
+them into modeled milliseconds is :mod:`repro.query.cost`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.obs.profile import IO_FIELDS, current_profile as _current_profile
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.kvstore.cost import StatsSnapshot
+    from repro.kvstore.scan import StatsSnapshot
 
 
 class IOStats:
@@ -55,7 +57,7 @@ class IOStats:
 
     def snapshot(self) -> StatsSnapshot:
         """Return a copy of the current counters."""
-        from repro.kvstore.cost import StatsSnapshot
+        from repro.kvstore.scan import StatsSnapshot
 
         with self._lock:
             return StatsSnapshot(**self._counts)

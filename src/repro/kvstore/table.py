@@ -321,7 +321,6 @@ class Table:
         windows: Iterable[Window],
         row_filter=None,
         deadline: Optional[Deadline] = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Scan many key windows, yielding each window's rows in order.
 
@@ -332,12 +331,9 @@ class Table:
         (bounded buffering, lazy admission, cancellation on close) in run
         order, so the result is byte-identical to a serial loop, which is
         what runs without a pool or for a single run.  ``windows`` is
-        consumed lazily either way.
-        ``batch_rows`` bounds each scheduled run's buffered rows and must be
-        positive (``ValueError``).
+        consumed lazily either way.  :data:`DEFAULT_BATCH_ROWS` bounds each
+        scheduled run's buffered rows.
         """
-        if batch_rows <= 0:
-            raise ValueError(f"non-positive scan batch_rows: {batch_rows}")
         scan = Scan(server_filter=row_filter, deadline=deadline)
 
         def read(run: tuple[Region, list[Window]]) -> Iterator[tuple[bytes, bytes]]:
@@ -353,7 +349,9 @@ class Table:
                 yield from read(run)
             return
         _SCANS_BY_MODE.labels(mode="scheduled").inc()
-        yield from scan_scheduled(read, runs, self._executor, batch_rows, deadline=deadline)
+        yield from scan_scheduled(
+            read, runs, self._executor, DEFAULT_BATCH_ROWS, deadline=deadline
+        )
 
     def multi_get(
         self,

@@ -18,7 +18,7 @@ with the query through a :class:`contextvars.ContextVar`:
   re-activate it on the worker via :func:`run_with_profile`.
 
 The I/O counters use the same field names as
-:class:`repro.kvstore.cost.StatsSnapshot` and are fed from the single
+:class:`repro.kvstore.scan.StatsSnapshot` and are fed from the single
 ``IOStats.add`` chokepoint, so a query's attributed totals reconcile
 exactly with the process-wide snapshot deltas when queries run serially —
 and stay exact per call when they overlap, which the process-wide deltas
@@ -170,7 +170,7 @@ class QueryProfile:
     Counter semantics:
 
     - ``rows_scanned`` .. ``point_gets`` mirror
-      :class:`~repro.kvstore.cost.StatsSnapshot` — rows/bytes/blocks the
+      :class:`~repro.kvstore.scan.StatsSnapshot` — rows/bytes/blocks the
       storage layer touched on this query's behalf (including from scan-
       scheduler worker threads);
     - ``block_cache_hits/misses`` and ``index_cache_hits/misses`` split

@@ -1,65 +1,74 @@
-"""Calibrated plan costing for the CBO.
+"""The one cost model: modeled milliseconds on a disk-backed cluster.
 
-Plans are costed in I/O-derived units, not row counts: a plan that touches
-``R`` rows through ``W`` range scans and resolves ``G`` of them through
-point gets costs ``W*window_open + R*seq_row + G*point_get`` (plus a decode
-term for rows the pipeline must decompress).  The constants are expressed
-relative to one sequentially scanned row (``seq_row == 1``); their defaults
-are sane for the embedded store, and :func:`calibrate` re-derives them for
-a concrete deployment from the per-query resource ledgers the profiler
-already collects (``repro.obs.profile.QueryProfile``), replacing the old
-magic ``SECONDARY_LOOKUP_PENALTY`` multiplier.
+:class:`CostModel` prices I/O counters — a
+:class:`~repro.kvstore.scan.StatsSnapshot` delta, or the same fields on a
+query's :class:`~repro.obs.profile.QueryProfile` — with one constant per
+primitive: a range seek, a row scanned server-side, a row shipped to the
+client, the bytes shipped, one RPC and one point get.  The same instance
+prices a finished query's ``simulated_ms`` (:data:`COST_MODEL`) and every
+plan the CBO weighs (the counters the planner predicts for it), so a plan
+the planner calls cheap is cheap in the result's unit too.
+:func:`calibrate` re-fits the constants for a concrete deployment from the
+per-query ledgers the profiler already collects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.kvstore.scan import StatsSnapshot
+    from repro.obs.profile import QueryProfile
 
 # Least-squares calibration needs a handful of profiles whose counter mix
 # actually varies; below this the fit is noise and defaults are kept.
 MIN_CALIBRATION_SAMPLES = 8
 
+# What calibrate() fits: each counter, the constant that prices it, and the
+# factor from a fitted ms per count to that constant's unit.
+_FIT = (
+    ("range_scans", "seek_ms", 1.0),
+    ("rows_scanned", "row_scan_us", 1000.0),
+    ("rows_returned", "row_transfer_us", 1000.0),
+    ("point_gets", "point_get_us", 1000.0),
+)
+
 
 @dataclass(frozen=True)
-class CostConstants:
-    """Per-deployment cost of each primitive I/O operation.
+class CostModel:
+    """Convert I/O counters to modeled milliseconds on a disk cluster.
 
-    Units are "sequentially scanned rows": ``seq_row`` is pinned at 1.0
-    and every other constant is how many scanned rows one such operation
-    is worth.  ``point_get`` is one primary-key lookup (the secondary
-    route pays it per resolved match — this is the calibrated successor
-    of the old flat lookup penalty), ``window_open`` the fixed cost of
-    opening one range scan (seek + RPC), and ``decode_row`` the CPU cost
-    of decompressing one trajectory row.
+    Defaults approximate a small HBase deployment: ~8 ms per range seek,
+    ~4 us per row scanned server-side, ~20 us per row shipped to the client
+    plus bandwidth, and a fixed per-request RPC overhead.  ``point_get_us``
+    is what one point get costs beyond the row it scans and ships; it is
+    0 until :func:`calibrate` fits it.
     """
 
-    seq_row: float = 1.0
-    point_get: float = 4.0
-    window_open: float = 8.0
-    decode_row: float = 0.5
+    seek_ms: float = 8.0
+    row_scan_us: float = 4.0
+    row_transfer_us: float = 20.0
+    bandwidth_mb_per_s: float = 200.0
+    rpc_ms: float = 1.0
+    point_get_us: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("seq_row", "point_get", "window_open", "decode_row"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.seq_row <= 0:
-            raise ValueError("seq_row must be positive (it is the unit)")
-
-    def cost(
-        self,
-        rows: float,
-        windows: float = 0.0,
-        point_gets: float = 0.0,
-        decodes: float = 0.0,
-    ) -> float:
-        """Total cost of a plan touching these operation counts."""
+    def simulate_ms(self, delta: StatsSnapshot | QueryProfile) -> float:
+        """Modeled latency of the work a snapshot delta, a profile or a
+        plan's predicted counters count."""
+        transfer_ms = delta.bytes_transferred / (self.bandwidth_mb_per_s * 1_000_000) * 1000
         return (
-            rows * self.seq_row
-            + windows * self.window_open
-            + point_gets * self.point_get
-            + decodes * self.decode_row
+            delta.range_scans * self.seek_ms
+            + delta.rows_scanned * self.row_scan_us / 1000
+            + delta.rows_returned * self.row_transfer_us / 1000
+            + transfer_ms
+            + (self.rpc_ms if (delta.range_scans or delta.point_gets) else 0.0)
+            + delta.point_gets * self.point_get_us / 1000
         )
+
+
+# The model every query result's ``simulated_ms`` and every plan is priced with.
+COST_MODEL = CostModel()
 
 
 ProfileLike = Union[Mapping[str, float], object]
@@ -71,33 +80,30 @@ def _field(profile: ProfileLike, name: str) -> float:
     return float(getattr(profile, name, 0.0))
 
 
-def calibrate(
-    profiles: Iterable[ProfileLike],
-    defaults: CostConstants = CostConstants(),
-) -> CostConstants:
-    """Fit cost constants to observed per-query latencies.
+def calibrate(profiles: Iterable[ProfileLike], defaults: CostModel = COST_MODEL) -> CostModel:
+    """Fit the model's per-primitive constants to observed latencies.
 
     ``profiles`` are :class:`~repro.obs.profile.QueryProfile` objects (or
-    their ``as_dict`` mappings); the fit solves
+    their ``as_dict`` mappings); the fit solves, in milliseconds,
 
-        elapsed_ms ≈ a·rows_scanned + b·point_gets + c·range_scans + d·decode_rows
+        elapsed_ms ≈ seek_ms·range_scans + row_scan_us/1000·rows_scanned
+                     + row_transfer_us/1000·rows_returned
+                     + point_get_us/1000·point_gets
 
-    by non-negative-clamped least squares and renormalizes so one scanned
-    row costs 1.0.  With too few samples, a degenerate counter mix
-    (singular system), or a non-positive row coefficient, the ``defaults``
-    are returned unchanged — calibration only ever refines, never breaks,
-    the planner.
+    by non-negative-clamped least squares.  A counter the profiles never
+    exercise keeps its default, as do ``bandwidth_mb_per_s`` and
+    ``rpc_ms``.  With too few samples, a degenerate counter mix (singular
+    system), or a non-positive row-scan coefficient, the ``defaults`` are
+    returned unchanged — calibration only ever refines, never breaks, the
+    planner.
     """
     rows = []
     for p in profiles:
-        scanned = _field(p, "rows_scanned")
-        gets = _field(p, "point_gets")
-        scans = _field(p, "range_scans")
-        decodes = _field(p, "decode_rows")
+        counts = [_field(p, counter) for counter, _, _ in _FIT]
         elapsed = _field(p, "elapsed_ms")
-        if elapsed <= 0.0 or (scanned + gets + scans + decodes) <= 0.0:
+        if elapsed <= 0.0 or sum(counts) <= 0.0:
             continue
-        rows.append((scanned, gets, scans, decodes, elapsed))
+        rows.append((*counts, elapsed))
     if len(rows) < MIN_CALIBRATION_SAMPLES:
         return defaults
 
@@ -118,15 +124,13 @@ def calibrate(
     except np.linalg.LinAlgError:  # pragma: no cover - lstsq rarely raises
         return defaults
     coef[used] = fit
-    seq = float(coef[0])
-    if seq <= 0.0:
+    if coef[1] <= 0.0:  # a scanned row must cost something
         return defaults
-    point_get = max(0.0, float(coef[1])) / seq if used[1] else defaults.point_get
-    window_open = max(0.0, float(coef[2])) / seq if used[2] else defaults.window_open
-    decode_row = max(0.0, float(coef[3])) / seq if used[3] else defaults.decode_row
-    return CostConstants(
-        seq_row=1.0,
-        point_get=point_get,
-        window_open=window_open,
-        decode_row=decode_row,
+    return replace(
+        defaults,
+        **{
+            name: max(0.0, float(c)) * scale
+            for (_, name, scale), c, u in zip(_FIT, coef, used)
+            if u
+        },
     )

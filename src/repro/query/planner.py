@@ -4,9 +4,11 @@ The RBO encodes the paper's priority ``IDT > primary indexes > secondary
 indexes`` and decides alone whenever no statistics exist.  With statistics
 — the writer-fed per-table histograms of :mod:`repro.storage.statistics`,
 the planner's only source — the CBO costs every applicable ``(index,
-route)`` pair in calibrated I/O units (:mod:`repro.query.cost`): range-scan
-rows, window opens, the point-get round trip the secondary route pays per
-match, and decode work.
+route)`` pair in modeled milliseconds: it predicts the I/O counters the
+plan would add (window seeks, rows scanned, the point get the secondary
+route pays per match, rows returned) and prices them with the same
+:class:`~repro.query.cost.CostModel` that prices every result's
+``simulated_ms``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.core.temporal import TRIndex
+from repro.kvstore.scan import StatsSnapshot
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
-from repro.query.cost import CostConstants
+from repro.query.cost import COST_MODEL
 from repro.query.types import (
     IDTemporalQuery,
     KNNPointQuery,
@@ -62,8 +65,9 @@ class QueryPlan:
 class PlanCandidate:
     """One costed alternative from :meth:`QueryPlanner.candidate_plans`.
 
-    ``cost`` and ``est_rows`` are ``None`` when no statistics were
-    available to cost the plan (pure-RBO planning).
+    ``cost`` is in modeled milliseconds; ``cost`` and ``est_rows`` are
+    ``None`` when no statistics were available to cost the plan (pure-RBO
+    planning).
     """
 
     plan: QueryPlan
@@ -76,7 +80,8 @@ class QueryPlanner:
 
     def __init__(self, config: TManConfig):
         self.config = config
-        self.cost_constants = CostConstants()
+        # Prices every candidate; TMan.calibrate_costs swaps in a fitted one.
+        self.cost_model = COST_MODEL
         self._table_stats: Optional[
             Callable[[], Optional["TableStatistics"]]
         ] = None
@@ -104,10 +109,6 @@ class QueryPlanner:
         refresh automatically between plans but never mutate mid-plan.
         """
         self._table_stats = provider
-
-    def set_cost_constants(self, constants: CostConstants) -> None:
-        """Install (calibrated) cost constants for plan costing."""
-        self.cost_constants = constants
 
     def set_spatial_window_counter(self, counter: Callable[[MBR], int]) -> None:
         """Attach a callback returning the range scans a TShape window opens.
@@ -220,20 +221,28 @@ class QueryPlanner:
     ) -> tuple[float, float]:
         """``(cost, est_rows_touched)`` for one applicable (index, route).
 
-        Costs are in calibrated I/O units (:class:`CostConstants`): rows
-        streamed through range scans, window-open overhead per scan (×
-        shard count on the primary table), one point get per secondary
-        match resolved, and decode work for the ``matches`` surviving rows
-        (the query's estimate).
+        The cost is :attr:`cost_model`'s price, in modeled milliseconds,
+        of the counters the plan would add, counted as the regions count
+        them: one range scan per window (× shard count on the primary
+        table), the ``rows`` touched as scanned, one point get per
+        secondary match resolved (one more row scanned and returned), and
+        the ``matches`` (the query's estimate) as the rows returned.
         """
-        c = self.cost_constants
         shards = max(1, self.config.num_shards)
         # Only the secondary routes pay a point get per resolved match.
         gets = matches if route == "secondary" else 0.0
 
+        def priced(rows: float, windows: float) -> tuple[float, float]:
+            counters = StatsSnapshot(
+                range_scans=windows,
+                rows_scanned=rows + gets,
+                rows_returned=matches + gets,
+                point_gets=gets,
+            )
+            return self.cost_model.simulate_ms(counters), rows
+
         if route == "scan":
-            n = float(ts.row_count)
-            return c.cost(rows=n, windows=shards, decodes=n), n
+            return priced(float(ts.row_count), shards)
 
         time_range = getattr(query, "time_range", None)
 
@@ -248,7 +257,7 @@ class QueryPlanner:
                 time_range.end + (n - 1) * self.config.tr_period_seconds,
             )
             rows = ts.estimate_temporal(time_range) + ts.estimate_temporal(tail)
-            return c.cost(rows=rows, windows=2, point_gets=gets, decodes=matches), rows
+            return priced(rows, 2)
 
         if index in ("tr", "st", "idt") and time_range is not None:
             rows = ts.estimate_temporal(time_range)
@@ -258,10 +267,7 @@ class QueryPlanner:
                     # Fine ST windows push both predicates into the key space.
                     rows = ts.estimate_st(query.window, time_range) or rows
                 wins *= shards
-            return (
-                c.cost(rows=rows, windows=wins, point_gets=gets, decodes=matches),
-                rows,
-            )
+            return priced(rows, wins)
 
         if index == "tshape":
             if isinstance(query, ThresholdSimilarityQuery):
@@ -270,12 +276,7 @@ class QueryPlanner:
                 window = self._first_ring(query)
             else:
                 window = query.window
-            rows = ts.estimate_spatial(window)
-            wins = self._spatial_windows(window)
-            return (
-                c.cost(rows=rows, windows=wins, point_gets=gets, decodes=matches),
-                rows,
-            )
+            return priced(ts.estimate_spatial(window), self._spatial_windows(window))
 
         # Unknown combination: infinitely expensive, never chosen.
         return float("inf"), 0.0
@@ -348,7 +349,7 @@ class QueryPlanner:
             cost, rows = costs[head]
             reason = (
                 f"CBO: {index}/{route} cheapest of {len(pairs)} routes "
-                f"(cost ~{cost:.0f}, ~{rows:.0f} rows)"
+                f"(cost ~{cost:.2f} ms, ~{rows:.0f} rows)"
             )
         ranked = [PlanCandidate(QueryPlan(index, route, reason, estimate), *costs[head])]
         rest = [

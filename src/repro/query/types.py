@@ -6,12 +6,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.kvstore.cost import COST_MODEL
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
 from repro.obs.finished import publish
 from repro.obs.profile import QueryProfile
+from repro.query.cost import COST_MODEL
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.runtime.deadline import Deadline
@@ -161,7 +161,7 @@ class QueryResult:
 
         ``candidates`` is rows scanned plus point gets, ``transferred_rows``
         the rows returned, ``windows`` the range scans, ``simulated_ms``
-        :data:`~repro.kvstore.cost.COST_MODEL`'s model of that work and
+        :data:`~repro.query.cost.COST_MODEL`'s model of that work and
         ``partial`` the profile's own flag.
         Records nothing: :func:`finish_query` stamps the profile, builds
         the result with this and publishes a TMan query's profile.

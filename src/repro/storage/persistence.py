@@ -45,11 +45,9 @@ CACHE_FILE = "cache.rdb"
 # Fields TManConfig dropped on purpose; a config.json that still holds them
 # opens as if they were absent.
 RETIRED_KEYS = frozenset({
-    "adaptive_replan", "block_cache_bytes", "cluster_start_method",
-    "coalesce_windows", "columnar_decode",
-    "fault_rate", "fault_seed", "index_cache_capacity", "multi_get_batch",
-    "replan_divergence_ratio", "replan_min_candidates", "retry_deadline_ms",
-    "row_format_version", "scan_batch_rows", "window_concurrency", "window_parallel",
+    "block_cache_bytes", "coalesce_windows", "columnar_decode",
+    "index_cache_capacity", "multi_get_batch", "row_format_version",
+    "scan_batch_rows", "window_concurrency", "window_parallel",
     "write_stall_timeout_ms",
 })
 

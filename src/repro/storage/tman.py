@@ -247,16 +247,16 @@ class TMan:
             self._expansions.memo = None
 
     def calibrate_costs(self) -> bool:
-        """Fit the planner's cost constants to this deployment's profiles.
+        """Fit the planner's cost model to this deployment's profiles.
 
         Uses the per-query I/O ledgers accumulated in the profile log; with
         fewer than the minimum samples the planner keeps its current
-        constants.  Returns True when a calibrated fit was installed.
+        model.  Returns True when a calibrated fit was installed.
         """
         profiles = list(_obs_profile_log().entries())
-        fitted = calibrate(profiles, defaults=self.planner.cost_constants)
-        changed = fitted != self.planner.cost_constants
-        self.planner.set_cost_constants(fitted)
+        fitted = calibrate(profiles, defaults=self.planner.cost_model)
+        changed = fitted != self.planner.cost_model
+        self.planner.cost_model = fitted
         return changed
 
     def rebuild_statistics(self) -> None:
@@ -386,9 +386,9 @@ class TMan:
     def explain_plans(self, q) -> list[dict]:
         """Every applicable plan with its estimated cost, chosen plan first.
 
-        Each entry has ``index``, ``route``, ``reason``, ``cost``,
-        ``est_rows``, and ``chosen``; the ``repro explain`` CLI renders
-        this next to the query's observed cost.
+        Each entry has ``index``, ``route``, ``reason``, ``cost`` (modeled
+        ms), ``est_rows``, and ``chosen``; the ``repro explain`` CLI
+        renders this next to the query's ``simulated_ms``, in the same unit.
         """
         return [
             {

@@ -270,9 +270,9 @@ class TestStatisticsRefresh:
         config = TManConfig(boundary=TDRIVE_SPEC.boundary, kv_workers=1)
         with TMan(config) as tman:
             profile_log().clear()  # isolate from other tests' queries
-            before = tman.planner.cost_constants
+            before = tman.planner.cost_model
             assert tman.calibrate_costs() is False
-            assert tman.planner.cost_constants == before
+            assert tman.planner.cost_model == before
 
 
 HOUR = 3600.0
@@ -354,8 +354,9 @@ class TestCostedChoices:
         return queries
 
     def test_calibrated_regret_is_bounded(self, tman):
-        """Constants fitted to the forced-plan matrix keep the planner within
-        15 % of the oracle, and never do worse than the defaults."""
+        """The planner prices plans with the model that prices results, so
+        its default picks are within 15 % of the oracle; constants fitted
+        to the forced-plan matrix stay there and never do worse."""
         queries = self._mixed_workload()
         # Every candidate plan of every query, forced: the per-query oracle
         # (cheapest run) and the calibration corpus in one pass.
@@ -368,18 +369,19 @@ class TestCostedChoices:
         def regret():
             return sum(tman.query(q).simulated_ms for q in queries) / oracle_ms - 1.0
 
-        defaults = tman.planner.cost_constants
+        defaults = tman.planner.cost_model
         default_regret = regret()
+        assert default_regret <= self.MAX_REGRET
         # Fit against the simulated cost, the unit regret is in.
         samples = [
             {**r.profile.as_dict(), "elapsed_ms": r.simulated_ms}
             for runs in forced
             for r in runs
         ]
-        tman.planner.set_cost_constants(calibrate(samples, defaults=defaults))
+        tman.planner.cost_model = calibrate(samples, defaults=defaults)
         try:
             calibrated_regret = regret()
         finally:
-            tman.planner.set_cost_constants(defaults)
+            tman.planner.cost_model = defaults
         assert calibrated_regret <= self.MAX_REGRET
         assert calibrated_regret <= default_regret + 1e-9

@@ -13,6 +13,7 @@ while the faults land there.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import Counter
 
@@ -201,3 +202,57 @@ def test_trace_annotations_record_retries(tman, dataset, baseline):
     # summary line.
     assert res.profile.as_dict()["retries"] == res.profile.retries
     assert f"retries={res.profile.retries}(" in res.profile.render()
+
+
+def test_mid_stream_failures_resume_to_identical_results(
+    tman_multi, dataset, baseline, monkeypatch
+):
+    """A region scan that fails after it delivered rows resumes after the
+    last delivered key: the results equal the fault-free ones.
+
+    The injector fails scans only at open, so this fake wraps every region
+    engine's ``scan_windows``: each fresh cursor with more than one row
+    raises once after its first row, and the retry's cursor (the next open
+    on that engine) runs clean.  A retry that reopens over fewer windows
+    than the failed cursor read resumed past delivered rows, and no
+    delivered row is shipped twice.
+    """
+    failed_mid_stream = Counter()
+
+    def failing_once_per_open(engine):
+        scan_windows = engine.scan_windows
+        opens = itertools.count()
+        failed_windows = []
+
+        def wrapped(windows, deadline=None):
+            fail = next(opens) % 2 == 0
+            if failed_windows and not fail:
+                failed_mid_stream["resumed"] += windows != failed_windows.pop()
+            delivered = 0
+            for row in scan_windows(windows, deadline):
+                if fail and delivered == 1:
+                    failed_mid_stream["scan"] += 1
+                    failed_windows.append(list(windows))
+                    raise TransientRPCError("injected mid-stream scan failure")
+                delivered += 1
+                yield row
+
+        return wrapped
+
+    queries = _queries(dataset)
+
+    def transferred_rows():
+        return {name: run(tman_multi).transferred_rows for name, run in queries.items()}
+
+    fault_free = transferred_rows()
+    cluster = tman_multi.cluster
+    for name in cluster.table_names():
+        for region in cluster.table(name).regions:
+            monkeypatch.setattr(
+                region._store, "scan_windows", failing_once_per_open(region._store)
+            )
+    results = _results(tman_multi, dataset)
+    assert results == baseline
+    # No delivered row was shipped twice.
+    assert transferred_rows() == fault_free
+    assert failed_mid_stream["scan"] > 0 and failed_mid_stream["resumed"] > 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kvstore import Cluster, PrefixFilter, Scan, TrueFilter
-from repro.kvstore.cost import CostModel, StatsSnapshot
 from repro.kvstore.errors import TableExistsError, TableNotFoundError
 from repro.kvstore.filters import FilterChain, KeyRangeFilter
 from repro.kvstore.lsm import LSMStore
@@ -177,12 +176,3 @@ class TestStats:
         stats.add(rows_scanned=3)
         stats.reset()
         assert stats.snapshot().rows_scanned == 0
-
-    def test_cost_model_prices_seeks(self):
-        cm = CostModel(seek_ms=8.0, rpc_ms=0.0)
-        cost_1 = cm.simulate_ms(StatsSnapshot(range_scans=1))
-        cost_10 = cm.simulate_ms(StatsSnapshot(range_scans=10))
-        assert cost_10 == pytest.approx(10 * cost_1)
-
-    def test_cost_model_zero_work_is_free(self):
-        assert CostModel().simulate_ms(StatsSnapshot()) == 0.0

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+import repro.kvstore.table as table_module
 from repro.kvstore import Cluster, Scan
 from repro.kvstore.filters import Filter
 
@@ -82,23 +83,20 @@ class TestStreamingParallelScan:
         assert limited(t, 11) == seq[:11]
         c.close()
 
-    def test_batch_rows_hint_respected(self):
+    def test_batch_rows_hint_respected(self, monkeypatch):
+        monkeypatch.setattr(table_module, "DEFAULT_BATCH_ROWS", 7)
         c, t = build_table()
         seq = list(t.scan(Scan()))
-        got = list(t.multi_range_scan([(None, None)], batch_rows=7))
+        got = list(t.multi_range_scan([(None, None)]))
         assert got == seq
-        c.close()
-
-    def test_invalid_batch_rows_rejected(self):
-        """A scheduled stream of non-positive chunks used to spin forever."""
-        c, t = build_table()
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match=f"non-positive scan batch_rows: {bad}"):
-                list(t.multi_range_scan([(None, None)], batch_rows=bad))
         c.close()
 
 
 class TestEarlyTermination:
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(table_module, "DEFAULT_BATCH_ROWS", 8)
+
     def test_limited_scan_touches_fewer_rows_than_full(self):
         """A limited stream over >=3 regions scans strictly fewer rows than a
         full materialized scan (the streaming merge stops pulling)."""
@@ -111,7 +109,7 @@ class TestEarlyTermination:
         assert full_scanned == 600
 
         before = c.stats.snapshot()
-        got = limited(t, 5, batch_rows=8)
+        got = limited(t, 5)
         limited_scanned = (c.stats.snapshot() - before).rows_scanned
         assert len(got) == 5
         assert limited_scanned < full_scanned
@@ -122,7 +120,7 @@ class TestEarlyTermination:
         leaves the scan bounded (at most one in-flight chunk per region)."""
         c, t = build_table(rows=600, split_rows=100)
         before = c.stats.snapshot()
-        it = t.multi_range_scan([(None, None)], batch_rows=8)
+        it = t.multi_range_scan([(None, None)])
         for _ in range(3):
             next(it)
         it.close()
@@ -133,7 +131,7 @@ class TestEarlyTermination:
     def test_closed_iterator_is_reusable_cluster(self):
         """After an early-terminated scan the table still serves reads."""
         c, t = build_table(rows=300, split_rows=50)
-        assert len(limited(t, 2, batch_rows=4)) == 2
+        assert len(limited(t, 2)) == 2
         assert t.get(k(123)) == b"v123"
         assert len(list(t.multi_range_scan([(None, None)]))) == 300
         c.close()

@@ -9,7 +9,9 @@ import pytest
 
 from repro import TMan
 from repro.datasets import TDRIVE_SPEC, tdrive_like
+from repro.kvstore.scan import StatsSnapshot
 from repro.model import MBR, STPoint, TimeRange, Trajectory
+from repro.query.cost import COST_MODEL, CostModel
 from repro.query.planner import QueryPlanner
 from repro.query.types import (
     IDTemporalQuery,
@@ -124,6 +126,34 @@ class TestCBO:
         )
         assert plan.index == "tshape"
 
+    @pytest.mark.parametrize(
+        "model", [COST_MODEL, CostModel(seek_ms=0.5, row_scan_us=9.0, point_get_us=70.0)]
+    )
+    def test_candidate_cost_is_the_result_model_of_its_counters(self, model):
+        """Each candidate costs what the planner's model charges for the
+        counters the plan would add, counted as the regions count them."""
+        p = planner(primary="tshape", secondaries=("tr", "interval"), stats=self._stats())
+        p.cost_model = model
+        query = STRangeQuery(MBR(0, 0, 3.16, 3.16), TimeRange(0, 100_000))
+        matches = p.estimate_candidates(query)
+        windows = {
+            ("tshape", "primary"): 1,  # no window counter attached
+            ("tr", "secondary"): p._tr_window_count(query.time_range),
+            ("interval", "secondary"): 2,
+        }
+        cands = p.candidate_plans(query)
+        assert {(c.plan.index, c.plan.route) for c in cands} == set(windows)
+        for c in cands:
+            route = (c.plan.index, c.plan.route)
+            gets = matches if c.plan.route == "secondary" else 0.0
+            predicted = StatsSnapshot(
+                range_scans=windows[route],
+                rows_scanned=c.est_rows + gets,
+                rows_returned=matches + gets,
+                point_gets=gets,
+            )
+            assert c.cost == model.simulate_ms(predicted), route
+
     def test_without_stats_primary_wins(self):
         plan = planner().plan(STRangeQuery(MBR(0, 0, 10, 10), TimeRange(0, 1)))
         assert plan.index == "tshape" and "RBO" in plan.reason
@@ -158,9 +188,11 @@ def plan_matrix(primary):
     """Candidate plans for every secondary subset x query x {no statistics,
     loaded + flushed deployment} of one primary index.
 
-    The golden file is this function's result dumped at PR 20: ``est_rows``
-    and every non-tshape cost equal the d776ca7 dump; the tshape candidates
-    are priced on the directory-pruned ranges the pipeline scans.
+    The golden file is this function's result dumped when plans were first
+    priced by the one :class:`~repro.query.cost.CostModel`, in modeled ms:
+    every key's ``est_rows`` and candidate set equal the 5f9e951 dump (whose
+    ``est_rows`` equal the d776ca7 one); the costs are re-priced, and each
+    of the 44 chosen plans that changed is the cheapest plan forced.
     """
     data = tdrive_like(120, seed=19, max_points=24)
     queries = _matrix_queries(data)

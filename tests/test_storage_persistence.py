@@ -9,7 +9,7 @@ from repro import TMan, TManConfig
 from repro.cluster.client import WorkerHandle
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.cluster.process_cluster import ProcessCluster
-from repro.kvstore import Cluster, simfault
+from repro.kvstore import Cluster
 from repro.kvstore.durable import FORMAT, FORMAT_FILE
 from repro.kvstore.errors import CorruptionError, FormatMismatchError
 from repro.kvstore.scan import Scan
@@ -141,23 +141,20 @@ class TestConfigRoundTrip:
             assert reopened.config == config
 
     def test_retired_knobs_open_unchanged(self, tmp_path):
-        """A config.json saved while the fault-injection and re-planning
+        """A format-6 config.json saved while the scan, cache and write
         knobs were fields still opens, to the same config."""
         config = TManConfig(**NON_DEFAULT)
-        injector = simfault.fault_injector()
         with TMan(config) as tman:
             save_tman(tman, tmp_path / "deploy")
         path = tmp_path / "deploy" / "config.json"
         doc = json.loads(path.read_text())
         doc.update(
-            fault_rate=0.25, fault_seed=9, adaptive_replan=True,
-            replan_divergence_ratio=2.5, replan_min_candidates=32,
+            scan_batch_rows=512, window_parallel=False, multi_get_batch=32,
+            block_cache_bytes=1024, write_stall_timeout_ms=50.0,
         )
         path.write_text(json.dumps(doc))
         with open_tman(tmp_path / "deploy") as reopened:
             assert reopened.config == config
-        # Opening installed no process-wide fault injector.
-        assert simfault.fault_injector() is injector
 
     def test_snapshot_pins_thread_mode_and_overrides_apply(self, tmp_path):
         config = TManConfig(
@@ -349,6 +346,15 @@ class TestFormatStamp:
         doc["shard_count"] = 4  # neither a field nor a retired one
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unknown keys \\['shard_count'\\]"):
+            open_tman(saved_dir)
+
+    def test_fault_knob_retired_before_format_6_is_unknown(self, saved_dir):
+        """The fault-injection knobs left the config before format 6, so no
+        config.json of this format can hold one: it is refused."""
+        path, doc = self._config(saved_dir)
+        doc["fault_rate"] = 0.25
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown keys \\['fault_rate'\\]"):
             open_tman(saved_dir)
 
     def test_durable_cluster_root_is_stamped_and_checked(self, tmp_path):
