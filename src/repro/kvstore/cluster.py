@@ -100,12 +100,14 @@ class DurableStores(StoreBuilder):
 class Cluster:
     """An embedded key-value cluster.
 
-    Owns the shared :class:`IOStats`, an optional worker pool used for
-    parallel region scans, the retry policy applied to every region RPC,
-    the table catalog and the store builder that makes every region's
-    engine: in-memory LSM stores, or durable ones under ``data_dir``
-    sharing a block cache of ``block_cache_bytes``.  One ``Cluster`` per
-    TMan deployment; baselines get their own so counters never mix.
+    Owns the shared :class:`IOStats`, an optional worker pool (``workers``
+    above 1) on which tables read ahead the region runs behind the one the
+    caller reads and resolve a multi-get's other region batches, the retry
+    policy applied to every region RPC, the table catalog and the store
+    builder that makes every region's engine: in-memory LSM stores, or
+    durable ones under ``data_dir`` sharing a block cache of
+    ``block_cache_bytes``.  One ``Cluster`` per TMan deployment; baselines
+    get their own so counters never mix.
     """
 
     def __init__(

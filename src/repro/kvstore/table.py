@@ -12,22 +12,17 @@ from repro.kvstore.errors import RegionError, TransientError
 from repro.kvstore.region import KVStoreEngine, Region
 from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.scan import Scan, Window, windows_after
-from repro.kvstore.scheduler import scan_scheduled
+from repro.kvstore.scheduler import Row, scan_scheduled
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile, run_with_profile
 from repro.runtime.deadline import Deadline
 
 DEFAULT_SPLIT_ROWS = 200_000
-DEFAULT_BATCH_ROWS = 256
-# Below this many keys a multi_get runs inline; pool dispatch costs more.
-MULTI_GET_MIN_PARALLEL = 8
+# Rows each region run behind the head reads ahead on the worker pool:
+# enough to pay its cursor's opening round trip off the caller's path.
+DEFAULT_BATCH_ROWS = 16
 
-_SCANS_BY_MODE = _obs_counter(
-    "kv_multirange_scans_total",
-    "Multi-range scans executed",
-    labelnames=("mode",),
-)
 _WINDOWS_STARTED = _obs_counter(
     "kv_multirange_windows_started_total",
     "Scan windows in the region runs multi-range scans opened",
@@ -76,10 +71,11 @@ class Table:
     Regions are kept in key order.  When a region's row count exceeds
     ``split_rows`` it is split at its median key — the moral equivalent of
     HBase auto-splitting.  ``multi_range_scan`` reads each region's share
-    of a window list with one cursor, the regions concurrently on a thread
-    pool, which mirrors the paper's "push down filters into relevant table
-    regions and execute the query in parallel".  Every region's engine
-    comes from ``stores``.
+    of a window list with one cursor: the first on the calling thread while
+    the regions behind it open their cursors on the worker pool, which
+    mirrors the paper's "push down filters into relevant table regions and
+    execute the query in parallel".  ``multi_get`` resolves one batch per
+    region the same way.  Every region's engine comes from ``stores``.
     """
 
     def __init__(
@@ -256,7 +252,7 @@ class Table:
 
     def _resilient_region_scan(
         self, region: Region, windows: list[Window], scan: Scan
-    ) -> Iterator[tuple[bytes, bytes]]:
+    ) -> Iterator[Row]:
         """One region cursor over its run of ``windows`` (with the scan's
         filter and deadline), surviving transient RPC failures.
 
@@ -288,70 +284,53 @@ class Table:
                     )
                 tracker.failed(exc)  # backs off, or raises RetryExhaustedError
 
-    def scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
-        """Sequential scan across overlapping regions in key order."""
-        if scan.limit is not None and scan.limit <= 0:
-            return
-        rows = (
-            row
-            for region, run in self._region_runs([(scan.start, scan.stop)])
-            for row in self._resilient_region_scan(region, run, scan)
-        )
-        yield from itertools.islice(rows, scan.limit)
+    def _read(self, windows: Iterable[Window], scan: Scan) -> Iterator[Row]:
+        """Every read of a window list: each region run of ``windows``
+        (:meth:`_region_runs`, consumed lazily) through one resilient
+        region cursor with ``scan``'s filter and deadline, streamed by
+        :func:`~repro.kvstore.scheduler.scan_scheduled`."""
 
-    def parallel_scan(self, scan: Scan) -> Iterator[tuple[bytes, bytes]]:
-        """A one-window :meth:`multi_range_scan` that applies ``scan.limit``
-        once to the merged stream: every overlapping region streams in
-        chunks, in key order, and stops being pulled at the limit.  The
-        query path calls :meth:`multi_range_scan`; the benchmark spine's
-        tracer still wraps this method by name.
-        """
+        def read(run: tuple[Region, list[Window]]) -> Iterator[Row]:
+            _WINDOWS_STARTED.inc(len(run[1]))
+            return self._resilient_region_scan(*run, scan)
+
+        return scan_scheduled(
+            read, self._region_runs(windows), self._executor, DEFAULT_BATCH_ROWS,
+            deadline=scan.deadline,
+        )
+
+    def scan(self, scan: Scan) -> Iterator[Row]:
+        """``scan``'s key range across the overlapping regions in key order,
+        read like a one-window :meth:`multi_range_scan`, with ``scan.limit``
+        applied once to the merged stream."""
         if scan.limit is not None and scan.limit <= 0:
             return
-        rows = self.multi_range_scan(
-            [(scan.start, scan.stop)], scan.server_filter, scan.deadline
-        )
+        rows = self._read([(scan.start, scan.stop)], scan)
         try:
             yield from itertools.islice(rows, scan.limit)
         finally:
             rows.close()
+
+    # The old name of :meth:`scan`; the benchmark spine's tracer wraps it.
+    parallel_scan = scan
 
     def multi_range_scan(
         self,
         windows: Iterable[Window],
         row_filter=None,
         deadline: Optional[Deadline] = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
+    ) -> Iterator[Row]:
         """Scan many key windows, yielding each window's rows in order.
 
         Each region's run of windows (:meth:`_region_runs`) is read by one
-        region cursor — one engine pass, one RPC page in process mode.
-        With a worker pool and more than one run, the runs stream
-        concurrently through :func:`~repro.kvstore.scheduler.scan_scheduled`
-        (bounded buffering, lazy admission, cancellation on close) in run
-        order, so the result is byte-identical to a serial loop, which is
-        what runs without a pool or for a single run.  ``windows`` is
-        consumed lazily either way.  :data:`DEFAULT_BATCH_ROWS` bounds each
-        scheduled run's buffered rows.
+        region cursor — one engine pass, one RPC page in process mode.  The
+        head run is read on the calling thread; with a worker pool the runs
+        behind it read their first :data:`DEFAULT_BATCH_ROWS` rows ahead on
+        it (:func:`~repro.kvstore.scheduler.scan_scheduled`), so the rows
+        are byte-identical with or without a pool.  ``windows`` is consumed
+        lazily, and closing the iterator stops every run.
         """
-        scan = Scan(server_filter=row_filter, deadline=deadline)
-
-        def read(run: tuple[Region, list[Window]]) -> Iterator[tuple[bytes, bytes]]:
-            _WINDOWS_STARTED.inc(len(run[1]))
-            return self._resilient_region_scan(*run, scan)
-
-        runs = self._region_runs(windows)
-        head = list(itertools.islice(runs, 1 if self._executor is None else 2))
-        runs = itertools.chain(head, runs)
-        if len(head) < 2:
-            _SCANS_BY_MODE.labels(mode="serial").inc()
-            for run in runs:
-                yield from read(run)
-            return
-        _SCANS_BY_MODE.labels(mode="scheduled").inc()
-        yield from scan_scheduled(
-            read, runs, self._executor, DEFAULT_BATCH_ROWS, deadline=deadline
-        )
+        return self._read(windows, Scan(server_filter=row_filter, deadline=deadline))
 
     def multi_get(
         self,
@@ -360,54 +339,46 @@ class Table:
     ) -> list[Optional[bytes]]:
         """Batched point lookups; values (or ``None``) in input-key order.
 
-        Keys are grouped by owning region and each group resolves as one
-        task on the worker pool, so a batch costs one dispatch per region
-        instead of one serialized round trip per key.  Small batches and
-        single-region groups run inline — the pool overhead would exceed
-        the lookups.
+        Keys are grouped by owning region, one batched request per group.
+        The first group resolves on the calling thread; with a worker pool
+        the others resolve on it meanwhile, so a batch costs about one
+        round trip however many regions it spans.
         """
         keys = list(keys)
-        _MULTIGET_BATCHES.inc()
-        if keys:
-            _MULTIGET_KEYS.inc(len(keys))
         if not keys:
             return []
+        _MULTIGET_BATCHES.inc()
+        _MULTIGET_KEYS.inc(len(keys))
         if deadline is not None:
             deadline.check("multi_get")
         groups: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
             groups.setdefault(bisect.bisect_right(self._boundaries, key), []).append(i)
-        out: list[Optional[bytes]] = [None] * len(keys)
-        # One batched request per region; the pool only earns its dispatch
-        # overhead when several region batches can actually overlap.
-        if (
-            self._executor is None
-            or len(groups) == 1
-            or len(keys) < MULTI_GET_MIN_PARALLEL
-        ):
-            for ridx, idxs in groups.items():
-                values = self._get_batch_resilient(
-                    self._regions[ridx], [keys[i] for i in idxs], deadline
-                )
-                for i, value in zip(idxs, values):
-                    out[i] = value
-            return out
-        # Context vars don't cross pool submits: hand the active query
-        # profile to every region batch so its gets stay attributed.
-        profile = current_profile()
-        futures = [
-            (idxs, self._executor.submit(
-                run_with_profile,
-                profile,
-                self._get_batch_resilient,
-                self._regions[ridx],
-                [keys[i] for i in idxs],
-                deadline,
-            ))
+        batches = [
+            (idxs, self._regions[ridx], [keys[i] for i in idxs])
             for ridx, idxs in groups.items()
         ]
-        for idxs, future in futures:
-            for i, value in zip(idxs, future.result()):
+        pooled = []
+        if self._executor is not None:
+            # Context vars don't cross pool submits: hand the active query
+            # profile to every pooled batch so its gets stay attributed.
+            profile = current_profile()
+            pooled = [
+                (idxs, self._executor.submit(
+                    run_with_profile, profile, self._get_batch_resilient,
+                    region, batch, deadline,
+                ))
+                for idxs, region, batch in batches[1:]
+            ]
+            batches = batches[:1]
+        resolved = [
+            (idxs, self._get_batch_resilient(region, batch, deadline))
+            for idxs, region, batch in batches
+        ]
+        resolved += [(idxs, future.result()) for idxs, future in pooled]
+        out: list[Optional[bytes]] = [None] * len(keys)
+        for idxs, values in resolved:
+            for i, value in zip(idxs, values):
                 out[i] = value
         return out
 

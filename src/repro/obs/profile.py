@@ -179,8 +179,8 @@ class QueryProfile:
       ``similarity_rows``/``similarity_ms`` the exact distance kernels;
     - ``rpc_failures`` counts transient failures, ``retries``/
       ``retry_backoff_ms`` the recovery cost, ``admission_wait_ms`` time
-      queued before execution, and ``stall_ms`` consumer time blocked
-      waiting on scan-scheduler prefetch;
+      queued before execution, and ``stall_ms`` query-thread time
+      blocked waiting on a region run's read-ahead chunk;
     - ``throttled_writes``/``stalled_writes``/``rejected_writes``/
       ``write_stall_ms`` are the memtable watermarks' toll on a write batch.
 

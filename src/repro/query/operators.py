@@ -391,7 +391,7 @@ class Limit(Sink):
     """Collect the first ``n`` items, then stop pulling.
 
     Because every upstream stage is lazy, the unread remainder is never
-    scanned (beyond at most one in-flight prefetch chunk per region).
+    scanned (beyond the read-ahead chunks of the region runs behind it).
     """
 
     name = "limit"

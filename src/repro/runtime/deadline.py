@@ -3,7 +3,7 @@
 A :class:`Deadline` is created once per query (``TMan.query(deadline_ms=…)``)
 and threaded *explicitly* through the planner, pipeline operators, scan
 scheduler, region scan loops, batched gets, and the retry layer — explicit
-rather than ambient (contextvars) because chunk prefetches run on pool
+rather than ambient (contextvars) because read-ahead chunks run on pool
 worker threads that never see the submitting thread's context.
 
 Expiry is checked cooperatively at loop boundaries (every scanned batch of

@@ -6,9 +6,9 @@ query type returns exactly the trajectories (same order, same distances)
 it returns with injection off.  Resumable region scans and retried
 batched gets may change *how* the rows are fetched — never *which* rows.
 Two deployments of the same data run every case: one region per table,
-read serially, and a multi-region one (``split_rows=16``), whose scans
-stream on the pooled scheduler and whose batched gets fan out to the pool
-while the faults land there.
+with nothing read ahead, and a multi-region one (``split_rows=16``), whose
+scans read runs ahead on the pool and whose batched gets fan out to it, so
+the faults land there too.
 """
 
 from __future__ import annotations
