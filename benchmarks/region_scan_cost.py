@@ -1,7 +1,8 @@
 """Wall time of a split table's multi-range scans and multi-gets on a pool.
 
 Builds an in-memory ``Cluster(workers=4, split_rows=500)`` table of 4,000
-rows (eight regions) and prints, as the median of ``--repeat`` calls:
+rows (the script prints its region count, about 15) and prints, as the
+median of ``--repeat`` calls:
 
 - ``scan_ms``: one ``multi_range_scan`` over 64 windows of 20 keys spread
   across every region (1,280 rows);
@@ -12,6 +13,15 @@ then the same two as ``scan_delay_ms`` / ``get_delay_ms`` under
 region cursor open and every region batch get a 5 ms GIL-releasing sleep:
 the remote-store regime in which overlapping the regions' round trips
 pays.  Without a delay the reads are CPU-bound under the GIL.
+
+Last, a ``ProcessCluster(nodes=2, workers=4, split_rows=2400)`` table of
+8,000 rows, whose regions hold more rows than one 512-row ``SCAN_PAGE``
+RPC returns, so each region run costs several page round trips:
+
+- ``pages_ms``: one ``multi_range_scan`` of the whole key range;
+- ``pages_work_ms``: the same, its consumer summing 40 bytes of each value
+  (a stand-in for the query's per-row decode, which page fetches running
+  on the pool could overlap).
 
 It uses only public APIs, so pointing ``PYTHONPATH`` at another
 checkout's ``src/`` measures that checkout with the same script::
@@ -26,12 +36,15 @@ import gc
 import statistics
 import time
 
+from repro.cluster import ProcessCluster
 from repro.kvstore import Cluster
 from repro.kvstore.simfault import FaultConfig, fault_injection
 
 ROWS = 4000
 SPLIT_ROWS = 500
 WORKERS = 4
+PAGED_ROWS = 8000
+PAGED_SPLIT_ROWS = 2400
 
 
 def _key(i: int) -> bytes:
@@ -79,6 +92,31 @@ def main() -> None:
         with fault_injection(FaultConfig(scan_delay_ms=5.0, get_delay_ms=5.0)):
             print(f"scan_delay_ms {_median_ms(scan, args.repeat):.3f}")
             print(f"get_delay_ms {_median_ms(get, args.repeat):.3f}")
+    finally:
+        cluster.close()
+
+    cluster = ProcessCluster(
+        nodes=2, replication_factor=1, workers=WORKERS, split_rows=PAGED_SPLIT_ROWS
+    )
+    try:
+        table = cluster.create_table("t")
+        for start in range(0, PAGED_ROWS, 500):
+            table.put_batch([(_key(i), b"%08d" % i * 12) for i in range(start, start + 500)])
+        whole = [(_key(0), _key(PAGED_ROWS))]
+        assert sum(1 for _ in table.multi_range_scan(whole)) == PAGED_ROWS
+        assert len(table.regions) >= 4, len(table.regions)
+        print(f"paged_regions {len(table.regions)}")
+
+        def pages() -> None:
+            for _ in table.multi_range_scan(whole):
+                pass
+
+        def pages_work() -> None:
+            for _, value in table.multi_range_scan(whole):
+                sum(value[:40])
+
+        print(f"pages_ms {_median_ms(pages, args.repeat):.3f}")
+        print(f"pages_work_ms {_median_ms(pages_work, args.repeat):.3f}")
     finally:
         cluster.close()
 

@@ -1,14 +1,14 @@
 """Multi-range scan execution: each region run read on the caller, the runs
 behind it read ahead on the worker pool.
 
-Every multi-range read streams its per-region runs (one region cursor
-each) through :func:`scan_scheduled`.  The head run is read on the calling
-thread.  With a worker pool, each run behind it reads a first chunk of up
-to ``batch`` rows on the pool, which opens its cursor (an RPC against a
+Every read of a table's window list streams its per-region runs (one
+region cursor each) through :func:`read_runs`.  The head run is read on the
+calling thread.  With a worker pool, each run behind it reads a first chunk
+of up to ``batch`` rows on the pool, opening its cursor (an RPC against a
 remote kvstore) while the caller reads the head; when the run becomes the
-head, the caller takes that chunk and reads the rest inline.  Rows come
-strictly in run order, so a read with a pool is byte-for-byte the one
-without.  Two properties the query layer depends on:
+head, the caller takes that chunk and reads the rest inline.  Rows come in
+run order, so a read with a pool is byte-for-byte the one without.  The
+query layer depends on two properties:
 
 - **Lazy admission.**  The read-ahead queue may grow by one run each time a
   run becomes the head, up to the pool's worker count, so a consumer that
@@ -38,9 +38,7 @@ T = TypeVar("T")
 Row = tuple[bytes, bytes]
 
 _SCANS_BY_MODE = _obs_counter(
-    "kv_multirange_scans_total",
-    "Multi-range scans executed",
-    labelnames=("mode",),
+    "kv_multirange_scans_total", "Multi-range scans executed", labelnames=("mode",)
 )
 _CHUNKS_CANCELLED = _obs_counter(
     "kv_multirange_chunks_cancelled_total",
@@ -57,26 +55,29 @@ def next_chunk(gen: Iterator[T], batch: int) -> list[T]:
     return list(itertools.islice(gen, batch))
 
 
-def _settle(future: Future) -> None:
-    """Cancel a read-ahead, or wait out the one already running, so that its
-    generator is idle and may be closed."""
-    if future.cancel():
+def _release(gen: Iterator[Row], future: Optional[Future] = None) -> None:
+    """Cancel ``gen``'s read-ahead, or wait out the one already running, so
+    that ``gen`` is idle; then close it."""
+    if future is not None and future.cancel():
         _CHUNKS_CANCELLED.inc()
-        return
-    try:
-        future.result()
-    except Exception as exc:
-        # Nobody consumes this failure: count it, leave a debug breadcrumb.
-        _CHUNK_ERRORS.inc()
-        _log.debug("read-ahead failed while its scan closed: %r", exc)
+    elif future is not None:
+        try:
+            future.result()
+        except Exception as exc:  # nobody consumes it: count it, log it
+            _CHUNK_ERRORS.inc()
+            _log.debug("read-ahead failed while its scan closed: %r", exc)
+    if hasattr(gen, "close"):  # plain iterators have nothing to release
+        gen.close()
 
 
-def _close(it: Iterator[Row]) -> None:
-    if hasattr(it, "close"):  # plain iterators have nothing to release
-        it.close()
+def scan_scheduled(*args, **kwargs) -> Iterator[Row]:
+    """:func:`read_runs` under the name a tracer wraps (the benchmark
+    spine's does).  Tables call :func:`read_runs` itself, so a traced table
+    read nests no second span."""
+    return read_runs(*args, **kwargs)
 
 
-def scan_scheduled(
+def read_runs(
     scan_factory: Callable[[T], Iterator[Row]],
     runs: Iterable[T],
     executor: Optional[Executor],
@@ -86,7 +87,7 @@ def scan_scheduled(
     """Stream ``runs`` in order, ``scan_factory(run)``'s rows each.
 
     ``scan_factory`` maps a run (a region's window list) to its row
-    iterator.  Without a pool the runs are read one after another on the
+    iterator; without a pool the runs are read one after another on the
     calling thread.  An expired ``deadline`` plans no further run: the next
     head raises :class:`~repro.runtime.deadline.QueryTimeoutError`, as does
     a wait on a read-ahead that outlasts it.
@@ -141,10 +142,9 @@ def scan_scheduled(
             yield from head
     finally:
         for gen, future in ahead:
-            _settle(future)
-            _close(gen)
+            _release(gen, future)
         if head is not None:
-            _close(head)
+            _release(head)
         _SCANS_BY_MODE.labels(mode=mode).inc()
         if profile is not None and stall_s > 0.0:
             profile.add(stall_ms=stall_s * 1000.0)

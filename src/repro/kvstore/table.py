@@ -12,7 +12,7 @@ from repro.kvstore.errors import RegionError, TransientError
 from repro.kvstore.region import KVStoreEngine, Region
 from repro.kvstore.retry import RetryPolicy
 from repro.kvstore.scan import Scan, Window, windows_after
-from repro.kvstore.scheduler import Row, scan_scheduled
+from repro.kvstore.scheduler import Row, read_runs
 from repro.kvstore.stats import IOStats
 from repro.obs import counter as _obs_counter
 from repro.obs.profile import current_profile, run_with_profile
@@ -288,13 +288,13 @@ class Table:
         """Every read of a window list: each region run of ``windows``
         (:meth:`_region_runs`, consumed lazily) through one resilient
         region cursor with ``scan``'s filter and deadline, streamed by
-        :func:`~repro.kvstore.scheduler.scan_scheduled`."""
+        :func:`~repro.kvstore.scheduler.read_runs`."""
 
         def read(run: tuple[Region, list[Window]]) -> Iterator[Row]:
             _WINDOWS_STARTED.inc(len(run[1]))
             return self._resilient_region_scan(*run, scan)
 
-        return scan_scheduled(
+        return read_runs(
             read, self._region_runs(windows), self._executor, DEFAULT_BATCH_ROWS,
             deadline=scan.deadline,
         )
@@ -326,7 +326,7 @@ class Table:
         region cursor — one engine pass, one RPC page in process mode.  The
         head run is read on the calling thread; with a worker pool the runs
         behind it read their first :data:`DEFAULT_BATCH_ROWS` rows ahead on
-        it (:func:`~repro.kvstore.scheduler.scan_scheduled`), so the rows
+        it (:func:`~repro.kvstore.scheduler.read_runs`), so the rows
         are byte-identical with or without a pool.  ``windows`` is consumed
         lazily, and closing the iterator stops every run.
         """

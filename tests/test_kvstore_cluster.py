@@ -96,15 +96,20 @@ class TestTable:
             assert t.get(k(i)) == b"v%d" % i
 
     def test_parallel_scan_matches_sequential(self):
-        c = Cluster(workers=4, split_rows=20)
-        t = c.create_table("t")
+        # A pool-less cluster (workers=1) reads every region inline: the oracle.
+        c, seq_c = Cluster(workers=4, split_rows=20), Cluster(workers=1, split_rows=20)
+        t, seq_t = c.create_table("t"), seq_c.create_table("t")
         for i in range(300):
-            t.put(k(i), b"v")
-        seq = list(t.scan(Scan(k(10), k(250))))
+            t.put(k(i), b"v%d" % i)
+            seq_t.put(k(i), b"v%d" % i)
+        assert len(t.regions) > 4
+        seq = list(seq_t.scan(Scan(k(10), k(250))))
+        assert len(seq) == 240
         par = t.parallel_scan(Scan(k(10), k(250)))
         assert iter(par) is par  # lazy: a streaming iterator, not a list
         assert list(par) == seq
         c.close()
+        seq_c.close()
 
     def test_scan_limit_across_regions(self):
         c = Cluster(workers=1, split_rows=20)
