@@ -50,10 +50,8 @@ RPC_TIMEOUT_MARGIN_S = 2.0
 _PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
 _OP_NAMES = {
-    rpc.OP_PING: "ping",
     rpc.OP_PUT: "put",
     rpc.OP_DELETE: "delete",
-    rpc.OP_GET: "get",
     rpc.OP_GET_BATCH: "get_batch",
     rpc.OP_SCAN_PAGE: "scan_page",
     rpc.OP_DIGEST: "digest",

@@ -65,11 +65,9 @@ _F8 = struct.Struct(">d")
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 MAX_DEPTH = 32
 
-# Op codes.
-OP_PING = 1
+# Op codes; a retired code's number is not reused.
 OP_PUT = 3
 OP_DELETE = 4
-OP_GET = 5
 OP_GET_BATCH = 6
 OP_SCAN_PAGE = 7
 OP_DIGEST = 8

@@ -171,11 +171,8 @@ def _page_digest(rows: list[tuple[bytes, bytes]]) -> int:
 def _handle(worker: _Worker, op: int, remaining_ms: float, args: tuple):
     """Execute one request; returns ``(status, body)``."""
     deadline = rpc.reanchor_deadline(remaining_ms)
-    if deadline is not None and deadline.expired() and op != rpc.OP_PING:
+    if deadline is not None and deadline.expired():
         return rpc.STATUS_EXPIRED, None
-
-    if op == rpc.OP_PING:
-        return rpc.STATUS_OK, ("pong", os.getpid(), worker.node_id)
 
     if op == rpc.OP_PUT:
         store_id, key, value = args
@@ -201,13 +198,6 @@ def _handle(worker: _Worker, op: int, remaining_ms: float, args: tuple):
         with lock:
             store.delete(key)
         return rpc.STATUS_OK, True
-
-    if op == rpc.OP_GET:
-        store_id, key = args
-        simfault.crash_point("rpc.get")
-        store, lock = worker.store(store_id)
-        with lock:
-            return rpc.STATUS_OK, store.get(key)
 
     if op == rpc.OP_GET_BATCH:
         store_id, keys = args

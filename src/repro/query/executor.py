@@ -14,6 +14,7 @@ per-stage rows-in/rows-out/bytes/time to it.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.model.trajectory import Trajectory
@@ -68,7 +69,9 @@ class QueryExecutor:
         created with ``allow_partial`` — returns whatever rows were
         produced so far with ``result.partial`` set.  ``plan`` forces a
         specific access path (plan-equivalence testing, benchmarks); the
-        executor runs the plan it is given, chosen or forced.  ``count``
+        executor runs the plan it is given, chosen or forced, over the
+        windows a chosen plan was priced on and over freshly generated
+        ones on a forced plan.  ``count``
         swaps the sink for a distinct-id counter (range and ID-temporal
         queries only): a count never decodes a row, the result's
         ``trajectories`` stay empty and the answer is ``result.count``.
@@ -85,6 +88,10 @@ class QueryExecutor:
             raise TypeError(f"count is not supported for {type(query).__name__}")
         if plan is None:
             plan = self._t.planner.plan(query)
+        else:
+            # Writes may have landed since a caller's plan was made: scan
+            # the windows of the data as it is now.
+            plan = replace(plan, windows=None)
         with query_profile(type(query).__name__) as profile:
             t0 = time.perf_counter()
             trajs: list[Trajectory] = []

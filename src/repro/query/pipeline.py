@@ -53,6 +53,7 @@ from repro.query.types import (
     TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    search_of,
 )
 from repro.query.windows import (
     coalesce_inclusive_ranges,
@@ -68,7 +69,7 @@ from repro.storage.schema import encode_u64
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.model.mbr import MBR
     from repro.model.timerange import TimeRange
-    from repro.query.planner import QueryPlan
+    from repro.query.planner import KeyWindows, QueryPlan
     from repro.storage.tman import TMan
 
 _STAGE_MS = _obs_histogram(
@@ -249,15 +250,17 @@ class Pipeline:
 
 def key_windows(
     tman: "TMan",
-    plan: "QueryPlan",
+    index: str,
+    route: str,
     *,
     time_range: Optional[TimeRange] = None,
     window: Optional[MBR] = None,
     oid: Optional[str] = None,
     ring_ranges: Optional[Sequence[tuple[int, int]]] = None,
 ) -> list[tuple[Optional[bytes], Optional[bytes]]]:
-    """The key windows a plan reads on its table (primary or the index's
-    secondary table): the one map from ``(index, route)`` to windows.
+    """The key windows an ``(index, route)`` reads on its table (primary or
+    the index's secondary table): the one map from ``(index, route)`` to
+    windows, which the planner prices and the pipeline scans.
 
     TShape ranges come from the search ``window`` (half-open, Algorithm 2),
     or, for a ring round, as inclusive ``ring_ranges``.  The temporal
@@ -266,7 +269,6 @@ def key_windows(
     window, and otherwise, like the ST secondary, each TR interval's whole
     TShape space.
     """
-    index, route = plan.index, plan.route
     primary = route == "primary"
     keys = tman.keys
     if route == "scan":
@@ -315,11 +317,11 @@ def key_windows(
 def access_path(
     tman: "TMan",
     plan: "QueryPlan",
+    windows: "KeyWindows",
     row_filter: Optional[Filter] = None,
     deadline: Optional[Deadline] = None,
-    **search: Any,
 ) -> list[Operator]:
-    """The plan's access path over its :func:`key_windows` (``search``).
+    """The plan's access path over its key ``windows``.
 
     ``WindowSource`` → ``RegionScan`` on the primary table, or
     ``WindowSource`` → ``SecondaryResolve`` through the index's secondary
@@ -338,7 +340,7 @@ def access_path(
         )
     else:
         scan = RegionScan(tman.primary_table, pushed, deadline=deadline)
-    stages = [WindowSource(key_windows(tman, plan, **search)), scan]
+    stages = [WindowSource(windows), scan]
     if row_filter is not None and pushed is None:
         stages.append(PushDownFilter(row_filter))
     return stages
@@ -354,40 +356,40 @@ def build_pipeline(
 ) -> Pipeline:
     """Assemble the streaming pipeline for a single-pass query.
 
-    A query type supplies only its row filter and what it searches (time
-    range, window, object id); the plan's :func:`access_path` does the
-    rest.  ``count=True`` ends the same access path in a distinct-trajectory
-    counter that parses ids from the primary keys, so a count decodes no
-    row.  ``limit`` installs an early-terminating sink instead of
-    ``Collect``.  The iterative query types (top-k similarity, kNN point)
-    run one :func:`ring_pipeline` per expanding ring instead.
+    A query type supplies only its row filter; the plan's
+    :func:`access_path` scans the windows the plan was priced on, or, on a
+    plan that carries none, the :func:`key_windows` of what the query
+    searches (:func:`~repro.query.types.search_of`).  ``count=True`` ends
+    the same access path in a distinct-trajectory counter that parses ids
+    from the primary keys, so a count decodes no row.  ``limit`` installs
+    an early-terminating sink instead of ``Collect``.  The iterative query
+    types (top-k similarity, kNN point) run one :func:`ring_pipeline` per
+    expanding ring instead.
     """
     post_decode: list[Operator] = []
     if isinstance(query, TemporalRangeQuery):
         row_filter: Filter = TemporalFilter(query.time_range)
-        search: dict[str, Any] = {"time_range": query.time_range}
     elif isinstance(query, SpatialRangeQuery):
         row_filter = SpatialFilter(query.window, tman.serializer)
-        search = {"window": query.window}
     elif isinstance(query, STRangeQuery):
         row_filter = TemporalFilter(query.time_range) & SpatialFilter(
             query.window, tman.serializer
         )
-        search = {"time_range": query.time_range, "window": query.window}
     elif isinstance(query, IDTemporalQuery):
         row_filter = IdFilter(query.oid) & TemporalFilter(query.time_range)
-        search = {"time_range": query.time_range, "oid": query.oid}
     elif isinstance(query, ThresholdSimilarityQuery):
         row_filter = SimilarityFilter(
             query.query.block, query.threshold, query.measure, tman.serializer
         )
-        # Global pruning: search the threshold-expanded query MBR.
-        search = {"window": query.query.mbr.expanded(query.threshold)}
         post_decode = [Refine.exclude_tid(query.query.tid)]
     else:
         raise TypeError(f"unknown query type: {type(query).__name__}")
 
-    stages = access_path(tman, plan, row_filter, deadline, **search)
+    windows = plan.windows
+    if windows is None:
+        search = search_of(query, tman.config.boundary)
+        windows = key_windows(tman, plan.index, plan.route, **search)
+    stages = access_path(tman, plan, windows, row_filter, deadline)
     if count:
         keys = tman.keys
         sink: Sink = Count(lambda key: keys.parse_primary(key).tid)
@@ -424,5 +426,6 @@ def ring_pipeline(
     """One expanding-ring round: the plan's access path over the inclusive
     TShape ``ring_ranges`` (a scan plan reads the whole table), then the
     shared refine stage and top-k sink."""
-    stages = access_path(tman, plan, None, deadline, ring_ranges=ring_ranges)
+    windows = key_windows(tman, plan.index, plan.route, ring_ranges=ring_ranges)
+    stages = access_path(tman, plan, windows, None, deadline)
     return Pipeline(stages + [refine], sink, plan, deadline)

@@ -5,8 +5,9 @@ indexes`` and decides alone whenever no statistics exist.  With statistics
 — the writer-fed per-table histograms of :mod:`repro.storage.statistics`,
 the planner's only source — the CBO costs every applicable ``(index,
 route)`` pair in modeled milliseconds: it predicts the I/O counters the
-plan would add (window seeks, rows scanned, the point get the secondary
-route pays per match, rows returned) and prices them with the same
+plan would add (one range scan per key window the deployment's window
+source generates, rows scanned, the point get the secondary route pays per
+match, rows returned) and prices them with the same
 :class:`~repro.query.cost.CostModel` that prices every result's
 ``simulated_ms``.
 """
@@ -16,11 +17,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from repro.core.temporal import TRIndex
 from repro.kvstore.scan import StatsSnapshot
-from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.query.cost import COST_MODEL
 from repro.query.types import (
@@ -32,8 +31,8 @@ from repro.query.types import (
     TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    search_of,
 )
-from repro.query.windows import coalesce_inclusive_ranges
 from repro.storage.config import TManConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -44,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 # interval index trades window count for tail false positives).
 TEMPORAL_INDEXES = ("tr", "st", "interval")
 
+KeyWindows = Sequence[tuple[Optional[bytes], Optional[bytes]]]
+
 
 @dataclass(frozen=True)
 class QueryPlan:
@@ -52,13 +53,16 @@ class QueryPlan:
     ``estimate`` is the planner's prior for the rows the query will touch
     (:meth:`QueryPlanner.estimate_candidates`, from the statistics snapshot
     the plan was costed with); ``None`` without statistics and on a plan
-    built by hand.  It takes no part in plan equality.
+    built by hand.  ``windows`` are the key windows the plan was priced on,
+    which the pipeline then scans; ``None`` on a plan that was not costed.
+    Neither takes part in plan equality.
     """
 
     index: str  # tr | tshape | st | idt | interval | scan
     route: str  # primary | secondary | scan
     reason: str
     estimate: Optional[float] = field(default=None, compare=False)
+    windows: Optional[KeyWindows] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,7 @@ class QueryPlanner:
         self._table_stats: Optional[
             Callable[[], Optional["TableStatistics"]]
         ] = None
-        self._tr = TRIndex(
-            config.tr_period_seconds, config.tr_max_periods, config.time_origin
-        )
-        self._spatial_window_counter: Optional[Callable[[MBR], int]] = None
+        self._window_source: Optional[Callable[[Query, str, str], KeyWindows]] = None
         # Per-thread frozen statistics snapshot for the duration of one
         # planning call (see _stats_scope); thread-local because one
         # planner serves concurrent queries.
@@ -110,22 +111,19 @@ class QueryPlanner:
         """
         self._table_stats = provider
 
-    def set_spatial_window_counter(self, counter: Callable[[MBR], int]) -> None:
-        """Attach a callback returning the range scans a TShape window opens.
+    def set_window_source(
+        self, source: Callable[[Query, str, str], KeyWindows]
+    ) -> None:
+        """Attach the map from ``(query, index, route)`` to the key windows
+        that plan scans.
 
-        The spatial multirange expansion can produce thousands of key
-        ranges for a wide window — orders of magnitude more than the
-        temporal routes — so costing it at a constant window count makes
-        the CBO prefer catastrophically seek-bound spatial plans.  The
-        deployment wires this to ``TMan.spatial_ranges``: the count is of
-        the directory-pruned ranges the pipeline then scans.
+        The deployment wires this to :func:`repro.query.pipeline.key_windows`,
+        so a route is priced at the range scans its pipeline opens: a wide
+        TShape window expands to thousands of directory-pruned ranges,
+        replicated per shard on the primary table.  Without a source every
+        route is priced at one window.
         """
-        self._spatial_window_counter = counter
-
-    def _spatial_windows(self, window: MBR) -> int:
-        if self._spatial_window_counter is None:
-            return 1
-        return max(1, int(self._spatial_window_counter(window)))
+        self._window_source = source
 
     @contextmanager
     def _stats_scope(self) -> Iterator[None]:
@@ -186,22 +184,13 @@ class QueryPlanner:
                 # No per-object statistics: the temporal fraction is the
                 # best (over-)estimate available for ID-temporal queries.
                 return ts.estimate_temporal(query.time_range)
-            if isinstance(query, SpatialRangeQuery):
-                return ts.estimate_spatial(query.window)
             if isinstance(query, STRangeQuery):
                 # Independence assumption for the conjunction.
                 return ts.estimate_st(query.window, query.time_range)
-            if isinstance(query, ThresholdSimilarityQuery):
-                return ts.estimate_spatial(query.query.mbr.expanded(query.threshold))
-            if isinstance(query, TopKSimilarityQuery):
-                return ts.estimate_spatial(self._first_ring(query))
             if isinstance(query, KNNPointQuery):
                 return float(ts.cell_count_at(query.x, query.y))
-            return None
-
-    def _first_ring(self, query) -> MBR:
-        """The executor's first expanding-ring window for a top-k / kNN query."""
-        return query.ring(query.first_radius(self.config.boundary))
+            # SRQ, threshold and top-k: the window the query searches.
+            return ts.estimate_spatial(search_of(query, self.config.boundary)["window"])
 
     # -- plan costing ---------------------------------------------------------
 
@@ -212,74 +201,51 @@ class QueryPlanner:
             return "secondary"
         return None
 
-    def _tr_window_count(self, tr: TimeRange) -> int:
-        """Range scans the TR route opens (after coalescing, pre-sharding)."""
-        return max(1, len(coalesce_inclusive_ranges(self._tr.query_ranges(tr))))
-
     def _cost_candidate(
         self, query: Query, index: str, route: str, ts: "TableStatistics", matches: float
-    ) -> tuple[float, float]:
-        """``(cost, est_rows_touched)`` for one applicable (index, route).
+    ) -> tuple[float, float, Optional[KeyWindows]]:
+        """``(cost, est_rows_touched, windows)`` for one applicable (index, route).
 
         The cost is :attr:`cost_model`'s price, in modeled milliseconds,
         of the counters the plan would add, counted as the regions count
-        them: one range scan per window (× shard count on the primary
-        table), the ``rows`` touched as scanned, one point get per
-        secondary match resolved (one more row scanned and returned), and
-        the ``matches`` (the query's estimate) as the rows returned.
+        them: one range scan per key window the window source generates
+        for the plan (one without a source), the ``rows`` touched as
+        scanned, one point get per secondary match resolved (one more row
+        scanned and returned), and the ``matches`` (the query's estimate)
+        as the rows returned.
         """
-        shards = max(1, self.config.num_shards)
-        # Only the secondary routes pay a point get per resolved match.
-        gets = matches if route == "secondary" else 0.0
-
-        def priced(rows: float, windows: float) -> tuple[float, float]:
-            counters = StatsSnapshot(
-                range_scans=windows,
-                rows_scanned=rows + gets,
-                rows_returned=matches + gets,
-                point_gets=gets,
-            )
-            return self.cost_model.simulate_ms(counters), rows
-
         if route == "scan":
-            return priced(float(ts.row_count), shards)
-
-        time_range = getattr(query, "time_range", None)
-
-        if index == "interval" and time_range is not None:
+            rows = float(ts.row_count)
+        elif index == "tshape":
+            rows = ts.estimate_spatial(search_of(query, self.config.boundary)["window"])
+        elif index == "interval":
             # The merged main-tier run over-approximates with rows ending
             # up to N - 1 periods past the query end; price that tail from
             # the same histogram.  The push-down TemporalFilter prunes
             # before resolve, so only the true matches pay a point get.
-            n = self.config.tr_max_periods
+            end = query.time_range.end
             tail = TimeRange(
-                time_range.end,
-                time_range.end + (n - 1) * self.config.tr_period_seconds,
+                end, end + (self.config.tr_max_periods - 1) * self.config.tr_period_seconds
             )
-            rows = ts.estimate_temporal(time_range) + ts.estimate_temporal(tail)
-            return priced(rows, 2)
-
-        if index in ("tr", "st", "idt") and time_range is not None:
-            rows = ts.estimate_temporal(time_range)
-            wins = self._tr_window_count(time_range)
-            if route == "primary":
-                if index == "st" and isinstance(query, STRangeQuery):
-                    # Fine ST windows push both predicates into the key space.
-                    rows = ts.estimate_st(query.window, time_range) or rows
-                wins *= shards
-            return priced(rows, wins)
-
-        if index == "tshape":
-            if isinstance(query, ThresholdSimilarityQuery):
-                window = query.query.mbr.expanded(query.threshold)
-            elif isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
-                window = self._first_ring(query)
-            else:
-                window = query.window
-            return priced(ts.estimate_spatial(window), self._spatial_windows(window))
-
-        # Unknown combination: infinitely expensive, never chosen.
-        return float("inf"), 0.0
+            rows = ts.estimate_temporal(query.time_range) + ts.estimate_temporal(tail)
+        else:
+            rows = ts.estimate_temporal(query.time_range)
+            if index == "st" and route == "primary" and isinstance(query, STRangeQuery):
+                # Fine ST windows push both predicates into the key space.
+                rows = ts.estimate_st(query.window, query.time_range) or rows
+        windows = (
+            None if self._window_source is None
+            else self._window_source(query, index, route)
+        )
+        # Only the secondary routes pay a point get per resolved match.
+        gets = matches if route == "secondary" else 0.0
+        counters = StatsSnapshot(
+            range_scans=1 if windows is None else len(windows),
+            rows_scanned=rows + gets,
+            rows_returned=matches + gets,
+            point_gets=gets,
+        )
+        return self.cost_model.simulate_ms(counters), rows, windows
 
     # -- plan selection -------------------------------------------------------
 
@@ -334,7 +300,7 @@ class QueryPlanner:
         if ts is not None and (cost_all or not rbo):
             costs = [self._cost_candidate(query, i, r, ts, estimate or 0.0) for i, r in pairs]
         else:
-            costs = [(None, None)] * len(pairs)
+            costs = [(None, None, None)] * len(pairs)
         head = 0 if rbo else min(range(len(pairs)), key=lambda k: costs[k][0])
         index, route = pairs[head]
         if route == "scan":
@@ -346,15 +312,16 @@ class QueryPlanner:
                 else f"RBO: {index} available as secondary"
             )
         else:
-            cost, rows = costs[head]
+            cost, rows, _ = costs[head]
             reason = (
                 f"CBO: {index}/{route} cheapest of {len(pairs)} routes "
                 f"(cost ~{cost:.2f} ms, ~{rows:.0f} rows)"
             )
-        ranked = [PlanCandidate(QueryPlan(index, route, reason, estimate), *costs[head])]
+        cost, rows, windows = costs[head]
+        ranked = [PlanCandidate(QueryPlan(index, route, reason, estimate, windows), cost, rows)]
         rest = [
             PlanCandidate(
-                QueryPlan(i, r, f"alternative to {index}/{route}"), *costs[k]
+                QueryPlan(i, r, f"alternative to {index}/{route}"), *costs[k][:2]
             )
             for k, (i, r) in enumerate(pairs)
             if k != head

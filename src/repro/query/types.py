@@ -109,6 +109,28 @@ Query = Union[
 ]
 
 
+def search_of(query: Query, boundary: MBR) -> dict:
+    """What a query searches, as :func:`~repro.query.pipeline.key_windows`
+    keywords: its ``time_range``, spatial ``window`` and object ``oid``.
+
+    A threshold query searches its query MBR grown by the threshold (global
+    pruning); a top-k or kNN query its first expanding ring.
+    """
+    if isinstance(query, TemporalRangeQuery):
+        return {"time_range": query.time_range}
+    if isinstance(query, SpatialRangeQuery):
+        return {"window": query.window}
+    if isinstance(query, STRangeQuery):
+        return {"time_range": query.time_range, "window": query.window}
+    if isinstance(query, IDTemporalQuery):
+        return {"time_range": query.time_range, "oid": query.oid}
+    if isinstance(query, ThresholdSimilarityQuery):
+        return {"window": query.query.mbr.expanded(query.threshold)}
+    if isinstance(query, (TopKSimilarityQuery, KNNPointQuery)):
+        return {"window": query.ring(query.first_radius(boundary))}
+    raise TypeError(f"unknown query type: {type(query).__name__}")
+
+
 @dataclass
 class QueryResult:
     """Query output plus execution accounting.

@@ -13,9 +13,8 @@ execution).
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager, nullcontext
-from typing import Iterator, Optional, Sequence
+from contextlib import nullcontext
+from typing import Optional, Sequence
 
 from repro.cache.index_cache import BufferShapeCache, ShapeIndexCache
 from repro.cache.redis_sim import RedisServer
@@ -35,7 +34,7 @@ from repro.obs.profile import query_profile
 from repro.obs import profile_log as _obs_profile_log
 from repro.query.cost import calibrate
 from repro.query.executor import QueryExecutor
-from repro.query.pipeline import build_pipeline, ring_operators, ring_pipeline
+from repro.query.pipeline import build_pipeline, key_windows, ring_operators, ring_pipeline
 from repro.query.planner import QueryPlanner
 from repro.runtime.admission import INTERACTIVE, AdmissionController
 from repro.runtime.backpressure import WriteLimits
@@ -50,6 +49,7 @@ from repro.query.types import (
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
     finish_query,
+    search_of,
 )
 from repro.storage.config import TManConfig
 from repro.storage.meta import MetadataTable
@@ -184,8 +184,13 @@ class TMan:
         # Query processing.
         self.planner = QueryPlanner(config)
         self.planner.set_statistics_provider(self.stats_builder.snapshot)
-        self.planner.set_spatial_window_counter(lambda w: len(self.spatial_ranges(w)))
-        self._expansions = threading.local()  # .memo: see one_expansion
+        # The planner prices each route by the key windows its pipeline
+        # scans; the chosen plan carries them to the pipeline.
+        self.planner.set_window_source(
+            lambda q, index, route: key_windows(
+                self, index, route, **search_of(q, config.boundary)
+            )
+        )
         self.executor = QueryExecutor(self)
 
     # -- lifecycle -----------------------------------------------------------
@@ -221,30 +226,12 @@ class TMan:
     def spatial_ranges(self, window: MBR) -> list[tuple[int, int]]:
         """The TShape value ranges of ``window`` (Algorithm 2), pruned by the
         index cache's directory; without the cache (Fig. 16(b) ablation)
-        every element counts as occupied.  Inside :meth:`one_expansion` a
-        window is expanded once, whoever asks first."""
-        memo = getattr(self._expansions, "memo", None)
-        ranges = None if memo is None else memo.get(window)
-        if ranges is None:
-            if self.config.use_index_cache:
-                ranges = self.tshape_index.query_ranges(
-                    window, self.index_cache.get_mapping, True, self.index_cache.directory()
-                )
-            else:
-                ranges = self.tshape_index.query_ranges(window, None, False)
-            if memo is not None:
-                memo[window] = ranges
-        return ranges
-
-    @contextmanager
-    def one_expansion(self) -> Iterator[None]:
-        """Scope of one query on this thread: the ranges the planner
-        generated to price the tshape route are the ones the pipeline scans."""
-        self._expansions.memo = {}
-        try:
-            yield
-        finally:
-            self._expansions.memo = None
+        every element counts as occupied."""
+        if self.config.use_index_cache:
+            return self.tshape_index.query_ranges(
+                window, self.index_cache.get_mapping, True, self.index_cache.directory()
+            )
+        return self.tshape_index.query_ranges(window, None, False)
 
     def calibrate_costs(self) -> bool:
         """Fit the planner's cost model to this deployment's profiles.
@@ -351,7 +338,7 @@ class TMan:
         deadline = self._make_deadline(deadline_ms, allow_partial)
         # Install the profile before admission so queue wait is attributed
         # to the query that paid it.
-        with query_profile(type(q).__name__) as profile, self.one_expansion():
+        with query_profile(type(q).__name__) as profile:
             admission = (
                 nullcontext() if self.admission is None
                 else self.admission.admit(priority=priority, deadline=deadline)
@@ -375,12 +362,11 @@ class TMan:
     def explain(self, q) -> str:
         """The optimizer's plan and the stages the executor assembles for it
         (an iterative query's: one ring round's)."""
-        with self.one_expansion():
-            plan = self.planner.plan(q)
-            if isinstance(q, (TopKSimilarityQuery, KNNPointQuery)):
-                pipeline = ring_pipeline(self, plan, *ring_operators(self, q), [])
-            else:
-                pipeline = build_pipeline(self, q, plan)
+        plan = self.planner.plan(q)
+        if isinstance(q, (TopKSimilarityQuery, KNNPointQuery)):
+            pipeline = ring_pipeline(self, plan, *ring_operators(self, q), [])
+        else:
+            pipeline = build_pipeline(self, q, plan)
         return pipeline.describe()
 
     def explain_plans(self, q) -> list[dict]:

@@ -261,8 +261,9 @@ def test_hinted_handoff_delivers_after_restart():
         # The hinted write and tombstone really reached the victim's own
         # engine — read it directly, bypassing the replication layer.
         client = pc.client(victim)
-        assert client.call(rpc.OP_GET, ("handoff/region-0000", b"during")) == b"2"
-        assert client.call(rpc.OP_GET, ("handoff/region-0000", b"before")) is None
+        assert client.call(
+            rpc.OP_GET_BATCH, ("handoff/region-0000", [b"during", b"before"])
+        ) == [b"2", None]
     finally:
         pc.close()
 

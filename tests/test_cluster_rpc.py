@@ -32,7 +32,7 @@ def test_request_round_trip(sockpair):
 
 def test_request_defaults_to_unbounded(sockpair):
     a, b = sockpair
-    rpc.send_request(a, rpc.OP_PING, ())
+    rpc.send_request(a, rpc.OP_STATS, ())
     _, remaining_ms, _ = rpc.recv_request(b)
     assert remaining_ms == float("inf")
 
@@ -51,8 +51,8 @@ def test_response_round_trip_all_statuses(sockpair):
 
 def test_back_to_back_frames_do_not_bleed(sockpair):
     a, b = sockpair
-    rpc.send_request(a, rpc.OP_GET, (b"k1",))
-    rpc.send_request(a, rpc.OP_GET, (b"k2",))
+    rpc.send_request(a, rpc.OP_GET_BATCH, (b"k1",))
+    rpc.send_request(a, rpc.OP_GET_BATCH, (b"k2",))
     assert rpc.recv_request(b)[2] == (b"k1",)
     assert rpc.recv_request(b)[2] == (b"k2",)
 

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro import TMan
 from repro.model import MBR, TimeRange
 from repro.query.planner import QueryPlanner
 from repro.query.types import (
@@ -215,8 +216,11 @@ class TestIntervalPlanning:
             x = rng.uniform(1.0, 15.0)
             rows.append((MBR(x, 1.0, x + 0.3, 1.3), TimeRange(t, t + 0.5 * HOUR)))
         stats = stats_from_rows(rows)
-        planner = QueryPlanner(self.config())
-        planner.set_statistics_provider(lambda: stats)
-        # Query the most recent hour: everything after has no rows.
-        plan = planner.plan(TemporalRangeQuery(TimeRange(39.0 * HOUR, 40.5 * HOUR)))
+        # A deployment's planner: each route is priced by the key windows
+        # its pipeline would scan.
+        with TMan(self.config()) as tman:
+            planner = tman.planner
+            planner.set_statistics_provider(lambda: stats)
+            # Query the most recent hour: everything after has no rows.
+            plan = planner.plan(TemporalRangeQuery(TimeRange(39.0 * HOUR, 40.5 * HOUR)))
         assert plan.index == "interval"

@@ -12,6 +12,7 @@ from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.scan import StatsSnapshot
 from repro.model import MBR, STPoint, TimeRange, Trajectory
 from repro.query.cost import COST_MODEL, CostModel
+from repro.query.pipeline import key_windows
 from repro.query.planner import QueryPlanner
 from repro.query.types import (
     IDTemporalQuery,
@@ -21,6 +22,7 @@ from repro.query.types import (
     TemporalRangeQuery,
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
+    search_of,
 )
 from repro.storage.config import VALID_INDEXES, VALID_SECONDARY, TManConfig
 from repro.storage.statistics import TableStatisticsBuilder
@@ -132,16 +134,23 @@ class TestCBO:
     def test_candidate_cost_is_the_result_model_of_its_counters(self, model):
         """Each candidate costs what the planner's model charges for the
         counters the plan would add, counted as the regions count them."""
-        p = planner(primary="tshape", secondaries=("tr", "interval"), stats=self._stats())
-        p.cost_model = model
-        query = STRangeQuery(MBR(0, 0, 3.16, 3.16), TimeRange(0, 100_000))
-        matches = p.estimate_candidates(query)
-        windows = {
-            ("tshape", "primary"): 1,  # no window counter attached
-            ("tr", "secondary"): p._tr_window_count(query.time_range),
-            ("interval", "secondary"): 2,
-        }
-        cands = p.candidate_plans(query)
+        cfg = TManConfig(
+            boundary=BOUNDARY, primary_index="tshape",
+            secondary_indexes=("tr", "interval"), num_shards=2,
+        )
+        stats = self._stats()
+        with TMan(cfg) as tman:
+            p = tman.planner
+            p.set_statistics_provider(lambda: stats)
+            p.cost_model = model
+            query = STRangeQuery(MBR(0, 0, 3.16, 3.16), TimeRange(0, 100_000))
+            matches = p.estimate_candidates(query)
+            cands = p.candidate_plans(query)
+            windows = {
+                route: len(key_windows(tman, *route, **search_of(query, BOUNDARY)))
+                for route in (("tshape", "primary"), ("tr", "secondary"),
+                              ("interval", "secondary"))
+            }
         assert {(c.plan.index, c.plan.route) for c in cands} == set(windows)
         for c in cands:
             route = (c.plan.index, c.plan.route)
@@ -188,11 +197,12 @@ def plan_matrix(primary):
     """Candidate plans for every secondary subset x query x {no statistics,
     loaded + flushed deployment} of one primary index.
 
-    The golden file is this function's result dumped when plans were first
-    priced by the one :class:`~repro.query.cost.CostModel`, in modeled ms:
-    every key's ``est_rows`` and candidate set equal the 5f9e951 dump (whose
-    ``est_rows`` equal the d776ca7 one); the costs are re-priced, and each
-    of the 44 chosen plans that changed is the cheapest plan forced.
+    The golden file is this function's result dumped when each route was
+    first priced by the key windows its pipeline scans: every key's chosen
+    plan, candidate order and ``est_rows`` equal the 4215ade dump (the first
+    priced by the one :class:`~repro.query.cost.CostModel`, in modeled ms,
+    whose ``est_rows`` and candidate sets equal the 5f9e951 and d776ca7
+    ones); only the tshape/primary, st/primary and scan/scan costs moved.
     """
     data = tdrive_like(120, seed=19, max_points=24)
     queries = _matrix_queries(data)
