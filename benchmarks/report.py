@@ -3,6 +3,9 @@
 Collects every table under ``benchmarks/results/`` into a single document
 (stdout or a file), ordered by experiment id, so a full
 ``pytest benchmarks/ --benchmark-only`` run can be summarized in one place.
+The committed report is ``benchmarks/results/REPORT.txt``::
+
+    python -m benchmarks.report --output benchmarks/results/REPORT.txt
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ ORDER = [
     "ext_compression",
     "ext_storage_engines",
 ]
+# The report's own file: never a table of the report.
+REPORT_FILE = "REPORT.txt"
 
 
 def build_report(results_dir: Path) -> str:
@@ -64,7 +69,7 @@ def build_report(results_dir: Path) -> str:
             sections.append("")
     # Any table not in the curated order still gets included at the end.
     for path in sorted(results_dir.glob("*.txt")):
-        if path.name not in known:
+        if path.name not in known and path.name != REPORT_FILE:
             sections.append(path.read_text().rstrip())
             sections.append("")
     return "\n".join(sections)

@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro import TMan, TManConfig, open_tman, save_tman
-from repro.cache import RedisServer
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore import Cluster, DurableLSMStore
 
@@ -42,24 +41,27 @@ def durable_cluster(workdir: Path) -> None:
     config = TManConfig(
         boundary=TDRIVE_SPEC.boundary, max_resolution=14, num_shards=1, kv_workers=1
     )
-    redis = RedisServer()
-
     cluster = Cluster(workers=1, data_dir=workdir / "cluster")
-    tman = TMan(config, cluster=cluster, redis=redis)
+    tman = TMan(config, cluster=cluster)
     tman.bulk_load(data)
     target = data[7]
     cluster.close()
     print(f"wrote {len(data)} trajectories to {workdir / 'cluster'} and closed")
 
+    # Reopen from the directory alone: the rows, the index parameters and the
+    # shape-code mappings are all tables on disk, and a TMan constructed on a
+    # store that holds rows rebuilds the planner's statistics itself.
     cluster2 = Cluster(workers=1, data_dir=workdir / "cluster")
-    tman2 = TMan(config, cluster=cluster2, redis=redis)
-    # The planner's statistics are fed by the writer; these rows were written
-    # by the previous TMan, so refeed them from the row headers on disk.
-    tman2.rebuild_statistics()
-    res = tman2.temporal_range_query(target.time_range)
-    print(f"reopened from disk: {tman2.row_count} rows, "
-          f"TRQ found target: {target.tid in {t.tid for t in res.trajectories}}")
-    cluster2.close()
+    tman2 = TMan(config, cluster=cluster2)
+    try:
+        srq = {t.tid for t in tman2.spatial_range_query(target.mbr).trajectories}
+        trq = {t.tid for t in tman2.temporal_range_query(target.time_range).trajectories}
+        print(f"reopened from disk: {tman2.row_count} rows, "
+              f"SRQ found target: {target.tid in srq}, TRQ found target: {target.tid in trq}")
+        assert tman2.row_count == len(data)
+        assert target.tid in srq and target.tid in trq
+    finally:
+        cluster2.close()
 
 
 def wal_crash_recovery(workdir: Path) -> None:

@@ -6,7 +6,7 @@ user-facing API; subpackages hold the substrates:
 - :mod:`repro.model` -- trajectories, points, MBRs, time ranges;
 - :mod:`repro.core` -- the TR / TShape / IDT / ST indexes;
 - :mod:`repro.kvstore` -- the embedded range-partitioned key-value store;
-- :mod:`repro.cache` -- LFU + Redis-like index cache;
+- :mod:`repro.cache` -- the LFU shape index cache over the metadata table;
 - :mod:`repro.compression` -- lossless trajectory codecs;
 - :mod:`repro.similarity` -- Frechet / DTW / Hausdorff with pruning bounds;
 - :mod:`repro.storage` -- schema, serialization, and the :class:`TMan` facade;

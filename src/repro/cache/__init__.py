@@ -1,13 +1,14 @@
-"""Index-cache subsystem: LFU cache, a Redis-like server, and the shape cache.
+"""Index-cache subsystem: LFU cache, the shape index cache and the buffer shape cache.
 
 The paper persists the mapping ``<enlarged element, shape, final code>`` in
 Redis, pulls hot elements into a process-local LFU cache, and stages shapes
 for not-yet-optimized trajectories in a *buffer shape cache* that triggers
-re-encoding when full.  This package implements all three pieces.
+re-encoding when full.  Here the mappings are rows of the deployment's
+metadata table (``tman_meta``), so a deployment's directory holds them with
+its data; the LFU cache and the buffer shape cache are as in the paper.
 """
 
 from repro.cache.index_cache import BufferShapeCache, ShapeIndexCache
 from repro.cache.lfu import LFUCache
-from repro.cache.redis_sim import RedisServer
 
-__all__ = ["LFUCache", "RedisServer", "ShapeIndexCache", "BufferShapeCache"]
+__all__ = ["LFUCache", "ShapeIndexCache", "BufferShapeCache"]

@@ -69,9 +69,10 @@ _TORN_SKIPPED = _obs_counter(
 
 # The stored format this tree writes and reads: the row layout
 # (storage/serializer.py), the key and mapping-value layouts
-# (storage/schema.py) and the engine's files.  Bump it with any of them; a
+# (storage/schema.py), the shape-code mapping rows of the metadata table
+# (cache/index_cache.py) and the engine's files.  Bump it with any of them; a
 # saved deployment's config.json states it too (storage/persistence.py).
-FORMAT = 6
+FORMAT = 7
 FORMAT_FILE = "FORMAT"
 
 

@@ -154,7 +154,7 @@ def render_dashboard(
         f"({block_hits:.0f}h/{block_misses:.0f}m)   "
         f"index cache hit={_hit_rate(index_hits, index_misses)} "
         f"({index_hits:.0f}h/{index_misses:.0f}m)   "
-        f"redis roundtrips={_scalar(snapshot, 'cache_redis_roundtrips_total'):.0f}"
+        f"index reads={_scalar(snapshot, 'cache_redis_roundtrips_total'):.0f}"
     )
 
     # -- runtime ---------------------------------------------------------------

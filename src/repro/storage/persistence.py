@@ -1,11 +1,11 @@
 """Save and reopen whole TMan deployments.
 
-A deployment directory holds three artifacts:
+A deployment directory holds two artifacts:
 
 - ``config.json`` — the stored ``format`` (see below), the
   :class:`TManConfig` fields (boundary as a tuple) and the row count;
-- ``tables.snap`` — every KV table (primary, secondaries, metadata);
-- ``cache.rdb`` — the Redis-backed shape index cache.
+- ``tables.snap`` — every KV table (primary, secondaries, and the metadata
+  table with the index parameters and the shape-code mappings).
 
 ``save_tman`` / ``open_tman`` round-trip all state needed to keep querying:
 index parameters, every stored row, and the shape-code mappings.  The
@@ -31,7 +31,6 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.cache.redis_sim import RedisServer
 from repro.kvstore.durable import FORMAT, format_mismatch
 from repro.kvstore.errors import FormatMismatchError
 from repro.kvstore.snapshot import load_cluster, save_cluster
@@ -41,7 +40,6 @@ from repro.storage.tman import TMan, cluster_from
 
 CONFIG_FILE = "config.json"
 TABLES_FILE = "tables.snap"
-CACHE_FILE = "cache.rdb"
 # Fields TManConfig dropped on purpose; a config.json that still holds them
 # opens as if they were absent.
 RETIRED_KEYS = frozenset({
@@ -53,7 +51,7 @@ RETIRED_KEYS = frozenset({
 
 
 def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
-    """Persist a deployment (tables + index cache + config) to a directory."""
+    """Persist a deployment (tables + config) to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -68,7 +66,6 @@ def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
     doc["row_count"] = tman.row_count
     (directory / CONFIG_FILE).write_text(json.dumps(doc, indent=2))
     save_cluster(tman.cluster, directory / TABLES_FILE)
-    (directory / CACHE_FILE).write_bytes(tman.index_cache.redis.dump())
 
 
 def open_tman(
@@ -109,10 +106,8 @@ def open_tman(
     cluster = cluster_from(config)
     try:
         load_cluster(directory / TABLES_FILE, cluster)
-        redis = RedisServer.from_dump((directory / CACHE_FILE).read_bytes())
-        tman = TMan(config, cluster=cluster, redis=redis)
+        tman = TMan(config, cluster=cluster)
         tman._owns_cluster = True  # the restored cluster belongs to this facade
-        tman.rebuild_statistics()
     except BaseException:
         cluster.close()  # stops any workers the cluster started
         raise

@@ -17,7 +17,6 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.cache.index_cache import BufferShapeCache, ShapeIndexCache
-from repro.cache.redis_sim import RedisServer
 from repro.core.idt import IDTIndex
 from repro.core.interval import IntervalIndex
 from repro.core.quadtree import QuadTreeGrid
@@ -118,7 +117,6 @@ class TMan:
         self,
         config: TManConfig,
         cluster: Optional[Cluster] = None,
-        redis: Optional[RedisServer] = None,
     ):
         self.config = config
         self.cluster = cluster if cluster is not None else cluster_from(config)
@@ -147,26 +145,11 @@ class TMan:
         self.idt_index = IDTIndex(self.tr_index)
         self.st_index = STIndex(self.tr_index, self.tshape_index, config.st_window_budget)
 
-        # Storage plumbing.
-        self.serializer = RowSerializer(dp_epsilon=config.dp_epsilon)
-        self.keys = RowKeyCodec(config.num_shards, config.primary_index_width)
-        self.index_cache = ShapeIndexCache(redis)
-        self.buffer_cache = BufferShapeCache(config.buffer_shape_threshold)
-        self.encoder = ShapeEncoder(config.shape_encoding)
-
-        self.primary_table = self.cluster.create_table(PRIMARY_TABLE, if_not_exists=True)
-        self.secondary_tables = {
-            name: self.cluster.create_table(f"tman_sec_{name}", if_not_exists=True)
-            for name in config.secondary_indexes
-        }
-        # The CBO's statistics: the writer reports every row it writes or
-        # deletes to the builder, and the planner pulls a fresh snapshot per
-        # plan through the provider below.
-        self.stats_builder = TableStatisticsBuilder(
-            config.boundary, config.tr_period_seconds, origin=config.time_origin
-        )
+        # Storage plumbing.  The metadata table holds the index parameters
+        # the stored rows were encoded with (a store that has them must be
+        # opened with the same) and the shape-code mappings.
         self.meta = MetadataTable(self.cluster)
-        self.meta.record_config(
+        reopened = self.meta.record_config(
             {
                 "primary_index": config.primary_index,
                 "secondary_indexes": list(config.secondary_indexes),
@@ -180,6 +163,26 @@ class TMan:
                 "boundary": config.boundary.as_tuple(),
             }
         )
+        self.serializer = RowSerializer(dp_epsilon=config.dp_epsilon)
+        self.keys = RowKeyCodec(config.num_shards, config.primary_index_width)
+        self.index_cache = ShapeIndexCache(self.meta.table)
+        self.buffer_cache = BufferShapeCache(config.buffer_shape_threshold)
+        self.encoder = ShapeEncoder(config.shape_encoding)
+
+        self.primary_table = self.cluster.create_table(PRIMARY_TABLE, if_not_exists=True)
+        self.secondary_tables = {
+            name: self.cluster.create_table(f"tman_sec_{name}", if_not_exists=True)
+            for name in config.secondary_indexes
+        }
+        # The CBO's statistics: the writer reports every row it writes or
+        # deletes to the builder, and the planner pulls a fresh snapshot per
+        # plan through the provider below.  Rows an earlier facade wrote are
+        # refed from their headers.
+        self.stats_builder = TableStatisticsBuilder(
+            config.boundary, config.tr_period_seconds, origin=config.time_origin
+        )
+        if reopened:
+            self.rebuild_statistics()
 
         # Query processing.
         self.planner = QueryPlanner(config)
@@ -249,8 +252,9 @@ class TMan:
     def rebuild_statistics(self) -> None:
         """Refeed the statistics builder from a scan of primary row headers.
 
-        Used after reopening a saved deployment, whose rows were written by
-        another process: the headers carry exactly what the writer reported.
+        The constructor calls it on a store that earlier facades wrote to
+        (a reopened directory): the headers carry exactly what the writer
+        reported.
         """
         from repro.kvstore.scan import Scan
 

@@ -239,7 +239,8 @@ class StorageWriter:
         Elements that already carry a mapping (incremental bulk loads) keep
         their existing final codes; genuinely new shapes take free codes
         (see :func:`_free_codes`) so previously written rows stay valid.
-        Every code is chosen before the first index-cache write.
+        Every code is chosen first, and the new and extended mappings are
+        stored with one ``put_batch`` before the first row.
         """
         report = WriteReport()
         ledger = QueryProfile("bulk_load")
@@ -251,21 +252,19 @@ class StorageWriter:
             for p in prepared:
                 by_element.setdefault(p.key.element_code, []).append(p.key.raw_shape)
             limit = 1 << self._t.tshape_index.shape_bits
-            mappings: list[tuple[int, dict[int, int]]] = []
-            additions: list[tuple[int, int, int]] = []
+            updates: dict[int, dict[int, int]] = {}
             for element_code, shapes in by_element.items():
                 existing = self._t.index_cache.get_mapping(element_code)
                 if existing is None:
-                    mappings.append((element_code, self._t.encoder.encode(shapes)))
+                    updates[element_code] = self._t.encoder.encode(shapes)
+                    report.elements_encoded += 1
                     continue
                 new_shapes = sorted(set(shapes) - set(existing))
-                codes = _free_codes(existing.values(), len(new_shapes), limit)
-                additions += [(element_code, s, c) for s, c in zip(new_shapes, codes)]
-            for element_code, mapping in mappings:
-                self._t.index_cache.put_mapping(element_code, mapping)
-            for element_code, shape, code in additions:
-                self._t.index_cache.add_shape(element_code, shape, code)
-            report.elements_encoded = len(mappings)
+                if new_shapes:
+                    codes = _free_codes(existing.values(), len(new_shapes), limit)
+                    updates[element_code] = dict(zip(new_shapes, codes))
+            # Every mapping is stored before the first row that carries its codes.
+            self._t.index_cache.add_shapes(updates)
 
             lookup = self._t.index_cache.lookup_final_code
             for chunk in _point_chunks(prepared, lambda p: len(p.traj)):
@@ -289,34 +288,37 @@ class StorageWriter:
         with profile_scope(ledger):
             t0 = time.perf_counter()
             staged: list[tuple[_Prepared, int, bytes]] = []
+            # Identity mappings of the shapes staged since the last send: they
+            # are stored with one put_batch before the rows that carry them.
+            fresh: dict[int, dict[int, int]] = {}
+
+            def send() -> float:
+                self._t.index_cache.add_shapes(fresh)
+                fresh.clear()
+                return self._send(staged)
+
             for chunk in _point_chunks(self._prepare_batch(trajs), lambda p: len(p.traj)):
                 for p, row in zip(chunk, self._encode_rows(chunk)):
-                    final = self._t.index_cache.lookup_final_code(
-                        p.key.element_code, p.key.raw_shape
-                    )
+                    element_code, shape = p.key.element_code, p.key.raw_shape
+                    final = self._t.index_cache.lookup_final_code(element_code, shape)
                     overflow = False
-                    if final is None:
+                    if final is None and shape not in fresh.get(element_code, ()):
                         # Unknown shape: store under the raw bitmap and stage
                         # it.  Registering the identity mapping keeps the row
                         # reachable by queries until the next re-encode.
-                        self._t.index_cache.add_shape(
-                            p.key.element_code, p.key.raw_shape, p.key.raw_shape
-                        )
-                        overflow = self._t.buffer_cache.add(
-                            p.key.element_code, p.key.raw_shape
-                        )
-                        final = p.key.raw_shape
-                    staged.append((p, final, row))
+                        fresh.setdefault(element_code, {})[shape] = shape
+                        overflow = self._t.buffer_cache.add(element_code, shape)
+                    staged.append((p, shape if final is None else final, row))
                     report.rows_written += 1
                     if overflow:
                         # The re-encode rescans the element's stored rows:
                         # everything staged so far must be stored first.
-                        report.write_seconds += self._send(staged)
+                        report.write_seconds += send()
                         t1 = time.perf_counter()
                         report.reencodes_triggered += 1
                         report.rows_rewritten += self._reencode()
                         report.write_seconds += time.perf_counter() - t1
-                report.write_seconds += self._send(staged)
+                report.write_seconds += send()
             report.encode_seconds = time.perf_counter() - t0 - report.write_seconds
         report.take_backpressure(ledger)
         self._record_ingest(report)

@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, QueryWorkload, tdrive_like
+from repro.geometry.distance import point_to_polyline_arrays
 from repro.geometry.relations import polyline_intersects_rect
 from repro.model import MBR, STPoint, TimeRange, Trajectory
 from repro.query.types import (
@@ -21,6 +22,7 @@ from repro.query.types import (
     ThresholdSimilarityQuery,
     TopKSimilarityQuery,
 )
+from repro.similarity.measures import distance_by_name
 
 # `pytest --hypothesis-profile=fuzz`: a deeper, still reproducible sweep of
 # the property tests that leave their example count to the profile.
@@ -88,6 +90,46 @@ def brute_force_spatial(trajs, window: MBR):
     )
 
 
+def brute_force_query(trajs, q):
+    """``(tids, distances)`` of any query descriptor over the raw
+    trajectories, from the brute-force helpers and the exact kernels: sorted
+    tids for the single-pass types, the ranked answer and its distances for
+    top-k and kNN."""
+    if isinstance(q, TemporalRangeQuery):
+        return brute_force_temporal(trajs, q.time_range), None
+    if isinstance(q, SpatialRangeQuery):
+        return brute_force_spatial(trajs, q.window), None
+    if isinstance(q, STRangeQuery):
+        both = set(brute_force_temporal(trajs, q.time_range))
+        return sorted(both & set(brute_force_spatial(trajs, q.window))), None
+    if isinstance(q, IDTemporalQuery):
+        own = [t for t in trajs if t.oid == q.oid]
+        return brute_force_temporal(own, q.time_range), None
+    if isinstance(q, ThresholdSimilarityQuery):
+        distance = distance_by_name(q.measure)
+        return sorted(
+            t.tid
+            for t in trajs
+            if t.tid != q.query.tid
+            and distance(q.query.points, t.points) <= q.threshold
+        ), None
+    if isinstance(q, TopKSimilarityQuery):
+        distance = distance_by_name(q.measure)
+        ranked = sorted(
+            (distance(q.query.points, t.points), t.tid)
+            for t in trajs
+            if t.tid != q.query.tid
+        )
+    else:
+        assert isinstance(q, KNNPointQuery)
+        ranked = sorted(
+            (point_to_polyline_arrays(q.x, q.y, *t.xy_arrays()[1:]), t.tid)
+            for t in trajs
+        )
+    ranked = ranked[: q.k]
+    return [tid for _, tid in ranked], [d for d, _ in ranked]
+
+
 @pytest.fixture(scope="session")
 def brute():
     """Expose the brute-force reference functions as a namespace fixture."""
@@ -95,6 +137,7 @@ def brute():
     class _Brute:
         temporal = staticmethod(brute_force_temporal)
         spatial = staticmethod(brute_force_spatial)
+        query = staticmethod(brute_force_query)
 
     return _Brute
 

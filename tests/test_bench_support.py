@@ -75,6 +75,13 @@ class TestReport:
         # Curated entries come before unknown extras.
         assert report.index("Fig 15 table") < report.index("Extra table")
 
+    def test_skips_its_own_output(self, tmp_path):
+        (tmp_path / "fig15_alpha_beta.txt").write_text("Fig 15 table\n----\nrow\n")
+        (tmp_path / "REPORT.txt").write_text("An earlier report\n")
+        report = build_report(tmp_path)
+        assert "Fig 15 table" in report
+        assert "An earlier report" not in report
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             build_report(tmp_path / "nope")

@@ -1,74 +1,54 @@
-"""Unit tests for the Redis stand-in and the shape index cache."""
+"""Unit tests for the shape index cache over the metadata table and the
+buffer shape cache."""
 
 import numpy as np
 import pytest
 
-from repro.cache import BufferShapeCache, RedisServer, ShapeIndexCache
+from repro.cache import BufferShapeCache, ShapeIndexCache
+from repro.cache.index_cache import MAPPING_PREFIX, mapping_key, pack_mapping, unpack_mapping
+from repro.kvstore import Cluster, Scan
+from repro.kvstore.errors import CorruptionError
 
 
-class TestRedisServer:
-    def test_string_ops(self):
-        r = RedisServer()
-        r.set("k", b"v")
-        assert r.get("k") == b"v"
-        assert r.get("missing") is None
+def _meta():
+    """An empty ``tman_meta`` table of a fresh in-memory cluster."""
+    return Cluster(workers=1).create_table("tman_meta")
 
-    def test_delete(self):
-        r = RedisServer()
-        r.set("k", b"v")
-        assert r.delete("k") == 1
-        assert r.delete("k") == 0
 
-    def test_hash_ops(self):
-        r = RedisServer()
-        r.hset("h", "f1", b"1")
-        r.hset("h", "f2", b"2")
-        assert r.hgetall("h") == {"f1": b"1", "f2": b"2"}
-
-    def test_keys_pattern(self):
-        r = RedisServer()
-        r.set("a:1", b"")
-        r.set("a:2", b"")
-        r.set("b:1", b"")
-        assert r.keys("a:*") == ["a:1", "a:2"]
-
-    def test_ops_counter(self):
-        r = RedisServer()
-        r.set("k", b"v")
-        r.get("k")
-        assert r.ops == 2
+def _cache(**kwargs):
+    return ShapeIndexCache(_meta(), **kwargs)
 
 
 class TestShapeIndexCache:
     def test_put_get_mapping(self):
-        cache = ShapeIndexCache()
+        cache = _cache()
         cache.put_mapping(42, {0b101: 0, 0b110: 1})
         assert cache.get_mapping(42) == {0b101: 0, 0b110: 1}
 
     def test_missing_element_is_none(self):
-        assert ShapeIndexCache().get_mapping(99) is None
+        assert _cache().get_mapping(99) is None
 
     def test_lookup_final_code(self):
-        cache = ShapeIndexCache()
+        cache = _cache()
         cache.put_mapping(7, {3: 0, 5: 1})
         assert cache.lookup_final_code(7, 5) == 1
         assert cache.lookup_final_code(7, 9) is None
 
     def test_remote_fallback_after_local_eviction(self):
-        cache = ShapeIndexCache(local_capacity=1)
+        cache = _cache(local_capacity=1)
         cache.put_mapping(1, {1: 0})
         cache.put_mapping(2, {2: 0})  # evicts element 1 locally
         assert cache.get_mapping(1) == {1: 0}
         assert cache.remote_fetches >= 1
 
     def test_add_shape_appends(self):
-        cache = ShapeIndexCache()
+        cache = _cache()
         cache.put_mapping(5, {1: 0})
         cache.add_shape(5, 2, 1)
         assert cache.get_mapping(5) == {1: 0, 2: 1}
 
     def test_directory_follows_the_two_writers(self):
-        cache = ShapeIndexCache()
+        cache = _cache()
         assert cache.directory().tolist() == []
         cache.put_mapping(10, {1: 0})
         cache.put_mapping(3, {1: 0})
@@ -77,26 +57,88 @@ class TestShapeIndexCache:
         cache.add_shape(7, 1, 1)  # new element (an insert's raw shape)
         directory = cache.directory()
         assert directory.dtype == np.int64 and directory.tolist() == [3, 7, 10]
-        # Own writes are tracked locally: a read is one generation check.
+        # The directory is local: reading it reads no table.
         before = cache.remote_fetches
         assert cache.directory() is directory
-        assert cache.remote_fetches == before + 1
+        assert cache.remote_fetches == before
+
+    def test_rows_are_keyed_by_big_endian_code_under_one_prefix(self):
+        table = _meta()
+        cache = ShapeIndexCache(table)
+        cache.add_shapes({258: {5: 1, 2: 0}, 1: {9: 3}})
+        cache.put_mapping(1 << 40, {0: 0})
+        rows = list(table.scan(Scan()))
+        assert [key for key, _ in rows] == [mapping_key(c) for c in (1, 258, 1 << 40)]
+        # Per pair in shape order: the gap from the previous shape, the code.
+        assert rows[1] == (MAPPING_PREFIX + (258).to_bytes(8, "big"), b"\x02\x00\x03\x01")
+        wide = {1 << 60: 1 << 59, 3: 1, 300: 0}
+        assert unpack_mapping(pack_mapping(wide)) == wide
+        with pytest.raises(CorruptionError):
+            unpack_mapping(b"\x02\x00\x03")  # a shape without its code
+        with pytest.raises(CorruptionError):
+            unpack_mapping(b"\x02\x80")  # a cut varint
+
+    def test_new_cache_lists_the_stored_elements_once(self):
+        """A cache built on a table that holds mappings lists their elements
+        with one prefix scan, reads a mapping on its first lookup only, and
+        answers an unlisted element with no read at all."""
+        table = _meta()
+        table.put(b"config", b"{}")  # the parameters row sorts before every mapping row
+        writer = ShapeIndexCache(table)
+        writer.put_mapping(4, {1: 0, 6: 1})
+        writer.add_shapes({2: {3: 3}, 4: {8: 2}})
+        reader = ShapeIndexCache(table)
+        assert reader.remote_fetches == 1  # the construction scan
+        assert reader.directory().tolist() == [2, 4]
+        assert reader.get_mapping(4) == {1: 0, 6: 1, 8: 2}
+        assert reader.get_mapping(4) == {1: 0, 6: 1, 8: 2}
+        assert reader.get_mapping(5) is None
+        assert reader.remote_fetches == 2
+        # Elements stored after it was built are not its concern: one writer.
+        writer.put_mapping(9, {1: 1})
+        assert reader.get_mapping(9) is None
+
+    def test_fresh_bulk_load_reads_no_mapping_row(self, monkeypatch):
+        """A bulk load asks for every element's mapping; on a fresh store the
+        directory lists none, so no lookup reads the metadata table, and the
+        load stores every mapping with one put_batch before any data row."""
+        from repro import TMan, TManConfig
+        from repro.datasets import TDRIVE_SPEC, tdrive_like
+        from repro.kvstore.table import Table
+
+        with TMan(TManConfig(boundary=TDRIVE_SPEC.boundary, max_resolution=12,
+                             num_shards=2, kv_workers=1)) as tman:
+            cache = tman.index_cache
+            assert cache.stats().remote_fetches == 1  # the construction scan
+            batches = []
+            put_batch = Table.put_batch
+
+            def recorded(table, rows):
+                batches.append((table.name, len(rows)))
+                return put_batch(table, rows)
+
+            monkeypatch.setattr(Table, "put_batch", recorded)
+            tman.bulk_load(tdrive_like(150, seed=8, max_points=20))
+            assert cache.stats().remote_fetches == 1
+            assert batches[0] == ("tman_meta", len(cache.directory()))
+            assert [name for name, _ in batches].count("tman_meta") == 1
 
     def test_round_trip_counters_agree(self):
         """``remote_fetches`` and ``cache_redis_roundtrips_total`` count the
-        same event: every read round trip, empty answers included."""
+        same event: every read of the metadata table, the construction scan
+        included; a lookup of an unlisted element reads nothing."""
         from repro.obs import registry
 
-        cache = ShapeIndexCache(local_capacity=1)
         total = registry().get("cache_redis_roundtrips_total")
         before = total.value
+        cache = _cache(local_capacity=1)  # the prefix scan
         cache.put_mapping(1, {1: 0})
         cache.put_mapping(2, {2: 0})  # evicts element 1 locally
-        assert cache.get_mapping(1) == {1: 0}  # HGETALL
-        assert cache.get_mapping(99) is None  # HGETALL, empty
-        cache.directory()  # generation check + key listing
-        assert cache.remote_fetches == 4 == total.value - before
-        assert cache.stats().remote_fetches == 4
+        assert cache.get_mapping(1) == {1: 0}  # a row get
+        assert cache.get_mapping(99) is None  # not listed: no read
+        cache.directory()  # local
+        assert cache.remote_fetches == 2 == total.value - before
+        assert cache.stats().remote_fetches == 2
 
     def test_concurrent_readers_do_not_corrupt_the_lfu(self):
         # Queries on many threads share one cache; an unlocked LFU touch
@@ -104,7 +146,7 @@ class TestShapeIndexCache:
         import sys
         import threading
 
-        cache = ShapeIndexCache(local_capacity=4)
+        cache = _cache(local_capacity=4)
         for element in range(8):  # twice the capacity: hits, misses, evictions
             cache.put_mapping(element, {1: element})
         errors = []
@@ -147,66 +189,42 @@ class TestShapeIndexCache:
         assert errors == []
         assert cache.directory().tolist() == list(range(8)) + list(range(100, 400))
 
-    def test_listing_never_drops_an_element_merged_meanwhile(self, monkeypatch):
-        """Reader A lists the keys; before A merges its listing, another
-        reader merges, an element is published, and a third reader merges
-        that element.  A's listing predates the element, yet the directory
-        A leaves behind (and returns) must still hold it."""
-        cache = ShapeIndexCache()
-        cache.put_mapping(1, {1: 0})
-        cache.put_mapping(2, {1: 0})  # two publishes: the array is stale
-        real_keys = cache.redis.keys
-        listings = []
-
-        def keys(pattern):
-            listed = real_keys(pattern)
-            listings.append(listed)
-            if len(listings) == 1:  # reader A, between its keys() and merge
-                assert cache.directory().tolist() == [1, 2]  # reader B lists
-                cache.add_shape(9, 1, 0)
-                assert cache.directory().tolist() == [1, 2, 9]  # merges 9
-            return listed
-
-        monkeypatch.setattr(cache.redis, "keys", keys)
-        assert cache.directory().tolist() == [1, 2, 9]  # reader A
-        assert len(listings) == 2 and "tshape:elem:9" not in listings[0]
-        assert cache.directory().tolist() == [1, 2, 9]
-        assert len(listings) == 2  # the merged array is current: no relisting
-
     def test_shared_redis_between_instances(self):
-        redis = RedisServer()
-        a = ShapeIndexCache(redis)
-        b = ShapeIndexCache(redis)
+        """Two caches on one metadata table: each sees what was stored before
+        it was built, and the writer's later elements reach a cache built
+        after them."""
+        table = _meta()
+        a = ShapeIndexCache(table)
         a.put_mapping(1, {7: 0})
+        b = ShapeIndexCache(table)
         assert b.get_mapping(1) == {7: 0}
         assert b.directory().tolist() == [1]
-        # b's directory is loaded; a's later elements must still reach it.
         a.add_shape(5, 3, 3)
-        b.put_mapping(9, {1: 0})
-        assert a.directory().tolist() == b.directory().tolist() == [1, 5, 9]
+        a.put_mapping(9, {1: 0})
+        assert a.directory().tolist() == [1, 5, 9]
+        assert b.directory().tolist() == [1]
+        assert ShapeIndexCache(table).directory().tolist() == [1, 5, 9]
 
     def test_second_deployment_on_shared_redis_answers_a_full_srq(self):
-        """Two facades over one cluster and one Redis: the reader's directory
-        was loaded (empty) before the writer stored anything."""
+        """Two facades over one cluster: a reader built after the writer's
+        bulk load and inserts finds every trajectory, by its own MBR too."""
         from repro import TMan, TManConfig
         from repro.datasets import TDRIVE_SPEC, tdrive_like
-        from repro.kvstore.cluster import Cluster
 
         data = tdrive_like(80, seed=31, max_points=20)
         config = TManConfig(
             boundary=TDRIVE_SPEC.boundary, max_resolution=12, num_shards=2,
             kv_workers=1, buffer_shape_threshold=100_000,
         )
-        redis = RedisServer()
         with Cluster(workers=1) as cluster:
-            writer = TMan(config, cluster=cluster, redis=redis)
-            reader = TMan(config, cluster=cluster, redis=redis)
-            window = TDRIVE_SPEC.boundary
-            assert reader.spatial_range_query(window).trajectories == []
+            writer = TMan(config, cluster=cluster)
             writer.bulk_load(data[:60])
+            writer.insert(data[60:])  # raw shapes on elements new to the load
+            reader = TMan(config, cluster=cluster)
+            window = TDRIVE_SPEC.boundary
             got = {t.tid for t in reader.spatial_range_query(window).trajectories}
-            assert got == {t.tid for t in data[:60]}
-            writer.insert(data[60:])  # add_shape on elements new to both
+            assert got == {t.tid for t in data}
+            assert reader.row_count == len(data)
             for target in data:
                 res = reader.spatial_range_query(target.mbr)
                 assert target.tid in {t.tid for t in res.trajectories}

@@ -12,24 +12,14 @@ import pytest
 
 from repro import TMan, TManConfig
 from repro.datasets import TDRIVE_SPEC, tdrive_like
-from repro.geometry.distance import point_to_polyline_arrays
 from repro.model import MBR, TimeRange
 from repro.model.pointblock import PointBlock
 from repro.model.trajectory import Trajectory
 from repro.query.cost import calibrate
 from repro.query.planner import QueryPlan
-from repro.query.types import (
-    IDTemporalQuery,
-    KNNPointQuery,
-    SpatialRangeQuery,
-    STRangeQuery,
-    TemporalRangeQuery,
-    ThresholdSimilarityQuery,
-    TopKSimilarityQuery,
-)
-from repro.similarity.measures import distance_by_name
+from repro.query.types import SpatialRangeQuery, STRangeQuery, TemporalRangeQuery
 
-from .conftest import brute_force_spatial, brute_force_temporal, seven_queries
+from .conftest import brute_force_query as oracle, seven_queries
 
 N_TRAJS = 80
 SEED = 515
@@ -79,45 +69,6 @@ def deployments(dataset):
 QUERY_NAMES = ["temporal", "spatial", "st", "idt", "threshold", "topk", "knn"]
 RANGE_NAMES = ["temporal", "spatial", "st", "idt"]
 DEPLOYMENTS = list(LAYOUTS)
-
-
-def oracle(dataset, q):
-    """``(tids, distances)`` over the raw trajectories, from the brute-force
-    helpers and the exact kernels: sorted tids for the single-pass types,
-    the ranked answer and its distances for top-k and kNN."""
-    if isinstance(q, TemporalRangeQuery):
-        return brute_force_temporal(dataset, q.time_range), None
-    if isinstance(q, SpatialRangeQuery):
-        return brute_force_spatial(dataset, q.window), None
-    if isinstance(q, STRangeQuery):
-        both = set(brute_force_temporal(dataset, q.time_range))
-        return sorted(both & set(brute_force_spatial(dataset, q.window))), None
-    if isinstance(q, IDTemporalQuery):
-        own = [t for t in dataset if t.oid == q.oid]
-        return brute_force_temporal(own, q.time_range), None
-    if isinstance(q, ThresholdSimilarityQuery):
-        distance = distance_by_name(q.measure)
-        return sorted(
-            t.tid
-            for t in dataset
-            if t.tid != q.query.tid
-            and distance(q.query.points, t.points) <= q.threshold
-        ), None
-    if isinstance(q, TopKSimilarityQuery):
-        distance = distance_by_name(q.measure)
-        ranked = sorted(
-            (distance(q.query.points, t.points), t.tid)
-            for t in dataset
-            if t.tid != q.query.tid
-        )
-    else:
-        assert isinstance(q, KNNPointQuery)
-        ranked = sorted(
-            (point_to_polyline_arrays(q.x, q.y, *t.xy_arrays()[1:]), t.tid)
-            for t in dataset
-        )
-    ranked = ranked[: q.k]
-    return [tid for _, tid in ranked], [d for d, _ in ranked]
 
 
 @pytest.mark.parametrize("dname", DEPLOYMENTS)

@@ -125,7 +125,6 @@ class TestDurableTable:
 class TestDurableTMan:
     def test_tman_over_durable_cluster(self, tmp_path):
         from repro import TMan, TManConfig
-        from repro.cache import RedisServer
         from repro.datasets import TDRIVE_SPEC, tdrive_like
 
         data = tdrive_like(40, seed=777)
@@ -133,19 +132,17 @@ class TestDurableTMan:
             boundary=TDRIVE_SPEC.boundary, max_resolution=12,
             num_shards=1, kv_workers=1,
         )
-        redis = RedisServer()
         cluster = Cluster(workers=1, data_dir=tmp_path / "tman")
-        tman = TMan(config, cluster=cluster, redis=redis)
+        tman = TMan(config, cluster=cluster)
         tman.bulk_load(data)
         target = data[3]
         cluster.close()
 
-        # Reopen the same directory: rows and mappings are all on disk /
-        # in the shared Redis instance.
+        # Reopen the same directory: rows and mappings are all on disk.
         cluster2 = Cluster(workers=1, data_dir=tmp_path / "tman")
-        tman2 = TMan(config, cluster=cluster2, redis=redis)
-        tman2.rebuild_statistics()
+        tman2 = TMan(config, cluster=cluster2)
         try:
+            assert tman2.row_count == len(data)
             res = tman2.spatial_range_query(target.mbr)
             assert target.tid in {t.tid for t in res.trajectories}
             res = tman2.temporal_range_query(target.time_range)

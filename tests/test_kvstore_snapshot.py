@@ -1,8 +1,7 @@
-"""Tests for cluster snapshots and the Redis dump format."""
+"""Tests for cluster snapshots."""
 
 import pytest
 
-from repro.cache import RedisServer
 from repro.kvstore import Cluster, Scan
 from repro.kvstore.errors import CorruptionError
 from repro.kvstore.snapshot import load_cluster, save_cluster
@@ -62,28 +61,3 @@ class TestClusterSnapshot:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(CorruptionError):
             load_cluster(path)
-
-
-class TestRedisDump:
-    def test_roundtrip(self):
-        r = RedisServer()
-        r.set("plain", b"value")
-        r.hset("hash", "f1", b"\x00\x01binary")
-        r.hset("hash", "f2", b"")
-        restored = RedisServer.from_dump(r.dump())
-        assert restored.get("plain") == b"value"
-        assert restored.hgetall("hash") == {"f1": b"\x00\x01binary", "f2": b""}
-
-    def test_empty(self):
-        restored = RedisServer.from_dump(RedisServer().dump())
-        assert restored.keys() == []
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            RedisServer.from_dump(b"nope")
-
-    def test_unicode_keys(self):
-        r = RedisServer()
-        r.hset("缓存:1", "字段", b"v")
-        restored = RedisServer.from_dump(r.dump())
-        assert restored.hgetall("缓存:1") == {"字段": b"v"}

@@ -111,8 +111,9 @@ class TestWindowGenerationCounts:
             lookups = (after.hits + after.misses) - (before.hits + before.misses)
             assert 0 < lookups <= touched <= len(anchors)
             assert after.misses == before.misses
-            # Warm: the directory's generation check is the only round trip.
-            assert after.remote_fetches - before.remote_fetches == 1
+            # Warm: the directory is local and every mapping is in the LFU,
+            # so the query reads the metadata table not at all.
+            assert after.remote_fetches == before.remote_fetches
 
     def test_one_expansion_per_query_whichever_plan_wins(self, loaded, expansions):
         tman, data = loaded

@@ -8,7 +8,8 @@ meeting each trajectory's own MBR (a window that only intersects its
 element, so the route reads the element's shape codes): each must come back
 exactly once (the read path de-duplicates the short-lived second copy by
 tid).  The durable deployment is also closed and reopened from its
-directory first.
+directory alone, under a fresh ``TMan`` that shares nothing with the one
+that crashed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro import TMan, TManConfig
-from repro.cache.redis_sim import RedisServer
 from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.simfault import SimulatedCrash
@@ -39,8 +39,9 @@ LAYOUTS = {
     # The primary key holds no shape code: only the tshape rows move.
     "tr": ("tr", ("tshape", "idt")),
 }
-# Mutations one re-encode makes per layout (3 rows rewritten each time).
-MUTATIONS = {"tshape": 12, "st": 18, "tr": 6}
+# Mutations one re-encode makes per layout: 3 rows rewritten each time,
+# then one tman_meta put per re-encoded element (3) stores its mapping.
+MUTATIONS = {"tshape": 15, "st": 21, "tr": 9}
 
 
 def _config(layout: str) -> TManConfig:
@@ -141,16 +142,15 @@ def test_durable_crash_at_every_mutation(monkeypatch, tmp_path, layout):
     config = _config(layout)
     for k in range(1, MUTATIONS[layout] + 1):
         data_dir = tmp_path / f"k{k}"
-        redis = RedisServer()  # the shape-code cache outlives the store process
         with monkeypatch.context() as patch:
             _CrashInReencode(patch, k)
             cluster = Cluster(workers=1, data_dir=data_dir)
-            tman = TMan(config, cluster=cluster, redis=redis)
+            tman = TMan(config, cluster=cluster)
             _load(tman)
         _assert_each_once(tman)
         cluster.close()
         cluster = Cluster(workers=1, data_dir=data_dir)
         try:
-            _assert_each_once(TMan(config, cluster=cluster, redis=redis))
+            _assert_each_once(TMan(config, cluster=cluster))
         finally:
             cluster.close()

@@ -38,7 +38,8 @@ class TestSaveOpen:
     def test_directory_layout(self, saved_dir):
         assert (saved_dir / "config.json").exists()
         assert (saved_dir / "tables.snap").exists()
-        assert (saved_dir / "cache.rdb").exists()
+        # The shape-code mappings are rows of the metadata table.
+        assert sorted(p.name for p in saved_dir.iterdir()) == ["config.json", "tables.snap"]
 
     def test_config_restored(self, saved_dir):
         with open_tman(saved_dir) as tman:
@@ -238,9 +239,10 @@ class TestParentFormatDeployment:
     ``row_format_version`` and the other retired knobs; the ``rewrite.py``
     beside it later brought its rows to the current format (primary rows to
     row version 6, secondary values cut to ``shard :: primary index
-    value``, ``config.json`` stamped with the stored format and its
-    ``simple8b`` codec entry dropped; keys, every other config entry and
-    cache untouched)."""
+    value``, the shape-code mappings of its old cache dump moved into
+    ``tman_meta`` rows, ``config.json`` stamped with the stored format and
+    its ``simple8b`` codec entry dropped; every other key and config entry
+    untouched)."""
 
     def test_reopens_ignoring_retired_keys(self):
         doc = json.loads((DATA_DIR / "deployment_parent" / "config.json").read_text())
@@ -250,11 +252,9 @@ class TestParentFormatDeployment:
                 "row_format_version"} <= retired
         dataset = tdrive_like(12, seed=77)
         with open_tman(DATA_DIR / "deployment_parent") as tman:
-            # Its cache.rdb predates the occupied-element directory: no
-            # generation key, so the directory is listed from the hashes.
-            cache = tman.index_cache
-            assert cache.redis.keys("*directory_gen") == []
-            assert cache.directory().tolist() == sorted(
+            # The directory is listed from the mapping rows the rewrite
+            # moved into tman_meta.
+            assert tman.index_cache.directory().tolist() == sorted(
                 {tman.tshape_index.index_trajectory(t).element_code for t in dataset}
             )
             assert tman.config.max_resolution == 12

@@ -119,9 +119,10 @@ class TestInsert:
             assert after.misses == before.misses
             assert after.hits == before.hits + len(untouched)
             assert after.remote_fetches == before.remote_fetches
-            # (b) the local layer agrees with Redis on every element, and the
-            # key each row is stored under is the one queries ask for.
-            remote = ShapeIndexCache(cache.redis)
+            # (b) the local layer agrees with the metadata table on every
+            # element, and the key each row is stored under is the one
+            # queries ask for.
+            remote = ShapeIndexCache(tman.meta.table)
             for code in cache.directory().tolist():
                 assert cache.get_mapping(code) == remote.get_mapping(code), code
             for traj in dataset:
